@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidFan, NotBundleShaped, NotFano
+from .errors import DependentGenerators, InvalidFan, NotBundleShaped, NotFano
 from .fan import Fan, Positivity, classify_positivity, validate_fan
 from .lattice import hermite_normal_form, matrix_det, solve_unique
 
@@ -94,7 +94,7 @@ def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
     rhs = [1] * (d - 1)
     try:
         u = solve_unique(mat, rhs)
-    except Exception:
+    except DependentGenerators:
         return None
     if u is None or any(x.denominator != 1 for x in u):
         return None

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fan import Positivity, classify_positivity
 from .gw import GWProvider
-from .potential import corrected_potential, correction_details, hori_vafa
+from .potential import correction_details, hori_vafa, potential_with_correction
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -148,7 +148,7 @@ def _cmd_potential(args) -> int:
         table = load_gw_table(args.gw_table, fan)
     gw = GWProvider(kahler, table=table, assume_zero=args.assume_zero_above_cutoff)
     factor, records = correction_details(fan, kahler, gw, args.cutoff)
-    poly = corrected_potential(fan, kahler, gw, args.cutoff)
+    poly = potential_with_correction(kahler, factor)
     payload = potential_to_document(
         poly,
         branch="corrected",

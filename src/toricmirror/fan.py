@@ -1,10 +1,12 @@
 """Smooth complete toric fans and their curve-class combinatorics.
 
 A fan is stored as primitive ray generators plus maximal cone index sets.
-Validation enforces smoothness (unimodular cones), that pairwise cone
-intersections are common faces, and the facet-pairing condition (every facet
-of a maximal cone shared by exactly two) as a completeness proxy. On top of
-the validated structure this module computes the degree-2 homology lattice,
+Validation enforces smoothness (unimodular cones) and completeness with a
+local criterion: every facet of a maximal cone is shared by exactly two
+cones lying on opposite sides of it, and one generic point lies in exactly
+one cone. Together these say the cones cover the space and meet in common
+faces, using only integer determinants and sign tests. On top of the
+validated structure this module computes the degree-2 homology lattice,
 primitive collections and relations, anticanonical degrees, the
 Fano/semi-Fano/non-nef trichotomy, and truncated cones of effective classes.
 """
@@ -32,7 +34,6 @@ from .lattice import (
     kernel_basis,
     matrix_det,
 )
-from .polyhedra import cone_extreme_rays
 
 
 class Positivity(enum.Enum):
@@ -229,33 +230,49 @@ def infer_cones_2d(rays):
     return sorted(cones)
 
 
-def _membership_rows(fan: Fan, cone):
-    """Rows M with cone(x) membership given by M @ x >= 0 (inverse of the
-    unimodular generator matrix)."""
-    cols = [[fan.rays[j][i] for j in cone] for i in range(fan.dimension)]
-    return invert_unimodular(cols)
+def _check_complete(fan: Fan):
+    """Every generic point lies in exactly one maximal cone.
 
-
-def _check_common_faces(fan: Fan):
-    rows_cache = {c: _membership_rows(fan, c) for c in fan.maximal_cones}
-    for ca, cb in combinations(fan.maximal_cones, 2):
-        shared = set(ca) & set(cb)
-        allowed = {fan.rays[i] for i in shared}
-        system = [tuple(r) for r in rows_cache[ca]] + [tuple(r) for r in rows_cache[cb]]
-        for ray in cone_extreme_rays(system):
-            if ray not in allowed:
+    Cones are grouped by facet. Cones sharing a facet must lie on opposite
+    sides of it, so crossing a facet swaps one covering cone for another and
+    every generic point is covered the same number of times. That number is
+    read off at p = (1, N, N^2, ...), where N exceeds every entry of the
+    cones' inverse matrices: by the Cauchy root bound no inverse row vanishes
+    at p, so p lies on no wall. A count of one, with every facet in exactly
+    two cones, means the cones cover the space and meet in common faces.
+    """
+    n = fan.dimension
+    by_facet = {}
+    for cone in fan.maximal_cones:
+        for k, apex in enumerate(cone):
+            facet = cone[:k] + cone[k + 1:]
+            cols = [fan.rays[j] for j in facet + (apex,)]
+            side = matrix_det([[v[i] for v in cols] for i in range(n)]) > 0
+            by_facet.setdefault(facet, []).append((side, cone))
+    for facet, cones in by_facet.items():
+        for (side_a, ca), (side_b, cb) in combinations(cones, 2):
+            if side_a == side_b:
                 raise BadFaceIntersection(
-                    f"cones {ca} and {cb} overlap beyond their common face "
-                    f"(direction {ray})"
+                    f"cones {ca} and {cb} lie on the same side of their "
+                    f"common facet {facet}"
                 )
 
+    inverses = {
+        cone: invert_unimodular([[fan.rays[j][i] for j in cone] for i in range(n)])
+        for cone in fan.maximal_cones
+    }
+    big = 2 + max(abs(x) for inv in inverses.values() for row in inv for x in row)
+    point = [big ** i for i in range(n)]
+    inside = [
+        cone for cone, inv in inverses.items()
+        if all(sum(a * x for a, x in zip(row, point)) > 0 for row in inv)
+    ]
+    if len(inside) > 1:
+        raise BadFaceIntersection(
+            f"maximal cones {inside} overlap: all contain the point {tuple(point)}"
+        )
 
-def _check_facets(fan: Fan):
-    counts = {}
-    for cone in fan.maximal_cones:
-        for facet in combinations(cone, fan.dimension - 1):
-            counts[facet] = counts.get(facet, 0) + 1
-    bad = {f: c for f, c in counts.items() if c != 2}
+    bad = {f: len(c) for f, c in by_facet.items() if len(c) != 2}
     if bad:
         raise IncompleteFan(
             f"facets not shared by exactly two maximal cones: {sorted(bad.items())}"
@@ -266,8 +283,12 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
     """Validate fan data and return an immutable Fan.
 
     For dimension 2 the maximal cones may be omitted and are inferred from
-    the counterclockwise order of the rays. Raises NonPrimitiveRay,
-    NonUnimodularCone, BadFaceIntersection, or IncompleteFan.
+    the counterclockwise order of the rays. After the per-ray and per-cone
+    checks, completeness is checked locally (see :func:`_check_complete`):
+    two cones on the same side of a shared facet, or a generic point in two
+    cones, raise BadFaceIntersection; a facet not in exactly two cones
+    raises IncompleteFan. Raises NonPrimitiveRay, NonUnimodularCone,
+    BadFaceIntersection, or IncompleteFan.
     """
     n = int(dimension)
     if n < 1:
@@ -314,8 +335,7 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
         raise IncompleteFan(f"rays {sorted(set(range(len(rays))) - used)} lie in no cone")
 
     fan = Fan(dimension=n, rays=rays, maximal_cones=tuple(cones))
-    _check_common_faces(fan)
-    _check_facets(fan)
+    _check_complete(fan)
     return fan
 
 

@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 from .bundle import default_q_basis
 from .errors import (
+    DependentGenerators,
     EmptyInterior,
     LambdaNotQExpressible,
     NotInBasisSpan,
@@ -29,7 +30,7 @@ from .errors import (
 from .fan import Fan
 from .lattice import matrix_det, solve_unique
 from .linform import LinForm, parse_linear_form
-from .polyhedra import cone_is_trivial, max_min_slack, polytope_vertices
+from .polyhedra import max_min_slack, polytope_vertices
 
 
 def boundary_vector(fan: Fan, beta) -> tuple:
@@ -97,11 +98,9 @@ class KahlerData:
             raise ValueError("q-basis does not span the homology lattice")
 
     def _check_polytope(self):
-        # bounded: the recession cone {x : <x, v_i> >= 0} must be {0}
-        if not cone_is_trivial([list(r) for r in self.fan.rays]):
-            raise ValueError("moment polytope is unbounded")
-        # full-dimensional: positive max-min slack; symbolic constants are
-        # spot-checked at all parameters equal to 1
+        # bounded because the fan is complete; full-dimensional: positive
+        # max-min slack; symbolic constants are spot-checked at all
+        # parameters equal to 1
         probe = {name: Fraction(1) for name in self.parameter_names}
         offsets = [lam.subs(probe) for lam in self.lambdas]
         eps, _ = max_min_slack(self.fan.rays, offsets)
@@ -194,7 +193,7 @@ class KahlerData:
             raise LambdaNotQExpressible(f"lambda_{i} = {lam} with no q-variables")
         try:
             sol = solve_unique(rows, rhs)
-        except Exception as exc:
+        except DependentGenerators as exc:
             raise LambdaNotQExpressible(
                 f"basis areas are degenerate; cannot express exp(lambda_{i})"
             ) from exc

@@ -224,34 +224,6 @@ def solve_unique(mat, rhs) -> Optional[tuple]:
     return tuple(sol)
 
 
-def nullspace(mat) -> list:
-    """Basis of the rational nullspace {x : mat @ x = 0}, as Fraction tuples."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            vec[c] = -row[f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def primitive_integer_vector(vec) -> tuple:
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    denoms = [Fraction(x).denominator for x in vec]
-    lcm = math.lcm(*denoms) if denoms else 1
-    ints = [int(Fraction(x) * lcm) for x in vec]
-    g = math.gcd(*(abs(x) for x in ints)) if any(ints) else 1
-    if g == 0:
-        g = 1
-    return tuple(x // g for x in ints)
-
-
 # --- public lattice operations ---
 
 def is_primitive(v: Sequence[int]) -> bool:

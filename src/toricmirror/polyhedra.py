@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DependentGenerators
-from .lattice import nullspace, primitive_integer_vector, rref, solve_unique
+from .lattice import solve_unique
 
 Ineq = tuple  # (coeffs tuple[Fraction], rhs Fraction) meaning coeffs . x >= rhs
 
@@ -140,44 +140,3 @@ def polytope_vertices(normals, offsets) -> list:
                 seen.add(point)
                 out.append(point)
     return sorted(out)
-
-
-def cone_extreme_rays(rows) -> list:
-    """Extreme rays of the pointed cone {x : rows @ x >= 0}.
-
-    Every extreme ray of a pointed polyhedral cone has n-1 independent
-    active constraints, so enumerating (n-1)-subsets is complete. Returns
-    primitive integer direction vectors, deduplicated and sorted.
-    """
-    if not rows:
-        return []
-    n = len(rows[0])
-    mat = [[Fraction(x) for x in r] for r in rows]
-    found = set()
-    subset_sizes = [n - 1] if n >= 1 else []
-    for size in subset_sizes:
-        for subset in combinations(range(len(mat)), size):
-            sub = [mat[i] for i in subset]
-            kernel = nullspace(sub) if sub else [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-            if len(kernel) != 1:
-                continue
-            w = primitive_integer_vector(kernel[0])
-            for cand in (w, tuple(-x for x in w)):
-                if all(sum(a * x for a, x in zip(row, cand)) >= 0 for row in mat):
-                    found.add(cand)
-                    break
-    return sorted(found)
-
-
-def cone_is_pointed(rows) -> bool:
-    """True when {x : rows @ x >= 0} contains no line."""
-    if not rows:
-        return False
-    n = len(rows[0])
-    _, pivots = rref([list(r) for r in rows])
-    return len(pivots) == n
-
-
-def cone_is_trivial(rows) -> bool:
-    """True when {x : rows @ x >= 0} is exactly {0}."""
-    return cone_is_pointed(rows) and not cone_extreme_rays(rows)

@@ -111,10 +111,15 @@ def correction_factor(fan: Fan, kahler: KahlerData, gw: GWProvider,
 
 def corrected_potential(fan: Fan, kahler: KahlerData, gw: GWProvider,
                         cutoff: int) -> LaurentPoly:
-    """Superpotential of a projectivized canonical bundle:
-    C * (zero-section monomial) + sum of the other basic monomials."""
+    """Superpotential of a projectivized canonical bundle, with the
+    correction factor computed by :func:`correction_details`."""
     factor, _ = correction_details(fan, kahler, gw, cutoff)
+    return potential_with_correction(kahler, factor)
+
+
+def potential_with_correction(kahler: KahlerData, factor: QPoly) -> LaurentPoly:
+    """C * (zero-section monomial) + sum of the other basic monomials."""
     total = basic_monomial(kahler, 0) * factor
-    for i in range(1, fan.nrays):
+    for i in range(1, kahler.fan.nrays):
         total += basic_monomial(kahler, i)
     return total

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -90,6 +91,71 @@ def random_smooth_2d_fan(rng: random.Random, max_rays: int = 10) -> Fan:
         rays.insert(k + 1, (u[0] + w[0], u[1] + w[1]))
     rng.shuffle(rays)
     return validate_fan(2, rays)
+
+
+def _rref(rows):
+    """Reduced row echelon form over Fractions: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _extreme_rays(rows):
+    """Primitive extreme rays of the pointed cone {x : rows @ x >= 0}. Each
+    has n-1 independent active constraints, so (n-1)-subsets are complete."""
+    n = len(rows[0])
+    found = set()
+    for subset in combinations(rows, n - 1):
+        red, pivots = _rref(subset)
+        free = [c for c in range(n) if c not in pivots]
+        if len(free) != 1:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free[0]] = Fraction(1)
+        for row, c in zip(red, pivots):
+            vec[c] = -row[free[0]]
+        scale = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = math.gcd(*ints)
+        w = tuple(x // g for x in ints)
+        for cand in (w, tuple(-x for x in w)):
+            if all(sum(a * x for a, x in zip(row, cand)) >= 0 for row in rows):
+                found.add(cand)
+                break
+    return found
+
+
+def pairwise_overlap_oracle(rays, cones):
+    """Pairwise common-face check on unimodular cones: the first pair of
+    cones whose intersection has an extreme ray outside their shared rays,
+    as (cone_a, cone_b, direction), or None when every pair meets in a
+    common face. Exhaustive and slow (every pair, every (n-1)-subset of
+    the two cones' 2n walls); the library checks the same thing locally."""
+    rays = [tuple(r) for r in rays]
+    n = len(rays[0])
+    walls = {}
+    for cone in cones:
+        cols = [[rays[j][i] for j in cone] + [int(i == k) for k in range(n)]
+                for i in range(n)]
+        walls[cone] = [row[n:] for row in _rref(cols)[0]]  # inverse matrix
+    for ca, cb in combinations(cones, 2):
+        shared = {rays[i] for i in set(ca) & set(cb)}
+        for ray in sorted(_extreme_rays(walls[ca] + walls[cb])):
+            if ray not in shared:
+                return ca, cb, ray
+    return None
 
 
 def fd_log_gradient(poly, z, t, h=1e-5):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from toricmirror import bundle
 from toricmirror.bundle import (
     decompose_bundle,
     default_q_basis,
@@ -136,6 +137,14 @@ class TestRecognition:
         # which is not the canonical-bundle grading
         f1 = validate_fan(2, [(0, 1), (1, 1), (-1, 0), (0, -1)])
         assert decompose_bundle(f1) is None
+
+    def test_internal_error_propagates(self, f2, monkeypatch):
+        def broken(*_):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(bundle, "solve_unique", broken)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            decompose_bundle(f2)
 
 
 class TestDefaultBasis:

@@ -1,10 +1,16 @@
 """JSON schemas, round-trips, CLI exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toricmirror
+from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
     fan_fingerprint,
@@ -137,6 +143,24 @@ class TestAnalyzeCommand:
         path = write(tmp_path, "gap.json",
                      {"dimension": 2, "rays": [[1, 0], [-1, 0]]})
         assert main(["analyze", path]) == 3
+
+    def test_rejections_hold_without_asserts(self, tmp_path, p2):
+        # python -O strips assert statements; rejection must not rely on them
+        overlap = {"dimension": 2,
+                   "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+                   "maximal_cones": [[0, 1], [2, 4], [2, 3], [0, 3]]}
+        x = projectivize_canonical(p2)
+        dropped = {"dimension": 3, "rays": [list(r) for r in x.rays],
+                   "maximal_cones": [list(c) for c in x.maximal_cones[1:]]}
+        env = dict(os.environ, PYTHONPATH=str(Path(toricmirror.__file__).parents[1]))
+        for name, doc in (("overlap.json", overlap), ("dropped.json", dropped)):
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "toricmirror.cli", "analyze",
+                 write(tmp_path, name, doc)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 3, (name, proc.stderr)
+            assert proc.stderr.startswith("error: "), proc.stderr
 
 
 class TestBundleCommand:

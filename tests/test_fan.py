@@ -1,11 +1,19 @@
 """Fan validation, primitive collections/relations, positivity, effective cone."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_force_primitive_collections, random_smooth_2d_fan
+from conftest import (
+    brute_force_primitive_collections,
+    pairwise_overlap_oracle,
+    random_smooth_2d_fan,
+)
+from toricmirror import catalog
+from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     BadFaceIntersection,
     IncompleteFan,
@@ -20,6 +28,7 @@ from toricmirror.fan import (
     forced_divisors,
     validate_fan,
 )
+from toricmirror.lattice import matrix_det
 
 F2_H = (1, 0, 0, 1)
 F2_ALPHA = (-2, 1, 1, 0)
@@ -74,6 +83,151 @@ class TestValidation:
         for _ in range(15):
             fan = random_smooth_2d_fan(rng)
             assert fan.nrays <= 10
+
+
+# --- the local completeness check against the pairwise oracle ---
+
+def _unimodular(rays, subset):
+    n = len(rays[0])
+    return abs(matrix_det([[rays[j][i] for j in subset] for i in range(n)])) == 1
+
+
+def _compact(rays, cones):
+    """Drop rays no cone uses, so the input reaches the completeness check."""
+    used = sorted({i for c in cones for i in c})
+    index = {old: new for new, old in enumerate(used)}
+    return ([rays[i] for i in used],
+            sorted(tuple(sorted(index[i] for i in c)) for c in cones))
+
+
+def _mutants(rays, cones, rng):
+    """Drop a cone, replace one, add one, and put a facet in three cones."""
+    n = len(rays[0])
+    cones = [tuple(c) for c in cones]
+    fresh = [s for s in combinations(range(len(rays)), n)
+             if s not in cones and _unimodular(rays, s)]
+    k = rng.randrange(len(cones))
+    out = [_compact(rays, cones[:k] + cones[k + 1:])]
+    if fresh:
+        out.append(_compact(rays, cones[:k] + cones[k + 1:] + [rng.choice(fresh)]))
+        out.append(_compact(rays, cones + [rng.choice(fresh)]))
+    facet = set(rng.sample(rng.choice(cones), n - 1))
+    third = [s for s in fresh if facet <= set(s)]
+    if third:
+        out.append(_compact(rays, cones + [rng.choice(third)]))
+    return out
+
+
+def _random_chart(rays, cones, rng):
+    """The same fan in a random bounded GL(n, Z) chart with shuffled rays."""
+    n = len(rays[0])
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        T[i] = [a + c * b for a, b in zip(T[i], T[j])]
+    rng.shuffle(T)
+    order = list(range(len(rays)))
+    rng.shuffle(order)
+    index = {old: new for new, old in enumerate(order)}
+    new_rays = [tuple(sum(row[k] * rays[old][k] for k in range(n)) for row in T)
+                for old in order]
+    return new_rays, [tuple(sorted(index[i] for i in c)) for c in cones]
+
+
+def _agrees_with_oracle(rays, cones):
+    """validate_fan and the pairwise oracle agree on the verdict, and on the
+    error class when only one fault is present. Returns the fault kinds."""
+    n = len(rays[0])
+    faults = set()
+    if pairwise_overlap_oracle(rays, cones) is not None:
+        faults.add(BadFaceIntersection)
+    facets = Counter(f for c in cones for f in combinations(c, n - 1))
+    if any(count != 2 for count in facets.values()):
+        faults.add(IncompleteFan)
+    try:
+        validate_fan(n, rays, cones)
+        raised = None
+    except (BadFaceIntersection, IncompleteFan) as exc:
+        raised = type(exc)
+    if not faults:
+        assert raised is None, (rays, cones)
+    elif len(faults) == 1:
+        assert {raised} == faults, (rays, cones, raised)
+    else:
+        assert raised is not None, (rays, cones)
+    return frozenset(faults)
+
+
+def _cycle(rays):
+    """2-D cones between consecutive rays of a closed cycle."""
+    return [tuple(sorted((i, (i + 1) % len(rays)))) for i in range(len(rays))]
+
+
+def _suspension(rays, cones):
+    """The 2-D cones in the plane x3 = 0, coned to +e3 and to -e3."""
+    lifted = [tuple(r) + (0,) for r in rays] + [(0, 0, 1), (0, 0, -1)]
+    tips = (len(rays), len(rays) + 1)
+    return lifted, [c + (tip,) for c in cones for tip in tips]
+
+
+# eight unimodular cones winding three times around the origin: every ray
+# in two cones on opposite sides, yet every point is covered three times
+WOUND = [(1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0), (1, -1), (0, 1), (-1, -1)]
+# a cycle that steps back from (0,-1) to (-1,-1): every ray in two cones,
+# the point (1, N) covered once, but (-1,-2) covered three times
+FOLDED = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
+
+
+P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+DP6_RAYS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+class TestPairwiseOracleAgreement:
+    def test_one_dimensional(self, p1):
+        assert _agrees_with_oracle(p1.rays, p1.maximal_cones) == frozenset()
+        (dropped,) = _mutants(p1.rays, p1.maximal_cones, random.Random(0))
+        assert _agrees_with_oracle(*dropped) == {IncompleteFan}
+
+    def test_random_2d_fans_and_mutants(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(30):
+            fan = random_smooth_2d_fan(rng, max_rays=8)
+            seen.add(_agrees_with_oracle(fan.rays, fan.maximal_cones))
+            for rays, cones in _mutants(fan.rays, fan.maximal_cones, rng):
+                seen.add(_agrees_with_oracle(rays, cones))
+        assert {frozenset(), frozenset({IncompleteFan})} <= seen
+
+    def test_bundles_in_random_charts_and_mutants(self, p1, p2, p1xp1):
+        rng = random.Random(7)
+        bases = [p1, p2, p1xp1, catalog.hirzebruch(1), validate_fan(2, DP6_RAYS)]
+        seen = set()
+        for base in bases:
+            x = projectivize_canonical(base)
+            for _ in range(3):
+                rays, cones = _random_chart(x.rays, x.maximal_cones, rng)
+                seen.add(_agrees_with_oracle(rays, cones))
+                for mutant in _mutants(rays, cones, rng):
+                    seen.add(_agrees_with_oracle(*mutant))
+        assert frozenset() in seen
+        assert frozenset({IncompleteFan}) in seen
+        assert frozenset({IncompleteFan, BadFaceIntersection}) in seen
+
+    def test_p3_bundle_and_mutants(self):
+        p3 = validate_fan(3, P3_RAYS, list(combinations(range(4), 3)))
+        x = projectivize_canonical(p3)
+        rng = random.Random(3)
+        rays, cones = _random_chart(x.rays, x.maximal_cones, rng)
+        assert _agrees_with_oracle(rays, cones) == frozenset()
+        for mutant in _mutants(rays, cones, rng):
+            assert _agrees_with_oracle(*mutant)
+
+    @pytest.mark.parametrize("rays", [WOUND, FOLDED], ids=["wound", "folded"])
+    def test_overlap_with_paired_facets(self, rays):
+        cones = _cycle(rays)
+        assert _agrees_with_oracle(rays, cones) == {BadFaceIntersection}
+        assert _agrees_with_oracle(*_suspension(rays, cones)) == {BadFaceIntersection}
 
 
 class TestHomology:

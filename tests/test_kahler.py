@@ -7,6 +7,7 @@ import pytest
 
 from toricmirror.errors import EmptyInterior, LambdaNotQExpressible, NotInBasisSpan
 from toricmirror.fan import chern_degree
+from toricmirror import kahler
 from toricmirror.kahler import KahlerData, boundary_vector, maslov_index
 from toricmirror.linform import LinForm
 
@@ -125,6 +126,14 @@ class TestLambdaExponents:
         k = KahlerData(f2, ["-t2", "1", "-t1-2*t2", "0"])
         with pytest.raises(LambdaNotQExpressible):
             k.lambda_q_exponents(1)
+
+    def test_internal_error_propagates(self, f2_kahler, monkeypatch):
+        def broken(*_):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(kahler, "solve_unique", broken)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            f2_kahler.lambda_q_exponents(0)
 
 
 class TestInteriorPoint:
