@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import DependentGenerators, InvalidFan, NotBundleShaped, NotFano
 from .fan import Fan, Positivity, classify_positivity, validate_fan
-from .lattice import hermite_normal_form, matrix_det, solve_unique
+from .lattice import hermite_normal_form, solve_unique
 
 
 def projectivize_canonical(fan_y: Fan) -> Fan:
@@ -146,17 +146,4 @@ def default_q_basis(fan_x: Fan) -> Optional[tuple]:
         rel.coords for rel in fan_x.primitive_relations if rel.degree == 0
     )
     basis = tuple(lifts) + (fiber,)
-    canonical = fan_x.homology_basis
-    if len(basis) != len(canonical):
-        return None
-    # integer change of basis with determinant +-1
-    cols = [[b[i] for b in canonical] for i in range(fan_x.nrays)]
-    change = []
-    for vec in basis:
-        coords = solve_unique(cols, list(vec))
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return None
-        change.append([int(c) for c in coords])
-    if abs(matrix_det(change)) != 1:
-        return None
-    return basis
+    return basis if fan_x.is_homology_basis(basis) else None

@@ -117,13 +117,23 @@ def fan_from_document(obj) -> FanDocument:
     return FanDocument(fan, kahler, parameters, lambdas_text, q_basis)
 
 
-def load_fan_document(path) -> FanDocument:
+def _read_json(path):
+    """Parse a JSON file. Text that is not UTF-8 JSON, or a path that cannot
+    be read as a file, is a SchemaError; a missing file stays
+    FileNotFoundError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return fan_from_document(obj)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
+def load_fan_document(path) -> FanDocument:
+    return fan_from_document(_read_json(path))
 
 
 def fan_to_document(fan: Fan, *, parameters=None, lambdas=None, q_basis=None) -> dict:
@@ -182,12 +192,7 @@ def gw_table_from_document(obj, fan: Optional[Fan] = None) -> GWTable:
 
 
 def load_gw_table(path, fan: Optional[Fan] = None) -> GWTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return gw_table_from_document(obj, fan)
+    return gw_table_from_document(_read_json(path), fan)
 
 
 # --- potential documents ---
@@ -311,12 +316,7 @@ def potential_from_document(obj) -> PotentialDocument:
 
 
 def load_potential_document(path) -> PotentialDocument:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return potential_from_document(obj)
+    return potential_from_document(_read_json(path))
 
 
 # --- critical reports ---

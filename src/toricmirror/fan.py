@@ -29,6 +29,7 @@ from .errors import (
 )
 from .lattice import (
     cone_coefficients,
+    hermite_normal_form,
     invert_unimodular,
     is_primitive,
     kernel_basis,
@@ -105,6 +106,15 @@ class Fan:
     def homology_basis(self):
         """Canonical Z-basis of the kernel of the ray map (degree-2 homology)."""
         return tuple(kernel_basis(self.ray_matrix()))
+
+    def is_homology_basis(self, classes) -> bool:
+        """True when the classes form a Z-basis of the homology lattice.
+
+        The canonical basis is in Hermite normal form, which is unique for
+        a lattice, so the classes span it exactly when theirs is the same.
+        """
+        normal_form, _ = hermite_normal_form(classes)
+        return [tuple(r) for r in normal_form] == list(self.homology_basis)
 
     def is_homology_class(self, coords) -> bool:
         if len(coords) != self.nrays:

@@ -14,9 +14,9 @@ proved for each geometry; it is not a safe default.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import catalog
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fan import Fan, chern_degree
 from .kahler import KahlerData
-from .lattice import unimodular_map_search
+from .lattice import lattice_coordinates, unimodular_map_search
 
 PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_TABLE = "table"
@@ -54,6 +54,11 @@ class GWTable:
     fingerprint: str
     basis: tuple
     entries: dict  # basis-coordinate tuple -> Fraction
+    key_of: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # class -> key or None; raises DependentGenerators on a dependent basis
+        object.__setattr__(self, "key_of", lattice_coordinates(self.basis))
 
     def class_of(self, key) -> tuple:
         d = len(self.basis[0])
@@ -63,8 +68,9 @@ class GWTable:
 
 
 def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) -> GWTable:
-    """Check a parsed table: fingerprint binding, basis classes, and that
-    every key has anticanonical degree 0."""
+    """Check a parsed table: fingerprint binding, basis classes that are
+    linearly independent (DependentGenerators otherwise), and that every key
+    has anticanonical degree 0."""
     if fan is not None:
         from .documents import fan_fingerprint
 
@@ -102,8 +108,9 @@ class GWProvider:
             self._check_table_consistency()
 
     @functools.cached_property
-    def _f2_base_class(self) -> Optional[tuple]:
-        """The degree-0 generator when the fan is equivalent to F2."""
+    def _f2_base_coordinates(self) -> Optional[Callable]:
+        """Coordinates along the degree-0 generator when the fan is
+        equivalent to F2, else None."""
         ref = catalog.hirzebruch2()
         if self.fan.dimension != ref.dimension:
             return None
@@ -112,31 +119,15 @@ class GWProvider:
             return None
         degree_zero = [r.coords for r in self.fan.primitive_relations if r.degree == 0]
         assert len(degree_zero) == 1
-        return degree_zero[0]
+        return lattice_coordinates(degree_zero)
 
     def _as_base_multiple(self, alpha) -> Optional[int]:
-        base = self._f2_base_class
-        if base is None:
-            return None
-        k = None
-        for a, b in zip(alpha, base):
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            ratio = Fraction(a, b)
-            if k is None:
-                k = ratio
-            elif ratio != k:
-                return None
-        if k is None:
-            k = Fraction(0)
-        if k.denominator != 1 or k < 0:
-            return None
-        return int(k)
+        base = self._f2_base_coordinates
+        k = None if base is None else base(alpha)
+        return k[0] if k is not None and k[0] >= 0 else None
 
     def _check_table_consistency(self):
-        if self._f2_base_class is None:
+        if self._f2_base_coordinates is None:
             return
         for key, value in self.table.entries.items():
             cls = self.table.class_of(key)
@@ -162,10 +153,7 @@ class GWProvider:
         if k is not None:
             return f2_one_point_rule(k), PROVENANCE_BUILTIN
         if self.table is not None:
-            try:
-                key = self._table_key(alpha)
-            except UnknownInvariant:
-                key = None
+            key = self.table.key_of(alpha)
             if key is not None and key in self.table.entries:
                 return self.table.entries[key], PROVENANCE_TABLE
         if self.assume_zero:
@@ -174,16 +162,6 @@ class GWProvider:
             f"no Gromov-Witten value available for class {alpha}; supply a table "
             f"or pass assume_zero to zero-fill"
         )
-
-    def _table_key(self, alpha) -> tuple:
-        from .lattice import solve_unique
-
-        basis = self.table.basis
-        cols = [[b[i] for b in basis] for i in range(len(alpha))]
-        coords = solve_unique(cols, list(alpha))
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise UnknownInvariant(f"class {alpha} is outside the table basis span")
-        return tuple(int(c) for c in coords)
 
     def gw_one_point(self, alpha) -> Fraction:
         return self.lookup(alpha)[0]

@@ -28,7 +28,7 @@ from .errors import (
     NotInBasisSpan,
 )
 from .fan import Fan
-from .lattice import matrix_det, solve_unique
+from .lattice import lattice_coordinates, solve_unique
 from .linform import LinForm, parse_linear_form
 from .polyhedra import max_min_slack, polytope_vertices
 
@@ -72,30 +72,18 @@ class KahlerData:
         for b in q_basis:
             if not fan.is_homology_class(b):
                 raise ValueError(f"q-basis vector {b} is not a curve class")
-        self._check_basis(q_basis)
+        if len(q_basis) != len(fan.homology_basis):
+            raise ValueError(
+                f"q-basis has {len(q_basis)} classes; "
+                f"homology rank is {len(fan.homology_basis)}"
+            )
+        if not fan.is_homology_basis(q_basis):
+            raise ValueError("q-basis does not span the homology lattice")
         self.q_basis = q_basis
 
         self._check_polytope()
 
     # -- construction checks --
-
-    def _check_basis(self, q_basis):
-        canonical = self.fan.homology_basis
-        if len(q_basis) != len(canonical):
-            raise ValueError(
-                f"q-basis has {len(q_basis)} classes; homology rank is {len(canonical)}"
-            )
-        if not canonical:
-            return
-        cols = [[b[i] for b in canonical] for i in range(self.fan.nrays)]
-        change = []
-        for vec in q_basis:
-            coords = solve_unique(cols, list(vec))
-            if coords is None or any(c.denominator != 1 for c in coords):
-                raise ValueError(f"{vec} is not an integral combination of homology classes")
-            change.append([int(c) for c in coords])
-        if abs(matrix_det(change)) != 1:
-            raise ValueError("q-basis does not span the homology lattice")
 
     def _check_polytope(self):
         # bounded because the fan is complete; full-dimensional: positive
@@ -152,21 +140,20 @@ class KahlerData:
 
     # -- q-weights --
 
+    @functools.cached_property
+    def _q_basis_coordinates(self):
+        return lattice_coordinates(self.q_basis)
+
     def q_coordinates(self, alpha) -> tuple:
         """Integer coordinates of a curve class in the q-basis."""
         if not self.fan.is_homology_class(alpha):
             raise NotInBasisSpan(f"{tuple(alpha)} is not a curve class of the fan")
-        if not self.q_basis:
-            if any(alpha):
-                raise NotInBasisSpan("nonzero class with trivial homology")
-            return ()
-        cols = [[b[i] for b in self.q_basis] for i in range(self.fan.nrays)]
-        coords = solve_unique(cols, list(alpha))
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = self._q_basis_coordinates(alpha)
+        if coords is None:
             raise NotInBasisSpan(
                 f"{tuple(alpha)} has no integer coordinates in the q-basis"
             )
-        return tuple(int(c) for c in coords)
+        return coords
 
     q_weight = q_coordinates  # the weight is the monomial with these exponents
 

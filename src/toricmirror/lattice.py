@@ -3,8 +3,10 @@
 Everything here runs on arbitrary-precision Python ints and Fractions; no
 floating point. Kernels are computed through the Hermite normal form of the
 transpose, which yields a saturated lattice basis directly (the basis rows
-come from a unimodular transform), and saturation is re-verified through
-elementary divisors as a guard against implementation bugs.
+come from a unimodular transform). Saturation is not re-checked at run time;
+the test suite checks it against elementary divisors. Integer coordinates in
+a basis come from one Hermite normal form per basis
+(:func:`lattice_coordinates`).
 """
 
 from __future__ import annotations
@@ -107,67 +109,6 @@ def hermite_normal_form(mat) -> tuple:
     return A, U
 
 
-def elementary_divisors(mat) -> list:
-    """Nonzero diagonal of the Smith normal form, as positive ints."""
-    A, ncols = _check_rect(mat)
-    m = len(A)
-    divisors = []
-    t = 0
-    while t < min(m, ncols):
-        # locate a nonzero entry of least magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, ncols):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if A[i][t] == 0:
-                    continue
-                a, b = A[t][t], A[i][t]
-                g, s, u = xgcd(a, b)
-                p, q = a // g, b // g
-                A[t], A[i] = (
-                    [s * x + u * y for x, y in zip(A[t], A[i])],
-                    [-q * x + p * y for x, y in zip(A[t], A[i])],
-                )
-            row_was_clear = True
-            for j in range(t + 1, ncols):
-                if A[t][j] == 0:
-                    continue
-                row_was_clear = False
-                a, b = A[t][t], A[t][j]
-                g, s, u = xgcd(a, b)
-                p, q = a // g, b // g
-                for row in A:
-                    row[t], row[j] = s * row[t] + u * row[j], -q * row[t] + p * row[j]
-            if row_was_clear and all(A[i][t] == 0 for i in range(t + 1, m)):
-                # enforce divisibility of the remaining block by the pivot
-                offender = None
-                piv = A[t][t]
-                for i in range(t + 1, m):
-                    for j in range(t + 1, ncols):
-                        if A[i][j] % piv != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                A[t] = [x + y for x, y in zip(A[t], A[offender])]
-        divisors.append(abs(A[t][t]))
-        t += 1
-    return divisors
-
-
 # --- exact rational elimination helpers ---
 
 def rref(mat) -> tuple:
@@ -253,14 +194,41 @@ def kernel_basis(mat) -> list:
     if not kernel_rows:
         return []
     canon, _ = hermite_normal_form(kernel_rows)
-    basis = [tuple(r) for r in canon if any(r)]
-    # post-conditions: exact kernel membership, expected rank, saturation
-    assert len(basis) == ncols - rk
-    for b in basis:
-        assert all(sum(r[j] * b[j] for j in range(ncols)) == 0 for r in rows)
-        assert is_primitive(b)
-    assert elementary_divisors([list(b) for b in basis]) == [1] * len(basis)
-    return basis
+    return [tuple(r) for r in canon if any(r)]
+
+
+def lattice_coordinates(basis):
+    """Coordinate map of the lattice spanned by linearly independent rows.
+
+    The Hermite normal form of the rows is taken once (DependentGenerators
+    when a row of it is zero). The returned ``coords(v)`` gives the integer
+    tuple c with sum(c_i * basis_i) == v, or None when v is not an integer
+    combination of the rows, by integer back-substitution against the
+    pivots of the normal form mapped back through its unimodular transform.
+    """
+    H, U = hermite_normal_form(basis)
+    if any(not any(row) for row in H):
+        raise DependentGenerators(f"basis {[tuple(b) for b in basis]} is linearly dependent")
+    pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+    width = len(H[0]) if H else None
+
+    def coords(v) -> Optional[tuple]:
+        rest = [int(x) for x in v]
+        if width is not None and len(rest) != width:
+            raise DimensionMismatch(f"vector length {len(rest)}, basis row length {width}")
+        y = []
+        for row, p in zip(H, pivots):
+            k, r = divmod(rest[p], row[p])
+            if r:
+                return None
+            y.append(k)
+            if k:
+                rest = [a - k * b for a, b in zip(rest, row)]
+        if any(rest):
+            return None
+        return tuple(sum(k * u[j] for k, u in zip(y, U)) for j in range(len(U)))
+
+    return coords
 
 
 def cone_coefficients(point, generators) -> Optional[tuple]:
@@ -284,9 +252,6 @@ def cone_coefficients(point, generators) -> Optional[tuple]:
         return None
     if any(c < 0 for c in sol):
         return None
-    assert all(
-        sum(sol[k] * gens[k][i] for k in range(len(gens))) == pt[i] for i in range(n)
-    )
     return sol
 
 
@@ -385,6 +350,5 @@ def unimodular_map_search(rays_a, cones_a, rays_b, cones_b) -> Optional[tuple]:
             mapped = {frozenset(image[j] for j in cone) for cone in cones_a}
             if mapped != cone_set_b:
                 continue
-            assert abs(matrix_det(T)) == 1
             return tuple(tuple(row) for row in T)
     return None

@@ -9,6 +9,7 @@ import pytest
 
 from toricmirror import catalog
 from toricmirror.fan import Fan, validate_fan
+from toricmirror.lattice import xgcd
 from toricmirror.laurent import evaluate
 
 
@@ -156,6 +157,69 @@ def pairwise_overlap_oracle(rays, cones):
             if ray not in shared:
                 return ca, cb, ray
     return None
+
+
+def elementary_divisors(mat) -> list:
+    """Nonzero diagonal of the Smith normal form, as positive ints. All ones
+    means the rows span a saturated lattice (a direct summand)."""
+    A = [list(r) for r in mat]
+    ncols = len(A[0]) if A else 0
+    m = len(A)
+    divisors = []
+    t = 0
+    while t < min(m, ncols):
+        # locate a nonzero entry of least magnitude in the trailing block
+        best = None
+        for i in range(t, m):
+            for j in range(t, ncols):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            A[t], A[bi] = A[bi], A[t]
+        if bj != t:
+            for row in A:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            for i in range(t + 1, m):
+                if A[i][t] == 0:
+                    continue
+                a, b = A[t][t], A[i][t]
+                g, s, u = xgcd(a, b)
+                p, q = a // g, b // g
+                A[t], A[i] = (
+                    [s * x + u * y for x, y in zip(A[t], A[i])],
+                    [-q * x + p * y for x, y in zip(A[t], A[i])],
+                )
+            row_was_clear = True
+            for j in range(t + 1, ncols):
+                if A[t][j] == 0:
+                    continue
+                row_was_clear = False
+                a, b = A[t][t], A[t][j]
+                g, s, u = xgcd(a, b)
+                p, q = a // g, b // g
+                for row in A:
+                    row[t], row[j] = s * row[t] + u * row[j], -q * row[t] + p * row[j]
+            if row_was_clear and all(A[i][t] == 0 for i in range(t + 1, m)):
+                # enforce divisibility of the remaining block by the pivot
+                offender = None
+                piv = A[t][t]
+                for i in range(t + 1, m):
+                    for j in range(t + 1, ncols):
+                        if A[i][j] % piv != 0:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                A[t] = [x + y for x, y in zip(A[t], A[offender])]
+        divisors.append(abs(A[t][t]))
+        t += 1
+    return divisors
 
 
 def fd_log_gradient(poly, z, t, h=1e-5):

@@ -139,6 +139,23 @@ class TestAnalyzeCommand:
         path = write(tmp_path, "bad.json", "{not json")
         assert main(["analyze", path]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dimension": 1, "rays": [[1], [-1]], "x": "\xff"}')
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
     def test_invalid_fan_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, "gap.json",
                      {"dimension": 2, "rays": [[1, 0], [-1, 0]]})
@@ -234,6 +251,20 @@ class TestPotentialCommand:
         table_path = write(tmp_path, "table2.json", table)
         assert main(["potential", fan_path, "--cutoff", "2",
                      "--gw-table", table_path]) == 2
+
+    def test_dependent_table_basis_exit_2(self, tmp_path, capsys, f2):
+        # keys (2, 0) and (0, 1) would name the same class; the built-in F2
+        # rule answers every lookup, so only a load-time check sees this
+        fan_path = write(tmp_path, "f2.json", F2_DOC)
+        table = {
+            "fan_fingerprint": fan_fingerprint(f2),
+            "basis": [[-2, 1, 1, 0], [-4, 2, 2, 0]],
+            "entries": [{"class": [1, 0], "value": "1"}],
+        }
+        table_path = write(tmp_path, "table.json", table)
+        assert main(["potential", fan_path, "--cutoff", "2",
+                     "--gw-table", table_path]) == 2
+        assert "linearly dependent" in capsys.readouterr().err
 
     def test_missing_kahler_exit_2(self, tmp_path, capsys):
         doc = {k: v for k, v in F2_DOC.items() if k != "kahler"}

@@ -9,6 +9,7 @@ from toricmirror.bundle import projectivize_canonical, push_h2
 from toricmirror.documents import fan_fingerprint
 from toricmirror.errors import (
     BadChernDegree,
+    DependentGenerators,
     FingerprintMismatch,
     InconsistentTable,
     UnknownInvariant,
@@ -155,3 +156,11 @@ class TestTables:
         provider = GWProvider(p2_bundle_kahler, table=table)
         value, source = provider.lookup(push_h2(p2, (1, 1, 1)))
         assert (value, source) == (21, "table")
+
+    def test_dependent_basis_rejected_at_load(self, p2_bundle_kahler):
+        x = p2_bundle_kahler.fan
+        base = (-3, 1, 1, 1, 0)
+        basis = [base, tuple(2 * c for c in base)]
+        with pytest.raises(DependentGenerators):
+            validate_table(fan_fingerprint(x), basis,
+                           {(2, 0): Fraction(0), (0, 1): Fraction(5)}, x)

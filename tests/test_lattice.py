@@ -8,22 +8,29 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from conftest import elementary_divisors, random_smooth_2d_fan
+from toricmirror import catalog
+from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     DependentGenerators,
     DimensionMismatch,
     NotFullRank,
     ZeroVector,
 )
+from toricmirror.fan import validate_fan
+from toricmirror.gw import GWProvider
+from toricmirror.kahler import KahlerData
 from toricmirror.lattice import (
     cone_coefficients,
-    elementary_divisors,
     hermite_normal_form,
     is_primitive,
     kernel_basis,
+    lattice_coordinates,
     matrix_det,
     solve_unique,
     unimodular_map_search,
 )
+from toricmirror.potential import correction_details
 
 F2_RAY_MATRIX = [[0, 1, -1, 0], [-1, 0, -2, 1]]  # columns are the F2 rays
 
@@ -85,6 +92,21 @@ class TestKernelBasis:
             for cand in product(range(-3, 4), repeat=cols):
                 if sum(a * b for a, b in zip(mat[0], cand)) == 0:
                     assert in_lattice(cand, basis), (mat, cand, basis)
+
+    def test_saturation_of_multi_row_kernels(self):
+        # elementary divisors all 1: the basis spans a direct summand, so no
+        # kernel vector is a fractional combination of it
+        rng = random.Random(23)
+        checked = 0
+        while checked < 30:
+            rows = rng.randint(2, 3)
+            cols = rng.randint(rows + 1, 6)
+            mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+            if sympy.Matrix(mat).rank() < rows:
+                continue
+            basis = kernel_basis(mat)
+            assert elementary_divisors(basis) == [1] * (cols - rows), (mat, basis)
+            checked += 1
 
 
 class TestHermiteSmith:
@@ -201,3 +223,174 @@ class TestUnimodularSearch:
         rays = [(1, 0)] * 20
         with pytest.raises(ValueError):
             unimodular_map_search(rays, [], rays, [])
+
+
+def combine(coeffs, basis):
+    return tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
+                 for i in range(len(basis[0])))
+
+
+def random_unimodular(rng, size):
+    """Product of random elementary integer row operations."""
+    mat = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+        if i != j and rng.random() < 0.7:
+            k = rng.randint(-3, 3)
+            mat[i] = [a + k * b for a, b in zip(mat[i], mat[j])]
+        elif i != j:
+            mat[i], mat[j] = mat[j], mat[i]
+        else:
+            mat[i] = [-a for a in mat[i]]
+    return mat
+
+
+def cone_zero_kahler(fan):
+    """Kahler data with lambda 0 on the first maximal cone's rays and -t_j
+    on the others: a nonempty polytope for every positive t."""
+    first = set(fan.maximal_cones[0])
+    lambdas, j = [], 0
+    for i in range(fan.nrays):
+        if i in first:
+            lambdas.append("0")
+        else:
+            j += 1
+            lambdas.append(f"-t{j}")
+    return KahlerData(fan, lambdas)
+
+
+DP6 = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def bundle_fans():
+    return [
+        catalog.hirzebruch2(),
+        projectivize_canonical(catalog.projective_plane()),
+        projectivize_canonical(catalog.p1_times_p1()),
+        projectivize_canonical(validate_fan(2, DP6)),
+    ]
+
+
+class TestLatticeCoordinates:
+    """lattice_coordinates against in_lattice (Fraction rref per vector)."""
+
+    def test_examples(self):
+        coords = lattice_coordinates([(2, 0), (1, 3)])
+        assert coords((3, 3)) == (1, 1)
+        assert coords((1, 3)) == (0, 1)
+        assert coords((1, 0)) is None  # half of a basis vector
+        assert lattice_coordinates([(-3, 1, 1, 1, 0)])((6, -2, -2, -2, 0)) == (-2,)
+        assert lattice_coordinates([(1, 1, 1)])((1, 2, 1)) is None  # off the span
+
+    def test_empty_basis(self):
+        coords = lattice_coordinates([])
+        assert coords((0, 0)) == ()
+        assert coords((0, 1)) is None
+
+    def test_dependent_rows_rejected(self):
+        base = (-3, 1, 1, 1, 0)
+        with pytest.raises(DependentGenerators):
+            lattice_coordinates([base, tuple(2 * x for x in base)])
+        with pytest.raises(DependentGenerators):
+            lattice_coordinates([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            lattice_coordinates([(1, 0)])((1, 0, 0))
+
+    def test_against_rational_solver(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(rows, 6)
+            basis = [tuple(rng.randint(-4, 4) for _ in range(cols)) for _ in range(rows)]
+            roll = rng.random()
+            if roll < 0.2:  # not saturated: a multiple of a row
+                k = rng.randrange(rows)
+                basis[k] = tuple(rng.choice((2, 3, -2)) * x for x in basis[k])
+            elif roll < 0.35 and rows > 1:  # dependent: a combination of rows
+                k = rng.randrange(rows)
+                others = [b for i, b in enumerate(basis) if i != k]
+                basis[k] = combine([rng.randint(-2, 2) for _ in others], others)
+            if sympy.Matrix(basis).rank() < rows:
+                with pytest.raises(DependentGenerators):
+                    lattice_coordinates(basis)
+                continue
+            coords = lattice_coordinates(basis)
+            for _ in range(8):
+                c = [rng.randint(-5, 5) for _ in range(rows)]
+                vec = combine(c, basis)
+                assert in_lattice(vec, basis)
+                assert coords(vec) == tuple(c)
+                half = [Fraction(x) for x in c]
+                half[rng.randrange(rows)] += Fraction(1, 2)
+                vec = combine(half, basis)
+                if all(x.denominator == 1 for x in vec):
+                    vec = tuple(int(x) for x in vec)
+                    assert coords(vec) is None
+                    assert not in_lattice(vec, basis)
+                vec = tuple(rng.randint(-6, 6) for _ in range(cols))
+                got = coords(vec)
+                assert (got is not None) == in_lattice(vec, basis), (basis, vec)
+                if got is not None:
+                    assert combine(got, basis) == vec
+
+    @pytest.mark.parametrize("fan", bundle_fans()[1:], ids=["P2", "P1xP1", "dP6"])
+    def test_q_weight_on_correction_classes(self, fan):
+        kahler = cone_zero_kahler(fan)
+        gw = GWProvider(kahler, assume_zero=True)
+        _, records = correction_details(fan, kahler, gw, 3)
+        assert records
+        for rec in records:
+            assert in_lattice(rec.alpha, kahler.q_basis)
+            assert combine(rec.q_exponents, kahler.q_basis) == rec.alpha
+            assert kahler.q_weight(rec.alpha) == rec.q_exponents
+
+
+def old_span_check(fan, classes):
+    """The rational test the span check replaced: integer coordinates in
+    the canonical homology basis and a change of basis of determinant +-1."""
+    canonical = fan.homology_basis
+    if len(classes) != len(canonical):
+        return False
+    if not canonical:
+        return True
+    cols = [[b[i] for b in canonical] for i in range(fan.nrays)]
+    change = []
+    for vec in classes:
+        coords = solve_unique(cols, list(vec))
+        if coords is None or any(c.denominator != 1 for c in coords):
+            return False
+        change.append([int(c) for c in coords])
+    return abs(matrix_det(change)) == 1
+
+
+class TestHomologyBasisCheck:
+    def test_agrees_with_change_of_basis_test(self):
+        rng = random.Random(31)
+        fans = bundle_fans() + [random_smooth_2d_fan(rng, 7) for _ in range(8)]
+        for fan in fans:
+            canonical = fan.homology_basis
+            r = len(canonical)
+            for _ in range(6):
+                change = random_unimodular(rng, r)
+                basis = [combine(row, canonical) for row in change]
+                candidates = [basis]
+                k = rng.randrange(r)
+                scaled = list(basis)
+                scaled[k] = tuple(2 * x for x in basis[k])
+                candidates.append(scaled)
+                if r > 1:
+                    repeated = list(basis)
+                    repeated[k] = basis[(k + 1) % r]
+                    candidates.append(repeated)
+                off_kernel = list(basis)
+                off_kernel[k] = (basis[k][0] + 1,) + basis[k][1:]
+                candidates.append(off_kernel)
+                candidates.append(basis[:-1])
+                candidates.append(basis + [basis[0]])
+                for cand in candidates:
+                    expected = old_span_check(fan, cand)
+                    assert fan.is_homology_basis(cand) == expected, (fan, cand)
+                assert fan.is_homology_basis(basis)
+                assert not fan.is_homology_basis(scaled)
