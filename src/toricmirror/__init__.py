@@ -36,12 +36,7 @@ from .fan import (
 )
 from .gw import GWProvider, GWTable, f2_one_point_rule
 from .kahler import KahlerData, boundary_vector, maslov_index
-from .lattice import (
-    cone_coefficients,
-    is_primitive,
-    kernel_basis,
-    unimodular_map_search,
-)
+from .lattice import is_primitive, kernel_basis, unimodular_map_search
 from .laurent import LaurentPoly, QPoly, evaluate
 from .linform import LinForm, parse_linear_form
 from .potential import (
@@ -71,7 +66,6 @@ __all__ = [
     "boundary_vector",
     "chern_degree",
     "classify_positivity",
-    "cone_coefficients",
     "contributing_classes",
     "corrected_potential",
     "correction_factor",

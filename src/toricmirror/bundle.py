@@ -104,8 +104,6 @@ def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
     _, transform = hermite_normal_form(col)
     # transform @ ray0 = e_1; rotate rows so it becomes e_n
     change = transform[1:] + transform[:1]
-    assert [sum(change[i][j] * fan_x.rays[0][j] for j in range(n)) for i in range(n)] \
-        == [0] * (n - 1) + [1]
     base_rays = []
     for ray in fan_x.rays[1:-1]:
         img = [sum(change[i][j] * ray[j] for j in range(n)) for i in range(n)]

@@ -1,22 +1,26 @@
 """Smooth complete toric fans and their curve-class combinatorics.
 
 A fan is stored as primitive ray generators plus maximal cone index sets.
-Validation enforces smoothness (unimodular cones) and completeness with a
-local criterion: every facet of a maximal cone is shared by exactly two
-cones lying on opposite sides of it, and one generic point lies in exactly
-one cone. Together these say the cones cover the space and meet in common
-faces, using only integer determinants and sign tests. On top of the
-validated structure this module computes the degree-2 homology lattice,
-primitive collections and relations, anticanonical degrees, the
-Fano/semi-Fano/non-nef trichotomy, and truncated cones of effective classes.
+Validation takes the Hermite normal form of each maximal cone's ray matrix
+once: the cone is smooth (unimodular) when the normal form is the identity,
+and the transform is then the cone's dual basis, whose rows are the inward
+normals of its facets. Completeness is checked locally with those normals:
+every facet of a maximal cone is shared by exactly two cones whose inward
+normals there are opposite, and one generic point lies in exactly one cone.
+Together these say the cones cover the space and meet in common faces. The
+dual bases also give the coordinates of any vector in a cone's rays, which
+locates the focus of a primitive relation. On top of the validated
+structure this module computes the degree-2 homology lattice, primitive
+collections and relations, anticanonical degrees, the Fano/semi-Fano/non-nef
+trichotomy, and truncated cones of effective classes.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -27,14 +31,7 @@ from .errors import (
     NonPrimitiveRay,
     NonUnimodularCone,
 )
-from .lattice import (
-    cone_coefficients,
-    hermite_normal_form,
-    invert_unimodular,
-    is_primitive,
-    kernel_basis,
-    matrix_det,
-)
+from .lattice import hermite_normal_form, is_primitive, kernel_basis
 
 
 class Positivity(enum.Enum):
@@ -67,11 +64,18 @@ def forced_divisors(coords) -> tuple:
 
 @dataclass(frozen=True)
 class Fan:
-    """A validated smooth complete fan. Build via :func:`validate_fan`."""
+    """A validated smooth complete fan. Build via :func:`validate_fan`.
+
+    ``dual_bases`` maps each maximal cone to the integer inverse of its ray
+    matrix (rays as columns): row k is the inward normal of the facet
+    opposite ray ``cone[k]``, and the matrix applied to a vector gives its
+    coordinates in the cone's rays.
+    """
 
     dimension: int
     rays: tuple
     maximal_cones: tuple
+    dual_bases: dict = field(compare=False, repr=False)
 
     @property
     def nrays(self) -> int:
@@ -90,17 +94,6 @@ class Fan:
         maximal cone (faces of simplicial cones are generator subsets)."""
         s = frozenset(subset)
         return any(s <= c for c in self._cone_index_sets)
-
-    @functools.cached_property
-    def faces_by_dimension(self):
-        """All cones of the fan grouped by dimension, 0 (the origin) up to n."""
-        out = {0: ((),)}
-        for k in range(1, self.dimension + 1):
-            faces = set()
-            for cone in self.maximal_cones:
-                faces.update(combinations(cone, k))
-            out[k] = tuple(sorted(faces))
-        return out
 
     @functools.cached_property
     def homology_basis(self):
@@ -147,47 +140,38 @@ class Fan:
 
     def primitive_relation(self, collection) -> PrimitiveRelation:
         """Locate the focus (smallest cone containing the collection's ray sum)
-        and assemble the induced relation and curve class."""
+        and assemble the induced relation and curve class.
+
+        The first maximal cone whose dual basis gives the sum nonnegative
+        coordinates contains it; the rays with positive coordinates span the
+        smallest cone containing it, and those coordinates are the
+        multiplicities.
+        """
         collection = tuple(sorted(collection))
         if collection not in self.primitive_collections:
             raise ValueError(f"{collection} is not a primitive collection of this fan")
         s = [sum(self.rays[i][k] for i in collection) for k in range(self.dimension)]
-        for dim in range(0, self.dimension + 1):
-            for face in self.faces_by_dimension[dim]:
-                gens = [self.rays[j] for j in face]
-                coeffs = cone_coefficients(s, gens)
-                if coeffs is None:
-                    continue
-                mults = []
-                for c in coeffs:
-                    if Fraction(c).denominator != 1:
-                        raise FocusNotFound(
-                            f"focus coefficients of {collection} are not integers"
-                        )
-                    mults.append(int(c))
-                if any(m <= 0 for m in mults):
-                    # would have been found in a lower-dimensional face
-                    raise FocusNotFound(
-                        f"non-minimal focus located for {collection}"
-                    )
-                if set(face) & set(collection):
-                    raise FocusNotFound(
-                        f"focus of {collection} meets the collection itself"
-                    )
-                coords = [0] * self.nrays
-                for i in collection:
-                    coords[i] = 1
-                for j, m in zip(face, mults):
-                    coords[j] = -m
-                coords = tuple(coords)
-                assert self.is_homology_class(coords)
-                return PrimitiveRelation(
-                    collection=collection,
-                    focus=tuple(face),
-                    multiplicities=tuple(mults),
-                    coords=coords,
-                    degree=chern_degree(coords),
-                )
+        for cone, dual in self.dual_bases.items():
+            coeffs = [sum(a * x for a, x in zip(row, s)) for row in dual]
+            if min(coeffs) < 0:
+                continue
+            focus = tuple(j for j, c in zip(cone, coeffs) if c)
+            mults = tuple(c for c in coeffs if c)
+            if set(focus) & set(collection):
+                raise FocusNotFound(f"focus of {collection} meets the collection itself")
+            coords = [0] * self.nrays
+            for i in collection:
+                coords[i] = 1
+            for j, m in zip(focus, mults):
+                coords[j] = -m
+            coords = tuple(coords)
+            return PrimitiveRelation(
+                collection=collection,
+                focus=focus,
+                multiplicities=mults,
+                coords=coords,
+                degree=chern_degree(coords),
+            )
         raise FocusNotFound(f"no cone of the fan contains the sum over {collection}")
 
     @functools.cached_property
@@ -243,39 +227,36 @@ def infer_cones_2d(rays):
 def _check_complete(fan: Fan):
     """Every generic point lies in exactly one maximal cone.
 
-    Cones are grouped by facet. Cones sharing a facet must lie on opposite
-    sides of it, so crossing a facet swaps one covering cone for another and
-    every generic point is covered the same number of times. That number is
-    read off at p = (1, N, N^2, ...), where N exceeds every entry of the
-    cones' inverse matrices: by the Cauchy root bound no inverse row vanishes
-    at p, so p lies on no wall. A count of one, with every facet in exactly
-    two cones, means the cones cover the space and meet in common faces.
+    Cones are grouped by facet, each with its inward normal there (a row of
+    its dual basis). Cones sharing a facet must lie on opposite sides of it:
+    both normals are primitive and orthogonal to the facet, so they are
+    equal or opposite, and equal means the same side. Then crossing a facet
+    swaps one covering cone for another and every generic point is covered
+    the same number of times. That number is read off at
+    p = (1, N, N^2, ...), where N exceeds every entry of the dual bases: by
+    the Cauchy root bound no normal vanishes at p, so p lies on no wall. A
+    count of one, with every facet in exactly two cones, means the cones
+    cover the space and meet in common faces.
     """
     n = fan.dimension
     by_facet = {}
-    for cone in fan.maximal_cones:
-        for k, apex in enumerate(cone):
+    for cone, dual in fan.dual_bases.items():
+        for k, normal in enumerate(dual):
             facet = cone[:k] + cone[k + 1:]
-            cols = [fan.rays[j] for j in facet + (apex,)]
-            side = matrix_det([[v[i] for v in cols] for i in range(n)]) > 0
-            by_facet.setdefault(facet, []).append((side, cone))
+            by_facet.setdefault(facet, []).append((normal, cone))
     for facet, cones in by_facet.items():
-        for (side_a, ca), (side_b, cb) in combinations(cones, 2):
-            if side_a == side_b:
+        for (normal_a, ca), (normal_b, cb) in combinations(cones, 2):
+            if normal_a == normal_b:
                 raise BadFaceIntersection(
                     f"cones {ca} and {cb} lie on the same side of their "
                     f"common facet {facet}"
                 )
 
-    inverses = {
-        cone: invert_unimodular([[fan.rays[j][i] for j in cone] for i in range(n)])
-        for cone in fan.maximal_cones
-    }
-    big = 2 + max(abs(x) for inv in inverses.values() for row in inv for x in row)
+    big = 2 + max(abs(x) for dual in fan.dual_bases.values() for row in dual for x in row)
     point = [big ** i for i in range(n)]
     inside = [
-        cone for cone, inv in inverses.items()
-        if all(sum(a * x for a, x in zip(row, point)) > 0 for row in inv)
+        cone for cone, dual in fan.dual_bases.items()
+        if all(sum(a * x for a, x in zip(row, point)) > 0 for row in dual)
     ]
     if len(inside) > 1:
         raise BadFaceIntersection(
@@ -293,10 +274,14 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
     """Validate fan data and return an immutable Fan.
 
     For dimension 2 the maximal cones may be omitted and are inferred from
-    the counterclockwise order of the rays. After the per-ray and per-cone
-    checks, completeness is checked locally (see :func:`_check_complete`):
-    two cones on the same side of a shared facet, or a generic point in two
-    cones, raise BadFaceIntersection; a facet not in exactly two cones
+    the counterclockwise order of the rays. Each maximal cone's ray matrix
+    is put into Hermite normal form once: a cone is unimodular when the
+    normal form is the identity (its diagonal product is |det|), and the
+    transform is then the cone's dual basis, kept as ``Fan.dual_bases``.
+    After the per-ray and per-cone checks, completeness is checked locally
+    with the dual bases' inward normals (see :func:`_check_complete`): two
+    cones with equal inward normals on a shared facet, or a generic point in
+    two cones, raise BadFaceIntersection; a facet not in exactly two cones
     raises IncompleteFan. Raises NonPrimitiveRay, NonUnimodularCone,
     BadFaceIntersection, or IncompleteFan.
     """
@@ -334,17 +319,20 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
         raise IncompleteFan("a fan needs maximal cones")
     if len(set(cones)) != len(cones):
         raise IncompleteFan("duplicate maximal cones")
+    dual_bases = {}
     for cone in cones:
         if len(cone) != n:
             raise NonUnimodularCone(f"maximal cone {cone} must have {n} rays")
-        det = matrix_det([[rays[j][i] for j in cone] for i in range(n)])
-        if abs(det) != 1:
-            raise NonUnimodularCone(f"cone {cone} has determinant {det}")
+        H, U = hermite_normal_form([[rays[j][i] for j in cone] for i in range(n)])
+        det = math.prod(H[i][i] for i in range(n))
+        if det != 1:
+            raise NonUnimodularCone(f"cone {cone} has |det| {det}")
+        dual_bases[cone] = tuple(tuple(row) for row in U)
     used = {i for cone in cones for i in cone}
     if used != set(range(len(rays))):
         raise IncompleteFan(f"rays {sorted(set(range(len(rays))) - used)} lie in no cone")
 
-    fan = Fan(dimension=n, rays=rays, maximal_cones=tuple(cones))
+    fan = Fan(dimension=n, rays=rays, maximal_cones=tuple(cones), dual_bases=dual_bases)
     _check_complete(fan)
     return fan
 

@@ -118,7 +118,6 @@ class GWProvider:
                                  ref.rays, ref.maximal_cones) is None:
             return None
         degree_zero = [r.coords for r in self.fan.primitive_relations if r.degree == 0]
-        assert len(degree_zero) == 1
         return lattice_coordinates(degree_zero)
 
     def _as_base_multiple(self, alpha) -> Optional[int]:

@@ -1,12 +1,14 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on arbitrary-precision Python ints and Fractions; no
-floating point. Kernels are computed through the Hermite normal form of the
-transpose, which yields a saturated lattice basis directly (the basis rows
-come from a unimodular transform). Saturation is not re-checked at run time;
-the test suite checks it against elementary divisors. Integer coordinates in
-a basis come from one Hermite normal form per basis
-(:func:`lattice_coordinates`).
+floating point. Integer matrices go through the Hermite normal form: kernels
+come from the normal form of the transpose, which yields a saturated lattice
+basis directly (the basis rows come from a unimodular transform), integer
+coordinates in a basis come from one normal form per basis
+(:func:`lattice_coordinates`), and the transform of a unimodular matrix is
+its integer inverse. Saturation is not re-checked at run time; the test
+suite checks it against elementary divisors. The Fraction elimination
+(:func:`rref`, :func:`solve_unique`) is kept for rational systems.
 """
 
 from __future__ import annotations
@@ -137,10 +139,6 @@ def rref(mat) -> tuple:
     return rows, pivots
 
 
-def rank(mat) -> int:
-    return len(rref(mat)[1])
-
-
 def solve_unique(mat, rhs) -> Optional[tuple]:
     """Solve mat @ x = rhs when the columns are independent.
 
@@ -231,70 +229,6 @@ def lattice_coordinates(basis):
     return coords
 
 
-def cone_coefficients(point, generators) -> Optional[tuple]:
-    """Coefficients c >= 0 with point = sum(c_i * generators_i), if they exist.
-
-    The generators must be linearly independent (DependentGenerators
-    otherwise). Returns None when the point is outside the cone they span.
-    """
-    gens = [list(g) for g in generators]
-    pt = [Fraction(x) for x in point]
-    if not gens:
-        return () if all(x == 0 for x in pt) else None
-    n = len(pt)
-    if any(len(g) != n for g in gens):
-        raise DimensionMismatch("generator length differs from point length")
-    if rank(gens) < len(gens):
-        raise DependentGenerators("cone generators are linearly dependent")
-    columns = [[gens[k][i] for k in range(len(gens))] for i in range(n)]
-    sol = solve_unique(columns, pt)
-    if sol is None:
-        return None
-    if any(c < 0 for c in sol):
-        return None
-    return sol
-
-
-def matrix_det(mat) -> Fraction:
-    """Exact determinant by fraction-free-ish elimination on Fractions."""
-    rows = [[Fraction(x) for x in r] for r in mat]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
-def invert_unimodular(mat) -> list:
-    """Integer inverse of a matrix with determinant +-1."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise NotFullRank("matrix is singular")
-    inv = []
-    for row in red:
-        out = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(int(x))
-        inv.append(out)
-    return inv
-
-
 _SEARCH_MAX_DIM = 4
 _SEARCH_MAX_RAYS = 16
 
@@ -329,7 +263,9 @@ def unimodular_map_search(rays_a, cones_a, rays_b, cones_b) -> Optional[tuple]:
 
     base = cones_a[0]
     col_a = [[rays_a[j][i] for j in base] for i in range(n)]
-    inv_a = invert_unimodular(col_a)
+    H, inv_a = hermite_normal_form(col_a)
+    if math.prod(H[i][i] for i in range(n)) != 1:
+        raise ValueError(f"first maximal cone {base} of fan A is not unimodular")
 
     for cone_b in cones_b:
         for perm in permutations(cone_b):

@@ -32,7 +32,6 @@ def _combine(p: Ineq, q: Ineq, j: int) -> Ineq:
     cq, bq = q
     wp, wq = -cq[j], cp[j]  # both positive
     coeffs = tuple(wp * a + wq * b for a, b in zip(cp, cq))
-    assert coeffs[j] == 0
     return coeffs, wp * bp + wq * bq
 
 
@@ -112,9 +111,6 @@ def max_min_slack(normals, offsets) -> tuple:
         return eps_max, None
     values = back_substitute(records, {n: eps_max / 2})
     point = tuple(values[j] for j in range(n))
-    for v, lam in zip(normals, offsets):
-        slack = sum(Fraction(a) * x for a, x in zip(v, point)) - Fraction(lam)
-        assert slack >= eps_max / 2
     return eps_max, point
 
 

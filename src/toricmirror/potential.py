@@ -28,7 +28,7 @@ from .fan import (
     effective_classes_up_to,
 )
 from .gw import GWProvider
-from .kahler import KahlerData, maslov_index
+from .kahler import KahlerData
 from .laurent import LaurentPoly, QPoly, evaluate  # noqa: F401  (evaluate re-exported)
 
 
@@ -71,7 +71,6 @@ def contributing_classes(fan: Fan, cutoff: int) -> list:
         beta[0] += 1
         corrected.append(tuple(beta))
     out.extend(sorted(corrected))
-    assert all(maslov_index(b) == 2 for b in out)
     return out
 
 

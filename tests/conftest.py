@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 
 from toricmirror import catalog
+from toricmirror.errors import DependentGenerators, DimensionMismatch
 from toricmirror.fan import Fan, validate_fan
-from toricmirror.lattice import xgcd
+from toricmirror.lattice import solve_unique, xgcd
 from toricmirror.laurent import evaluate
 
 
@@ -111,6 +112,55 @@ def _rref(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def rank(mat) -> int:
+    return len(_rref(mat)[1])
+
+
+def matrix_det(mat) -> Fraction:
+    """Exact determinant by elimination on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    n = len(rows)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def cone_coefficients(point, generators):
+    """Coefficients c >= 0 with point = sum(c_i * generators_i), if they exist.
+
+    The generators must be linearly independent (DependentGenerators
+    otherwise). Returns None when the point is outside the cone they span.
+    """
+    gens = [list(g) for g in generators]
+    pt = [Fraction(x) for x in point]
+    if not gens:
+        return () if all(x == 0 for x in pt) else None
+    n = len(pt)
+    if any(len(g) != n for g in gens):
+        raise DimensionMismatch("generator length differs from point length")
+    if rank(gens) < len(gens):
+        raise DependentGenerators("cone generators are linearly dependent")
+    columns = [[gens[k][i] for k in range(len(gens))] for i in range(n)]
+    sol = solve_unique(columns, pt)
+    if sol is None:
+        return None
+    if any(c < 0 for c in sol):
+        return None
+    return sol
 
 
 def _extreme_rays(rows):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from conftest import (
     brute_force_primitive_collections,
     fd_log_gradient,
+    matrix_det,
     random_smooth_2d_fan,
 )
 from toricmirror.bundle import fiber_class, projectivize_canonical, push_h2
@@ -30,7 +31,7 @@ from toricmirror.documents import fan_from_document, potential_to_document
 from toricmirror.fan import Positivity, chern_degree, classify_positivity, validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
-from toricmirror.lattice import matrix_det, unimodular_map_search
+from toricmirror.lattice import unimodular_map_search
 from toricmirror.laurent import LaurentPoly, QPoly
 from toricmirror.potential import corrected_potential, correction_details, hori_vafa
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import matrix_det
 from toricmirror import bundle
 from toricmirror.bundle import (
     decompose_bundle,
@@ -19,7 +20,7 @@ from toricmirror.fan import (
     forced_divisors,
     validate_fan,
 )
-from toricmirror.lattice import matrix_det, unimodular_map_search
+from toricmirror.lattice import unimodular_map_search
 
 
 class TestProjectivize:

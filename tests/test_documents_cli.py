@@ -179,6 +179,22 @@ class TestAnalyzeCommand:
             assert proc.returncode == 3, (name, proc.stderr)
             assert proc.stderr.startswith("error: "), proc.stderr
 
+    def test_non_unimodular_exit_3_without_asserts(self, tmp_path):
+        from test_fan import NON_UNIMODULAR
+
+        env = dict(os.environ, PYTHONPATH=str(Path(toricmirror.__file__).parents[1]))
+        for name, (dim, rays, cones) in NON_UNIMODULAR.items():
+            doc = {"dimension": dim, "rays": [list(r) for r in rays],
+                   "maximal_cones": [list(c) for c in cones]}
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "toricmirror.cli", "analyze",
+                 write(tmp_path, f"{name}.json", doc)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 3, (name, proc.stderr)
+            assert proc.stderr.startswith(f"error: cone {tuple(cones[0])} has |det| "), \
+                proc.stderr
+
 
 class TestBundleCommand:
     def test_round_trip(self, tmp_path, capsys):

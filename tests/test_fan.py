@@ -5,10 +5,13 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from conftest import (
     brute_force_primitive_collections,
+    cone_coefficients,
+    matrix_det,
     pairwise_overlap_oracle,
     random_smooth_2d_fan,
 )
@@ -28,10 +31,17 @@ from toricmirror.fan import (
     forced_divisors,
     validate_fan,
 )
-from toricmirror.lattice import matrix_det
 
 F2_H = (1, 0, 0, 1)
 F2_ALPHA = (-2, 1, 1, 0)
+
+# (dimension, rays, cones) whose first cone is not unimodular: collinear
+# rays (|det| 0), and a 3-D cone of determinant -2
+NON_UNIMODULAR = {
+    "collinear": (2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (1, 2), (0, 2)]),
+    "det-minus-2": (3, [(0, 1, 0), (1, 0, 0), (1, 1, 2), (-1, -1, -1)],
+                    list(combinations(range(4), 3))),
+}
 
 
 class TestValidation:
@@ -63,6 +73,15 @@ class TestValidation:
         with pytest.raises(NonUnimodularCone):
             validate_fan(2, [(1, 0), (1, 2), (0, 1), (-1, -1)],
                          [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+    @pytest.mark.parametrize("name, det", [("collinear", 0), ("det-minus-2", -2)])
+    def test_non_unimodular_message_names_cone_and_abs_det(self, name, det):
+        dim, rays, cones = NON_UNIMODULAR[name]
+        cone = cones[0]
+        assert matrix_det([[rays[j][i] for j in cone] for i in range(dim)]) == det
+        with pytest.raises(NonUnimodularCone) as exc:
+            validate_fan(dim, rays, cones)
+        assert str(exc.value) == f"cone {cone} has |det| {abs(det)}"
 
     def test_overlapping_cones_rejected(self):
         # cone {0,1} (first quadrant) overlaps cone {4,2} through (1,1)
@@ -228,6 +247,58 @@ class TestPairwiseOracleAgreement:
         cones = _cycle(rays)
         assert _agrees_with_oracle(rays, cones) == {BadFaceIntersection}
         assert _agrees_with_oracle(*_suspension(rays, cones)) == {BadFaceIntersection}
+
+
+def _face_search(fan, collection):
+    """Focus and multiplicities by trying every face of the fan in order of
+    dimension: the first face whose cone contains the collection's ray sum."""
+    s = [sum(fan.rays[i][k] for i in collection) for k in range(fan.dimension)]
+    for dim in range(fan.dimension + 1):
+        for face in sorted({f for c in fan.maximal_cones for f in combinations(c, dim)}):
+            coeffs = cone_coefficients(s, [fan.rays[j] for j in face])
+            if coeffs is not None:
+                return face, coeffs
+    return None
+
+
+def _dual_basis_inputs():
+    """30 random 2-D fans, and P(K_Y+O) for Y = P1, P2, P1xP1, F1, dP6 and
+    P3, each in two random GL(n, Z) charts."""
+    rng = random.Random(41)
+    fans = [random_smooth_2d_fan(rng, max_rays=8) for _ in range(30)]
+    p3 = validate_fan(3, P3_RAYS, list(combinations(range(4), 3)))
+    bases = [catalog.projective_line(), catalog.projective_plane(), catalog.p1_times_p1(),
+             catalog.hirzebruch(1), validate_fan(2, DP6_RAYS), p3]
+    for base in bases:
+        x = projectivize_canonical(base)
+        for _ in range(2):
+            rays, cones = _random_chart(x.rays, x.maximal_cones, rng)
+            fans.append(validate_fan(x.dimension, rays, cones))
+    return fans
+
+
+class TestDualBases:
+    @pytest.fixture(scope="class")
+    def fans(self):
+        return _dual_basis_inputs()
+
+    def test_inverse_of_each_ray_matrix(self, fans):
+        for fan in fans:
+            n = fan.dimension
+            assert list(fan.dual_bases) == list(fan.maximal_cones)
+            for cone, dual in fan.dual_bases.items():
+                cols = [[fan.rays[j][i] for j in cone] for i in range(n)]
+                product = [[sum(dual[i][k] * cols[k][j] for k in range(n))
+                            for j in range(n)] for i in range(n)]
+                assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+                assert sympy.Matrix(cols).inv() == sympy.Matrix(dual)
+
+    def test_relations_match_face_search(self, fans):
+        for fan in fans:
+            for rel in fan.primitive_relations:
+                focus, mults = _face_search(fan, rel.collection)
+                assert rel.focus == focus
+                assert rel.multiplicities == mults
 
 
 class TestHomology:

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import elementary_divisors, random_smooth_2d_fan
+from conftest import cone_coefficients, elementary_divisors, matrix_det, random_smooth_2d_fan
 from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
@@ -21,12 +21,10 @@ from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
 from toricmirror.lattice import (
-    cone_coefficients,
     hermite_normal_form,
     is_primitive,
     kernel_basis,
     lattice_coordinates,
-    matrix_det,
     solve_unique,
     unimodular_map_search,
 )

@@ -1,0 +1,18 @@
+"""Rules every library module must follow, checked on its source."""
+
+import ast
+from pathlib import Path
+
+import toricmirror
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so no check may rely on one
+    paths = sorted(Path(toricmirror.__file__).parent.rglob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
