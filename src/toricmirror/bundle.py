@@ -8,8 +8,10 @@ stable indices downstream.
 
 The reverse direction (recognizing such a fan after an arbitrary GL(n, Z)
 change of coordinates) matters because input documents need not use the
-construction's coordinates; recognition solves for the grading functional u
-with <u, v_0> = 1, <u, v_i> = 1, <u, v_{m+1}> = -1 and reprojects the base.
+construction's coordinates. Recognition takes the grading functional u as
+the sum of the dual basis of a maximal cone through v_0, which pairs to 1
+with that cone's rays, checks <u, v_0> = 1 and <u, v_i> = 1 (then
+<u, v_{m+1}> = -1 follows), and reprojects the base.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DependentGenerators, InvalidFan, NotBundleShaped, NotFano
+from .errors import InvalidFan, NotBundleShaped, NotFano
 from .fan import Fan, Positivity, classify_positivity, validate_fan
-from .lattice import hermite_normal_form, solve_unique
+from .lattice import hermite_normal_form
 
 
 def projectivize_canonical(fan_y: Fan) -> Fan:
@@ -89,16 +91,13 @@ def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
         return None
     if any(a + b != 0 for a, b in zip(fan_x.rays[0], fan_x.rays[-1])):
         return None
-    # grading functional: value 1 on ray 0 and all middle rays
-    mat = [list(r) for r in fan_x.rays[:-1]]
-    rhs = [1] * (d - 1)
-    try:
-        u = solve_unique(mat, rhs)
-    except DependentGenerators:
+    # grading functional: value 1 on ray 0 and all middle rays. A cone
+    # through ray 0 cannot hold the opposite ray, so the sum of its dual
+    # basis is the only candidate.
+    cone = next(c for c in fan_x.maximal_cones if 0 in c)
+    u = tuple(map(sum, zip(*fan_x.dual_bases[cone])))
+    if any(sum(a * b for a, b in zip(u, ray)) != 1 for ray in fan_x.rays[:-1]):
         return None
-    if u is None or any(x.denominator != 1 for x in u):
-        return None
-    u = tuple(int(x) for x in u)
     # change coordinates so ray 0 becomes e_n, then drop the last coordinate
     col = [[x] for x in fan_x.rays[0]]
     _, transform = hermite_normal_form(col)

@@ -20,7 +20,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .bundle import projectivize_canonical
+from .bundle import default_q_basis, projectivize_canonical
 from .critical import SolverOptions, find_critical_points, moduli_from_polytope
 from .documents import (
     canonical_json,
@@ -62,6 +62,11 @@ def _write(text: str, out_path):
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _require_at_least(value: int, low: int, flag: str):
+    if value < low:
+        raise SchemaError(f"{flag} must be at least {low}, got {value}")
 
 
 def _cmd_analyze(args) -> int:
@@ -121,8 +126,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_bundle(args) -> int:
     doc = load_fan_document(args.fan)
     fan_x = projectivize_canonical(doc.fan)
-    from .bundle import default_q_basis
-
     q_basis = default_q_basis(fan_x)
     out = fan_to_document(fan_x, q_basis=q_basis)
     _write(canonical_json(out), args.out)
@@ -143,6 +146,7 @@ def _cmd_potential(args) -> int:
         payload = potential_to_document(poly, branch="hori-vafa", fandoc=doc)
         _write(canonical_json(payload), args.out)
         return EXIT_OK
+    _require_at_least(args.cutoff, 0, "--cutoff")
     table = None
     if args.gw_table:
         table = load_gw_table(args.gw_table, fan)
@@ -179,6 +183,9 @@ def _parse_assignments(pairs) -> dict:
 
 
 def _cmd_crit(args) -> int:
+    _require_at_least(args.phases, 1, "--phases")
+    _require_at_least(args.max_steps, 0, "--max-steps")
+    _require_at_least(args.max_starts, 1, "--max-starts")
     doc = load_potential_document(args.potential)
     values = _parse_assignments(args.t)
     t = doc.t_vector(values)

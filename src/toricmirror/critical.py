@@ -161,7 +161,8 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     converged_idx: list = []
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(options.max_steps):
+        # the last pass only tests the final update; it takes no step
+        for step_no in range(options.max_steps + 1):
             if not active.any():
                 break
             wa = w[active]
@@ -173,6 +174,8 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
             idx = np.flatnonzero(active)
             for i in idx[done]:
                 converged_idx.append(i)
+            if step_no == options.max_steps:
+                break
             alive = finite & ~done
             J = np.einsum("st,tj,tk->sjk", M, A, A)
             delta = np.full_like(wa, np.nan)
@@ -203,17 +206,6 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
             w[moved] = new_wa[alive & ok]
             last_step[moved] = np.linalg.norm(delta[alive & ok], axis=1)
             active = still
-
-    # final residual pass for stragglers that converged on the last update
-    if active.any():
-        wa = w[active]
-        with np.errstate(over="ignore", invalid="ignore"):
-            M = np.exp(wa @ A.T) * c
-            g = M @ A
-            res = np.linalg.norm(g, axis=1)
-        for i, r in zip(np.flatnonzero(active), res):
-            if np.isfinite(r) and r <= options.tol and last_step[i] <= step_tol:
-                converged_idx.append(int(i))
 
     converged_idx.sort()
     kept: list = []

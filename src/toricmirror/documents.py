@@ -275,7 +275,10 @@ class PotentialDocument:
         )
         if missing:
             raise SchemaError(f"missing parameter values for {missing}")
-        return [float(a.subs(values)) for a in self.q_areas]
+        try:
+            return [float(a.subs(values)) for a in self.q_areas]
+        except OverflowError as exc:
+            raise SchemaError(f"a q-area overflows a float at these parameter values ({exc})") from exc
 
 
 def potential_from_document(obj) -> PotentialDocument:

@@ -32,7 +32,6 @@ from .lattice import lattice_coordinates, unimodular_map_search
 PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_TABLE = "table"
 PROVENANCE_ASSUMED = "assumed-zero"
-PROVENANCE_BASIC = "basic-disk"
 
 
 def f2_one_point_rule(k: int) -> Fraction:
@@ -172,9 +171,3 @@ class GWProvider:
         if not any(alpha):
             return Fraction(1)
         return self.gw_one_point(alpha)
-
-    def open_invariant_with_provenance(self, alpha) -> tuple:
-        alpha = tuple(int(a) for a in alpha)
-        if not any(alpha):
-            return Fraction(1), PROVENANCE_BASIC
-        return self.lookup(alpha)

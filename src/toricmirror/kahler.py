@@ -28,7 +28,7 @@ from .errors import (
     NotInBasisSpan,
 )
 from .fan import Fan
-from .lattice import lattice_coordinates, solve_unique
+from .lattice import lattice_coordinates
 from .linform import LinForm, parse_linear_form
 from .polyhedra import max_min_slack, polytope_vertices
 
@@ -164,32 +164,43 @@ class KahlerData:
     def basis_areas(self) -> tuple:
         return tuple(self.sphere_area(b) for b in self.q_basis)
 
+    @functools.cached_property
+    def _lambda_coordinates(self) -> tuple:
+        # coordinates of every -lambda_i in the basis areas, or None, from
+        # one coordinate map of the coefficient vectors (parameters, then
+        # constant) scaled to integers by the common denominator of the
+        # basis areas and the lambdas
+        names = self.parameter_names
+        areas = self.basis_areas()
+        scale = math.lcm(*(x.denominator for form in areas + self.lambdas
+                           for x in (form.const, *form.coeffs.values())))
+
+        def vector(form):
+            return [int(form.coefficient(n) * scale) for n in names] + [int(form.const * scale)]
+
+        coords = lattice_coordinates([vector(a) for a in areas])
+        return tuple(coords(vector(-lam)) for lam in self.lambdas)
+
     def lambda_q_exponents(self, i: int) -> tuple:
         """Write exp(lambda_i) as a q-monomial: solve
         lambda_i = -sum(e_j * area(basis_j)) for nonnegative integers e_j."""
         lam = self.lambdas[i]
-        areas = self.basis_areas()
-        names = sorted(set(self.parameter_names)
-                       | {n for a in areas for n in a.variables})
-        rows = [[a.coefficient(n) for a in areas] for n in names]
-        rows.append([a.const for a in areas])
-        rhs = [-lam.coefficient(n) for n in names] + [-lam.const]
-        if not areas:
+        if not self.q_basis:
             if lam == LinForm(0):
                 return ()
             raise LambdaNotQExpressible(f"lambda_{i} = {lam} with no q-variables")
         try:
-            sol = solve_unique(rows, rhs)
+            sol = self._lambda_coordinates[i]
         except DependentGenerators as exc:
             raise LambdaNotQExpressible(
                 f"basis areas are degenerate; cannot express exp(lambda_{i})"
             ) from exc
-        if sol is None or any(c.denominator != 1 for c in sol) or any(c < 0 for c in sol):
+        if sol is None or any(c < 0 for c in sol):
             raise LambdaNotQExpressible(
                 f"lambda_{i} = {lam} is not -1 times a nonnegative integer "
                 f"combination of the basis areas"
             )
-        return tuple(int(c) for c in sol)
+        return sol
 
     # -- polytope geometry --
 

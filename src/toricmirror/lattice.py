@@ -1,20 +1,20 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on arbitrary-precision Python ints and Fractions; no
-floating point. Integer matrices go through the Hermite normal form: kernels
+Everything here runs on arbitrary-precision Python ints; no Fractions and no
+floating point. Every matrix goes through the Hermite normal form: kernels
 come from the normal form of the transpose, which yields a saturated lattice
 basis directly (the basis rows come from a unimodular transform), integer
 coordinates in a basis come from one normal form per basis
 (:func:`lattice_coordinates`), and the transform of a unimodular matrix is
-its integer inverse. Saturation is not re-checked at run time; the test
-suite checks it against elementary divisors. The Fraction elimination
-(:func:`rref`, :func:`solve_unique`) is kept for rational systems.
+its integer inverse. Rational systems elsewhere are scaled to integers or
+solved by back-substitution against a normal form. Saturation is not
+re-checked at run time; the test suite checks it against elementary
+divisors.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -109,58 +109,6 @@ def hermite_normal_form(mat) -> tuple:
                 U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
     return A, U
-
-
-# --- exact rational elimination helpers ---
-
-def rref(mat) -> tuple:
-    """Reduced row echelon form over Fractions. Returns (rows, pivot_cols)."""
-    rows = [[Fraction(x) for x in r] for r in mat]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def solve_unique(mat, rhs) -> Optional[tuple]:
-    """Solve mat @ x = rhs when the columns are independent.
-
-    Returns the unique solution as Fractions, or None when the system is
-    inconsistent. Raises DependentGenerators when columns are dependent.
-    """
-    rows = [list(r) + [v] for r, v in zip(mat, rhs)]
-    if len(rows) != len(rhs):
-        raise ValueError("shape mismatch")
-    ncols = len(mat[0]) if mat and len(mat[0]) else 0
-    red, pivots = rref(rows)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    if len(pivots) < ncols:
-        raise DependentGenerators("columns are linearly dependent")
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        sol[c] = row[-1]
-    return tuple(sol)
 
 
 # --- public lattice operations ---

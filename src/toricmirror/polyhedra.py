@@ -2,8 +2,11 @@
 
 All routines work over Fractions on systems of linear inequalities
 ``<a, x> >= b``. Sizes here are tiny (dimension <= 4, tens of constraints),
-so Fourier-Motzkin elimination and subset enumeration are perfectly adequate
-and keep everything exact and deterministic.
+so subset enumeration and Fourier-Motzkin elimination are perfectly adequate
+and keep everything exact and deterministic. Vertices come from the integer
+Hermite normal form of each subset of normals and back-substitution of the
+offsets; Fourier-Motzkin solves the max-min-slack program, whose exact
+interior point feeds the solver's start moduli.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import DependentGenerators
-from .lattice import solve_unique
+from .lattice import hermite_normal_form
 
 Ineq = tuple  # (coeffs tuple[Fraction], rhs Fraction) meaning coeffs . x >= rhs
 
@@ -115,23 +117,27 @@ def max_min_slack(normals, offsets) -> tuple:
 
 
 def polytope_vertices(normals, offsets) -> list:
-    """All vertices of {x : <v_i, x> >= lambda_i} by active-set enumeration."""
+    """All vertices of {x : <v_i, x> >= lambda_i} by active-set enumeration.
+
+    Each n-subset of the integer normals is put into Hermite normal form,
+    U @ rows = H; a singular H is skipped, and otherwise the candidate point
+    solves H @ x = U @ offsets by back-substitution.
+    """
     n = len(normals[0])
     d = len(normals)
-    rows = [[Fraction(x) for x in v] for v in normals]
     offs = [Fraction(b) for b in offsets]
     seen = set()
     out = []
     for subset in combinations(range(d), n):
-        mat = [rows[i] for i in subset]
-        rhs = [offs[i] for i in subset]
-        try:
-            point = solve_unique(mat, rhs)
-        except DependentGenerators:
+        H, U = hermite_normal_form([normals[i] for i in subset])
+        if H[-1][-1] == 0:
             continue
-        if point is None:
-            continue
-        if all(sum(a * x for a, x in zip(rows[i], point)) >= offs[i] for i in range(d)):
+        rhs = [sum(u * offs[i] for u, i in zip(row, subset)) for row in U]
+        x = [Fraction(0)] * n
+        for k in reversed(range(n)):
+            x[k] = (rhs[k] - sum(H[k][j] * x[j] for j in range(k + 1, n))) / H[k][k]
+        point = tuple(x)
+        if all(sum(a * p for a, p in zip(normals[i], point)) >= offs[i] for i in range(d)):
             if point not in seen:
                 seen.add(point)
                 out.append(point)

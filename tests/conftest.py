@@ -10,7 +10,7 @@ import pytest
 from toricmirror import catalog
 from toricmirror.errors import DependentGenerators, DimensionMismatch
 from toricmirror.fan import Fan, validate_fan
-from toricmirror.lattice import solve_unique, xgcd
+from toricmirror.lattice import xgcd
 from toricmirror.laurent import evaluate
 
 
@@ -95,6 +95,21 @@ def random_smooth_2d_fan(rng: random.Random, max_rays: int = 10) -> Fan:
     return validate_fan(2, rays)
 
 
+def random_unimodular(rng, size):
+    """Product of random elementary integer row operations."""
+    mat = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+        if i != j and rng.random() < 0.7:
+            k = rng.randint(-3, 3)
+            mat[i] = [a + k * b for a, b in zip(mat[i], mat[j])]
+        elif i != j:
+            mat[i], mat[j] = mat[j], mat[i]
+        else:
+            mat[i] = [-a for a in mat[i]]
+    return mat
+
+
 def _rref(rows):
     """Reduced row echelon form over Fractions: (rows, pivot columns)."""
     rows = [[Fraction(x) for x in r] for r in rows]
@@ -116,6 +131,24 @@ def _rref(rows):
 
 def rank(mat) -> int:
     return len(_rref(mat)[1])
+
+
+def solve_unique(mat, rhs):
+    """Solve mat @ x = rhs when the columns are independent.
+
+    Returns the unique solution as Fractions, or None when the system is
+    inconsistent. Raises DependentGenerators when it is consistent and the
+    columns are dependent. The reference for the library's integer solves.
+    """
+    if len(mat) != len(rhs):
+        raise ValueError("shape mismatch")
+    ncols = len(mat[0]) if mat else 0
+    red, pivots = _rref([list(r) + [v] for r, v in zip(mat, rhs)])
+    if ncols in pivots:
+        return None  # pivot in the augmented column: inconsistent
+    if len(pivots) < ncols:
+        raise DependentGenerators("columns are linearly dependent")
+    return tuple(row[-1] for row in red[:ncols])
 
 
 def matrix_det(mat) -> Fraction:

@@ -143,7 +143,7 @@ class TestRecognition:
         def broken(*_):
             raise RuntimeError("solver bug")
 
-        monkeypatch.setattr(bundle, "solve_unique", broken)
+        monkeypatch.setattr(bundle, "validate_fan", broken)
         with pytest.raises(RuntimeError, match="solver bug"):
             decompose_bundle(f2)
 

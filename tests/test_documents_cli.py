@@ -297,6 +297,11 @@ class TestPotentialCommand:
         path = write(tmp_path, "f3.json", f3doc)
         assert main(["potential", path, "--cutoff", "2"]) == 3
 
+    def test_negative_cutoff_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "f2.json", F2_DOC)
+        assert main(["potential", path, "--cutoff", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --cutoff must be at least 0, got -1\n"
+
     def test_byte_stable(self, tmp_path):
         path = write(tmp_path, "f2.json", F2_DOC)
         out1 = str(tmp_path / "a.json")
@@ -339,6 +344,24 @@ class TestCritCommand:
     def test_bad_value_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, P1_DOC)
         assert main(["crit", pot, "--t", "t=abc"]) == 2
+
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--phases", "0", 1),
+        ("--phases", "-2", 1),
+        ("--max-starts", "0", 1),
+        ("--max-steps", "-1", 0),
+    ])
+    def test_bad_solver_option_exit_2(self, tmp_path, capsys, flag, value, low):
+        pot = self.make_potential(tmp_path, P1_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", f"t={T001}", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least {low}, got {value}\n"
+
+    def test_overflowing_parameter_exit_2(self, tmp_path, capsys):
+        pot = self.make_potential(tmp_path, F2_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1e400", "--t", "t2=1"]) == 2
+        assert capsys.readouterr().err.startswith("error: a q-area overflows a float")
 
     def test_round_trip_potential_document(self, tmp_path):
         pot = self.make_potential(tmp_path, F2_DOC)

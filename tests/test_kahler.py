@@ -131,7 +131,7 @@ class TestLambdaExponents:
         def broken(*_):
             raise RuntimeError("solver bug")
 
-        monkeypatch.setattr(kahler, "solve_unique", broken)
+        monkeypatch.setattr(kahler, "lattice_coordinates", broken)
         with pytest.raises(RuntimeError, match="solver bug"):
             f2_kahler.lambda_q_exponents(0)
 

@@ -8,7 +8,14 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import cone_coefficients, elementary_divisors, matrix_det, random_smooth_2d_fan
+from conftest import (
+    cone_coefficients,
+    elementary_divisors,
+    matrix_det,
+    random_smooth_2d_fan,
+    random_unimodular,
+    solve_unique,
+)
 from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
@@ -25,7 +32,6 @@ from toricmirror.lattice import (
     is_primitive,
     kernel_basis,
     lattice_coordinates,
-    solve_unique,
     unimodular_map_search,
 )
 from toricmirror.potential import correction_details
@@ -226,21 +232,6 @@ class TestUnimodularSearch:
 def combine(coeffs, basis):
     return tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
                  for i in range(len(basis[0])))
-
-
-def random_unimodular(rng, size):
-    """Product of random elementary integer row operations."""
-    mat = [[int(i == j) for j in range(size)] for i in range(size)]
-    for _ in range(3 * size):
-        i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
-        if i != j and rng.random() < 0.7:
-            k = rng.randint(-3, 3)
-            mat[i] = [a + k * b for a, b in zip(mat[i], mat[j])]
-        elif i != j:
-            mat[i], mat[j] = mat[j], mat[i]
-        else:
-            mat[i] = [-a for a in mat[i]]
-    return mat
 
 
 def cone_zero_kahler(fan):

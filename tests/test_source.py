@@ -16,3 +16,13 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_lattice_is_integer_only():
+    # every exact linear solve goes through the integer Hermite normal form
+    path = Path(toricmirror.__file__).parent / "lattice.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules
