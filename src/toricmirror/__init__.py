@@ -36,7 +36,7 @@ from .fan import (
 )
 from .gw import GWProvider, GWTable, f2_one_point_rule
 from .kahler import KahlerData, boundary_vector, maslov_index
-from .lattice import is_primitive, kernel_basis, unimodular_map_search
+from .lattice import is_primitive, kernel_basis
 from .laurent import LaurentPoly, QPoly, evaluate
 from .linform import LinForm, parse_linear_form
 from .potential import (
@@ -86,6 +86,5 @@ __all__ = [
     "parse_linear_form",
     "projectivize_canonical",
     "push_h2",
-    "unimodular_map_search",
     "validate_fan",
 ]

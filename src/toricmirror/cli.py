@@ -17,6 +17,7 @@ convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -32,9 +33,6 @@ from .documents import (
     potential_to_document,
 )
 from .errors import (
-    BadChernDegree,
-    FingerprintMismatch,
-    InconsistentTable,
     InvalidFan,
     NoConvergence,
     NotBundleShaped,
@@ -64,9 +62,14 @@ def _write(text: str, out_path):
             fh.write(text)
 
 
-def _require_at_least(value: int, low: int, flag: str):
-    if value < low:
-        raise SchemaError(f"{flag} must be at least {low}, got {value}")
+def _require_at_least(value, low, flag: str, strict: bool = False):
+    """SchemaError unless value is finite and at least low (above low when
+    strict). The comparisons are negated so that NaN fails them."""
+    if not (value > low if strict else value >= low):
+        bound = "greater than" if strict else "at least"
+        raise SchemaError(f"{flag} must be {bound} {low}, got {value}")
+    if not value < math.inf:
+        raise SchemaError(f"{flag} must be finite, got {value}")
 
 
 def _cmd_analyze(args) -> int:
@@ -186,9 +189,17 @@ def _cmd_crit(args) -> int:
     _require_at_least(args.phases, 1, "--phases")
     _require_at_least(args.max_steps, 0, "--max-steps")
     _require_at_least(args.max_starts, 1, "--max-starts")
+    _require_at_least(args.tol, 0, "--tol", strict=True)
+    _require_at_least(args.dedup_radius, 0, "--dedup-radius")
     doc = load_potential_document(args.potential)
     values = _parse_assignments(args.t)
     t = doc.t_vector(values)
+    t_values = {}
+    for name, value in values.items():
+        try:
+            t_values[name] = float(value)
+        except OverflowError as exc:
+            raise SchemaError(f"--t value of {name!r} overflows a float") from exc
     moduli = None
     if doc.fandoc is not None and doc.fandoc.kahler is not None:
         needed = doc.fandoc.kahler.parameter_names
@@ -203,7 +214,7 @@ def _cmd_crit(args) -> int:
         moduli_per_coord=moduli,
     )
     report = find_critical_points(doc.poly, t, options)
-    payload = critical_report_to_document(report, {k: float(v) for k, v in values.items()})
+    payload = critical_report_to_document(report, t_values)
     _write(canonical_json(payload), args.out)
     return EXIT_OK
 
@@ -255,12 +266,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, FingerprintMismatch, BadChernDegree, InconsistentTable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except (InvalidFan, NotBundleShaped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_FAN
@@ -273,7 +278,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ToricMirrorError as exc:
+    except (ToricMirrorError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except Exception as exc:  # pragma: no cover - defensive

@@ -3,12 +3,17 @@
 The corrected superpotential consumes the closed invariants attached to
 (fiber class + alpha) for effective classes alpha of anticanonical degree 0.
 These are mathematical inputs, not something this package derives: values
-come from (1) a built-in rule for fans equivalent to the Hirzebruch surface
-F2, where the invariants follow from the symplectomorphism with P1 x P1, or
-(2) a user-supplied table bound to the fan by fingerprint. A class covered
-by neither source raises UnknownInvariant: absence of data is never silently
-treated as zero (opt in via ``assume_zero``), because vanishing has to be
-proved for each geometry; it is not a safe default.
+come from (1) a built-in rule for the Hirzebruch surface F2, where the
+invariants follow from the symplectomorphism with P1 x P1, or (2) a
+user-supplied table bound to the fan by fingerprint. The built-in rule
+applies by classification: a smooth complete toric surface with 4 rays is a
+Hirzebruch surface F_a, whose primitive relations have degrees 2 and
+2 - |a| (Oda; Fulton, "Introduction to Toric Varieties"), so the fan is F2
+exactly when it is 2-dimensional, has 4 rays and has a degree-0 primitive
+relation. A class covered by neither source raises UnknownInvariant: absence
+of data is never silently treated as zero (opt in via ``assume_zero``),
+because vanishing has to be proved for each geometry; it is not a safe
+default.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import catalog
 from .errors import (
     BadChernDegree,
     FingerprintMismatch,
@@ -27,7 +31,7 @@ from .errors import (
 )
 from .fan import Fan, chern_degree
 from .kahler import KahlerData
-from .lattice import lattice_coordinates, unimodular_map_search
+from .lattice import lattice_coordinates
 
 PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_TABLE = "table"
@@ -108,16 +112,12 @@ class GWProvider:
 
     @functools.cached_property
     def _f2_base_coordinates(self) -> Optional[Callable]:
-        """Coordinates along the degree-0 generator when the fan is
-        equivalent to F2, else None."""
-        ref = catalog.hirzebruch2()
-        if self.fan.dimension != ref.dimension:
-            return None
-        if unimodular_map_search(self.fan.rays, self.fan.maximal_cones,
-                                 ref.rays, ref.maximal_cones) is None:
+        """Coordinates along the degree-0 primitive relation when the fan is
+        F2 (2-D, 4 rays, a relation of degree 0), else None."""
+        if self.fan.dimension != 2 or self.fan.nrays != 4:
             return None
         degree_zero = [r.coords for r in self.fan.primitive_relations if r.degree == 0]
-        return lattice_coordinates(degree_zero)
+        return lattice_coordinates(degree_zero) if degree_zero else None
 
     def _as_base_multiple(self, alpha) -> Optional[int]:
         base = self._f2_base_coordinates

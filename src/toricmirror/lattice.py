@@ -15,7 +15,6 @@ divisors.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -175,64 +174,3 @@ def lattice_coordinates(basis):
         return tuple(sum(k * u[j] for k, u in zip(y, U)) for j in range(len(U)))
 
     return coords
-
-
-_SEARCH_MAX_DIM = 4
-_SEARCH_MAX_RAYS = 16
-
-
-def unimodular_map_search(rays_a, cones_a, rays_b, cones_b) -> Optional[tuple]:
-    """Search for T in GL(n, Z) carrying fan A onto fan B.
-
-    T must map the ray set of A bijectively onto the ray set of B and induce
-    a bijection of maximal cones. The search fixes the first maximal cone of
-    A (a unimodular basis) and tries every ordered cone of B as its image,
-    so it is exhaustive but factorial; inputs are capped at dimension 4 and
-    16 rays. Returns T as a tuple of rows, or None.
-    """
-    rays_a = [tuple(int(x) for x in r) for r in rays_a]
-    rays_b = [tuple(int(x) for x in r) for r in rays_b]
-    if not rays_a or not rays_b:
-        return None
-    n = len(rays_a[0])
-    if any(len(r) != n for r in rays_a):
-        raise DimensionMismatch("rays of fan A have mixed lengths")
-    if any(len(r) != n for r in rays_b):
-        raise DimensionMismatch("fans live in different dimensions")
-    if n > _SEARCH_MAX_DIM or max(len(rays_a), len(rays_b)) > _SEARCH_MAX_RAYS:
-        raise ValueError("unimodular search is capped at dimension 4 and 16 rays")
-    if len(rays_a) != len(rays_b) or len(cones_a) != len(cones_b):
-        return None
-
-    cones_a = sorted(tuple(sorted(c)) for c in cones_a)
-    cones_b = sorted(tuple(sorted(c)) for c in cones_b)
-    index_b = {r: i for i, r in enumerate(rays_b)}
-    cone_set_b = {frozenset(c) for c in cones_b}
-
-    base = cones_a[0]
-    col_a = [[rays_a[j][i] for j in base] for i in range(n)]
-    H, inv_a = hermite_normal_form(col_a)
-    if math.prod(H[i][i] for i in range(n)) != 1:
-        raise ValueError(f"first maximal cone {base} of fan A is not unimodular")
-
-    for cone_b in cones_b:
-        for perm in permutations(cone_b):
-            col_b = [[rays_b[j][i] for j in perm] for i in range(n)]
-            T = [[sum(col_b[i][k] * inv_a[k][j] for k in range(n)) for j in range(n)]
-                 for i in range(n)]
-            image = []
-            ok = True
-            for r in rays_a:
-                img = tuple(sum(T[i][j] * r[j] for j in range(n)) for i in range(n))
-                idx = index_b.get(img)
-                if idx is None:
-                    ok = False
-                    break
-                image.append(idx)
-            if not ok or len(set(image)) != len(image):
-                continue
-            mapped = {frozenset(image[j] for j in cone) for cone in cones_a}
-            if mapped != cone_set_b:
-                continue
-            return tuple(tuple(row) for row in T)
-    return None

@@ -29,7 +29,7 @@ from .fan import (
 )
 from .gw import GWProvider
 from .kahler import KahlerData
-from .laurent import LaurentPoly, QPoly, evaluate  # noqa: F401  (evaluate re-exported)
+from .laurent import LaurentPoly, QPoly
 
 
 def basic_monomial(kahler: KahlerData, i: int) -> LaurentPoly:

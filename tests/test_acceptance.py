@@ -16,6 +16,7 @@ from conftest import (
     fd_log_gradient,
     matrix_det,
     random_smooth_2d_fan,
+    unimodular_map_search,
 )
 from toricmirror.bundle import fiber_class, projectivize_canonical, push_h2
 from toricmirror.catalog import (
@@ -31,7 +32,6 @@ from toricmirror.documents import fan_from_document, potential_to_document
 from toricmirror.fan import Positivity, chern_degree, classify_positivity, validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
-from toricmirror.lattice import unimodular_map_search
 from toricmirror.laurent import LaurentPoly, QPoly
 from toricmirror.potential import corrected_potential, correction_details, hori_vafa
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import matrix_det
+from conftest import matrix_det, unimodular_map_search
 from toricmirror import bundle
 from toricmirror.bundle import (
     decompose_bundle,
@@ -20,7 +20,6 @@ from toricmirror.fan import (
     forced_divisors,
     validate_fan,
 )
-from toricmirror.lattice import unimodular_map_search
 
 
 class TestProjectivize:

@@ -1,7 +1,9 @@
 """JSON schemas, round-trips, CLI exit codes, output determinism."""
 
+import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import toricmirror
+from conftest import random_smooth_2d_fan, random_unimodular, unimodular_map_search
+from toricmirror import catalog, cli, errors
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
@@ -21,6 +25,8 @@ from toricmirror.documents import (
 )
 from toricmirror.errors import SchemaError
 from toricmirror.fan import validate_fan
+from toricmirror.gw import GWProvider
+from toricmirror.kahler import KahlerData
 
 F2_DOC = {
     "dimension": 2,
@@ -196,6 +202,37 @@ class TestAnalyzeCommand:
                 proc.stderr
 
 
+# exit codes from the cli module docstring: 3 invalid or unsupported fan,
+# 4 base not Fano, 5 unknown invariant, 6 no convergence, 2 any other input
+# error, 1 internal error
+EXIT_CODES = {
+    "ToricMirrorError": 2, "NotFullRank": 2, "ZeroVector": 2,
+    "DependentGenerators": 2, "DimensionMismatch": 2, "InvalidFan": 3,
+    "NonPrimitiveRay": 3, "NonUnimodularCone": 3, "IncompleteFan": 3,
+    "BadFaceIntersection": 3, "FocusNotFound": 3, "NotFano": 4,
+    "EmptyInterior": 2, "NotInBasisSpan": 2, "LambdaNotQExpressible": 2,
+    "UnknownInvariant": 5, "BadChernDegree": 2, "FingerprintMismatch": 2,
+    "InconsistentTable": 2, "SchemaError": 2, "NotBundleShaped": 3,
+    "ZeroCoordinate": 2, "NoConvergence": 6,
+    "FileNotFoundError": 2, "RuntimeError": 1,
+}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("exc_type", ERROR_CLASSES + [FileNotFoundError, RuntimeError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error(monkeypatch, capsys, exc_type):
+    def fail(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fail)
+    expected = EXIT_CODES[exc_type.__name__]
+    assert main(["analyze", "unused.json"]) == expected
+    prefix = "internal error: " if expected == 1 else "error: "
+    assert capsys.readouterr().err == prefix + "boom\n"
+
+
 class TestBundleCommand:
     def test_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "p1.json", P1_DOC)
@@ -302,6 +339,46 @@ class TestPotentialCommand:
         assert main(["potential", path, "--cutoff", "-1"]) == 2
         assert capsys.readouterr().err == "error: --cutoff must be at least 0, got -1\n"
 
+    def test_many_rays_with_table_exit_3(self, tmp_path, capsys):
+        # P2 blown up to 17 rays: neither F2 nor a bundle, with or without a
+        # table, and too large for an exhaustive GL(2,Z) map search
+        rays = [(1, 0), (0, 1), (-1, -1)]  # counterclockwise
+        k = 0
+        while len(rays) < 17:
+            u, w = rays[k], rays[(k + 1) % len(rays)]
+            rays.insert(k + 1, (u[0] + w[0], u[1] + w[1]))
+            k = (k + 2) % len(rays)
+        fan = validate_fan(2, rays)
+        doc = {"dimension": 2, "rays": [list(r) for r in rays],
+               "kahler": {"parameters": [], "lambdas": ["-1"] * len(rays)}}
+        table = {"fan_fingerprint": fan_fingerprint(fan),
+                 "basis": [list(b) for b in fan.homology_basis], "entries": []}
+        fan_path = write(tmp_path, "fan.json", doc)
+        table_path = write(tmp_path, "table.json", table)
+        assert main(["potential", fan_path, "--gw-table", table_path]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_f2_criterion_matches_map_search(self):
+        # a smooth complete surface with 4 rays is some F_a, and F2 is the
+        # one with a degree-0 primitive relation
+        rng = random.Random(7)
+        fans = [random_smooth_2d_fan(rng) for _ in range(400)]
+        for a in range(-4, 5):
+            for _ in range(5):
+                T = random_unimodular(rng, 2)
+                rays = [tuple(T[i][0] * x + T[i][1] * y for i in range(2))
+                        for x, y in catalog.hirzebruch(a).rays]
+                rng.shuffle(rays)
+                fans.append(validate_fan(2, rays))
+        f2 = catalog.hirzebruch2()
+        found = [GWProvider(KahlerData(fan, ["-1"] * fan.nrays))._f2_base_coordinates
+                 is not None for fan in fans]
+        expected = [unimodular_map_search(fan.rays, fan.maximal_cones,
+                                          f2.rays, f2.maximal_cones) is not None
+                    for fan in fans]
+        assert found == expected
+        assert sum(found) >= 10
+
     def test_byte_stable(self, tmp_path):
         path = write(tmp_path, "f2.json", F2_DOC)
         out1 = str(tmp_path / "a.json")
@@ -345,23 +422,38 @@ class TestCritCommand:
         pot = self.make_potential(tmp_path, P1_DOC)
         assert main(["crit", pot, "--t", "t=abc"]) == 2
 
-    @pytest.mark.parametrize("flag, value, low", [
-        ("--phases", "0", 1),
-        ("--phases", "-2", 1),
-        ("--max-starts", "0", 1),
-        ("--max-steps", "-1", 0),
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--phases", "0", "must be at least 1, got 0", id="--phases-0-1"),
+        pytest.param("--phases", "-2", "must be at least 1, got -2", id="--phases--2-1"),
+        pytest.param("--max-starts", "0", "must be at least 1, got 0", id="--max-starts-0-1"),
+        pytest.param("--max-steps", "-1", "must be at least 0, got -1", id="--max-steps--1-0"),
+        pytest.param("--tol", "-1", "must be greater than 0, got -1.0", id="--tol--1"),
+        pytest.param("--tol", "0", "must be greater than 0, got 0.0", id="--tol-0"),
+        pytest.param("--tol", "nan", "must be greater than 0, got nan", id="--tol-nan"),
+        pytest.param("--tol", "inf", "must be finite, got inf", id="--tol-inf"),
+        pytest.param("--dedup-radius", "-1", "must be at least 0, got -1.0",
+                     id="--dedup-radius--1"),
+        pytest.param("--dedup-radius", "nan", "must be at least 0, got nan",
+                     id="--dedup-radius-nan"),
+        pytest.param("--dedup-radius", "inf", "must be finite, got inf",
+                     id="--dedup-radius-inf"),
     ])
-    def test_bad_solver_option_exit_2(self, tmp_path, capsys, flag, value, low):
+    def test_bad_solver_option_exit_2(self, tmp_path, capsys, flag, value, message):
         pot = self.make_potential(tmp_path, P1_DOC)
         capsys.readouterr()
         assert main(["crit", pot, "--t", f"t={T001}", flag, value]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be at least {low}, got {value}\n"
+        assert capsys.readouterr().err == f"error: {flag} {message}\n"
 
     def test_overflowing_parameter_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, F2_DOC)
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1e400", "--t", "t2=1"]) == 2
         assert capsys.readouterr().err.startswith("error: a q-area overflows a float")
+        # a name the document does not use is still reported in t_values
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "foo=1e400"]) == 2
+        assert capsys.readouterr().err == "error: --t value of 'foo' overflows a float\n"
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "foo=1"]) == 0
+        assert json.loads(capsys.readouterr().out)["t_values"]["foo"] == 1.0
 
     def test_round_trip_potential_document(self, tmp_path):
         pot = self.make_potential(tmp_path, F2_DOC)

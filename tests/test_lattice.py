@@ -15,6 +15,7 @@ from conftest import (
     random_smooth_2d_fan,
     random_unimodular,
     solve_unique,
+    unimodular_map_search,
 )
 from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
@@ -32,7 +33,6 @@ from toricmirror.lattice import (
     is_primitive,
     kernel_basis,
     lattice_coordinates,
-    unimodular_map_search,
 )
 from toricmirror.potential import correction_details
 

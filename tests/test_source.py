@@ -26,3 +26,10 @@ def test_lattice_is_integer_only():
                for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "fractions" not in modules
+
+
+def test_public_names_resolve():
+    names = toricmirror.__all__
+    assert [n for n in names if not hasattr(toricmirror, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
