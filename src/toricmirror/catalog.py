@@ -1,4 +1,4 @@
-"""Ready-made fans used in tests, docs, and the built-in invariant rule."""
+"""Ready-made fans and Kahler data for tests and documentation examples."""
 
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import Mapping, Optional, Sequence
@@ -27,6 +28,8 @@ import numpy as np
 from .errors import NoConvergence, ZeroCoordinate
 from .kahler import KahlerData
 from .laurent import LaurentPoly, evaluate
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above this
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,10 @@ def _default_moduli(poly: LaurentPoly, t: Sequence[float]) -> tuple:
 
 def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     """Per-coordinate |z| seeds exp(-x_j) from the moment polytope: vertex
-    coordinates, their pairwise midpoints, and the interior center."""
+    coordinates (one vertex per maximal cone), their pairwise midpoints, and
+    the mean of the vertices. Scales whose exponential underflows to 0 or
+    overflows a float are dropped. Raises EmptyInterior unless the
+    parameters lie in the open Kahler cone."""
     vertices = kahler.vertices(params)
     center = kahler.interior_point(params)
     out = []
@@ -108,8 +114,9 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
             for b in coords:
                 scales.add(float(a + b) / 2.0)
         scales.add(float(center[j]))
-        moduli = sorted({round(math.exp(-s), 14) for s in scales}, reverse=True)
-        moduli = [r for r in moduli if r > 0.0]  # huge scales underflow exp
+        moduli = sorted({round(math.exp(-s), 14) for s in scales if -s <= _LOG_FLOAT_MAX},
+                        reverse=True)
+        moduli = [r for r in moduli if r > 0.0]
         out.append(tuple(moduli) or (1.0,))
     return tuple(out)
 

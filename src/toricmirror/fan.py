@@ -11,8 +11,9 @@ Together these say the cones cover the space and meet in common faces. The
 dual bases also give the coordinates of any vector in a cone's rays, which
 locates the focus of a primitive relation. On top of the validated
 structure this module computes the degree-2 homology lattice, primitive
-collections and relations, anticanonical degrees, the Fano/semi-Fano/non-nef
-trichotomy, and truncated cones of effective classes.
+collections and relations, the positive circuits (extreme nonnegative ray
+relations), anticanonical degrees, the Fano/semi-Fano/non-nef trichotomy,
+and truncated cones of effective classes.
 """
 
 from __future__ import annotations
@@ -177,6 +178,41 @@ class Fan:
     @functools.cached_property
     def primitive_relations(self):
         return tuple(self.primitive_relation(c) for c in self.primitive_collections)
+
+    @functools.cached_property
+    def positive_circuits(self):
+        """Support-minimal nonnegative ray relations, the extreme rays of the
+        cone of nonnegative relations, as sorted curve classes in ray
+        coordinates.
+
+        The rays of a circuit minus any one are independent. So ray subsets
+        are grown depth first in index order while they stay independent,
+        each kept in integer echelon form: rows w = sum(c_i * v_i) over the
+        subset, each zero at the leading positions of the rows before it. A
+        further ray that reduces to zero gives the one relation on the
+        subset and that ray; it is a circuit when it involves all of them
+        with one sign.
+        """
+        d = self.nrays
+        found = set()
+
+        def extend(echelon, start):
+            for j in range(start, d):
+                w, c = list(self.rays[j]), [int(i == j) for i in range(d)]
+                for row, coeffs, p in echelon:
+                    if w[p]:
+                        a, b = row[p], w[p]
+                        w = [a * x - b * y for x, y in zip(w, row)]
+                        c = [a * x - b * y for x, y in zip(c, coeffs)]
+                if any(w):
+                    lead = next(i for i, x in enumerate(w) if x)
+                    extend(echelon + [(w, c, lead)], j + 1)
+                elif sum(1 for x in c if x) == len(echelon) + 1 and (min(c) >= 0 or max(c) <= 0):
+                    g = math.gcd(*c)
+                    found.add(tuple(abs(x) // g for x in c))
+
+        extend([], 0)
+        return tuple(sorted(found))
 
 
 # --- validation ---

@@ -8,6 +8,13 @@ may be exact rationals or symbolic linear forms in named parameters
 * disk classes have area sum(b_i * l_i(x))  (Cho-Oh formula),
 * sphere classes have area -sum(a_i * lambda_i), independent of x.
 
+The polytope has nonempty interior exactly when every positive circuit of
+the rays (an extreme nonnegative relation) has positive area, by Motzkin's
+transposition theorem; construction checks this at all parameters equal to
+1. In the open Kahler cone the polytope has one vertex per maximal cone,
+given in closed form by the cone's dual basis, and numeric polytope
+geometry (vertices, an interior point) is only defined there.
+
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
 exp(-area).
@@ -30,7 +37,6 @@ from .errors import (
 from .fan import Fan
 from .lattice import lattice_coordinates
 from .linform import LinForm, parse_linear_form
-from .polyhedra import max_min_slack, polytope_vertices
 
 
 def boundary_vector(fan: Fan, beta) -> tuple:
@@ -86,13 +92,14 @@ class KahlerData:
     # -- construction checks --
 
     def _check_polytope(self):
-        # bounded because the fan is complete; full-dimensional: positive
-        # max-min slack; symbolic constants are spot-checked at all
-        # parameters equal to 1
+        # {<x, v_i> > lambda_i} is infeasible exactly when some nonzero
+        # y >= 0 with sum(y_i v_i) = 0 has sum(y_i lambda_i) >= 0 (Motzkin),
+        # and the positive circuits generate those y; symbolic constants are
+        # spot-checked at all parameters equal to 1
         probe = {name: Fraction(1) for name in self.parameter_names}
         offsets = [lam.subs(probe) for lam in self.lambdas]
-        eps, _ = max_min_slack(self.fan.rays, offsets)
-        if eps <= 0:
+        if any(sum(y * lam for y, lam in zip(circuit, offsets)) >= 0
+               for circuit in self.fan.positive_circuits):
             raise EmptyInterior(
                 "moment polytope has empty interior"
                 + (" at unit parameters" if probe else "")
@@ -211,14 +218,34 @@ class KahlerData:
             raise ValueError(f"need numeric values for parameters {missing}")
         return [lam.subs(values) for lam in self.lambdas]
 
-    def interior_point(self, params: Optional[Mapping] = None) -> tuple:
-        """A strictly interior point of the moment polytope (max-min-slack
-        center); raises EmptyInterior when the interior is empty."""
-        offsets = self.numeric_offsets(params)
-        eps, point = max_min_slack(self.fan.rays, offsets)
-        if point is None:
-            raise EmptyInterior(f"polytope interior is empty (max slack {eps})")
-        return point
-
     def vertices(self, params: Optional[Mapping] = None) -> list:
-        return polytope_vertices(self.fan.rays, self.numeric_offsets(params))
+        """The moment polytope's vertices, one per maximal cone, sorted.
+
+        The vertex of a cone solves <x, v_i> = lambda_i on its rays, which
+        is the lambda-weighted sum of its dual basis rows. Raises
+        EmptyInterior, naming the cone and the ray, unless every vertex lies
+        strictly inside the half-spaces of the other rays, i.e. unless the
+        parameters lie in the open Kahler cone.
+        """
+        offsets = [Fraction(b) for b in self.numeric_offsets(params)]
+        rays = self.fan.rays
+        out = []
+        for cone, dual in self.fan.dual_bases.items():
+            x = tuple(sum(offsets[i] * row[j] for i, row in zip(cone, dual))
+                      for j in range(self.fan.dimension))
+            for i, ray in enumerate(rays):
+                if i not in cone and sum(a * b for a, b in zip(x, ray)) <= offsets[i]:
+                    raise EmptyInterior(
+                        f"the vertex of cone {cone} is not strictly inside the "
+                        f"half-space of ray {i}: the parameters are outside the "
+                        f"open Kahler cone"
+                    )
+            out.append(x)
+        return sorted(out)
+
+    def interior_point(self, params: Optional[Mapping] = None) -> tuple:
+        """The mean of the vertices, a strictly interior point of the
+        moment polytope; raises EmptyInterior outside the open Kahler cone."""
+        points = self.vertices(params)
+        return tuple(sum(p[j] for p in points) / len(points)
+                     for j in range(self.fan.dimension))

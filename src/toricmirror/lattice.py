@@ -6,8 +6,8 @@ come from the normal form of the transpose, which yields a saturated lattice
 basis directly (the basis rows come from a unimodular transform), integer
 coordinates in a basis come from one normal form per basis
 (:func:`lattice_coordinates`), and the transform of a unimodular matrix is
-its integer inverse. Rational systems elsewhere are scaled to integers or
-solved by back-substitution against a normal form. Saturation is not
+its integer inverse. Rational systems elsewhere are scaled to integers
+first. Saturation is not
 re-checked at run time; the test suite checks it against elementary
 divisors.
 """

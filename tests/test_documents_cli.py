@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -454,6 +455,40 @@ class TestCritCommand:
         assert capsys.readouterr().err == "error: --t value of 'foo' overflows a float\n"
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "foo=1"]) == 0
         assert json.loads(capsys.readouterr().out)["t_values"]["foo"] == 1.0
+
+    def test_outside_kahler_cone_exit_2(self, tmp_path, capsys):
+        # at t1 < 0 F2's polytope is a triangle whose normal fan is not F2's;
+        # under python -O too, so the check cannot rest on an assert
+        pot = self.make_potential(tmp_path, F2_DOC)
+        refusal = (r"error: the vertex of cone \(\d+, \d+\) is not strictly inside "
+                   r"the half-space of ray \d+: the parameters are outside the open "
+                   r"Kahler cone\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(toricmirror.__file__).parents[1]))
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "toricmirror.cli", "crit", pot,
+                 "--t", "t1=-0.5", "--t", "t2=1"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (2, ""), (flags, proc.stderr)
+            assert re.fullmatch(refusal, proc.stderr), proc.stderr
+        # an empty polytope is refused the same way
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=-1"]) == 2
+        assert re.fullmatch(refusal, capsys.readouterr().err)
+
+    def test_polytope_far_below_zero(self, tmp_path, capsys):
+        # the vertex at x = -t seeds |z| = exp(t), which overflows a float
+        # at t = 800; that seed is dropped, and the solver reports that it
+        # found no point (the roots +-exp(t/2) lie beyond its search band)
+        # instead of an internal error
+        doc = dict(P1_DOC, kahler={"parameters": ["t"], "lambdas": ["-t", "0"]})
+        pot = self.make_potential(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t=800"]) == 6
+        assert capsys.readouterr().err.startswith("error: no critical point found")
+        assert main(["crit", pot, "--t", "t=30"]) == 0
+        assert json.loads(capsys.readouterr().out)["multistart"]["deduped"] == 2
 
     def test_round_trip_potential_document(self, tmp_path):
         pot = self.make_potential(tmp_path, F2_DOC)

@@ -6,7 +6,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import random_smooth_2d_fan, random_unimodular, rank, solve_unique
+from conftest import (
+    polytope_vertices,
+    random_smooth_2d_fan,
+    random_unimodular,
+    rank,
+    solve_unique,
+)
 from toricmirror import catalog
 from toricmirror.bundle import decompose_bundle, projectivize_canonical
 from toricmirror.errors import (
@@ -19,7 +25,6 @@ from toricmirror.fan import validate_fan
 from toricmirror.kahler import KahlerData
 from toricmirror.lattice import hermite_normal_form
 from toricmirror.linform import LinForm
-from toricmirror.polyhedra import polytope_vertices
 
 DP6 = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 F1 = [(1, 0), (0, 1), (-1, -1), (0, -1)]

@@ -1,0 +1,154 @@
+"""Moment-polytope geometry from the fan against the moved oracles: the
+construction verdict against Fourier-Motzkin's max-min slack, the positive
+circuits against a scan of ray subsets, and the per-cone vertices against
+the active-set scan and per-cone Fraction solves."""
+
+import math
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from conftest import (
+    max_min_slack,
+    polytope_vertices,
+    random_smooth_2d_fan,
+    random_unimodular,
+    solve_unique,
+)
+from test_integer_solves import fano_bases, in_chart, random_lambda
+from toricmirror.bundle import projectivize_canonical
+from toricmirror.errors import DependentGenerators, EmptyInterior
+from toricmirror.fan import validate_fan
+from toricmirror.kahler import KahlerData
+from toricmirror.linform import LinForm
+
+P3 = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+                  [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+@pytest.fixture(scope="module")
+def fans():
+    """Bundles of P1, P2, P1xP1, F1, dP6 and P3 in two random charts each,
+    and 30 random smooth 2-D fans."""
+    rng = random.Random(23)
+    out = []
+    for base in fano_bases() + [P3]:
+        x = projectivize_canonical(base)
+        out += [in_chart(x, random_unimodular(rng, x.dimension)) for _ in range(2)]
+    return out + [random_smooth_2d_fan(rng) for _ in range(30)]
+
+
+def circuits_oracle(fan):
+    """Ray subsets whose last ray is a positive combination of the others,
+    which are independent: the support-minimal nonnegative relations."""
+    found = set()
+    for size in range(2, fan.dimension + 2):
+        for *rest, last in combinations(range(fan.nrays), size):
+            cols = [[fan.rays[i][k] for i in rest] for k in range(fan.dimension)]
+            try:
+                coeffs = solve_unique(cols, [-x for x in fan.rays[last]])
+            except DependentGenerators:
+                continue
+            if coeffs is None or min(coeffs) <= 0:
+                continue
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            y = [0] * fan.nrays
+            for i, c in zip(rest, coeffs):
+                y[i] = int(c * scale)
+            y[last] = scale
+            g = math.gcd(*y)
+            found.add(tuple(a // g for a in y))
+    return tuple(sorted(found))
+
+
+def test_positive_circuits_match_subset_scan(fans):
+    for fan in fans:
+        assert fan.positive_circuits == circuits_oracle(fan), fan.rays
+
+
+def test_construction_verdict_matches_fourier_motzkin(fans):
+    rng = random.Random(29)
+    sides = {(kind, ok): 0 for kind in ("constant", "symbolic") for ok in (True, False)}
+    for fan in fans:
+        names = [f"t{j}" for j in range(1, fan.nrays - fan.dimension + 1)]
+        for _ in range(8):
+            constant = [LinForm(Fraction(rng.randint(-5, 3), rng.choice((1, 2, 3))))
+                        for _ in fan.rays]
+            symbolic = [random_lambda(rng, names) for _ in fan.rays]
+            for kind, lambdas in (("constant", constant), ("symbolic", symbolic)):
+                probe = {name: Fraction(1) for name in names}
+                ok = max_min_slack(fan.rays, [lam.subs(probe) for lam in lambdas])[0] > 0
+                message = "moment polytope has empty interior"
+                if any(lam.variables for lam in lambdas):
+                    message += " at unit parameters"
+                try:
+                    KahlerData(fan, lambdas)
+                    got = None
+                except EmptyInterior as exc:
+                    got = str(exc)
+                assert got == (None if ok else message), (fan.rays, lambdas)
+                sides[kind, ok] += 1
+    total = sum(sides.values())
+    for ok in (True, False):
+        assert sides["constant", ok] + sides["symbolic", ok] >= total / 4, sides
+    assert min(sides.values()) >= total / 20, sides
+
+
+def in_kahler_cone(fan, offsets):
+    """Each cone's vertex, from one Fraction solve, strictly inside the
+    half-spaces of the other rays."""
+    for cone in fan.maximal_cones:
+        x = solve_unique([list(fan.rays[i]) for i in cone], [offsets[i] for i in cone])
+        for j, ray in enumerate(fan.rays):
+            if j not in cone and sum(a * b for a, b in zip(x, ray)) <= offsets[j]:
+                return False
+    return True
+
+
+def test_vertices_match_oracles(fans):
+    rng = random.Random(31)
+    refusal = r"vertex of cone \(.*\) is not strictly inside the half-space of ray \d"
+    inside = outside = 0
+    for fan in fans:
+        names = [f"t{j}" for j in range(fan.nrays)]
+        k = KahlerData(fan, [f"-{name}" for name in names])
+        for _ in range(10):
+            t = [Fraction(rng.randint(0, 12), rng.choice((1, 2))) for _ in names]
+            params = dict(zip(names, t))
+            offsets = [-x for x in t]
+            if in_kahler_cone(fan, offsets):
+                inside += 1
+                vertices = k.vertices(params)
+                assert vertices == polytope_vertices(fan.rays, offsets), (fan.rays, t)
+                assert len(vertices) == len(fan.maximal_cones)
+                x = k.interior_point(params)
+                assert all(k.support_value(i, x).subs(params) > 0 for i in range(fan.nrays))
+            else:
+                outside += 1
+                with pytest.raises(EmptyInterior, match=refusal):
+                    k.vertices(params)
+                with pytest.raises(EmptyInterior):
+                    k.interior_point(params)
+    assert inside >= 60 and outside >= 60, (inside, outside)
+
+
+def test_builds_fast_in_a_chart_that_blows_up_elimination():
+    # P(K_{P1 x dP6} + O) laid out as bundle base rays (w, 1) between e_4
+    # and -e_4, in a GL(4, Z) chart where Fourier-Motzkin took seconds
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    base = validate_fan(3, [w + (0,) for w in hexagon] + [(0, 0, 1), (0, 0, -1)],
+                        [tuple(sorted((i, (i + 1) % 6))) + (top,)
+                         for i in range(6) for top in (6, 7)])
+    x = projectivize_canonical(base)
+    chart = [[-2, -2, -2, 1], [1, 1, 1, -1], [0, -1, -4, 1], [1, 1, 2, -1]]
+    fan = in_chart(x, chart)
+    off = [i for i in range(fan.nrays) if i not in (0, 1, 2, 7)]
+    lambdas = ["0"] * fan.nrays
+    for j, i in enumerate(off):
+        lambdas[i] = f"-t{j + 1}"
+    start = time.perf_counter()
+    KahlerData(fan, lambdas)
+    assert time.perf_counter() - start < 2.0

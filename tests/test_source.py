@@ -33,3 +33,28 @@ def test_public_names_resolve():
     assert [n for n in names if not hasattr(toricmirror, n)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+ORACLES = ("cone_coefficients", "elementary_divisors", "fourier_motzkin", "matrix_det",
+           "max_min_slack", "polytope_vertices", "solve_unique", "unimodular_map_search")
+
+
+def test_oracles_stay_in_tests():
+    # the slow reference implementations the library is checked against
+    # live in tests/conftest.py; a copy in the library would check itself
+    import conftest
+
+    assert [n for n in ORACLES if not callable(getattr(conftest, n, None))] == []
+    found = []
+    for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            else:
+                continue
+            if name in ORACLES:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
