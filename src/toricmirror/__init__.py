@@ -7,6 +7,11 @@ Fano base, attach Kahler data, and assemble the mirror superpotential as an
 exact Laurent polynomial whose zero-section coefficient carries the
 Gromov-Witten correction factor. A multistart Newton solver locates the
 critical points numerically.
+
+The solver names (``CriticalReport``, ``SolverOptions``,
+``find_critical_points``, ``gradient``, ``moduli_from_polytope``) are served
+lazily: ``toricmirror.critical`` and numpy load on first access, so the
+exact layers start without them.
 """
 
 from .bundle import (
@@ -16,13 +21,6 @@ from .bundle import (
     fiber_class,
     projectivize_canonical,
     push_h2,
-)
-from .critical import (
-    CriticalReport,
-    SolverOptions,
-    find_critical_points,
-    gradient,
-    moduli_from_polytope,
 )
 from .fan import (
     Fan,
@@ -48,6 +46,23 @@ from .potential import (
 )
 
 __version__ = "0.1.0"
+
+_SOLVER_NAMES = frozenset({
+    "CriticalReport",
+    "SolverOptions",
+    "find_critical_points",
+    "gradient",
+    "moduli_from_polytope",
+})
+
+
+def __getattr__(name):
+    # PEP 562: only the solver needs numpy, which dominates import time
+    if name in _SOLVER_NAMES:
+        from . import critical
+
+        return getattr(critical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BundleDecomposition",

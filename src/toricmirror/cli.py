@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from .bundle import default_q_basis, projectivize_canonical
-from .critical import SolverOptions, find_critical_points, moduli_from_polytope
 from .documents import (
     canonical_json,
     critical_report_to_document,
@@ -186,6 +185,9 @@ def _parse_assignments(pairs) -> dict:
 
 
 def _cmd_crit(args) -> int:
+    # the solver loads numpy; the exact subcommands start without it
+    from .critical import SolverOptions, find_critical_points, moduli_from_polytope
+
     _require_at_least(args.phases, 1, "--phases")
     _require_at_least(args.max_steps, 0, "--max-steps")
     _require_at_least(args.max_starts, 1, "--max-starts")

@@ -102,8 +102,9 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     """Per-coordinate |z| seeds exp(-x_j) from the moment polytope: vertex
     coordinates (one vertex per maximal cone), their pairwise midpoints, and
     the mean of the vertices. Scales whose exponential underflows to 0 or
-    overflows a float are dropped. Raises EmptyInterior unless the
-    parameters lie in the open Kahler cone."""
+    overflows a float are dropped; one too small to round to 14 decimals is
+    kept unrounded.
+    Raises EmptyInterior unless the parameters lie in the open Kahler cone."""
     vertices = kahler.vertices(params)
     center = kahler.interior_point(params)
     out = []
@@ -114,8 +115,9 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
             for b in coords:
                 scales.add(float(a + b) / 2.0)
         scales.add(float(center[j]))
-        moduli = sorted({round(math.exp(-s), 14) for s in scales if -s <= _LOG_FLOAT_MAX},
-                        reverse=True)
+        seeds = [math.exp(-s) for s in scales if -s <= _LOG_FLOAT_MAX]
+        # rounding merges near-equal seeds; one that rounds to 0 is kept as is
+        moduli = sorted({round(r, 14) or r for r in seeds}, reverse=True)
         moduli = [r for r in moduli if r > 0.0]
         out.append(tuple(moduli) or (1.0,))
     return tuple(out)
@@ -159,6 +161,9 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     starts = _start_points(poly, t, options)
     w = np.array(starts, dtype=complex)  # (S, n)
     S = w.shape[0]
+    # iterates leaving this band in Re w are dropped; it follows the start
+    # grid, so roots far inside the Kahler cone stay reachable
+    band = 60.0 + float(np.max(np.abs(w.real), initial=0.0))
     active = np.ones(S, dtype=bool)
     # a true Newton root shows both a tiny residual and a vanishing step;
     # gradient valleys toward the torus boundary keep O(1) steps and must
@@ -205,7 +210,7 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
                 delta[alive] = step
             new_wa = wa + delta
             ok = np.all(np.isfinite(new_wa), axis=1) & (
-                np.max(np.abs(new_wa.real), axis=1) < 60.0
+                np.max(np.abs(new_wa.real), axis=1) < band
             )
             moved = idx[alive & ok]
             still = np.zeros(S, dtype=bool)

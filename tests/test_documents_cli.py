@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import random
 import re
@@ -232,6 +233,54 @@ def test_exit_code_of_each_error(monkeypatch, capsys, exc_type):
     assert main(["analyze", "unused.json"]) == expected
     prefix = "internal error: " if expected == 1 else "error: "
     assert capsys.readouterr().err == prefix + "boom\n"
+
+
+SAMPLES = Path(__file__).parents[1] / "sample_data"
+SOLVER_NAMES = ["CriticalReport", "SolverOptions", "find_critical_points", "gradient",
+                "moduli_from_polytope"]
+
+
+class TestLazySolver:
+    """Only `crit` loads the solver and numpy; the exact subcommands start
+    without them."""
+
+    def run_python(self, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(toricmirror.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_leaves_numpy_unloaded(self):
+        out = self.run_python(
+            "import sys, toricmirror, toricmirror.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "toricmirror.SolverOptions\n"
+            "print('numpy' in sys.modules)\n")
+        assert out == "False\nTrue\n"
+
+    def test_exact_commands_leave_numpy_unloaded(self):
+        f2, p2 = str(SAMPLES / "f2.json"), str(SAMPLES / "p2.json")
+        runs = [["analyze", f2], ["analyze", f2, "--json"], ["bundle", f2],
+                ["bundle", p2], ["potential", f2, "--cutoff", "2"]]
+        out = self.run_python(
+            "import os, sys\n"
+            "from toricmirror.cli import main\n"
+            f"print([main(argv + ['-o', os.devnull]) for argv in {runs!r}],\n"
+            "      'numpy' in sys.modules)\n")
+        assert out == "[0, 0, 4, 0, 0] False\n"
+
+    def test_solver_names_resolve(self):
+        import toricmirror.critical
+
+        assert [n for n in SOLVER_NAMES
+                if getattr(toricmirror, n) is not getattr(toricmirror.critical, n)] == []
+        namespace = {}
+        exec("from toricmirror import *", namespace)
+        assert [n for n in SOLVER_NAMES
+                if namespace.get(n) is not getattr(toricmirror.critical, n)] == []
+        with pytest.raises(AttributeError, match="no_such_name"):
+            toricmirror.no_such_name
 
 
 class TestBundleCommand:
@@ -480,8 +529,8 @@ class TestCritCommand:
     def test_polytope_far_below_zero(self, tmp_path, capsys):
         # the vertex at x = -t seeds |z| = exp(t), which overflows a float
         # at t = 800; that seed is dropped, and the solver reports that it
-        # found no point (the roots +-exp(t/2) lie beyond its search band)
-        # instead of an internal error
+        # found no point (q = exp(-t) underflows to 0, so the numeric W is
+        # 1/z, which has none) instead of an internal error
         doc = dict(P1_DOC, kahler={"parameters": ["t"], "lambdas": ["-t", "0"]})
         pot = self.make_potential(tmp_path, doc)
         capsys.readouterr()
@@ -489,6 +538,18 @@ class TestCritCommand:
         assert capsys.readouterr().err.startswith("error: no critical point found")
         assert main(["crit", pot, "--t", "t=30"]) == 0
         assert json.loads(capsys.readouterr().out)["multistart"]["deduped"] == 2
+
+    @pytest.mark.parametrize("t", [125, 200])
+    def test_far_inside_kahler_cone(self, tmp_path, capsys, t):
+        # the polytope seeds |z| = exp(-t) lie below 1e-14 and the roots
+        # +-exp(-t/2) beyond |Re log z| = 60; both must stay in reach
+        pot = self.make_potential(tmp_path, P1_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", f"t={t}"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        root = math.exp(-t / 2)
+        assert sorted(p[0][0] for p in points) == pytest.approx([-root, root], rel=1e-9)
+        assert [p[0][1] for p in points] == pytest.approx([0, 0], abs=1e-9 * root)
 
     def test_round_trip_potential_document(self, tmp_path):
         pot = self.make_potential(tmp_path, F2_DOC)

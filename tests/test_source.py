@@ -28,6 +28,38 @@ def test_lattice_is_integer_only():
     assert "fractions" not in modules
 
 
+def _module_level_imports(path):
+    """Absolute names of the modules a library file imports when it is
+    itself imported: everywhere but inside function bodies."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # the package is flat: relative means toricmirror
+                base = f"toricmirror.{base}".rstrip(".")
+            names.add(base)
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_only_the_solver_imports_numpy():
+    # numpy is most of the start-up time of the CLI; the exact layers and
+    # the entry points (cli.py, __init__.py) import the solver only lazily
+    found = []
+    for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
+        banned = ("toricmirror.critical",) + (("numpy",) if path.name != "critical.py" else ())
+        found += [f"{path.name} {n}" for n in sorted(_module_level_imports(path))
+                  if any(n == b or n.startswith(b + ".") for b in banned)]
+    assert found == []
+
+
 def test_public_names_resolve():
     names = toricmirror.__all__
     assert [n for n in names if not hasattr(toricmirror, n)] == []
