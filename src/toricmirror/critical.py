@@ -6,12 +6,19 @@ g_j = z_j dW/dz_j = sum over terms of a_j * c * z^a, whose Jacobian in w is
 J_jk = sum of a_j * a_k * c * z^a; both come from exact term-wise
 differentiation, evaluated in floating point.
 
-The multistart grid combines per-coordinate moduli (by default derived from
-the magnitudes in play; callers with a moment polytope should pass
-vertex-scale moduli) with equally spaced phases. Branches are independent;
-results are merged by a canonical sort, so any parallel or vectorized
-execution yields identical reports. Completeness of the root set is never
-claimed; count checks live in the test suite.
+The system has at most n! vol(Newton polytope) isolated roots in (C*)^n
+(Kouchnirenko; Bernstein), computed exactly from the term exponents. On the
+smooth Fano and semi-Fano fans this package builds, the bound is the number
+of maximal cones and is reached. The multistart grid combines
+per-coordinate moduli (by default derived from the magnitudes in play;
+callers with a moment polytope should pass vertex-scale moduli) with
+equally spaced phases. The starts run in a fixed stride permutation of the
+whole grid, so that every coordinate's seeds come early, in lockstep
+batches, and the run stops at the first batch boundary where the verified
+roots reach the bound, or at max_starts. A report is complete when
+deduped == expected; otherwise `truncated` says whether starts were left
+unrun. Everything is deterministic: the order, the batch sizes and the
+first-wins merge in start order do not depend on timing.
 """
 
 from __future__ import annotations
@@ -20,16 +27,18 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice, product
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, ZeroCoordinate
+from .errors import NoConvergence, SchemaError, ZeroCoordinate
 from .kahler import KahlerData
+from .lattice import normalized_volume
 from .laurent import LaurentPoly, evaluate
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above this
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,8 @@ class SolverOptions:
             "tol": self.tol,
             "dedup_radius": self.dedup_radius,
             "max_starts": self.max_starts,
+            "moduli_per_coord": (None if self.moduli_per_coord is None
+                                 else [list(m) for m in self.moduli_per_coord]),
         }
 
 
@@ -56,9 +67,12 @@ class CriticalReport:
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
     residuals: tuple  # |log-gradient| at each point
-    attempted: int
-    converged: int
-    deduped: int
+    attempted: int  # starts run
+    converged: int  # starts whose iterate converged
+    deduped: int  # distinct verified roots
+    expected: int  # root bound n! vol(Newton polytope); 0 when none holds
+    grid_size: int  # starts in the full grid
+    truncated: bool  # starts left unrun, and deduped < expected or expected == 0
     options: SolverOptions = field(compare=False, default=SolverOptions())
 
 
@@ -68,34 +82,45 @@ def gradient(poly: LaurentPoly, z: Sequence[complex], t: Sequence[float]) -> tup
     Differentiation is exact (term-wise on the Laurent polynomial); only the
     final evaluation is numeric.
     """
+    return _evaluate_at([poly.log_derivative(j) for j in range(poly.zvars)], z, t)
+
+
+def _evaluate_at(polys: Sequence[LaurentPoly], z: Sequence[complex],
+                 t: Sequence[float]) -> tuple:
     z = [complex(v) for v in z]
     if any(v == 0 for v in z):
         raise ZeroCoordinate("gradient is undefined on the coordinate axes")
-    return tuple(
-        evaluate(poly.log_derivative(j), z, t) for j in range(poly.zvars)
-    )
+    return tuple(evaluate(p, z, t) for p in polys)
 
 
 def _numeric_terms(poly: LaurentPoly, t: Sequence[float]):
+    """Exponents (T, n) and coefficients (T,) of W at q = exp(-t). Raises
+    SchemaError when a coefficient evaluates to 0 only because a
+    q-monomial of it underflows: the numeric W would silently lose a term."""
     q = [math.exp(-float(v)) for v in t]
     exps = []
     coeffs = []
     for zexp, coeff in poly.sorted_terms():
+        value = coeff.numeric(q)
+        if value == 0.0 and any(
+                math.prod(qj ** e for qj, e in zip(q, qexp)) == 0.0 for qexp in coeff.terms):
+            raise SchemaError(
+                f"a q-monomial underflows a float at these parameter values: the "
+                f"coefficient {coeff} of the z-exponent {zexp} evaluates to 0")
         exps.append(zexp)
-        coeffs.append(coeff.numeric(q))
+        coeffs.append(value)
     return np.array(exps, dtype=float), np.array(coeffs, dtype=complex)
 
 
-def _default_moduli(poly: LaurentPoly, t: Sequence[float]) -> tuple:
+def _default_moduli(c: np.ndarray, n: int) -> tuple:
     """Fallback per-coordinate moduli when no polytope scales are supplied:
     geometric ladder around the coefficient balance point."""
-    _, coeffs = _numeric_terms(poly, t)
-    mags = np.abs(coeffs)
+    mags = np.abs(c)
     mags = mags[mags > 0]
     spread = float(np.max(mags) / np.min(mags)) if mags.size else 1.0
-    base = max(spread, math.e) ** (1.0 / max(poly.zvars + 1, 2))
+    base = max(spread, math.e) ** (1.0 / max(n + 1, 2))
     ladder = (1.0 / base, 1.0, base)
-    return tuple(ladder for _ in range(poly.zvars))
+    return tuple(ladder for _ in range(n))
 
 
 def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
@@ -123,76 +148,91 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     return tuple(out)
 
 
-def _start_points(poly: LaurentPoly, t, options: SolverOptions):
-    moduli = options.moduli_per_coord or _default_moduli(poly, t)
-    if len(moduli) != poly.zvars:
-        raise ValueError("need one modulus list per z-coordinate")
-    K = options.phases_per_coord
-    per_coord = []
-    for j in range(poly.zvars):
-        seeds = []
-        for r in moduli[j]:
-            for k in range(K):
-                theta = 2.0 * math.pi * k / K
-                seeds.append(complex(math.log(r), theta))
-        per_coord.append(seeds)
-    return list(islice(product(*per_coord), options.max_starts))
+@lru_cache(maxsize=64)
+def _root_bound(exponents: tuple) -> int:
+    """Kouchnirenko's bound on the isolated roots in (C*)^n of the
+    log-gradient system: n! times the volume of the Newton polytope of the
+    nonconstant terms (a constant term drops out of every z_j dW/dz_j).
+    0 when that polytope is not full-dimensional: no finite bound holds."""
+    return normalized_volume([a for a in exponents if any(a)])
+
+
+def _seed_lists(moduli, phases: int) -> list:
+    """Per coordinate, the seeds log r + 2 pi i k / phases, modulus outer."""
+    return [np.array([complex(math.log(r), 2.0 * math.pi * k / phases)
+                      for r in coord for k in range(phases)], dtype=complex)
+            for coord in moduli]
+
+
+def _stride(grid: int) -> int:
+    """The integer nearest 0.618 * grid, raised to the first one coprime to
+    grid, so that k -> k * stride mod grid permutes the grid."""
+    stride = max(1, round(_GOLDEN * grid))
+    while math.gcd(stride, grid) != 1:
+        stride += 1
+    return stride
+
+
+def _grid_starts(seeds: list, first: int, count: int) -> np.ndarray:
+    """Starts first .. first + count - 1 of the mixed order, (count, n):
+    start k is grid index k * stride mod grid, read in mixed radix with the
+    last coordinate fastest (the digit order of itertools.product)."""
+    grid = math.prod(len(s) for s in seeds)
+    stride = _stride(grid)
+    index = [(k * stride) % grid for k in range(first, first + count)]
+    w = np.empty((count, len(seeds)), dtype=complex)
+    for j in range(len(seeds) - 1, -1, -1):
+        size = len(seeds[j])
+        w[:, j] = seeds[j][[i % size for i in index]]
+        index = [i // size for i in index]
+    return w
 
 
 def _wrap_phase(x: np.ndarray) -> np.ndarray:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def find_critical_points(poly: LaurentPoly, t: Sequence[float],
-                         options: SolverOptions | None = None) -> CriticalReport:
-    """Multistart Newton solve of the logarithmic gradient system.
+def _term_values(w: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c_t z^(a_t) at log-coordinates w (s, n), as (s, T): a real exponential
+    times cos + i sin of the phase, an order of magnitude cheaper than
+    numpy's complex exp."""
+    re, im = w.real @ A.T, w.imag @ A.T
+    return np.exp(re) * (np.cos(im) + 1j * np.sin(im)) * c
 
-    Deterministic: the start grid is fixed, all starts iterate in lockstep,
-    duplicates are collapsed in start order within the dedup radius (log
-    coordinates, phase-wrapped), and the survivors are sorted canonically.
-    Raises NoConvergence when nothing converges.
-    """
-    options = options or SolverOptions()
-    if poly.is_constant() or not poly:
-        raise ValueError("potential has no nonconstant term")
-    n = poly.zvars
-    t = [float(v) for v in t]
-    A, c = _numeric_terms(poly, t)
-    starts = _start_points(poly, t, options)
-    w = np.array(starts, dtype=complex)  # (S, n)
-    S = w.shape[0]
-    # iterates leaving this band in Re w are dropped; it follows the start
-    # grid, so roots far inside the Kahler cone stay reachable
-    band = 60.0 + float(np.max(np.abs(w.real), initial=0.0))
+
+def _newton(w: np.ndarray, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
+            options: SolverOptions, band: float) -> np.ndarray:
+    """Lockstep Newton from the starts w (s, n), updated in place; returns
+    the mask of starts that converged. AA holds the products a_j * a_k of
+    each term's exponents, so the Jacobians are one matrix product."""
+    S, n = w.shape
     active = np.ones(S, dtype=bool)
+    converged = np.zeros(S, dtype=bool)
     # a true Newton root shows both a tiny residual and a vanishing step;
     # gradient valleys toward the torus boundary keep O(1) steps and must
     # not count as converged
     step_tol = 1e-5
     last_step = np.full(S, np.inf)
-    converged_idx: list = []
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the last pass only tests the final update; it takes no step
         for step_no in range(options.max_steps + 1):
             if not active.any():
                 break
             wa = w[active]
-            M = np.exp(wa @ A.T) * c  # (s, T) term values
+            M = _term_values(wa, A, c)  # (s, T)
             g = M @ A  # (s, n) log-gradient
             res = np.linalg.norm(g, axis=1)
             finite = np.isfinite(res)
             done = finite & (res <= options.tol) & (last_step[active] <= step_tol)
             idx = np.flatnonzero(active)
-            for i in idx[done]:
-                converged_idx.append(i)
+            converged[idx[done]] = True
             if step_no == options.max_steps:
                 break
             alive = finite & ~done
-            J = np.einsum("st,tj,tk->sjk", M, A, A)
             delta = np.full_like(wa, np.nan)
             if alive.any():
-                Ja, ga = J[alive], g[alive]
+                Ja = (M[alive] @ AA).reshape(-1, n, n)
+                ga = g[alive]
                 try:
                     step = np.linalg.solve(Ja, -ga[..., None])[..., 0]
                 except np.linalg.LinAlgError:
@@ -204,59 +244,110 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
                             pass
                 # clip wild steps; keeps iterates in a sane band
                 norms = np.max(np.abs(step), axis=1, keepdims=True)
-                with np.errstate(invalid="ignore"):
-                    scale = np.where(norms > 10.0, 10.0 / norms, 1.0)
-                step = step * scale
-                delta[alive] = step
+                scale = np.where(norms > 10.0, 10.0 / norms, 1.0)
+                delta[alive] = step * scale
             new_wa = wa + delta
             ok = np.all(np.isfinite(new_wa), axis=1) & (
                 np.max(np.abs(new_wa.real), axis=1) < band
             )
             moved = idx[alive & ok]
-            still = np.zeros(S, dtype=bool)
-            still[moved] = True
             w[moved] = new_wa[alive & ok]
             last_step[moved] = np.linalg.norm(delta[alive & ok], axis=1)
-            active = still
+            active = np.zeros(S, dtype=bool)
+            active[moved] = True
+    return converged
 
-    converged_idx.sort()
-    kept: list = []
-    for i in converged_idx:
-        wi = w[i]
-        dup = False
-        for wj in kept:
-            diff_re = wi.real - wj.real
-            diff_im = _wrap_phase(wi.imag - wj.imag)
-            if math.hypot(np.linalg.norm(diff_re), np.linalg.norm(diff_im)) \
-                    <= options.dedup_radius:
-                dup = True
-                break
-        if not dup:
-            kept.append(wi)
 
+def _log_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between log-coordinate points over the last axis, each phase
+    difference wrapped into [-pi, pi); broadcasts over the leading axes."""
+    diff = a - b
+    return np.hypot(np.linalg.norm(diff.real, axis=-1),
+                    np.linalg.norm(_wrap_phase(diff.imag), axis=-1))
+
+
+def _dedup(points: np.ndarray, kept: np.ndarray, radius: float) -> np.ndarray:
+    """The rows of points (m, n), in order, farther than radius from every
+    row of kept and from every earlier row returned. This is the set a
+    pairwise scan in row order keeps: each pass keeps the first remaining
+    row and drops every later one within the radius of it."""
+    if len(kept) and len(points):
+        near = _log_distance(points[:, None, :], kept[None, :, :]) <= radius
+        points = points[~near.any(axis=1)]
+    out = []
+    while len(points):
+        out.append(points[0])
+        rest = points[1:]
+        points = rest[~(_log_distance(rest, points[0]) <= radius)]
+    return np.array(out, dtype=complex).reshape(-1, kept.shape[1])
+
+
+def find_critical_points(poly: LaurentPoly, t: Sequence[float],
+                         options: SolverOptions | None = None) -> CriticalReport:
+    """Multistart Newton solve of the logarithmic gradient system.
+
+    Deterministic: the starts run in a fixed mixed order, in batches whose
+    size depends only on the root bound; each batch iterates in lockstep.
+    Converged iterates are collapsed in start order within the dedup radius
+    (log coordinates, phase-wrapped), each survivor is checked by the exact
+    residual, and the run stops at the first batch boundary where the
+    verified roots reach the bound, or at max_starts. The points are sorted
+    canonically. Raises NoConvergence when nothing converges.
+    """
+    options = options or SolverOptions()
+    if poly.is_constant() or not poly:
+        raise ValueError("potential has no nonconstant term")
+    n = poly.zvars
+    t = [float(v) for v in t]
+    A, c = _numeric_terms(poly, t)
+    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
+    moduli = options.moduli_per_coord or _default_moduli(c, n)
+    if len(moduli) != n:
+        raise ValueError("need one modulus list per z-coordinate")
+    seeds = _seed_lists(moduli, options.phases_per_coord)
+    grid = math.prod(len(s) for s in seeds)
+    budget = min(grid, options.max_starts)
+    # iterates leaving this band in Re w are dropped; it follows the seed
+    # moduli, so roots far inside the Kahler cone stay reachable
+    band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
+    expected = _root_bound(tuple(sorted(poly.terms)))
+    batch = max(64, 16 * expected)
+    log_gradient = [poly.log_derivative(j) for j in range(n)]  # exact, for the residual
+
+    kept = np.empty((0, n), dtype=complex)  # dedup representatives
     points = []
+    finals = []
     best_failed = math.inf
-    for wi in kept:
-        z = tuple(cmath.exp(complex(x)) for x in wi)
-        # the exact-differentiation residual is the authority for the report
-        resid = float(np.linalg.norm(gradient(poly, z, t)))
-        if resid <= options.tol:
-            points.append((z, resid))
-        else:
-            best_failed = min(best_failed, resid)
+    attempted = converged = 0
+    while attempted < budget and not (expected and len(points) >= expected):
+        w = _grid_starts(seeds, attempted, min(batch, budget - attempted))
+        done = _newton(w, A, AA, c, options, band)
+        attempted += len(w)
+        converged += int(done.sum())
+        finals.append(w)
+        fresh = _dedup(w[done], kept, options.dedup_radius)
+        kept = np.concatenate([kept, fresh])
+        for wi in fresh:
+            z = tuple(cmath.exp(complex(x)) for x in wi)
+            # the exact-differentiation residual is the authority for the report
+            resid = float(np.linalg.norm(_evaluate_at(log_gradient, z, t)))
+            if resid <= options.tol:
+                points.append((z, resid))
+            else:
+                best_failed = min(best_failed, resid)
     points.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
 
     if not points:
         with np.errstate(over="ignore", invalid="ignore"):
-            M = np.exp(w @ A.T) * c
-            res = np.linalg.norm(M @ A, axis=1)
+            w = np.concatenate(finals) if finals else np.empty((0, n), dtype=complex)
+            res = np.linalg.norm(_term_values(w, A, c) @ A, axis=1)
         res = res[np.isfinite(res)]
         if res.size:
             best_failed = min(best_failed, float(res.min()))
         detail = (f"; best residual reached {best_failed:.3e}"
                   if math.isfinite(best_failed) else "")
         raise NoConvergence(
-            f"no critical point found from {S} starts{detail}; try more "
+            f"no critical point found from {attempted} starts{detail}; try more "
             f"phases or different moduli"
         )
     values = tuple(evaluate(poly, z, t) for z, _ in points)
@@ -264,8 +355,11 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
         points=tuple(z for z, _ in points),
         values=values,
         residuals=tuple(r for _, r in points),
-        attempted=S,
-        converged=len(converged_idx),
+        attempted=attempted,
+        converged=converged,
         deduped=len(points),
+        expected=expected,
+        grid_size=grid,
+        truncated=attempted < grid and not (expected and len(points) >= expected),
         options=options,
     )

@@ -338,6 +338,9 @@ def critical_report_to_document(report, t_values: Mapping) -> dict:
             "attempted": report.attempted,
             "converged": report.converged,
             "deduped": report.deduped,
+            "expected": report.expected,
+            "grid_size": report.grid_size,
+            "truncated": report.truncated,
         },
         "options": report.options.to_json(),
         "t_values": {k: float(v) for k, v in sorted(t_values.items())},

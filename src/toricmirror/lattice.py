@@ -6,8 +6,9 @@ come from the normal form of the transpose, which yields a saturated lattice
 basis directly (the basis rows come from a unimodular transform), integer
 coordinates in a basis come from one normal form per basis
 (:func:`lattice_coordinates`), and the transform of a unimodular matrix is
-its integer inverse. Rational systems elsewhere are scaled to integers
-first. Saturation is not
+its integer inverse; the volume of a lattice polytope sums normal-form
+diagonals over a triangulation (:func:`normalized_volume`). Rational
+systems elsewhere are scaled to integers first. Saturation is not
 re-checked at run time; the test suite checks it against elementary
 divisors.
 """
@@ -15,6 +16,7 @@ divisors.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -174,3 +176,68 @@ def lattice_coordinates(basis):
         return tuple(sum(k * u[j] for k, u in zip(y, U)) for j in range(len(U)))
 
     return coords
+
+
+# --- lattice polytopes ---
+
+def _facets(points) -> dict:
+    """Facets of the convex hull of integer points in R^d, d >= 2, as
+    {frozenset of point indices on the facet: integer normal}. A point set
+    of lower dimension has none, or the one "facet" holding every point.
+    Each d-subset spans a candidate hyperplane, kept when no point lies
+    strictly on either side of it; its normal is the one kernel vector of
+    the subset's differences. A subset inside a known facet is skipped."""
+    d = len(points[0])
+    found: dict = {}
+    for subset in combinations(range(len(points)), d):
+        if any(found_set.issuperset(subset) for found_set in found):
+            continue
+        p0 = points[subset[0]]
+        try:
+            (normal,) = kernel_basis([[a - b for a, b in zip(points[i], p0)]
+                                      for i in subset[1:]])
+        except NotFullRank:  # the subset spans no hyperplane
+            continue
+        level = sum(u * x for u, x in zip(normal, p0))
+        side = [sum(u * x for u, x in zip(normal, p)) - level for p in points]
+        if min(side) < 0 < max(side):
+            continue
+        found[frozenset(i for i, s in enumerate(side) if s == 0)] = normal
+    return found
+
+
+def _pulling_triangulation(points, labels) -> list:
+    """Simplices (tuples of labels) covering conv(points) with disjoint
+    interiors: the cones from the first point over the triangulated facets
+    that miss it. A facet is triangulated in the coordinates left after
+    dropping one its normal does not vanish on, which map its affine hull
+    onto R^(d-1) bijectively."""
+    if len(points[0]) == 1:
+        order = sorted(range(len(points)), key=lambda i: points[i][0])
+        return [(labels[order[0]], labels[order[-1]])]
+    out = []
+    for facet, normal in _facets(points).items():
+        if 0 in facet:
+            continue
+        k = next(j for j, u in enumerate(normal) if u)
+        members = sorted(facet)
+        projected = [points[i][:k] + points[i][k + 1:] for i in members]
+        for simplex in _pulling_triangulation(projected, [labels[i] for i in members]):
+            out.append(simplex + (labels[0],))
+    return out
+
+
+def normalized_volume(points) -> int:
+    """d! times the volume of the convex hull of integer points in Z^d (0
+    when they span less than R^d): the sum of |det| over the simplices of a
+    pulling triangulation, each |det| the product of the Hermite normal
+    form's diagonal."""
+    points = [tuple(int(x) for x in p) for p in points]
+    if not points or not points[0]:
+        return 0
+    total = 0
+    for simplex in _pulling_triangulation(points, points):
+        apex = simplex[-1]
+        H, _ = hermite_normal_form([[a - b for a, b in zip(p, apex)] for p in simplex[:-1]])
+        total += math.prod(H[i][i] for i in range(len(apex)))  # |det|
+    return total

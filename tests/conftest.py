@@ -510,3 +510,20 @@ def fd_log_gradient(poly, z, t, h=1e-5):
         zm[j] = z[j] * math.exp(-h)
         out.append((evaluate(poly, zp, t) - evaluate(poly, zm, t)) / (2 * h))
     return tuple(out)
+
+
+def pairwise_dedup_oracle(points, radius) -> list:
+    """Greedy dedup of log-coordinate points by a scan over pairs: a point
+    is kept when every earlier kept point lies farther than the radius,
+    with each phase difference wrapped into [-pi, pi)."""
+    def distance(p, q):
+        re = math.sqrt(sum((a.real - b.real) ** 2 for a, b in zip(p, q)))
+        im = math.sqrt(sum(((a.imag - b.imag + math.pi) % (2 * math.pi) - math.pi) ** 2
+                           for a, b in zip(p, q)))
+        return math.hypot(re, im)
+
+    kept = []
+    for p in points:
+        if all(distance(p, q) > radius for q in kept):
+            kept.append(p)
+    return kept

@@ -9,11 +9,15 @@ does not share.
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import fd_log_gradient
+from conftest import fd_log_gradient, pairwise_dedup_oracle
+from test_integer_solves import DP6, F1, product_fan
+from toricmirror.bundle import projectivize_canonical
 from toricmirror.catalog import (
     hirzebruch2_kahler,
     p1_times_p1,
@@ -22,12 +26,18 @@ from toricmirror.catalog import (
 )
 from toricmirror.critical import (
     SolverOptions,
+    _dedup,
+    _grid_starts,
+    _root_bound,
+    _seed_lists,
+    _stride,
     find_critical_points,
     gradient,
     moduli_from_polytope,
 )
 from toricmirror.documents import critical_report_to_document, canonical_json
-from toricmirror.errors import NoConvergence, ZeroCoordinate
+from toricmirror.errors import EmptyInterior, NoConvergence, ZeroCoordinate
+from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
 from toricmirror.laurent import LaurentPoly, QPoly
@@ -128,10 +138,13 @@ class TestRootCounts:
         cube_roots = [cmath.exp(2j * math.pi * j / 3) for j in range(3)]
         expected = [(z, z) for z in cube_roots]
         assert_point_sets_match(report, expected)
-        values = sorted((v.real, v.imag) for v in report.values)
-        oracle = sorted(((3 * z).real, (3 * z).imag) for z in cube_roots)
-        for got, want in zip(values, oracle):
-            assert got == pytest.approx(want, abs=1e-9)
+        # two values share the real part -1.5, so match them as a set
+        unmatched = [3 * z for z in cube_roots]
+        assert len(report.values) == len(unmatched)
+        for value in report.values:
+            best = min(unmatched, key=lambda want: abs(value - want))
+            assert value == pytest.approx(best, abs=1e-9)
+            unmatched.remove(best)
 
     def test_plane_three_points(self):
         k, W, params = plane_setup()
@@ -212,3 +225,179 @@ class TestSolverBehavior:
         report, _ = solve(k, W, params)
         assert report.attempted >= report.converged >= report.deduped
         assert report.deduped == len(report.points) == len(report.values)
+
+
+def bundle_setup(base, seed=3):
+    """P(K_Y + O) over the base fan with lambda 0 on the first maximal
+    cone's rays and -t_j on the others, in the dual q-basis; its corrected
+    potential at cutoff 2 (invariants absent from every source read as 0);
+    and a seeded parameter point inside the Kahler cone."""
+    fan = projectivize_canonical(base)
+    sigma = fan.maximal_cones[0]
+    off = [i for i in range(fan.nrays) if i not in sigma]
+    lambdas = ["0"] * fan.nrays
+    q_basis = []
+    for j, r in enumerate(off):
+        lambdas[r] = f"-t{j + 1}"
+        # the relation of ray r to the rays of sigma, so that q_j = exp(-t_j)
+        cls = [0] * fan.nrays
+        cls[r] = 1
+        for i, row in zip(sigma, fan.dual_bases[sigma]):
+            cls[i] = -sum(a * x for a, x in zip(row, fan.rays[r]))
+        q_basis.append(tuple(cls))
+    k = KahlerData(fan, lambdas, q_basis)
+    W = corrected_potential(fan, k, GWProvider(k, assume_zero=True), 2)
+    rng = random.Random(seed)
+    for _ in range(1000):
+        params = {name: Fraction(rng.randint(300, 600), 100) for name in k.parameter_names}
+        try:
+            k.vertices(params)
+        except EmptyInterior:
+            continue
+        return k, W, params
+    raise AssertionError("no Kahler-cone point found")
+
+
+BUNDLE_BASES = {
+    "P1": projective_line,
+    "P2": projective_plane,
+    "F1": lambda: validate_fan(2, F1),
+    "dP6": lambda: validate_fan(2, DP6),
+    "P1xdP6": lambda: product_fan(projective_line(), validate_fan(2, DP6)),
+}
+
+
+class TestRootBound:
+    """The run stops at Kouchnirenko's bound, which these potentials reach."""
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "F2"] + [
+        f"P(K_{base}+O)" for base in BUNDLE_BASES])
+    def test_reaches_bound(self, name):
+        catalog = {"P1": line_setup, "P2": plane_setup, "P1xP1": product_setup, "F2": f2_setup}
+        if name in catalog:
+            k, W, params = catalog[name]()
+        else:
+            k, W, params = bundle_setup(BUNDLE_BASES[name[4:-3]]())
+        start = time.perf_counter()
+        report, _ = solve(k, W, params)
+        elapsed = time.perf_counter() - start
+        assert report.deduped == report.expected == len(k.fan.maximal_cones)
+        assert not report.truncated
+        # stopped at the bound, unless the whole grid fits in one batch
+        assert report.attempted < report.grid_size or report.grid_size <= 64
+        if name == "P(K_F1+O)":
+            assert elapsed < 1.0
+
+    def test_bundle_reports_repeat(self):
+        k, W, params = bundle_setup(BUNDLE_BASES["P1xdP6"]())
+        report1, _ = solve(k, W, params)
+        report2, _ = solve(k, W, params)
+        assert report1 == report2
+        assert (report1.attempted, report1.converged) == (report2.attempted, report2.converged)
+
+    def test_constant_term_left_out(self):
+        # z + q/z + 5: the constant drops out of z dW/dz, so 2 roots, not 2
+        # plus whatever the origin would add to the polytope
+        W = (LaurentPoly.monomial((1,), QPoly.constant(1, 1))
+             + LaurentPoly.monomial((-1,), QPoly.monomial((1,)))
+             + LaurentPoly.monomial((0,), QPoly.constant(1, 5)))
+        assert _root_bound(tuple(sorted(W.terms))) == 2
+        one_sided = LaurentPoly.monomial((1,), QPoly.constant(1, 1)) \
+            + LaurentPoly.monomial((2,), QPoly.constant(1, 1))
+        assert _root_bound(tuple(sorted(one_sided.terms))) == 1
+        report = find_critical_points(one_sided, [T001])
+        assert len(report.points) == 1
+        assert report.points[0][0] == pytest.approx(-0.5, abs=1e-12)
+
+    def test_truncated_when_max_starts_runs_out(self):
+        k, W, params = f2_setup()
+        report, _ = solve(k, W, params, max_starts=1)
+        assert report.attempted == 1
+        assert report.deduped < report.expected == 4
+        assert report.truncated
+
+    def test_report_document_replays(self):
+        k, W, params = f2_setup()
+        report, t = solve(k, W, params)
+        doc = critical_report_to_document(report, params)
+        assert doc["multistart"] == {
+            "attempted": report.attempted, "converged": report.converged,
+            "deduped": 4, "expected": 4, "grid_size": report.grid_size,
+            "truncated": False,
+        }
+        opts = dict(doc["options"])
+        opts["moduli_per_coord"] = tuple(tuple(m) for m in opts["moduli_per_coord"])
+        replay = find_critical_points(W, t, SolverOptions(**opts))
+        assert critical_report_to_document(replay, params) == doc
+
+
+class TestStartOrder:
+    def test_order_permutes_the_grid(self):
+        seeds = _seed_lists(((0.5, 1.0, 2.0), (1.0, 3.0)), 4)
+        grid = 12 * 8
+        starts = _grid_starts(seeds, 0, grid)
+        assert len({tuple(w) for w in starts.tolist()}) == grid
+        # the batches of a run are slices of the same order
+        parts = [_grid_starts(seeds, a, b - a)
+                 for a, b in ((0, 7), (7, 40), (40, grid))]
+        assert np.array_equal(np.concatenate(parts), starts)
+
+    @pytest.mark.parametrize("n, radii", [(2, 3), (4, 5)])
+    def test_every_seed_starts_early(self, n, radii):
+        # the lexicographic prefix the order replaces held the first n - 1
+        # coordinates at their first seed
+        moduli = (tuple(1.0 + j for j in range(radii)),) * n
+        seeds = _seed_lists(moduli, 8)
+        grid = (8 * radii) ** n
+        starts = _grid_starts(seeds, 0, 64)
+        for j in range(n):
+            assert len(set(starts[:, j].tolist())) == 8 * radii
+
+    def test_stride_is_coprime(self):
+        for grid in (1, 2, 12, 64, 1344, 8 ** 4, 240 ** 4):
+            stride = _stride(grid)
+            assert math.gcd(stride, grid) == 1
+            assert abs(stride - 0.618 * grid) <= 0.01 * grid + 2
+
+
+def log_cloud(rng, n, count, radius):
+    """Log-coordinate points with planted near-duplicates, some straddling
+    the phase cut at +-pi, in a shuffled order."""
+    base = [np.array([complex(rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
+                      for _ in range(n)]) for _ in range(count)]
+    for j in range(0, count, 4):
+        base[j][0] = complex(base[j][0].real, math.pi - 0.2 * radius)
+    points = []
+    for p in base:
+        points.append(p)
+        for _ in range(rng.randint(0, 3)):
+            shift = np.array([complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+                              for _ in range(n)]) * radius
+            dup = p + shift
+            if rng.random() < 0.5:
+                dup[0] += 2j * math.pi * rng.choice((-1, 1))
+            points.append(dup)
+    rng.shuffle(points)
+    return np.array(points)
+
+
+class TestDedup:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_pairwise_scan(self, n):
+        rng = random.Random(40 + n)
+        for radius in (1e-8, 0.05):
+            cloud = log_cloud(rng, n, 40, radius)
+            empty = np.empty((0, n), dtype=complex)
+            kept = _dedup(cloud, empty, radius)
+            oracle = pairwise_dedup_oracle(cloud.tolist(), radius)
+            assert kept.tolist() == oracle
+            assert 40 <= len(kept) < len(cloud)
+            # the same set when the points arrive in batches
+            first = _dedup(cloud[:25], empty, radius)
+            second = _dedup(cloud[25:], first, radius)
+            assert np.concatenate([first, second]).tolist() == oracle
+
+    def test_zero_radius_merges_only_exact_copies(self):
+        cloud = np.array([[1 + 1j], [1 + 1j], [1 + 1j + 1e-15]])
+        assert _dedup(cloud, np.empty((0, 1), dtype=complex), 0.0).tolist() == [
+            [1 + 1j], [1 + 1j + 1e-15]]

@@ -528,14 +528,16 @@ class TestCritCommand:
 
     def test_polytope_far_below_zero(self, tmp_path, capsys):
         # the vertex at x = -t seeds |z| = exp(t), which overflows a float
-        # at t = 800; that seed is dropped, and the solver reports that it
-        # found no point (q = exp(-t) underflows to 0, so the numeric W is
-        # 1/z, which has none) instead of an internal error
+        # at t = 800; that seed is dropped. q = exp(-t) underflows to 0 there,
+        # which would leave the numeric W = 1/z, so the run is refused as
+        # bad input instead of reporting that 1/z has no critical point
         doc = dict(P1_DOC, kahler={"parameters": ["t"], "lambdas": ["-t", "0"]})
         pot = self.make_potential(tmp_path, doc)
         capsys.readouterr()
-        assert main(["crit", pot, "--t", "t=800"]) == 6
-        assert capsys.readouterr().err.startswith("error: no critical point found")
+        assert main(["crit", pot, "--t", "t=800"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a q-monomial underflows a float at these parameter values: "
+            "the coefficient q1 of the z-exponent (1,) evaluates to 0\n")
         assert main(["crit", pot, "--t", "t=30"]) == 0
         assert json.loads(capsys.readouterr().out)["multistart"]["deduped"] == 2
 

@@ -1,5 +1,6 @@
 """Integer lattice algebra against sympy oracles and brute force."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,7 @@ from conftest import (
     solve_unique,
     unimodular_map_search,
 )
+from test_integer_solves import product_fan
 from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
@@ -33,6 +35,7 @@ from toricmirror.lattice import (
     is_primitive,
     kernel_basis,
     lattice_coordinates,
+    normalized_volume,
 )
 from toricmirror.potential import correction_details
 
@@ -383,3 +386,59 @@ class TestHomologyBasisCheck:
                     assert fan.is_homology_basis(cand) == expected, (fan, cand)
                 assert fan.is_homology_basis(basis)
                 assert not fan.is_homology_basis(scaled)
+
+
+class TestNormalizedVolume:
+    """normalized_volume (d! vol of the convex hull) against Qhull, and
+    against the cone count of fans whose rays all lie on the boundary of
+    their convex hull (Fano and semi-Fano)."""
+
+    def test_examples(self):
+        assert normalized_volume([(0, 0), (1, 0), (0, 1)]) == 1
+        assert normalized_volume([(1,), (-1,)]) == 2
+        assert normalized_volume([(3,)]) == 0
+        assert normalized_volume([(0, 0), (1, 1), (3, 3), (-2, -2)]) == 0  # a segment
+        assert normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 0  # flat
+        assert normalized_volume([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)]) == 4
+        cube = list(product((0, 1), repeat=4))
+        assert normalized_volume(cube) == math.factorial(4)
+
+    def test_matches_qhull(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = random.Random(41)
+        flat = 0
+        for d in range(1, 5):
+            for trial in range(40):
+                count = rng.randint(d + 1, d + 8)
+                pts = sorted({tuple(rng.randint(-3, 3) for _ in range(d))
+                              for _ in range(count)})
+                if trial % 8 == 0:  # planted: every point on the hyperplane x_0 = x_d-1
+                    pts = sorted({p[:-1] + (p[0],) for p in pts})
+                if d == 1:  # Qhull needs dimension 2 or more
+                    want = max(pts)[0] - min(pts)[0]
+                else:
+                    try:
+                        want = spatial.ConvexHull(pts).volume * math.factorial(d)
+                    except spatial.QhullError:  # fewer than d + 1 independent points
+                        want = 0
+                flat += want == 0
+                assert normalized_volume(pts) == pytest.approx(want, abs=1e-6), pts
+        assert flat >= 12
+
+    def test_matches_cone_count(self):
+        rng = random.Random(43)
+        p1 = catalog.projective_line()
+        dp6 = validate_fan(2, DP6)
+        bases = [p1, catalog.projective_plane(), catalog.p1_times_p1(),
+                 validate_fan(2, [(1, 0), (0, 1), (-1, -1), (0, -1)]), dp6,
+                 product_fan(p1, dp6), product_fan(p1, product_fan(p1, p1))]
+        fans = [p1, catalog.hirzebruch2(), *bases[1:]]
+        fans += [projectivize_canonical(base) for base in bases]
+        for fan in fans:
+            assert normalized_volume(fan.rays) == len(fan.maximal_cones), fan.rays
+            # the volume is invariant under GL(n, Z) and translation
+            chart = random_unimodular(rng, fan.dimension)
+            shift = [rng.randint(-3, 3) for _ in range(fan.dimension)]
+            moved = [tuple(sum(a * x for a, x in zip(row, r)) + c
+                           for row, c in zip(chart, shift)) for r in fan.rays]
+            assert normalized_volume(moved) == len(fan.maximal_cones)
