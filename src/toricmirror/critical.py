@@ -14,11 +14,14 @@ per-coordinate moduli (by default derived from the magnitudes in play;
 callers with a moment polytope should pass vertex-scale moduli) with
 equally spaced phases. The starts run in a fixed stride permutation of the
 whole grid, so that every coordinate's seeds come early, in lockstep
-batches, and the run stops at the first batch boundary where the verified
-roots reach the bound, or at max_starts. A report is complete when
-deduped == expected; otherwise `truncated` says whether starts were left
-unrun. Everything is deterministic: the order, the batch sizes and the
-first-wins merge in start order do not depend on timing.
+batches. After each Newton pass the starts that have just converged are
+merged into the kept roots and verified, and the run stops at the pass
+where the verified roots reach the bound; a batch admitted is otherwise
+stepped to its end, and no batch is admitted past max_starts. A report is
+complete when deduped == expected; otherwise `truncated` says whether
+starts were left unrun. Everything is deterministic: the order, the batch
+sizes and the first-wins merge (by pass, then in start order) do not
+depend on timing.
 """
 
 from __future__ import annotations
@@ -95,8 +98,14 @@ def _evaluate_at(polys: Sequence[LaurentPoly], z: Sequence[complex],
 
 def _numeric_terms(poly: LaurentPoly, t: Sequence[float]):
     """Exponents (T, n) and coefficients (T,) of W at q = exp(-t). Raises
-    SchemaError when a coefficient evaluates to 0 only because a
-    q-monomial of it underflows: the numeric W would silently lose a term."""
+    SchemaError when a q overflows a float, or when a coefficient evaluates
+    to 0 only because a q-monomial of it underflows: the numeric W would
+    silently lose a term."""
+    for j, v in enumerate(t):
+        if -float(v) > _LOG_FLOAT_MAX:
+            raise SchemaError(
+                f"q{j + 1} = exp(-t) overflows a float at these parameter values: "
+                f"its q-area t is {float(v)!r}")
     q = [math.exp(-float(v)) for v in t]
     exps = []
     coeffs = []
@@ -131,7 +140,8 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     kept unrounded.
     Raises EmptyInterior unless the parameters lie in the open Kahler cone."""
     vertices = kahler.vertices(params)
-    center = kahler.interior_point(params)
+    center = [sum(v[j] for v in vertices) / len(vertices)
+              for j in range(kahler.fan.dimension)]
     out = []
     for j in range(kahler.fan.dimension):
         scales = {float(v[j]) for v in vertices}
@@ -201,35 +211,40 @@ def _term_values(w: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _newton(w: np.ndarray, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
-            options: SolverOptions, band: float) -> np.ndarray:
-    """Lockstep Newton from the starts w (s, n), updated in place; returns
-    the mask of starts that converged. AA holds the products a_j * a_k of
-    each term's exponents, so the Jacobians are one matrix product."""
+            options: SolverOptions, band: float):
+    """Lockstep Newton from the starts w (s, n), updated in place. After
+    each pass that converges some starts it yields their indices, in start
+    order; the caller may stop between passes, and w then holds the
+    iterates reached. AA holds the products a_j * a_k of each term's
+    exponents, so the Jacobians are one matrix product."""
     S, n = w.shape
     active = np.ones(S, dtype=bool)
-    converged = np.zeros(S, dtype=bool)
     # a true Newton root shows both a tiny residual and a vanishing step;
     # gradient valleys toward the torus boundary keep O(1) steps and must
     # not count as converged
     step_tol = 1e-5
     last_step = np.full(S, np.inf)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the last pass only tests the final update; it takes no step
-        for step_no in range(options.max_steps + 1):
-            if not active.any():
-                break
+    # the last pass only tests the final update; it takes no step
+    for step_no in range(options.max_steps + 1):
+        if not active.any():
+            break
+        # numpy's error state is set per pass, never across a yield, so the
+        # caller runs under its own
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             wa = w[active]
             M = _term_values(wa, A, c)  # (s, T)
             g = M @ A  # (s, n) log-gradient
             res = np.linalg.norm(g, axis=1)
             finite = np.isfinite(res)
             done = finite & (res <= options.tol) & (last_step[active] <= step_tol)
-            idx = np.flatnonzero(active)
-            converged[idx[done]] = True
-            if step_no == options.max_steps:
-                break
-            alive = finite & ~done
-            delta = np.full_like(wa, np.nan)
+        idx = np.flatnonzero(active)
+        if done.any():
+            yield idx[done]
+        if step_no == options.max_steps:
+            break
+        alive = finite & ~done
+        delta = np.full_like(wa, np.nan)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if alive.any():
                 Ja = (M[alive] @ AA).reshape(-1, n, n)
                 ga = g[alive]
@@ -253,9 +268,8 @@ def _newton(w: np.ndarray, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
             moved = idx[alive & ok]
             w[moved] = new_wa[alive & ok]
             last_step[moved] = np.linalg.norm(delta[alive & ok], axis=1)
-            active = np.zeros(S, dtype=bool)
-            active[moved] = True
-    return converged
+        active = np.zeros(S, dtype=bool)
+        active[moved] = True
 
 
 def _log_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -288,11 +302,15 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
 
     Deterministic: the starts run in a fixed mixed order, in batches whose
     size depends only on the root bound; each batch iterates in lockstep.
-    Converged iterates are collapsed in start order within the dedup radius
-    (log coordinates, phase-wrapped), each survivor is checked by the exact
-    residual, and the run stops at the first batch boundary where the
-    verified roots reach the bound, or at max_starts. The points are sorted
-    canonically. Raises NoConvergence when nothing converges.
+    After each pass, the iterates that have just converged are collapsed in
+    start order within the dedup radius (log coordinates, phase-wrapped)
+    against the roots kept so far, each survivor is checked by the exact
+    residual, and the run stops at the pass where the verified roots reach
+    the bound. Without that, it stops after the batch that reaches
+    max_starts or the end of the grid. `attempted` counts the starts
+    admitted, `converged` those that converged before the stop. The points
+    are sorted canonically. Raises NoConvergence when nothing converges; its
+    message gives the best residual over the last iterate of every start.
     """
     options = options or SolverOptions()
     if poly.is_constant() or not poly:
@@ -319,22 +337,26 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     finals = []
     best_failed = math.inf
     attempted = converged = 0
-    while attempted < budget and not (expected and len(points) >= expected):
+    complete = False
+    while attempted < budget and not complete:
         w = _grid_starts(seeds, attempted, min(batch, budget - attempted))
-        done = _newton(w, A, AA, c, options, band)
         attempted += len(w)
-        converged += int(done.sum())
         finals.append(w)
-        fresh = _dedup(w[done], kept, options.dedup_radius)
-        kept = np.concatenate([kept, fresh])
-        for wi in fresh:
-            z = tuple(cmath.exp(complex(x)) for x in wi)
-            # the exact-differentiation residual is the authority for the report
-            resid = float(np.linalg.norm(_evaluate_at(log_gradient, z, t)))
-            if resid <= options.tol:
-                points.append((z, resid))
-            else:
-                best_failed = min(best_failed, resid)
+        for done in _newton(w, A, AA, c, options, band):
+            converged += len(done)
+            fresh = _dedup(w[done], kept, options.dedup_radius)
+            kept = np.concatenate([kept, fresh])
+            for wi in fresh:
+                z = tuple(cmath.exp(complex(x)) for x in wi)
+                # the exact-differentiation residual is the authority for the report
+                resid = float(np.linalg.norm(_evaluate_at(log_gradient, z, t)))
+                if resid <= options.tol:
+                    points.append((z, resid))
+                else:
+                    best_failed = min(best_failed, resid)
+            complete = bool(expected) and len(points) >= expected
+            if complete:
+                break
     points.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
 
     if not points:
@@ -360,6 +382,6 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
         deduped=len(points),
         expected=expected,
         grid_size=grid,
-        truncated=attempted < grid and not (expected and len(points) >= expected),
+        truncated=attempted < grid and not complete,
         options=options,
     )

@@ -527,3 +527,54 @@ def pairwise_dedup_oracle(points, radius) -> list:
         if all(distance(p, q) > radius for q in kept):
             kept.append(p)
     return kept
+
+
+def batch_boundary_oracle(poly, t, options):
+    """The solver loop that stops only at a batch boundary: every admitted
+    batch is stepped until each of its starts converges, leaves the band
+    or reaches max_steps, and the bound is tested after the whole batch is
+    merged. Returns (attempted, converged, deduped, expected, points)."""
+    import cmath
+
+    import numpy as np
+
+    from toricmirror.critical import (
+        _dedup, _default_moduli, _evaluate_at, _grid_starts, _newton,
+        _numeric_terms, _root_bound, _seed_lists,
+    )
+
+    def newton_to_the_end(w, A, AA, c, options, band):
+        done = np.zeros(len(w), dtype=bool)
+        for idx in _newton(w, A, AA, c, options, band):
+            done[idx] = True
+        return done
+
+    n = poly.zvars
+    t = [float(v) for v in t]
+    A, c = _numeric_terms(poly, t)
+    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
+    moduli = options.moduli_per_coord or _default_moduli(c, n)
+    seeds = _seed_lists(moduli, options.phases_per_coord)
+    grid = math.prod(len(s) for s in seeds)
+    budget = min(grid, options.max_starts)
+    band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
+    expected = _root_bound(tuple(sorted(poly.terms)))
+    batch = max(64, 16 * expected)
+    log_gradient = [poly.log_derivative(j) for j in range(n)]
+
+    kept = np.empty((0, n), dtype=complex)
+    points = []
+    attempted = converged = 0
+    while attempted < budget and not (expected and len(points) >= expected):
+        w = _grid_starts(seeds, attempted, min(batch, budget - attempted))
+        done = newton_to_the_end(w, A, AA, c, options, band)
+        attempted += len(w)
+        converged += int(done.sum())
+        fresh = _dedup(w[done], kept, options.dedup_radius)
+        kept = np.concatenate([kept, fresh])
+        for wi in fresh:
+            z = tuple(cmath.exp(complex(x)) for x in wi)
+            resid = float(np.linalg.norm(_evaluate_at(log_gradient, z, t)))
+            if resid <= options.tol:
+                points.append(z)
+    return attempted, converged, len(points), expected, points

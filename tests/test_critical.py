@@ -9,14 +9,16 @@ does not share.
 import cmath
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import fd_log_gradient, pairwise_dedup_oracle
+from conftest import batch_boundary_oracle, fd_log_gradient, pairwise_dedup_oracle
 from test_integer_solves import DP6, F1, product_fan
+from toricmirror import critical
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.catalog import (
     hirzebruch2_kahler,
@@ -86,6 +88,18 @@ def assert_point_sets_match(report, expected, tol=1e-9):
         best = min(unmatched,
                    key=lambda e: sum(abs(a - b) for a, b in zip(point, e)))
         assert sum(abs(a - b) for a, b in zip(point, best)) < tol
+        unmatched.remove(best)
+
+
+def assert_point_sets_match_relative(points, expected, rel=1e-9):
+    """The two point lists hold the same points, each coordinate matched to
+    a relative tolerance."""
+    assert len(points) == len(expected)
+    unmatched = list(expected)
+    for point in points:
+        best = min(unmatched,
+                   key=lambda e: max(abs(a - b) / abs(b) for a, b in zip(point, e)))
+        assert all(abs(a - b) <= rel * abs(b) for a, b in zip(point, best))
         unmatched.remove(best)
 
 
@@ -247,6 +261,12 @@ def bundle_setup(base, seed=3):
         q_basis.append(tuple(cls))
     k = KahlerData(fan, lambdas, q_basis)
     W = corrected_potential(fan, k, GWProvider(k, assume_zero=True), 2)
+    return k, W, cone_point(k, seed)
+
+
+def cone_point(k, seed):
+    """A seeded parameter point, each value in [3, 6], inside the open
+    Kahler cone."""
     rng = random.Random(seed)
     for _ in range(1000):
         params = {name: Fraction(rng.randint(300, 600), 100) for name in k.parameter_names}
@@ -254,7 +274,7 @@ def bundle_setup(base, seed=3):
             k.vertices(params)
         except EmptyInterior:
             continue
-        return k, W, params
+        return params
     raise AssertionError("no Kahler-cone point found")
 
 
@@ -267,17 +287,38 @@ BUNDLE_BASES = {
 }
 
 
+CATALOG = {"P1": line_setup, "P2": plane_setup, "P1xP1": product_setup, "F2": f2_setup}
+BOUND_CASES = list(CATALOG) + [f"P(K_{base}+O)" for base in BUNDLE_BASES]
+
+
+def bound_case(name):
+    """The named catalog setup at its own parameters, or the named bundle
+    setup at its seeded Kahler-cone point."""
+    if name in CATALOG:
+        return CATALOG[name]()
+    return bundle_setup(BUNDLE_BASES[name[4:-3]]())
+
+
+def count_passes(monkeypatch):
+    """The rows of each call of the solver's term-value kernel, which runs
+    once per Newton pass of a batch."""
+    calls = []
+    kernel = critical._term_values
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(critical, "_term_values", counted)
+    return calls
+
+
 class TestRootBound:
     """The run stops at Kouchnirenko's bound, which these potentials reach."""
 
-    @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "F2"] + [
-        f"P(K_{base}+O)" for base in BUNDLE_BASES])
+    @pytest.mark.parametrize("name", BOUND_CASES)
     def test_reaches_bound(self, name):
-        catalog = {"P1": line_setup, "P2": plane_setup, "P1xP1": product_setup, "F2": f2_setup}
-        if name in catalog:
-            k, W, params = catalog[name]()
-        else:
-            k, W, params = bundle_setup(BUNDLE_BASES[name[4:-3]]())
+        k, W, params = bound_case(name)
         start = time.perf_counter()
         report, _ = solve(k, W, params)
         elapsed = time.perf_counter() - start
@@ -308,6 +349,49 @@ class TestRootBound:
         report = find_critical_points(one_sided, [T001])
         assert len(report.points) == 1
         assert report.points[0][0] == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("setup", [f2_setup, plane_setup, product_setup])
+    def test_stops_at_the_pass_that_reaches_bound(self, monkeypatch, setup):
+        # stopping at the batch boundary instead runs 61-68 passes here, until
+        # the slowest of the 64 starts converges or reaches max_steps
+        k, W, params = setup()
+        passes = count_passes(monkeypatch)
+        report, _ = solve(k, W, params)
+        assert report.deduped == report.expected
+        assert len(passes) <= 20
+        if setup is f2_setup:
+            assert report.converged < report.attempted
+
+    @pytest.mark.parametrize("name", BOUND_CASES)
+    def test_matches_batch_boundary_oracle(self, name):
+        k, W, _ = bound_case(name)
+        for seed in (5, 6, 7):
+            params = cone_point(k, seed)
+            report, t = solve(k, W, params)
+            attempted, converged, deduped, expected, points = batch_boundary_oracle(
+                W, t, report.options)
+            assert (report.expected, report.deduped, report.attempted) == (
+                expected, deduped, attempted)
+            assert report.converged <= converged
+            assert_point_sets_match_relative(report.points, points)
+
+    def test_no_convergence_reports_best_residual(self):
+        # with max_steps = 0 no step is taken, so no start shows the vanishing
+        # step that convergence needs; the best residual is the least over
+        # the starts themselves
+        k, W, params = f2_setup()
+        with pytest.raises(NoConvergence) as caught:
+            solve(k, W, params, max_steps=0)
+        found = re.search(r"from (\d+) starts; best residual reached (\S+);",
+                          str(caught.value))
+        assert found, str(caught.value)
+        seeds = _seed_lists(moduli_from_polytope(k, params), 8)
+        grid = math.prod(len(s) for s in seeds)
+        assert int(found.group(1)) == grid
+        t = [float(a.subs(params)) for a in k.basis_areas()]
+        best = min(math.sqrt(sum(abs(g) ** 2 for g in gradient(W, np.exp(w), t)))
+                   for w in _grid_starts(seeds, 0, grid))
+        assert float(found.group(2)) == pytest.approx(best, rel=1e-3)
 
     def test_truncated_when_max_starts_runs_out(self):
         k, W, params = f2_setup()

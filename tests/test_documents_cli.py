@@ -541,6 +541,20 @@ class TestCritCommand:
         assert main(["crit", pot, "--t", "t=30"]) == 0
         assert json.loads(capsys.readouterr().out)["multistart"]["deduped"] == 2
 
+    def test_q_overflow_exit_2(self, tmp_path, capsys):
+        # without its "fan" key the document has no Kahler data, so nothing
+        # refuses t1 = -800 before q1 = exp(800) is evaluated
+        pot = str(tmp_path / "pot.json")
+        assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "3", "-o", pot]) == 0
+        doc = json.loads(Path(pot).read_text())
+        del doc["fan"]
+        Path(pot).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=-800", "--t", "t2=1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: q1 = exp(-t) overflows a float at these parameter values: "
+            "its q-area t is -800.0\n")
+
     @pytest.mark.parametrize("t", [125, 200])
     def test_far_inside_kahler_cone(self, tmp_path, capsys, t):
         # the polytope seeds |z| = exp(-t) lie below 1e-14 and the roots
