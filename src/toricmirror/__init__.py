@@ -9,9 +9,9 @@ Gromov-Witten correction factor. A multistart Newton solver locates the
 critical points numerically.
 
 The solver names (``CriticalReport``, ``SolverOptions``,
-``find_critical_points``, ``gradient``, ``moduli_from_polytope``) are served
-lazily: ``toricmirror.critical`` and numpy load on first access, so the
-exact layers start without them.
+``find_critical_points``, ``moduli_from_polytope``) are served lazily:
+``toricmirror.critical`` and numpy load on first access, so the exact
+layers, ``evaluate`` and ``gradient`` start without them.
 """
 
 from .bundle import (
@@ -35,13 +35,12 @@ from .fan import (
 from .gw import GWProvider, GWTable, f2_one_point_rule
 from .kahler import KahlerData, boundary_vector, maslov_index
 from .lattice import is_primitive, kernel_basis
-from .laurent import LaurentPoly, QPoly, evaluate
+from .laurent import LaurentPoly, QPoly, evaluate, gradient
 from .linform import LinForm, parse_linear_form
 from .potential import (
     basic_monomial,
     contributing_classes,
     corrected_potential,
-    correction_factor,
     hori_vafa,
 )
 
@@ -51,7 +50,6 @@ _SOLVER_NAMES = frozenset({
     "CriticalReport",
     "SolverOptions",
     "find_critical_points",
-    "gradient",
     "moduli_from_polytope",
 })
 
@@ -83,7 +81,6 @@ __all__ = [
     "classify_positivity",
     "contributing_classes",
     "corrected_potential",
-    "correction_factor",
     "decompose_bundle",
     "default_q_basis",
     "effective_classes_up_to",

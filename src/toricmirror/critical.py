@@ -4,7 +4,9 @@ Works in logarithmic coordinates w = log z so Newton iterates can never land
 on a coordinate axis. The system solved is the logarithmic gradient
 g_j = z_j dW/dz_j = sum over terms of a_j * c * z^a, whose Jacobian in w is
 J_jk = sum of a_j * a_k * c * z^a; both come from exact term-wise
-differentiation, evaluated in floating point.
+differentiation. The Newton kernel's arrays come from W's compiled pairs
+(``laurent.numeric_terms``), and the exact log-gradient is compiled once
+per solve for the residual check that admits each root.
 
 The system has at most n! vol(Newton polytope) isolated roots in (C*)^n
 (Kouchnirenko; Bernstein), computed exactly from the term exponents. On the
@@ -28,19 +30,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, SchemaError, ZeroCoordinate
+from .errors import NoConvergence, SchemaError
 from .kahler import KahlerData
 from .lattice import normalized_volume
-from .laurent import LaurentPoly, evaluate
+from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms, sum_terms
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above this
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
 
 
@@ -79,48 +79,6 @@ class CriticalReport:
     options: SolverOptions = field(compare=False, default=SolverOptions())
 
 
-def gradient(poly: LaurentPoly, z: Sequence[complex], t: Sequence[float]) -> tuple:
-    """Logarithmic gradient (z_1 dW/dz_1, ..., z_n dW/dz_n) at z.
-
-    Differentiation is exact (term-wise on the Laurent polynomial); only the
-    final evaluation is numeric.
-    """
-    return _evaluate_at([poly.log_derivative(j) for j in range(poly.zvars)], z, t)
-
-
-def _evaluate_at(polys: Sequence[LaurentPoly], z: Sequence[complex],
-                 t: Sequence[float]) -> tuple:
-    z = [complex(v) for v in z]
-    if any(v == 0 for v in z):
-        raise ZeroCoordinate("gradient is undefined on the coordinate axes")
-    return tuple(evaluate(p, z, t) for p in polys)
-
-
-def _numeric_terms(poly: LaurentPoly, t: Sequence[float]):
-    """Exponents (T, n) and coefficients (T,) of W at q = exp(-t). Raises
-    SchemaError when a q overflows a float, or when a coefficient evaluates
-    to 0 only because a q-monomial of it underflows: the numeric W would
-    silently lose a term."""
-    for j, v in enumerate(t):
-        if -float(v) > _LOG_FLOAT_MAX:
-            raise SchemaError(
-                f"q{j + 1} = exp(-t) overflows a float at these parameter values: "
-                f"its q-area t is {float(v)!r}")
-    q = [math.exp(-float(v)) for v in t]
-    exps = []
-    coeffs = []
-    for zexp, coeff in poly.sorted_terms():
-        value = coeff.numeric(q)
-        if value == 0.0 and any(
-                math.prod(qj ** e for qj, e in zip(q, qexp)) == 0.0 for qexp in coeff.terms):
-            raise SchemaError(
-                f"a q-monomial underflows a float at these parameter values: the "
-                f"coefficient {coeff} of the z-exponent {zexp} evaluates to 0")
-        exps.append(zexp)
-        coeffs.append(value)
-    return np.array(exps, dtype=float), np.array(coeffs, dtype=complex)
-
-
 def _default_moduli(c: np.ndarray, n: int) -> tuple:
     """Fallback per-coordinate moduli when no polytope scales are supplied:
     geometric ladder around the coefficient balance point."""
@@ -150,7 +108,7 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
             for b in coords:
                 scales.add(float(a + b) / 2.0)
         scales.add(float(center[j]))
-        seeds = [math.exp(-s) for s in scales if -s <= _LOG_FLOAT_MAX]
+        seeds = [math.exp(-s) for s in scales if -s <= LOG_FLOAT_MAX]
         # rounding merges near-equal seeds; one that rounds to 0 is kept as is
         moduli = sorted({round(r, 14) or r for r in seeds}, reverse=True)
         moduli = [r for r in moduli if r > 0.0]
@@ -167,13 +125,6 @@ def _root_bound(exponents: tuple) -> int:
     return normalized_volume([a for a in exponents if any(a)])
 
 
-def _seed_lists(moduli, phases: int) -> list:
-    """Per coordinate, the seeds log r + 2 pi i k / phases, modulus outer."""
-    return [np.array([complex(math.log(r), 2.0 * math.pi * k / phases)
-                      for r in coord for k in range(phases)], dtype=complex)
-            for coord in moduli]
-
-
 def _stride(grid: int) -> int:
     """The integer nearest 0.618 * grid, raised to the first one coprime to
     grid, so that k -> k * stride mod grid permutes the grid."""
@@ -183,17 +134,24 @@ def _stride(grid: int) -> int:
     return stride
 
 
-def _grid_starts(seeds: list, first: int, count: int) -> np.ndarray:
+def _grid_starts(moduli, phases: int, first: int, count: int) -> np.ndarray:
     """Starts first .. first + count - 1 of the mixed order, (count, n):
     start k is grid index k * stride mod grid, read in mixed radix with the
-    last coordinate fastest (the digit order of itertools.product)."""
-    grid = math.prod(len(s) for s in seeds)
+    last coordinate fastest (the digit order of itertools.product). Digit d
+    of coordinate j is the seed log r + 2 pi i p / phases, modulus outer:
+    r = moduli[j][d // phases] and p = d % phases. Only the starts asked
+    for are built, so the grid's size costs no memory."""
+    sizes = [len(coord) * phases for coord in moduli]
+    grid = math.prod(sizes)
     stride = _stride(grid)
     index = [(k * stride) % grid for k in range(first, first + count)]
-    w = np.empty((count, len(seeds)), dtype=complex)
-    for j in range(len(seeds) - 1, -1, -1):
-        size = len(seeds[j])
-        w[:, j] = seeds[j][[i % size for i in index]]
+    w = np.empty((count, len(moduli)), dtype=complex)
+    for j in range(len(moduli) - 1, -1, -1):
+        size = sizes[j]
+        logs = np.array([math.log(r) for r in moduli[j]])
+        w[:, j].real = logs[[i % size // phases for i in index]]
+        # p = d % phases = i % phases, as size is a multiple of phases
+        w[:, j].imag = 2.0 * math.pi * np.array([i % phases for i in index], dtype=float) / phases
         index = [i // size for i in index]
     return w
 
@@ -311,26 +269,29 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     admitted, `converged` those that converged before the stop. The points
     are sorted canonically. Raises NoConvergence when nothing converges; its
     message gives the best residual over the last iterate of every start.
+    Raises SchemaError when W has no nonconstant term.
     """
     options = options or SolverOptions()
-    if poly.is_constant() or not poly:
-        raise ValueError("potential has no nonconstant term")
+    if poly.is_constant():
+        raise SchemaError("potential has no nonconstant term")
     n = poly.zvars
-    t = [float(v) for v in t]
-    A, c = _numeric_terms(poly, t)
+    terms = numeric_terms(poly, t)
+    A = np.array([a for a, _ in terms], dtype=float)
+    c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
     moduli = options.moduli_per_coord or _default_moduli(c, n)
     if len(moduli) != n:
         raise ValueError("need one modulus list per z-coordinate")
-    seeds = _seed_lists(moduli, options.phases_per_coord)
-    grid = math.prod(len(s) for s in seeds)
+    phases = options.phases_per_coord
+    grid = math.prod(len(coord) * phases for coord in moduli)
     budget = min(grid, options.max_starts)
     # iterates leaving this band in Re w are dropped; it follows the seed
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
     expected = _root_bound(tuple(sorted(poly.terms)))
     batch = max(64, 16 * expected)
-    log_gradient = [poly.log_derivative(j) for j in range(n)]  # exact, for the residual
+    # exact differentiation, compiled once, for the residual check
+    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
 
     kept = np.empty((0, n), dtype=complex)  # dedup representatives
     points = []
@@ -339,7 +300,7 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     attempted = converged = 0
     complete = False
     while attempted < budget and not complete:
-        w = _grid_starts(seeds, attempted, min(batch, budget - attempted))
+        w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
         attempted += len(w)
         finals.append(w)
         for done in _newton(w, A, AA, c, options, band):
@@ -349,7 +310,7 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
             for wi in fresh:
                 z = tuple(cmath.exp(complex(x)) for x in wi)
                 # the exact-differentiation residual is the authority for the report
-                resid = float(np.linalg.norm(_evaluate_at(log_gradient, z, t)))
+                resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
                 if resid <= options.tol:
                     points.append((z, resid))
                 else:
@@ -372,7 +333,7 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
             f"no critical point found from {attempted} starts{detail}; try more "
             f"phases or different moduli"
         )
-    values = tuple(evaluate(poly, z, t) for z, _ in points)
+    values = tuple(sum_terms(terms, z) for z, _ in points)
     return CriticalReport(
         points=tuple(z for z, _ in points),
         values=values,

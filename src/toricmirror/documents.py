@@ -281,6 +281,15 @@ class PotentialDocument:
             raise SchemaError(f"a q-area overflows a float at these parameter values ({exc})") from exc
 
 
+def _area_from_json(item) -> LinForm:
+    _require(isinstance(item, dict) and isinstance(item.get("terms", {}), dict),
+             f"a q-area must be an object whose 'terms' is an object, got {item!r}")
+    try:
+        return LinForm.from_json(item)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"bad q-area {item!r}: {exc}") from exc
+
+
 def potential_from_document(obj) -> PotentialDocument:
     _require(isinstance(obj, dict), "potential document must be a JSON object")
     _require(obj.get("format") == POTENTIAL_FORMAT,
@@ -292,6 +301,7 @@ def potential_from_document(obj) -> PotentialDocument:
     for label, count in (("z_variables", zvars), ("q_variables", qvars)):
         _require(isinstance(count, int) and not isinstance(count, bool) and count >= 0,
                  f"'{label}' must be a nonnegative integer")
+    _require(isinstance(obj["terms"], list), "'terms' must be a list")
     terms = {}
     for item in obj["terms"]:
         _require(isinstance(item, dict) and set(item) == {"z", "coefficient"},
@@ -302,16 +312,23 @@ def potential_from_document(obj) -> PotentialDocument:
         poly = LaurentPoly(zvars, qvars, terms)
     except ValueError as exc:
         raise SchemaError(f"inconsistent potential terms: {exc}") from exc
-    q_areas = [LinForm.from_json(a) for a in obj["q_areas"]]
-    _require(len(q_areas) == qvars, "'q_areas' must list one area per q-variable")
+    _require(isinstance(obj["q_areas"], list) and len(obj["q_areas"]) == qvars,
+             "'q_areas' must list one area per q-variable")
+    q_areas = [_area_from_json(a) for a in obj["q_areas"]]
+    params = obj["parameters"]
+    _require(isinstance(params, list) and all(isinstance(p, str) for p in params),
+             "'parameters' must be a list of names")
     fandoc = None
     if obj.get("fan") is not None:
         fandoc = fan_from_document(obj["fan"])
+        _require(fandoc.fan.dimension == zvars,
+                 f"the 'fan' section has dimension {fandoc.fan.dimension}, but the "
+                 f"potential has {zvars} z-variables")
     return PotentialDocument(
         poly=poly,
         branch=obj.get("branch", "unknown"),
         cutoff=obj.get("cutoff"),
-        parameters=tuple(obj["parameters"]),
+        parameters=tuple(params),
         q_areas=q_areas,
         fandoc=fandoc,
         raw=obj,

@@ -12,8 +12,8 @@ The polytope has nonempty interior exactly when every positive circuit of
 the rays (an extreme nonnegative relation) has positive area, by Motzkin's
 transposition theorem; construction checks this at all parameters equal to
 1. In the open Kahler cone the polytope has one vertex per maximal cone,
-given in closed form by the cone's dual basis, and numeric polytope
-geometry (vertices, an interior point) is only defined there.
+given in closed form by the cone's dual basis, and the numeric vertices
+are only defined there.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
@@ -151,22 +151,16 @@ class KahlerData:
     def _q_basis_coordinates(self):
         return lattice_coordinates(self.q_basis)
 
-    def q_coordinates(self, alpha) -> tuple:
-        """Integer coordinates of a curve class in the q-basis."""
-        if not self.fan.is_homology_class(alpha):
-            raise NotInBasisSpan(f"{tuple(alpha)} is not a curve class of the fan")
-        coords = self._q_basis_coordinates(alpha)
+    def q_weight(self, alpha) -> tuple:
+        """Integer coordinates of a curve class in the q-basis: the exponents
+        of its q-monomial. The q-basis spans the curve classes (checked at
+        construction), so any other vector has none: NotInBasisSpan."""
+        alpha = tuple(alpha)
+        coords = (self._q_basis_coordinates(alpha)
+                  if len(alpha) == self.fan.nrays else None)
         if coords is None:
-            raise NotInBasisSpan(
-                f"{tuple(alpha)} has no integer coordinates in the q-basis"
-            )
+            raise NotInBasisSpan(f"{alpha} is not a curve class of the fan")
         return coords
-
-    q_weight = q_coordinates  # the weight is the monomial with these exponents
-
-    def q_weight_numeric(self, alpha, params: Mapping) -> float:
-        """exp(-area) of the class at numeric parameter values."""
-        return math.exp(-float(self.sphere_area(alpha).subs(params)))
 
     def basis_areas(self) -> tuple:
         return tuple(self.sphere_area(b) for b in self.q_basis)
@@ -242,10 +236,3 @@ class KahlerData:
                     )
             out.append(x)
         return sorted(out)
-
-    def interior_point(self, params: Optional[Mapping] = None) -> tuple:
-        """The mean of the vertices, a strictly interior point of the
-        moment polytope; raises EmptyInterior outside the open Kahler cone."""
-        points = self.vertices(params)
-        return tuple(sum(p[j] for p in points) / len(points)
-                     for j in range(self.fan.dimension))

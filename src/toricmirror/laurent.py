@@ -2,20 +2,26 @@
 
 A LaurentPoly maps z-exponent vectors (integers, any sign) to coefficients;
 each coefficient is a polynomial in formal variables q1..qr with nonnegative
-exponents and Fraction coefficients. Arithmetic is exact throughout; numeric
-evaluation is a separate explicit step (``evaluate``). Zero coefficients are
-never stored, and serialization orders z-terms lexicographically and
-q-monomials by total degree then lexicographically, so output is
-byte-stable.
+exponents and Fraction coefficients. Arithmetic is exact throughout; the
+package's one step to floats is ``numeric_terms``, which compiles a
+polynomial at q = exp(-t) into (z-exponent, float coefficient) pairs with
+typed refusals of overflow and underflow. ``sum_terms`` sums the pairs at a
+point; ``evaluate``, ``gradient`` and the solver are built on the two. Zero
+coefficients are never stored, and serialization orders z-terms
+lexicographically and q-monomials by total degree then lexicographically,
+so output is byte-stable.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ZeroCoordinate
+from .errors import SchemaError, ZeroCoordinate
+
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above this
 
 
 def _as_fraction(x) -> Fraction:
@@ -284,25 +290,58 @@ def _ipow(base: complex, exponent: int) -> complex:
     return result
 
 
-def evaluate(poly: LaurentPoly, z: Sequence[complex], t: Sequence[float]) -> complex:
-    """Numeric value at the point z with q_j = exp(-t_j).
-
-    Every z coordinate must be nonzero (ZeroCoordinate otherwise).
-    """
-    z = [complex(v) for v in z]
-    if len(z) != poly.zvars:
-        raise ValueError(f"need {poly.zvars} z-coordinates")
-    if any(v == 0 for v in z):
-        raise ZeroCoordinate("Laurent polynomials are undefined on the axes")
+def numeric_terms(poly: LaurentPoly, t: Sequence[float]) -> list:
+    """The (z-exponent, float coefficient) pairs of poly at q_j = exp(-t_j),
+    in sorted z order. Raises SchemaError when a q overflows a float, or
+    when a coefficient evaluates to 0 only because a q-monomial of it
+    underflows: the numeric polynomial would silently lose a term."""
     t = [float(v) for v in t]
     if len(t) != poly.qvars:
         raise ValueError(f"need {poly.qvars} t-values")
+    for j, v in enumerate(t):
+        if -v > LOG_FLOAT_MAX:
+            raise SchemaError(
+                f"q{j + 1} = exp(-t) overflows a float at these parameter values: "
+                f"its q-area t is {v!r}")
     q = [math.exp(-v) for v in t]
-    total = 0j
+    out = []
     for zexp, coeff in poly.sorted_terms():
-        term = complex(coeff.numeric(q))
+        value = coeff.numeric(q)
+        if value == 0.0 and any(
+                math.prod(qj ** e for qj, e in zip(q, qexp)) == 0.0 for qexp in coeff.terms):
+            raise SchemaError(
+                f"a q-monomial underflows a float at these parameter values: the "
+                f"coefficient {coeff} of the z-exponent {zexp} evaluates to 0")
+        out.append((zexp, value))
+    return out
+
+
+def sum_terms(terms: Sequence, z: Sequence[complex]) -> complex:
+    """The sum of c * z^a over the pairs (a, c) of numeric_terms, in their
+    order. Every z coordinate must be nonzero (ZeroCoordinate otherwise)."""
+    z = [complex(v) for v in z]
+    if any(v == 0 for v in z):
+        raise ZeroCoordinate("Laurent polynomials are undefined on the axes")
+    total = 0j
+    for zexp, value in terms:
+        term = complex(value)
         for base, e in zip(z, zexp):
             if e:
                 term *= _ipow(base, e)
         total += term
     return total
+
+
+def evaluate(poly: LaurentPoly, z: Sequence[complex], t: Sequence[float]) -> complex:
+    """Numeric value at the point z with q_j = exp(-t_j)."""
+    z = list(z)
+    if len(z) != poly.zvars:
+        raise ValueError(f"need {poly.zvars} z-coordinates")
+    return sum_terms(numeric_terms(poly, t), z)
+
+
+def gradient(poly: LaurentPoly, z: Sequence[complex], t: Sequence[float]) -> tuple:
+    """Logarithmic gradient (z_1 dW/dz_1, ..., z_n dW/dz_n) at z: exact
+    term-wise differentiation, then numeric evaluation."""
+    z = list(z)
+    return tuple(evaluate(poly.log_derivative(j), z, t) for j in range(poly.zvars))

@@ -103,11 +103,6 @@ def correction_details(fan: Fan, kahler: KahlerData, gw: GWProvider,
     return factor, records
 
 
-def correction_factor(fan: Fan, kahler: KahlerData, gw: GWProvider,
-                      cutoff: int) -> QPoly:
-    return correction_details(fan, kahler, gw, cutoff)[0]
-
-
 def corrected_potential(fan: Fan, kahler: KahlerData, gw: GWProvider,
                         cutoff: int) -> LaurentPoly:
     """Superpotential of a projectivized canonical bundle, with the

@@ -499,6 +499,47 @@ def polytope_vertices(normals, offsets) -> list:
     return sorted(out)
 
 
+def interior_point(kahler, params) -> tuple:
+    """The mean of the moment polytope's vertices, a strictly interior
+    point; raises EmptyInterior outside the open Kahler cone."""
+    points = kahler.vertices(params)
+    return tuple(sum(p[j] for p in points) / len(points)
+                 for j in range(kahler.fan.dimension))
+
+
+def reference_evaluate(poly, z, t) -> complex:
+    """W at z with q = exp(-t), term by term in sorted z order: the
+    evaluation the compiled form replaced, kept as it was so that its
+    floats can be compared bit for bit."""
+    def ipow(base, exponent):
+        if exponent < 0:
+            return 1.0 / ipow(base, -exponent)
+        result = 1.0 + 0.0j
+        while exponent:
+            if exponent & 1:
+                result *= base
+            base *= base
+            exponent >>= 1
+        return result
+
+    z = [complex(v) for v in z]
+    q = [math.exp(-float(v)) for v in t]
+    total = 0j
+    for zexp, coeff in poly.sorted_terms():
+        value = 0.0
+        for qexp, c in coeff.terms.items():
+            v = float(c)
+            for qj, e in zip(q, qexp):
+                v *= qj ** e
+            value += v
+        term = complex(value)
+        for base, e in zip(z, zexp):
+            if e:
+                term *= ipow(base, e)
+        total += term
+    return total
+
+
 def fd_log_gradient(poly, z, t, h=1e-5):
     """Central finite differences of W in log coordinates: approximates
     (z_1 dW/dz_1, ..., z_n dW/dz_n) without touching the derivative code."""
@@ -529,6 +570,29 @@ def pairwise_dedup_oracle(points, radius) -> list:
     return kept
 
 
+def seed_table_starts(moduli, phases, first, count):
+    """Starts first .. first + count - 1 of the solver's mixed order, read
+    from a table of every seed of each coordinate (log r + 2 pi i k /
+    phases, modulus outer), as the solver built them before it decoded only
+    the starts it runs."""
+    import numpy as np
+
+    from toricmirror.critical import _stride
+
+    seeds = [np.array([complex(math.log(r), 2.0 * math.pi * k / phases)
+                       for r in coord for k in range(phases)], dtype=complex)
+             for coord in moduli]
+    grid = math.prod(len(s) for s in seeds)
+    stride = _stride(grid)
+    index = [(k * stride) % grid for k in range(first, first + count)]
+    w = np.empty((count, len(seeds)), dtype=complex)
+    for j in range(len(seeds) - 1, -1, -1):
+        size = len(seeds[j])
+        w[:, j] = seeds[j][[i % size for i in index]]
+        index = [i // size for i in index]
+    return w
+
+
 def batch_boundary_oracle(poly, t, options):
     """The solver loop that stops only at a batch boundary: every admitted
     batch is stepped until each of its starts converges, leaves the band
@@ -539,9 +603,9 @@ def batch_boundary_oracle(poly, t, options):
     import numpy as np
 
     from toricmirror.critical import (
-        _dedup, _default_moduli, _evaluate_at, _grid_starts, _newton,
-        _numeric_terms, _root_bound, _seed_lists,
+        _dedup, _default_moduli, _grid_starts, _newton, _root_bound,
     )
+    from toricmirror.laurent import numeric_terms, sum_terms
 
     def newton_to_the_end(w, A, AA, c, options, band):
         done = np.zeros(len(w), dtype=bool)
@@ -551,22 +615,24 @@ def batch_boundary_oracle(poly, t, options):
 
     n = poly.zvars
     t = [float(v) for v in t]
-    A, c = _numeric_terms(poly, t)
+    terms = numeric_terms(poly, t)
+    A = np.array([a for a, _ in terms], dtype=float)
+    c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
     moduli = options.moduli_per_coord or _default_moduli(c, n)
-    seeds = _seed_lists(moduli, options.phases_per_coord)
-    grid = math.prod(len(s) for s in seeds)
+    phases = options.phases_per_coord
+    grid = math.prod(len(coord) * phases for coord in moduli)
     budget = min(grid, options.max_starts)
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
     expected = _root_bound(tuple(sorted(poly.terms)))
     batch = max(64, 16 * expected)
-    log_gradient = [poly.log_derivative(j) for j in range(n)]
+    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
 
     kept = np.empty((0, n), dtype=complex)
     points = []
     attempted = converged = 0
     while attempted < budget and not (expected and len(points) >= expected):
-        w = _grid_starts(seeds, attempted, min(batch, budget - attempted))
+        w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
         done = newton_to_the_end(w, A, AA, c, options, band)
         attempted += len(w)
         converged += int(done.sum())
@@ -574,7 +640,7 @@ def batch_boundary_oracle(poly, t, options):
         kept = np.concatenate([kept, fresh])
         for wi in fresh:
             z = tuple(cmath.exp(complex(x)) for x in wi)
-            resid = float(np.linalg.norm(_evaluate_at(log_gradient, z, t)))
+            resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
             if resid <= options.tol:
                 points.append(z)
     return attempted, converged, len(points), expected, points

@@ -26,13 +26,12 @@ from toricmirror.catalog import (
     projective_line,
     projective_plane,
 )
-from toricmirror.critical import SolverOptions, find_critical_points, gradient, \
-    moduli_from_polytope
+from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import fan_from_document, potential_to_document
 from toricmirror.fan import Positivity, chern_degree, classify_positivity, validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
-from toricmirror.laurent import LaurentPoly, QPoly
+from toricmirror.laurent import LaurentPoly, QPoly, gradient
 from toricmirror.potential import corrected_potential, correction_details, hori_vafa
 
 RAT_T = Fraction(46051701859880914, 10**16)  # ln(100), so q = 0.01

@@ -11,12 +11,19 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import batch_boundary_oracle, fd_log_gradient, pairwise_dedup_oracle
+from conftest import (
+    batch_boundary_oracle,
+    fd_log_gradient,
+    pairwise_dedup_oracle,
+    reference_evaluate,
+    seed_table_starts,
+)
 from test_integer_solves import DP6, F1, product_fan
 from toricmirror import critical
 from toricmirror.bundle import projectivize_canonical
@@ -31,18 +38,16 @@ from toricmirror.critical import (
     _dedup,
     _grid_starts,
     _root_bound,
-    _seed_lists,
     _stride,
     find_critical_points,
-    gradient,
     moduli_from_polytope,
 )
 from toricmirror.documents import critical_report_to_document, canonical_json
-from toricmirror.errors import EmptyInterior, NoConvergence, ZeroCoordinate
+from toricmirror.errors import EmptyInterior, NoConvergence, SchemaError, ZeroCoordinate
 from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
-from toricmirror.laurent import LaurentPoly, QPoly
+from toricmirror.laurent import LaurentPoly, QPoly, evaluate, gradient
 from toricmirror.potential import corrected_potential, hori_vafa
 
 T001 = math.log(100.0)  # q = 0.01
@@ -234,6 +239,11 @@ class TestSolverBehavior:
         with pytest.raises(ValueError):
             find_critical_points(W, [])
 
+    def test_constant_is_an_input_error(self):
+        for W in (LaurentPoly.monomial((0, 0), QPoly.constant(1, 3)), LaurentPoly(2, 1)):
+            with pytest.raises(SchemaError, match="potential has no nonconstant term"):
+                find_critical_points(W, [1.0])
+
     def test_stats_accounting(self):
         k, W, params = line_setup()
         report, _ = solve(k, W, params)
@@ -385,12 +395,12 @@ class TestRootBound:
         found = re.search(r"from (\d+) starts; best residual reached (\S+);",
                           str(caught.value))
         assert found, str(caught.value)
-        seeds = _seed_lists(moduli_from_polytope(k, params), 8)
-        grid = math.prod(len(s) for s in seeds)
+        moduli = moduli_from_polytope(k, params)
+        grid = math.prod(len(m) * 8 for m in moduli)
         assert int(found.group(1)) == grid
         t = [float(a.subs(params)) for a in k.basis_areas()]
         best = min(math.sqrt(sum(abs(g) ** 2 for g in gradient(W, np.exp(w), t)))
-                   for w in _grid_starts(seeds, 0, grid))
+                   for w in _grid_starts(moduli, 8, 0, grid))
         assert float(found.group(2)) == pytest.approx(best, rel=1e-3)
 
     def test_truncated_when_max_starts_runs_out(self):
@@ -417,12 +427,12 @@ class TestRootBound:
 
 class TestStartOrder:
     def test_order_permutes_the_grid(self):
-        seeds = _seed_lists(((0.5, 1.0, 2.0), (1.0, 3.0)), 4)
+        moduli = ((0.5, 1.0, 2.0), (1.0, 3.0))
         grid = 12 * 8
-        starts = _grid_starts(seeds, 0, grid)
+        starts = _grid_starts(moduli, 4, 0, grid)
         assert len({tuple(w) for w in starts.tolist()}) == grid
         # the batches of a run are slices of the same order
-        parts = [_grid_starts(seeds, a, b - a)
+        parts = [_grid_starts(moduli, 4, a, b - a)
                  for a, b in ((0, 7), (7, 40), (40, grid))]
         assert np.array_equal(np.concatenate(parts), starts)
 
@@ -431,11 +441,36 @@ class TestStartOrder:
         # the lexicographic prefix the order replaces held the first n - 1
         # coordinates at their first seed
         moduli = (tuple(1.0 + j for j in range(radii)),) * n
-        seeds = _seed_lists(moduli, 8)
         grid = (8 * radii) ** n
-        starts = _grid_starts(seeds, 0, 64)
+        starts = _grid_starts(moduli, 8, 0, 64)
         for j in range(n):
             assert len(set(starts[:, j].tolist())) == 8 * radii
+
+    @pytest.mark.parametrize("moduli, phases", [
+        (((0.5, 1.0, 2.0), (1.0, 3.0)), 4),
+        (((0.1, 0.7, 5.0),) * 4, 8),
+        # at 24 and 100 phases, 2 pi p / phases depends on the operation order
+        (((2.0,),), 100),
+        (((1e-30, 0.3), (7.0,), (0.9, 1.1)), 24),
+    ])
+    def test_matches_seed_table(self, moduli, phases):
+        grid = math.prod(len(m) * phases for m in moduli)
+        for first, count in ((0, min(grid, 500)), (3, 7), (grid - 5, 5)):
+            got = _grid_starts(moduli, phases, first, count)
+            assert got.tobytes() == seed_table_starts(moduli, phases, first, count).tobytes()
+
+    def test_phase_count_costs_no_memory(self):
+        # a grid of 10**6 phases per modulus: only the 64 starts run are built
+        k, W, params = line_setup()
+        tracemalloc.start()
+        try:
+            report, _ = solve(k, W, params, phases_per_coord=10**6, max_starts=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.attempted == 64
+        assert report.grid_size == len(report.options.moduli_per_coord[0]) * 10**6
+        assert peak < 10 * 2**20
 
     def test_stride_is_coprime(self):
         for grid in (1, 2, 12, 64, 1344, 8 ** 4, 240 ** 4):
@@ -485,3 +520,34 @@ class TestDedup:
         cloud = np.array([[1 + 1j], [1 + 1j], [1 + 1j + 1e-15]])
         assert _dedup(cloud, np.empty((0, 1), dtype=complex), 0.0).tolist() == [
             [1 + 1j], [1 + 1j + 1e-15]]
+
+
+class TestCompiledForm:
+    """evaluate, gradient and the report's values and residuals come from
+    laurent.numeric_terms; they must equal, bit for bit, the term-by-term
+    evaluation they replaced."""
+
+    @pytest.mark.parametrize("name", BOUND_CASES)
+    def test_evaluate_and_gradient_bit_identical(self, name):
+        k, W, _ = bound_case(name)
+        rng = random.Random(17)
+        for seed in (5, 6, 7):
+            t = [float(a.subs(cone_point(k, seed))) for a in k.basis_areas()]
+            for _ in range(5):
+                z = [cmath.rect(rng.uniform(0.01, 3.0), rng.uniform(-math.pi, math.pi))
+                     for _ in range(W.zvars)]
+                assert evaluate(W, z, t) == reference_evaluate(W, z, t)
+                assert gradient(W, z, t) == tuple(
+                    reference_evaluate(W.log_derivative(j), z, t) for j in range(W.zvars))
+
+    @pytest.mark.parametrize("name", BOUND_CASES)
+    def test_report_values_and_residuals_bit_identical(self, name):
+        k, W, _ = bound_case(name)
+        for seed in (5, 6):
+            report, t = solve(k, W, cone_point(k, seed))
+            assert report.points
+            assert list(report.values) == [reference_evaluate(W, z, t) for z in report.points]
+            assert list(report.residuals) == [
+                float(np.linalg.norm([reference_evaluate(W.log_derivative(j), z, t)
+                                      for j in range(W.zvars)]))
+                for z in report.points]

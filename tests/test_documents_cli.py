@@ -236,7 +236,7 @@ def test_exit_code_of_each_error(monkeypatch, capsys, exc_type):
 
 
 SAMPLES = Path(__file__).parents[1] / "sample_data"
-SOLVER_NAMES = ["CriticalReport", "SolverOptions", "find_critical_points", "gradient",
+SOLVER_NAMES = ["CriticalReport", "SolverOptions", "find_critical_points",
                 "moduli_from_polytope"]
 
 
@@ -258,6 +258,17 @@ class TestLazySolver:
             "toricmirror.SolverOptions\n"
             "print('numpy' in sys.modules)\n")
         assert out == "False\nTrue\n"
+
+    def test_evaluation_leaves_numpy_unloaded(self):
+        out = self.run_python(
+            "import sys, toricmirror\n"
+            "from toricmirror.catalog import hirzebruch2_kahler\n"
+            "k = hirzebruch2_kahler()\n"
+            "W = toricmirror.corrected_potential(k.fan, k, toricmirror.GWProvider(k), 2)\n"
+            "toricmirror.evaluate(W, [1, 1], [1, 1])\n"
+            "toricmirror.gradient(W, [1, 1], [1, 1])\n"
+            "print('numpy' in sys.modules)\n")
+        assert out == "False\n"
 
     def test_exact_commands_leave_numpy_unloaded(self):
         f2, p2 = str(SAMPLES / "f2.json"), str(SAMPLES / "p2.json")
@@ -438,6 +449,17 @@ class TestPotentialCommand:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+# malformed F2 potential documents, each of which must be refused on load
+MALFORMED_POTENTIALS = {
+    "terms-not-a-list": lambda doc: doc.update(terms=7),
+    "q-area-not-an-object": lambda doc: doc["q_areas"].__setitem__(0, 7),
+    "q-area-terms-not-an-object": lambda doc: doc["q_areas"][0].update(terms=[1]),
+    "q-area-bad-rational": lambda doc: doc["q_areas"].__setitem__(0, {"constant": "x"}),
+    "parameters-not-a-list": lambda doc: doc.update(parameters=7),
+    "fan-dimension-differs": lambda doc: doc.update(fan=P1_DOC),
+}
+
+
 class TestCritCommand:
     def make_potential(self, tmp_path, doc, name="pot.json", cutoff="2"):
         fan_path = write(tmp_path, "fan_" + name, doc)
@@ -554,6 +576,31 @@ class TestCritCommand:
         assert capsys.readouterr().err == (
             "error: q1 = exp(-t) overflows a float at these parameter values: "
             "its q-area t is -800.0\n")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_POTENTIALS))
+    def test_malformed_potential_exit_2(self, tmp_path, capsys, name):
+        pot = self.make_potential(tmp_path, F2_DOC)
+        doc = json.loads(Path(pot).read_text())
+        MALFORMED_POTENTIALS[name](doc)
+        Path(pot).write_text(json.dumps(doc))
+        capsys.readouterr()
+        # t is the parameter of the P1 fan section, t1 and t2 those of F2
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "t=1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("terms", [
+        pytest.param([], id="no-term"),
+        pytest.param([{"z": [0, 0], "coefficient": [{"q": [1, 0], "value": "3"}]}],
+                     id="constant-term"),
+    ])
+    def test_constant_potential_exit_2(self, tmp_path, capsys, terms):
+        pot = self.make_potential(tmp_path, F2_DOC)
+        doc = json.loads(Path(pot).read_text())
+        doc["terms"] = terms
+        Path(pot).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 2
+        assert capsys.readouterr().err == "error: potential has no nonconstant term\n"
 
     @pytest.mark.parametrize("t", [125, 200])
     def test_far_inside_kahler_cone(self, tmp_path, capsys, t):

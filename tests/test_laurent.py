@@ -1,13 +1,17 @@
 """Exact Laurent arithmetic, serialization order, numeric evaluation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricmirror.errors import ZeroCoordinate
-from toricmirror.laurent import LaurentPoly, QPoly, evaluate
+from toricmirror.catalog import hirzebruch2_kahler
+from toricmirror.errors import SchemaError, ZeroCoordinate
+from toricmirror.gw import GWProvider
+from toricmirror.laurent import LaurentPoly, QPoly, evaluate, gradient
+from toricmirror.potential import corrected_potential
 
 # random small polynomials in 2 z-variables and 2 q-variables
 q_polys = st.dictionaries(
@@ -132,3 +136,21 @@ class TestEvaluate:
         got = evaluate(poly, z, t)
         expected = naive()
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestFloatGuards:
+    """evaluate and gradient share the solver's refusals of a q that
+    overflows a float and of a term lost to underflow."""
+
+    @pytest.mark.parametrize("t, message", [
+        ((-800.0, 1.0), "q1 = exp(-t) overflows a float at these parameter values: "
+                        "its q-area t is -800.0"),
+        # q1 = exp(-800) underflows to 0, which would drop q1*q2^2/(z1*z2^2)
+        ((800.0, 1.0), "a q-monomial underflows a float at these parameter values"),
+    ])
+    @pytest.mark.parametrize("function", [evaluate, gradient])
+    def test_f2_refused(self, function, t, message):
+        k = hirzebruch2_kahler()
+        W = corrected_potential(k.fan, k, GWProvider(k), 2)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            function(W, [1.0, 1.0], t)

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    interior_point,
     max_min_slack,
     polytope_vertices,
     random_smooth_2d_fan,
@@ -124,14 +125,14 @@ def test_vertices_match_oracles(fans):
                 vertices = k.vertices(params)
                 assert vertices == polytope_vertices(fan.rays, offsets), (fan.rays, t)
                 assert len(vertices) == len(fan.maximal_cones)
-                x = k.interior_point(params)
+                x = interior_point(k, params)
                 assert all(k.support_value(i, x).subs(params) > 0 for i in range(fan.nrays))
             else:
                 outside += 1
                 with pytest.raises(EmptyInterior, match=refusal):
                     k.vertices(params)
                 with pytest.raises(EmptyInterior):
-                    k.interior_point(params)
+                    interior_point(k, params)
     assert inside >= 60 and outside >= 60, (inside, outside)
 
 

@@ -14,7 +14,6 @@ from toricmirror.potential import (
     contributing_classes,
     corrected_potential,
     correction_details,
-    correction_factor,
     hori_vafa,
 )
 
@@ -91,17 +90,17 @@ class TestCorrectionFactor:
         gw = GWProvider(f2_kahler)
         expected = QPoly.constant(2, 1) + QPoly.monomial((1, 0))
         for cutoff in (2, 3, 5):
-            assert correction_factor(f2_kahler.fan, f2_kahler, gw, cutoff) == expected
+            assert correction_details(f2_kahler.fan, f2_kahler, gw, cutoff)[0] == expected
 
     def test_cutoff_zero_is_one(self, f2_kahler):
         gw = GWProvider(f2_kahler)
-        assert correction_factor(f2_kahler.fan, f2_kahler, gw, 0) == QPoly.constant(2, 1)
+        assert correction_details(f2_kahler.fan, f2_kahler, gw, 0)[0] == QPoly.constant(2, 1)
 
     def test_unknown_invariant_names_class(self, p2):
         x = projectivize_canonical(p2)
         k = KahlerData(x, ["0", "0", "0", "-t1", "-t2"])
         with pytest.raises(UnknownInvariant) as err:
-            correction_factor(x, k, GWProvider(k), 1)
+            correction_details(x, k, GWProvider(k), 1)[0]
         assert "(-3, 1, 1, 1, 0)" in str(err.value)
 
     def test_provenance_records(self, f2_kahler):

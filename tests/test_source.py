@@ -60,6 +60,20 @@ def test_only_the_solver_imports_numpy():
     assert found == []
 
 
+def test_one_exact_to_float_step():
+    # QPoly.numeric turns exact coefficients into floats; only laurent.py's
+    # numeric_terms calls it, so every float W goes through its guards
+    found = []
+    for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "numeric"]
+    assert found == []
+
+
 def test_public_names_resolve():
     names = toricmirror.__all__
     assert [n for n in names if not hasattr(toricmirror, n)] == []
