@@ -28,7 +28,6 @@ from .fan import (
     PrimitiveRelation,
     chern_degree,
     classify_positivity,
-    effective_classes_up_to,
     forced_divisors,
     validate_fan,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "corrected_potential",
     "decompose_bundle",
     "default_q_basis",
-    "effective_classes_up_to",
     "evaluate",
     "f2_one_point_rule",
     "fiber_class",

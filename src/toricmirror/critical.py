@@ -127,8 +127,13 @@ def _root_bound(exponents: tuple) -> int:
 
 def _stride(grid: int) -> int:
     """The integer nearest 0.618 * grid, raised to the first one coprime to
-    grid, so that k -> k * stride mod grid permutes the grid."""
-    stride = max(1, round(_GOLDEN * grid))
+    grid, so that k -> k * stride mod grid permutes the grid. A grid beyond
+    the float range has no such rounding: SchemaError."""
+    try:
+        stride = max(1, round(_GOLDEN * grid))
+    except OverflowError as exc:
+        raise SchemaError("the start grid has more points than a float can hold; "
+                          "lower the phases per coordinate") from exc
     while math.gcd(stride, grid) != 1:
         stride += 1
     return stride

@@ -64,7 +64,8 @@ class EmptyInterior(ToricMirrorError):
 
 
 class NotInBasisSpan(ToricMirrorError):
-    """Class has no integer coordinates in the chosen homology basis."""
+    """Class has no integer coordinates in the chosen homology basis, or
+    a negative one where a q-polynomial needs a nonnegative exponent."""
 
 
 class LambdaNotQExpressible(ToricMirrorError):

@@ -12,8 +12,7 @@ dual bases also give the coordinates of any vector in a cone's rays, which
 locates the focus of a primitive relation. On top of the validated
 structure this module computes the degree-2 homology lattice, primitive
 collections and relations, the positive circuits (extreme nonnegative ray
-relations), anticanonical degrees, the Fano/semi-Fano/non-nef trichotomy,
-and truncated cones of effective classes.
+relations), anticanonical degrees and the Fano/semi-Fano/non-nef trichotomy.
 """
 
 from __future__ import annotations
@@ -373,7 +372,7 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
     return fan
 
 
-# --- positivity and effective classes ---
+# --- positivity ---
 
 def classify_positivity(fan: Fan) -> Positivity:
     """Batyrev-style trichotomy from primitive-relation degrees: Fano iff all
@@ -385,26 +384,3 @@ def classify_positivity(fan: Fan) -> Positivity:
         return Positivity.SEMI_FANO_NOT_FANO
     return Positivity.NOT_NEF
 
-
-def effective_classes_up_to(fan: Fan, cutoff: int):
-    """All nonnegative integer combinations of primitive-relation classes with
-    multiplicity sum at most *cutoff*, deduplicated and sorted."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    gens = [rel.coords for rel in fan.primitive_relations]
-    d = fan.nrays
-    classes = set()
-
-    def rec(idx, budget, acc):
-        if idx == len(gens):
-            classes.add(tuple(acc))
-            return
-        rec(idx + 1, budget, acc)
-        g = gens[idx]
-        cur = list(acc)
-        for m in range(1, budget + 1):
-            cur = [a + b for a, b in zip(cur, g)]
-            rec(idx + 1, budget - m, cur)
-
-    rec(0, cutoff, [0] * d)
-    return sorted(classes)

@@ -12,21 +12,21 @@ zero-section monomial acquires a correction factor
 truncated at an explicit cutoff on generator multiplicities; the other
 monomials are unchanged. The truncation is reported, never hidden, and no
 convergence is claimed.
+
+On such a fan every primitive relation but the degree-2 fiber has degree 0,
+so the classes in C are the sums of the degree-0 relations; their
+q-exponents, linear in the class, are carried along the sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+
 from .bundle import require_bundle
-from .errors import NotFano
-from .fan import (
-    Fan,
-    Positivity,
-    chern_degree,
-    classify_positivity,
-    effective_classes_up_to,
-)
+from .errors import NotFano, NotInBasisSpan
+from .fan import Fan, Positivity, classify_positivity
 from .gw import GWProvider
 from .kahler import KahlerData
 from .laurent import LaurentPoly, QPoly
@@ -52,26 +52,33 @@ def hori_vafa(fan: Fan, kahler: KahlerData) -> LaurentPoly:
     return total
 
 
+def _degree_zero_sums(fan: Fan, cutoff: int, kahler=None) -> list:
+    """The effective degree-0 classes of a bundle fan, zero included: the
+    distinct sums of at most *cutoff* degree-0 relations, sorted. With
+    *kahler*, each is followed by its q-exponents, which are linear and
+    injective in the class, so the set and the order are unchanged."""
+    require_bundle(fan)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    gens = [rel.coords for rel in fan.primitive_relations if rel.degree == 0]
+    width = fan.nrays
+    if kahler is not None:
+        gens = [g + kahler.q_weight(g) for g in gens]
+        width += kahler.rank
+    level = found = {(0,) * width}
+    for _ in range(cutoff):
+        level = {tuple(map(add, s, g)) for s in level for g in gens}
+        found |= level
+    return sorted(found)
+
+
 def contributing_classes(fan: Fan, cutoff: int) -> list:
     """Disk classes that can carry nonzero counts on a bundle fan: the basic
     classes beta_1..beta_{m+1} plus beta_0 + alpha for effective degree-0
     alpha within the cutoff. All have Maslov index 2."""
-    require_bundle(fan)
     d = fan.nrays
-    out = []
-    for i in range(1, d):
-        beta = [0] * d
-        beta[i] = 1
-        out.append(tuple(beta))
-    corrected = []
-    for alpha in effective_classes_up_to(fan, cutoff):
-        if chern_degree(alpha) != 0:
-            continue
-        beta = list(alpha)
-        beta[0] += 1
-        corrected.append(tuple(beta))
-    out.extend(sorted(corrected))
-    return out
+    corrected = [(alpha[0] + 1,) + alpha[1:] for alpha in _degree_zero_sums(fan, cutoff)]
+    return [tuple(int(j == i) for j in range(d)) for i in range(1, d)] + corrected
 
 
 @dataclass(frozen=True)
@@ -87,20 +94,25 @@ class GWRecord:
 def correction_details(fan: Fan, kahler: KahlerData, gw: GWProvider,
                        cutoff: int) -> tuple:
     """(C, records): the zero-section correction factor as a q-polynomial
-    along with the provenance of every invariant that entered it."""
-    require_bundle(fan)
-    factor = QPoly.constant(kahler.rank, 1)
+    along with the provenance of every invariant that entered it. A zero
+    value is recorded but adds no term; a nonzero one on a class with a
+    negative q-exponent raises NotInBasisSpan, since C is a polynomial."""
+    d = fan.nrays
+    terms = {(0,) * kahler.rank: Fraction(1)}
     records = []
-    for alpha in effective_classes_up_to(fan, cutoff):
-        if not any(alpha) or chern_degree(alpha) != 0:
+    for weighted in _degree_zero_sums(fan, cutoff, kahler):
+        alpha, qexp = weighted[:d], weighted[d:]
+        if not any(alpha):
             continue
         value, source = gw.lookup(alpha)
-        qexp = kahler.q_weight(alpha)
         records.append(GWRecord(alpha=alpha, q_exponents=qexp,
                                 value=value, source=source))
         if value:
-            factor = factor + QPoly.monomial(qexp, value)
-    return factor, records
+            if min(qexp) < 0:
+                raise NotInBasisSpan(f"class {alpha} has invariant {value} but q-exponents "
+                                     f"{qexp}: the q-basis puts a negative power of q into C")
+            terms[qexp] = value
+    return QPoly(kahler.rank, terms), records
 
 
 def corrected_potential(fan: Fan, kahler: KahlerData, gw: GWProvider,

@@ -11,6 +11,7 @@ import pytest
 from toricmirror import catalog
 from toricmirror.errors import DependentGenerators, DimensionMismatch
 from toricmirror.fan import Fan, validate_fan
+from toricmirror.kahler import KahlerData
 from toricmirror.lattice import hermite_normal_form, xgcd
 from toricmirror.laurent import evaluate
 
@@ -60,6 +61,31 @@ def brute_force_primitive_collections(fan: Fan):
             if all(fan.spans_cone(p) for p in proper):
                 out.append(subset)
     return sorted(out, key=lambda s: (len(s), s))
+
+
+def effective_classes_up_to(fan: Fan, cutoff: int):
+    """All nonnegative integer combinations of primitive-relation classes with
+    multiplicity sum at most *cutoff*, deduplicated and sorted: every
+    relation enters, whatever its degree."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    gens = [rel.coords for rel in fan.primitive_relations]
+    d = fan.nrays
+    classes = set()
+
+    def rec(idx, budget, acc):
+        if idx == len(gens):
+            classes.add(tuple(acc))
+            return
+        rec(idx + 1, budget, acc)
+        g = gens[idx]
+        cur = list(acc)
+        for m in range(1, budget + 1):
+            cur = [a + b for a, b in zip(cur, g)]
+            rec(idx + 1, budget - m, cur)
+
+    rec(0, cutoff, [0] * d)
+    return sorted(classes)
 
 
 _BASE_BUILDERS = [
@@ -505,6 +531,25 @@ def interior_point(kahler, params) -> tuple:
     points = kahler.vertices(params)
     return tuple(sum(p[j] for p in points) / len(points)
                  for j in range(kahler.fan.dimension))
+
+
+def dual_kahler(fan) -> KahlerData:
+    """Kahler data with lambda 0 on the rays of the first maximal cone and
+    -t_j on the others, in the q-basis dual to that cone: basis class j is
+    the relation of the j-th other ray to the cone's rays, so that
+    q_j = exp(-t_j)."""
+    sigma = fan.maximal_cones[0]
+    off = [i for i in range(fan.nrays) if i not in sigma]
+    lambdas = ["0"] * fan.nrays
+    q_basis = []
+    for j, r in enumerate(off):
+        lambdas[r] = f"-t{j + 1}"
+        cls = [0] * fan.nrays
+        cls[r] = 1
+        for i, row in zip(sigma, fan.dual_bases[sigma]):
+            cls[i] = -sum(a * x for a, x in zip(row, fan.rays[r]))
+        q_basis.append(tuple(cls))
+    return KahlerData(fan, lambdas, q_basis)
 
 
 def reference_evaluate(poly, z, t) -> complex:

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import (
     batch_boundary_oracle,
+    dual_kahler,
     fd_log_gradient,
     pairwise_dedup_oracle,
     reference_evaluate,
@@ -257,19 +258,7 @@ def bundle_setup(base, seed=3):
     potential at cutoff 2 (invariants absent from every source read as 0);
     and a seeded parameter point inside the Kahler cone."""
     fan = projectivize_canonical(base)
-    sigma = fan.maximal_cones[0]
-    off = [i for i in range(fan.nrays) if i not in sigma]
-    lambdas = ["0"] * fan.nrays
-    q_basis = []
-    for j, r in enumerate(off):
-        lambdas[r] = f"-t{j + 1}"
-        # the relation of ray r to the rays of sigma, so that q_j = exp(-t_j)
-        cls = [0] * fan.nrays
-        cls[r] = 1
-        for i, row in zip(sigma, fan.dual_bases[sigma]):
-            cls[i] = -sum(a * x for a, x in zip(row, fan.rays[r]))
-        q_basis.append(tuple(cls))
-    k = KahlerData(fan, lambdas, q_basis)
+    k = dual_kahler(fan)
     W = corrected_potential(fan, k, GWProvider(k, assume_zero=True), 2)
     return k, W, cone_point(k, seed)
 
@@ -477,6 +466,15 @@ class TestStartOrder:
             stride = _stride(grid)
             assert math.gcd(stride, grid) == 1
             assert abs(stride - 0.618 * grid) <= 0.01 * grid + 2
+
+    def test_stride_past_the_float_range_refused(self):
+        # the largest power of two a float holds keeps the float rule's
+        # stride (the rounded share is even, so one is added); the next one
+        # has no float share and is refused as input
+        grid = 2 ** 1023
+        assert _stride(grid) == round((math.sqrt(5.0) - 1.0) / 2.0 * float(grid)) + 1
+        with pytest.raises(SchemaError, match="more points than a float can hold"):
+            _stride(2 * grid)
 
 
 def log_cloud(rng, n, count, radius):

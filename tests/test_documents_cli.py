@@ -419,6 +419,36 @@ class TestPotentialCommand:
         assert main(["potential", fan_path, "--gw-table", table_path]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_q_exponent_exit_2(self, tmp_path, capsys):
+        # P(K_F1+O) in the q-basis dual to its first cone, where the degree-0
+        # class (-2, 2, 0, 2, -2, 0) has q-exponents (2, -2, 0): a nonzero
+        # invariant there has no term in the polynomial C, a zero one does
+        # not need one
+        doc = {
+            "dimension": 3,
+            "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, -1, 1], [0, -1, 1], [0, 0, -1]],
+            "maximal_cones": [[0, 1, 2], [0, 1, 4], [0, 2, 3], [0, 3, 4],
+                              [1, 2, 5], [1, 4, 5], [2, 3, 5], [3, 4, 5]],
+            "kahler": {"parameters": ["t1", "t2", "t3"],
+                       "lambdas": ["0", "0", "0", "-t1", "-t2", "-t3"]},
+            "q_basis": [[-3, 1, 1, 1, 0, 0], [-2, 0, 1, 0, 1, 0], [1, 0, 0, 0, 0, 1]],
+        }
+        fan_path = write(tmp_path, "f1x.json", doc)
+        table = {"fan_fingerprint": fan_fingerprint(fan_from_document(doc).fan),
+                 "basis": doc["q_basis"], "entries": [{"class": [2, -2, 0], "value": "3"}]}
+        table_path = write(tmp_path, "t.json", table)
+        argv = ["potential", fan_path, "--gw-table", table_path, "--assume-zero-above-cutoff"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: class (-2, 2, 0, 2, -2, 0) has invariant 3 but q-exponents "
+            "(2, -2, 0): the q-basis puts a negative power of q into C\n")
+        table["entries"][0]["value"] = "0"
+        write(tmp_path, "t.json", table)
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["gw_values"]
+        assert {"class": [-2, 2, 0, 2, -2, 0], "q_exponents": [2, -2, 0],
+                "source": "table", "value": "0"} in records
+
     def test_f2_criterion_matches_map_search(self):
         # a smooth complete surface with 4 rays is some F_a, and F2 is the
         # one with a degree-0 primitive relation
@@ -515,6 +545,14 @@ class TestCritCommand:
         capsys.readouterr()
         assert main(["crit", pot, "--t", f"t={T001}", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {flag} {message}\n"
+
+    def test_grid_past_the_float_range_exit_2(self, tmp_path, capsys):
+        pot = self.make_potential(tmp_path, F2_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--phases", str(10 ** 200)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the start grid has more points than a float can hold; "
+            "lower the phases per coordinate\n")
 
     def test_overflowing_parameter_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, F2_DOC)

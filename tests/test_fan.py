@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     brute_force_primitive_collections,
     cone_coefficients,
+    effective_classes_up_to,
     matrix_det,
     pairwise_overlap_oracle,
     random_smooth_2d_fan,
@@ -27,7 +28,6 @@ from toricmirror.fan import (
     Positivity,
     chern_degree,
     classify_positivity,
-    effective_classes_up_to,
     forced_divisors,
     validate_fan,
 )

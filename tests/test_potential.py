@@ -1,15 +1,22 @@
 """Superpotential assembly: Hori-Vafa branch and corrected branch."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from toricmirror.bundle import projectivize_canonical
+from conftest import dual_kahler, effective_classes_up_to, random_unimodular
+from test_integer_solves import DP6, F1, in_chart, product_fan
+from test_moment_polytope import P3
+from toricmirror import catalog
+from toricmirror.bundle import fiber_class, projectivize_canonical, require_bundle
 from toricmirror.errors import NotBundleShaped, NotFano, UnknownInvariant
+from toricmirror.fan import chern_degree, validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData, boundary_vector, maslov_index
 from toricmirror.laurent import LaurentPoly, QPoly
 from toricmirror.potential import (
+    GWRecord,
     basic_monomial,
     contributing_classes,
     corrected_potential,
@@ -171,3 +178,106 @@ class TestCorrectedPotential:
         coeff = W.terms[(0, -1)]  # boundary of the zero-section disk
         # C * q2: constant term 1*q2 (alpha=0), q1*q2 (alpha), nothing higher
         assert coeff == QPoly.monomial((0, 1)) + QPoly.monomial((1, 1))
+
+
+# --- the degree-0 enumeration against the full one ---
+
+def catalog_bundles():
+    """(name, fan) for P(K_Y+O) over P1, P2, F1, P1xP1, dP6, P3, P1^3 and
+    P1xdP6, each in its standard chart and in two seeded GL(n, Z) charts."""
+    line = catalog.projective_line()
+    bases = {
+        "P1": line, "P2": catalog.projective_plane(), "F1": validate_fan(2, F1),
+        "P1xP1": catalog.p1_times_p1(), "dP6": validate_fan(2, DP6), "P3": P3,
+        "P1^3": product_fan(product_fan(line, line), line),
+        "P1xdP6": product_fan(line, validate_fan(2, DP6)),
+    }
+    rng = random.Random(12)
+    out = []
+    for name, base in bases.items():
+        x = projectivize_canonical(base)
+        out.append((name, x))
+        out += [(f"{name}-chart{i}", in_chart(x, random_unimodular(rng, x.dimension)))
+                for i in (1, 2)]
+    return out
+
+
+BUNDLES = catalog_bundles()
+
+
+class PatternProvider:
+    """Invariants by a fixed pattern over the classes: sum(i^2 * a_i) mod 4, so
+    zeros and nonzeros mix, and 0 on a class with a negative q-exponent,
+    where a nonzero value has no term in C."""
+
+    def __init__(self, kahler):
+        self.kahler = kahler
+
+    def lookup(self, alpha):
+        if min(self.kahler.q_weight(alpha)) < 0:
+            return Fraction(0), "assumed-zero"
+        return Fraction(sum(i * i * a for i, a in enumerate(alpha)) % 4), "table"
+
+
+def reference_details(fan, kahler, gw, cutoff):
+    """correction_details over the full enumeration, filtered to degree 0,
+    with q-exponents solved class by class."""
+    factor = QPoly.constant(kahler.rank, 1)
+    records = []
+    for alpha in effective_classes_up_to(fan, cutoff):
+        if not any(alpha) or chern_degree(alpha) != 0:
+            continue
+        value, source = gw.lookup(alpha)
+        qexp = kahler.q_weight(alpha)
+        records.append(GWRecord(alpha=alpha, q_exponents=qexp, value=value, source=source))
+        if value:
+            factor = factor + QPoly.monomial(qexp, value)
+    return factor, records
+
+
+def reference_contributing(fan, cutoff):
+    d = fan.nrays
+    basic = [tuple(int(j == i) for j in range(d)) for i in range(1, d)]
+    return basic + sorted((alpha[0] + 1,) + alpha[1:]
+                          for alpha in effective_classes_up_to(fan, cutoff)
+                          if chern_degree(alpha) == 0)
+
+
+class TestDegreeZeroEnumeration:
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[n for n, _ in BUNDLES])
+    def test_matches_full_enumeration(self, name, fan):
+        kahlers = [dual_kahler(fan)]
+        kahlers.append(KahlerData(fan, kahlers[0].lambdas))  # the default q-basis
+        for cutoff in range(6):
+            assert contributing_classes(fan, cutoff) == reference_contributing(fan, cutoff)
+            for k in kahlers:
+                for gw in (GWProvider(k, assume_zero=True), PatternProvider(k)):
+                    got = correction_details(fan, k, gw, cutoff)
+                    assert got == reference_details(fan, k, gw, cutoff), (cutoff, k.q_basis)
+
+    def test_pattern_reaches_nonzero_terms(self):
+        # the comparison above is not vacuous: factors get terms, zeros
+        # are recorded, and a negative q-exponent comes up
+        for name in ("F1", "dP6-chart1"):
+            fan = dict(BUNDLES)[name]
+            k = dual_kahler(fan)
+            factor, records = correction_details(fan, k, PatternProvider(k), 3)
+            assert len(factor.terms) > 1
+            assert any(not r.value for r in records)
+            assert any(min(r.q_exponents) < 0 for r in records)
+
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[n for n, _ in BUNDLES])
+    def test_one_fiber_relation_and_the_rest_degree_zero(self, name, fan):
+        # why only the degree-0 relations are enumerated: on every fan that
+        # require_bundle accepts, the other relation is the degree-2 fiber
+        require_bundle(fan)
+        rels = fan.primitive_relations
+        assert [(r.coords, r.degree) for r in rels if r.degree != 0] == [(fiber_class(fan), 2)]
+        assert len(rels) >= 2
+
+    def test_negative_cutoff_refused(self, f2_kahler):
+        with pytest.raises(ValueError):
+            contributing_classes(f2_kahler.fan, -1)
+        with pytest.raises(ValueError):
+            correction_details(f2_kahler.fan, f2_kahler, GWProvider(f2_kahler), -1)
+

@@ -81,8 +81,9 @@ def test_public_names_resolve():
     assert names == sorted(names)
 
 
-ORACLES = ("cone_coefficients", "elementary_divisors", "fourier_motzkin", "matrix_det",
-           "max_min_slack", "polytope_vertices", "solve_unique", "unimodular_map_search")
+ORACLES = ("cone_coefficients", "effective_classes_up_to", "elementary_divisors",
+           "fourier_motzkin", "matrix_det", "max_min_slack", "polytope_vertices",
+           "solve_unique", "unimodular_map_search")
 
 
 def test_oracles_stay_in_tests():
