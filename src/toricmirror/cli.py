@@ -9,9 +9,10 @@ Subcommands:
 * ``potential`` fan document (with Kahler data) -> superpotential document
 * ``crit``      potential document + parameter values -> critical points
 
-Exit codes: 0 success, 1 internal error, 2 schema/input error, 3 invalid or
+Exit codes: 0 success, 1 internal error, and otherwise the ``exit_code`` of
+the error class raised (``errors.py``): 2 schema/input error, 3 invalid or
 unsupported fan, 4 base not Fano (bundle), 5 unknown invariant, 6 no
-convergence.
+convergence. A missing input file exits 2.
 """
 
 from __future__ import annotations
@@ -31,26 +32,10 @@ from .documents import (
     load_potential_document,
     potential_to_document,
 )
-from .errors import (
-    InvalidFan,
-    NoConvergence,
-    NotBundleShaped,
-    NotFano,
-    SchemaError,
-    ToricMirrorError,
-    UnknownInvariant,
-)
+from .errors import NoConvergence, SchemaError, ToricMirrorError
 from .fan import Positivity, classify_positivity
 from .gw import GWProvider
 from .potential import correction_details, hori_vafa, potential_with_correction
-
-EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_SCHEMA = 2
-EXIT_INVALID_FAN = 3
-EXIT_NOT_FANO = 4
-EXIT_UNKNOWN_INVARIANT = 5
-EXIT_NO_CONVERGENCE = 6
 
 
 def _write(text: str, out_path):
@@ -100,7 +85,7 @@ def _cmd_analyze(args) -> int:
             ],
         }
         _write(canonical_json(payload), args.out)
-        return EXIT_OK
+        return 0
     lines = [
         f"fan: dimension {fan.dimension}, {fan.nrays} rays, "
         f"{len(fan.maximal_cones)} maximal cones — valid",
@@ -122,7 +107,7 @@ def _cmd_analyze(args) -> int:
     gens = sorted({r.coords for r in relations})
     lines.append(f"effective generators: {[list(g) for g in gens]}")
     _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_bundle(args) -> int:
@@ -131,7 +116,7 @@ def _cmd_bundle(args) -> int:
     q_basis = default_q_basis(fan_x)
     out = fan_to_document(fan_x, q_basis=q_basis)
     _write(canonical_json(out), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_potential(args) -> int:
@@ -147,7 +132,7 @@ def _cmd_potential(args) -> int:
         poly = hori_vafa(fan, kahler)
         payload = potential_to_document(poly, branch="hori-vafa", fandoc=doc)
         _write(canonical_json(payload), args.out)
-        return EXIT_OK
+        return 0
     _require_at_least(args.cutoff, 0, "--cutoff")
     table = None
     if args.gw_table:
@@ -164,7 +149,7 @@ def _cmd_potential(args) -> int:
         gw_records=records,
     )
     _write(canonical_json(payload), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _parse_assignments(pairs) -> dict:
@@ -176,11 +161,8 @@ def _parse_assignments(pairs) -> dict:
         name = name.strip()
         try:
             values[name] = Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError):
-            try:
-                values[name] = Fraction(repr(float(raw.strip())))
-            except ValueError as exc:
-                raise SchemaError(f"bad numeric value in {pair!r}") from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad numeric value in {pair!r}") from exc
     return values
 
 
@@ -218,7 +200,7 @@ def _cmd_crit(args) -> int:
     report = find_critical_points(doc.poly, t, options)
     payload = critical_report_to_document(report, t_values)
     _write(canonical_json(payload), args.out)
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,24 +250,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidFan, NotBundleShaped) as exc:
+    except (ToricMirrorError, NoConvergence, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_FAN
-    except NotFano as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FANO
-    except UnknownInvariant as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_INVARIANT
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ToricMirrorError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return getattr(exc, "exit_code", 2)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -50,18 +51,32 @@ def _int_matrix(value, what: str) -> list:
     return [_int_list(row, f"{what} row") for row in value]
 
 
+def _names(value) -> tuple:
+    _require(isinstance(value, list) and all(isinstance(p, str) for p in value),
+             "'parameters' must be a list of names")
+    return tuple(value)
+
+
+def _rational(value) -> Fraction:
+    """An exact rational from a JSON string or number, as ``Fraction`` reads
+    its text."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational value {value!r}") from exc
+
+
 # --- fan documents ---
 
+@dataclass
 class FanDocument:
     """Parsed fan document: the validated fan plus optional Kahler data."""
 
-    def __init__(self, fan: Fan, kahler: Optional[KahlerData],
-                 parameters: tuple, lambdas_text: tuple, q_basis):
-        self.fan = fan
-        self.kahler = kahler
-        self.parameters = parameters
-        self.lambdas_text = lambdas_text
-        self.q_basis = q_basis
+    fan: Fan
+    kahler: Optional[KahlerData]
+    parameters: tuple
+    lambdas_text: tuple
+    q_basis: Optional[list]
 
 
 def fan_from_document(obj) -> FanDocument:
@@ -91,25 +106,20 @@ def fan_from_document(obj) -> FanDocument:
         _require(isinstance(sub, dict), "'kahler' must be an object")
         unknown = set(sub) - _KAHLER_KEYS
         _require(not unknown, f"unknown kahler fields: {sorted(unknown)}")
-        params = sub.get("parameters", [])
-        _require(isinstance(params, list) and all(isinstance(p, str) for p in params),
-                 "'parameters' must be a list of names")
-        _require(len(set(params)) == len(params), "duplicate parameter names")
+        parameters = _names(sub.get("parameters", []))
+        _require(len(set(parameters)) == len(parameters), "duplicate parameter names")
         lams = sub.get("lambdas")
         _require(isinstance(lams, list) and len(lams) == fan.nrays,
                  f"'lambdas' must list one entry per ray ({fan.nrays})")
         parsed = []
-        text = []
         for lam in lams:
             _require(isinstance(lam, (str, int)) and not isinstance(lam, bool),
                      f"lambda entries must be strings or integers, got {lam!r}")
             try:
-                parsed.append(parse_linear_form(lam, params))
+                parsed.append(parse_linear_form(lam, parameters))
             except ValueError as exc:
                 raise SchemaError(f"bad lambda expression {lam!r}: {exc}") from exc
-            text.append(str(lam))
-        parameters = tuple(params)
-        lambdas_text = tuple(text)
+        lambdas_text = tuple(str(lam) for lam in lams)
         try:
             kahler = KahlerData(fan, parsed, q_basis)
         except ValueError as exc:
@@ -182,10 +192,7 @@ def gw_table_from_document(obj, fan: Optional[Fan] = None) -> GWTable:
                  f"table entries must be objects with 'class' and 'value', got {item!r}")
         key = tuple(_int_list(item["class"], "entry class"))
         _require(len(key) == len(basis), "entry class length must match the basis size")
-        try:
-            value = Fraction(str(item["value"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational value {item['value']!r}") from exc
+        value = _rational(item["value"])
         _require(key not in entries, f"duplicate table key {key}")
         entries[key] = value
     return validate_table(obj["fan_fingerprint"], basis, entries, fan)
@@ -207,11 +214,7 @@ def _qpoly_from_json(items, qvars: int) -> QPoly:
     for item in items:
         _require(isinstance(item, dict) and set(item) == {"q", "value"},
                  f"bad q-term {item!r}")
-        exps = tuple(_int_list(item["q"], "q-exponents"))
-        try:
-            terms[exps] = Fraction(str(item["value"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational value {item['value']!r}") from exc
+        terms[tuple(_int_list(item["q"], "q-exponents"))] = _rational(item["value"])
     try:
         return QPoly(qvars, terms)
     except ValueError as exc:
@@ -257,16 +260,14 @@ def potential_to_document(poly: LaurentPoly, *, branch: str, fandoc: FanDocument
     return doc
 
 
+@dataclass
 class PotentialDocument:
-    def __init__(self, poly: LaurentPoly, branch: str, cutoff, parameters,
-                 q_areas, fandoc: Optional[FanDocument], raw: dict):
-        self.poly = poly
-        self.branch = branch
-        self.cutoff = cutoff
-        self.parameters = parameters
-        self.q_areas = q_areas
-        self.fandoc = fandoc
-        self.raw = raw
+    poly: LaurentPoly
+    branch: str
+    cutoff: Optional[int]
+    parameters: tuple
+    q_areas: list
+    fandoc: Optional[FanDocument]
 
     def t_vector(self, values: Mapping) -> list:
         """Per-q-variable exponents t_j = area_j(parameter values)."""
@@ -315,9 +316,7 @@ def potential_from_document(obj) -> PotentialDocument:
     _require(isinstance(obj["q_areas"], list) and len(obj["q_areas"]) == qvars,
              "'q_areas' must list one area per q-variable")
     q_areas = [_area_from_json(a) for a in obj["q_areas"]]
-    params = obj["parameters"]
-    _require(isinstance(params, list) and all(isinstance(p, str) for p in params),
-             "'parameters' must be a list of names")
+    params = _names(obj["parameters"])
     fandoc = None
     if obj.get("fan") is not None:
         fandoc = fan_from_document(obj["fan"])
@@ -328,10 +327,9 @@ def potential_from_document(obj) -> PotentialDocument:
         poly=poly,
         branch=obj.get("branch", "unknown"),
         cutoff=obj.get("cutoff"),
-        parameters=tuple(params),
+        parameters=params,
         q_areas=q_areas,
         fandoc=fandoc,
-        raw=obj,
     )
 
 

@@ -2,11 +2,15 @@
 
 Most errors signal bad user input (malformed documents, degenerate fans,
 missing data) and derive from ValueError so callers can catch broadly.
+Each class carries the command-line exit code of its failures,
+``exit_code``, which subclasses inherit.
 """
 
 
 class ToricMirrorError(ValueError):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 # --- integer lattice algebra ---
@@ -32,6 +36,8 @@ class DimensionMismatch(ToricMirrorError):
 class InvalidFan(ToricMirrorError):
     """Base class for fan validation failures."""
 
+    exit_code = 3
+
 
 class NonPrimitiveRay(InvalidFan):
     """A ray generator is zero, non-primitive, or duplicated."""
@@ -56,6 +62,8 @@ class FocusNotFound(InvalidFan):
 class NotFano(ToricMirrorError):
     """Operation requires a Fano fan."""
 
+    exit_code = 4
+
 
 # --- Kahler / polytope data ---
 
@@ -77,6 +85,8 @@ class LambdaNotQExpressible(ToricMirrorError):
 
 class UnknownInvariant(ToricMirrorError):
     """A Gromov-Witten value was requested that no source can supply."""
+
+    exit_code = 5
 
 
 class BadChernDegree(ToricMirrorError):
@@ -100,6 +110,8 @@ class SchemaError(ToricMirrorError):
 class NotBundleShaped(ToricMirrorError):
     """Fan is not a recognized projectivized-canonical-bundle fan."""
 
+    exit_code = 3
+
 
 # --- evaluation / solving ---
 
@@ -109,3 +121,5 @@ class ZeroCoordinate(ToricMirrorError):
 
 class NoConvergence(RuntimeError):
     """The multistart Newton solver found no critical point."""
+
+    exit_code = 6

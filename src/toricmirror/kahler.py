@@ -9,11 +9,14 @@ may be exact rationals or symbolic linear forms in named parameters
 * sphere classes have area -sum(a_i * lambda_i), independent of x.
 
 The polytope has nonempty interior exactly when every positive circuit of
-the rays (an extreme nonnegative relation) has positive area, by Motzkin's
-transposition theorem; construction checks this at all parameters equal to
-1. In the open Kahler cone the polytope has one vertex per maximal cone,
-given in closed form by the cone's dual basis, and the numeric vertices
-are only defined there.
+the rays (an extreme nonnegative relation) has positive area
+-sum(y_i * lambda_i), by Motzkin's transposition theorem. Construction
+refuses the support constants only when some circuit's area is a constant
+<= 0, so that the polytope is empty at every parameter value; symbolic
+constants are checked at given parameters by ``vertices``. In the open
+Kahler cone the polytope has one vertex per maximal cone, given in closed
+form by the cone's dual basis, and the numeric vertices are only defined
+there.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
@@ -94,16 +97,12 @@ class KahlerData:
     def _check_polytope(self):
         # {<x, v_i> > lambda_i} is infeasible exactly when some nonzero
         # y >= 0 with sum(y_i v_i) = 0 has sum(y_i lambda_i) >= 0 (Motzkin),
-        # and the positive circuits generate those y; symbolic constants are
-        # spot-checked at all parameters equal to 1
-        probe = {name: Fraction(1) for name in self.parameter_names}
-        offsets = [lam.subs(probe) for lam in self.lambdas]
-        if any(sum(y * lam for y, lam in zip(circuit, offsets)) >= 0
-               for circuit in self.fan.positive_circuits):
-            raise EmptyInterior(
-                "moment polytope has empty interior"
-                + (" at unit parameters" if probe else "")
-            )
+        # and the positive circuits generate those y; a circuit whose sum is
+        # a constant >= 0 leaves the polytope empty at every parameter value
+        for circuit in self.fan.positive_circuits:
+            total = sum((lam * y for y, lam in zip(circuit, self.lambdas) if y), LinForm(0))
+            if total.is_constant() and total.const >= 0:
+                raise EmptyInterior("moment polytope has empty interior")
 
     @functools.cached_property
     def parameter_names(self) -> tuple:

@@ -220,7 +220,6 @@ class LaurentPoly:
                 other = QPoly.constant(self.qvars, other)
             return LaurentPoly(self.zvars, self.qvars,
                                {e: c * other for e, c in self.terms.items()})
-        out = LaurentPoly.zero(self.zvars, self.qvars)
         merged = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

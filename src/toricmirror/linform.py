@@ -14,11 +14,12 @@ from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"
-    r"|(?P<op>[+\-*]))"
+# one term of a linear form: [sign] (number ['*' name] | name), with
+# whitespace around every token
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)"
+    r"(?:\s*\*\s*(?P<scaled>[A-Za-z_][A-Za-z_0-9]*))?"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*))\s*"
 )
 
 
@@ -117,20 +118,9 @@ class LinForm:
     # -- evaluation --
 
     def subs(self, values: Mapping[str, object]):
-        """Substitute values for every variable; exact if all values are exact."""
-        missing = [n for n in self.coeffs if n not in values]
-        if missing:
-            raise KeyError(f"missing values for {sorted(missing)}")
-        exact = all(isinstance(values[n], (int, Fraction)) for n in self.coeffs)
-        if exact:
-            total = self.const
-            for n, c in self.coeffs.items():
-                total += c * values[n]
-            return total
-        total = float(self.const)
-        for n, c in self.coeffs.items():
-            total += float(c) * float(values[n])
-        return total
+        """Substitute values for every variable (KeyError if one is missing);
+        exact if all values are exact, a float if all are floats."""
+        return sum((c * values[n] for n, c in self.coeffs.items()), self.const)
 
     # -- rendering --
 
@@ -166,81 +156,36 @@ class LinForm:
                    {n: Fraction(c) for n, c in obj.get("terms", {}).items()})
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse linear form {text!r} at position {pos}")
-        pos = m.end()
-        if m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("number"):
-            num = m.group("number")
-            value = Fraction(num) if "." not in num else _as_fraction(float(num))
-            tokens.append(("num", value))
-        else:
-            tokens.append(("op", m.group("op")))
-    if text.strip() and not tokens:
-        raise ValueError(f"cannot parse linear form {text!r}")
-    return tokens
-
-
 def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinForm:
     """Parse expressions like ``-t1 - 2*t2 + 3/2`` into a LinForm.
 
     Grammar: ``[sign] term (sign term)*`` with ``term := number ['*' name] |
-    name``. Numbers are exact rationals (``3``, ``3/2``, or decimal
-    literals). When *allowed_names* is given, other variable names are
-    rejected.
+    name``, whitespace allowed around every token. Numbers are exact
+    rationals (``3``, ``3/2`` or a decimal literal such as ``0.25``), read
+    by ``Fraction``; a zero denominator is a ValueError. When
+    *allowed_names* is given, other variable names are rejected.
     """
     if isinstance(text, (int, float, Fraction)):
         return LinForm(_as_fraction(text))
     if not isinstance(text, str):
         raise ValueError(f"cannot parse {text!r} as a linear form")
     allowed = set(allowed_names) if allowed_names is not None else None
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty linear form")
-
     result = LinForm(0)
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = Fraction(1)
-        kind, val = tokens[i]
-        if kind == "op":
-            if val == "-":
-                sign = Fraction(-1)
-            elif val != "+":
-                raise ValueError(f"misplaced '*' in {text!r}")
-            i += 1
-        elif not first:
-            raise ValueError(f"missing operator before {val!r} in {text!r}")
-        if i >= len(tokens):
-            raise ValueError(f"dangling operator in {text!r}")
-        kind, val = tokens[i]
-        if kind == "num":
-            coeff = val
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "name":
-                    raise ValueError(f"expected a name after '*' in {text!r}")
-                name = tokens[i][1]
-                i += 1
-                if allowed is not None and name not in allowed:
-                    raise ValueError(f"unknown parameter {name!r} in {text!r}")
-                result += LinForm(0, {name: sign * coeff})
-            else:
-                result += LinForm(sign * coeff)
-        elif kind == "name":
-            if allowed is not None and val not in allowed:
-                raise ValueError(f"unknown parameter {val!r} in {text!r}")
-            result += LinForm(0, {val: sign})
-            i += 1
-        else:
-            raise ValueError(f"unexpected operator in {text!r}")
-        first = False
-    return result
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and m["sign"] is None):
+            raise ValueError(f"cannot parse linear form {text!r} at position {pos}")
+        name = m["scaled"] or m["name"]
+        if allowed is not None and name is not None and name not in allowed:
+            raise ValueError(f"unknown parameter {name!r} in {text!r}")
+        try:
+            coeff = Fraction(m["number"] or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        if m["sign"] == "-":
+            coeff = -coeff
+        result += LinForm(coeff) if name is None else LinForm(0, {name: coeff})
+        pos = m.end()
+        if pos == len(text):
+            return result

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
@@ -14,6 +15,7 @@ from toricmirror.fan import Fan, validate_fan
 from toricmirror.kahler import KahlerData
 from toricmirror.lattice import hermite_normal_form, xgcd
 from toricmirror.laurent import evaluate
+from toricmirror.linform import LinForm
 
 
 @pytest.fixture
@@ -86,6 +88,78 @@ def effective_classes_up_to(fan: Fan, cutoff: int):
 
     rec(0, cutoff, [0] * d)
     return sorted(classes)
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<op>[+\-*]))"
+)
+
+
+def tokenizing_parse_linear_form(text: str, allowed_names=None) -> LinForm:
+    """The library's former linear-form parser: a tokenizer, then a state
+    machine over the tokens. Decimal literals go through a float; trailing
+    whitespace is refused; a zero denominator raises ZeroDivisionError."""
+    allowed = set(allowed_names) if allowed_names is not None else None
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"cannot parse linear form {text!r} at position {pos}")
+        pos = m.end()
+        if m.group("name"):
+            tokens.append(("name", m.group("name")))
+        elif m.group("number"):
+            num = m.group("number")
+            tokens.append(("num", Fraction(num) if "." not in num
+                           else Fraction(repr(float(num)))))
+        else:
+            tokens.append(("op", m.group("op")))
+    if not tokens:
+        raise ValueError("empty linear form")
+
+    result = LinForm(0)
+    i = 0
+    first = True
+    while i < len(tokens):
+        sign = Fraction(1)
+        kind, val = tokens[i]
+        if kind == "op":
+            if val == "-":
+                sign = Fraction(-1)
+            elif val != "+":
+                raise ValueError(f"misplaced '*' in {text!r}")
+            i += 1
+        elif not first:
+            raise ValueError(f"missing operator before {val!r} in {text!r}")
+        if i >= len(tokens):
+            raise ValueError(f"dangling operator in {text!r}")
+        kind, val = tokens[i]
+        if kind == "num":
+            coeff = val
+            i += 1
+            if i < len(tokens) and tokens[i] == ("op", "*"):
+                i += 1
+                if i >= len(tokens) or tokens[i][0] != "name":
+                    raise ValueError(f"expected a name after '*' in {text!r}")
+                name = tokens[i][1]
+                i += 1
+                if allowed is not None and name not in allowed:
+                    raise ValueError(f"unknown parameter {name!r} in {text!r}")
+                result += LinForm(0, {name: sign * coeff})
+            else:
+                result += LinForm(sign * coeff)
+        elif kind == "name":
+            if allowed is not None and val not in allowed:
+                raise ValueError(f"unknown parameter {val!r} in {text!r}")
+            result += LinForm(0, {val: sign})
+            i += 1
+        else:
+            raise ValueError(f"unexpected operator in {text!r}")
+        first = False
+    return result
 
 
 _BASE_BUILDERS = [

@@ -659,3 +659,46 @@ class TestCritCommand:
         assert doc.branch == "corrected"
         t = doc.t_vector({"t1": Fraction(1), "t2": Fraction(2)})
         assert t == [1.0, 2.0]
+
+
+class TestLambdaInput:
+    """The three inputs whose exit code the term-pattern parser and the
+    constant-circuit polytope check moved."""
+
+    @pytest.mark.parametrize("lam", ["-1/0*t", "1/0"])
+    def test_zero_denominator_exit_2(self, tmp_path, capsys, lam):
+        fan = write(tmp_path, "fan.json", dict(
+            P1_DOC, kahler={"parameters": ["t"], "lambdas": ["0", lam]}))
+        pot = TestCritCommand().make_potential(tmp_path, P1_DOC)
+        doc = json.loads(Path(pot).read_text())
+        doc["fan"]["kahler"]["lambdas"][1] = lam
+        pot = write(tmp_path, "bad_pot.json", doc)
+        for argv in (["analyze", fan], ["bundle", fan], ["potential", fan],
+                     ["crit", pot, "--t", "t=1"]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: bad lambda expression {lam!r}: zero denominator in {lam!r}\n")
+
+    def test_trailing_whitespace_accepted(self, tmp_path, capsys):
+        fan = write(tmp_path, "fan.json", dict(
+            P1_DOC, kahler={"parameters": ["t"], "lambdas": ["0 ", "-t\t"]}))
+        assert main(["potential", fan]) == 0
+        spaced = json.loads(capsys.readouterr().out)
+        assert main(["potential", write(tmp_path, "plain.json", P1_DOC)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert spaced["fan"]["kahler"]["lambdas"] == ["0 ", "-t\t"]
+        del spaced["fan"], plain["fan"]
+        assert spaced == plain
+
+    def test_empty_only_at_unit_parameters_accepted(self, tmp_path, capsys):
+        # the interval [0, t - 2] is empty at t = 1 but not for t > 2
+        pot = TestCritCommand().make_potential(tmp_path, dict(
+            P1_DOC, kahler={"parameters": ["t"], "lambdas": ["0", "2-t"]}))
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t=3"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        root = math.exp(-1 / 2)
+        assert sorted(p[0][0] for p in points) == pytest.approx([-root, root], rel=1e-9)
+        assert main(["crit", pot, "--t", "t=1"]) == 2
+        assert "outside the open Kahler cone" in capsys.readouterr().err

@@ -151,6 +151,19 @@ class TestInteriorPoint:
         with pytest.raises(EmptyInterior):
             KahlerData(p1, ["0", "0"])
 
+    @pytest.mark.parametrize("lambdas", [["t", "-t"], ["t", "1-t"], ["1/2*t", "-1/2*t + 3"]])
+    def test_constant_circuit_area_refused(self, p1, lambdas):
+        # the circuit v0 + v1 = 0 has area -(lambda_0 + lambda_1), a constant <= 0
+        with pytest.raises(EmptyInterior, match="^moment polytope has empty interior$"):
+            KahlerData(p1, lambdas)
+
+    @pytest.mark.parametrize("lambdas", [["0", "2-t"], ["t", "-2*t"], ["-t", "-s"]])
+    def test_symbolic_area_accepted(self, p1, lambdas):
+        # empty for some parameter values only; `vertices` refuses those
+        k = KahlerData(p1, lambdas)
+        with pytest.raises(EmptyInterior):
+            k.vertices({n: Fraction(-1) for n in k.parameter_names})
+
     def test_missing_parameters(self, f2_kahler):
         with pytest.raises(ValueError):
             interior_point(f2_kahler, {"t1": Fraction(1)})

@@ -1,9 +1,13 @@
 """Symbolic linear forms and their parser."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import tokenizing_parse_linear_form
 from toricmirror.linform import LinForm, parse_linear_form
 
 
@@ -65,3 +69,66 @@ class TestParser:
 
     def test_repeated_terms_merge(self):
         assert parse_linear_form("t + t - 3*t") == LinForm(0, {"t": -1})
+
+
+TOKENS = ["t", "t1", "s_2", "0", "1", "2", "12", "3/2", "1/0", "0.25", "0.1", "2.", ".5",
+          "0.1234567890123456789", "+", "-", "*", "/", " ", "\t", ""]
+
+
+def _float_exact(text):
+    # every decimal literal equals the float its old reading went through
+    return all(Fraction(d) == Fraction(repr(float(d)))
+               for d in re.findall(r"\d+\.\d+", text))
+
+
+def _outcome(parse, text, allowed):
+    try:
+        return parse(text, allowed)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+
+
+class TestAgainstTokenizingParser:
+    """The term-pattern parser against the former tokenizing one. They
+    differ in three ways only: trailing whitespace is accepted, a zero
+    denominator is a ValueError instead of a ZeroDivisionError, and a
+    decimal literal a float cannot hold is read exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=8).map("".join)
+           | st.text(alphabet="ts12/0.+-* ", max_size=10),
+           st.sampled_from([None, ["t"], ["t", "t1", "s_2"]]))
+    def test_same_form_or_both_refuse(self, text, allowed):
+        new = _outcome(parse_linear_form, text, allowed)
+        old = _outcome(tokenizing_parse_linear_form, text.rstrip(), allowed)
+        if new is ValueError or old is ValueError or _float_exact(text):
+            assert new == old, text
+        else:
+            assert new.variables == old.variables, text
+
+    def test_the_three_differences(self):
+        assert parse_linear_form("t - 1 \t") == LinForm(-1, {"t": 1})
+        with pytest.raises(ValueError):
+            tokenizing_parse_linear_form("t - 1 \t")
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_linear_form("-1/0*t")
+        with pytest.raises(ZeroDivisionError):
+            tokenizing_parse_linear_form("-1/0*t")
+        text = "0.1234567890123456789"
+        assert parse_linear_form(text) == LinForm(Fraction(text))
+        assert tokenizing_parse_linear_form(text) == LinForm(
+            Fraction(1543209862654321, 12500000000000000))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False).map(repr)
+       | st.text(alphabet="0123456789.eE+-_ infa", max_size=12))
+def test_fraction_reads_every_finite_float_literal(text):
+    # `crit --t` reads values with Fraction alone: a literal float() reads
+    # as a finite number is one Fraction reads, to the same float
+    try:
+        value = float(text)
+    except ValueError:
+        return
+    if math.isfinite(value):
+        assert float(Fraction(text)) == value, text

@@ -71,31 +71,45 @@ def test_positive_circuits_match_subset_scan(fans):
 
 
 def test_construction_verdict_matches_fourier_motzkin(fans):
+    # constant lambdas get Fourier-Motzkin's verdict; symbolic ones are
+    # refused only when the polytope is empty at every parameter value, so
+    # a refused document has no interior at any sampled parameter point and
+    # one with interior at a sampled point is accepted
     rng = random.Random(29)
-    sides = {(kind, ok): 0 for kind in ("constant", "symbolic") for ok in (True, False)}
+    sides = {True: 0, False: 0}
+    symbolic = {"refused": 0, "interior": 0}
     for fan in fans:
         names = [f"t{j}" for j in range(1, fan.nrays - fan.dimension + 1)]
         for _ in range(8):
             constant = [LinForm(Fraction(rng.randint(-5, 3), rng.choice((1, 2, 3))))
                         for _ in fan.rays]
-            symbolic = [random_lambda(rng, names) for _ in fan.rays]
-            for kind, lambdas in (("constant", constant), ("symbolic", symbolic)):
-                probe = {name: Fraction(1) for name in names}
-                ok = max_min_slack(fan.rays, [lam.subs(probe) for lam in lambdas])[0] > 0
-                message = "moment polytope has empty interior"
-                if any(lam.variables for lam in lambdas):
-                    message += " at unit parameters"
-                try:
-                    KahlerData(fan, lambdas)
-                    got = None
-                except EmptyInterior as exc:
-                    got = str(exc)
-                assert got == (None if ok else message), (fan.rays, lambdas)
-                sides[kind, ok] += 1
+            ok = max_min_slack(fan.rays, [lam.const for lam in constant])[0] > 0
+            try:
+                KahlerData(fan, constant)
+                got = None
+            except EmptyInterior as exc:
+                got = str(exc)
+            assert got == (None if ok else "moment polytope has empty interior"), \
+                (fan.rays, constant)
+            sides[ok] += 1
+
+            lambdas = [random_lambda(rng, names) for _ in fan.rays]
+            points = [{n: Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for n in names}
+                      for _ in range(4)]
+            interior = any(max_min_slack(fan.rays, [lam.subs(p) for lam in lambdas])[0] > 0
+                           for p in points)
+            try:
+                KahlerData(fan, lambdas)
+                refused = False
+            except EmptyInterior as exc:
+                assert str(exc) == "moment polytope has empty interior"
+                refused = True
+            assert not (refused and interior), (fan.rays, lambdas)
+            symbolic["refused"] += refused
+            symbolic["interior"] += interior
     total = sum(sides.values())
-    for ok in (True, False):
-        assert sides["constant", ok] + sides["symbolic", ok] >= total / 4, sides
-    assert min(sides.values()) >= total / 20, sides
+    assert min(sides.values()) >= total / 4, sides
+    assert min(symbolic.values()) > 0, symbolic
 
 
 def in_kahler_cone(fan, offsets):

@@ -83,7 +83,7 @@ def test_public_names_resolve():
 
 ORACLES = ("cone_coefficients", "effective_classes_up_to", "elementary_divisors",
            "fourier_motzkin", "matrix_det", "max_min_slack", "polytope_vertices",
-           "solve_unique", "unimodular_map_search")
+           "solve_unique", "tokenizing_parse_linear_form", "unimodular_map_search")
 
 
 def test_oracles_stay_in_tests():
