@@ -15,15 +15,19 @@ of maximal cones and is reached. The multistart grid combines
 per-coordinate moduli (by default derived from the magnitudes in play;
 callers with a moment polytope should pass vertex-scale moduli) with
 equally spaced phases. The starts run in a fixed stride permutation of the
-whole grid, so that every coordinate's seeds come early, in lockstep
-batches. After each Newton pass the starts that have just converged are
-merged into the kept roots and verified, and the run stops at the pass
-where the verified roots reach the bound; a batch admitted is otherwise
-stepped to its end, and no batch is admitted past max_starts. A report is
-complete when deduped == expected; otherwise `truncated` says whether
-starts were left unrun. Everything is deterministic: the order, the batch
-sizes and the first-wins merge (by pass, then in start order) do not
-depend on timing.
+whole grid, so that every coordinate's seeds come early. Newton steps a
+working set of max(64, 16 * expected) starts in lockstep, each start on
+its own step count; a start leaves the set when it converges, reaches
+max_steps, shows a non-finite residual or leaves the band, and when the
+set has drained to a quarter of its width the next starts in order top it
+up, never past max_starts. After each pass the starts that have just
+converged are merged into the kept roots and verified, and the run stops
+at the pass where the verified roots reach the bound, or when the set is
+empty and no start is left to admit. A report is complete when deduped ==
+expected; otherwise `truncated` says whether starts were left unrun.
+Everything is deterministic: the order, the admissions and the first-wins
+merge (by pass, then in start order) depend only on the iterates, never
+on timing.
 """
 
 from __future__ import annotations
@@ -97,17 +101,15 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     overflows a float are dropped; one too small to round to 14 decimals is
     kept unrounded.
     Raises EmptyInterior unless the parameters lie in the open Kahler cone."""
-    vertices = kahler.vertices(params)
-    center = [sum(v[j] for v in vertices) / len(vertices)
-              for j in range(kahler.fan.dimension)]
+    # the vertices are integers over denom; each scale is one correctly
+    # rounded division, as the Fraction it stands for would give
+    denom, vertices = kahler.scaled_vertices(params)
     out = []
     for j in range(kahler.fan.dimension):
-        scales = {float(v[j]) for v in vertices}
-        coords = sorted({v[j] for v in vertices})
-        for a in coords:
-            for b in coords:
-                scales.add(float(a + b) / 2.0)
-        scales.add(float(center[j]))
+        coords = {v[j] for v in vertices}
+        scales = {a / denom for a in coords}
+        scales.update((a + b) / (2 * denom) for a in coords for b in coords)
+        scales.add(sum(v[j] for v in vertices) / (len(vertices) * denom))
         seeds = [math.exp(-s) for s in scales if -s <= LOG_FLOAT_MAX]
         # rounding merges near-equal seeds; one that rounds to 0 is kept as is
         moduli = sorted({round(r, 14) or r for r in seeds}, reverse=True)
@@ -173,66 +175,78 @@ def _term_values(w: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.exp(re) * (np.cos(im) + 1j * np.sin(im)) * c
 
 
-def _newton(w: np.ndarray, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
-            options: SolverOptions, band: float):
-    """Lockstep Newton from the starts w (s, n), updated in place. After
-    each pass that converges some starts it yields their indices, in start
-    order; the caller may stop between passes, and w then holds the
-    iterates reached. AA holds the products a_j * a_k of each term's
-    exponents, so the Jacobians are one matrix product."""
-    S, n = w.shape
-    active = np.ones(S, dtype=bool)
+def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
+            options: SolverOptions, band: float, width: int):
+    """Rolling Newton over a working set of at most `width` starts, drawn
+    in order from admit(count), which returns the next starts (s, n), fewer
+    once the budget runs out. Only the live rows are kept: the iterate, its
+    step count and its last step size. Each start steps on its own and
+    leaves the set when it converges, when its residual is not finite, at
+    its own max_steps, or when its next iterate leaves the band. When the
+    live rows have drained to a quarter of the width, the next starts top
+    them up to the width. After each pass that converges some starts it
+    yields their iterates in start order, and once more, with none, when
+    the set is empty; each yield also carries the least finite residual
+    over the last iterates of the starts that have left the set. The
+    caller may stop between passes. AA holds the products a_j * a_k of
+    each term's exponents, so the Jacobians are one matrix product."""
+    n = A.shape[1]
+    w = admit(width)
+    steps = np.zeros(len(w), dtype=int)
+    last_step = np.full(len(w), np.inf)
+    least = math.inf
     # a true Newton root shows both a tiny residual and a vanishing step;
     # gradient valleys toward the torus boundary keep O(1) steps and must
     # not count as converged
     step_tol = 1e-5
-    last_step = np.full(S, np.inf)
-    # the last pass only tests the final update; it takes no step
-    for step_no in range(options.max_steps + 1):
-        if not active.any():
-            break
+    while len(w):
         # numpy's error state is set per pass, never across a yield, so the
         # caller runs under its own
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            wa = w[active]
-            M = _term_values(wa, A, c)  # (s, T)
+            M = _term_values(w, A, c)  # (s, T)
             g = M @ A  # (s, n) log-gradient
             res = np.linalg.norm(g, axis=1)
             finite = np.isfinite(res)
-            done = finite & (res <= options.tol) & (last_step[active] <= step_tol)
-        idx = np.flatnonzero(active)
+            done = finite & (res <= options.tol) & (last_step <= step_tol)
         if done.any():
-            yield idx[done]
-        if step_no == options.max_steps:
-            break
-        alive = finite & ~done
-        delta = np.full_like(wa, np.nan)
+            least = min(least, float(res[done].min()))
+            yield w[done], least
+        # a start at its max_steps only tests its last update
+        go = finite & ~done & (steps < options.max_steps)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if alive.any():
-                Ja = (M[alive] @ AA).reshape(-1, n, n)
-                ga = g[alive]
-                try:
-                    step = np.linalg.solve(Ja, -ga[..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    step = np.full_like(ga, np.nan)
-                    for k in range(Ja.shape[0]):
-                        try:
-                            step[k] = np.linalg.solve(Ja[k], -ga[k])
-                        except np.linalg.LinAlgError:
-                            pass
-                # clip wild steps; keeps iterates in a sane band
-                norms = np.max(np.abs(step), axis=1, keepdims=True)
-                scale = np.where(norms > 10.0, 10.0 / norms, 1.0)
-                delta[alive] = step * scale
-            new_wa = wa + delta
-            ok = np.all(np.isfinite(new_wa), axis=1) & (
-                np.max(np.abs(new_wa.real), axis=1) < band
+            J = (M[go] @ AA).reshape(-1, n, n)
+            rhs = -g[go]
+            try:
+                step = np.linalg.solve(J, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                step = np.full_like(rhs, np.nan)
+                for k in range(J.shape[0]):
+                    try:
+                        step[k] = np.linalg.solve(J[k], rhs[k])
+                    except np.linalg.LinAlgError:
+                        pass
+            # clip wild steps; keeps iterates in a sane band
+            norms = np.max(np.abs(step), axis=1, keepdims=True)
+            step *= np.where(norms > 10.0, 10.0 / norms, 1.0)
+            new_w = w[go] + step
+            ok = np.all(np.isfinite(new_w), axis=1) & (
+                np.max(np.abs(new_w.real), axis=1) < band
             )
-            moved = idx[alive & ok]
-            w[moved] = new_wa[alive & ok]
-            last_step[moved] = np.linalg.norm(delta[alive & ok], axis=1)
-        active = np.zeros(S, dtype=bool)
-        active[moved] = True
+        keep = np.flatnonzero(go)[ok]
+        dropped = finite & ~done
+        dropped[keep] = False
+        if dropped.any():
+            least = min(least, float(res[dropped].min()))
+        w = new_w[ok]
+        steps = steps[keep] + 1
+        last_step = np.linalg.norm(step[ok], axis=1)
+        if 4 * len(w) <= width:
+            fresh = admit(width - len(w))
+            if len(fresh):
+                w = np.concatenate([w, fresh])
+                steps = np.concatenate([steps, np.zeros(len(fresh), dtype=int)])
+                last_step = np.concatenate([last_step, np.full(len(fresh), np.inf)])
+    yield w, least
 
 
 def _log_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,14 +277,15 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
                          options: SolverOptions | None = None) -> CriticalReport:
     """Multistart Newton solve of the logarithmic gradient system.
 
-    Deterministic: the starts run in a fixed mixed order, in batches whose
-    size depends only on the root bound; each batch iterates in lockstep.
-    After each pass, the iterates that have just converged are collapsed in
-    start order within the dedup radius (log coordinates, phase-wrapped)
-    against the roots kept so far, each survivor is checked by the exact
-    residual, and the run stops at the pass where the verified roots reach
-    the bound. Without that, it stops after the batch that reaches
-    max_starts or the end of the grid. `attempted` counts the starts
+    Deterministic: the starts run in a fixed mixed order through a working
+    set whose width depends only on the root bound, refilled in that order
+    whenever it drains to a quarter of the width. After each pass, the
+    iterates that have just converged are collapsed in start order within
+    the dedup radius (log coordinates, phase-wrapped) against the roots
+    kept so far, each survivor is checked by the exact residual, and the
+    run stops at the pass where the verified roots reach the bound.
+    Without that, it stops when every start up to max_starts or the end of
+    the grid has converged or been dropped. `attempted` counts the starts
     admitted, `converged` those that converged before the stop. The points
     are sorted canonically. Raises NoConvergence when nothing converges; its
     message gives the best residual over the last iterate of every start.
@@ -294,44 +309,42 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
     expected = _root_bound(tuple(sorted(poly.terms)))
-    batch = max(64, 16 * expected)
+    width = max(64, 16 * expected)
     # exact differentiation, compiled once, for the residual check
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
 
+    attempted = 0
+
+    def admit(count: int) -> np.ndarray:
+        nonlocal attempted
+        w = _grid_starts(moduli, phases, attempted, min(count, budget - attempted))
+        attempted += len(w)
+        return w
+
     kept = np.empty((0, n), dtype=complex)  # dedup representatives
     points = []
-    finals = []
     best_failed = math.inf
-    attempted = converged = 0
+    converged = 0
     complete = False
-    while attempted < budget and not complete:
-        w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
-        attempted += len(w)
-        finals.append(w)
-        for done in _newton(w, A, AA, c, options, band):
-            converged += len(done)
-            fresh = _dedup(w[done], kept, options.dedup_radius)
-            kept = np.concatenate([kept, fresh])
-            for wi in fresh:
-                z = tuple(cmath.exp(complex(x)) for x in wi)
-                # the exact-differentiation residual is the authority for the report
-                resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
-                if resid <= options.tol:
-                    points.append((z, resid))
-                else:
-                    best_failed = min(best_failed, resid)
-            complete = bool(expected) and len(points) >= expected
-            if complete:
-                break
+    for found, least in _newton(admit, A, AA, c, options, band, width):
+        converged += len(found)
+        fresh = _dedup(found, kept, options.dedup_radius)
+        kept = np.concatenate([kept, fresh])
+        for wi in fresh:
+            z = tuple(cmath.exp(complex(x)) for x in wi)
+            # the exact-differentiation residual is the authority for the report
+            resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
+            if resid <= options.tol:
+                points.append((z, resid))
+            else:
+                best_failed = min(best_failed, resid)
+        complete = bool(expected) and len(points) >= expected
+        if complete:
+            break
     points.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
 
     if not points:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.concatenate(finals) if finals else np.empty((0, n), dtype=complex)
-            res = np.linalg.norm(_term_values(w, A, c) @ A, axis=1)
-        res = res[np.isfinite(res)]
-        if res.size:
-            best_failed = min(best_failed, float(res.min()))
+        best_failed = min(best_failed, least)
         detail = (f"; best residual reached {best_failed:.3e}"
                   if math.isfinite(best_failed) else "")
         raise NoConvergence(

@@ -211,8 +211,10 @@ class KahlerData:
             raise ValueError(f"need numeric values for parameters {missing}")
         return [lam.subs(values) for lam in self.lambdas]
 
-    def vertices(self, params: Optional[Mapping] = None) -> list:
-        """The moment polytope's vertices, one per maximal cone, sorted.
+    def scaled_vertices(self, params: Optional[Mapping] = None) -> tuple:
+        """(denom, vertices times denom): the moment polytope's vertices,
+        one per maximal cone in cone order, as integer points over the
+        common denominator of the support constants.
 
         The vertex of a cone solves <x, v_i> = lambda_i on its rays, which
         is the lambda-weighted sum of its dual basis rows. Raises
@@ -221,6 +223,8 @@ class KahlerData:
         parameters lie in the open Kahler cone.
         """
         offsets = [Fraction(b) for b in self.numeric_offsets(params)]
+        denom = math.lcm(*(b.denominator for b in offsets))
+        offsets = [b.numerator * (denom // b.denominator) for b in offsets]
         rays = self.fan.rays
         out = []
         for cone, dual in self.fan.dual_bases.items():
@@ -234,4 +238,10 @@ class KahlerData:
                         f"open Kahler cone"
                     )
             out.append(x)
-        return sorted(out)
+        return denom, out
+
+    def vertices(self, params: Optional[Mapping] = None) -> list:
+        """The moment polytope's vertices, one per maximal cone, sorted, as
+        Fractions; see ``scaled_vertices``."""
+        denom, points = self.scaled_vertices(params)
+        return sorted(tuple(Fraction(a, denom) for a in x) for x in points)

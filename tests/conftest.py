@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import pytest
 
 from toricmirror import catalog
-from toricmirror.errors import DependentGenerators, DimensionMismatch
+from toricmirror.errors import DependentGenerators, DimensionMismatch, EmptyInterior
 from toricmirror.fan import Fan, validate_fan
 from toricmirror.kahler import KahlerData
 from toricmirror.lattice import hermite_normal_form, xgcd
@@ -607,6 +607,52 @@ def interior_point(kahler, params) -> tuple:
                  for j in range(kahler.fan.dimension))
 
 
+def fraction_vertices(kahler, params) -> list:
+    """The moment polytope's vertices as the library computed them before
+    it scaled to integers: each cone's dual-basis rows weighted by the
+    Fraction support constants, sorted, with the same EmptyInterior refusal
+    and message."""
+    offsets = [Fraction(b) for b in kahler.numeric_offsets(params)]
+    rays = kahler.fan.rays
+    out = []
+    for cone, dual in kahler.fan.dual_bases.items():
+        x = tuple(sum(offsets[i] * row[j] for i, row in zip(cone, dual))
+                  for j in range(kahler.fan.dimension))
+        for i, ray in enumerate(rays):
+            if i not in cone and sum(a * b for a, b in zip(x, ray)) <= offsets[i]:
+                raise EmptyInterior(
+                    f"the vertex of cone {cone} is not strictly inside the "
+                    f"half-space of ray {i}: the parameters are outside the "
+                    f"open Kahler cone"
+                )
+        out.append(x)
+    return sorted(out)
+
+
+def fraction_moduli_from_polytope(kahler, params) -> tuple:
+    """The solver's seed moduli from Fraction vertices, midpoints and
+    centre, each turned into a float, as the library computed them before
+    it read integer vertices."""
+    from toricmirror.laurent import LOG_FLOAT_MAX
+
+    vertices = fraction_vertices(kahler, params)
+    center = [sum(v[j] for v in vertices) / len(vertices)
+              for j in range(kahler.fan.dimension)]
+    out = []
+    for j in range(kahler.fan.dimension):
+        scales = {float(v[j]) for v in vertices}
+        coords = sorted({v[j] for v in vertices})
+        for a in coords:
+            for b in coords:
+                scales.add(float(a + b) / 2.0)
+        scales.add(float(center[j]))
+        seeds = [math.exp(-s) for s in scales if -s <= LOG_FLOAT_MAX]
+        moduli = sorted({round(r, 14) or r for r in seeds}, reverse=True)
+        moduli = [r for r in moduli if r > 0.0]
+        out.append(tuple(moduli) or (1.0,))
+    return tuple(out)
+
+
 def dual_kahler(fan) -> KahlerData:
     """Kahler data with lambda 0 on the rays of the first maximal cone and
     -t_j on the others, in the q-basis dual to that cone: basis class j is
@@ -712,25 +758,71 @@ def seed_table_starts(moduli, phases, first, count):
     return w
 
 
-def batch_boundary_oracle(poly, t, options):
-    """The solver loop that stops only at a batch boundary: every admitted
-    batch is stepped until each of its starts converges, leaves the band
-    or reaches max_steps, and the bound is tested after the whole batch is
-    merged. Returns (attempted, converged, deduped, expected, points)."""
-    import cmath
-
+def lockstep_newton(w, A, AA, c, options, band):
+    """Lockstep Newton from the starts w (s, n), updated in place: the
+    batch-at-a-time loop the solver ran before its working set rolled.
+    After each pass that converges some starts it yields their indices, in
+    start order; the caller may stop between passes, and w then holds the
+    iterates reached."""
     import numpy as np
 
-    from toricmirror.critical import (
-        _dedup, _default_moduli, _grid_starts, _newton, _root_bound,
-    )
-    from toricmirror.laurent import numeric_terms, sum_terms
+    from toricmirror import critical
 
-    def newton_to_the_end(w, A, AA, c, options, band):
-        done = np.zeros(len(w), dtype=bool)
-        for idx in _newton(w, A, AA, c, options, band):
-            done[idx] = True
-        return done
+    S, n = w.shape
+    active = np.ones(S, dtype=bool)
+    step_tol = 1e-5
+    last_step = np.full(S, np.inf)
+    for step_no in range(options.max_steps + 1):
+        if not active.any():
+            break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            wa = w[active]
+            # looked up at call time, so that a test can count the passes
+            M = critical._term_values(wa, A, c)
+            g = M @ A
+            res = np.linalg.norm(g, axis=1)
+            finite = np.isfinite(res)
+            done = finite & (res <= options.tol) & (last_step[active] <= step_tol)
+        idx = np.flatnonzero(active)
+        if done.any():
+            yield idx[done]
+        if step_no == options.max_steps:
+            break
+        alive = finite & ~done
+        delta = np.full_like(wa, np.nan)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if alive.any():
+                Ja = (M[alive] @ AA).reshape(-1, n, n)
+                ga = g[alive]
+                try:
+                    step = np.linalg.solve(Ja, -ga[..., None])[..., 0]
+                except np.linalg.LinAlgError:
+                    step = np.full_like(ga, np.nan)
+                    for k in range(Ja.shape[0]):
+                        try:
+                            step[k] = np.linalg.solve(Ja[k], -ga[k])
+                        except np.linalg.LinAlgError:
+                            pass
+                norms = np.max(np.abs(step), axis=1, keepdims=True)
+                scale = np.where(norms > 10.0, 10.0 / norms, 1.0)
+                delta[alive] = step * scale
+            new_wa = wa + delta
+            ok = np.all(np.isfinite(new_wa), axis=1) & (
+                np.max(np.abs(new_wa.real), axis=1) < band
+            )
+            moved = idx[alive & ok]
+            w[moved] = new_wa[alive & ok]
+            last_step[moved] = np.linalg.norm(delta[alive & ok], axis=1)
+        active = np.zeros(S, dtype=bool)
+        active[moved] = True
+
+
+def _lockstep_setup(poly, t, options):
+    """What both lockstep oracles compile from W before their loops."""
+    import numpy as np
+
+    from toricmirror.critical import _default_moduli, _root_bound
+    from toricmirror.laurent import numeric_terms
 
     n = poly.zvars
     t = [float(v) for v in t]
@@ -744,22 +836,101 @@ def batch_boundary_oracle(poly, t, options):
     budget = min(grid, options.max_starts)
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
     expected = _root_bound(tuple(sorted(poly.terms)))
-    batch = max(64, 16 * expected)
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
+    return n, A, AA, c, moduli, phases, budget, band, expected, log_gradient
 
+
+def _exact_residual(log_gradient, wi):
+    import cmath
+
+    import numpy as np
+
+    from toricmirror.laurent import sum_terms
+
+    z = tuple(cmath.exp(complex(x)) for x in wi)
+    return z, float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
+
+
+def batch_boundary_oracle(poly, t, options):
+    """The solver loop that stops only at a batch boundary: every admitted
+    batch is stepped until each of its starts converges, leaves the band
+    or reaches max_steps, and the bound is tested after the whole batch is
+    merged. Returns (attempted, converged, deduped, expected, points)."""
+    import numpy as np
+
+    from toricmirror.critical import _dedup, _grid_starts
+
+    n, A, AA, c, moduli, phases, budget, band, expected, log_gradient = \
+        _lockstep_setup(poly, t, options)
+    batch = max(64, 16 * expected)
     kept = np.empty((0, n), dtype=complex)
     points = []
     attempted = converged = 0
     while attempted < budget and not (expected and len(points) >= expected):
         w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
-        done = newton_to_the_end(w, A, AA, c, options, band)
+        done = np.zeros(len(w), dtype=bool)
+        for idx in lockstep_newton(w, A, AA, c, options, band):
+            done[idx] = True
         attempted += len(w)
         converged += int(done.sum())
         fresh = _dedup(w[done], kept, options.dedup_radius)
         kept = np.concatenate([kept, fresh])
         for wi in fresh:
-            z = tuple(cmath.exp(complex(x)) for x in wi)
-            resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
+            z, resid = _exact_residual(log_gradient, wi)
             if resid <= options.tol:
                 points.append(z)
+    return attempted, converged, len(points), expected, points
+
+
+def pass_stop_oracle(poly, t, options):
+    """The solver loop before its working set rolled: lockstep batches of
+    max(64, 16 * expected) starts, each stepped until the pass where the
+    verified roots reach the bound or, failing that, to its end. Returns
+    (attempted, converged, deduped, expected, points); raises NoConvergence
+    with the solver's message, the best residual taken over the last
+    iterate of every start, when no root is verified."""
+    import numpy as np
+
+    from toricmirror.critical import _dedup, _grid_starts, _term_values
+    from toricmirror.errors import NoConvergence
+
+    n, A, AA, c, moduli, phases, budget, band, expected, log_gradient = \
+        _lockstep_setup(poly, t, options)
+    batch = max(64, 16 * expected)
+    kept = np.empty((0, n), dtype=complex)
+    points = []
+    finals = []
+    best_failed = math.inf
+    attempted = converged = 0
+    complete = False
+    while attempted < budget and not complete:
+        w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
+        attempted += len(w)
+        finals.append(w)
+        for done in lockstep_newton(w, A, AA, c, options, band):
+            converged += len(done)
+            fresh = _dedup(w[done], kept, options.dedup_radius)
+            kept = np.concatenate([kept, fresh])
+            for wi in fresh:
+                z, resid = _exact_residual(log_gradient, wi)
+                if resid <= options.tol:
+                    points.append(z)
+                else:
+                    best_failed = min(best_failed, resid)
+            complete = bool(expected) and len(points) >= expected
+            if complete:
+                break
+    if not points:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.concatenate(finals) if finals else np.empty((0, n), dtype=complex)
+            res = np.linalg.norm(_term_values(w, A, c) @ A, axis=1)
+        res = res[np.isfinite(res)]
+        if res.size:
+            best_failed = min(best_failed, float(res.min()))
+        detail = (f"; best residual reached {best_failed:.3e}"
+                  if math.isfinite(best_failed) else "")
+        raise NoConvergence(
+            f"no critical point found from {attempted} starts{detail}; try more "
+            f"phases or different moduli"
+        )
     return attempted, converged, len(points), expected, points

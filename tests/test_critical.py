@@ -22,6 +22,7 @@ from conftest import (
     dual_kahler,
     fd_log_gradient,
     pairwise_dedup_oracle,
+    pass_stop_oracle,
     reference_evaluate,
     seed_table_starts,
 )
@@ -227,13 +228,22 @@ class TestSolverBehavior:
             recomputed = gradient(W, point, t)
             assert math.sqrt(sum(abs(g) ** 2 for g in recomputed)) <= report.options.tol
 
-    def test_no_convergence_when_no_roots(self):
+    @pytest.mark.parametrize("max_steps", [100, 30])
+    def test_no_convergence_when_no_roots(self, max_steps):
         # a single monomial has no critical point on the torus; its gradient
         # decays toward the boundary, so this also guards the step-size gate
-        # against reporting the valley flow as a root
+        # against reporting the valley flow as a root. Each Newton step moves
+        # Re w by -1: at 100 steps every start leaves the band, at 30 every
+        # start is dropped at its cap, and the message's best residual is
+        # the lockstep loop's either way
         W = LaurentPoly.monomial((1,), QPoly.constant(0, 1))
-        with pytest.raises(NoConvergence):
-            find_critical_points(W, [])
+        options = SolverOptions(max_steps=max_steps)
+        with pytest.raises(NoConvergence) as caught:
+            find_critical_points(W, [], options)
+        with pytest.raises(NoConvergence) as oracle:
+            pass_stop_oracle(W, [], options)
+        assert str(caught.value) == str(oracle.value)
+        assert "best residual reached" in str(caught.value)
 
     def test_constant_rejected(self):
         W = LaurentPoly.monomial((0,), QPoly.constant(0, 1))
@@ -300,7 +310,8 @@ def bound_case(name):
 
 def count_passes(monkeypatch):
     """The rows of each call of the solver's term-value kernel, which runs
-    once per Newton pass of a batch."""
+    once per Newton pass over the working set (and once per pass of a
+    batch in the lockstep oracles)."""
     calls = []
     kernel = critical._term_values
 
@@ -351,15 +362,43 @@ class TestRootBound:
 
     @pytest.mark.parametrize("setup", [f2_setup, plane_setup, product_setup])
     def test_stops_at_the_pass_that_reaches_bound(self, monkeypatch, setup):
-        # stopping at the batch boundary instead runs 61-68 passes here, until
-        # the slowest of the 64 starts converges or reaches max_steps
+        # the first 64 starts reach the bound within 20 passes, before the
+        # working set drains to a quarter; stepping every start to its end
+        # instead runs 61-68 passes here, until the slowest converges or
+        # reaches max_steps
         k, W, params = setup()
         passes = count_passes(monkeypatch)
         report, _ = solve(k, W, params)
         assert report.deduped == report.expected
         assert len(passes) <= 20
+        assert report.attempted == 64
         if setup is f2_setup:
             assert report.converged < report.attempted
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_rolling_admission_halves_the_passes(self, monkeypatch, seed):
+        # the lockstep loop runs 356 and 83 passes here: a batch that does
+        # not reach the bound steps on for its stragglers before the next
+        # batch is admitted
+        k, W, _ = bundle_setup(BUNDLE_BASES["P1xdP6"]())
+        params = cone_point(k, seed)
+        passes = count_passes(monkeypatch)
+        report, t = solve(k, W, params)
+        rolling = len(passes)
+        passes.clear()
+        pass_stop_oracle(W, t, report.options)
+        assert report.deduped == report.expected == 24
+        assert 2 * rolling <= len(passes)
+
+    @pytest.mark.parametrize("name", BOUND_CASES)
+    def test_matches_pass_stop_oracle(self, name):
+        k, W, _ = bound_case(name)
+        for seed in (5, 6, 7):
+            params = cone_point(k, seed)
+            report, t = solve(k, W, params)
+            _, _, deduped, expected, points = pass_stop_oracle(W, t, report.options)
+            assert (report.expected, report.deduped) == (expected, deduped)
+            assert_point_sets_match_relative(report.points, points)
 
     @pytest.mark.parametrize("name", BOUND_CASES)
     def test_matches_batch_boundary_oracle(self, name):
@@ -367,20 +406,23 @@ class TestRootBound:
         for seed in (5, 6, 7):
             params = cone_point(k, seed)
             report, t = solve(k, W, params)
-            attempted, converged, deduped, expected, points = batch_boundary_oracle(
+            # the starts admitted differ: the oracle admits whole batches
+            _, converged, deduped, expected, points = batch_boundary_oracle(
                 W, t, report.options)
-            assert (report.expected, report.deduped, report.attempted) == (
-                expected, deduped, attempted)
+            assert (report.expected, report.deduped) == (expected, deduped)
             assert report.converged <= converged
             assert_point_sets_match_relative(report.points, points)
 
-    def test_no_convergence_reports_best_residual(self):
-        # with max_steps = 0 no step is taken, so no start shows the vanishing
-        # step that convergence needs; the best residual is the least over
-        # the starts themselves
+    @pytest.mark.parametrize("max_steps", [0, 2])
+    def test_no_convergence_reports_best_residual(self, max_steps):
+        # no start converges: at max_steps = 0 none takes the step that
+        # convergence needs, and at 2 every start is dropped at its cap, the
+        # best of them at residual 1.7e-12. Starts step independently and
+        # the whole grid is admitted either way, so the best residual over
+        # the last iterates is the lockstep loop's
         k, W, params = f2_setup()
         with pytest.raises(NoConvergence) as caught:
-            solve(k, W, params, max_steps=0)
+            solve(k, W, params, max_steps=max_steps)
         found = re.search(r"from (\d+) starts; best residual reached (\S+);",
                           str(caught.value))
         assert found, str(caught.value)
@@ -388,9 +430,13 @@ class TestRootBound:
         grid = math.prod(len(m) * 8 for m in moduli)
         assert int(found.group(1)) == grid
         t = [float(a.subs(params)) for a in k.basis_areas()]
-        best = min(math.sqrt(sum(abs(g) ** 2 for g in gradient(W, np.exp(w), t)))
-                   for w in _grid_starts(moduli, 8, 0, grid))
-        assert float(found.group(2)) == pytest.approx(best, rel=1e-3)
+        with pytest.raises(NoConvergence) as oracle:
+            pass_stop_oracle(W, t, SolverOptions(moduli_per_coord=moduli, max_steps=max_steps))
+        assert str(caught.value) == str(oracle.value)
+        if max_steps == 0:
+            best = min(math.sqrt(sum(abs(g) ** 2 for g in gradient(W, np.exp(w), t)))
+                       for w in _grid_starts(moduli, 8, 0, grid))
+            assert float(found.group(2)) == pytest.approx(best, rel=1e-3)
 
     def test_truncated_when_max_starts_runs_out(self):
         k, W, params = f2_setup()

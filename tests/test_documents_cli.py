@@ -515,6 +515,17 @@ class TestCritCommand:
         assert doc["multistart"]["deduped"] == 4
         assert all(r < 1e-9 for r in doc["residuals"])
 
+    def test_sample_f2_runs_one_width_of_starts(self, tmp_path, capsys):
+        # the first 64 starts reach the bound before the working set drains
+        # far enough to admit more
+        pot = str(tmp_path / "pot.json")
+        assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "3", "-o", pot]) == 0
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 0
+        multistart = json.loads(capsys.readouterr().out)["multistart"]
+        assert (multistart["attempted"], multistart["converged"]) == (64, 22)
+        assert multistart["deduped"] == multistart["expected"] == 4
+
     def test_missing_t_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, P1_DOC)
         assert main(["crit", pot]) == 2
@@ -600,6 +611,17 @@ class TestCritCommand:
             "the coefficient q1 of the z-exponent (1,) evaluates to 0\n")
         assert main(["crit", pot, "--t", "t=30"]) == 0
         assert json.loads(capsys.readouterr().out)["multistart"]["deduped"] == 2
+
+    def test_polytope_past_half_the_float_range(self, tmp_path, capsys):
+        # the vertex t = 1e308 is a float, twice it is not: the midpoint seed
+        # is taken as one division over the integer vertices, and the q that
+        # underflows is refused as bad input (exit 2, not an internal error)
+        doc = dict(P1_DOC, kahler={"parameters": ["t"], "lambdas": ["0", "-t"]})
+        pot = self.make_potential(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t=1e308"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: a q-monomial underflows a float at these parameter values")
 
     def test_q_overflow_exit_2(self, tmp_path, capsys):
         # without its "fan" key the document has no Kahler data, so nothing

@@ -1,7 +1,8 @@
 """Moment-polytope geometry from the fan against the moved oracles: the
 construction verdict against Fourier-Motzkin's max-min slack, the positive
 circuits against a scan of ray subsets, and the per-cone vertices against
-the active-set scan and per-cone Fraction solves."""
+the active-set scan and per-cone Fraction solves, and the integer vertices
+and the solver's seed moduli against their Fraction forms."""
 
 import math
 import random
@@ -12,6 +13,9 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    dual_kahler,
+    fraction_moduli_from_polytope,
+    fraction_vertices,
     interior_point,
     max_min_slack,
     polytope_vertices,
@@ -19,8 +23,11 @@ from conftest import (
     random_unimodular,
     solve_unique,
 )
-from test_integer_solves import fano_bases, in_chart, random_lambda
+from test_integer_solves import fano_bases, in_chart, product_fan, random_lambda
+from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
+from toricmirror.cli import _parse_assignments
+from toricmirror.critical import moduli_from_polytope
 from toricmirror.errors import DependentGenerators, EmptyInterior
 from toricmirror.fan import validate_fan
 from toricmirror.kahler import KahlerData
@@ -167,3 +174,83 @@ def test_builds_fast_in_a_chart_that_blows_up_elimination():
     start = time.perf_counter()
     KahlerData(fan, lambdas)
     assert time.perf_counter() - start < 2.0
+
+
+def catalog_kahler():
+    """Kahler data on every catalog fan and every catalog bundle P(K_Y+O):
+    F2 with its own support constants, the others with lambda 0 on the
+    first maximal cone and -t_j on the other rays."""
+    fans = [catalog.projective_line(), catalog.projective_plane(), catalog.p1_times_p1(),
+            catalog.hirzebruch(1), catalog.hirzebruch(3)]
+    bases = fano_bases() + [P3, product_fan(catalog.projective_line(), fano_bases()[4]),
+                            product_fan(catalog.projective_line(), catalog.p1_times_p1())]
+    return ([catalog.hirzebruch2_kahler()] + [dual_kahler(fan) for fan in fans]
+            + [dual_kahler(projectivize_canonical(base)) for base in bases])
+
+
+def draws(names, rng):
+    """Seeded points with each value in [1, 10]: Fractions, the floats of
+    a 1/100 grid as the benchmark draws them, and CLI decimals past a
+    float's precision."""
+    for _ in range(10):
+        yield {n: Fraction(rng.randint(100, 1000), 100) for n in names}
+        yield {n: rng.randint(100, 1000) / 100 for n in names}
+        yield _parse_assignments([f"{n}={rng.randint(1, 9)}.{rng.randint(0, 99):02d}"
+                                  f"34567890123456789" for n in names])
+
+
+def test_integer_vertices_give_the_fraction_seeds():
+    rng = random.Random(41)
+    inside = outside = 0
+    for k in catalog_kahler():
+        for params in draws(k.parameter_names, rng):
+            try:
+                expected = fraction_vertices(k, params)
+            except EmptyInterior as exc:
+                outside += 1
+                with pytest.raises(EmptyInterior) as caught:
+                    moduli_from_polytope(k, params)
+                assert str(caught.value) == str(exc)
+                continue
+            inside += 1
+            assert k.vertices(params) == expected
+            assert moduli_from_polytope(k, params) == fraction_moduli_from_polytope(k, params)
+    assert inside >= 100 and outside >= 20, (inside, outside)
+
+
+def slacks(k, params):
+    """<x, v_i> - lambda_i at each cone's vertex x for every ray i off the
+    cone, in the order the refusal scans them; affine in the parameters."""
+    offsets = [Fraction(b) for b in k.numeric_offsets(params)]
+    out = []
+    for cone, dual in k.fan.dual_bases.items():
+        x = [sum(offsets[i] * row[j] for i, row in zip(cone, dual))
+             for j in range(k.fan.dimension)]
+        out += [sum(a * b for a, b in zip(x, ray)) - offsets[i]
+                for i, ray in enumerate(k.fan.rays) if i not in cone]
+    return out
+
+
+def test_boundary_points_keep_the_refusal():
+    # from an inside point p toward q, with one parameter negated, the
+    # first wall is where the least slack s_p + u (s_q - s_p) reaches 0
+    rng = random.Random(43)
+    walls = 0
+    for k in catalog_kahler():
+        names = k.parameter_names
+        p = next(params for params in (
+            {n: Fraction(rng.randint(100, 1000), 100) for n in names} for _ in range(1000))
+            if min(slacks(k, params)) > 0)
+        for name in names:
+            q = dict(p, **{name: -p[name]})
+            u = min(sp / (sp - sq) for sp, sq in zip(slacks(k, p), slacks(k, q)) if sq <= 0)
+            wall = {n: p[n] + u * (q[n] - p[n]) for n in names}
+            assert min(slacks(k, wall)) == 0
+            with pytest.raises(EmptyInterior) as expected:
+                fraction_vertices(k, wall)
+            for call in (k.vertices, lambda w: moduli_from_polytope(k, w)):
+                with pytest.raises(EmptyInterior) as caught:
+                    call(wall)
+                assert str(caught.value) == str(expected.value)
+            walls += 1
+    assert walls >= 30, walls

@@ -82,8 +82,10 @@ def test_public_names_resolve():
 
 
 ORACLES = ("cone_coefficients", "effective_classes_up_to", "elementary_divisors",
-           "fourier_motzkin", "matrix_det", "max_min_slack", "polytope_vertices",
-           "solve_unique", "tokenizing_parse_linear_form", "unimodular_map_search")
+           "fourier_motzkin", "fraction_moduli_from_polytope", "fraction_vertices",
+           "lockstep_newton", "matrix_det", "max_min_slack", "pass_stop_oracle",
+           "polytope_vertices", "solve_unique", "tokenizing_parse_linear_form",
+           "unimodular_map_search")
 
 
 def test_oracles_stay_in_tests():
