@@ -16,6 +16,7 @@ with that cone's rays, checks <u, v_0> = 1 and <u, v_i> = 1 (then
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,9 +119,12 @@ def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
     return BundleDecomposition(fan=fan_x, base=base, grading=u)
 
 
+@functools.lru_cache(maxsize=64)
 def require_bundle(fan_x: Fan) -> BundleDecomposition:
     """Decompose or raise; additionally insists the base is Fano, which is
-    the standing hypothesis for the corrected superpotential."""
+    the standing hypothesis for the corrected superpotential. Memoized on
+    the immutable fan, so the base is rebuilt once per fan; a raised error
+    is not cached and fires again on every call."""
     dec = decompose_bundle(fan_x)
     if dec is None:
         raise NotBundleShaped(

@@ -57,55 +57,52 @@ def _require_at_least(value, low, flag: str, strict: bool = False):
 
 
 def _cmd_analyze(args) -> int:
-    doc = load_fan_document(args.fan)
-    fan = doc.fan
+    fan = load_fan_document(args.fan).fan
     relations = fan.primitive_relations
-    classification = classify_positivity(fan)
+    payload = {
+        "valid": True,
+        "dimension": fan.dimension,
+        "rays": [list(r) for r in fan.rays],
+        "maximal_cones": [list(c) for c in fan.maximal_cones],
+        "homology_basis": [list(b) for b in fan.homology_basis],
+        "primitive_collections": [list(c) for c in fan.primitive_collections],
+        "primitive_relations": [
+            {
+                "collection": list(r.collection),
+                "focus": list(r.focus),
+                "multiplicities": list(r.multiplicities),
+                "class": list(r.coords),
+                "degree": r.degree,
+            }
+            for r in relations
+        ],
+        "classification": classify_positivity(fan).value,
+        "effective_generators": [
+            list(c) for c in sorted({r.coords for r in relations})
+        ],
+    }
     if args.json:
-        payload = {
-            "valid": True,
-            "dimension": fan.dimension,
-            "rays": [list(r) for r in fan.rays],
-            "maximal_cones": [list(c) for c in fan.maximal_cones],
-            "homology_basis": [list(b) for b in fan.homology_basis],
-            "primitive_collections": [list(c) for c in fan.primitive_collections],
-            "primitive_relations": [
-                {
-                    "collection": list(r.collection),
-                    "focus": list(r.focus),
-                    "multiplicities": list(r.multiplicities),
-                    "class": list(r.coords),
-                    "degree": r.degree,
-                }
-                for r in relations
-            ],
-            "classification": classification.value,
-            "effective_generators": [
-                list(c) for c in sorted({r.coords for r in relations})
-            ],
-        }
         _write(canonical_json(payload), args.out)
         return 0
     lines = [
         f"fan: dimension {fan.dimension}, {fan.nrays} rays, "
         f"{len(fan.maximal_cones)} maximal cones — valid",
-        f"homology basis: {[list(b) for b in fan.homology_basis]}",
-        f"primitive collections: {[list(c) for c in fan.primitive_collections]}",
+        f"homology basis: {payload['homology_basis']}",
+        f"primitive collections: {payload['primitive_collections']}",
         "primitive relations:",
     ]
-    for r in relations:
+    for r in payload["primitive_relations"]:
         focus = (
             " + ".join(
                 f"{m}*v{j}" if m != 1 else f"v{j}"
-                for j, m in zip(r.focus, r.multiplicities)
+                for j, m in zip(r["focus"], r["multiplicities"])
             )
             or "0"
         )
-        lhs = " + ".join(f"v{i}" for i in r.collection)
-        lines.append(f"  {lhs} = {focus}   class {list(r.coords)}   degree {r.degree}")
-    lines.append(f"classification: {classification.value}")
-    gens = sorted({r.coords for r in relations})
-    lines.append(f"effective generators: {[list(g) for g in gens]}")
+        lhs = " + ".join(f"v{i}" for i in r["collection"])
+        lines.append(f"  {lhs} = {focus}   class {r['class']}   degree {r['degree']}")
+    lines.append(f"classification: {payload['classification']}")
+    lines.append(f"effective generators: {payload['effective_generators']}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -130,35 +127,30 @@ def _cmd_potential(args) -> int:
     kahler = doc.kahler
     if classify_positivity(fan) is Positivity.FANO:
         poly = hori_vafa(fan, kahler)
-        payload = potential_to_document(poly, branch="hori-vafa", fandoc=doc)
-        _write(canonical_json(payload), args.out)
-        return 0
-    _require_at_least(args.cutoff, 0, "--cutoff")
-    table = None
-    if args.gw_table:
-        table = load_gw_table(args.gw_table, fan)
-    gw = GWProvider(kahler, table=table, assume_zero=args.assume_zero_above_cutoff)
-    factor, records = correction_details(fan, kahler, gw, args.cutoff)
-    poly = potential_with_correction(kahler, factor)
-    payload = potential_to_document(
-        poly,
-        branch="corrected",
-        fandoc=doc,
-        cutoff=args.cutoff,
-        correction=factor,
-        gw_records=records,
-    )
-    _write(canonical_json(payload), args.out)
+        fields = {"branch": "hori-vafa"}
+    else:
+        _require_at_least(args.cutoff, 0, "--cutoff")
+        table = load_gw_table(args.gw_table, fan) if args.gw_table else None
+        gw = GWProvider(kahler, table=table, assume_zero=args.assume_zero_above_cutoff)
+        factor, records = correction_details(fan, kahler, gw, args.cutoff)
+        poly = potential_with_correction(kahler, factor)
+        fields = {"branch": "corrected", "cutoff": args.cutoff, "correction": factor,
+                  "gw_records": records}
+    _write(canonical_json(potential_to_document(poly, fandoc=doc, **fields)), args.out)
     return 0
 
 
 def _parse_assignments(pairs) -> dict:
+    """``--t name=value`` pairs as exact values; a name given twice is a
+    SchemaError, since only one of its values could be used."""
     values = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise SchemaError(f"expected name=value, got {pair!r}")
         name, _, raw = pair.partition("=")
         name = name.strip()
+        if name in values:
+            raise SchemaError(f"--t gives parameter {name!r} more than once")
         try:
             values[name] = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -177,6 +169,12 @@ def _cmd_crit(args) -> int:
     _require_at_least(args.dedup_radius, 0, "--dedup-radius")
     doc = load_potential_document(args.potential)
     values = _parse_assignments(args.t)
+    # every --t name is reported in t_values, so one the run never reads is refused
+    known = set(doc.parameters).union(*(a.variables for a in doc.q_areas))
+    for name in values:
+        if name not in known:
+            raise SchemaError(f"--t names {name!r}, which is neither a parameter of "
+                              f"the document nor a variable of its q-areas")
     t = doc.t_vector(values)
     t_values = {}
     for name, value in values.items():

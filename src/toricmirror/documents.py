@@ -7,7 +7,6 @@ orders so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +14,7 @@ from typing import Mapping, Optional
 
 from .errors import SchemaError
 from .fan import Fan, validate_fan
-from .gw import GWTable, validate_table
+from .gw import GWTable, fan_fingerprint, validate_table  # fan_fingerprint re-exported
 from .kahler import KahlerData
 from .laurent import LaurentPoly, QPoly
 from .linform import LinForm, parse_linear_form
@@ -162,19 +161,6 @@ def fan_to_document(fan: Fan, *, parameters=None, lambdas=None, q_basis=None) ->
     return doc
 
 
-def fan_fingerprint(fan: Fan) -> str:
-    """Hash of the canonically sorted ray/cone data (ray order independent)."""
-    order = sorted(range(fan.nrays), key=lambda i: fan.rays[i])
-    position = {old: new for new, old in enumerate(order)}
-    rays = [list(fan.rays[i]) for i in order]
-    cones = sorted(sorted(position[i] for i in cone) for cone in fan.maximal_cones)
-    payload = json.dumps(
-        {"dimension": fan.dimension, "rays": rays, "maximal_cones": cones},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 # --- Gromov-Witten tables ---
 
 def gw_table_from_document(obj, fan: Optional[Fan] = None) -> GWTable:
@@ -214,7 +200,9 @@ def _qpoly_from_json(items, qvars: int) -> QPoly:
     for item in items:
         _require(isinstance(item, dict) and set(item) == {"q", "value"},
                  f"bad q-term {item!r}")
-        terms[tuple(_int_list(item["q"], "q-exponents"))] = _rational(item["value"])
+        qexp = tuple(_int_list(item["q"], "q-exponents"))
+        _require(qexp not in terms, f"duplicate q-exponent {qexp} in a coefficient")
+        terms[qexp] = _rational(item["value"])
     try:
         return QPoly(qvars, terms)
     except ValueError as exc:
@@ -308,6 +296,7 @@ def potential_from_document(obj) -> PotentialDocument:
         _require(isinstance(item, dict) and set(item) == {"z", "coefficient"},
                  f"bad potential term {item!r}")
         zexp = tuple(_int_list(item["z"], "z-exponents"))
+        _require(zexp not in terms, f"duplicate z-exponent {zexp} in 'terms'")
         terms[zexp] = _qpoly_from_json(item["coefficient"], qvars)
     try:
         poly = LaurentPoly(zvars, qvars, terms)

@@ -21,6 +21,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -124,11 +125,13 @@ class Fan:
         Breadth-first over subset size: a candidate that is not a face and
         contains no smaller collection is automatically minimal, because any
         non-face proper subset would contain a smaller minimal non-face
-        already found.
+        already found. A collection minus any one ray spans a simplicial
+        cone, so it has at most dimension + 1 rays; larger sizes are not
+        scanned.
         """
         found = []
         indices = range(self.nrays)
-        for size in range(2, self.nrays + 1):
+        for size in range(2, min(self.nrays, self.dimension + 1) + 1):
             for subset in combinations(indices, size):
                 s = set(subset)
                 if any(set(c) <= s for c in found):
@@ -216,37 +219,22 @@ class Fan:
 
 # --- validation ---
 
-def _angular_order_2d(rays):
-    """Indices of 2D rays in counterclockwise order starting in the closed
-    upper half plane; exact (cross-product comparator, no floats)."""
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cross(u, w):
-        return u[0] * w[1] - u[1] * w[0]
-
-    def cmp(i, j):
-        u, w = rays[i], rays[j]
-        hu, hw = half(u), half(w)
-        if hu != hw:
-            return -1 if hu < hw else 1
-        c = cross(u, w)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    return sorted(range(len(rays)), key=functools.cmp_to_key(cmp))
-
-
 def infer_cones_2d(rays):
     """Maximal cones of a complete 2D fan as consecutive pairs in angular
-    order. Raises IncompleteFan when consecutive rays fail to advance by an
-    angle in (0, pi), i.e. the rays leave an uncovered gap."""
+    order. The order is counterclockwise from the positive x-axis, by the
+    exact key (lower half plane, -x/y): within a half plane -x/y grows with
+    the angle, and the ray with y = 0 comes first in its half. Raises
+    IncompleteFan when consecutive rays fail to advance by an angle in
+    (0, pi), i.e. the rays leave an uncovered gap."""
     if len(rays) < 3:
         raise IncompleteFan("a complete 2D fan needs at least 3 rays")
-    order = _angular_order_2d(rays)
+
+    def angle_key(i):
+        x, y = rays[i]
+        upper = y > 0 or (y == 0 and x > 0)
+        return (not upper, y != 0, Fraction(-x, y) if y else 0)
+
+    order = sorted(range(len(rays)), key=angle_key)
     cones = []
     for k in range(len(order)):
         i, j = order[k], order[(k + 1) % len(order)]

@@ -19,6 +19,8 @@ default.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -50,24 +52,30 @@ def f2_one_point_rule(k: int) -> Fraction:
     return Fraction(1) if k in (0, 1) else Fraction(0)
 
 
+def fan_fingerprint(fan: Fan) -> str:
+    """Hash of the canonically sorted ray/cone data (ray order independent)."""
+    order = sorted(range(fan.nrays), key=lambda i: fan.rays[i])
+    position = {old: new for new, old in enumerate(order)}
+    rays = [list(fan.rays[i]) for i in order]
+    cones = sorted(sorted(position[i] for i in cone) for cone in fan.maximal_cones)
+    payload = json.dumps(
+        {"dimension": fan.dimension, "rays": rays, "maximal_cones": cones},
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class GWTable:
-    """Validated table of invariants keyed by basis coordinates."""
+    """Validated table of invariants. ``entries`` is keyed by coordinates in
+    ``basis``, as the document writes them; ``by_class`` holds the same
+    values keyed by the curve class each key names, in ray coordinates,
+    which is what lookups use."""
 
     fingerprint: str
     basis: tuple
     entries: dict  # basis-coordinate tuple -> Fraction
-    key_of: Callable = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # class -> key or None; raises DependentGenerators on a dependent basis
-        object.__setattr__(self, "key_of", lattice_coordinates(self.basis))
-
-    def class_of(self, key) -> tuple:
-        d = len(self.basis[0])
-        return tuple(
-            sum(c * b[i] for c, b in zip(key, self.basis)) for i in range(d)
-        )
+    by_class: dict = field(compare=False, repr=False)  # curve class -> Fraction
 
 
 def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) -> GWTable:
@@ -75,8 +83,6 @@ def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) 
     linearly independent (DependentGenerators otherwise), and that every key
     has anticanonical degree 0."""
     if fan is not None:
-        from .documents import fan_fingerprint
-
         expected = fan_fingerprint(fan)
         if fingerprint != expected:
             raise FingerprintMismatch(
@@ -86,16 +92,19 @@ def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) 
         for b in basis:
             if not fan.is_homology_class(b):
                 raise BadChernDegree(f"table basis vector {b} is not a curve class")
-    table = GWTable(fingerprint=fingerprint, basis=tuple(tuple(b) for b in basis),
-                    entries={tuple(k): Fraction(v) for k, v in entries.items()})
-    for key in table.entries:
-        cls = table.class_of(key)
+    basis = tuple(tuple(b) for b in basis)
+    lattice_coordinates(basis)  # DependentGenerators on a dependent basis
+    entries = {tuple(k): Fraction(v) for k, v in entries.items()}
+    by_class = {}
+    for key, value in entries.items():
+        cls = tuple(sum(c * b[i] for c, b in zip(key, basis)) for i in range(len(basis[0])))
         if chern_degree(cls) != 0:
             raise BadChernDegree(
                 f"table key {key} names class {cls} of degree {chern_degree(cls)}; "
                 f"only degree-0 classes are consumed"
             )
-    return table
+        by_class[cls] = value
+    return GWTable(fingerprint=fingerprint, basis=basis, entries=entries, by_class=by_class)
 
 
 class GWProvider:
@@ -127,8 +136,7 @@ class GWProvider:
     def _check_table_consistency(self):
         if self._f2_base_coordinates is None:
             return
-        for key, value in self.table.entries.items():
-            cls = self.table.class_of(key)
+        for cls, value in self.table.by_class.items():
             k = self._as_base_multiple(cls)
             if k is None:
                 continue
@@ -150,10 +158,8 @@ class GWProvider:
         k = self._as_base_multiple(alpha)
         if k is not None:
             return f2_one_point_rule(k), PROVENANCE_BUILTIN
-        if self.table is not None:
-            key = self.table.key_of(alpha)
-            if key is not None and key in self.table.entries:
-                return self.table.entries[key], PROVENANCE_TABLE
+        if self.table is not None and alpha in self.table.by_class:
+            return self.table.by_class[alpha], PROVENANCE_TABLE
         if self.assume_zero:
             return Fraction(0), PROVENANCE_ASSUMED
         raise UnknownInvariant(

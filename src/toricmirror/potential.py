@@ -40,16 +40,14 @@ def basic_monomial(kahler: KahlerData, i: int) -> LaurentPoly:
 
 
 def hori_vafa(fan: Fan, kahler: KahlerData) -> LaurentPoly:
-    """Superpotential of a Fano fan: the sum of all basic monomials."""
+    """Superpotential of a Fano fan: the sum of all basic monomials, which
+    is :func:`potential_with_correction` with C = 1."""
     if classify_positivity(fan) is not Positivity.FANO:
         raise NotFano(
             "fan is not Fano; use corrected_potential for projectivized "
             "canonical bundles"
         )
-    total = LaurentPoly.zero(fan.dimension, kahler.rank)
-    for i in range(fan.nrays):
-        total += basic_monomial(kahler, i)
-    return total
+    return potential_with_correction(kahler, QPoly.constant(kahler.rank, 1))
 
 
 def _degree_zero_sums(fan: Fan, cutoff: int, kahler=None) -> list:

@@ -570,11 +570,29 @@ class TestCritCommand:
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1e400", "--t", "t2=1"]) == 2
         assert capsys.readouterr().err.startswith("error: a q-area overflows a float")
-        # a name the document does not use is still reported in t_values
-        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "foo=1e400"]) == 2
-        assert capsys.readouterr().err == "error: --t value of 'foo' overflows a float\n"
-        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "foo=1"]) == 0
-        assert json.loads(capsys.readouterr().out)["t_values"]["foo"] == 1.0
+        # a declared parameter that no q-area reads is still reported in
+        # t_values, so its value must fit a float
+        doc = json.loads(Path(pot).read_text())
+        doc["parameters"].append("s")
+        Path(pot).write_text(json.dumps(doc))
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "s=1e400"]) == 2
+        assert capsys.readouterr().err == "error: --t value of 's' overflows a float\n"
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "s=1"]) == 0
+        assert json.loads(capsys.readouterr().out)["t_values"]["s"] == 1.0
+
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(["--t", "t1=5"], "error: --t gives parameter 't1' more than once\n",
+                     id="repeated"),
+        pytest.param(["--t", "typo=3"],
+                     "error: --t names 'typo', which is neither a parameter of the "
+                     "document nor a variable of its q-areas\n", id="unknown"),
+    ])
+    def test_repeated_or_unknown_parameter_exit_2(self, tmp_path, capsys, extra, message):
+        # either would be written into t_values without being the value used
+        pot = self.make_potential(tmp_path, F2_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", *extra]) == 2
+        assert capsys.readouterr() == ("", message)
 
     def test_outside_kahler_cone_exit_2(self, tmp_path, capsys):
         # at t1 < 0 F2's polytope is a triangle whose normal fan is not F2's;
@@ -647,6 +665,27 @@ class TestCritCommand:
         # t is the parameter of the P1 fan section, t1 and t2 those of F2
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "t=1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_duplicate_z_exponent_exit_2(self, tmp_path, capsys):
+        # a second term on z^(-1,-2) would otherwise replace the first
+        pot = self.make_potential(tmp_path, F2_DOC)
+        doc = json.loads(Path(pot).read_text())
+        doc["terms"].append({"z": [-1, -2], "coefficient": [{"q": [0, 0], "value": "3"}]})
+        Path(pot).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 2
+        assert capsys.readouterr().err == "error: duplicate z-exponent (-1, -2) in 'terms'\n"
+
+    def test_duplicate_q_exponent_exit_2(self, tmp_path, capsys):
+        pot = self.make_potential(tmp_path, F2_DOC)
+        doc = json.loads(Path(pot).read_text())
+        coefficient = next(t["coefficient"] for t in doc["terms"] if t["z"] == [0, -1])
+        coefficient.append({"q": coefficient[0]["q"], "value": "5"})
+        Path(pot).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: duplicate q-exponent {tuple(coefficient[0]['q'])} in a coefficient\n")
 
     @pytest.mark.parametrize("terms", [
         pytest.param([], id="no-term"),

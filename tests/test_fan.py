@@ -1,5 +1,6 @@
 """Fan validation, primitive collections/relations, positivity, effective cone."""
 
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -16,7 +17,7 @@ from conftest import (
     pairwise_overlap_oracle,
     random_smooth_2d_fan,
 )
-from toricmirror import catalog
+from toricmirror import catalog, fan as fan_module
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     BadFaceIntersection,
@@ -29,6 +30,7 @@ from toricmirror.fan import (
     chern_degree,
     classify_positivity,
     forced_divisors,
+    infer_cones_2d,
     validate_fan,
 )
 
@@ -51,6 +53,27 @@ class TestValidation:
 
     def test_f2_cones_inferred_from_angular_order(self, f2):
         assert f2.maximal_cones == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+    def test_inferred_cones_follow_the_float_angle(self):
+        # the exact key orders small rays as their angle in [0, 2*pi) does;
+        # a gap between neighbours in that order is an incomplete fan
+        rng = random.Random(11)
+        for _ in range(300):
+            rays = set()
+            target = rng.randint(3, 9)
+            while len(rays) < target:
+                v = (rng.randint(-4, 4), rng.randint(-4, 4))
+                if v != (0, 0) and math.gcd(*v) == 1:
+                    rays.add(v)
+            rays = list(rays)
+            order = sorted(range(len(rays)),
+                           key=lambda i: math.atan2(rays[i][1], rays[i][0]) % (2 * math.pi))
+            pairs = [(order[k], order[(k + 1) % len(order)]) for k in range(len(order))]
+            if all(rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0] > 0 for i, j in pairs):
+                assert infer_cones_2d(rays) == sorted(tuple(sorted(p)) for p in pairs)
+            else:
+                with pytest.raises(IncompleteFan):
+                    infer_cones_2d(rays)
 
     def test_two_opposite_rays_incomplete(self):
         with pytest.raises(IncompleteFan):
@@ -345,6 +368,30 @@ class TestPrimitiveCollections:
             fan = random_smooth_2d_fan(rng)
             pruned = sorted(fan.primitive_collections, key=lambda s: (len(s), s))
             assert pruned == brute_force_primitive_collections(fan)
+
+    def test_scan_stops_at_dimension_plus_one(self, monkeypatch):
+        # P2 blown up to 17 rays: only subsets of 2 and 3 rays are looked at
+        rays = [(1, 0), (0, 1), (-1, -1)]
+        k = 0
+        while len(rays) < 17:
+            u, w = rays[k], rays[(k + 1) % len(rays)]
+            rays.insert(k + 1, (u[0] + w[0], u[1] + w[1]))
+            k = (k + 2) % len(rays)
+        fan = validate_fan(2, rays)
+        seen = []
+        real = fan_module.combinations
+
+        def counting(iterable, size):
+            for subset in real(iterable, size):
+                seen.append(subset)
+                yield subset
+
+        monkeypatch.setattr(fan_module, "combinations", counting)
+        collections = fan.primitive_collections
+        monkeypatch.undo()
+        assert len(seen) <= math.comb(17, 2) + math.comb(17, 3)
+        pruned = sorted(collections, key=lambda s: (len(s), s))
+        assert pruned == brute_force_primitive_collections(fan)
 
 
 class TestPrimitiveRelations:

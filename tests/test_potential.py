@@ -8,7 +8,7 @@ import pytest
 from conftest import dual_kahler, effective_classes_up_to, random_unimodular
 from test_integer_solves import DP6, F1, in_chart, product_fan
 from test_moment_polytope import P3
-from toricmirror import catalog
+from toricmirror import bundle, catalog
 from toricmirror.bundle import fiber_class, projectivize_canonical, require_bundle
 from toricmirror.errors import NotBundleShaped, NotFano, UnknownInvariant
 from toricmirror.fan import chern_degree, validate_fan
@@ -117,6 +117,28 @@ class TestCorrectionFactor:
             ((-4, 2, 2, 0), Fraction(0), "builtin"),
             (F2_ALPHA, Fraction(1), "builtin"),
         ]
+
+
+class TestBundleHypothesis:
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        calls = []
+        real = bundle.decompose_bundle
+        monkeypatch.setattr(bundle, "decompose_bundle", lambda fan: calls.append(fan) or real(fan))
+        require_bundle.cache_clear()
+        return calls
+
+    def test_checked_once_per_fan(self, f2_kahler, decompositions):
+        gw = GWProvider(f2_kahler)
+        correction_details(f2_kahler.fan, f2_kahler, gw, 2)
+        corrected_potential(f2_kahler.fan, f2_kahler, gw, 2)
+        assert len(decompositions) == 1
+
+    def test_refusal_fires_on_every_call(self, p2, decompositions):
+        for _ in range(2):
+            with pytest.raises(NotBundleShaped):
+                contributing_classes(p2, 1)
+        assert len(decompositions) == 2
 
 
 class TestCorrectedPotential:

@@ -1,6 +1,7 @@
 """Rules every library module must follow, checked on its source."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import toricmirror
@@ -72,6 +73,27 @@ def test_one_exact_to_float_step():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "numeric"]
     assert found == []
+
+
+def test_module_graph_is_acyclic():
+    # relative imports between library modules at any depth, function
+    # bodies included, form no cycle; the package's __init__ is left out
+    package = Path(toricmirror.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets |= {node.module} if node.module else {a.name for a in node.names}
+        graph[name] = targets & modules
+    cycle = None
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None
 
 
 def test_public_names_resolve():
