@@ -8,93 +8,63 @@ exact Laurent polynomial whose zero-section coefficient carries the
 Gromov-Witten correction factor. A multistart Newton solver locates the
 critical points numerically.
 
-The solver names (``CriticalReport``, ``SolverOptions``,
-``find_critical_points``, ``moduli_from_polytope``) are served lazily:
-``toricmirror.critical`` and numpy load on first access, so the exact
-layers, ``evaluate`` and ``gradient`` start without them.
+Every public name is served lazily (PEP 562) from the module that defines
+it, so ``import toricmirror`` loads no submodule, and a name loads only
+what its module needs: the solver names (``CriticalReport``,
+``SolverOptions``, ``find_critical_points``, ``moduli_from_polytope``) bring
+in ``toricmirror.critical`` and numpy, the exact names never do.
 """
 
-from .bundle import (
-    BundleDecomposition,
-    decompose_bundle,
-    default_q_basis,
-    fiber_class,
-    projectivize_canonical,
-    push_h2,
-)
-from .fan import (
-    Fan,
-    Positivity,
-    PrimitiveRelation,
-    chern_degree,
-    classify_positivity,
-    forced_divisors,
-    validate_fan,
-)
-from .gw import GWProvider, GWTable, f2_one_point_rule
-from .kahler import KahlerData, boundary_vector, maslov_index
-from .lattice import is_primitive, kernel_basis
-from .laurent import LaurentPoly, QPoly, evaluate, gradient
-from .linform import LinForm, parse_linear_form
-from .potential import (
-    basic_monomial,
-    contributing_classes,
-    corrected_potential,
-    hori_vafa,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-_SOLVER_NAMES = frozenset({
-    "CriticalReport",
-    "SolverOptions",
-    "find_critical_points",
-    "moduli_from_polytope",
-})
+_MODULE_OF = {
+    "BundleDecomposition": "bundle",
+    "CriticalReport": "critical",
+    "Fan": "fan",
+    "GWProvider": "gw",
+    "GWTable": "gw",
+    "KahlerData": "kahler",
+    "LaurentPoly": "laurent",
+    "LinForm": "linform",
+    "Positivity": "fan",
+    "PrimitiveRelation": "fan",
+    "QPoly": "laurent",
+    "SolverOptions": "critical",
+    "basic_monomial": "potential",
+    "boundary_vector": "kahler",
+    "chern_degree": "fan",
+    "classify_positivity": "fan",
+    "contributing_classes": "potential",
+    "corrected_potential": "potential",
+    "decompose_bundle": "bundle",
+    "default_q_basis": "bundle",
+    "evaluate": "laurent",
+    "f2_one_point_rule": "gw",
+    "fiber_class": "bundle",
+    "find_critical_points": "critical",
+    "forced_divisors": "fan",
+    "gradient": "laurent",
+    "hori_vafa": "potential",
+    "is_primitive": "lattice",
+    "kernel_basis": "lattice",
+    "maslov_index": "kahler",
+    "moduli_from_polytope": "critical",
+    "parse_linear_form": "linform",
+    "projectivize_canonical": "bundle",
+    "push_h2": "bundle",
+    "validate_fan": "fan",
+}
 
 
 def __getattr__(name):
-    # PEP 562: only the solver needs numpy, which dominates import time
-    if name in _SOLVER_NAMES:
-        from . import critical
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
-        return getattr(critical, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "BundleDecomposition",
-    "CriticalReport",
-    "Fan",
-    "GWProvider",
-    "GWTable",
-    "KahlerData",
-    "LaurentPoly",
-    "LinForm",
-    "Positivity",
-    "PrimitiveRelation",
-    "QPoly",
-    "SolverOptions",
-    "basic_monomial",
-    "boundary_vector",
-    "chern_degree",
-    "classify_positivity",
-    "contributing_classes",
-    "corrected_potential",
-    "decompose_bundle",
-    "default_q_basis",
-    "evaluate",
-    "f2_one_point_rule",
-    "fiber_class",
-    "find_critical_points",
-    "forced_divisors",
-    "gradient",
-    "hori_vafa",
-    "is_primitive",
-    "kernel_basis",
-    "maslov_index",
-    "moduli_from_polytope",
-    "parse_linear_form",
-    "projectivize_canonical",
-    "push_h2",
-    "validate_fan",
-]
+__all__ = sorted(_MODULE_OF)

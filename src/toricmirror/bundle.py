@@ -17,8 +17,7 @@ with that cone's rays, checks <u, v_0> = 1 and <u, v_i> = 1 (then
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidFan, NotBundleShaped, NotFano
 from .fan import Fan, Positivity, classify_positivity, validate_fan
@@ -64,8 +63,7 @@ def push_h2(fan_y: Fan, gamma):
     return (-sum(gamma),) + gamma + (0,)
 
 
-@dataclass(frozen=True)
-class BundleDecomposition:
+class BundleDecomposition(NamedTuple):
     """Recognized P(K_Y + O_Y) structure of a fan.
 
     ``grading`` is the integral functional u with value 1 on v_0 and every

@@ -12,7 +12,13 @@ Subcommands:
 Exit codes: 0 success, 1 internal error, and otherwise the ``exit_code`` of
 the error class raised (``errors.py``): 2 schema/input error, 3 invalid or
 unsupported fan, 4 base not Fano (bundle), 5 unknown invariant, 6 no
-convergence. A missing input file exits 2.
+convergence. A missing input file exits 2, and so does an ``-o`` path that
+cannot be written.
+
+Each subcommand imports the layers it runs when it runs, so a process loads
+only those: ``analyze`` and ``bundle`` stop at the fan, bundle and Kahler
+layers, ``potential`` adds the invariant, Laurent and potential layers, and only
+``crit`` loads the solver and numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import math
 import sys
 from fractions import Fraction
 
-from .bundle import default_q_basis, projectivize_canonical
 from .documents import (
     canonical_json,
     critical_report_to_document,
@@ -33,17 +38,19 @@ from .documents import (
     potential_to_document,
 )
 from .errors import NoConvergence, SchemaError, ToricMirrorError
-from .fan import Positivity, classify_positivity
-from .gw import GWProvider
-from .potential import correction_details, hori_vafa, potential_with_correction
 
 
 def _write(text: str, out_path):
+    """Write to stdout, or to out_path. A path that cannot be written (a
+    directory, a missing parent, no permission) is a SchemaError."""
     if out_path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"{out_path}: cannot write ({exc.strerror})") from exc
 
 
 def _require_at_least(value, low, flag: str, strict: bool = False):
@@ -57,6 +64,8 @@ def _require_at_least(value, low, flag: str, strict: bool = False):
 
 
 def _cmd_analyze(args) -> int:
+    from .fan import classify_positivity
+
     fan = load_fan_document(args.fan).fan
     relations = fan.primitive_relations
     payload = {
@@ -108,6 +117,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
+    from .bundle import default_q_basis, projectivize_canonical
+
     doc = load_fan_document(args.fan)
     fan_x = projectivize_canonical(doc.fan)
     q_basis = default_q_basis(fan_x)
@@ -117,6 +128,10 @@ def _cmd_bundle(args) -> int:
 
 
 def _cmd_potential(args) -> int:
+    from .fan import Positivity, classify_positivity
+    from .gw import GWProvider
+    from .potential import correction_details, hori_vafa, potential_with_correction
+
     doc = load_fan_document(args.fan)
     if doc.kahler is None:
         raise SchemaError(
@@ -159,7 +174,6 @@ def _parse_assignments(pairs) -> dict:
 
 
 def _cmd_crit(args) -> int:
-    # the solver loads numpy; the exact subcommands start without it
     from .critical import SolverOptions, find_critical_points, moduli_from_polytope
 
     _require_at_least(args.phases, 1, "--phases")

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms, sum_terms
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(NamedTuple):
     phases_per_coord: int = 8
     max_steps: int = 100
     tol: float = 1e-12
@@ -69,8 +67,10 @@ class SolverOptions:
         }
 
 
-@dataclass(frozen=True)
-class CriticalReport:
+class CriticalReport(NamedTuple):
+    """Equality and hash ignore ``options``: the same roots and counts
+    compare equal whatever options found them."""
+
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
     residuals: tuple  # |log-gradient| at each point
@@ -80,7 +80,16 @@ class CriticalReport:
     expected: int  # root bound n! vol(Newton polytope); 0 when none holds
     grid_size: int  # starts in the full grid
     truncated: bool  # starts left unrun, and deduped < expected or expected == 0
-    options: SolverOptions = field(compare=False, default=SolverOptions())
+    options: SolverOptions = SolverOptions()
+
+    def __eq__(self, other):
+        return isinstance(other, CriticalReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 def _default_moduli(c: np.ndarray, n: int) -> tuple:

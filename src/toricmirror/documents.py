@@ -8,16 +8,17 @@ orders so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .errors import SchemaError
 from .fan import Fan, validate_fan
-from .gw import GWTable, fan_fingerprint, validate_table  # fan_fingerprint re-exported
 from .kahler import KahlerData
-from .laurent import LaurentPoly, QPoly
 from .linform import LinForm, parse_linear_form
+
+if TYPE_CHECKING:  # loaded where tables and potentials are built
+    from .gw import GWTable
+    from .laurent import LaurentPoly, QPoly
 
 _FAN_KEYS = {"dimension", "rays", "maximal_cones", "kahler", "q_basis"}
 _KAHLER_KEYS = {"parameters", "lambdas"}
@@ -67,8 +68,7 @@ def _rational(value) -> Fraction:
 
 # --- fan documents ---
 
-@dataclass
-class FanDocument:
+class FanDocument(NamedTuple):
     """Parsed fan document: the validated fan plus optional Kahler data."""
 
     fan: Fan
@@ -164,6 +164,8 @@ def fan_to_document(fan: Fan, *, parameters=None, lambdas=None, q_basis=None) ->
 # --- Gromov-Witten tables ---
 
 def gw_table_from_document(obj, fan: Optional[Fan] = None) -> GWTable:
+    from .gw import validate_table
+
     _require(isinstance(obj, dict), "table document must be a JSON object")
     unknown = set(obj) - _TABLE_KEYS
     _require(not unknown, f"unknown table fields: {sorted(unknown)}")
@@ -195,6 +197,8 @@ def _qpoly_to_json(poly: QPoly) -> list:
 
 
 def _qpoly_from_json(items, qvars: int) -> QPoly:
+    from .laurent import QPoly
+
     _require(isinstance(items, list), "coefficient must be a list of q-terms")
     terms = {}
     for item in items:
@@ -248,8 +252,7 @@ def potential_to_document(poly: LaurentPoly, *, branch: str, fandoc: FanDocument
     return doc
 
 
-@dataclass
-class PotentialDocument:
+class PotentialDocument(NamedTuple):
     poly: LaurentPoly
     branch: str
     cutoff: Optional[int]
@@ -280,6 +283,8 @@ def _area_from_json(item) -> LinForm:
 
 
 def potential_from_document(obj) -> PotentialDocument:
+    from .laurent import LaurentPoly
+
     _require(isinstance(obj, dict), "potential document must be a JSON object")
     _require(obj.get("format") == POTENTIAL_FORMAT,
              f"unsupported potential format {obj.get('format')!r}")

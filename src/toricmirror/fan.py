@@ -20,9 +20,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     BadFaceIntersection,
@@ -41,8 +41,7 @@ class Positivity(enum.Enum):
     NOT_NEF = "NotNef"
 
 
-@dataclass(frozen=True)
-class PrimitiveRelation:
+class PrimitiveRelation(NamedTuple):
     """sum(rays in collection) = sum(multiplicity * ray in focus)."""
 
     collection: tuple
@@ -63,7 +62,6 @@ def forced_divisors(coords) -> tuple:
     return tuple(i for i, a in enumerate(coords) if a < 0)
 
 
-@dataclass(frozen=True)
 class Fan:
     """A validated smooth complete fan. Build via :func:`validate_fan`.
 
@@ -71,12 +69,36 @@ class Fan:
     matrix (rays as columns): row k is the inward normal of the facet
     opposite ray ``cone[k]``, and the matrix applied to a vector gives its
     coordinates in the cone's rays.
+
+    Immutable: equality and hash cover (dimension, rays, maximal_cones),
+    which determine ``dual_bases``, so a fan can key caches. The cached
+    properties write the instance dict directly and are unaffected.
     """
 
-    dimension: int
-    rays: tuple
-    maximal_cones: tuple
-    dual_bases: dict = field(compare=False, repr=False)
+    def __init__(self, dimension: int, rays: tuple, maximal_cones: tuple, dual_bases: dict):
+        self.__dict__.update(dimension=dimension, rays=rays,
+                             maximal_cones=maximal_cones, dual_bases=dual_bases)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a Fan is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Fan is immutable")
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.rays, self.maximal_cones)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Fan(dimension={self.dimension!r}, rays={self.rays!r}, "
+                f"maximal_cones={self.maximal_cones!r})")
 
     @property
     def nrays(self) -> int:

@@ -19,11 +19,9 @@ default.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     BadChernDegree,
@@ -54,6 +52,8 @@ def f2_one_point_rule(k: int) -> Fraction:
 
 def fan_fingerprint(fan: Fan) -> str:
     """Hash of the canonically sorted ray/cone data (ray order independent)."""
+    import hashlib  # only table binding hashes; the other paths start without it
+
     order = sorted(range(fan.nrays), key=lambda i: fan.rays[i])
     position = {old: new for new, old in enumerate(order)}
     rays = [list(fan.rays[i]) for i in order]
@@ -65,17 +65,25 @@ def fan_fingerprint(fan: Fan) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class GWTable:
+class GWTable(NamedTuple):
     """Validated table of invariants. ``entries`` is keyed by coordinates in
     ``basis``, as the document writes them; ``by_class`` holds the same
     values keyed by the curve class each key names, in ray coordinates,
-    which is what lookups use."""
+    which is what lookups use. Equality ignores ``by_class``, which the
+    other fields determine."""
 
     fingerprint: str
     basis: tuple
     entries: dict  # basis-coordinate tuple -> Fraction
-    by_class: dict = field(compare=False, repr=False)  # curve class -> Fraction
+    by_class: dict  # curve class -> Fraction
+
+    def __eq__(self, other):
+        return isinstance(other, GWTable) and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None  # the entries are a dict
 
 
 def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) -> GWTable:

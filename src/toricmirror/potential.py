@@ -20,9 +20,9 @@ q-exponents, linear in the class, are carried along the sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .bundle import require_bundle
 from .errors import NotFano, NotInBasisSpan
@@ -79,8 +79,7 @@ def contributing_classes(fan: Fan, cutoff: int) -> list:
     return [tuple(int(j == i) for j in range(d)) for i in range(1, d)] + corrected
 
 
-@dataclass(frozen=True)
-class GWRecord:
+class GWRecord(NamedTuple):
     """One resolved invariant: the class, its q-exponents, value, source."""
 
     alpha: tuple

@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 
 import pytest
 
-from toricmirror import catalog
 from toricmirror.errors import DependentGenerators, DimensionMismatch, EmptyInterior
 from toricmirror.fan import Fan, validate_fan
 from toricmirror.kahler import KahlerData
@@ -18,29 +17,65 @@ from toricmirror.laurent import evaluate
 from toricmirror.linform import LinForm
 
 
+# --- ready-made fans and Kahler data ---
+
+def projective_line() -> Fan:
+    return validate_fan(1, [(1,), (-1,)], [(0,), (1,)])
+
+
+def projective_plane() -> Fan:
+    return validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+
+
+def p1_times_p1() -> Fan:
+    return validate_fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+def hirzebruch(a: int) -> Fan:
+    """The Hirzebruch surface F_a with rays (1,0), (0,1), (-1,-a), (0,-1)."""
+    return validate_fan(2, [(1, 0), (0, 1), (-1, -a), (0, -1)])
+
+
+# The F2 convention with the zero-section ray listed first and its opposite
+# last, matching the moment polytope {x1 >= 0, x2 >= 0, x2 <= t2,
+# x1 + 2*x2 <= t1 + 2*t2}.
+F2_RAYS = ((0, -1), (1, 0), (-1, -2), (0, 1))
+F2_LAMBDAS = ("-t2", "0", "-t1-2*t2", "0")
+
+
+def hirzebruch2() -> Fan:
+    return validate_fan(2, F2_RAYS)
+
+
+def hirzebruch2_kahler() -> KahlerData:
+    """F2 with its standard symbolic Kahler data; q1 tracks the base class,
+    q2 the fiber class."""
+    return KahlerData(hirzebruch2(), F2_LAMBDAS)
+
+
 @pytest.fixture
 def p1():
-    return catalog.projective_line()
+    return projective_line()
 
 
 @pytest.fixture
 def p2():
-    return catalog.projective_plane()
+    return projective_plane()
 
 
 @pytest.fixture
 def p1xp1():
-    return catalog.p1_times_p1()
+    return p1_times_p1()
 
 
 @pytest.fixture
 def f2():
-    return catalog.hirzebruch2()
+    return hirzebruch2()
 
 
 @pytest.fixture
 def f2_kahler():
-    return catalog.hirzebruch2_kahler()
+    return hirzebruch2_kahler()
 
 
 @pytest.fixture

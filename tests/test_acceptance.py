@@ -14,18 +14,16 @@ from fractions import Fraction
 from conftest import (
     brute_force_primitive_collections,
     fd_log_gradient,
+    hirzebruch2,
+    hirzebruch2_kahler,
     matrix_det,
+    p1_times_p1,
+    projective_line,
+    projective_plane,
     random_smooth_2d_fan,
     unimodular_map_search,
 )
 from toricmirror.bundle import fiber_class, projectivize_canonical, push_h2
-from toricmirror.catalog import (
-    hirzebruch2,
-    hirzebruch2_kahler,
-    p1_times_p1,
-    projective_line,
-    projective_plane,
-)
 from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import fan_from_document, potential_to_document
 from toricmirror.fan import Positivity, chern_degree, classify_positivity, validate_fan

@@ -21,20 +21,18 @@ from conftest import (
     batch_boundary_oracle,
     dual_kahler,
     fd_log_gradient,
+    hirzebruch2_kahler,
+    p1_times_p1,
     pairwise_dedup_oracle,
     pass_stop_oracle,
+    projective_line,
+    projective_plane,
     reference_evaluate,
     seed_table_starts,
 )
 from test_integer_solves import DP6, F1, product_fan
 from toricmirror import critical
 from toricmirror.bundle import projectivize_canonical
-from toricmirror.catalog import (
-    hirzebruch2_kahler,
-    p1_times_p1,
-    projective_line,
-    projective_plane,
-)
 from toricmirror.critical import (
     SolverOptions,
     _dedup,

@@ -14,12 +14,17 @@ from pathlib import Path
 import pytest
 
 import toricmirror
-from conftest import random_smooth_2d_fan, random_unimodular, unimodular_map_search
-from toricmirror import catalog, cli, errors
+from conftest import (
+    hirzebruch,
+    hirzebruch2,
+    random_smooth_2d_fan,
+    random_unimodular,
+    unimodular_map_search,
+)
+from toricmirror import cli, errors
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
-    fan_fingerprint,
     fan_from_document,
     fan_to_document,
     gw_table_from_document,
@@ -27,7 +32,7 @@ from toricmirror.documents import (
 )
 from toricmirror.errors import SchemaError
 from toricmirror.fan import validate_fan
-from toricmirror.gw import GWProvider
+from toricmirror.gw import GWProvider, fan_fingerprint
 from toricmirror.kahler import KahlerData
 
 F2_DOC = {
@@ -236,16 +241,35 @@ def test_exit_code_of_each_error(monkeypatch, capsys, exc_type):
 
 
 SAMPLES = Path(__file__).parents[1] / "sample_data"
+
+
+@pytest.mark.parametrize("command", ["analyze", "bundle", "potential", "crit"])
+@pytest.mark.parametrize("target, reason", [
+    ("", "Is a directory"), ("missing/out.json", "No such file or directory")])
+def test_unwritable_output_exit_2(tmp_path, capsys, command, target, reason):
+    argv = [write(tmp_path, "p1.json", P1_DOC)]
+    if command == "crit":
+        pot = str(tmp_path / "pot.json")
+        assert main(["potential", *argv, "-o", pot]) == 0
+        argv = [pot, "--t", f"t={T001}"]
+    out = str(tmp_path / target)
+    assert main([command, *argv, "-o", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: cannot write ({reason})\n")
+
+
 SOLVER_NAMES = ["CriticalReport", "SolverOptions", "find_critical_points",
                 "moduli_from_polytope"]
+WATCHED = ("dataclasses", "hashlib", "numpy", "toricmirror.critical", "toricmirror.gw",
+           "toricmirror.laurent", "toricmirror.potential")
 
 
 class TestLazySolver:
     """Only `crit` loads the solver and numpy; the exact subcommands start
-    without them."""
+    without them, and each loads only the layers it runs."""
 
     def run_python(self, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(toricmirror.__file__).parents[1]))
+        paths = [str(Path(toricmirror.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -259,10 +283,18 @@ class TestLazySolver:
             "print('numpy' in sys.modules)\n")
         assert out == "False\nTrue\n"
 
+    def test_package_import_loads_no_submodule(self):
+        out = self.run_python(
+            "import sys, toricmirror\n"
+            "print(sorted(m for m in sys.modules if m.startswith('toricmirror.')))\n"
+            "toricmirror.validate_fan\n"
+            "print(sorted(m for m in sys.modules if m.startswith('toricmirror.')))\n")
+        assert out == "[]\n['toricmirror.errors', 'toricmirror.fan', 'toricmirror.lattice']\n"
+
     def test_evaluation_leaves_numpy_unloaded(self):
         out = self.run_python(
             "import sys, toricmirror\n"
-            "from toricmirror.catalog import hirzebruch2_kahler\n"
+            "from conftest import hirzebruch2_kahler\n"
             "k = hirzebruch2_kahler()\n"
             "W = toricmirror.corrected_potential(k.fan, k, toricmirror.GWProvider(k), 2)\n"
             "toricmirror.evaluate(W, [1, 1], [1, 1])\n"
@@ -270,16 +302,34 @@ class TestLazySolver:
             "print('numpy' in sys.modules)\n")
         assert out == "False\n"
 
-    def test_exact_commands_leave_numpy_unloaded(self):
-        f2, p2 = str(SAMPLES / "f2.json"), str(SAMPLES / "p2.json")
-        runs = [["analyze", f2], ["analyze", f2, "--json"], ["bundle", f2],
-                ["bundle", p2], ["potential", f2, "--cutoff", "2"]]
+    def loaded_by(self, argv):
+        """Exit code of one CLI run in a fresh interpreter, and the WATCHED
+        modules loaded when it returns."""
         out = self.run_python(
-            "import os, sys\n"
+            "import json, os, sys\n"
             "from toricmirror.cli import main\n"
-            f"print([main(argv + ['-o', os.devnull]) for argv in {runs!r}],\n"
-            "      'numpy' in sys.modules)\n")
-        assert out == "[0, 0, 4, 0, 0] False\n"
+            f"code = main({argv!r} + ['-o', os.devnull])\n"
+            f"print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))\n")
+        code, modules = json.loads(out)
+        return code, modules
+
+    def test_exact_commands_leave_numpy_unloaded(self, tmp_path):
+        f2, p2 = str(SAMPLES / "f2.json"), str(SAMPLES / "p2.json")
+        fan = fan_from_document(json.loads(Path(f2).read_text(encoding="utf-8"))).fan
+        table = write(tmp_path, "table.json", {
+            "fan_fingerprint": fan_fingerprint(fan),
+            "basis": [list(b) for b in fan.homology_basis], "entries": []})
+        exact = ["toricmirror.gw", "toricmirror.laurent", "toricmirror.potential"]
+        runs = [
+            (["analyze", f2], 0, []),
+            (["analyze", f2, "--json"], 0, []),
+            (["bundle", f2], 4, []),
+            (["bundle", p2], 0, []),
+            (["potential", f2, "--cutoff", "2"], 0, exact),
+            (["potential", f2, "--gw-table", table], 0, ["hashlib"] + exact),
+        ]
+        assert [self.loaded_by(argv) for argv, _, _ in runs] == [
+            (code, modules) for _, code, modules in runs]
 
     def test_solver_names_resolve(self):
         import toricmirror.critical
@@ -458,10 +508,10 @@ class TestPotentialCommand:
             for _ in range(5):
                 T = random_unimodular(rng, 2)
                 rays = [tuple(T[i][0] * x + T[i][1] * y for i in range(2))
-                        for x, y in catalog.hirzebruch(a).rays]
+                        for x, y in hirzebruch(a).rays]
                 rng.shuffle(rays)
                 fans.append(validate_fan(2, rays))
-        f2 = catalog.hirzebruch2()
+        f2 = hirzebruch2()
         found = [GWProvider(KahlerData(fan, ["-1"] * fan.nrays))._f2_base_coordinates
                  is not None for fan in fans]
         expected = [unimodular_map_search(fan.rays, fan.maximal_cones,

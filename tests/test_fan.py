@@ -13,11 +13,15 @@ from conftest import (
     brute_force_primitive_collections,
     cone_coefficients,
     effective_classes_up_to,
+    hirzebruch,
     matrix_det,
+    p1_times_p1,
     pairwise_overlap_oracle,
+    projective_line,
+    projective_plane,
     random_smooth_2d_fan,
 )
-from toricmirror import catalog, fan as fan_module
+from toricmirror import fan as fan_module
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     BadFaceIntersection,
@@ -243,7 +247,7 @@ class TestPairwiseOracleAgreement:
 
     def test_bundles_in_random_charts_and_mutants(self, p1, p2, p1xp1):
         rng = random.Random(7)
-        bases = [p1, p2, p1xp1, catalog.hirzebruch(1), validate_fan(2, DP6_RAYS)]
+        bases = [p1, p2, p1xp1, hirzebruch(1), validate_fan(2, DP6_RAYS)]
         seen = set()
         for base in bases:
             x = projectivize_canonical(base)
@@ -290,8 +294,8 @@ def _dual_basis_inputs():
     rng = random.Random(41)
     fans = [random_smooth_2d_fan(rng, max_rays=8) for _ in range(30)]
     p3 = validate_fan(3, P3_RAYS, list(combinations(range(4), 3)))
-    bases = [catalog.projective_line(), catalog.projective_plane(), catalog.p1_times_p1(),
-             catalog.hirzebruch(1), validate_fan(2, DP6_RAYS), p3]
+    bases = [projective_line(), projective_plane(), p1_times_p1(),
+             hirzebruch(1), validate_fan(2, DP6_RAYS), p3]
     for base in bases:
         x = projectivize_canonical(base)
         for _ in range(2):

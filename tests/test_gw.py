@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from toricmirror.bundle import projectivize_canonical, push_h2
-from toricmirror.documents import fan_fingerprint
 from toricmirror.errors import (
     BadChernDegree,
     DependentGenerators,
@@ -14,11 +13,7 @@ from toricmirror.errors import (
     InconsistentTable,
     UnknownInvariant,
 )
-from toricmirror.gw import (
-    GWProvider,
-    f2_one_point_rule,
-    validate_table,
-)
+from toricmirror.gw import GWProvider, f2_one_point_rule, fan_fingerprint, validate_table
 from toricmirror.kahler import KahlerData
 
 F2_ALPHA = (-2, 1, 1, 0)

@@ -7,13 +7,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import (
+    hirzebruch2,
+    p1_times_p1,
     polytope_vertices,
+    projective_line,
+    projective_plane,
     random_smooth_2d_fan,
     random_unimodular,
     rank,
     solve_unique,
 )
-from toricmirror import catalog
 from toricmirror.bundle import decompose_bundle, projectivize_canonical
 from toricmirror.errors import (
     DependentGenerators,
@@ -32,9 +35,9 @@ F1 = [(1, 0), (0, 1), (-1, -1), (0, -1)]
 
 def fano_bases():
     return [
-        catalog.projective_line(),
-        catalog.projective_plane(),
-        catalog.p1_times_p1(),
+        projective_line(),
+        projective_plane(),
+        p1_times_p1(),
         validate_fan(2, F1),
         validate_fan(2, DP6),
     ]
@@ -75,7 +78,7 @@ def vertices_oracle(normals, offsets):
 
 def test_vertices_match_per_subset_solves():
     rng = random.Random(5)
-    normal_sets = [catalog.hirzebruch2().rays]
+    normal_sets = [hirzebruch2().rays]
     for base in fano_bases():
         x = projectivize_canonical(base)
         normal_sets.append(base.rays)
@@ -133,7 +136,7 @@ def random_lambda(rng, names):
 
 def test_lambda_exponents_match_per_ray_solve():
     rng = random.Random(11)
-    fans = [catalog.hirzebruch2()] + [projectivize_canonical(b) for b in fano_bases()[:3]]
+    fans = [hirzebruch2()] + [projectivize_canonical(b) for b in fano_bases()[:3]]
     fans += [random_smooth_2d_fan(rng, 6) for _ in range(4)]
     seen = {"exponents": 0, "degenerate": 0, "inexpressible": 0}
     built = 0
@@ -208,8 +211,8 @@ def test_grading_and_base_match_the_solve():
         x = projectivize_canonical(base)
         fans.append(x)
         fans += [in_chart(x, random_unimodular(rng, x.dimension)) for _ in range(3)]
-    p1, p2 = catalog.projective_line(), catalog.projective_plane()
-    fans += [p2, catalog.p1_times_p1(), validate_fan(2, [(0, 1), (1, 1), (-1, 0), (0, -1)])]
+    p1, p2 = projective_line(), projective_plane()
+    fans += [p2, p1_times_p1(), validate_fan(2, [(0, 1), (1, 1), (-1, 0), (0, -1)])]
     fans += [opposite_pair_outside(f) for f in (product_fan(p1, p2), product_fan(p2, p1),
                                                product_fan(product_fan(p1, p1), p1))]
     for _ in range(40):

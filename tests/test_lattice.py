@@ -12,14 +12,17 @@ from hypothesis import given, strategies as st
 from conftest import (
     cone_coefficients,
     elementary_divisors,
+    hirzebruch2,
     matrix_det,
+    p1_times_p1,
+    projective_line,
+    projective_plane,
     random_smooth_2d_fan,
     random_unimodular,
     solve_unique,
     unimodular_map_search,
 )
 from test_integer_solves import product_fan
-from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     DependentGenerators,
@@ -256,9 +259,9 @@ DP6 = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 def bundle_fans():
     return [
-        catalog.hirzebruch2(),
-        projectivize_canonical(catalog.projective_plane()),
-        projectivize_canonical(catalog.p1_times_p1()),
+        hirzebruch2(),
+        projectivize_canonical(projective_plane()),
+        projectivize_canonical(p1_times_p1()),
         projectivize_canonical(validate_fan(2, DP6)),
     ]
 
@@ -427,12 +430,12 @@ class TestNormalizedVolume:
 
     def test_matches_cone_count(self):
         rng = random.Random(43)
-        p1 = catalog.projective_line()
+        p1 = projective_line()
         dp6 = validate_fan(2, DP6)
-        bases = [p1, catalog.projective_plane(), catalog.p1_times_p1(),
+        bases = [p1, projective_plane(), p1_times_p1(),
                  validate_fan(2, [(1, 0), (0, 1), (-1, -1), (0, -1)]), dp6,
                  product_fan(p1, dp6), product_fan(p1, product_fan(p1, p1))]
-        fans = [p1, catalog.hirzebruch2(), *bases[1:]]
+        fans = [p1, hirzebruch2(), *bases[1:]]
         fans += [projectivize_canonical(base) for base in bases]
         for fan in fans:
             assert normalized_volume(fan.rays) == len(fan.maximal_cones), fan.rays

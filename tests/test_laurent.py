@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricmirror.catalog import hirzebruch2_kahler
+from conftest import hirzebruch2_kahler
 from toricmirror.errors import SchemaError, ZeroCoordinate
 from toricmirror.gw import GWProvider
 from toricmirror.laurent import LaurentPoly, QPoly, evaluate, gradient

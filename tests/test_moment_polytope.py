@@ -16,15 +16,19 @@ from conftest import (
     dual_kahler,
     fraction_moduli_from_polytope,
     fraction_vertices,
+    hirzebruch,
+    hirzebruch2_kahler,
     interior_point,
     max_min_slack,
+    p1_times_p1,
     polytope_vertices,
+    projective_line,
+    projective_plane,
     random_smooth_2d_fan,
     random_unimodular,
     solve_unique,
 )
 from test_integer_solves import fano_bases, in_chart, product_fan, random_lambda
-from toricmirror import catalog
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import _parse_assignments
 from toricmirror.critical import moduli_from_polytope
@@ -180,11 +184,11 @@ def catalog_kahler():
     """Kahler data on every catalog fan and every catalog bundle P(K_Y+O):
     F2 with its own support constants, the others with lambda 0 on the
     first maximal cone and -t_j on the other rays."""
-    fans = [catalog.projective_line(), catalog.projective_plane(), catalog.p1_times_p1(),
-            catalog.hirzebruch(1), catalog.hirzebruch(3)]
-    bases = fano_bases() + [P3, product_fan(catalog.projective_line(), fano_bases()[4]),
-                            product_fan(catalog.projective_line(), catalog.p1_times_p1())]
-    return ([catalog.hirzebruch2_kahler()] + [dual_kahler(fan) for fan in fans]
+    fans = [projective_line(), projective_plane(), p1_times_p1(),
+            hirzebruch(1), hirzebruch(3)]
+    bases = fano_bases() + [P3, product_fan(projective_line(), fano_bases()[4]),
+                            product_fan(projective_line(), p1_times_p1())]
+    return ([hirzebruch2_kahler()] + [dual_kahler(fan) for fan in fans]
             + [dual_kahler(projectivize_canonical(base)) for base in bases])
 
 

@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dual_kahler, effective_classes_up_to, random_unimodular
+from conftest import (
+    dual_kahler,
+    effective_classes_up_to,
+    p1_times_p1,
+    projective_line,
+    projective_plane,
+    random_unimodular,
+)
 from test_integer_solves import DP6, F1, in_chart, product_fan
 from test_moment_polytope import P3
-from toricmirror import bundle, catalog
+from toricmirror import bundle
 from toricmirror.bundle import fiber_class, projectivize_canonical, require_bundle
 from toricmirror.errors import NotBundleShaped, NotFano, UnknownInvariant
 from toricmirror.fan import chern_degree, validate_fan
@@ -207,10 +214,10 @@ class TestCorrectedPotential:
 def catalog_bundles():
     """(name, fan) for P(K_Y+O) over P1, P2, F1, P1xP1, dP6, P3, P1^3 and
     P1xdP6, each in its standard chart and in two seeded GL(n, Z) charts."""
-    line = catalog.projective_line()
+    line = projective_line()
     bases = {
-        "P1": line, "P2": catalog.projective_plane(), "F1": validate_fan(2, F1),
-        "P1xP1": catalog.p1_times_p1(), "dP6": validate_fan(2, DP6), "P3": P3,
+        "P1": line, "P2": projective_plane(), "F1": validate_fan(2, F1),
+        "P1xP1": p1_times_p1(), "dP6": validate_fan(2, DP6), "P3": P3,
         "P1^3": product_fan(product_fan(line, line), line),
         "P1xdP6": product_fan(line, validate_fan(2, DP6)),
     }

@@ -50,14 +50,25 @@ def _module_level_imports(path):
     return names
 
 
-def test_only_the_solver_imports_numpy():
+# module -> the only library files that may import it when they are imported
+# themselves (function bodies aside); an empty tuple bans it everywhere
+IMPORT_BANS = {
     # numpy is most of the start-up time of the CLI; the exact layers and
     # the entry points (cli.py, __init__.py) import the solver only lazily
+    "numpy": ("critical.py",),
+    "toricmirror.critical": ("critical.py",),
+    # dataclasses pulls in inspect, ast, dis and tokenize, and builds each
+    # class through exec; records are NamedTuples or plain classes
+    "dataclasses": (),
+}
+
+
+def test_import_bans():
     found = []
     for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
-        banned = ("toricmirror.critical",) + (("numpy",) if path.name != "critical.py" else ())
         found += [f"{path.name} {n}" for n in sorted(_module_level_imports(path))
-                  if any(n == b or n.startswith(b + ".") for b in banned)]
+                  for banned, allowed in IMPORT_BANS.items()
+                  if (n == banned or n.startswith(banned + ".")) and path.name not in allowed]
     assert found == []
 
 
