@@ -8,6 +8,9 @@ exact Laurent polynomial whose zero-section coefficient carries the
 Gromov-Witten correction factor. A multistart Newton solver locates the
 critical points numerically.
 
+``__all__`` holds only names that the library itself uses or that the
+README shows; helpers that only the tests call live in ``tests/conftest.py``.
+
 Every public name is served lazily (PEP 562) from the module that defines
 it, so ``import toricmirror`` loads no submodule, and a name loads only
 what its module needs: the solver names (``CriticalReport``,
@@ -33,10 +36,8 @@ _MODULE_OF = {
     "QPoly": "laurent",
     "SolverOptions": "critical",
     "basic_monomial": "potential",
-    "boundary_vector": "kahler",
     "chern_degree": "fan",
     "classify_positivity": "fan",
-    "contributing_classes": "potential",
     "corrected_potential": "potential",
     "decompose_bundle": "bundle",
     "default_q_basis": "bundle",
@@ -44,16 +45,13 @@ _MODULE_OF = {
     "f2_one_point_rule": "gw",
     "fiber_class": "bundle",
     "find_critical_points": "critical",
-    "forced_divisors": "fan",
     "gradient": "laurent",
     "hori_vafa": "potential",
     "is_primitive": "lattice",
     "kernel_basis": "lattice",
-    "maslov_index": "kahler",
     "moduli_from_polytope": "critical",
     "parse_linear_form": "linform",
     "projectivize_canonical": "bundle",
-    "push_h2": "bundle",
     "validate_fan": "fan",
 }
 

@@ -52,17 +52,6 @@ def fiber_class(fan_x: Fan):
     return tuple(coords)
 
 
-def push_h2(fan_y: Fan, gamma):
-    """Image of a base curve class under the zero-section embedding, in the
-    ray coordinates of the bundle fan: (-sum(gamma), gamma..., 0)."""
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != fan_y.nrays:
-        raise ValueError("class length does not match the base ray count")
-    if not fan_y.is_homology_class(gamma):
-        raise ValueError(f"{gamma} is not a curve class of the base fan")
-    return (-sum(gamma),) + gamma + (0,)
-
-
 class BundleDecomposition(NamedTuple):
     """Recognized P(K_Y + O_Y) structure of a fan.
 

@@ -56,15 +56,9 @@ class SolverOptions(NamedTuple):
     moduli_per_coord: Optional[tuple] = None
 
     def to_json(self) -> dict:
-        return {
-            "phases_per_coord": self.phases_per_coord,
-            "max_steps": self.max_steps,
-            "tol": self.tol,
-            "dedup_radius": self.dedup_radius,
-            "max_starts": self.max_starts,
-            "moduli_per_coord": (None if self.moduli_per_coord is None
-                                 else [list(m) for m in self.moduli_per_coord]),
-        }
+        return {**self._asdict(),
+                "moduli_per_coord": (None if self.moduli_per_coord is None
+                                     else [list(m) for m in self.moduli_per_coord])}
 
 
 class CriticalReport(NamedTuple):

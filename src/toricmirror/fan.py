@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -54,12 +55,6 @@ class PrimitiveRelation(NamedTuple):
 def chern_degree(coords) -> int:
     """Anticanonical degree of a curve class in ray coordinates."""
     return sum(coords)
-
-
-def forced_divisors(coords) -> tuple:
-    """Ray indices i with negative pairing: every irreducible curve in this
-    class lies inside the corresponding toric prime divisor."""
-    return tuple(i for i, a in enumerate(coords) if a < 0)
 
 
 class Fan:
@@ -170,7 +165,8 @@ class Fan:
         The first maximal cone whose dual basis gives the sum nonnegative
         coordinates contains it; the rays with positive coordinates span the
         smallest cone containing it, and those coordinates are the
-        multiplicities.
+        multiplicities. The focus never meets the collection (Batyrev,
+        Tohoku Math. J. 43, 1991, Prop. 3.1).
         """
         collection = tuple(sorted(collection))
         if collection not in self.primitive_collections:
@@ -182,8 +178,6 @@ class Fan:
                 continue
             focus = tuple(j for j, c in zip(cone, coeffs) if c)
             mults = tuple(c for c in coeffs if c)
-            if set(focus) & set(collection):
-                raise FocusNotFound(f"focus of {collection} meets the collection itself")
             coords = [0] * self.nrays
             for i in collection:
                 coords[i] = 1
@@ -330,10 +324,10 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
     raises IncompleteFan. Raises NonPrimitiveRay, NonUnimodularCone,
     BadFaceIntersection, or IncompleteFan.
     """
-    n = int(dimension)
+    n = operator.index(dimension)
     if n < 1:
         raise DimensionMismatch("fan dimension must be at least 1")
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(tuple(map(operator.index, r)) for r in rays)
     if not rays:
         raise IncompleteFan("a fan needs rays")
     for r in rays:
@@ -353,7 +347,7 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
     else:
         cones = []
         for c in maximal_cones:
-            cone = tuple(sorted(int(i) for i in c))
+            cone = tuple(sorted(map(operator.index, c)))
             if len(set(cone)) != len(cone):
                 raise NonUnimodularCone(f"cone {c} repeats a ray")
             if any(i < 0 or i >= len(rays) for i in cone):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -66,30 +67,17 @@ def fan_fingerprint(fan: Fan) -> str:
 
 
 class GWTable(NamedTuple):
-    """Validated table of invariants. ``entries`` is keyed by coordinates in
-    ``basis``, as the document writes them; ``by_class`` holds the same
-    values keyed by the curve class each key names, in ray coordinates,
-    which is what lookups use. Equality ignores ``by_class``, which the
-    other fields determine."""
+    """Validated table of invariants, keyed by the curve class each document
+    key names, in ray coordinates."""
 
     fingerprint: str
-    basis: tuple
-    entries: dict  # basis-coordinate tuple -> Fraction
     by_class: dict  # curve class -> Fraction
-
-    def __eq__(self, other):
-        return isinstance(other, GWTable) and self[:3] == other[:3]
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = None  # the entries are a dict
 
 
 def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) -> GWTable:
     """Check a parsed table: fingerprint binding, basis classes that are
     linearly independent (DependentGenerators otherwise), and that every key
-    has anticanonical degree 0."""
+    names a class of anticanonical degree 0."""
     if fan is not None:
         expected = fan_fingerprint(fan)
         if fingerprint != expected:
@@ -100,9 +88,7 @@ def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) 
         for b in basis:
             if not fan.is_homology_class(b):
                 raise BadChernDegree(f"table basis vector {b} is not a curve class")
-    basis = tuple(tuple(b) for b in basis)
     lattice_coordinates(basis)  # DependentGenerators on a dependent basis
-    entries = {tuple(k): Fraction(v) for k, v in entries.items()}
     by_class = {}
     for key, value in entries.items():
         cls = tuple(sum(c * b[i] for c, b in zip(key, basis)) for i in range(len(basis[0])))
@@ -111,8 +97,8 @@ def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) 
                 f"table key {key} names class {cls} of degree {chern_degree(cls)}; "
                 f"only degree-0 classes are consumed"
             )
-        by_class[cls] = value
-    return GWTable(fingerprint=fingerprint, basis=basis, entries=entries, by_class=by_class)
+        by_class[cls] = Fraction(value)
+    return GWTable(fingerprint=fingerprint, by_class=by_class)
 
 
 class GWProvider:
@@ -157,7 +143,7 @@ class GWProvider:
     def lookup(self, alpha) -> tuple:
         """(value, provenance) for GW(fiber + alpha); UnknownInvariant when no
         source covers the class."""
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(map(operator.index, alpha))
         if chern_degree(alpha) != 0:
             raise BadChernDegree(
                 f"class {alpha} has degree {chern_degree(alpha)}; the correction "
@@ -175,13 +161,9 @@ class GWProvider:
             f"or pass assume_zero to zero-fill"
         )
 
-    def gw_one_point(self, alpha) -> Fraction:
-        return self.lookup(alpha)[0]
-
     def open_invariant(self, alpha) -> Fraction:
         """Open disk count for (zero-section disk class + alpha), reported via
         the open/closed equality; alpha = 0 is the basic disk count 1."""
-        alpha = tuple(int(a) for a in alpha)
         if not any(alpha):
             return Fraction(1)
-        return self.gw_one_point(alpha)
+        return self.lookup(alpha)[0]

@@ -2,11 +2,8 @@
 
 The polytope is P = {x : <x, v_i> >= lambda_i}. Support constants lambda_i
 may be exact rationals or symbolic linear forms in named parameters
-(typically t1, t2, ...), and all areas are stored in 2*pi-normalized units:
-
-* the affine support function  l_i(x) = <x, v_i> - lambda_i,
-* disk classes have area sum(b_i * l_i(x))  (Cho-Oh formula),
-* sphere classes have area -sum(a_i * lambda_i), independent of x.
+(typically t1, t2, ...). A curve class with ray coordinates a has area
+-sum(a_i * lambda_i) in 2*pi-normalized units.
 
 The polytope has nonempty interior exactly when every positive circuit of
 the rays (an extreme nonnegative relation) has positive area
@@ -27,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -40,20 +38,6 @@ from .errors import (
 from .fan import Fan
 from .lattice import lattice_coordinates
 from .linform import LinForm, parse_linear_form
-
-
-def boundary_vector(fan: Fan, beta) -> tuple:
-    """Boundary of a disk class sum(b_i * beta_i): the lattice vector
-    sum(b_i * v_i)."""
-    return tuple(
-        sum(b * fan.rays[j][i] for j, b in enumerate(beta))
-        for i in range(fan.dimension)
-    )
-
-
-def maslov_index(beta) -> int:
-    """Twice the coordinate sum; the basic disk classes each have index 2."""
-    return 2 * sum(beta)
 
 
 class KahlerData:
@@ -73,21 +57,22 @@ class KahlerData:
             )
         self.lambdas = tuple(lams)
 
-        if q_basis is None:
+        if q_basis is None:  # both fallbacks are bases by construction
             q_basis = default_q_basis(fan)
             if q_basis is None:
                 q_basis = fan.homology_basis
-        q_basis = tuple(tuple(int(x) for x in b) for b in q_basis)
-        for b in q_basis:
-            if not fan.is_homology_class(b):
-                raise ValueError(f"q-basis vector {b} is not a curve class")
-        if len(q_basis) != len(fan.homology_basis):
-            raise ValueError(
-                f"q-basis has {len(q_basis)} classes; "
-                f"homology rank is {len(fan.homology_basis)}"
-            )
-        if not fan.is_homology_basis(q_basis):
-            raise ValueError("q-basis does not span the homology lattice")
+        else:
+            q_basis = tuple(tuple(map(operator.index, b)) for b in q_basis)
+            for b in q_basis:
+                if not fan.is_homology_class(b):
+                    raise ValueError(f"q-basis vector {b} is not a curve class")
+            if len(q_basis) != len(fan.homology_basis):
+                raise ValueError(
+                    f"q-basis has {len(q_basis)} classes; "
+                    f"homology rank is {len(fan.homology_basis)}"
+                )
+            if not fan.is_homology_basis(q_basis):
+                raise ValueError("q-basis does not span the homology lattice")
         self.q_basis = q_basis
 
         self._check_polytope()
@@ -115,23 +100,7 @@ class KahlerData:
     def rank(self) -> int:
         return len(self.q_basis)
 
-    # -- support function and areas --
-
-    def support_value(self, i: int, x: Sequence) -> LinForm:
-        """l_i(x) = <x, v_i> - lambda_i; x entries may be numbers or LinForms."""
-        ray = self.fan.rays[i]
-        total = LinForm(0)
-        for xj, vj in zip(x, ray):
-            total += LinForm.coerce(xj) * vj
-        return total - self.lambdas[i]
-
-    def disk_area(self, beta, x) -> LinForm:
-        """Area of the disk class sum(b_i beta_i) over the fiber at x."""
-        total = LinForm(0)
-        for i, b in enumerate(beta):
-            if b:
-                total += self.support_value(i, x) * b
-        return total
+    # -- areas --
 
     def sphere_area(self, alpha) -> LinForm:
         """Area of a curve class; equals -sum(a_i lambda_i) and is

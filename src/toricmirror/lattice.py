@@ -16,6 +16,7 @@ divisors.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -116,7 +117,7 @@ def hermite_normal_form(mat) -> tuple:
 
 def is_primitive(v: Sequence[int]) -> bool:
     """True when gcd of the entries is 1. Raises ZeroVector on the zero vector."""
-    entries = [int(x) for x in v]
+    entries = list(map(operator.index, v))
     if not any(entries):
         raise ZeroVector("the zero vector has no primitive direction")
     return math.gcd(*(abs(x) for x in entries)) == 1
@@ -160,7 +161,7 @@ def lattice_coordinates(basis):
     width = len(H[0]) if H else None
 
     def coords(v) -> Optional[tuple]:
-        rest = [int(x) for x in v]
+        rest = list(map(operator.index, v))
         if width is not None and len(rest) != width:
             raise DimensionMismatch(f"vector length {len(rest)}, basis row length {width}")
         y = []
@@ -232,7 +233,7 @@ def normalized_volume(points) -> int:
     when they span less than R^d): the sum of |det| over the simplices of a
     pulling triangulation, each |det| the product of the Hermite normal
     form's diagonal."""
-    points = [tuple(int(x) for x in p) for p in points]
+    points = [tuple(map(operator.index, p)) for p in points]
     if not points or not points[0]:
         return 0
     total = 0

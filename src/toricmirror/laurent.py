@@ -15,6 +15,7 @@ so output is byte-stable.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -40,10 +41,10 @@ class QPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
-        self.nvars = int(nvars)
+        self.nvars = operator.index(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != self.nvars:
                 raise ValueError(f"q-exponent {exps} needs length {self.nvars}")
             if any(e < 0 for e in exps):
@@ -108,9 +109,6 @@ class QPoly:
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
-    def total_degrees(self):
-        return [sum(e) for e in self.terms]
-
     def numeric(self, q_values: Sequence[float]) -> float:
         total = 0.0
         for exps, coeff in self.terms.items():
@@ -152,11 +150,11 @@ class LaurentPoly:
     __slots__ = ("zvars", "qvars", "terms")
 
     def __init__(self, zvars: int, qvars: int, terms: Mapping | None = None):
-        self.zvars = int(zvars)
-        self.qvars = int(qvars)
+        self.zvars = operator.index(zvars)
+        self.qvars = operator.index(qvars)
         clean = {}
         for zexp, coeff in (terms or {}).items():
-            zexp = tuple(int(e) for e in zexp)
+            zexp = tuple(map(operator.index, zexp))
             if len(zexp) != self.zvars:
                 raise ValueError(f"z-exponent {zexp} needs length {self.zvars}")
             if not isinstance(coeff, QPoly):

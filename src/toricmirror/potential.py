@@ -50,33 +50,21 @@ def hori_vafa(fan: Fan, kahler: KahlerData) -> LaurentPoly:
     return potential_with_correction(kahler, QPoly.constant(kahler.rank, 1))
 
 
-def _degree_zero_sums(fan: Fan, cutoff: int, kahler=None) -> list:
+def _degree_zero_sums(fan: Fan, cutoff: int, kahler: KahlerData) -> list:
     """The effective degree-0 classes of a bundle fan, zero included: the
-    distinct sums of at most *cutoff* degree-0 relations, sorted. With
-    *kahler*, each is followed by its q-exponents, which are linear and
-    injective in the class, so the set and the order are unchanged."""
+    distinct sums of at most *cutoff* degree-0 relations, sorted, each
+    followed by its q-exponents. These are linear and injective in the
+    class, so they leave the set and the order of the classes as they are."""
     require_bundle(fan)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    gens = [rel.coords for rel in fan.primitive_relations if rel.degree == 0]
-    width = fan.nrays
-    if kahler is not None:
-        gens = [g + kahler.q_weight(g) for g in gens]
-        width += kahler.rank
-    level = found = {(0,) * width}
+    gens = [rel.coords + kahler.q_weight(rel.coords)
+            for rel in fan.primitive_relations if rel.degree == 0]
+    level = found = {(0,) * (fan.nrays + kahler.rank)}
     for _ in range(cutoff):
         level = {tuple(map(add, s, g)) for s in level for g in gens}
         found |= level
     return sorted(found)
-
-
-def contributing_classes(fan: Fan, cutoff: int) -> list:
-    """Disk classes that can carry nonzero counts on a bundle fan: the basic
-    classes beta_1..beta_{m+1} plus beta_0 + alpha for effective degree-0
-    alpha within the cutoff. All have Maslov index 2."""
-    d = fan.nrays
-    corrected = [(alpha[0] + 1,) + alpha[1:] for alpha in _degree_zero_sums(fan, cutoff)]
-    return [tuple(int(j == i) for j in range(d)) for i in range(1, d)] + corrected
 
 
 class GWRecord(NamedTuple):

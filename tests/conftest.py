@@ -125,6 +125,33 @@ def effective_classes_up_to(fan: Fan, cutoff: int):
     return sorted(classes)
 
 
+def push_h2(fan_y: Fan, gamma) -> tuple:
+    """Image of a base curve class under the zero-section embedding, in the
+    ray coordinates of P(K_Y + O_Y): (-sum(gamma), gamma..., 0)."""
+    gamma = tuple(gamma)
+    if not fan_y.is_homology_class(gamma):
+        raise ValueError(f"{gamma} is not a curve class of the base fan")
+    return (-sum(gamma),) + gamma + (0,)
+
+
+def support_value(kahler: KahlerData, i: int, x) -> LinForm:
+    """l_i(x) = <x, v_i> - lambda_i; x entries may be numbers or LinForms."""
+    total = LinForm(0)
+    for xj, vj in zip(x, kahler.fan.rays[i]):
+        total += LinForm.coerce(xj) * vj
+    return total - kahler.lambdas[i]
+
+
+def disk_area(kahler: KahlerData, beta, x) -> LinForm:
+    """Area sum(b_i * l_i(x)) of the disk class sum(b_i beta_i) over the
+    fiber at x (Cho-Oh)."""
+    total = LinForm(0)
+    for i, b in enumerate(beta):
+        if b:
+            total += support_value(kahler, i, x) * b
+    return total
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)"

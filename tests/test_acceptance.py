@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from conftest import (
     brute_force_primitive_collections,
+    disk_area,
     fd_log_gradient,
     hirzebruch2,
     hirzebruch2_kahler,
@@ -20,10 +21,11 @@ from conftest import (
     p1_times_p1,
     projective_line,
     projective_plane,
+    push_h2,
     random_smooth_2d_fan,
     unimodular_map_search,
 )
-from toricmirror.bundle import fiber_class, projectivize_canonical, push_h2
+from toricmirror.bundle import fiber_class, projectivize_canonical
 from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import fan_from_document, potential_to_document
 from toricmirror.fan import Positivity, chern_degree, classify_positivity, validate_fan
@@ -226,4 +228,4 @@ def test_criterion_8_area_identities():
                       for i in range(2))
             for i in range(4):
                 beta = tuple(1 if j == i else 0 for j in range(4))
-                assert k.disk_area(beta, x).subs(params) > 0
+                assert disk_area(k, beta, x).subs(params) > 0

@@ -33,7 +33,6 @@ from toricmirror.fan import (
     Positivity,
     chern_degree,
     classify_positivity,
-    forced_divisors,
     infer_cones_2d,
     validate_fan,
 )
@@ -489,7 +488,10 @@ class TestEffectiveClasses:
 
 
 class TestForcedDivisors:
-    def test_examples(self):
-        assert forced_divisors((-1, 1, 1, 1)) == (0,)
-        assert forced_divisors(F2_ALPHA) == (0,)
-        assert forced_divisors(F2_H) == ()
+    def test_examples(self, f2):
+        # a class pairing negatively with D_i forces its curves into D_i; on
+        # a primitive relation the negative coordinates sit on the focus
+        forced = {rel.coords: tuple(i for i, a in enumerate(rel.coords) if a < 0)
+                  for rel in f2.primitive_relations}
+        assert forced == {F2_ALPHA: (0,), F2_H: ()}
+        assert all(forced[rel.coords] == rel.focus for rel in f2.primitive_relations)

@@ -27,6 +27,7 @@ from conftest import (
     random_smooth_2d_fan,
     random_unimodular,
     solve_unique,
+    support_value,
 )
 from test_integer_solves import fano_bases, in_chart, product_fan, random_lambda
 from toricmirror.bundle import projectivize_canonical
@@ -151,7 +152,7 @@ def test_vertices_match_oracles(fans):
                 assert vertices == polytope_vertices(fan.rays, offsets), (fan.rays, t)
                 assert len(vertices) == len(fan.maximal_cones)
                 x = interior_point(k, params)
-                assert all(k.support_value(i, x).subs(params) > 0 for i in range(fan.nrays))
+                assert all(support_value(k, i, x).subs(params) > 0 for i in range(fan.nrays))
             else:
                 outside += 1
                 with pytest.raises(EmptyInterior, match=refusal):

@@ -20,12 +20,11 @@ from toricmirror.bundle import fiber_class, projectivize_canonical, require_bund
 from toricmirror.errors import NotBundleShaped, NotFano, UnknownInvariant
 from toricmirror.fan import chern_degree, validate_fan
 from toricmirror.gw import GWProvider
-from toricmirror.kahler import KahlerData, boundary_vector, maslov_index
+from toricmirror.kahler import KahlerData
 from toricmirror.laurent import LaurentPoly, QPoly
 from toricmirror.potential import (
     GWRecord,
     basic_monomial,
-    contributing_classes,
     corrected_potential,
     correction_details,
     hori_vafa,
@@ -74,29 +73,35 @@ class TestHoriVafa:
             hori_vafa(f2_kahler.fan, f2_kahler)
 
 
+def f2_disk_classes(f2_kahler, cutoff):
+    _, records = correction_details(f2_kahler.fan, f2_kahler, GWProvider(f2_kahler), cutoff)
+    return recorded_disk_classes(f2_kahler.fan, records)
+
+
 class TestContributingClasses:
-    def test_f2_cutoff_one(self, f2):
-        got = contributing_classes(f2, 1)
+    def test_f2_cutoff_one(self, f2_kahler):
+        got = f2_disk_classes(f2_kahler, 1)
         assert set(got) == {
             (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),  # beta_1..beta_3
             (1, 0, 0, 0),                               # beta_0
             (-1, 1, 1, 0),                              # beta_0 + alpha
         }
 
-    def test_cutoff_zero(self, f2):
-        got = contributing_classes(f2, 0)
+    def test_cutoff_zero(self, f2_kahler):
+        got = f2_disk_classes(f2_kahler, 0)
         assert set(got) == {
             (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         }
 
     def test_all_maslov_two(self, f2, p2):
         for fan in (f2, projectivize_canonical(p2)):
-            for beta in contributing_classes(fan, 3):
-                assert maslov_index(beta) == 2
+            for beta in reference_contributing(fan, 3):
+                assert 2 * sum(beta) == 2  # the Maslov index
 
     def test_requires_bundle(self, p2):
+        k = KahlerData(p2, ["0", "0", "-t"])
         with pytest.raises(NotBundleShaped):
-            contributing_classes(p2, 1)
+            correction_details(p2, k, GWProvider(k), 1)
 
 
 class TestCorrectionFactor:
@@ -142,9 +147,10 @@ class TestBundleHypothesis:
         assert len(decompositions) == 1
 
     def test_refusal_fires_on_every_call(self, p2, decompositions):
+        k = KahlerData(p2, ["0", "0", "-t"])
         for _ in range(2):
             with pytest.raises(NotBundleShaped):
-                contributing_classes(p2, 1)
+                correction_details(p2, k, GWProvider(k), 1)
         assert len(decompositions) == 2
 
 
@@ -184,9 +190,9 @@ class TestCorrectedPotential:
                 w_high = corrected_potential(fan, k, gw, high)
                 diff = w_high - w_low
                 for zexp, coeff in diff.terms.items():
-                    new_degrees = coeff.total_degrees()
+                    new_degrees = [sum(e) for e in coeff.terms]
                     old = w_low.terms.get(zexp)
-                    old_max = max(old.total_degrees()) if old else -1
+                    old_max = max(sum(e) for e in old.terms) if old else -1
                     assert min(new_degrees) > old_max
 
     def test_boundary_class_bookkeeping(self, f2_kahler):
@@ -194,9 +200,10 @@ class TestCorrectedPotential:
         # contributing disk class
         gw = GWProvider(f2_kahler)
         W = corrected_potential(f2_kahler.fan, f2_kahler, gw, 3)
+        rays = f2_kahler.fan.rays
         boundaries = {
-            boundary_vector(f2_kahler.fan, beta)
-            for beta in contributing_classes(f2_kahler.fan, 3)
+            tuple(sum(b * ray[k] for b, ray in zip(beta, rays)) for k in range(2))
+            for beta in f2_disk_classes(f2_kahler, 3)
         }
         assert set(W.terms) <= boundaries
 
@@ -264,6 +271,16 @@ def reference_details(fan, kahler, gw, cutoff):
     return factor, records
 
 
+def recorded_disk_classes(fan, records):
+    """The disk classes that can carry counts, read off correction_details:
+    beta_1..beta_{d-1}, then beta_0 + alpha for alpha = 0 and each recorded
+    class, sorted."""
+    d = fan.nrays
+    basic = [tuple(int(j == i) for j in range(d)) for i in range(1, d)]
+    alphas = [(0,) * d] + [r.alpha for r in records]
+    return basic + sorted((a[0] + 1,) + a[1:] for a in alphas)
+
+
 def reference_contributing(fan, cutoff):
     d = fan.nrays
     basic = [tuple(int(j == i) for j in range(d)) for i in range(1, d)]
@@ -278,11 +295,11 @@ class TestDegreeZeroEnumeration:
         kahlers = [dual_kahler(fan)]
         kahlers.append(KahlerData(fan, kahlers[0].lambdas))  # the default q-basis
         for cutoff in range(6):
-            assert contributing_classes(fan, cutoff) == reference_contributing(fan, cutoff)
             for k in kahlers:
                 for gw in (GWProvider(k, assume_zero=True), PatternProvider(k)):
                     got = correction_details(fan, k, gw, cutoff)
                     assert got == reference_details(fan, k, gw, cutoff), (cutoff, k.q_basis)
+                    assert recorded_disk_classes(fan, got[1]) == reference_contributing(fan, cutoff)
 
     def test_pattern_reaches_nonzero_terms(self):
         # the comparison above is not vacuous: factors get terms, zeros
@@ -305,8 +322,6 @@ class TestDegreeZeroEnumeration:
         assert len(rels) >= 2
 
     def test_negative_cutoff_refused(self, f2_kahler):
-        with pytest.raises(ValueError):
-            contributing_classes(f2_kahler.fan, -1)
         with pytest.raises(ValueError):
             correction_details(f2_kahler.fan, f2_kahler, GWProvider(f2_kahler), -1)
 

@@ -59,12 +59,13 @@ class TestFan:
         assert repr(fan) == "Fan(dimension=1, rays=((1,), (-1,)), maximal_cones=((0,), (1,)))"
 
 
-def test_table_equality_ignores_by_class():
+def test_table_equality_compares_values():
+    # a table is its fingerprint and its class -> value dict, so two tables
+    # are equal when they bind the same fan and name the same values
     table = f2_table({(1, 0): Fraction(1)})
-    bare = GWTable(table.fingerprint, table.basis, table.entries, {})
-    assert table == bare and not table != bare
+    assert table == GWTable(table.fingerprint, {(-2, 1, 1, 0): Fraction(1)})
+    assert table == f2_table({(1, 0): 1}) and not table != f2_table({(1, 0): 1})
     assert table != f2_table({(1, 0): Fraction(2)})
-    assert table != tuple(table) and tuple(table) != table
     with pytest.raises(TypeError):
         hash(table)
 
@@ -84,7 +85,7 @@ FROZEN = {  # record -> (builder, one of its fields)
     "BundleDecomposition": (
         lambda: decompose_bundle(projectivize_canonical(projective_plane())), "base"),
     "GWRecord": (lambda: GWRecord((0, 0, 0, 0), (0, 0), Fraction(1), "builtin"), "value"),
-    "GWTable": (lambda: f2_table({}), "entries"),
+    "GWTable": (lambda: f2_table({}), "by_class"),
     "SolverOptions": (SolverOptions, "max_steps"),
     "CriticalReport": (report, "deduped"),
 }

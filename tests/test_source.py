@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import re
 from pathlib import Path
 
 import toricmirror
@@ -114,11 +115,40 @@ def test_public_names_resolve():
     assert names == sorted(names)
 
 
-ORACLES = ("cone_coefficients", "effective_classes_up_to", "elementary_divisors",
-           "fourier_motzkin", "fraction_moduli_from_polytope", "fraction_vertices",
-           "lockstep_newton", "matrix_det", "max_min_slack", "pass_stop_oracle",
-           "polytope_vertices", "solve_unique", "tokenizing_parse_linear_form",
-           "unimodular_map_search")
+def _uses(tree, name) -> bool:
+    """True when a module uses the identifier *name* (as a name, an
+    attribute or an imported name) outside the body of its own definition."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name == name:
+            continue
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_public_names_are_reached():
+    # a public name is used by the library itself or shown in the README;
+    # one that only tests call belongs with the tests
+    package = Path(toricmirror.__file__).parent
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [n for n in toricmirror.__all__
+            if not any(_uses(t, n) for t in trees)
+            and not re.search(rf"\b{n}\b", readme)] == []
+
+
+ORACLES = ("cone_coefficients", "disk_area", "effective_classes_up_to",
+           "elementary_divisors", "fourier_motzkin", "fraction_moduli_from_polytope",
+           "fraction_vertices", "lockstep_newton", "matrix_det", "max_min_slack",
+           "pass_stop_oracle", "polytope_vertices", "push_h2", "solve_unique",
+           "support_value", "tokenizing_parse_linear_form", "unimodular_map_search")
 
 
 def test_oracles_stay_in_tests():
