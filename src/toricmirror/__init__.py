@@ -35,7 +35,6 @@ _MODULE_OF = {
     "PrimitiveRelation": "fan",
     "QPoly": "laurent",
     "SolverOptions": "critical",
-    "basic_monomial": "potential",
     "chern_degree": "fan",
     "classify_positivity": "fan",
     "corrected_potential": "potential",

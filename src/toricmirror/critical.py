@@ -62,8 +62,8 @@ class SolverOptions(NamedTuple):
 
 
 class CriticalReport(NamedTuple):
-    """Equality and hash ignore ``options``: the same roots and counts
-    compare equal whatever options found them."""
+    """The verified roots with their values and residuals, the multistart
+    counts, and the options that produced them."""
 
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
@@ -75,15 +75,6 @@ class CriticalReport(NamedTuple):
     grid_size: int  # starts in the full grid
     truncated: bool  # starts left unrun, and deduped < expected or expected == 0
     options: SolverOptions = SolverOptions()
-
-    def __eq__(self, other):
-        return isinstance(other, CriticalReport) and self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:-1])
 
 
 def _default_moduli(c: np.ndarray, n: int) -> tuple:

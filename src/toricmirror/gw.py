@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     BadChernDegree,
+    DimensionMismatch,
     FingerprintMismatch,
     InconsistentTable,
     UnknownInvariant,
@@ -76,8 +77,9 @@ class GWTable(NamedTuple):
 
 def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) -> GWTable:
     """Check a parsed table: fingerprint binding, basis classes that are
-    linearly independent (DependentGenerators otherwise), and that every key
-    names a class of anticanonical degree 0."""
+    linearly independent (DependentGenerators otherwise), keys with one
+    coordinate per basis class (DimensionMismatch otherwise), and that every
+    key names a class of anticanonical degree 0."""
     if fan is not None:
         expected = fan_fingerprint(fan)
         if fingerprint != expected:
@@ -91,6 +93,9 @@ def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) 
     lattice_coordinates(basis)  # DependentGenerators on a dependent basis
     by_class = {}
     for key, value in entries.items():
+        if len(key) != len(basis):
+            raise DimensionMismatch(f"table key {key} has {len(key)} coordinates; "
+                                    f"the basis has {len(basis)} classes")
         cls = tuple(sum(c * b[i] for c, b in zip(key, basis)) for i in range(len(basis[0])))
         if chern_degree(cls) != 0:
             raise BadChernDegree(

@@ -10,7 +10,7 @@ the rays (an extreme nonnegative relation) has positive area
 -sum(y_i * lambda_i), by Motzkin's transposition theorem. Construction
 refuses the support constants only when some circuit's area is a constant
 <= 0, so that the polytope is empty at every parameter value; symbolic
-constants are checked at given parameters by ``vertices``. In the open
+constants are checked at given parameters by ``scaled_vertices``. In the open
 Kahler cone the polytope has one vertex per maximal cone, given in closed
 form by the cone's dual basis, and the numeric vertices are only defined
 there.
@@ -208,9 +208,3 @@ class KahlerData:
                     )
             out.append(x)
         return denom, out
-
-    def vertices(self, params: Optional[Mapping] = None) -> list:
-        """The moment polytope's vertices, one per maximal cone, sorted, as
-        Fractions; see ``scaled_vertices``."""
-        denom, points = self.scaled_vertices(params)
-        return sorted(tuple(Fraction(a, denom) for a in x) for x in points)

@@ -2,14 +2,15 @@
 
 A LaurentPoly maps z-exponent vectors (integers, any sign) to coefficients;
 each coefficient is a polynomial in formal variables q1..qr with nonnegative
-exponents and Fraction coefficients. Arithmetic is exact throughout; the
-package's one step to floats is ``numeric_terms``, which compiles a
-polynomial at q = exp(-t) into (z-exponent, float coefficient) pairs with
-typed refusals of overflow and underflow. ``sum_terms`` sums the pairs at a
-point; ``evaluate``, ``gradient`` and the solver are built on the two. Zero
-coefficients are never stored, and serialization orders z-terms
-lexicographically and q-monomials by total degree then lexicographically,
-so output is byte-stable.
+exponents and Fraction coefficients. Both are exact data built by the
+constructors; there is no ring arithmetic. The package's one step to floats
+is ``numeric_terms``, which compiles a polynomial at q = exp(-t) into
+(z-exponent, float coefficient) pairs with typed refusals of overflow and
+underflow. ``sum_terms`` sums the pairs at a point; ``evaluate``,
+``gradient`` and the solver are built on the two. Zero coefficients are
+never stored, and serialization orders z-terms lexicographically and
+q-monomials by total degree then lexicographically, so output is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class QPoly:
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
         self.nvars = operator.index(nvars)
-        clean = {}
+        self.terms = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(map(operator.index, exps))
             if len(exps) != self.nvars:
@@ -51,60 +52,19 @@ class QPoly:
                 raise ValueError(f"q-exponents must be nonnegative, got {exps}")
             coeff = _as_fraction(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "QPoly":
-        return cls(nvars)
+                self.terms[exps] = coeff
 
     @classmethod
     def constant(cls, nvars: int, value) -> "QPoly":
         return cls(nvars, {(0,) * nvars: _as_fraction(value)})
 
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff=1) -> "QPoly":
-        return cls(len(exps), {tuple(exps): _as_fraction(coeff)})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.constant(self.nvars, other)
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __add__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.constant(self.nvars, other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return QPoly(self.nvars, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            return QPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
@@ -152,29 +112,16 @@ class LaurentPoly:
     def __init__(self, zvars: int, qvars: int, terms: Mapping | None = None):
         self.zvars = operator.index(zvars)
         self.qvars = operator.index(qvars)
-        clean = {}
+        self.terms = {}
         for zexp, coeff in (terms or {}).items():
             zexp = tuple(map(operator.index, zexp))
             if len(zexp) != self.zvars:
                 raise ValueError(f"z-exponent {zexp} needs length {self.zvars}")
-            if not isinstance(coeff, QPoly):
-                coeff = QPoly.constant(self.qvars, coeff)
-            if coeff.nvars != self.qvars:
-                raise ValueError("coefficient has the wrong number of q-variables")
+            if not isinstance(coeff, QPoly) or coeff.nvars != self.qvars:
+                raise ValueError(f"the coefficient of z-exponent {zexp} must be a QPoly "
+                                 f"in {self.qvars} q-variables, got {coeff!r}")
             if coeff:
-                prev = clean.get(zexp)
-                clean[zexp] = coeff if prev is None else prev + coeff
-        self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, zvars: int, qvars: int) -> "LaurentPoly":
-        return cls(zvars, qvars)
-
-    @classmethod
-    def monomial(cls, zexp: Sequence[int], coeff) -> "LaurentPoly":
-        if not isinstance(coeff, QPoly):
-            raise TypeError("coefficient must be a QPoly")
-        return cls(len(tuple(zexp)), coeff.nvars, {tuple(zexp): coeff})
+                self.terms[zexp] = coeff
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -184,49 +131,6 @@ class LaurentPoly:
             return NotImplemented
         return (self.zvars, self.qvars, self.terms) == (other.zvars, other.qvars, other.terms)
 
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, QPoly):
-            return LaurentPoly(self.zvars, self.qvars, {(0,) * self.zvars: other})
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly(
-                self.zvars, self.qvars,
-                {(0,) * self.zvars: QPoly.constant(self.qvars, other)},
-            )
-        raise TypeError(f"cannot combine LaurentPoly with {other!r}")
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, QPoly.zero(self.qvars)) + c
-        return LaurentPoly(self.zvars, self.qvars, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.zvars, self.qvars,
-                           {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction, QPoly)):
-            if not isinstance(other, QPoly):
-                other = QPoly.constant(self.qvars, other)
-            return LaurentPoly(self.zvars, self.qvars,
-                               {e: c * other for e, c in self.terms.items()})
-        merged = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                merged[e] = merged.get(e, QPoly.zero(self.qvars)) + c1 * c2
-        return LaurentPoly(self.zvars, self.qvars, merged)
-
-    __rmul__ = __mul__
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items())
 
@@ -235,7 +139,7 @@ class LaurentPoly:
         out = {}
         for zexp, coeff in self.terms.items():
             if zexp[j]:
-                out[zexp] = coeff * zexp[j]
+                out[zexp] = QPoly(self.qvars, {e: c * zexp[j] for e, c in coeff.terms.items()})
         return LaurentPoly(self.zvars, self.qvars, out)
 
     def is_constant(self) -> bool:

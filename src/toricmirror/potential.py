@@ -11,7 +11,8 @@ zero-section monomial acquires a correction factor
 
 truncated at an explicit cutoff on generator multiplicities; the other
 monomials are unchanged. The truncation is reported, never hidden, and no
-convergence is claimed.
+convergence is claimed. The rays are distinct, so W has exactly one term
+per ray and is built as such: no polynomial arithmetic is involved.
 
 On such a fan every primitive relation but the degree-2 fiber has degree 0,
 so the classes in C are the sums of the degree-0 relations; their
@@ -32,16 +33,9 @@ from .kahler import KahlerData
 from .laurent import LaurentPoly, QPoly
 
 
-def basic_monomial(kahler: KahlerData, i: int) -> LaurentPoly:
-    """The one-disk term exp(lambda_i) z^{v_i} as an exact Laurent monomial."""
-    qexp = kahler.lambda_q_exponents(i)
-    coeff = QPoly.monomial(qexp, 1)
-    return LaurentPoly.monomial(kahler.fan.rays[i], coeff)
-
-
 def hori_vafa(fan: Fan, kahler: KahlerData) -> LaurentPoly:
-    """Superpotential of a Fano fan: the sum of all basic monomials, which
-    is :func:`potential_with_correction` with C = 1."""
+    """Superpotential of a Fano fan: :func:`potential_with_correction`
+    with C = 1."""
     if classify_positivity(fan) is not Positivity.FANO:
         raise NotFano(
             "fan is not Fano; use corrected_potential for projectivized "
@@ -109,8 +103,13 @@ def corrected_potential(fan: Fan, kahler: KahlerData, gw: GWProvider,
 
 
 def potential_with_correction(kahler: KahlerData, factor: QPoly) -> LaurentPoly:
-    """C * (zero-section monomial) + sum of the other basic monomials."""
-    total = basic_monomial(kahler, 0) * factor
+    """W with one term per ray v_i: the q-monomial q^{e_i} of exp(lambda_i),
+    and for the zero section v_0 that monomial times C. C's q-terms keep
+    their order, the order in which ``numeric_terms`` sums them."""
+    rays = kahler.fan.rays
+    e0 = kahler.lambda_q_exponents(0)
+    terms = {rays[0]: QPoly(kahler.rank, {tuple(map(add, e0, e)): c
+                                          for e, c in factor.terms.items()})}
     for i in range(1, kahler.fan.nrays):
-        total += basic_monomial(kahler, i)
-    return total
+        terms[rays[i]] = QPoly(kahler.rank, {kahler.lambda_q_exponents(i): 1})
+    return LaurentPoly(kahler.fan.dimension, kahler.rank, terms)

@@ -13,7 +13,7 @@ from toricmirror.errors import DependentGenerators, DimensionMismatch, EmptyInte
 from toricmirror.fan import Fan, validate_fan
 from toricmirror.kahler import KahlerData
 from toricmirror.lattice import hermite_normal_form, xgcd
-from toricmirror.laurent import evaluate
+from toricmirror.laurent import LaurentPoly, QPoly, evaluate
 from toricmirror.linform import LinForm
 
 
@@ -81,6 +81,21 @@ def f2_kahler():
 @pytest.fixture
 def f3():
     return validate_fan(2, [(1, 0), (0, 1), (-1, -3), (0, -1)])
+
+
+def laurent(terms: dict) -> LaurentPoly:
+    """The LaurentPoly {z-exponent: {q-exponent: coefficient}}, built with
+    the constructors; the numbers of variables are read off the first term."""
+    zexp, coeff = next(iter(terms.items()))
+    qvars = len(next(iter(coeff)))
+    return LaurentPoly(len(zexp), qvars, {z: QPoly(qvars, c) for z, c in terms.items()})
+
+
+def moment_vertices(kahler, params) -> list:
+    """The moment polytope's vertices, one per maximal cone, sorted, as
+    Fractions: the library's scaled vertices divided by their denominator."""
+    denom, points = kahler.scaled_vertices(params)
+    return sorted(tuple(Fraction(a, denom) for a in x) for x in points)
 
 
 # --- independent oracles ---
@@ -664,7 +679,7 @@ def polytope_vertices(normals, offsets) -> list:
 def interior_point(kahler, params) -> tuple:
     """The mean of the moment polytope's vertices, a strictly interior
     point; raises EmptyInterior outside the open Kahler cone."""
-    points = kahler.vertices(params)
+    points = moment_vertices(kahler, params)
     return tuple(sum(p[j] for p in points) / len(points)
                  for j in range(kahler.fan.dimension))
 
@@ -715,12 +730,30 @@ def fraction_moduli_from_polytope(kahler, params) -> tuple:
     return tuple(out)
 
 
-def dual_kahler(fan) -> KahlerData:
-    """Kahler data with lambda 0 on the rays of the first maximal cone and
-    -t_j on the others, in the q-basis dual to that cone: basis class j is
-    the relation of the j-th other ray to the cone's rays, so that
-    q_j = exp(-t_j)."""
-    sigma = fan.maximal_cones[0]
+def summed_potential(kahler, factor) -> dict:
+    """W as the sum C * m_0 + m_1 + ... + m_{d-1} of the one-disk monomials
+    m_i = exp(lambda_i) z^{v_i}, in nested dicts {z: {q: Fraction}}: the
+    product shifts C's q-terms in their order, and the sum merges equal
+    z-exponents and equal q-exponents and drops zeros, as the ring
+    arithmetic that once assembled W did."""
+    total = {}
+    for i, ray in enumerate(kahler.fan.rays):
+        shift = kahler.lambda_q_exponents(i)
+        coeff = factor.terms if i == 0 else {(0,) * kahler.rank: Fraction(1)}
+        merged = total.setdefault(tuple(ray), {})
+        for qexp, value in coeff.items():
+            qexp = tuple(a + b for a, b in zip(shift, qexp))
+            merged[qexp] = merged.get(qexp, Fraction(0)) + value
+    total = {z: {q: c for q, c in coeff.items() if c} for z, coeff in total.items()}
+    return {z: coeff for z, coeff in total.items() if coeff}
+
+
+def dual_kahler(fan, cone: int = 0) -> KahlerData:
+    """Kahler data with lambda 0 on the rays of a maximal cone (the first by
+    default) and -t_j on the others, in the q-basis dual to that cone: basis
+    class j is the relation of the j-th other ray to the cone's rays, so
+    that q_j = exp(-t_j)."""
+    sigma = fan.maximal_cones[cone]
     off = [i for i in range(fan.nrays) if i not in sigma]
     lambdas = ["0"] * fan.nrays
     q_basis = []

@@ -17,7 +17,9 @@ from conftest import (
     fd_log_gradient,
     hirzebruch2,
     hirzebruch2_kahler,
+    laurent,
     matrix_det,
+    moment_vertices,
     p1_times_p1,
     projective_line,
     projective_plane,
@@ -31,7 +33,7 @@ from toricmirror.documents import fan_from_document, potential_to_document
 from toricmirror.fan import Positivity, chern_degree, classify_positivity, validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
-from toricmirror.laurent import LaurentPoly, QPoly, gradient
+from toricmirror.laurent import QPoly, gradient
 from toricmirror.potential import corrected_potential, correction_details, hori_vafa
 
 RAT_T = Fraction(46051701859880914, 10**16)  # ln(100), so q = 0.01
@@ -69,15 +71,10 @@ def test_criterion_1_f2_symbolic_end_to_end():
         for cutoff in (2, 3, 4):
             factor, records = correction_details(doc.fan, doc.kahler, gw, cutoff)
             W = corrected_potential(doc.fan, doc.kahler, gw, cutoff)
-            expected = (
-                LaurentPoly.monomial((1, 0), QPoly.monomial((0, 0)))
-                + LaurentPoly.monomial((0, 1), QPoly.monomial((0, 0)))
-                + LaurentPoly.monomial((-1, -2), QPoly.monomial((1, 2)))
-                + LaurentPoly.monomial(
-                    (0, -1), QPoly.monomial((0, 1)) + QPoly.monomial((1, 1)))
-            )
+            expected = laurent({(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): 1},
+                                (-1, -2): {(1, 2): 1}, (0, -1): {(0, 1): 1, (1, 1): 1}})
             assert W == expected, "potential differs from the closed form"
-            assert factor == QPoly.constant(2, 1) + QPoly.monomial((1, 0))
+            assert factor == QPoly(2, {(0, 0): 1, (1, 0): 1})
         payload = potential_to_document(W, branch="corrected", fandoc=doc,
                                         cutoff=4, correction=factor,
                                         gw_records=records)
@@ -220,7 +217,7 @@ def test_criterion_8_area_identities():
         assert k.sphere_area((1, 0, 0, 1)) == LinForm.variable("t2")
         rng = random.Random(8)
         params = {"t1": Fraction(1), "t2": Fraction(1)}
-        vertices = k.vertices(params)
+        vertices = moment_vertices(k, params)
         for _ in range(100):
             weights = [Fraction(rng.randint(1, 100)) for _ in vertices]
             total = sum(weights)

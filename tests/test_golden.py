@@ -1,0 +1,104 @@
+"""Byte-identity of the exact CLI outputs against pinned SHA-256 digests.
+
+Each run's exit code and the digest of what it wrote to stdout and stderr
+are pinned in ``golden_digests.json``: ``analyze`` (text and ``--json``),
+``bundle`` and ``potential --cutoff 0..3`` on every sample document, and the
+potential documents of three projectivized canonical bundles that the test
+writes with Kahler data. ``crit`` documents are left out: their floats
+depend on the BLAS build. Re-record only when a change of bytes is meant:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import p1_times_p1, projective_line, projective_plane
+from toricmirror.bundle import default_q_basis, projectivize_canonical
+from toricmirror.cli import main
+from toricmirror.documents import fan_to_document
+from toricmirror.gw import fan_fingerprint
+
+SAMPLES = Path(__file__).parents[1] / "sample_data"
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+PINNED = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+CUTOFFS = (0, 1, 2, 3)
+
+# bundle name -> (base fan, lambdas, potential flags)
+BUNDLE_CASES = {
+    "P(K_P1+O)": (projective_line, ["0", "0", "-t1", "-t2"], []),
+    "P(K_P2+O)": (projective_plane, ["0", "0", "0", "-t1", "-t2"], []),
+    "P(K_P1xP1+O)": (p1_times_p1, ["0", "0", "-t1", "0", "-t2", "-t3"],
+                     ["--assume-zero-above-cutoff"]),
+}
+P2_LINE_LIFT = [-3, 1, 1, 1, 0]  # the line of P2 on the zero section
+P2_VALUES = {1: "-2", 2: "5", 3: "-32"}
+
+
+def write_bundle_documents(folder: Path) -> dict:
+    """Write each bundle's fan document, and a table of invariants for
+    P(K_P2+O), into folder; returns name -> potential arguments without
+    the cutoff."""
+    out = {}
+    for name, (base, lambdas, flags) in BUNDLE_CASES.items():
+        x = projectivize_canonical(base())
+        params = sorted({lam[1:] for lam in lambdas if lam != "0"})
+        doc = fan_to_document(x, parameters=params, lambdas=lambdas,
+                              q_basis=default_q_basis(x))
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out[name] = [str(path)] + flags
+    table = {"fan_fingerprint": fan_fingerprint(projectivize_canonical(projective_plane())),
+             "basis": [P2_LINE_LIFT],
+             "entries": [{"class": [k], "value": v} for k, v in P2_VALUES.items()]}
+    path = folder / "table.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    out["P(K_P2+O)"] += ["--gw-table", str(path)]
+    return out
+
+
+def runs(folder: Path) -> dict:
+    """Run name -> CLI argument list, for every pinned run."""
+    out = {}
+    for path in sorted(SAMPLES.glob("*.json")):
+        out[f"analyze {path.name}"] = ["analyze", str(path)]
+        out[f"analyze --json {path.name}"] = ["analyze", "--json", str(path)]
+        out[f"bundle {path.name}"] = ["bundle", str(path)]
+        for cutoff in CUTOFFS:
+            out[f"potential {path.name} --cutoff {cutoff}"] = \
+                ["potential", str(path), "--cutoff", str(cutoff)]
+    for name, args in write_bundle_documents(folder).items():
+        for cutoff in CUTOFFS:
+            out[f"potential {name} --cutoff {cutoff}"] = \
+                ["potential", args[0], "--cutoff", str(cutoff)] + args[1:]
+    return out
+
+
+def run(argv) -> dict:
+    """Exit code and SHA-256 of stdout followed by stderr, in UTF-8."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    text = stdout.getvalue() + stderr.getvalue()
+    return {"exit": code, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def test_pinned_runs_are_listed(tmp_path):
+    assert sorted(runs(tmp_path)) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_output_bytes_unchanged(tmp_path, name):
+    assert run(runs(tmp_path)[name]) == PINNED[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as folder:
+        record = {name: run(argv) for name, argv in runs(Path(folder)).items()}
+    DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")

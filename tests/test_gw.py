@@ -1,6 +1,7 @@
 """Invariant sources: built-in rule, tables, and the open/closed identity."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     BadChernDegree,
     DependentGenerators,
+    DimensionMismatch,
     FingerprintMismatch,
     InconsistentTable,
     UnknownInvariant,
@@ -122,6 +124,14 @@ class TestTables:
     def test_valid_table_accepted(self, f2):
         table = self.make_table(f2, {(1, 0): Fraction(1)})
         assert table.by_class == {F2_ALPHA: 1}
+
+    @pytest.mark.parametrize("key", [(1, 0, 5), (1,)])
+    def test_key_of_the_wrong_length_rejected(self, f2, key):
+        # zipped with the basis, both keys would name the class F2_ALPHA
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                f"table key {key} has {len(key)} coordinates; the basis has 2 classes")):
+            self.make_table(f2, {key: Fraction(1)})
+        assert DimensionMismatch.exit_code == 2
 
     def test_degree_two_key_rejected(self, f2):
         with pytest.raises(BadChernDegree):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import disk_area, interior_point, support_value
+from conftest import disk_area, interior_point, moment_vertices, support_value
 from toricmirror.errors import EmptyInterior, LambdaNotQExpressible, NotInBasisSpan
 from toricmirror.fan import chern_degree
 from toricmirror import kahler
@@ -49,7 +49,7 @@ class TestDiskAreas:
     def test_positive_at_interior_points(self, f2_kahler):
         rng = random.Random(1)
         params = {"t1": Fraction(1), "t2": Fraction(1)}
-        vertices = f2_kahler.vertices(params)
+        vertices = moment_vertices(f2_kahler, params)
         for _ in range(100):
             weights = [Fraction(rng.randint(1, 50)) for _ in vertices]
             total = sum(weights)
@@ -162,7 +162,7 @@ class TestInteriorPoint:
         # empty for some parameter values only; `vertices` refuses those
         k = KahlerData(p1, lambdas)
         with pytest.raises(EmptyInterior):
-            k.vertices({n: Fraction(-1) for n in k.parameter_names})
+            moment_vertices(k, {n: Fraction(-1) for n in k.parameter_names})
 
     def test_missing_parameters(self, f2_kahler):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from conftest import (
     hirzebruch2_kahler,
     interior_point,
     max_min_slack,
+    moment_vertices,
     p1_times_p1,
     polytope_vertices,
     projective_line,
@@ -148,7 +149,7 @@ def test_vertices_match_oracles(fans):
             offsets = [-x for x in t]
             if in_kahler_cone(fan, offsets):
                 inside += 1
-                vertices = k.vertices(params)
+                vertices = moment_vertices(k, params)
                 assert vertices == polytope_vertices(fan.rays, offsets), (fan.rays, t)
                 assert len(vertices) == len(fan.maximal_cones)
                 x = interior_point(k, params)
@@ -156,7 +157,7 @@ def test_vertices_match_oracles(fans):
             else:
                 outside += 1
                 with pytest.raises(EmptyInterior, match=refusal):
-                    k.vertices(params)
+                    moment_vertices(k, params)
                 with pytest.raises(EmptyInterior):
                     interior_point(k, params)
     assert inside >= 60 and outside >= 60, (inside, outside)
@@ -218,7 +219,7 @@ def test_integer_vertices_give_the_fraction_seeds():
                 assert str(caught.value) == str(exc)
                 continue
             inside += 1
-            assert k.vertices(params) == expected
+            assert moment_vertices(k, params) == expected
             assert moduli_from_polytope(k, params) == fraction_moduli_from_polytope(k, params)
     assert inside >= 100 and outside >= 20, (inside, outside)
 
@@ -253,7 +254,7 @@ def test_boundary_points_keep_the_refusal():
             assert min(slacks(k, wall)) == 0
             with pytest.raises(EmptyInterior) as expected:
                 fraction_vertices(k, wall)
-            for call in (k.vertices, lambda w: moduli_from_polytope(k, w)):
+            for call in (k.scaled_vertices, lambda w: moduli_from_polytope(k, w)):
                 with pytest.raises(EmptyInterior) as caught:
                     call(wall)
                 assert str(caught.value) == str(expected.value)

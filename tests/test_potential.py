@@ -8,10 +8,12 @@ import pytest
 from conftest import (
     dual_kahler,
     effective_classes_up_to,
+    laurent,
     p1_times_p1,
     projective_line,
     projective_plane,
     random_unimodular,
+    summed_potential,
 )
 from test_integer_solves import DP6, F1, in_chart, product_fan
 from test_moment_polytope import P3
@@ -21,10 +23,9 @@ from toricmirror.errors import NotBundleShaped, NotFano, UnknownInvariant
 from toricmirror.fan import chern_degree, validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
-from toricmirror.laurent import LaurentPoly, QPoly
+from toricmirror.laurent import QPoly
 from toricmirror.potential import (
     GWRecord,
-    basic_monomial,
     corrected_potential,
     correction_details,
     hori_vafa,
@@ -33,40 +34,43 @@ from toricmirror.potential import (
 F2_ALPHA = (-2, 1, 1, 0)
 
 
-def zmono(zexp, qexp, coeff=1):
-    return LaurentPoly.monomial(zexp, QPoly.monomial(qexp, coeff))
-
-
 def f2_closed_form():
     """z1 + z2 + q1*q2^2/(z1*z2^2) + (q2 + q1*q2)/z2, exactly."""
-    return (zmono((1, 0), (0, 0)) + zmono((0, 1), (0, 0))
-            + zmono((-1, -2), (1, 2))
-            + LaurentPoly.monomial(
-                (0, -1), QPoly.monomial((0, 1)) + QPoly.monomial((1, 1))))
+    return laurent({(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): 1},
+                    (-1, -2): {(1, 2): 1}, (0, -1): {(0, 1): 1, (1, 1): 1}})
+
+
+def nested(poly) -> dict:
+    """A LaurentPoly as {z: {q: Fraction}}, in its insertion orders."""
+    return {z: dict(c.terms) for z, c in poly.terms.items()}
 
 
 class TestBasicMonomials:
-    def test_zero_section_term(self, f2_kahler):
-        assert basic_monomial(f2_kahler, 0) == zmono((0, -1), (0, 1))
+    """At cutoff 0, W is the one-disk term exp(lambda_i) z^{v_i} per ray."""
 
-    def test_slanted_term(self, f2_kahler):
-        assert basic_monomial(f2_kahler, 2) == zmono((-1, -2), (1, 2))
+    @pytest.fixture
+    def terms(self, f2_kahler):
+        return corrected_potential(f2_kahler.fan, f2_kahler, GWProvider(f2_kahler), 0).terms
 
-    def test_plain_terms(self, f2_kahler):
-        assert basic_monomial(f2_kahler, 1) == zmono((1, 0), (0, 0))
-        assert basic_monomial(f2_kahler, 3) == zmono((0, 1), (0, 0))
+    def test_zero_section_term(self, terms):
+        assert terms[(0, -1)] == QPoly(2, {(0, 1): 1})
+
+    def test_slanted_term(self, terms):
+        assert terms[(-1, -2)] == QPoly(2, {(1, 2): 1})
+
+    def test_plain_terms(self, terms):
+        assert terms[(1, 0)] == terms[(0, 1)] == QPoly(2, {(0, 0): 1})
 
 
 class TestHoriVafa:
     def test_plane(self, p2):
         k = KahlerData(p2, ["0", "0", "-t"])
-        assert hori_vafa(p2, k) == (
-            zmono((1, 0), (0,)) + zmono((0, 1), (0,)) + zmono((-1, -1), (1,))
-        )
+        assert hori_vafa(p2, k) == laurent({(1, 0): {(0,): 1}, (0, 1): {(0,): 1},
+                                            (-1, -1): {(1,): 1}})
 
     def test_line(self, p1):
         k = KahlerData(p1, ["0", "-t"])
-        assert hori_vafa(p1, k) == zmono((1,), (0,)) + zmono((-1,), (1,))
+        assert hori_vafa(p1, k) == laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}})
 
     def test_semi_fano_gate(self, f2_kahler):
         with pytest.raises(NotFano):
@@ -107,7 +111,7 @@ class TestContributingClasses:
 class TestCorrectionFactor:
     def test_f2_stabilizes_at_one_plus_q1(self, f2_kahler):
         gw = GWProvider(f2_kahler)
-        expected = QPoly.constant(2, 1) + QPoly.monomial((1, 0))
+        expected = QPoly(2, {(0, 0): 1, (1, 0): 1})
         for cutoff in (2, 3, 5):
             assert correction_details(f2_kahler.fan, f2_kahler, gw, cutoff)[0] == expected
 
@@ -163,9 +167,8 @@ class TestCorrectedPotential:
     def test_f2_cutoff_zero(self, f2_kahler):
         gw = GWProvider(f2_kahler)
         W = corrected_potential(f2_kahler.fan, f2_kahler, gw, 0)
-        expected = (zmono((1, 0), (0, 0)) + zmono((0, 1), (0, 0))
-                    + zmono((-1, -2), (1, 2)) + zmono((0, -1), (0, 1)))
-        assert W == expected
+        assert W == laurent({(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): 1},
+                             (-1, -2): {(1, 2): 1}, (0, -1): {(0, 1): 1}})
 
     def test_zero_invariants_reduce_to_hori_vafa_shape(self, p1xp1):
         # with every invariant zero-filled the correction factor is 1 and
@@ -174,10 +177,7 @@ class TestCorrectedPotential:
         k = KahlerData(x, ["0", "0", "-t1", "0", "-t2", "-t3"])
         gw = GWProvider(k, assume_zero=True)
         W = corrected_potential(x, k, gw, 3)
-        expected = LaurentPoly.zero(3, 3)
-        for i in range(x.nrays):
-            expected += basic_monomial(k, i)
-        assert W == expected
+        assert nested(W) == summed_potential(k, QPoly.constant(k.rank, 1))
 
     def test_monotone_truncation(self, f2_kahler, p2):
         cases = [(f2_kahler.fan, f2_kahler, GWProvider(f2_kahler))]
@@ -186,14 +186,14 @@ class TestCorrectedPotential:
         cases.append((x, kx, GWProvider(kx, assume_zero=True)))
         for fan, k, gw in cases:
             for low, high in ((0, 1), (1, 2), (2, 4)):
-                w_low = corrected_potential(fan, k, gw, low)
-                w_high = corrected_potential(fan, k, gw, high)
-                diff = w_high - w_low
-                for zexp, coeff in diff.terms.items():
-                    new_degrees = [sum(e) for e in coeff.terms]
-                    old = w_low.terms.get(zexp)
-                    old_max = max(sum(e) for e in old.terms) if old else -1
-                    assert min(new_degrees) > old_max
+                w_low = nested(corrected_potential(fan, k, gw, low))
+                w_high = nested(corrected_potential(fan, k, gw, high))
+                for zexp in w_low.keys() | w_high.keys():
+                    old, new = w_low.get(zexp, {}), w_high.get(zexp, {})
+                    changed = [sum(e) for e in old.keys() | new.keys()
+                               if old.get(e) != new.get(e)]
+                    if changed:
+                        assert min(changed) > max(map(sum, old), default=-1)
 
     def test_boundary_class_bookkeeping(self, f2_kahler):
         # every z-exponent of the potential is the boundary of some
@@ -213,7 +213,7 @@ class TestCorrectedPotential:
         W = corrected_potential(f2_kahler.fan, f2_kahler, gw, 4)
         coeff = W.terms[(0, -1)]  # boundary of the zero-section disk
         # C * q2: constant term 1*q2 (alpha=0), q1*q2 (alpha), nothing higher
-        assert coeff == QPoly.monomial((0, 1)) + QPoly.monomial((1, 1))
+        assert coeff == QPoly(2, {(0, 1): 1, (1, 1): 1})
 
 
 # --- the degree-0 enumeration against the full one ---
@@ -258,7 +258,7 @@ class PatternProvider:
 def reference_details(fan, kahler, gw, cutoff):
     """correction_details over the full enumeration, filtered to degree 0,
     with q-exponents solved class by class."""
-    factor = QPoly.constant(kahler.rank, 1)
+    factor = {(0,) * kahler.rank: Fraction(1)}
     records = []
     for alpha in effective_classes_up_to(fan, cutoff):
         if not any(alpha) or chern_degree(alpha) != 0:
@@ -267,8 +267,8 @@ def reference_details(fan, kahler, gw, cutoff):
         qexp = kahler.q_weight(alpha)
         records.append(GWRecord(alpha=alpha, q_exponents=qexp, value=value, source=source))
         if value:
-            factor = factor + QPoly.monomial(qexp, value)
-    return factor, records
+            factor[qexp] = factor.get(qexp, Fraction(0)) + value
+    return QPoly(kahler.rank, factor), records
 
 
 def recorded_disk_classes(fan, records):
@@ -325,3 +325,25 @@ class TestDegreeZeroEnumeration:
         with pytest.raises(ValueError):
             correction_details(f2_kahler.fan, f2_kahler, GWProvider(f2_kahler), -1)
 
+
+
+# --- W built one term per ray against the sum of one-disk monomials ---
+
+ASSEMBLY_BASES = ("P1", "P2", "P1xP1", "F1", "dP6")
+ASSEMBLY_BUNDLES = [(n, f) for n, f in BUNDLES if n.split("-")[0] in ASSEMBLY_BASES]
+
+
+@pytest.mark.parametrize("name, fan", ASSEMBLY_BUNDLES, ids=[n for n, _ in ASSEMBLY_BUNDLES])
+def test_assembly_matches_summed_monomials(name, fan):
+    # the terms, and the order of every coefficient's q-terms, which sets
+    # the order of the float sum in numeric_terms
+    k0, k1 = dual_kahler(fan), dual_kahler(fan, cone=-1)
+    # in k1 the built-in F2 value of the P1 bundles has a negative q-exponent
+    for k, gw in ((k0, GWProvider(k0, assume_zero=True)), (k0, PatternProvider(k0)),
+                  (k1, PatternProvider(k1))):
+        for cutoff in range(4):
+            factor, _ = correction_details(fan, k, gw, cutoff)
+            got = nested(corrected_potential(fan, k, gw, cutoff))
+            want = summed_potential(k, factor)
+            assert [(z, list(c.items())) for z, c in got.items()] == \
+                [(z, list(c.items())) for z, c in want.items()], (cutoff, k.q_basis)

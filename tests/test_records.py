@@ -70,15 +70,6 @@ def test_table_equality_compares_values():
         hash(table)
 
 
-def test_report_equality_ignores_options():
-    plain = report()
-    other = report(options=SolverOptions(max_steps=5))
-    assert plain == other and not plain != other
-    assert hash(plain) == hash(other)
-    assert plain != report(deduped=2)
-    assert plain != tuple(plain) and tuple(plain) != plain
-
-
 FROZEN = {  # record -> (builder, one of its fields)
     "PrimitiveRelation": (lambda: hirzebruch2().primitive_relations[0], "collection"),
     "Fan": (hirzebruch2, "rays"),
