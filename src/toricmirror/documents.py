@@ -163,7 +163,7 @@ def fan_to_document(fan: Fan, *, parameters=None, lambdas=None, q_basis=None) ->
 
 # --- Gromov-Witten tables ---
 
-def gw_table_from_document(obj, fan: Optional[Fan] = None) -> GWTable:
+def gw_table_from_document(obj, fan: Fan) -> GWTable:
     from .gw import validate_table
 
     _require(isinstance(obj, dict), "table document must be a JSON object")
@@ -186,7 +186,7 @@ def gw_table_from_document(obj, fan: Optional[Fan] = None) -> GWTable:
     return validate_table(obj["fan_fingerprint"], basis, entries, fan)
 
 
-def load_gw_table(path, fan: Optional[Fan] = None) -> GWTable:
+def load_gw_table(path, fan: Fan) -> GWTable:
     return gw_table_from_document(_read_json(path), fan)
 
 
@@ -253,9 +253,11 @@ def potential_to_document(poly: LaurentPoly, *, branch: str, fandoc: FanDocument
 
 
 class PotentialDocument(NamedTuple):
+    """What ``crit`` reads of a potential document: W, the declared
+    parameters, one area per q-variable, and the fan section, whose Kahler
+    data (when present) gives exactly those areas."""
+
     poly: LaurentPoly
-    branch: str
-    cutoff: Optional[int]
     parameters: tuple
     q_areas: list
     fandoc: Optional[FanDocument]
@@ -276,10 +278,8 @@ class PotentialDocument(NamedTuple):
 def _area_from_json(item) -> LinForm:
     _require(isinstance(item, dict) and isinstance(item.get("terms", {}), dict),
              f"a q-area must be an object whose 'terms' is an object, got {item!r}")
-    try:
-        return LinForm.from_json(item)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise SchemaError(f"bad q-area {item!r}: {exc}") from exc
+    return LinForm(_rational(item.get("constant", "0")),
+                   {n: _rational(c) for n, c in item.get("terms", {}).items()})
 
 
 def potential_from_document(obj) -> PotentialDocument:
@@ -317,14 +317,9 @@ def potential_from_document(obj) -> PotentialDocument:
         _require(fandoc.fan.dimension == zvars,
                  f"the 'fan' section has dimension {fandoc.fan.dimension}, but the "
                  f"potential has {zvars} z-variables")
-    return PotentialDocument(
-        poly=poly,
-        branch=obj.get("branch", "unknown"),
-        cutoff=obj.get("cutoff"),
-        parameters=params,
-        q_areas=q_areas,
-        fandoc=fandoc,
-    )
+        _require(fandoc.kahler is None or list(fandoc.kahler.basis_areas()) == q_areas,
+                 "the areas of the 'fan' section's q-basis differ from 'q_areas'")
+    return PotentialDocument(poly, params, q_areas, fandoc)
 
 
 def load_potential_document(path) -> PotentialDocument:

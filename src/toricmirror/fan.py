@@ -99,10 +99,6 @@ class Fan:
     def nrays(self) -> int:
         return len(self.rays)
 
-    def ray_matrix(self):
-        """Rays as columns: the map Z^d -> Z^n."""
-        return [[self.rays[j][i] for j in range(self.nrays)] for i in range(self.dimension)]
-
     @functools.cached_property
     def _cone_index_sets(self):
         return tuple(frozenset(c) for c in self.maximal_cones)
@@ -115,8 +111,9 @@ class Fan:
 
     @functools.cached_property
     def homology_basis(self):
-        """Canonical Z-basis of the kernel of the ray map (degree-2 homology)."""
-        return tuple(kernel_basis(self.ray_matrix()))
+        """Canonical Z-basis of the kernel of the ray map (degree-2 homology):
+        the map Z^n -> Z^d with the rays as columns."""
+        return tuple(kernel_basis(list(zip(*self.rays))))
 
     def is_homology_basis(self, classes) -> bool:
         """True when the classes form a Z-basis of the homology lattice.
@@ -158,9 +155,10 @@ class Fan:
                 found.append(subset)
         return tuple(found)
 
-    def primitive_relation(self, collection) -> PrimitiveRelation:
-        """Locate the focus (smallest cone containing the collection's ray sum)
-        and assemble the induced relation and curve class.
+    def _primitive_relation(self, collection) -> PrimitiveRelation:
+        """Locate the focus (smallest cone containing the ray sum of a sorted
+        primitive collection) and assemble the induced relation and curve
+        class.
 
         The first maximal cone whose dual basis gives the sum nonnegative
         coordinates contains it; the rays with positive coordinates span the
@@ -168,9 +166,6 @@ class Fan:
         multiplicities. The focus never meets the collection (Batyrev,
         Tohoku Math. J. 43, 1991, Prop. 3.1).
         """
-        collection = tuple(sorted(collection))
-        if collection not in self.primitive_collections:
-            raise ValueError(f"{collection} is not a primitive collection of this fan")
         s = [sum(self.rays[i][k] for i in collection) for k in range(self.dimension)]
         for cone, dual in self.dual_bases.items():
             coeffs = [sum(a * x for a, x in zip(row, s)) for row in dual]
@@ -195,7 +190,7 @@ class Fan:
 
     @functools.cached_property
     def primitive_relations(self):
-        return tuple(self.primitive_relation(c) for c in self.primitive_collections)
+        return tuple(self._primitive_relation(c) for c in self.primitive_collections)
 
     @functools.cached_property
     def positive_circuits(self):

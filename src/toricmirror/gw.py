@@ -5,15 +5,15 @@ The corrected superpotential consumes the closed invariants attached to
 These are mathematical inputs, not something this package derives: values
 come from (1) a built-in rule for the Hirzebruch surface F2, where the
 invariants follow from the symplectomorphism with P1 x P1, or (2) a
-user-supplied table bound to the fan by fingerprint. The built-in rule
-applies by classification: a smooth complete toric surface with 4 rays is a
-Hirzebruch surface F_a, whose primitive relations have degrees 2 and
-2 - |a| (Oda; Fulton, "Introduction to Toric Varieties"), so the fan is F2
-exactly when it is 2-dimensional, has 4 rays and has a degree-0 primitive
-relation. A class covered by neither source raises UnknownInvariant: absence
-of data is never silently treated as zero (opt in via ``assume_zero``),
-because vanishing has to be proved for each geometry; it is not a safe
-default.
+user-supplied table bound to the fan by fingerprint, validated against that
+fan and used with it only. The built-in rule applies by classification: a
+smooth complete toric surface with 4 rays is a Hirzebruch surface F_a,
+whose primitive relations have degrees 2 and 2 - |a| (Oda; Fulton,
+"Introduction to Toric Varieties"), so the fan is F2 exactly when it is
+2-dimensional, has 4 rays and has a degree-0 primitive relation. A class
+covered by neither source raises UnknownInvariant: absence of data is never
+silently treated as zero (opt in via ``assume_zero``), because vanishing has
+to be proved for each geometry; it is not a safe default.
 """
 
 from __future__ import annotations
@@ -68,28 +68,28 @@ def fan_fingerprint(fan: Fan) -> str:
 
 
 class GWTable(NamedTuple):
-    """Validated table of invariants, keyed by the curve class each document
-    key names, in ray coordinates."""
+    """Validated table of invariants: the fan it was validated against, and
+    the curve class each document key names, in that fan's ray coordinates."""
 
-    fingerprint: str
+    fan: Fan
     by_class: dict  # curve class -> Fraction
 
 
-def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) -> GWTable:
-    """Check a parsed table: fingerprint binding, basis classes that are
-    linearly independent (DependentGenerators otherwise), keys with one
-    coordinate per basis class (DimensionMismatch otherwise), and that every
-    key names a class of anticanonical degree 0."""
-    if fan is not None:
-        expected = fan_fingerprint(fan)
-        if fingerprint != expected:
-            raise FingerprintMismatch(
-                f"table is bound to fan {fingerprint[:12]}..., "
-                f"current fan is {expected[:12]}..."
-            )
-        for b in basis:
-            if not fan.is_homology_class(b):
-                raise BadChernDegree(f"table basis vector {b} is not a curve class")
+def validate_table(fingerprint: str, basis, entries, fan: Fan) -> GWTable:
+    """Check a parsed table against fan: fingerprint binding, basis classes
+    that are curve classes of the fan and linearly independent
+    (DependentGenerators otherwise), keys with one coordinate per basis class
+    (DimensionMismatch otherwise), and that every key names a class of
+    anticanonical degree 0."""
+    expected = fan_fingerprint(fan)
+    if fingerprint != expected:
+        raise FingerprintMismatch(
+            f"table is bound to fan {fingerprint[:12]}..., "
+            f"current fan is {expected[:12]}..."
+        )
+    for b in basis:
+        if not fan.is_homology_class(b):
+            raise BadChernDegree(f"table basis vector {b} is not a curve class")
     lattice_coordinates(basis)  # DependentGenerators on a dependent basis
     by_class = {}
     for key, value in entries.items():
@@ -103,7 +103,7 @@ def validate_table(fingerprint: str, basis, entries, fan: Optional[Fan] = None) 
                 f"only degree-0 classes are consumed"
             )
         by_class[cls] = Fraction(value)
-    return GWTable(fingerprint=fingerprint, by_class=by_class)
+    return GWTable(fan=fan, by_class=by_class)
 
 
 class GWProvider:
@@ -116,6 +116,9 @@ class GWProvider:
         self.table = table
         self.assume_zero = assume_zero
         if table is not None:
+            if table.fan != self.fan:  # its keys name classes in that fan's rays
+                raise FingerprintMismatch("the table was validated against another fan "
+                                          "than the Kahler data's, or another ray order")
             self._check_table_consistency()
 
     @functools.cached_property

@@ -26,7 +26,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .bundle import default_q_basis
 from .errors import (
@@ -153,11 +153,6 @@ class KahlerData:
     def lambda_q_exponents(self, i: int) -> tuple:
         """Write exp(lambda_i) as a q-monomial: solve
         lambda_i = -sum(e_j * area(basis_j)) for nonnegative integers e_j."""
-        lam = self.lambdas[i]
-        if not self.q_basis:
-            if lam == LinForm(0):
-                return ()
-            raise LambdaNotQExpressible(f"lambda_{i} = {lam} with no q-variables")
         try:
             sol = self._lambda_coordinates[i]
         except DependentGenerators as exc:
@@ -166,21 +161,14 @@ class KahlerData:
             ) from exc
         if sol is None or any(c < 0 for c in sol):
             raise LambdaNotQExpressible(
-                f"lambda_{i} = {lam} is not -1 times a nonnegative integer "
+                f"lambda_{i} = {self.lambdas[i]} is not -1 times a nonnegative integer "
                 f"combination of the basis areas"
             )
         return sol
 
     # -- polytope geometry --
 
-    def numeric_offsets(self, params: Optional[Mapping] = None) -> list:
-        values = dict(params or {})
-        missing = [n for n in self.parameter_names if n not in values]
-        if missing:
-            raise ValueError(f"need numeric values for parameters {missing}")
-        return [lam.subs(values) for lam in self.lambdas]
-
-    def scaled_vertices(self, params: Optional[Mapping] = None) -> tuple:
+    def scaled_vertices(self, params: Mapping) -> tuple:
         """(denom, vertices times denom): the moment polytope's vertices,
         one per maximal cone in cone order, as integer points over the
         common denominator of the support constants.
@@ -189,9 +177,13 @@ class KahlerData:
         is the lambda-weighted sum of its dual basis rows. Raises
         EmptyInterior, naming the cone and the ray, unless every vertex lies
         strictly inside the half-spaces of the other rays, i.e. unless the
-        parameters lie in the open Kahler cone.
+        parameters lie in the open Kahler cone. A parameter without a value
+        is a ValueError.
         """
-        offsets = [Fraction(b) for b in self.numeric_offsets(params)]
+        missing = [n for n in self.parameter_names if n not in params]
+        if missing:
+            raise ValueError(f"need numeric values for parameters {missing}")
+        offsets = [Fraction(lam.subs(params)) for lam in self.lambdas]
         denom = math.lcm(*(b.denominator for b in offsets))
         offsets = [b.numerator * (denom // b.denominator) for b in offsets]
         rays = self.fan.rays

@@ -27,9 +27,6 @@ from .errors import (
     ZeroVector,
 )
 
-IntVector = tuple
-IntMatrix = list  # list of rows
-
 
 def xgcd(a: int, b: int) -> tuple:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0.
@@ -138,10 +135,7 @@ def kernel_basis(mat) -> list:
     rk = sum(1 for h in H if any(h))
     if rk < m:
         raise NotFullRank(f"matrix rows are dependent (rank {rk} < {m})")
-    kernel_rows = U[rk:]
-    if not kernel_rows:
-        return []
-    canon, _ = hermite_normal_form(kernel_rows)
+    canon, _ = hermite_normal_form(U[rk:])
     return [tuple(r) for r in canon if any(r)]
 
 

@@ -150,11 +150,6 @@ class LinForm:
             obj["terms"] = {n: str(c) for n, c in sorted(self.coeffs.items())}
         return obj
 
-    @classmethod
-    def from_json(cls, obj) -> "LinForm":
-        return cls(Fraction(obj.get("constant", "0")),
-                   {n: Fraction(c) for n, c in obj.get("terms", {}).items()})
-
 
 def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinForm:
     """Parse expressions like ``-t1 - 2*t2 + 3/2`` into a LinForm.

@@ -689,7 +689,7 @@ def fraction_vertices(kahler, params) -> list:
     it scaled to integers: each cone's dual-basis rows weighted by the
     Fraction support constants, sorted, with the same EmptyInterior refusal
     and message."""
-    offsets = [Fraction(b) for b in kahler.numeric_offsets(params)]
+    offsets = [Fraction(lam.subs(params)) for lam in kahler.lambdas]
     rays = kahler.fan.rays
     out = []
     for cone, dual in kahler.fan.dual_bases.items():

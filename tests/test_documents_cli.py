@@ -29,11 +29,13 @@ from toricmirror.documents import (
     fan_to_document,
     gw_table_from_document,
     load_potential_document,
+    potential_from_document,
 )
 from toricmirror.errors import SchemaError
 from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider, fan_fingerprint
 from toricmirror.kahler import KahlerData
+from toricmirror.linform import LinForm, parse_linear_form
 
 F2_DOC = {
     "dimension": 2,
@@ -116,12 +118,12 @@ class TestFingerprint:
 class TestGWTableDocuments:
     def test_schema_errors(self, f2):
         with pytest.raises(SchemaError):
-            gw_table_from_document({"basis": [], "entries": []})
+            gw_table_from_document({"basis": [], "entries": []}, f2)
         with pytest.raises(SchemaError):
             gw_table_from_document({
                 "fan_fingerprint": "x", "basis": [[1, 0, 0, 1]],
                 "entries": [{"class": [1], "value": "nope"}],
-            })
+            }, f2)
 
     def test_duplicate_keys_rejected(self, f2):
         with pytest.raises(SchemaError):
@@ -535,8 +537,14 @@ MALFORMED_POTENTIALS = {
     "q-area-not-an-object": lambda doc: doc["q_areas"].__setitem__(0, 7),
     "q-area-terms-not-an-object": lambda doc: doc["q_areas"][0].update(terms=[1]),
     "q-area-bad-rational": lambda doc: doc["q_areas"].__setitem__(0, {"constant": "x"}),
+    # true would read as 1, which gives the same area t1
+    "q-area-bool-term": lambda doc: doc["q_areas"][0].update(terms={"t1": True}),
     "parameters-not-a-list": lambda doc: doc.update(parameters=7),
     "fan-dimension-differs": lambda doc: doc.update(fan=P1_DOC),
+    # either would seed crit from another polytope than the q-areas describe
+    "fan-lambdas-differ": lambda doc: doc["fan"]["kahler"].update(
+        lambdas=["-t2", "0", "-t1-2*t2", "-t1"]),
+    "fan-q-basis-swapped": lambda doc: doc["fan"]["q_basis"].reverse(),
 }
 
 
@@ -709,12 +717,26 @@ class TestCritCommand:
     def test_malformed_potential_exit_2(self, tmp_path, capsys, name):
         pot = self.make_potential(tmp_path, F2_DOC)
         doc = json.loads(Path(pot).read_text())
+        potential_from_document(doc)  # the unmutated document is read
         MALFORMED_POTENTIALS[name](doc)
+        with pytest.raises(SchemaError):
+            potential_from_document(doc)
         Path(pot).write_text(json.dumps(doc))
         capsys.readouterr()
-        # t is the parameter of the P1 fan section, t1 and t2 those of F2
-        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "t=1"]) == 2
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_q_areas_read_as_exact_rationals(self, tmp_path):
+        # without a fan section nothing constrains the q-areas
+        doc = json.loads(Path(self.make_potential(tmp_path, F2_DOC)).read_text())
+        del doc["fan"]
+        for text in ("-t1-2*t2+3/4", "t1 + 2*t2 - 3", "1/2*t1", "0", "-5"):
+            area = parse_linear_form(text)
+            doc["q_areas"][0] = area.to_json()
+            assert potential_from_document(doc).q_areas[0] == area
+        doc["q_areas"][0] = {"constant": 0.1, "terms": {"t1": 2.5}}
+        area = LinForm(Fraction(1, 10), {"t1": Fraction(5, 2)})
+        assert potential_from_document(doc).q_areas[0] == area
 
     def test_duplicate_z_exponent_exit_2(self, tmp_path, capsys):
         # a second term on z^(-1,-2) would otherwise replace the first
@@ -767,7 +789,8 @@ class TestCritCommand:
         pot = self.make_potential(tmp_path, F2_DOC)
         doc = load_potential_document(pot)
         assert doc.poly.zvars == 2
-        assert doc.branch == "corrected"
+        assert doc.parameters == ("t1", "t2")
+        assert doc.q_areas == list(doc.fandoc.kahler.basis_areas())
         t = doc.t_vector({"t1": Fraction(1), "t2": Fraction(2)})
         assert t == [1.0, 2.0]
 

@@ -397,22 +397,26 @@ class TestPrimitiveCollections:
         assert pruned == brute_force_primitive_collections(fan)
 
 
+def relation_of(fan, collection):
+    return next(r for r in fan.primitive_relations if r.collection == collection)
+
+
 class TestPrimitiveRelations:
     def test_f2_base_relation(self, f2):
-        rel = f2.primitive_relation((1, 2))
+        rel = relation_of(f2, (1, 2))
         assert rel.focus == (0,)
         assert rel.multiplicities == (2,)
         assert rel.coords == F2_ALPHA
         assert rel.degree == 0
 
     def test_f2_fiber_relation(self, f2):
-        rel = f2.primitive_relation((0, 3))
+        rel = relation_of(f2, (0, 3))
         assert rel.focus == ()
         assert rel.coords == F2_H
         assert rel.degree == 2
 
     def test_plane_relation(self, p2):
-        rel = p2.primitive_relation((0, 1, 2))
+        rel = relation_of(p2, (0, 1, 2))
         assert rel.focus == ()
         assert rel.coords == (1, 1, 1)
         assert rel.degree == 3

@@ -4,7 +4,8 @@ Each run's exit code and the digest of what it wrote to stdout and stderr
 are pinned in ``golden_digests.json``: ``analyze`` (text and ``--json``),
 ``bundle`` and ``potential --cutoff 0..3`` on every sample document, and the
 potential documents of three projectivized canonical bundles that the test
-writes with Kahler data. ``crit`` documents are left out: their floats
+writes with Kahler data; and exact refusals of every subcommand, whose
+messages name no file path. ``crit`` documents are left out: their floats
 depend on the BLAS build. Re-record only when a change of bytes is meant:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,7 +23,7 @@ import pytest
 from conftest import p1_times_p1, projective_line, projective_plane
 from toricmirror.bundle import default_q_basis, projectivize_canonical
 from toricmirror.cli import main
-from toricmirror.documents import fan_to_document
+from toricmirror.documents import fan_to_document, load_fan_document
 from toricmirror.gw import fan_fingerprint
 
 SAMPLES = Path(__file__).parents[1] / "sample_data"
@@ -39,6 +40,9 @@ BUNDLE_CASES = {
 }
 P2_LINE_LIFT = [-3, 1, 1, 1, 0]  # the line of P2 on the zero section
 P2_VALUES = {1: "-2", 2: "5", 3: "-32"}
+# cone (0, 1), the first quadrant, overlaps cone (2, 4) through (1, 1)
+OVERLAPPING_FAN = {"dimension": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+                   "maximal_cones": [[0, 1], [2, 4], [2, 3], [0, 3]]}
 
 
 def write_bundle_documents(folder: Path) -> dict:
@@ -63,6 +67,42 @@ def write_bundle_documents(folder: Path) -> dict:
     return out
 
 
+def write_refusals(folder: Path, bundles: dict) -> dict:
+    """Write the inputs of the pinned refusals into folder; returns run name
+    -> CLI argument list. bundles is what write_bundle_documents returned."""
+    f2 = str(SAMPLES / "f2.json")
+    p2_bundle = bundles["P(K_P2+O)"][0]
+    p2_fingerprint = fan_fingerprint(projectivize_canonical(projective_plane()))
+    f2_fingerprint = fan_fingerprint(load_fan_document(f2).fan)
+    paths = {}
+    for name, doc in {
+        "overlap": OVERLAPPING_FAN,
+        "foreign table": {"fan_fingerprint": f2_fingerprint, "basis": [P2_LINE_LIFT],
+                          "entries": [{"class": [1], "value": "-2"}]},
+        "short key table": {"fan_fingerprint": p2_fingerprint, "basis": [P2_LINE_LIFT],
+                            "entries": [{"class": [1, 0], "value": "-2"}]},
+    }.items():
+        paths[name] = folder / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    pot = str(folder / "f2 potential.json")
+    assert main(["potential", f2, "--cutoff", "2", "-o", pot]) == 0
+    t = ["--t", "t1=1", "--t", "t2=1"]
+    return {
+        "refuse analyze overlapping fan": ["analyze", str(paths["overlap"])],
+        "refuse potential P(K_P1xP1+O) without zero-fill":
+            ["potential", bundles["P(K_P1xP1+O)"][0], "--cutoff", "2"],
+        "refuse potential f2.json --cutoff -1": ["potential", f2, "--cutoff", "-1"],
+        "refuse potential P(K_P2+O) with F2's table":
+            ["potential", p2_bundle, "--gw-table", str(paths["foreign table"])],
+        "refuse potential P(K_P2+O) with a short table key":
+            ["potential", p2_bundle, "--gw-table", str(paths["short key table"])],
+        "refuse crit --phases 0": ["crit", pot, *t, "--phases", "0"],
+        "refuse crit without --t t2": ["crit", pot, "--t", "t1=1"],
+        "refuse crit with unknown --t": ["crit", pot, *t, "--t", "t=1"],
+        "refuse crit outside the Kahler cone": ["crit", pot, "--t", "t1=-1/2", "--t", "t2=1"],
+    }
+
+
 def runs(folder: Path) -> dict:
     """Run name -> CLI argument list, for every pinned run."""
     out = {}
@@ -73,10 +113,12 @@ def runs(folder: Path) -> dict:
         for cutoff in CUTOFFS:
             out[f"potential {path.name} --cutoff {cutoff}"] = \
                 ["potential", str(path), "--cutoff", str(cutoff)]
-    for name, args in write_bundle_documents(folder).items():
+    bundles = write_bundle_documents(folder)
+    for name, args in bundles.items():
         for cutoff in CUTOFFS:
             out[f"potential {name} --cutoff {cutoff}"] = \
                 ["potential", args[0], "--cutoff", str(cutoff)] + args[1:]
+    out.update(write_refusals(folder, bundles))
     return out
 
 

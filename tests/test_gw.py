@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import push_h2
+from conftest import dual_kahler, hirzebruch, push_h2
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     BadChernDegree,
@@ -16,6 +16,7 @@ from toricmirror.errors import (
     InconsistentTable,
     UnknownInvariant,
 )
+from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider, f2_one_point_rule, fan_fingerprint, validate_table
 from toricmirror.kahler import KahlerData
 
@@ -141,6 +142,23 @@ class TestTables:
         with pytest.raises(FingerprintMismatch):
             self.make_table(f2, {(1, 0): Fraction(1)},
                             fingerprint=fan_fingerprint(p2))
+
+    def test_table_of_another_fan_refused(self):
+        # the key (1,) names (-2, 0, 1, 0, 1, 0) in the rays of P(K_P1xP1+O);
+        # read on P(K_F1+O) it would name a curve of that fan instead
+        x = projectivize_canonical(validate_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)]))
+        table = validate_table(fan_fingerprint(x), [(-2, 0, 1, 0, 1, 0)],
+                               {(1,): Fraction(7)}, x)
+        with pytest.raises(FingerprintMismatch):
+            GWProvider(dual_kahler(projectivize_canonical(hirzebruch(1))), table, True)
+        # the fingerprint ignores ray order, the keys do not
+        rays = x.rays[1:] + x.rays[:1]
+        cones = [[(i - 1) % x.nrays for i in c] for c in x.maximal_cones]
+        shifted = validate_fan(3, rays, cones)
+        assert fan_fingerprint(shifted) == fan_fingerprint(x)
+        with pytest.raises(FingerprintMismatch):
+            GWProvider(dual_kahler(shifted), table, True)
+        assert GWProvider(dual_kahler(x), table, True).lookup((-2, 0, 1, 0, 1, 0)) == (7, "table")
 
     def test_consistent_table_usable(self, f2_kahler):
         table = self.make_table(f2_kahler.fan,

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import disk_area, interior_point, moment_vertices, support_value
 from toricmirror.errors import EmptyInterior, LambdaNotQExpressible, NotInBasisSpan
-from toricmirror.fan import chern_degree
+from toricmirror.fan import Fan, chern_degree
 from toricmirror import kahler
 from toricmirror.kahler import KahlerData
 from toricmirror.linform import LinForm
@@ -121,6 +121,17 @@ class TestLambdaExponents:
         k = KahlerData(f2, ["-t2", "1", "-t1-2*t2", "0"])
         with pytest.raises(LambdaNotQExpressible):
             k.lambda_q_exponents(1)
+
+    @pytest.mark.parametrize("lam", ["-t", "1/2"])
+    def test_no_q_variables(self, lam):
+        # a hand-built one-ray fan has no curve classes, so only lambda = 0
+        # is a q-monomial, the empty one
+        fan = Fan(1, ((1,),), ((0,),), {(0,): ((1,),)})
+        assert KahlerData(fan, ["0"]).lambda_q_exponents(0) == ()
+        k = KahlerData(fan, [lam])
+        assert k.rank == 0
+        with pytest.raises(LambdaNotQExpressible):
+            k.lambda_q_exponents(0)
 
     def test_internal_error_propagates(self, f2_kahler, monkeypatch):
         def broken(*_):

@@ -227,7 +227,7 @@ def test_integer_vertices_give_the_fraction_seeds():
 def slacks(k, params):
     """<x, v_i> - lambda_i at each cone's vertex x for every ray i off the
     cone, in the order the refusal scans them; affine in the parameters."""
-    offsets = [Fraction(b) for b in k.numeric_offsets(params)]
+    offsets = [Fraction(lam.subs(params)) for lam in k.lambdas]
     out = []
     for cone, dual in k.fan.dual_bases.items():
         x = [sum(offsets[i] * row[j] for i, row in zip(cone, dual))

@@ -60,10 +60,12 @@ class TestFan:
 
 
 def test_table_equality_compares_values():
-    # a table is its fingerprint and its class -> value dict, so two tables
-    # are equal when they bind the same fan and name the same values
+    # a table is the fan it was validated against and its class -> value
+    # dict, so two tables are equal when they bind the same fan and name the
+    # same values
     table = f2_table({(1, 0): Fraction(1)})
-    assert table == GWTable(table.fingerprint, {(-2, 1, 1, 0): Fraction(1)})
+    assert table == GWTable(hirzebruch2(), {(-2, 1, 1, 0): Fraction(1)})
+    assert table != GWTable(projective_plane(), {(-2, 1, 1, 0): Fraction(1)})
     assert table == f2_table({(1, 0): 1}) and not table != f2_table({(1, 0): 1})
     assert table != f2_table({(1, 0): Fraction(2)})
     with pytest.raises(TypeError):
