@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 internal error, and otherwise the ``exit_code`` of
 the error class raised (``errors.py``): 2 schema/input error, 3 invalid or
 unsupported fan, 4 base not Fano (bundle), 5 unknown invariant, 6 no
-convergence. A missing input file exits 2, and so does an ``-o`` path that
-cannot be written.
+convergence, 7 more critical points than the root bound. A missing input
+file exits 2, and so does an ``-o`` path that cannot be written.
 
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: ``analyze`` and ``bundle`` stop at the fan, bundle and Kahler
@@ -37,7 +37,7 @@ from .documents import (
     load_potential_document,
     potential_to_document,
 )
-from .errors import NoConvergence, SchemaError, ToricMirrorError
+from .errors import NoConvergence, RootBoundExceeded, SchemaError, ToricMirrorError
 
 
 def _write(text: str, out_path):
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ToricMirrorError, NoConvergence, FileNotFoundError) as exc:
+    except (ToricMirrorError, NoConvergence, RootBoundExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     except Exception as exc:  # pragma: no cover - defensive

@@ -24,24 +24,36 @@ up, never past max_starts. After each pass the starts that have just
 converged are merged into the kept roots and verified, and the run stops
 at the pass where the verified roots reach the bound, or when the set is
 empty and no start is left to admit. A report is complete when deduped ==
-expected; otherwise `truncated` says whether starts were left unrun.
+expected; otherwise `truncated` says whether starts were left unrun. More
+verified roots than the bound is RootBoundExceeded.
 Everything is deterministic: the order, the admissions and the first-wins
 merge (by pass, then in start order) depend only on the iterates, never
 on timing.
+
+The roots come in orbits. Let L be the lattice spanned by the differences
+of W's nonconstant exponents: for theta with <theta, L> in Z, the shift
+w -> w + 2 pi i theta multiplies every term of g by one root of unity, so
+G = L*/Z^n permutes the roots, and freely. When the bound is positive, L
+has full rank and G is finite, of an order dividing the bound; on
+P(K_Y + O) it holds z_n -> -z_n. The iterates of each pass enter the
+merge with their images under G, and every image is verified by the
+exact residual like any other candidate. `converged` counts Newton starts
+only, and `orbit_size` is the order of G (1 when L has lower rank).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, SchemaError
+from .errors import NoConvergence, RootBoundExceeded, SchemaError
 from .kahler import KahlerData
-from .lattice import normalized_volume
+from .lattice import hermite_normal_form, normalized_volume
 from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms, sum_terms
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
@@ -72,6 +84,7 @@ class CriticalReport(NamedTuple):
     converged: int  # starts whose iterate converged
     deduped: int  # distinct verified roots
     expected: int  # root bound n! vol(Newton polytope); 0 when none holds
+    orbit_size: int  # order of the root-of-unity symmetry group the roots are closed under
     grid_size: int  # starts in the full grid
     truncated: bool  # starts left unrun, and deduped < expected or expected == 0
     options: SolverOptions = SolverOptions()
@@ -119,6 +132,31 @@ def _root_bound(exponents: tuple) -> int:
     nonconstant terms (a constant term drops out of every z_j dW/dz_j).
     0 when that polytope is not full-dimensional: no finite bound holds."""
     return normalized_volume([a for a in exponents if any(a)])
+
+
+@lru_cache(maxsize=64)
+def _symmetry_shifts(exponents: tuple) -> tuple:
+    """The log-coordinate phase shifts 2 pi theta, one per element of
+    G = L*/Z^n, the zero shift first. L is the lattice spanned by the
+    differences of the nonconstant exponents; for theta in L* every term
+    picks up the same root of unity under w -> w + 2 pi i theta, so G
+    permutes the roots of the log-gradient system, and freely. Exact: L's
+    Hermite normal form B is upper triangular when L has full rank, and
+    theta runs over the solutions of B theta = k mod Z^n, one per k_j in
+    [0, B_jj), by back-substitution in Fractions. Only the zero shift when
+    L has lower rank (G is then infinite; expected is 0)."""
+    first, *rest = [a for a in exponents if any(a)]
+    n = len(first)
+    H, _ = hermite_normal_form([[x - y for x, y in zip(a, first)] for a in rest])
+    if len(H) < n or not all(H[j][j] for j in range(n)):
+        return ((0.0,) * n,)
+    thetas = [()]  # the last coordinates of each theta, reduced into [0, 1)
+    for j in range(n - 1, -1, -1):
+        row = H[j][j + 1:]
+        thetas = [((k - sum(b * x for b, x in zip(row, tail))) / Fraction(H[j][j]) % 1,) + tail
+                  for tail in thetas for k in range(H[j][j])]
+    return tuple(tuple(2.0 * math.pi * x.numerator / x.denominator for x in theta)
+                 for theta in thetas)
 
 
 def _stride(grid: int) -> int:
@@ -274,16 +312,18 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     Deterministic: the starts run in a fixed mixed order through a working
     set whose width depends only on the root bound, refilled in that order
     whenever it drains to a quarter of the width. After each pass, the
-    iterates that have just converged are collapsed in start order within
-    the dedup radius (log coordinates, phase-wrapped) against the roots
-    kept so far, each survivor is checked by the exact residual, and the
-    run stops at the pass where the verified roots reach the bound.
+    iterates that have just converged, followed by their images under W's
+    symmetry group G, are collapsed in that order within the dedup radius
+    (log coordinates, phase-wrapped) against the roots kept so far, each
+    survivor is checked by the exact residual, and the run stops at the
+    pass where the verified roots reach the bound.
     Without that, it stops when every start up to max_starts or the end of
     the grid has converged or been dropped. `attempted` counts the starts
     admitted, `converged` those that converged before the stop. The points
     are sorted canonically. Raises NoConvergence when nothing converges; its
     message gives the best residual over the last iterate of every start.
-    Raises SchemaError when W has no nonconstant term.
+    Raises RootBoundExceeded when the verified roots outnumber the bound,
+    and SchemaError when W has no nonconstant term.
     """
     options = options or SolverOptions()
     if poly.is_constant():
@@ -302,7 +342,9 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     # iterates leaving this band in Re w are dropped; it follows the seed
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
-    expected = _root_bound(tuple(sorted(poly.terms)))
+    exponents = tuple(sorted(poly.terms))
+    expected = _root_bound(exponents)
+    shifts = 1j * np.array(_symmetry_shifts(exponents))  # (|G|, n), the zero shift first
     width = max(64, 16 * expected)
     # exact differentiation, compiled once, for the residual check
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
@@ -322,7 +364,9 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     complete = False
     for found, least in _newton(admit, A, AA, c, options, band, width):
         converged += len(found)
-        fresh = _dedup(found, kept, options.dedup_radius)
+        # the converged iterates, then their images under each nonzero shift
+        orbits = (shifts[:, None, :] + found[None, :, :]).reshape(-1, n)
+        fresh = _dedup(orbits, kept, options.dedup_radius)
         kept = np.concatenate([kept, fresh])
         for wi in fresh:
             z = tuple(cmath.exp(complex(x)) for x in wi)
@@ -332,6 +376,11 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
                 points.append((z, resid))
             else:
                 best_failed = min(best_failed, resid)
+        if expected and len(points) > expected:
+            raise RootBoundExceeded(
+                f"{len(points)} distinct verified critical points exceed the root bound "
+                f"{expected}: the dedup radius {options.dedup_radius} keeps copies of one "
+                f"root apart")
         complete = bool(expected) and len(points) >= expected
         if complete:
             break
@@ -354,6 +403,7 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
         converged=converged,
         deduped=len(points),
         expected=expected,
+        orbit_size=len(shifts),
         grid_size=grid,
         truncated=attempted < grid and not complete,
         options=options,

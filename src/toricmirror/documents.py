@@ -23,6 +23,11 @@ if TYPE_CHECKING:  # loaded where tables and potentials are built
 _FAN_KEYS = {"dimension", "rays", "maximal_cones", "kahler", "q_basis"}
 _KAHLER_KEYS = {"parameters", "lambdas"}
 _TABLE_KEYS = {"fan_fingerprint", "basis", "entries"}
+# the fields potential_to_document writes, and those of a q-area
+_POTENTIAL_KEYS = {"format", "branch", "cutoff", "z_variables", "q_variables", "q_basis",
+                   "parameters", "q_areas", "correction", "gw_values", "terms", "rendered",
+                   "fan"}
+_AREA_KEYS = {"constant", "terms"}
 POTENTIAL_FORMAT = "toricmirror-potential/1"
 CRITICAL_FORMAT = "toricmirror-critical/1"
 
@@ -278,6 +283,8 @@ class PotentialDocument(NamedTuple):
 def _area_from_json(item) -> LinForm:
     _require(isinstance(item, dict) and isinstance(item.get("terms", {}), dict),
              f"a q-area must be an object whose 'terms' is an object, got {item!r}")
+    unknown = set(item) - _AREA_KEYS
+    _require(not unknown, f"unknown q-area fields: {sorted(unknown)}")
     return LinForm(_rational(item.get("constant", "0")),
                    {n: _rational(c) for n, c in item.get("terms", {}).items()})
 
@@ -288,6 +295,8 @@ def potential_from_document(obj) -> PotentialDocument:
     _require(isinstance(obj, dict), "potential document must be a JSON object")
     _require(obj.get("format") == POTENTIAL_FORMAT,
              f"unsupported potential format {obj.get('format')!r}")
+    unknown = set(obj) - _POTENTIAL_KEYS
+    _require(not unknown, f"unknown potential document fields: {sorted(unknown)}")
     for key in ("z_variables", "q_variables", "terms", "q_areas", "parameters"):
         _require(key in obj, f"potential document needs '{key}'")
     zvars = obj["z_variables"]
@@ -343,6 +352,7 @@ def critical_report_to_document(report, t_values: Mapping) -> dict:
             "converged": report.converged,
             "deduped": report.deduped,
             "expected": report.expected,
+            "orbit_size": report.orbit_size,
             "grid_size": report.grid_size,
             "truncated": report.truncated,
         },

@@ -123,3 +123,10 @@ class NoConvergence(RuntimeError):
     """The multistart Newton solver found no critical point."""
 
     exit_code = 6
+
+
+class RootBoundExceeded(RuntimeError):
+    """The solver verified more distinct critical points than Kouchnirenko's
+    bound allows: copies of one root were kept apart."""
+
+    exit_code = 7

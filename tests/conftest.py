@@ -4,7 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
 import pytest
@@ -811,6 +811,27 @@ def fd_log_gradient(poly, z, t, h=1e-5):
         zm[j] = z[j] * math.exp(-h)
         out.append((evaluate(poly, zp, t) - evaluate(poly, zm, t)) / (2 * h))
     return tuple(out)
+
+
+def symmetry_group_oracle(exponents) -> Optional[set]:
+    """G = L*/Z^n by brute force, as a set of theta tuples of Fractions in
+    [0, 1), where L is spanned by the differences of the nonconstant
+    exponents: every theta in (1/N Z)^n / Z^n with <theta, d> integral for
+    each difference d, N the |det| of n independent differences (L* lies
+    in the dual of the lattice they span). None when the differences do
+    not span Q^n."""
+    nonconstant = [a for a in exponents if any(a)]
+    n = len(exponents[0])
+    diffs = [[x - y for x, y in zip(a, nonconstant[0])] for a in nonconstant[1:]]
+    chosen = []
+    for d in diffs:
+        if rank(chosen + [d]) > len(chosen):
+            chosen.append(d)
+    if len(chosen) < n:
+        return None
+    N = int(abs(matrix_det(chosen)))
+    return {tuple(Fraction(k, N) for k in ks) for ks in product(range(N), repeat=n)
+            if all(sum(k * x for k, x in zip(ks, d)) % N == 0 for d in diffs)}
 
 
 def pairwise_dedup_oracle(points, radius) -> list:

@@ -29,8 +29,10 @@ from conftest import (
     pass_stop_oracle,
     projective_line,
     projective_plane,
+    random_unimodular,
     reference_evaluate,
     seed_table_starts,
+    symmetry_group_oracle,
 )
 from test_integer_solves import DP6, F1, product_fan
 from toricmirror import critical
@@ -41,11 +43,18 @@ from toricmirror.critical import (
     _grid_starts,
     _root_bound,
     _stride,
+    _symmetry_shifts,
     find_critical_points,
     moduli_from_polytope,
 )
 from toricmirror.documents import critical_report_to_document, canonical_json
-from toricmirror.errors import EmptyInterior, NoConvergence, SchemaError, ZeroCoordinate
+from toricmirror.errors import (
+    EmptyInterior,
+    NoConvergence,
+    RootBoundExceeded,
+    SchemaError,
+    ZeroCoordinate,
+)
 from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
@@ -86,6 +95,17 @@ def solve(k, W, params, **overrides):
         moduli_per_coord=moduli_from_polytope(k, params), **overrides
     )
     return find_critical_points(W, t, options), t
+
+
+def f2_closed_form_roots(q1, q2):
+    """The four critical points of the corrected F2 potential:
+    z2 = +-sqrt(q2) (1 + s sqrt(q1)), z1 = s sqrt(q1) q2 / z2."""
+    roots = []
+    for s in (1, -1):
+        for sign in (1, -1):
+            z2 = sign * math.sqrt(q2) * (1 + s * math.sqrt(q1))
+            roots.append((s * math.sqrt(q1) * q2 / z2, z2))
+    return roots
 
 
 def assert_point_sets_match(report, expected, tol=1e-9):
@@ -184,14 +204,7 @@ class TestRootCounts:
     def test_corrected_f2_four_points(self):
         k, W, params = f2_setup()
         report, _ = solve(k, W, params)
-        q1 = q2 = 0.01
-        expected = []
-        for s in (1, -1):
-            for sign in (1, -1):
-                z2 = sign * math.sqrt(q2) * (1 + s * math.sqrt(q1))
-                z1 = s * math.sqrt(q1) * q2 / z2
-                expected.append((z1, z2))
-        assert_point_sets_match(report, expected)
+        assert_point_sets_match(report, f2_closed_form_roots(0.01, 0.01))
         assert all(r < 1e-9 for r in report.residuals)
 
     def test_counts_match_euler_characteristics(self):
@@ -256,9 +269,11 @@ class TestSolverBehavior:
                 find_critical_points(W, [1.0])
 
     def test_stats_accounting(self):
+        # each converged start brings at most its orbit under the symmetry
         k, W, params = line_setup()
         report, _ = solve(k, W, params)
-        assert report.attempted >= report.converged >= report.deduped
+        assert report.attempted >= report.converged
+        assert report.deduped <= report.orbit_size * report.converged
         assert report.deduped == len(report.points) == len(report.values)
 
 
@@ -448,13 +463,120 @@ class TestRootBound:
         doc = critical_report_to_document(report, params)
         assert doc["multistart"] == {
             "attempted": report.attempted, "converged": report.converged,
-            "deduped": 4, "expected": 4, "grid_size": report.grid_size,
+            "deduped": 4, "expected": 4, "orbit_size": 2, "grid_size": report.grid_size,
             "truncated": False,
         }
         opts = dict(doc["options"])
         opts["moduli_per_coord"] = tuple(tuple(m) for m in opts["moduli_per_coord"])
         replay = find_critical_points(W, t, SolverOptions(**opts))
         assert critical_report_to_document(replay, params) == doc
+
+
+def shift_classes(shifts) -> set:
+    """Log-coordinate shifts 2 pi theta as theta tuples of Fractions in [0, 1)."""
+    return {tuple(Fraction(x / (2 * math.pi)).limit_denominator(1000) % 1 for x in shift)
+            for shift in shifts}
+
+
+def random_exponents(rng, n):
+    """A few small random exponent vectors in Z^n, the zero vector (a
+    constant term) among them now and then, sorted as W's terms are."""
+    span = {1: 6, 2: 3, 3: 1}[n]
+    exponents = {tuple(rng.randint(-span, span) for _ in range(n))
+                 for _ in range(rng.randint(n + 1, n + 4))}
+    if rng.random() < 0.3:
+        exponents.add((0,) * n)
+    return tuple(sorted(exponents))
+
+
+# the P(K_{P1 x dP6}+O) potential of crit-sweep, in its ray order, support
+# constants and q-basis
+P1XDP6_RAYS = [(0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1),
+               (-1, -1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1), (0, 0, 0, -1)]
+P1XDP6_CONES = [(0, 1, 2, 7), (0, 1, 2, 8), (0, 1, 6, 7), (0, 1, 6, 8), (0, 2, 3, 7),
+                (0, 2, 3, 8), (0, 3, 4, 7), (0, 3, 4, 8), (0, 4, 5, 7), (0, 4, 5, 8),
+                (0, 5, 6, 7), (0, 5, 6, 8), (1, 2, 7, 9), (1, 2, 8, 9), (1, 6, 7, 9),
+                (1, 6, 8, 9), (2, 3, 7, 9), (2, 3, 8, 9), (3, 4, 7, 9), (3, 4, 8, 9),
+                (4, 5, 7, 9), (4, 5, 8, 9), (5, 6, 7, 9), (5, 6, 8, 9)]
+P1XDP6_LAMBDAS = ["0", "0", "0", "-t1", "-t2", "-t3", "-t4", "0", "-t5", "-t6"]
+P1XDP6_Q_BASIS = [(-1, 1, -1, 1, 0, 0, 0, 0, 0, 0), (-2, 1, 0, 0, 1, 0, 0, 0, 0, 0),
+                  (-2, 0, 1, 0, 0, 1, 0, 0, 0, 0), (-1, -1, 1, 0, 0, 0, 1, 0, 0, 0),
+                  (-2, 0, 0, 0, 0, 0, 0, 1, 1, 0), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1)]
+
+
+class TestSymmetry:
+    """Every root's images under G = L*/Z^n are roots; the solver closes
+    the converged iterates under G, and verifies each image by the exact
+    residual, as it does the grid's roots."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_group_matches_brute_force(self, n):
+        rng = random.Random(60 + n)
+        full = larger = 0
+        for _ in range(25):
+            exponents = random_exponents(rng, n)
+            T = random_unimodular(rng, n)
+            image = tuple(sorted(tuple(sum(a[i] * T[i][j] for i in range(n)) for j in range(n))
+                                 for a in exponents))
+            for exps in (exponents, image):
+                shifts = _symmetry_shifts(exps)
+                assert shifts[0] == (0.0,) * n
+                oracle = symmetry_group_oracle(exps)
+                if oracle is None:
+                    assert len(shifts) == 1 and _root_bound(exps) == 0
+                    continue
+                assert shift_classes(shifts) == oracle
+                assert len(shifts) == len(oracle)  # no class listed twice
+                assert _root_bound(exps) % len(shifts) == 0
+            # the group's order does not depend on the chart
+            assert len(_symmetry_shifts(image)) == len(_symmetry_shifts(exponents))
+            full += oracle is not None
+            larger += len(_symmetry_shifts(exponents)) > 1
+        assert full >= 15 and larger >= 5
+
+    def test_f2_image_is_negation(self):
+        k, W, params = f2_setup()
+        shifts = _symmetry_shifts(tuple(sorted(W.terms)))
+        half = Fraction(1, 2)
+        assert shift_classes(shifts) == {(0, 0), (half, half)}
+        roots = f2_closed_form_roots(0.01, 0.01)
+        assert_point_sets_match_relative([(-z1, -z2) for z1, z2 in roots], roots)
+        report, _ = solve(k, W, params)
+        assert report.orbit_size == 2
+        assert_point_sets_match_relative([(-z1, -z2) for z1, z2 in report.points],
+                                         report.points)
+
+    def test_bundle_orbits_flip_the_fiber(self):
+        # on P(K_Y+O) the rays +-e_n and w_i + e_n make z_n -> -z_n the
+        # symmetry, and the only one on these bases
+        for base in BUNDLE_BASES.values():
+            k, W, params = bundle_setup(base())
+            n = W.zvars
+            assert shift_classes(_symmetry_shifts(tuple(sorted(W.terms)))) == {
+                (0,) * n, (0,) * (n - 1) + (Fraction(1, 2),)}
+
+    def test_item_8_point_completes(self):
+        # crit-sweep seed 21, draw 134: 23 of 24 roots after all 4096 starts
+        # without the images, all 24 after 3046 starts with them
+        fan = validate_fan(4, P1XDP6_RAYS, P1XDP6_CONES)
+        k = KahlerData(fan, P1XDP6_LAMBDAS, P1XDP6_Q_BASIS)
+        W = corrected_potential(fan, k, GWProvider(k, assume_zero=True), 2)
+        params = {"t1": Fraction(413, 100), "t2": Fraction(473, 100),
+                  "t3": Fraction(128, 25), "t4": Fraction(483, 100),
+                  "t5": Fraction(78, 25), "t6": Fraction(83, 25)}
+        report, _ = solve(k, W, params)
+        assert report.deduped == report.expected == 24
+        assert not report.truncated
+        assert report.attempted < 4096
+
+    @pytest.mark.parametrize("name, seed", [("F2", 6), ("P(K_P1xdP6+O)", 3)])
+    def test_zero_radius_exceeds_the_bound(self, name, seed):
+        # copies of one root a few ulps apart are all kept at radius 0,
+        # which the root bound refuses instead of reporting
+        k, W, _ = bound_case(name)
+        with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
+                           r"points exceed the root bound (4|24): the dedup radius 0.0 "):
+            solve(k, W, cone_point(k, seed), dedup_radius=0.0)
 
 
 class TestStartOrder:

@@ -212,8 +212,8 @@ class TestAnalyzeCommand:
 
 
 # exit codes from the cli module docstring: 3 invalid or unsupported fan,
-# 4 base not Fano, 5 unknown invariant, 6 no convergence, 2 any other input
-# error, 1 internal error
+# 4 base not Fano, 5 unknown invariant, 6 no convergence, 7 more critical
+# points than the root bound, 2 any other input error, 1 internal error
 EXIT_CODES = {
     "ToricMirrorError": 2, "NotFullRank": 2, "ZeroVector": 2,
     "DependentGenerators": 2, "DimensionMismatch": 2, "InvalidFan": 3,
@@ -222,7 +222,7 @@ EXIT_CODES = {
     "EmptyInterior": 2, "NotInBasisSpan": 2, "LambdaNotQExpressible": 2,
     "UnknownInvariant": 5, "BadChernDegree": 2, "FingerprintMismatch": 2,
     "InconsistentTable": 2, "SchemaError": 2, "NotBundleShaped": 3,
-    "ZeroCoordinate": 2, "NoConvergence": 6,
+    "ZeroCoordinate": 2, "NoConvergence": 6, "RootBoundExceeded": 7,
     "FileNotFoundError": 2, "RuntimeError": 1,
 }
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -539,6 +539,9 @@ MALFORMED_POTENTIALS = {
     "q-area-bad-rational": lambda doc: doc["q_areas"].__setitem__(0, {"constant": "x"}),
     # true would read as 1, which gives the same area t1
     "q-area-bool-term": lambda doc: doc["q_areas"][0].update(terms={"t1": True}),
+    # a misspelled key would read as absent: a constant of 0, or no such field
+    "q-area-unknown-key": lambda doc: doc["q_areas"][0].update(constnat="1"),
+    "unknown-field": lambda doc: doc.update(q_area=doc["q_areas"]),
     "parameters-not-a-list": lambda doc: doc.update(parameters=7),
     "fan-dimension-differs": lambda doc: doc.update(fan=P1_DOC),
     # either would seed crit from another polytope than the q-areas describe
@@ -575,14 +578,29 @@ class TestCritCommand:
 
     def test_sample_f2_runs_one_width_of_starts(self, tmp_path, capsys):
         # the first 64 starts reach the bound before the working set drains
-        # far enough to admit more
+        # far enough to admit more: two converged starts and their images
+        # under (z1, z2) -> (-z1, -z2) are the four roots
         pot = str(tmp_path / "pot.json")
         assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "3", "-o", pot]) == 0
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 0
         multistart = json.loads(capsys.readouterr().out)["multistart"]
-        assert (multistart["attempted"], multistart["converged"]) == (64, 22)
+        assert (multistart["attempted"], multistart["converged"]) == (64, 2)
         assert multistart["deduped"] == multistart["expected"] == 4
+        assert multistart["orbit_size"] == 2
+
+    def test_more_roots_than_the_bound_exit_7(self, tmp_path, capsys):
+        # at radius 0 copies of one root a few ulps apart are all kept
+        pot = str(tmp_path / "pot.json")
+        assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "3", "-o", pot]) == 0
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=4", "--t", "t2=5", "--dedup-radius", "0"]) == 7
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: \d+ distinct verified critical points exceed the root "
+                            r"bound 4: the dedup radius 0.0 keeps copies of one root apart\n",
+                            err), err
+        assert main(["crit", pot, "--t", "t1=4", "--t", "t2=5"]) == 0
 
     def test_missing_t_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, P1_DOC)

@@ -87,6 +87,17 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
     pot = str(folder / "f2 potential.json")
     assert main(["potential", f2, "--cutoff", "2", "-o", pot]) == 0
     t = ["--t", "t1=1", "--t", "t2=1"]
+    # a misspelled key would otherwise be dropped: the area meant as t1 + 1
+    # would read as t1
+    misspelled = {}
+    for name, mutate in {
+        "q-area key": lambda doc: doc["q_areas"][0].update(constnat="1"),
+        "field": lambda doc: doc.update(q_area=doc["q_areas"]),
+    }.items():
+        doc = json.loads(Path(pot).read_text(encoding="utf-8"))
+        mutate(doc)
+        misspelled[name] = folder / f"f2 potential, misspelled {name}.json"
+        misspelled[name].write_text(json.dumps(doc), encoding="utf-8")
     return {
         "refuse analyze overlapping fan": ["analyze", str(paths["overlap"])],
         "refuse potential P(K_P1xP1+O) without zero-fill":
@@ -100,6 +111,9 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
         "refuse crit without --t t2": ["crit", pot, "--t", "t1=1"],
         "refuse crit with unknown --t": ["crit", pot, *t, "--t", "t=1"],
         "refuse crit outside the Kahler cone": ["crit", pot, "--t", "t1=-1/2", "--t", "t2=1"],
+        "refuse crit misspelled q-area key":
+            ["crit", str(misspelled["q-area key"]), *t],
+        "refuse crit misspelled potential field": ["crit", str(misspelled["field"]), *t],
     }
 
 

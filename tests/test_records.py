@@ -26,7 +26,8 @@ def f2_table(entries):
 
 def report(**changes):
     fields = dict(points=((1 + 2j,),), values=(3j,), residuals=(0.0,), attempted=4,
-                  converged=2, deduped=1, expected=1, grid_size=8, truncated=False)
+                  converged=2, deduped=1, expected=1, orbit_size=1, grid_size=8,
+                  truncated=False)
     return CriticalReport(**{**fields, **changes})
 
 
