@@ -11,7 +11,8 @@ change of coordinates) matters because input documents need not use the
 construction's coordinates. Recognition takes the grading functional u as
 the sum of the dual basis of a maximal cone through v_0, which pairs to 1
 with that cone's rays, checks <u, v_0> = 1 and <u, v_i> = 1 (then
-<u, v_{m+1}> = -1 follows), and reprojects the base.
+<u, v_{m+1}> = -1 follows), and reads the base in the chart of the other
+dual rows and u, where v_0, v_i and v_{m+1} are e_n, (w_i, 1) and -e_n.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import NamedTuple, Optional
 
 from .errors import InvalidFan, NotBundleShaped, NotFano
 from .fan import Fan, Positivity, classify_positivity, validate_fan
-from .lattice import hermite_normal_form
 
 
 def projectivize_canonical(fan_y: Fan) -> Fan:
@@ -55,14 +55,14 @@ def fiber_class(fan_x: Fan):
 class BundleDecomposition(NamedTuple):
     """Recognized P(K_Y + O_Y) structure of a fan.
 
-    ``grading`` is the integral functional u with value 1 on v_0 and every
-    middle ray and -1 on the last ray; ``base`` is the reprojected fan of Y
-    (middle ray i of the bundle fan corresponds to base ray i-1).
+    ``chart`` is a unimodular matrix, by rows, that sends ray 0 to e_n,
+    middle ray i to (w_i, 1) and the last ray to -e_n; its last row is the
+    grading, value 1 on ray 0 and every middle ray. ``base`` is the fan of
+    Y with rays w_i (middle ray i of the bundle fan is base ray i-1).
     """
 
-    fan: Fan
     base: Fan
-    grading: tuple
+    chart: tuple
 
 
 def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
@@ -70,40 +70,31 @@ def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
     in arbitrary unimodular coordinates, or return None.
 
     Conventions: ray 0 is the zero section's ray, the last ray is its
-    opposite. The base fan is recovered by projecting the middle rays along
-    ray 0 and is itself validated.
+    opposite. The base fan is read off the middle rays in the chart and is
+    itself validated, which fails when a middle ray shares no cone with
+    ray 0.
     """
     n = fan_x.dimension
-    d = fan_x.nrays
-    if d < n + 2:
+    if fan_x.nrays < n + 2:
         return None
     if any(a + b != 0 for a, b in zip(fan_x.rays[0], fan_x.rays[-1])):
         return None
     # grading functional: value 1 on ray 0 and all middle rays. A cone
     # through ray 0 cannot hold the opposite ray, so the sum of its dual
-    # basis is the only candidate.
-    cone = next(c for c in fan_x.maximal_cones if 0 in c)
-    u = tuple(map(sum, zip(*fan_x.dual_bases[cone])))
+    # basis is the only candidate; cones are sorted, so row 0 is ray 0's.
+    dual = fan_x.dual_bases[next(c for c in fan_x.maximal_cones if 0 in c)]
+    u = tuple(map(sum, zip(*dual)))
     if any(sum(a * b for a, b in zip(u, ray)) != 1 for ray in fan_x.rays[:-1]):
         return None
-    # change coordinates so ray 0 becomes e_n, then drop the last coordinate
-    col = [[x] for x in fan_x.rays[0]]
-    _, transform = hermite_normal_form(col)
-    # transform @ ray0 = e_1; rotate rows so it becomes e_n
-    change = transform[1:] + transform[:1]
-    base_rays = []
-    for ray in fan_x.rays[1:-1]:
-        img = [sum(change[i][j] * ray[j] for j in range(n)) for i in range(n)]
-        base_rays.append(tuple(img[: n - 1]))
-    base_cones = []
-    for cone in fan_x.maximal_cones:
-        if 0 in cone:
-            base_cones.append(tuple(sorted(i - 1 for i in cone if i != 0)))
+    base_rays = [tuple(sum(a * b for a, b in zip(row, ray)) for row in dual[1:])
+                 for ray in fan_x.rays[1:-1]]
+    base_cones = [tuple(sorted(i - 1 for i in cone if i != 0))
+                  for cone in fan_x.maximal_cones if 0 in cone]
     try:
         base = validate_fan(n - 1, base_rays, base_cones)
     except InvalidFan:
         return None
-    return BundleDecomposition(fan=fan_x, base=base, grading=u)
+    return BundleDecomposition(base=base, chart=dual[1:] + (u,))
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,9 +9,10 @@ differentiation. The Newton kernel's arrays come from W's compiled pairs
 per solve for the residual check that admits each root.
 
 The system has at most n! vol(Newton polytope) isolated roots in (C*)^n
-(Kouchnirenko; Bernstein), computed exactly from the term exponents. On the
-smooth Fano and semi-Fano fans this package builds, the bound is the number
-of maximal cones and is reached. The multistart grid combines
+(Kouchnirenko; Bernstein), computed exactly from the term exponents in one
+cached record with the group G below. On the smooth Fano and semi-Fano
+fans this package builds, the bound is the number of maximal cones and is
+reached. The multistart grid combines
 per-coordinate moduli (by default derived from the magnitudes in play;
 callers with a moment polytope should pass vertex-scale moduli) with
 equally spaced phases. The starts run in a fixed stride permutation of the
@@ -68,9 +69,7 @@ class SolverOptions(NamedTuple):
     moduli_per_coord: Optional[tuple] = None
 
     def to_json(self) -> dict:
-        return {**self._asdict(),
-                "moduli_per_coord": (None if self.moduli_per_coord is None
-                                     else [list(m) for m in self.moduli_per_coord])}
+        return self._asdict()  # JSON writes the moduli tuples as lists
 
 
 class CriticalReport(NamedTuple):
@@ -126,37 +125,40 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _root_bound(exponents: tuple) -> int:
-    """Kouchnirenko's bound on the isolated roots in (C*)^n of the
+def _exponent_structure(exponents: tuple) -> tuple:
+    """(bound, shifts) of W's exponents; only the nonconstant ones count,
+    as a constant term drops out of every z_j dW/dz_j. SchemaError when
+    there is none.
+
+    bound is Kouchnirenko's bound on the isolated roots in (C*)^n of the
     log-gradient system: n! times the volume of the Newton polytope of the
-    nonconstant terms (a constant term drops out of every z_j dW/dz_j).
-    0 when that polytope is not full-dimensional: no finite bound holds."""
-    return normalized_volume([a for a in exponents if any(a)])
+    nonconstant terms, and 0 when it is not full-dimensional (no finite
+    bound holds).
 
-
-@lru_cache(maxsize=64)
-def _symmetry_shifts(exponents: tuple) -> tuple:
-    """The log-coordinate phase shifts 2 pi theta, one per element of
-    G = L*/Z^n, the zero shift first. L is the lattice spanned by the
+    shifts are the log-coordinate phase shifts 2 pi theta, one per element
+    of G = L*/Z^n, the zero shift first. L is the lattice spanned by the
     differences of the nonconstant exponents; for theta in L* every term
     picks up the same root of unity under w -> w + 2 pi i theta, so G
     permutes the roots of the log-gradient system, and freely. Exact: L's
     Hermite normal form B is upper triangular when L has full rank, and
     theta runs over the solutions of B theta = k mod Z^n, one per k_j in
     [0, B_jj), by back-substitution in Fractions. Only the zero shift when
-    L has lower rank (G is then infinite; expected is 0)."""
-    first, *rest = [a for a in exponents if any(a)]
+    L has lower rank (G is then infinite; the bound is 0)."""
+    nonconstant = [a for a in exponents if any(a)]
+    if not nonconstant:
+        raise SchemaError("potential has no nonconstant term")
+    first, *rest = nonconstant
     n = len(first)
     H, _ = hermite_normal_form([[x - y for x, y in zip(a, first)] for a in rest])
     if len(H) < n or not all(H[j][j] for j in range(n)):
-        return ((0.0,) * n,)
+        return 0, ((0.0,) * n,)
     thetas = [()]  # the last coordinates of each theta, reduced into [0, 1)
     for j in range(n - 1, -1, -1):
         row = H[j][j + 1:]
         thetas = [((k - sum(b * x for b, x in zip(row, tail))) / Fraction(H[j][j]) % 1,) + tail
                   for tail in thetas for k in range(H[j][j])]
-    return tuple(tuple(2.0 * math.pi * x.numerator / x.denominator for x in theta)
-                 for theta in thetas)
+    return normalized_volume(nonconstant), tuple(
+        tuple(2.0 * math.pi * x.numerator / x.denominator for x in theta) for theta in thetas)
 
 
 def _stride(grid: int) -> int:
@@ -326,8 +328,8 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     and SchemaError when W has no nonconstant term.
     """
     options = options or SolverOptions()
-    if poly.is_constant():
-        raise SchemaError("potential has no nonconstant term")
+    expected, shifts = _exponent_structure(tuple(sorted(poly.terms)))
+    shifts = 1j * np.array(shifts)  # (|G|, n), the zero shift first
     n = poly.zvars
     terms = numeric_terms(poly, t)
     A = np.array([a for a, _ in terms], dtype=float)
@@ -342,9 +344,6 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     # iterates leaving this band in Re w are dropped; it follows the seed
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
-    exponents = tuple(sorted(poly.terms))
-    expected = _root_bound(exponents)
-    shifts = 1j * np.array(_symmetry_shifts(exponents))  # (|G|, n), the zero shift first
     width = max(64, 16 * expected)
     # exact differentiation, compiled once, for the residual check
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]

@@ -323,9 +323,11 @@ def potential_from_document(obj) -> PotentialDocument:
     fandoc = None
     if obj.get("fan") is not None:
         fandoc = fan_from_document(obj["fan"])
-        _require(fandoc.fan.dimension == zvars,
-                 f"the 'fan' section has dimension {fandoc.fan.dimension}, but the "
-                 f"potential has {zvars} z-variables")
+        # crit seeds W from this fan's polytope, so it must be W's geometry
+        exponents = {z for z in poly.terms if any(z)}
+        _require(not exponents or set(fandoc.fan.rays) == exponents,
+                 "the 'fan' section's rays differ from the potential's nonconstant "
+                 "z-exponents")
         _require(fandoc.kahler is None or list(fandoc.kahler.basis_areas()) == q_areas,
                  "the areas of the 'fan' section's q-basis differ from 'q_areas'")
     return PotentialDocument(poly, params, q_areas, fandoc)

@@ -111,7 +111,6 @@ class GWProvider:
 
     def __init__(self, kahler: KahlerData, table: Optional[GWTable] = None,
                  assume_zero: bool = False):
-        self.kahler = kahler
         self.fan = kahler.fan
         self.table = table
         self.assume_zero = assume_zero

@@ -142,9 +142,6 @@ class LaurentPoly:
                 out[zexp] = QPoly(self.qvars, {e: c * zexp[j] for e, c in coeff.terms.items()})
         return LaurentPoly(self.zvars, self.qvars, out)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -544,6 +544,15 @@ def unimodular_map_search(rays_a, cones_a, rays_b, cones_b) -> Optional[tuple]:
     return None
 
 
+def assert_splitting_chart(fan: Fan, dec) -> None:
+    """The recognized chart is unimodular and sends ray 0, the middle rays
+    and the last ray to e_n, (w_i, 1) with w_i the base rays, and -e_n."""
+    e_n = (0,) * (fan.dimension - 1) + (1,)
+    assert abs(matrix_det(dec.chart)) == 1
+    image = [tuple(sum(a * x for a, x in zip(row, ray)) for row in dec.chart) for ray in fan.rays]
+    assert image == [e_n] + [w + (1,) for w in dec.base.rays] + [tuple(-x for x in e_n)]
+
+
 # --- moment-polytope oracles: Fourier-Motzkin and the active-set scan ---
 #
 # Exact over Fractions on systems <a, x> >= b. The library reads the same
@@ -937,7 +946,7 @@ def _lockstep_setup(poly, t, options):
     """What both lockstep oracles compile from W before their loops."""
     import numpy as np
 
-    from toricmirror.critical import _default_moduli, _root_bound
+    from toricmirror.critical import _default_moduli, _exponent_structure
     from toricmirror.laurent import numeric_terms
 
     n = poly.zvars
@@ -951,7 +960,7 @@ def _lockstep_setup(poly, t, options):
     grid = math.prod(len(coord) * phases for coord in moduli)
     budget = min(grid, options.max_starts)
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
-    expected = _root_bound(tuple(sorted(poly.terms)))
+    expected = _exponent_structure(tuple(sorted(poly.terms)))[0]
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
     return n, A, AA, c, moduli, phases, budget, band, expected, log_gradient
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from conftest import matrix_det, push_h2, unimodular_map_search
+from conftest import assert_splitting_chart, matrix_det, push_h2, unimodular_map_search
+from test_golden import K_F2_FAN, NOT_A_BUNDLE_FAN
+from test_potential import BUNDLES
 from toricmirror import bundle
 from toricmirror.bundle import (
     decompose_bundle,
@@ -111,8 +113,9 @@ class TestRecognition:
     def test_paper_convention_f2(self, f2):
         dec = decompose_bundle(f2)
         assert dec is not None
-        assert dec.grading == (1, -1)
+        assert dec.chart[-1] == (1, -1)
         assert dec.base.rays == ((1,), (-1,))
+        assert_splitting_chart(f2, dec)
         assert classify_positivity(dec.base) is Positivity.FANO
 
     def test_constructed_bundles_recognized(self, p1, p2, p1xp1):
@@ -123,11 +126,33 @@ class TestRecognition:
             assert dec.base.nrays == base.nrays
             assert classify_positivity(dec.base) is classify_positivity(base)
 
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[name for name, _ in BUNDLES])
+    def test_catalog_bundles_split_in_the_chart(self, name, fan):
+        dec = decompose_bundle(fan)
+        assert_splitting_chart(fan, dec)
+        assert classify_positivity(dec.base) is Positivity.FANO
+
     def test_plain_fano_not_recognized(self, p2, p1xp1):
         assert decompose_bundle(p2) is None
         assert decompose_bundle(p1xp1) is None
         with pytest.raises(NotBundleShaped):
             require_bundle(p2)
+
+    def test_bundle_over_a_base_that_is_not_fano(self):
+        # P(K_F2+O), built by hand: recognized, then refused for its base
+        fan = validate_fan(3, K_F2_FAN["rays"], K_F2_FAN["maximal_cones"])
+        dec = decompose_bundle(fan)
+        assert_splitting_chart(fan, dec)
+        assert classify_positivity(dec.base) is Positivity.SEMI_FANO_NOT_FANO
+        with pytest.raises(NotFano):
+            require_bundle(fan)
+
+    def test_graded_fan_whose_middle_rays_miss_ray_0(self):
+        # every ray but the last has grading 1, but the corner rays share no
+        # cone with ray 0, so the base read off ray 0's cones is incomplete
+        fan = validate_fan(3, NOT_A_BUNDLE_FAN["rays"], NOT_A_BUNDLE_FAN["maximal_cones"])
+        assert classify_positivity(fan) is Positivity.SEMI_FANO_NOT_FANO
+        assert decompose_bundle(fan) is None
 
     def test_other_projective_bundle_not_recognized(self):
         # P(O(-1) + O) over the line: a Hirzebruch surface of parameter 1,

@@ -35,15 +35,15 @@ from conftest import (
     symmetry_group_oracle,
 )
 from test_integer_solves import DP6, F1, product_fan
+from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror import critical
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.critical import (
     SolverOptions,
     _dedup,
+    _exponent_structure,
     _grid_starts,
-    _root_bound,
     _stride,
-    _symmetry_shifts,
     find_critical_points,
     moduli_from_polytope,
 )
@@ -268,6 +268,44 @@ class TestSolverBehavior:
             with pytest.raises(SchemaError, match="potential has no nonconstant term"):
                 find_critical_points(W, [1.0])
 
+    def test_singular_jacobians_end_in_no_convergence(self, monkeypatch):
+        # W = z1*z2 + 1/(z1*z2): every Jacobian is exactly singular, so each
+        # batched solve raises and falls back to one solve per row, which
+        # raises too; its critical points form curves, and none converges
+        W = laurent({(1, 1): {(): 1}, (-1, -1): {(): 1}})
+        ranks = []
+        solve_ = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: ranks.append(np.ndim(a)) or solve_(a, b))
+        with pytest.raises(NoConvergence):
+            find_critical_points(W, [])
+        assert {2, 3} <= set(ranks)  # batched, then per row
+
+    def test_exact_residual_refuses_a_false_root(self, monkeypatch):
+        # a Newton kernel that passes z = 1 off as a root of z + q/z beside
+        # the true root z = 0.1: only the true root and its image -0.1 are
+        # reported, and alone z = 1 is refused with its residual |1 - q|
+        W = laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}})
+
+        def kernel(found):
+            def newton(admit, *_):
+                admit(len(found))
+                yield np.log(np.array(found, dtype=complex))[:, None], math.inf
+                yield np.empty((0, 1), dtype=complex), math.inf
+            return newton
+
+        monkeypatch.setattr(critical, "_newton", kernel([1.0, 0.1]))
+        report = find_critical_points(W, [T001])
+        assert_point_sets_match(report, [(-0.1,), (0.1,)])
+        monkeypatch.setattr(critical, "_newton", kernel([1.0]))
+        with pytest.raises(NoConvergence, match=f"best residual reached {1 - 0.01:.3e}; "):
+            find_critical_points(W, [T001])
+
+    def test_moduli_need_one_list_per_coordinate(self):
+        _, W, _ = f2_setup()
+        with pytest.raises(ValueError, match="need one modulus list per z-coordinate"):
+            find_critical_points(W, [T001, T001], SolverOptions(moduli_per_coord=((1.0,),)))
+
     def test_stats_accounting(self):
         # each converged start brings at most its orbit under the symmetry
         k, W, params = line_setup()
@@ -309,6 +347,11 @@ BUNDLE_BASES = {
     "dP6": lambda: validate_fan(2, DP6),
     "P1xdP6": lambda: product_fan(projective_line(), validate_fan(2, DP6)),
 }
+
+
+# the two kinds of fan section `potential` writes: Fano fans and P(K_Y+O)
+SECTIONS = ([(f"fano-{name}", fan) for name, fan in in_three_charts(catalog_bases(), 13)]
+            + [(f"bundle-{name}", fan) for name, fan in BUNDLES])
 
 
 CATALOG = {"P1": line_setup, "P2": plane_setup, "P1xP1": product_setup, "F2": f2_setup}
@@ -365,12 +408,19 @@ class TestRootBound:
         # z + q/z + 5: the constant drops out of z dW/dz, so 2 roots, not 2
         # plus whatever the origin would add to the polytope
         W = laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}, (0,): {(0,): 5}})
-        assert _root_bound(tuple(sorted(W.terms))) == 2
+        assert _exponent_structure(tuple(sorted(W.terms)))[0] == 2
         one_sided = laurent({(1,): {(0,): 1}, (2,): {(0,): 1}})
-        assert _root_bound(tuple(sorted(one_sided.terms))) == 1
+        assert _exponent_structure(tuple(sorted(one_sided.terms)))[0] == 1
         report = find_critical_points(one_sided, [T001])
         assert len(report.points) == 1
         assert report.points[0][0] == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("name, fan", SECTIONS, ids=[name for name, _ in SECTIONS])
+    def test_bound_is_the_cone_count(self, name, fan):
+        # a fan section's rays are W's nonconstant exponents, and on these
+        # fans the maximal cones triangulate the boundary of their Newton
+        # polytope unimodularly
+        assert _exponent_structure(tuple(sorted(fan.rays)))[0] == len(fan.maximal_cones)
 
     @pytest.mark.parametrize("setup", [f2_setup, plane_setup, product_setup])
     def test_stops_at_the_pass_that_reaches_bound(self, monkeypatch, setup):
@@ -519,24 +569,26 @@ class TestSymmetry:
             image = tuple(sorted(tuple(sum(a[i] * T[i][j] for i in range(n)) for j in range(n))
                                  for a in exponents))
             for exps in (exponents, image):
-                shifts = _symmetry_shifts(exps)
+                bound, shifts = _exponent_structure(exps)
                 assert shifts[0] == (0.0,) * n
                 oracle = symmetry_group_oracle(exps)
                 if oracle is None:
-                    assert len(shifts) == 1 and _root_bound(exps) == 0
+                    assert len(shifts) == 1 and bound == 0
                     continue
                 assert shift_classes(shifts) == oracle
                 assert len(shifts) == len(oracle)  # no class listed twice
-                assert _root_bound(exps) % len(shifts) == 0
-            # the group's order does not depend on the chart
-            assert len(_symmetry_shifts(image)) == len(_symmetry_shifts(exponents))
+                assert bound % len(shifts) == 0
+            # the bound and the group's order do not depend on the chart
+            (bound, shifts), (image_bound, image_shifts) = map(_exponent_structure,
+                                                               (exponents, image))
+            assert (bound, len(shifts)) == (image_bound, len(image_shifts))
             full += oracle is not None
-            larger += len(_symmetry_shifts(exponents)) > 1
+            larger += len(shifts) > 1
         assert full >= 15 and larger >= 5
 
     def test_f2_image_is_negation(self):
         k, W, params = f2_setup()
-        shifts = _symmetry_shifts(tuple(sorted(W.terms)))
+        shifts = _exponent_structure(tuple(sorted(W.terms)))[1]
         half = Fraction(1, 2)
         assert shift_classes(shifts) == {(0, 0), (half, half)}
         roots = f2_closed_form_roots(0.01, 0.01)
@@ -552,7 +604,7 @@ class TestSymmetry:
         for base in BUNDLE_BASES.values():
             k, W, params = bundle_setup(base())
             n = W.zvars
-            assert shift_classes(_symmetry_shifts(tuple(sorted(W.terms)))) == {
+            assert shift_classes(_exponent_structure(tuple(sorted(W.terms)))[1]) == {
                 (0,) * n, (0,) * (n - 1) + (Fraction(1, 2),)}
 
     def test_item_8_point_completes(self):

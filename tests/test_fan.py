@@ -25,6 +25,7 @@ from toricmirror import fan as fan_module
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
     BadFaceIntersection,
+    DimensionMismatch,
     IncompleteFan,
     NonPrimitiveRay,
     NonUnimodularCone,
@@ -122,6 +123,22 @@ class TestValidation:
     def test_cones_required_above_dim_2(self):
         with pytest.raises(IncompleteFan):
             validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+
+    @pytest.mark.parametrize("args, error, message", [
+        pytest.param((0, [(1,)], [(0,)]), DimensionMismatch,
+                     "fan dimension must be at least 1", id="dimension-0"),
+        pytest.param((2, [], []), IncompleteFan, "a fan needs rays", id="no-rays"),
+        pytest.param((2, [(1, 0), (0, 0), (-1, -1)], None), NonPrimitiveRay,
+                     "the zero vector is not a ray", id="zero-ray"),
+        pytest.param((2, [(1, 0), (0, 1), (-1, -1)], [(0, 0), (1, 2), (0, 2)]),
+                     NonUnimodularCone, "cone (0, 0) repeats a ray", id="repeated-ray"),
+        pytest.param((2, [(1, 0), (0, 1), (-1, -1)], []), IncompleteFan,
+                     "a fan needs maximal cones", id="no-cones"),
+    ])
+    def test_degenerate_input_refused(self, args, error, message):
+        with pytest.raises(error) as exc:
+            validate_fan(*args)
+        assert str(exc.value) == message
 
     def test_random_fans_validate(self):
         rng = random.Random(99)

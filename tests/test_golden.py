@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import p1_times_p1, projective_line, projective_plane
+from conftest import hirzebruch2, p1_times_p1, projective_line, projective_plane
 from toricmirror.bundle import default_q_basis, projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import fan_to_document, load_fan_document
@@ -43,6 +43,37 @@ P2_VALUES = {1: "-2", 2: "5", 3: "-32"}
 # cone (0, 1), the first quadrant, overlaps cone (2, 4) through (1, 1)
 OVERLAPPING_FAN = {"dimension": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
                    "maximal_cones": [[0, 1], [2, 4], [2, 3], [0, 3]]}
+# the boundary points of a square, diamond vertices first
+SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, 1], [-1, -1], [1, -1]]
+SQUARE_ORDER = [1, 5, 2, 6, 3, 7, 4, 8]  # the ray indices around the square
+
+
+def graded_document(points, cones) -> dict:
+    """Fan document with rays e_3, (p, 1) for each point p and -e_3, and
+    Kahler data with lambda 0 on the rays of the first cone and -t_j on
+    each other ray."""
+    rays = [[0, 0, 1]] + [p + [1] for p in points] + [[0, 0, -1]]
+    off = [i for i in range(len(rays)) if i not in cones[0]]
+    lambdas = ["0"] * len(rays)
+    for j, i in enumerate(off):
+        lambdas[i] = f"-t{j + 1}"
+    return {"dimension": 3, "rays": rays, "maximal_cones": cones,
+            "kahler": {"parameters": [f"t{j + 1}" for j in range(len(off))],
+                       "lambdas": lambdas}}
+
+
+# P(K_F2+O) built by hand, as the construction refuses F2, which is not
+# Fano: every cone of F2 doubled. Recognized as a bundle, refused by base.
+K_F2_FAN = graded_document(
+    [list(r) for r in hirzebruch2().rays],
+    [[0, a + 1, b + 1] for a, b in hirzebruch2().maximal_cones]
+    + [[a + 1, b + 1, 5] for a, b in hirzebruch2().maximal_cones])
+# graded, smooth and semi-Fano, but no bundle: the corner rays share no cone
+# with ray 0, so the base read off ray 0's cones misses them
+NOT_A_BUNDLE_FAN = graded_document(
+    SQUARE, [[0, k, k % 4 + 1] for k in range(1, 5)]
+    + [[SQUARE_ORDER[k], SQUARE_ORDER[(k + 1) % 8], 9] for k in range(8)]
+    + [[SQUARE_ORDER[k], SQUARE_ORDER[k + 1], SQUARE_ORDER[(k + 2) % 8]] for k in (0, 2, 4, 6)])
 
 
 def write_bundle_documents(folder: Path) -> dict:
@@ -81,25 +112,43 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
                           "entries": [{"class": [1], "value": "-2"}]},
         "short key table": {"fan_fingerprint": p2_fingerprint, "basis": [P2_LINE_LIFT],
                             "entries": [{"class": [1, 0], "value": "-2"}]},
+        "off-class table": {"fan_fingerprint": p2_fingerprint, "basis": [[1, 0, 0, 0, 0]],
+                            "entries": []},
+        "zero ray": {"dimension": 2, "rays": [[1, 0], [0, 0], [-1, -1]]},
+        "repeated ray": {"dimension": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                         "maximal_cones": [[0, 0], [1, 2], [0, 2]]},
+        "P(K_F2+O)": K_F2_FAN,
+        "not a bundle": NOT_A_BUNDLE_FAN,
     }.items():
         paths[name] = folder / f"{name}.json"
         paths[name].write_text(json.dumps(doc), encoding="utf-8")
     pot = str(folder / "f2 potential.json")
     assert main(["potential", f2, "--cutoff", "2", "-o", pot]) == 0
     t = ["--t", "t1=1", "--t", "t2=1"]
-    # a misspelled key would otherwise be dropped: the area meant as t1 + 1
-    # would read as t1
-    misspelled = {}
+    mutated = {}
     for name, mutate in {
-        "q-area key": lambda doc: doc["q_areas"][0].update(constnat="1"),
-        "field": lambda doc: doc.update(q_area=doc["q_areas"]),
+        # a misspelled key would otherwise be dropped: the area meant as
+        # t1 + 1 would read as t1
+        "misspelled q-area key": lambda doc: doc["q_areas"][0].update(constnat="1"),
+        "misspelled field": lambda doc: doc.update(q_area=doc["q_areas"]),
+        # W's term z1 moved to z1^2*z2, its fan section left F2's
+        "fan off W": lambda doc: next(
+            term for term in doc["terms"] if term["z"] == [1, 0]).update(z=[2, 1]),
+        "short q-term": lambda doc: doc["terms"][0]["coefficient"][0].update(q=[0]),
+        "negative q-term": lambda doc: doc["terms"][0]["coefficient"][0].update(q=[-1, 0]),
     }.items():
         doc = json.loads(Path(pot).read_text(encoding="utf-8"))
         mutate(doc)
-        misspelled[name] = folder / f"f2 potential, misspelled {name}.json"
-        misspelled[name].write_text(json.dumps(doc), encoding="utf-8")
+        mutated[name] = folder / f"f2 potential, {name}.json"
+        mutated[name].write_text(json.dumps(doc), encoding="utf-8")
     return {
         "refuse analyze overlapping fan": ["analyze", str(paths["overlap"])],
+        "refuse analyze zero ray": ["analyze", str(paths["zero ray"])],
+        "refuse analyze cone repeating a ray": ["analyze", str(paths["repeated ray"])],
+        "refuse potential P(K_F2+O) over a base that is not Fano":
+            ["potential", str(paths["P(K_F2+O)"])],
+        "refuse potential graded fan that is not a bundle":
+            ["potential", str(paths["not a bundle"])],
         "refuse potential P(K_P1xP1+O) without zero-fill":
             ["potential", bundles["P(K_P1xP1+O)"][0], "--cutoff", "2"],
         "refuse potential f2.json --cutoff -1": ["potential", f2, "--cutoff", "-1"],
@@ -107,13 +156,22 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
             ["potential", p2_bundle, "--gw-table", str(paths["foreign table"])],
         "refuse potential P(K_P2+O) with a short table key":
             ["potential", p2_bundle, "--gw-table", str(paths["short key table"])],
+        "refuse potential P(K_P2+O) with a table basis off the curve classes":
+            ["potential", p2_bundle, "--gw-table", str(paths["off-class table"])],
         "refuse crit --phases 0": ["crit", pot, *t, "--phases", "0"],
         "refuse crit without --t t2": ["crit", pot, "--t", "t1=1"],
         "refuse crit with unknown --t": ["crit", pot, *t, "--t", "t=1"],
         "refuse crit outside the Kahler cone": ["crit", pot, "--t", "t1=-1/2", "--t", "t2=1"],
+        "refuse crit --t t1 without a value": ["crit", pot, "--t", "t1", "--t", "t2=1"],
         "refuse crit misspelled q-area key":
-            ["crit", str(misspelled["q-area key"]), *t],
-        "refuse crit misspelled potential field": ["crit", str(misspelled["field"]), *t],
+            ["crit", str(mutated["misspelled q-area key"]), *t],
+        "refuse crit misspelled potential field":
+            ["crit", str(mutated["misspelled field"]), *t],
+        "refuse crit fan section off W's exponents":
+            ["crit", str(mutated["fan off W"]), "--t", "t1=4.6", "--t", "t2=4.6"],
+        "refuse crit q-term of the wrong length": ["crit", str(mutated["short q-term"]), *t],
+        "refuse crit q-term with a negative exponent":
+            ["crit", str(mutated["negative q-term"]), *t],
     }
 
 

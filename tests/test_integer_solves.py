@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import (
+    assert_splitting_chart,
     hirzebruch2,
     p1_times_p1,
     polytope_vertices,
@@ -16,6 +17,7 @@ from conftest import (
     random_unimodular,
     rank,
     solve_unique,
+    unimodular_map_search,
 )
 from toricmirror.bundle import decompose_bundle, projectivize_canonical
 from toricmirror.errors import (
@@ -167,8 +169,9 @@ def test_lambda_exponents_match_per_ray_solve():
 # --- bundle grading ---
 
 def decompose_oracle(fan):
-    """(grading, base rays, base cones), or None, with the grading from one
-    Fraction solve of <u, v_i> = 1 over ray 0 and the middle rays."""
+    """(grading, base), or None, with the grading from one Fraction solve
+    of <u, v_i> = 1 over ray 0 and the middle rays, and the base read in a
+    chart that sends ray 0 to e_n by the Hermite normal form of ray 0."""
     n, d = fan.dimension, fan.nrays
     if d < n + 2 or any(a + b for a, b in zip(fan.rays[0], fan.rays[-1])):
         return None
@@ -187,7 +190,7 @@ def decompose_oracle(fan):
         base = validate_fan(n - 1, base_rays, base_cones)
     except InvalidFan:
         return None
-    return tuple(int(x) for x in u), base.rays, base.maximal_cones
+    return tuple(int(x) for x in u), base
 
 
 def opposite_pair_outside(fan):
@@ -222,7 +225,15 @@ def test_grading_and_base_match_the_solve():
     recognized = 0
     for fan in fans:
         dec = decompose_bundle(fan)
-        got = None if dec is None else (dec.grading, dec.base.rays, dec.base.maximal_cones)
-        assert got == decompose_oracle(fan), fan
-        recognized += got is not None
+        oracle = decompose_oracle(fan)
+        assert (dec is None) == (oracle is None), fan
+        if dec is None:
+            continue
+        grading, base = oracle
+        assert_splitting_chart(fan, dec)
+        assert dec.chart[-1] == grading
+        assert dec.base.maximal_cones == base.maximal_cones
+        assert unimodular_map_search(dec.base.rays, dec.base.maximal_cones,
+                                     base.rays, base.maximal_cones) is not None, fan
+        recognized += 1
     assert recognized >= 24 and len(fans) - recognized >= 20, (recognized, len(fans))

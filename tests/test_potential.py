@@ -218,27 +218,32 @@ class TestCorrectedPotential:
 
 # --- the degree-0 enumeration against the full one ---
 
-def catalog_bundles():
-    """(name, fan) for P(K_Y+O) over P1, P2, F1, P1xP1, dP6, P3, P1^3 and
-    P1xdP6, each in its standard chart and in two seeded GL(n, Z) charts."""
+def catalog_bases():
+    """The catalog's Fano bases: P1, P2, F1, P1xP1, dP6, P3, P1^3 and P1xdP6."""
     line = projective_line()
-    bases = {
+    return {
         "P1": line, "P2": projective_plane(), "F1": validate_fan(2, F1),
         "P1xP1": p1_times_p1(), "dP6": validate_fan(2, DP6), "P3": P3,
         "P1^3": product_fan(product_fan(line, line), line),
         "P1xdP6": product_fan(line, validate_fan(2, DP6)),
     }
-    rng = random.Random(12)
+
+
+def in_three_charts(fans, seed):
+    """(name, fan) for each named fan in its standard chart and in two
+    seeded GL(n, Z) charts."""
+    rng = random.Random(seed)
     out = []
-    for name, base in bases.items():
-        x = projectivize_canonical(base)
-        out.append((name, x))
-        out += [(f"{name}-chart{i}", in_chart(x, random_unimodular(rng, x.dimension)))
+    for name, fan in fans.items():
+        out.append((name, fan))
+        out += [(f"{name}-chart{i}", in_chart(fan, random_unimodular(rng, fan.dimension)))
                 for i in (1, 2)]
     return out
 
 
-BUNDLES = catalog_bundles()
+# P(K_Y+O) over each catalog base, named by the base
+BUNDLES = in_three_charts(
+    {name: projectivize_canonical(base) for name, base in catalog_bases().items()}, 12)
 
 
 class PatternProvider:
