@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
 from .documents import (
     canonical_json,
@@ -36,6 +35,7 @@ from .documents import (
     load_gw_table,
     load_potential_document,
     potential_to_document,
+    read_rational,
 )
 from .errors import NoConvergence, RootBoundExceeded, SchemaError, ToricMirrorError
 
@@ -166,10 +166,7 @@ def _parse_assignments(pairs) -> dict:
         name = name.strip()
         if name in values:
             raise SchemaError(f"--t gives parameter {name!r} more than once")
-        try:
-            values[name] = Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad numeric value in {pair!r}") from exc
+        values[name] = read_rational(raw)
     return values
 
 

@@ -10,11 +10,11 @@ per solve for the residual check that admits each root.
 
 The system has at most n! vol(Newton polytope) isolated roots in (C*)^n
 (Kouchnirenko; Bernstein), computed exactly from the term exponents in one
-cached record with the group G below. On the smooth Fano and semi-Fano
-fans this package builds, the bound is the number of maximal cones and is
-reached. The multistart grid combines
-per-coordinate moduli (by default derived from the magnitudes in play;
-callers with a moment polytope should pass vertex-scale moduli) with
+cached record with the group G below; a W with bound 0 has none and is
+refused. On the smooth Fano and semi-Fano fans this package builds, the
+bound is the number of maximal cones and is reached. The multistart grid
+combines per-coordinate moduli (by default derived from the magnitudes in
+play; callers with a moment polytope should pass vertex-scale moduli) with
 equally spaced phases. The starts run in a fixed stride permutation of the
 whole grid, so that every coordinate's seeds come early. Newton steps a
 working set of max(64, 16 * expected) starts in lockstep, each start on
@@ -34,12 +34,12 @@ on timing.
 The roots come in orbits. Let L be the lattice spanned by the differences
 of W's nonconstant exponents: for theta with <theta, L> in Z, the shift
 w -> w + 2 pi i theta multiplies every term of g by one root of unity, so
-G = L*/Z^n permutes the roots, and freely. When the bound is positive, L
-has full rank and G is finite, of an order dividing the bound; on
-P(K_Y + O) it holds z_n -> -z_n. The iterates of each pass enter the
-merge with their images under G, and every image is verified by the
-exact residual like any other candidate. `converged` counts Newton starts
-only, and `orbit_size` is the order of G (1 when L has lower rank).
+G = L*/Z^n permutes the roots, and freely. As the bound is positive, G is
+finite, of an order dividing the bound; on P(K_Y + O) it holds
+z_n -> -z_n. The iterates of each pass enter the merge with their images
+under G, and every image is verified by the exact residual like any other
+candidate. `converged` counts Newton starts only, and `orbit_size` is the
+order of G.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ class CriticalReport(NamedTuple):
     attempted: int  # starts run
     converged: int  # starts whose iterate converged
     deduped: int  # distinct verified roots
-    expected: int  # root bound n! vol(Newton polytope); 0 when none holds
+    expected: int  # root bound n! vol(Newton polytope), at least 1
     orbit_size: int  # order of the root-of-unity symmetry group the roots are closed under
     grid_size: int  # starts in the full grid
-    truncated: bool  # starts left unrun, and deduped < expected or expected == 0
+    truncated: bool  # starts left unrun, and deduped < expected
     options: SolverOptions = SolverOptions()
 
 
@@ -128,22 +128,21 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
 def _exponent_structure(exponents: tuple) -> tuple:
     """(bound, shifts) of W's exponents; only the nonconstant ones count,
     as a constant term drops out of every z_j dW/dz_j. SchemaError when
-    there is none.
+    there is none, or when their Newton polytope is not full-dimensional.
 
     bound is Kouchnirenko's bound on the isolated roots in (C*)^n of the
     log-gradient system: n! times the volume of the Newton polytope of the
-    nonconstant terms, and 0 when it is not full-dimensional (no finite
-    bound holds).
+    nonconstant terms. It is positive: a bound of 0 (L of lower rank) means
+    W has no isolated critical points whatever its coefficients.
 
     shifts are the log-coordinate phase shifts 2 pi theta, one per element
     of G = L*/Z^n, the zero shift first. L is the lattice spanned by the
     differences of the nonconstant exponents; for theta in L* every term
     picks up the same root of unity under w -> w + 2 pi i theta, so G
     permutes the roots of the log-gradient system, and freely. Exact: L's
-    Hermite normal form B is upper triangular when L has full rank, and
-    theta runs over the solutions of B theta = k mod Z^n, one per k_j in
-    [0, B_jj), by back-substitution in Fractions. Only the zero shift when
-    L has lower rank (G is then infinite; the bound is 0)."""
+    Hermite normal form B is upper triangular, and theta runs over the
+    solutions of B theta = k mod Z^n, one per k_j in [0, B_jj), by
+    back-substitution in Fractions."""
     nonconstant = [a for a in exponents if any(a)]
     if not nonconstant:
         raise SchemaError("potential has no nonconstant term")
@@ -151,7 +150,8 @@ def _exponent_structure(exponents: tuple) -> tuple:
     n = len(first)
     H, _ = hermite_normal_form([[x - y for x, y in zip(a, first)] for a in rest])
     if len(H) < n or not all(H[j][j] for j in range(n)):
-        return 0, ((0.0,) * n,)
+        raise SchemaError("potential has no isolated critical points: the Newton "
+                          "polytope of its nonconstant terms is not full-dimensional")
     thetas = [()]  # the last coordinates of each theta, reduced into [0, 1)
     for j in range(n - 1, -1, -1):
         row = H[j][j + 1:]
@@ -319,13 +319,14 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     (log coordinates, phase-wrapped) against the roots kept so far, each
     survivor is checked by the exact residual, and the run stops at the
     pass where the verified roots reach the bound.
-    Without that, it stops when every start up to max_starts or the end of
-    the grid has converged or been dropped. `attempted` counts the starts
+    Otherwise it stops when every start up to max_starts or the end of the
+    grid has converged or been dropped. `attempted` counts the starts
     admitted, `converged` those that converged before the stop. The points
     are sorted canonically. Raises NoConvergence when nothing converges; its
     message gives the best residual over the last iterate of every start.
     Raises RootBoundExceeded when the verified roots outnumber the bound,
-    and SchemaError when W has no nonconstant term.
+    and SchemaError, before any Newton pass, when the bound is 0 or W has
+    no nonconstant term.
     """
     options = options or SolverOptions()
     expected, shifts = _exponent_structure(tuple(sorted(poly.terms)))
@@ -360,7 +361,6 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     points = []
     best_failed = math.inf
     converged = 0
-    complete = False
     for found, least in _newton(admit, A, AA, c, options, band, width):
         converged += len(found)
         # the converged iterates, then their images under each nonzero shift
@@ -375,13 +375,12 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
                 points.append((z, resid))
             else:
                 best_failed = min(best_failed, resid)
-        if expected and len(points) > expected:
+        if len(points) > expected:
             raise RootBoundExceeded(
                 f"{len(points)} distinct verified critical points exceed the root bound "
                 f"{expected}: the dedup radius {options.dedup_radius} keeps copies of one "
                 f"root apart")
-        complete = bool(expected) and len(points) >= expected
-        if complete:
+        if len(points) == expected:
             break
     points.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
 
@@ -404,6 +403,6 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
         expected=expected,
         orbit_size=len(shifts),
         grid_size=grid,
-        truncated=attempted < grid and not complete,
+        truncated=attempted < grid and len(points) < expected,
         options=options,
     )

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .errors import SchemaError
 from .fan import Fan, validate_fan
-from .kahler import KahlerData
+from .kahler import KahlerData, checked_q_basis
 from .linform import LinForm, parse_linear_form
 
 if TYPE_CHECKING:  # loaded where tables and potentials are built
@@ -62,13 +62,26 @@ def _names(value) -> tuple:
     return tuple(value)
 
 
-def _rational(value) -> Fraction:
-    """An exact rational from a JSON string or number, as ``Fraction`` reads
-    its text."""
+# Fraction builds 10**e for a decimal exponent e, which takes seconds once e
+# has seven digits; beyond this bound (the default limit on the digits of an
+# int read from text) a value is refused first
+MAX_EXPONENT = 4300
+
+
+def read_rational(value) -> Fraction:
+    """An exact rational from a JSON string or number, or from a command-line
+    value, as ``Fraction`` reads its text; a decimal exponent above
+    MAX_EXPONENT in magnitude is a SchemaError, like any text Fraction
+    refuses."""
+    text = str(value)
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(str(value))
+        if not e or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational value {value!r}") from exc
+    raise SchemaError(f"rational value {value!r} has a decimal exponent above "
+                      f"{MAX_EXPONENT} in magnitude")
 
 
 # --- fan documents ---
@@ -128,6 +141,11 @@ def fan_from_document(obj) -> FanDocument:
             kahler = KahlerData(fan, parsed, q_basis)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
+    elif q_basis is not None:  # KahlerData checks it on the branch above
+        try:
+            checked_q_basis(fan, q_basis)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     return FanDocument(fan, kahler, parameters, lambdas_text, q_basis)
 
 
@@ -185,7 +203,7 @@ def gw_table_from_document(obj, fan: Fan) -> GWTable:
                  f"table entries must be objects with 'class' and 'value', got {item!r}")
         key = tuple(_int_list(item["class"], "entry class"))
         _require(len(key) == len(basis), "entry class length must match the basis size")
-        value = _rational(item["value"])
+        value = read_rational(item["value"])
         _require(key not in entries, f"duplicate table key {key}")
         entries[key] = value
     return validate_table(obj["fan_fingerprint"], basis, entries, fan)
@@ -211,7 +229,7 @@ def _qpoly_from_json(items, qvars: int) -> QPoly:
                  f"bad q-term {item!r}")
         qexp = tuple(_int_list(item["q"], "q-exponents"))
         _require(qexp not in terms, f"duplicate q-exponent {qexp} in a coefficient")
-        terms[qexp] = _rational(item["value"])
+        terms[qexp] = read_rational(item["value"])
     try:
         return QPoly(qvars, terms)
     except ValueError as exc:
@@ -285,8 +303,8 @@ def _area_from_json(item) -> LinForm:
              f"a q-area must be an object whose 'terms' is an object, got {item!r}")
     unknown = set(item) - _AREA_KEYS
     _require(not unknown, f"unknown q-area fields: {sorted(unknown)}")
-    return LinForm(_rational(item.get("constant", "0")),
-                   {n: _rational(c) for n, c in item.get("terms", {}).items()})
+    return LinForm(read_rational(item.get("constant", "0")),
+                   {n: read_rational(c) for n, c in item.get("terms", {}).items()})
 
 
 def potential_from_document(obj) -> PotentialDocument:

@@ -40,6 +40,23 @@ from .lattice import lattice_coordinates
 from .linform import LinForm, parse_linear_form
 
 
+def checked_q_basis(fan: Fan, q_basis) -> tuple:
+    """q_basis as a tuple of integer tuples, once it is a Z-basis of the
+    fan's curve classes; ValueError saying what it fails otherwise."""
+    q_basis = tuple(tuple(map(operator.index, b)) for b in q_basis)
+    for b in q_basis:
+        if not fan.is_homology_class(b):
+            raise ValueError(f"q-basis vector {b} is not a curve class")
+    if len(q_basis) != len(fan.homology_basis):
+        raise ValueError(
+            f"q-basis has {len(q_basis)} classes; "
+            f"homology rank is {len(fan.homology_basis)}"
+        )
+    if not fan.is_homology_basis(q_basis):
+        raise ValueError("q-basis does not span the homology lattice")
+    return q_basis
+
+
 class KahlerData:
     """A fan with support constants and a named q-variable basis."""
 
@@ -62,17 +79,7 @@ class KahlerData:
             if q_basis is None:
                 q_basis = fan.homology_basis
         else:
-            q_basis = tuple(tuple(map(operator.index, b)) for b in q_basis)
-            for b in q_basis:
-                if not fan.is_homology_class(b):
-                    raise ValueError(f"q-basis vector {b} is not a curve class")
-            if len(q_basis) != len(fan.homology_basis):
-                raise ValueError(
-                    f"q-basis has {len(q_basis)} classes; "
-                    f"homology rank is {len(fan.homology_basis)}"
-                )
-            if not fan.is_homology_basis(q_basis):
-                raise ValueError("q-basis does not span the homology lattice")
+            q_basis = checked_q_basis(fan, q_basis)
         self.q_basis = q_basis
 
         self._check_polytope()

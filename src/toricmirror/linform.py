@@ -110,6 +110,9 @@ class LinForm:
         return self.const == other.const and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant form equals its Fraction, so it hashes as one
+        if not self.coeffs:
+            return hash(self.const)
         return hash((self.const, frozenset(self.coeffs.items())))
 
     def __bool__(self) -> bool:

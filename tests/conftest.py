@@ -942,16 +942,16 @@ def lockstep_newton(w, A, AA, c, options, band):
         active[moved] = True
 
 
-def _lockstep_setup(poly, t, options):
-    """What both lockstep oracles compile from W before their loops."""
+def newton_arrays(poly, t, options):
+    """What the solver hands its Newton kernel, compiled from W as it
+    compiles them: (n, A, AA, c, moduli, phases, budget, band)."""
     import numpy as np
 
-    from toricmirror.critical import _default_moduli, _exponent_structure
+    from toricmirror.critical import _default_moduli
     from toricmirror.laurent import numeric_terms
 
     n = poly.zvars
-    t = [float(v) for v in t]
-    terms = numeric_terms(poly, t)
+    terms = numeric_terms(poly, [float(v) for v in t])
     A = np.array([a for a, _ in terms], dtype=float)
     c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
@@ -960,9 +960,49 @@ def _lockstep_setup(poly, t, options):
     grid = math.prod(len(coord) * phases for coord in moduli)
     budget = min(grid, options.max_starts)
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
+    return n, A, AA, c, moduli, phases, budget, band
+
+
+def newton_yields(poly, t, options, width=64):
+    """Every yield of the solver's Newton kernel on W, admitting starts in
+    the solver's order up to its budget, and the number admitted. Runs on
+    any W, one the solver refuses included."""
+    from toricmirror.critical import _grid_starts, _newton
+
+    _, A, AA, c, moduli, phases, budget, band = newton_arrays(poly, t, options)
+    attempted = 0
+
+    def admit(count):
+        nonlocal attempted
+        w = _grid_starts(moduli, phases, attempted, min(count, budget - attempted))
+        attempted += len(w)
+        return w
+
+    return list(_newton(admit, A, AA, c, options, band, width)), attempted
+
+
+def newton_must_not_run(*_):
+    raise AssertionError("a Newton pass ran")
+
+
+# potentials with a Newton polytope that is not full-dimensional, as
+# {z-exponent: coefficient}: their critical points are never isolated
+NO_ISOLATED_ROOTS = {
+    "square": {(2, 0): 1, (1, 1): 2, (0, 2): 1},  # (z1 + z2)^2, zero on z1 = -z2
+    "segment": {(1, 1): 1, (-1, -1): 1},  # z1*z2 + 1/(z1*z2)
+    "monomial": {(1,): 1},  # z
+}
+
+
+def _lockstep_setup(poly, t, options):
+    """What both lockstep oracles compile from W before their loops."""
+    from toricmirror.critical import _exponent_structure
+    from toricmirror.laurent import numeric_terms
+
+    t = [float(v) for v in t]
     expected = _exponent_structure(tuple(sorted(poly.terms)))[0]
-    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
-    return n, A, AA, c, moduli, phases, budget, band, expected, log_gradient
+    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(poly.zvars)]
+    return (*newton_arrays(poly, t, options), expected, log_gradient)
 
 
 def _exact_residual(log_gradient, wi):
@@ -991,7 +1031,7 @@ def batch_boundary_oracle(poly, t, options):
     kept = np.empty((0, n), dtype=complex)
     points = []
     attempted = converged = 0
-    while attempted < budget and not (expected and len(points) >= expected):
+    while attempted < budget and len(points) < expected:
         w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
         done = np.zeros(len(w), dtype=bool)
         for idx in lockstep_newton(w, A, AA, c, options, band):
@@ -1042,7 +1082,7 @@ def pass_stop_oracle(poly, t, options):
                     points.append(z)
                 else:
                     best_failed = min(best_failed, resid)
-            complete = bool(expected) and len(points) >= expected
+            complete = len(points) >= expected
             if complete:
                 break
     if not points:

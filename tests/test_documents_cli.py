@@ -15,13 +15,15 @@ import pytest
 
 import toricmirror
 from conftest import (
+    NO_ISOLATED_ROOTS,
     hirzebruch,
     hirzebruch2,
+    newton_must_not_run,
     random_smooth_2d_fan,
     random_unimodular,
     unimodular_map_search,
 )
-from toricmirror import cli, errors
+from toricmirror import cli, critical, errors
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
@@ -62,6 +64,9 @@ P2_DOC = {
 }
 
 T001 = "4.605170185988091"  # q ~ 0.01
+HUGE_EXPONENT = "1e-99999999"
+HUGE_EXPONENT_ERROR = (f"error: rational value {HUGE_EXPONENT!r} has a decimal exponent "
+                       f"above 4300 in magnitude\n")
 
 
 def write(tmp_path, name, obj):
@@ -93,6 +98,23 @@ class TestFanDocuments:
                                    "lambdas": ["-t2", "0", "0", "0"]})
         with pytest.raises(SchemaError):
             fan_from_document(bad)
+
+    @pytest.mark.parametrize("kahler", [True, False], ids=["kahler", "no-kahler"])
+    @pytest.mark.parametrize("command", ["analyze", "bundle"])
+    @pytest.mark.parametrize("q_basis, message", [
+        ([[1, 2, 3], [4, 5, 6]], "q-basis vector (1, 2, 3) is not a curve class"),
+        ([[1, 1, 1], [2, 2, 2]], "q-basis has 2 classes; homology rank is 1"),
+        ([[2, 2, 2]], "q-basis does not span the homology lattice"),
+    ])
+    def test_q_basis_checked(self, tmp_path, capsys, kahler, command, q_basis, message):
+        # one check, whether or not a kahler section reads the q-basis
+        doc = dict(P2_DOC, q_basis=q_basis)
+        if not kahler:
+            del doc["kahler"]
+        path = write(tmp_path, "p2.json", doc)
+        capsys.readouterr()
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_non_integer_ray_rejected(self):
         bad = dict(F2_DOC, rays=[[0, -1.5], [1, 0], [-1, -2], [0, 1]])
@@ -351,7 +373,7 @@ class TestBundleCommand:
         path = write(tmp_path, "p1.json", P1_DOC)
         out_path = str(tmp_path / "x.json")
         assert main(["bundle", path, "-o", out_path]) == 0
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         parsed = fan_from_document(doc)
         assert parsed.fan.rays == ((0, 1), (1, 1), (-1, 1), (0, -1))
         assert doc["q_basis"] == [[-2, 1, 1, 0], [1, 0, 0, 1]]
@@ -417,6 +439,14 @@ class TestPotentialCommand:
         table_path = write(tmp_path, "table2.json", table)
         assert main(["potential", fan_path, "--cutoff", "2",
                      "--gw-table", table_path]) == 2
+        # a value whose decimal exponent is beyond the reader's bound
+        table.update(fan_fingerprint=fan_fingerprint(f2),
+                     entries=[{"class": [1, 0], "value": HUGE_EXPONENT}])
+        table_path = write(tmp_path, "table3.json", table)
+        capsys.readouterr()
+        assert main(["potential", fan_path, "--cutoff", "2",
+                     "--gw-table", table_path]) == 2
+        assert capsys.readouterr().err == HUGE_EXPONENT_ERROR
 
     def test_dependent_table_basis_exit_2(self, tmp_path, capsys, f2):
         # keys (2, 0) and (0, 1) would name the same class; the built-in F2
@@ -528,7 +558,7 @@ class TestPotentialCommand:
         out2 = str(tmp_path / "b.json")
         assert main(["potential", path, "--cutoff", "2", "-o", out1]) == 0
         assert main(["potential", path, "--cutoff", "2", "-o", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 # malformed F2 potential documents, each of which must be refused on load
@@ -562,7 +592,7 @@ class TestCritCommand:
         pot = self.make_potential(tmp_path, P1_DOC)
         out = str(tmp_path / "crit.json")
         assert main(["crit", pot, "--t", f"t={T001}", "-o", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["multistart"]["deduped"] == 2
         zs = sorted(p[0][0] for p in doc["points"])
         assert zs == pytest.approx([-0.1, 0.1])
@@ -572,7 +602,7 @@ class TestCritCommand:
         out = str(tmp_path / "crit.json")
         assert main(["crit", pot, "--t", f"t1={T001}", "--t", f"t2={T001}",
                      "-o", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["multistart"]["deduped"] == 4
         assert all(r < 1e-9 for r in doc["residuals"])
 
@@ -655,6 +685,23 @@ class TestCritCommand:
         assert capsys.readouterr().err == "error: --t value of 's' overflows a float\n"
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--t", "s=1"]) == 0
         assert json.loads(capsys.readouterr().out)["t_values"]["s"] == 1.0
+
+    @pytest.mark.parametrize("where", ["--t", "q-area", "q-term"])
+    def test_huge_decimal_exponent_exit_2(self, tmp_path, capsys, where):
+        # Fraction alone would spend minutes building 10**99999999
+        pot = self.make_potential(tmp_path, F2_DOC)
+        doc = json.loads(Path(pot).read_text())
+        t = ["--t", "t1=1", "--t", "t2=1"]
+        if where == "--t":
+            t[1] = "t1=" + HUGE_EXPONENT
+        elif where == "q-area":
+            doc["q_areas"][0]["constant"] = HUGE_EXPONENT
+        else:
+            doc["terms"][0]["coefficient"][0]["value"] = HUGE_EXPONENT
+        Path(pot).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["crit", pot, *t]) == 2
+        assert capsys.readouterr().err == HUGE_EXPONENT_ERROR
 
     @pytest.mark.parametrize("extra, message", [
         pytest.param(["--t", "t1=5"], "error: --t gives parameter 't1' more than once\n",
@@ -790,6 +837,23 @@ class TestCritCommand:
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 2
         assert capsys.readouterr().err == "error: potential has no nonconstant term\n"
+
+    @pytest.mark.parametrize("terms", NO_ISOLATED_ROOTS.values(), ids=NO_ISOLATED_ROOTS)
+    def test_no_isolated_critical_points_exit_2(self, tmp_path, capsys, monkeypatch, terms):
+        # a hand-written W whose Newton polytope is not full-dimensional has
+        # a root bound of 0; it is refused before any Newton pass
+        n = len(next(iter(terms)))
+        pot = write(tmp_path, "pot.json", {
+            "format": "toricmirror-potential/1", "z_variables": n, "q_variables": 0,
+            "terms": [{"z": list(z), "coefficient": [{"q": [], "value": str(c)}]}
+                      for z, c in terms.items()],
+            "q_areas": [], "parameters": []})
+        monkeypatch.setattr(critical, "_newton", newton_must_not_run)
+        capsys.readouterr()
+        assert main(["crit", pot]) == 2
+        assert capsys.readouterr().err == (
+            "error: potential has no isolated critical points: the Newton polytope of "
+            "its nonconstant terms is not full-dimensional\n")
 
     @pytest.mark.parametrize("t", [125, 200])
     def test_far_inside_kahler_cone(self, tmp_path, capsys, t):

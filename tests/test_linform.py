@@ -5,9 +5,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import tokenizing_parse_linear_form
+from toricmirror.documents import MAX_EXPONENT, read_rational
+from toricmirror.errors import SchemaError
 from toricmirror.linform import LinForm, parse_linear_form
 
 
@@ -21,6 +23,14 @@ class TestLinForm:
         assert expr.const == 3
         assert expr - expr == LinForm(0)
         assert -(t1 - t2) == t2 - t1
+
+    def test_hash_agrees_with_equality(self):
+        # a constant form equals its number, so a set holds one of the two
+        t = LinForm.variable("t")
+        assert len({LinForm(3), 3}) == 1
+        assert len({LinForm("1/2"), Fraction(1, 2), t - t + Fraction(1, 2)}) == 1
+        assert len({LinForm(0), 0, t - t}) == 1
+        assert {2 * t + 1: "x"}[t + 1 + t] == "x"
 
     def test_zero_coefficients_dropped(self):
         expr = LinForm(0, {"t1": 1}) - LinForm(0, {"t1": 1})
@@ -119,12 +129,23 @@ class TestAgainstTokenizingParser:
 @settings(max_examples=400, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False).map(repr)
        | st.text(alphabet="0123456789.eE+-_ infa", max_size=12))
+@example("1e-4300")  # at the reader's bound
+@example("1e-99999999")  # far beyond it
 def test_fraction_reads_every_finite_float_literal(text):
-    # `crit --t` reads values with Fraction alone: a literal float() reads
-    # as a finite number is one Fraction reads, to the same float
+    # `crit --t` and every rational of a document are read by read_rational:
+    # a literal float() reads as a finite number is one it reads, to the
+    # same float, unless its decimal exponent is beyond the reader's bound
     try:
         value = float(text)
     except ValueError:
         return
-    if math.isfinite(value):
-        assert float(Fraction(text)) == value, text
+    if not math.isfinite(value):
+        return
+    try:
+        rational = read_rational(text)
+    except SchemaError as exc:
+        exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
+        assert exponent and abs(int(exponent[1])) > MAX_EXPONENT, text
+        assert "decimal exponent above" in str(exc)
+        return
+    assert float(rational) == value, text
