@@ -13,9 +13,11 @@ README shows; helpers that only the tests call live in ``tests/conftest.py``.
 
 Every public name is served lazily (PEP 562) from the module that defines
 it, so ``import toricmirror`` loads no submodule, and a name loads only
-what its module needs: the solver names (``CriticalReport``,
-``SolverOptions``, ``find_critical_points``, ``moduli_from_polytope``) bring
-in ``toricmirror.critical`` and numpy, the exact names never do.
+what its module needs: ``find_critical_points`` brings in
+``toricmirror.critical`` and numpy; the other solver names
+(``CriticalReport``, ``SolverOptions``, ``moduli_from_polytope``) come from
+the numpy-free ``toricmirror.roots``, and the exact names never load
+either.
 """
 
 import importlib
@@ -24,7 +26,7 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {
     "BundleDecomposition": "bundle",
-    "CriticalReport": "critical",
+    "CriticalReport": "roots",
     "Fan": "fan",
     "GWProvider": "gw",
     "GWTable": "gw",
@@ -34,7 +36,7 @@ _MODULE_OF = {
     "Positivity": "fan",
     "PrimitiveRelation": "fan",
     "QPoly": "laurent",
-    "SolverOptions": "critical",
+    "SolverOptions": "roots",
     "chern_degree": "fan",
     "classify_positivity": "fan",
     "corrected_potential": "potential",
@@ -48,7 +50,7 @@ _MODULE_OF = {
     "hori_vafa": "potential",
     "is_primitive": "lattice",
     "kernel_basis": "lattice",
-    "moduli_from_polytope": "critical",
+    "moduli_from_polytope": "roots",
     "parse_linear_form": "linform",
     "projectivize_canonical": "bundle",
     "validate_fan": "fan",

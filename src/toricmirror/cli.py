@@ -17,8 +17,9 @@ file exits 2, and so does an ``-o`` path that cannot be written.
 
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: ``analyze`` and ``bundle`` stop at the fan, bundle and Kahler
-layers, ``potential`` adds the invariant, Laurent and potential layers, and only
-``crit`` loads the solver and numpy.
+layers, ``potential`` adds the invariant, Laurent and potential layers, and
+``crit`` adds the factored solver (``roots``). Only a ``crit`` run on a W
+with a factor that needs Newton loads the grid (``critical``) and numpy.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _parse_assignments(pairs) -> dict:
 
 
 def _cmd_crit(args) -> int:
-    from .critical import SolverOptions, find_critical_points, moduli_from_polytope
+    from .roots import SolverOptions, moduli_from_polytope, needs_newton, solve
 
     _require_at_least(args.phases, 1, "--phases")
     _require_at_least(args.max_steps, 0, "--max-steps")
@@ -206,7 +207,10 @@ def _cmd_crit(args) -> int:
         max_starts=args.max_starts,
         moduli_per_coord=moduli,
     )
-    report = find_critical_points(doc.poly, t, options)
+    newton = None
+    if needs_newton(doc.poly):
+        from .critical import grid_roots as newton
+    report = solve(doc.poly, t, options, newton)
     payload = critical_report_to_document(report, t_values)
     _write(canonical_json(payload), args.out)
     return 0
@@ -244,11 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("potential", help="potential document (JSON)")
     p.add_argument("--t", action="append", metavar="NAME=VALUE",
                    help="parameter value (repeatable); q = exp(-area(t))")
-    p.add_argument("--phases", type=int, default=8)
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--dedup-radius", type=float, default=1e-8)
-    p.add_argument("--max-starts", type=int, default=4096)
+    p.add_argument("--phases", type=int, default=8,
+                   help="start phases per seed modulus and coordinate (Newton factors)")
+    p.add_argument("--max-steps", type=int, default=100,
+                   help="Newton steps per start (Newton factors)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="log-gradient residual that admits a critical point")
+    p.add_argument("--dedup-radius", type=float, default=1e-8,
+                   help="log-coordinate radius that merges converged starts (Newton factors)")
+    p.add_argument("--max-starts", type=int, default=4096,
+                   help="starts per Newton factor, at most")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_crit)
     return parser

@@ -1,92 +1,50 @@
-"""Critical points of Laurent superpotentials on the algebraic torus.
+"""The multistart Newton grid: critical points of a Laurent system that
+does not solve in closed form.
+
+``roots.solve`` hands it W, when W does not factor, or one Newton factor of
+W at a time, as float (exponent, coefficient) pairs with the exact
+log-gradient pairs that admit each root, the root bound and the group G of
+that system, and the seed moduli. ``find_critical_points`` is
+``roots.solve`` with this grid.
 
 Works in logarithmic coordinates w = log z so Newton iterates can never land
 on a coordinate axis. The system solved is the logarithmic gradient
 g_j = z_j dW/dz_j = sum over terms of a_j * c * z^a, whose Jacobian in w is
 J_jk = sum of a_j * a_k * c * z^a; both come from exact term-wise
-differentiation. The Newton kernel's arrays come from W's compiled pairs
-(``laurent.numeric_terms``), and the exact log-gradient is compiled once
-per solve for the residual check that admits each root.
+differentiation.
 
-The system has at most n! vol(Newton polytope) isolated roots in (C*)^n
-(Kouchnirenko; Bernstein), computed exactly from the term exponents in one
-cached record with the group G below; a W with bound 0 has none and is
-refused. On the smooth Fano and semi-Fano fans this package builds, the
-bound is the number of maximal cones and is reached. The multistart grid
-combines per-coordinate moduli (by default derived from the magnitudes in
-play; callers with a moment polytope should pass vertex-scale moduli) with
-equally spaced phases. The starts run in a fixed stride permutation of the
-whole grid, so that every coordinate's seeds come early. Newton steps a
-working set of max(64, 16 * expected) starts in lockstep, each start on
-its own step count; a start leaves the set when it converges, reaches
-max_steps, shows a non-finite residual or leaves the band, and when the
-set has drained to a quarter of its width the next starts in order top it
-up, never past max_starts. After each pass the starts that have just
-converged are merged into the kept roots and verified, and the run stops
-at the pass where the verified roots reach the bound, or when the set is
-empty and no start is left to admit. A report is complete when deduped ==
-expected; otherwise `truncated` says whether starts were left unrun. More
-verified roots than the bound is RootBoundExceeded.
-Everything is deterministic: the order, the admissions and the first-wins
-merge (by pass, then in start order) depend only on the iterates, never
-on timing.
-
-The roots come in orbits. Let L be the lattice spanned by the differences
-of W's nonconstant exponents: for theta with <theta, L> in Z, the shift
-w -> w + 2 pi i theta multiplies every term of g by one root of unity, so
-G = L*/Z^n permutes the roots, and freely. As the bound is positive, G is
-finite, of an order dividing the bound; on P(K_Y + O) it holds
-z_n -> -z_n. The iterates of each pass enter the merge with their images
-under G, and every image is verified by the exact residual like any other
-candidate. `converged` counts Newton starts only, and `orbit_size` is the
-order of G.
+The multistart grid combines per-coordinate moduli (by default derived from
+the magnitudes in play; callers with a moment polytope should pass
+vertex-scale moduli) with equally spaced phases. The starts run in a fixed
+stride permutation of the whole grid, so that every coordinate's seeds come
+early. Newton steps a working set of max(64, 16 * expected) starts in
+lockstep, each start on its own step count; a start leaves the set when it
+converges, reaches max_steps, shows a non-finite residual or leaves the
+band, and when the set has drained to a quarter of its width the next
+starts in order top it up, never past max_starts. After each pass the
+starts that have just converged, followed by their images under G, are
+merged into the kept roots and verified by the exact residual, and the run
+stops at the pass where the verified roots reach the bound, or when the set
+is empty and no start is left to admit. More verified roots than the bound
+is RootBoundExceeded. `converged` counts Newton starts only. Everything is
+deterministic: the order, the admissions and the first-wins merge (by pass,
+then in start order) depend only on the iterates, never on timing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, RootBoundExceeded, SchemaError
-from .kahler import KahlerData
-from .lattice import hermite_normal_form, normalized_volume
-from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms, sum_terms
+from .errors import RootBoundExceeded, SchemaError
+from .laurent import sum_terms
+# CriticalReport and moduli_from_polytope are served from here too, beside
+# find_critical_points
+from .roots import CriticalReport, Found, SolverOptions, moduli_from_polytope, solve
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
-
-
-class SolverOptions(NamedTuple):
-    phases_per_coord: int = 8
-    max_steps: int = 100
-    tol: float = 1e-12
-    dedup_radius: float = 1e-8
-    max_starts: int = 4096
-    moduli_per_coord: Optional[tuple] = None
-
-    def to_json(self) -> dict:
-        return self._asdict()  # JSON writes the moduli tuples as lists
-
-
-class CriticalReport(NamedTuple):
-    """The verified roots with their values and residuals, the multistart
-    counts, and the options that produced them."""
-
-    points: tuple  # tuples of complex coordinates
-    values: tuple  # W at each point
-    residuals: tuple  # |log-gradient| at each point
-    attempted: int  # starts run
-    converged: int  # starts whose iterate converged
-    deduped: int  # distinct verified roots
-    expected: int  # root bound n! vol(Newton polytope), at least 1
-    orbit_size: int  # order of the root-of-unity symmetry group the roots are closed under
-    grid_size: int  # starts in the full grid
-    truncated: bool  # starts left unrun, and deduped < expected
-    options: SolverOptions = SolverOptions()
 
 
 def _default_moduli(c: np.ndarray, n: int) -> tuple:
@@ -98,67 +56,6 @@ def _default_moduli(c: np.ndarray, n: int) -> tuple:
     base = max(spread, math.e) ** (1.0 / max(n + 1, 2))
     ladder = (1.0 / base, 1.0, base)
     return tuple(ladder for _ in range(n))
-
-
-def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
-    """Per-coordinate |z| seeds exp(-x_j) from the moment polytope: vertex
-    coordinates (one vertex per maximal cone), their pairwise midpoints, and
-    the mean of the vertices. Scales whose exponential underflows to 0 or
-    overflows a float are dropped; one too small to round to 14 decimals is
-    kept unrounded.
-    Raises EmptyInterior unless the parameters lie in the open Kahler cone."""
-    # the vertices are integers over denom; each scale is one correctly
-    # rounded division, as the Fraction it stands for would give
-    denom, vertices = kahler.scaled_vertices(params)
-    out = []
-    for j in range(kahler.fan.dimension):
-        coords = {v[j] for v in vertices}
-        scales = {a / denom for a in coords}
-        scales.update((a + b) / (2 * denom) for a in coords for b in coords)
-        scales.add(sum(v[j] for v in vertices) / (len(vertices) * denom))
-        seeds = [math.exp(-s) for s in scales if -s <= LOG_FLOAT_MAX]
-        # rounding merges near-equal seeds; one that rounds to 0 is kept as is
-        moduli = sorted({round(r, 14) or r for r in seeds}, reverse=True)
-        moduli = [r for r in moduli if r > 0.0]
-        out.append(tuple(moduli) or (1.0,))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _exponent_structure(exponents: tuple) -> tuple:
-    """(bound, shifts) of W's exponents; only the nonconstant ones count,
-    as a constant term drops out of every z_j dW/dz_j. SchemaError when
-    there is none, or when their Newton polytope is not full-dimensional.
-
-    bound is Kouchnirenko's bound on the isolated roots in (C*)^n of the
-    log-gradient system: n! times the volume of the Newton polytope of the
-    nonconstant terms. It is positive: a bound of 0 (L of lower rank) means
-    W has no isolated critical points whatever its coefficients.
-
-    shifts are the log-coordinate phase shifts 2 pi theta, one per element
-    of G = L*/Z^n, the zero shift first. L is the lattice spanned by the
-    differences of the nonconstant exponents; for theta in L* every term
-    picks up the same root of unity under w -> w + 2 pi i theta, so G
-    permutes the roots of the log-gradient system, and freely. Exact: L's
-    Hermite normal form B is upper triangular, and theta runs over the
-    solutions of B theta = k mod Z^n, one per k_j in [0, B_jj), by
-    back-substitution in Fractions."""
-    nonconstant = [a for a in exponents if any(a)]
-    if not nonconstant:
-        raise SchemaError("potential has no nonconstant term")
-    first, *rest = nonconstant
-    n = len(first)
-    H, _ = hermite_normal_form([[x - y for x, y in zip(a, first)] for a in rest])
-    if len(H) < n or not all(H[j][j] for j in range(n)):
-        raise SchemaError("potential has no isolated critical points: the Newton "
-                          "polytope of its nonconstant terms is not full-dimensional")
-    thetas = [()]  # the last coordinates of each theta, reduced into [0, 1)
-    for j in range(n - 1, -1, -1):
-        row = H[j][j + 1:]
-        thetas = [((k - sum(b * x for b, x in zip(row, tail))) / Fraction(H[j][j]) % 1,) + tail
-                  for tail in thetas for k in range(H[j][j])]
-    return normalized_volume(nonconstant), tuple(
-        tuple(2.0 * math.pi * x.numerator / x.denominator for x in theta) for theta in thetas)
 
 
 def _stride(grid: int) -> int:
@@ -307,38 +204,33 @@ def _dedup(points: np.ndarray, kept: np.ndarray, radius: float) -> np.ndarray:
     return np.array(out, dtype=complex).reshape(-1, kept.shape[1])
 
 
-def find_critical_points(poly: LaurentPoly, t: Sequence[float],
-                         options: SolverOptions | None = None) -> CriticalReport:
-    """Multistart Newton solve of the logarithmic gradient system.
+def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, moduli,
+               options: SolverOptions) -> Found:
+    """Multistart Newton solve of the log-gradient system of the (exponent,
+    coefficient) pairs `terms`, each merged root admitted by the exact
+    log-gradient pairs `log_gradient`.
 
     Deterministic: the starts run in a fixed mixed order through a working
     set whose width depends only on the root bound, refilled in that order
     whenever it drains to a quarter of the width. After each pass, the
-    iterates that have just converged, followed by their images under W's
-    symmetry group G, are collapsed in that order within the dedup radius
-    (log coordinates, phase-wrapped) against the roots kept so far, each
+    iterates that have just converged, followed by their images under the
+    shifts of G, are collapsed in that order within the dedup radius (log
+    coordinates, phase-wrapped) against the roots kept so far, each
     survivor is checked by the exact residual, and the run stops at the
-    pass where the verified roots reach the bound.
+    pass where the verified roots reach the bound `expected`.
     Otherwise it stops when every start up to max_starts or the end of the
     grid has converged or been dropped. `attempted` counts the starts
-    admitted, `converged` those that converged before the stop. The points
-    are sorted canonically. Raises NoConvergence when nothing converges; its
-    message gives the best residual over the last iterate of every start.
-    Raises RootBoundExceeded when the verified roots outnumber the bound,
-    and SchemaError, before any Newton pass, when the bound is 0 or W has
-    no nonconstant term.
+    admitted, `converged` those that converged before the stop; `best` is
+    the least residual over refused roots and the last iterate of every
+    start. Raises RootBoundExceeded when the verified roots outnumber the
+    bound. Without moduli, the seeds come from the coefficients.
     """
-    options = options or SolverOptions()
-    expected, shifts = _exponent_structure(tuple(sorted(poly.terms)))
     shifts = 1j * np.array(shifts)  # (|G|, n), the zero shift first
-    n = poly.zvars
-    terms = numeric_terms(poly, t)
+    n = len(terms[0][0])
     A = np.array([a for a, _ in terms], dtype=float)
     c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
-    moduli = options.moduli_per_coord or _default_moduli(c, n)
-    if len(moduli) != n:
-        raise ValueError("need one modulus list per z-coordinate")
+    moduli = moduli or _default_moduli(c, n)
     phases = options.phases_per_coord
     grid = math.prod(len(coord) * phases for coord in moduli)
     budget = min(grid, options.max_starts)
@@ -346,8 +238,6 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
     width = max(64, 16 * expected)
-    # exact differentiation, compiled once, for the residual check
-    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
 
     attempted = 0
 
@@ -382,27 +272,11 @@ def find_critical_points(poly: LaurentPoly, t: Sequence[float],
                 f"root apart")
         if len(points) == expected:
             break
-    points.sort(key=lambda item: tuple((v.real, v.imag) for v in item[0]))
+    return Found(points, attempted, converged, grid, min(best_failed, least))
 
-    if not points:
-        best_failed = min(best_failed, least)
-        detail = (f"; best residual reached {best_failed:.3e}"
-                  if math.isfinite(best_failed) else "")
-        raise NoConvergence(
-            f"no critical point found from {attempted} starts{detail}; try more "
-            f"phases or different moduli"
-        )
-    values = tuple(sum_terms(terms, z) for z, _ in points)
-    return CriticalReport(
-        points=tuple(z for z, _ in points),
-        values=values,
-        residuals=tuple(r for _, r in points),
-        attempted=attempted,
-        converged=converged,
-        deduped=len(points),
-        expected=expected,
-        orbit_size=len(shifts),
-        grid_size=grid,
-        truncated=attempted < grid and len(points) < expected,
-        options=options,
-    )
+
+def find_critical_points(poly, t, options: SolverOptions | None = None) -> CriticalReport:
+    """The critical points of W at q = exp(-t): ``roots.solve`` with the
+    grid for the factors that need Newton, and for W whole when it does not
+    factor."""
+    return solve(poly, t, options, grid_roots)

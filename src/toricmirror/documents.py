@@ -375,7 +375,10 @@ def critical_report_to_document(report, t_values: Mapping) -> dict:
             "orbit_size": report.orbit_size,
             "grid_size": report.grid_size,
             "truncated": report.truncated,
+            "unlifted": report.unlifted,
         },
+        "factors": [{"dimension": dim, "expected": bound, "solve": kind}
+                    for dim, bound, kind in report.factors],
         "options": report.options.to_json(),
         "t_values": {k: float(v) for k, v in sorted(t_values.items())},
     }

@@ -994,13 +994,30 @@ NO_ISOLATED_ROOTS = {
 }
 
 
+def grid_report(poly, t, options=None):
+    """The multistart grid's report on W whole, whether W factors or not:
+    what roots.solve runs on a W that does not factor."""
+    from toricmirror.critical import grid_roots
+    from toricmirror.laurent import numeric_terms
+    from toricmirror.roots import SolverOptions, _exponent_structure, _report
+
+    options = options or SolverOptions()
+    structure = _exponent_structure(tuple(sorted(poly.terms)))
+    terms = numeric_terms(poly, t)
+    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(poly.zvars)]
+    found = grid_roots(terms, log_gradient, structure.bound, structure.shifts,
+                       options.moduli_per_coord, options)
+    return _report(terms, found, structure, ((poly.zvars, structure.bound, "newton"),), 0,
+                   options)
+
+
 def _lockstep_setup(poly, t, options):
     """What both lockstep oracles compile from W before their loops."""
-    from toricmirror.critical import _exponent_structure
     from toricmirror.laurent import numeric_terms
+    from toricmirror.roots import _exponent_structure
 
     t = [float(v) for v in t]
-    expected = _exponent_structure(tuple(sorted(poly.terms)))[0]
+    expected = _exponent_structure(tuple(sorted(poly.terms))).bound
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(poly.zvars)]
     return (*newton_arrays(poly, t, options), expected, log_gradient)
 

@@ -22,6 +22,7 @@ from conftest import (
     batch_boundary_oracle,
     dual_kahler,
     fd_log_gradient,
+    grid_report,
     hirzebruch2_kahler,
     laurent,
     moment_vertices,
@@ -44,7 +45,6 @@ from toricmirror.bundle import projectivize_canonical
 from toricmirror.critical import (
     SolverOptions,
     _dedup,
-    _exponent_structure,
     _grid_starts,
     _stride,
     find_critical_points,
@@ -63,6 +63,7 @@ from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
 from toricmirror.laurent import LaurentPoly, evaluate, gradient
 from toricmirror.potential import corrected_potential, hori_vafa
+from toricmirror.roots import _exponent_structure
 
 T001 = math.log(100.0)  # q = 0.01
 RAT_T = Fraction(46051701859880914, 10**16)  # rational stand-in for ln(100)
@@ -92,12 +93,17 @@ def f2_setup():
     return k, W, {"t1": RAT_T, "t2": RAT_T}
 
 
-def solve(k, W, params, **overrides):
+def solve(k, W, params, run=find_critical_points, **overrides):
     t = [float(a.subs(params)) for a in k.basis_areas()]
     options = SolverOptions(
         moduli_per_coord=moduli_from_polytope(k, params), **overrides
     )
-    return find_critical_points(W, t, options), t
+    return run(W, t, options), t
+
+
+def grid_solve(k, W, params, **overrides):
+    """solve with the multistart grid on W whole, factored or not."""
+    return solve(k, W, params, run=grid_report, **overrides)
 
 
 def f2_closed_form_roots(q1, q2):
@@ -262,7 +268,7 @@ class TestSolverBehavior:
         W = laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}})
         options = options._replace(moduli_per_coord=((1.0,),))
         with pytest.raises(NoConvergence) as caught:
-            find_critical_points(W, [690.0], options)
+            grid_report(W, [690.0], options)
         with pytest.raises(NoConvergence) as oracle:
             pass_stop_oracle(W, [690.0], options)
         assert str(caught.value) == str(oracle.value)
@@ -317,11 +323,11 @@ class TestSolverBehavior:
             return newton
 
         monkeypatch.setattr(critical, "_newton", kernel([1.0, 0.1]))
-        report = find_critical_points(W, [T001])
+        report = grid_report(W, [T001])
         assert_point_sets_match(report, [(-0.1,), (0.1,)])
         monkeypatch.setattr(critical, "_newton", kernel([1.0]))
         with pytest.raises(NoConvergence, match=f"best residual reached {1 - 0.01:.3e}; "):
-            find_critical_points(W, [T001])
+            grid_report(W, [T001])
 
     def test_moduli_need_one_list_per_coordinate(self):
         _, W, _ = f2_setup()
@@ -329,9 +335,10 @@ class TestSolverBehavior:
             find_critical_points(W, [T001, T001], SolverOptions(moduli_per_coord=((1.0,),)))
 
     def test_stats_accounting(self):
-        # each converged start brings at most its orbit under the symmetry
+        # each converged start of the grid brings at most its orbit under
+        # the symmetry
         k, W, params = line_setup()
-        report, _ = solve(k, W, params)
+        report, _ = grid_solve(k, W, params)
         assert report.attempted >= report.converged
         assert report.deduped <= report.orbit_size * report.converged
         assert report.deduped == len(report.points) == len(report.values)
@@ -430,9 +437,9 @@ class TestRootBound:
         # z + q/z + 5: the constant drops out of z dW/dz, so 2 roots, not 2
         # plus whatever the origin would add to the polytope
         W = laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}, (0,): {(0,): 5}})
-        assert _exponent_structure(tuple(sorted(W.terms)))[0] == 2
+        assert _exponent_structure(tuple(sorted(W.terms))).bound == 2
         one_sided = laurent({(1,): {(0,): 1}, (2,): {(0,): 1}})
-        assert _exponent_structure(tuple(sorted(one_sided.terms)))[0] == 1
+        assert _exponent_structure(tuple(sorted(one_sided.terms))).bound == 1
         report = find_critical_points(one_sided, [T001])
         assert len(report.points) == 1
         assert report.points[0][0] == pytest.approx(-0.5, abs=1e-12)
@@ -442,7 +449,7 @@ class TestRootBound:
         # a fan section's rays are W's nonconstant exponents, and on these
         # fans the maximal cones triangulate the boundary of their Newton
         # polytope unimodularly
-        assert _exponent_structure(tuple(sorted(fan.rays)))[0] == len(fan.maximal_cones)
+        assert _exponent_structure(tuple(sorted(fan.rays))).bound == len(fan.maximal_cones)
 
     @pytest.mark.parametrize("setup", [f2_setup, plane_setup, product_setup])
     def test_stops_at_the_pass_that_reaches_bound(self, monkeypatch, setup):
@@ -452,7 +459,7 @@ class TestRootBound:
         # reaches max_steps
         k, W, params = setup()
         passes = count_passes(monkeypatch)
-        report, _ = solve(k, W, params)
+        report, _ = grid_solve(k, W, params)
         assert report.deduped == report.expected
         assert len(passes) <= 20
         assert report.attempted == 64
@@ -467,7 +474,7 @@ class TestRootBound:
         k, W, _ = bundle_setup(BUNDLE_BASES["P1xdP6"]())
         params = cone_point(k, seed)
         passes = count_passes(monkeypatch)
-        report, t = solve(k, W, params)
+        report, t = grid_solve(k, W, params)
         rolling = len(passes)
         passes.clear()
         pass_stop_oracle(W, t, report.options)
@@ -479,7 +486,7 @@ class TestRootBound:
         k, W, _ = bound_case(name)
         for seed in (5, 6, 7):
             params = cone_point(k, seed)
-            report, t = solve(k, W, params)
+            report, t = grid_solve(k, W, params)
             _, _, deduped, expected, points = pass_stop_oracle(W, t, report.options)
             assert (report.expected, report.deduped) == (expected, deduped)
             assert_point_sets_match_relative(report.points, points)
@@ -489,7 +496,7 @@ class TestRootBound:
         k, W, _ = bound_case(name)
         for seed in (5, 6, 7):
             params = cone_point(k, seed)
-            report, t = solve(k, W, params)
+            report, t = grid_solve(k, W, params)
             # the starts admitted differ: the oracle admits whole batches
             _, converged, deduped, expected, points = batch_boundary_oracle(
                 W, t, report.options)
@@ -506,7 +513,7 @@ class TestRootBound:
         # the last iterates is the lockstep loop's
         k, W, params = f2_setup()
         with pytest.raises(NoConvergence) as caught:
-            solve(k, W, params, max_steps=max_steps)
+            grid_solve(k, W, params, max_steps=max_steps)
         found = re.search(r"from (\d+) starts; best residual reached (\S+);",
                           str(caught.value))
         assert found, str(caught.value)
@@ -524,7 +531,7 @@ class TestRootBound:
 
     def test_truncated_when_max_starts_runs_out(self):
         k, W, params = f2_setup()
-        report, _ = solve(k, W, params, max_starts=1)
+        report, _ = grid_solve(k, W, params, max_starts=1)
         assert report.attempted == 1
         assert report.deduped < report.expected == 4
         assert report.truncated
@@ -536,7 +543,7 @@ class TestRootBound:
         assert doc["multistart"] == {
             "attempted": report.attempted, "converged": report.converged,
             "deduped": 4, "expected": 4, "orbit_size": 2, "grid_size": report.grid_size,
-            "truncated": False,
+            "truncated": False, "unlifted": 0,
         }
         opts = dict(doc["options"])
         opts["moduli_per_coord"] = tuple(tuple(m) for m in opts["moduli_per_coord"])
@@ -596,7 +603,7 @@ class TestSymmetry:
                     with pytest.raises(SchemaError, match="not full-dimensional"):
                         _exponent_structure(exps)
                     continue
-                bound, shifts = _exponent_structure(exps)
+                bound, shifts = _exponent_structure(exps)[:2]
                 assert shifts[0] == (0.0,) * n
                 assert shift_classes(shifts) == oracle
                 assert len(shifts) == len(oracle)  # no class listed twice
@@ -604,8 +611,8 @@ class TestSymmetry:
             if oracle is None:
                 continue
             # the bound and the group's order do not depend on the chart
-            (bound, shifts), (image_bound, image_shifts) = map(_exponent_structure,
-                                                               (exponents, image))
+            (bound, shifts), (image_bound, image_shifts) = (
+                _exponent_structure(exps)[:2] for exps in (exponents, image))
             assert (bound, len(shifts)) == (image_bound, len(image_shifts))
             full += 1
             larger += len(shifts) > 1
@@ -613,7 +620,7 @@ class TestSymmetry:
 
     def test_f2_image_is_negation(self):
         k, W, params = f2_setup()
-        shifts = _exponent_structure(tuple(sorted(W.terms)))[1]
+        shifts = _exponent_structure(tuple(sorted(W.terms))).shifts
         half = Fraction(1, 2)
         assert shift_classes(shifts) == {(0, 0), (half, half)}
         roots = f2_closed_form_roots(0.01, 0.01)
@@ -629,7 +636,7 @@ class TestSymmetry:
         for base in BUNDLE_BASES.values():
             k, W, params = bundle_setup(base())
             n = W.zvars
-            assert shift_classes(_exponent_structure(tuple(sorted(W.terms)))[1]) == {
+            assert shift_classes(_exponent_structure(tuple(sorted(W.terms))).shifts) == {
                 (0,) * n, (0,) * (n - 1) + (Fraction(1, 2),)}
 
     def test_item_8_point_completes(self):
@@ -653,7 +660,7 @@ class TestSymmetry:
         k, W, _ = bound_case(name)
         with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
                            r"points exceed the root bound (4|24): the dedup radius 0.0 "):
-            solve(k, W, cone_point(k, seed), dedup_radius=0.0)
+            grid_solve(k, W, cone_point(k, seed), dedup_radius=0.0)
 
 
 class TestStartOrder:
@@ -695,7 +702,7 @@ class TestStartOrder:
         k, W, params = line_setup()
         tracemalloc.start()
         try:
-            report, _ = solve(k, W, params, phases_per_coord=10**6, max_starts=64)
+            report, _ = grid_solve(k, W, params, phases_per_coord=10**6, max_starts=64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -765,7 +772,8 @@ class TestDedup:
 class TestCompiledForm:
     """evaluate, gradient and the report's values and residuals come from
     laurent.numeric_terms; they must equal, bit for bit, the term-by-term
-    evaluation they replaced."""
+    evaluation they replaced. The grid takes numpy's norm of the gradient;
+    the factored solve, which loads no numpy, math.hypot of its parts."""
 
     @pytest.mark.parametrize("name", BOUND_CASES)
     def test_evaluate_and_gradient_bit_identical(self, name):
@@ -784,10 +792,17 @@ class TestCompiledForm:
     def test_report_values_and_residuals_bit_identical(self, name):
         k, W, _ = bound_case(name)
         for seed in (5, 6):
-            report, t = solve(k, W, cone_point(k, seed))
-            assert report.points
-            assert list(report.values) == [reference_evaluate(W, z, t) for z in report.points]
-            assert list(report.residuals) == [
-                float(np.linalg.norm([reference_evaluate(W.log_derivative(j), z, t)
-                                      for j in range(W.zvars)]))
-                for z in report.points]
+            params = cone_point(k, seed)
+            for run, norm in ((solve, hypot_norm), (grid_solve, np.linalg.norm)):
+                report, t = run(k, W, params)
+                assert report.points
+                assert list(report.values) == [reference_evaluate(W, z, t)
+                                               for z in report.points]
+                assert list(report.residuals) == [
+                    float(norm([reference_evaluate(W.log_derivative(j), z, t)
+                                for j in range(W.zvars)]))
+                    for z in report.points]
+
+
+def hypot_norm(values) -> float:
+    return math.hypot(*(v.real for v in values), *(v.imag for v in values))

@@ -1,5 +1,6 @@
 """JSON schemas, round-trips, CLI exit codes, output determinism."""
 
+import importlib
 import inspect
 import json
 import math
@@ -19,6 +20,7 @@ from conftest import (
     hirzebruch,
     hirzebruch2,
     newton_must_not_run,
+    projective_plane,
     random_smooth_2d_fan,
     random_unimodular,
     unimodular_map_search,
@@ -47,6 +49,15 @@ F2_DOC = {
         "lambdas": ["-t2", "0", "-t1-2*t2", "0"],
     },
     "q_basis": [[-2, 1, 1, 0], [1, 0, 0, 1]],
+}
+
+# Bl_pt P2, Fano: its Hori-Vafa W is no product, no simplex and has no
+# fiber grading, so crit solves it whole on the grid
+F1_DOC = {
+    "dimension": 2,
+    "rays": [[1, 0], [0, 1], [-1, -1], [0, -1]],
+    "maximal_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+    "kahler": {"parameters": ["t1", "t2"], "lambdas": ["0", "0", "-t1", "-t2"]},
 }
 
 P1_DOC = {
@@ -281,15 +292,41 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command, target, reason):
     assert capsys.readouterr() == ("", f"error: {out}: cannot write ({reason})\n")
 
 
-SOLVER_NAMES = ["CriticalReport", "SolverOptions", "find_critical_points",
-                "moduli_from_polytope"]
+# solver name -> the module that defines it; toricmirror.critical serves
+# all four
+SOLVER_NAMES = {"CriticalReport": "roots", "SolverOptions": "roots",
+                "find_critical_points": "critical", "moduli_from_polytope": "roots"}
 WATCHED = ("dataclasses", "hashlib", "numpy", "toricmirror.critical", "toricmirror.gw",
            "toricmirror.laurent", "toricmirror.potential")
 
 
+def bundle_potential(tmp_path, base, name):
+    """The potential document of P(K_Y+O) over the base fan, with Kahler
+    data dual to its first maximal cone and invariants absent from every
+    source read as 0, and a parameter point inside its Kahler cone."""
+    from conftest import dual_kahler, moment_vertices
+    from toricmirror.errors import EmptyInterior
+
+    fan = projectivize_canonical(base)
+    k = dual_kahler(fan)
+    fan_path = write(tmp_path, f"fan_{name}.json", fan_to_document(
+        fan, parameters=k.parameter_names, lambdas=k.lambdas, q_basis=k.q_basis))
+    pot = str(tmp_path / f"{name}.json")
+    assert main(["potential", fan_path, "--assume-zero-above-cutoff", "-o", pot]) == 0
+    rng = random.Random(3)
+    while True:
+        params = {name: Fraction(rng.randint(300, 600), 100) for name in k.parameter_names}
+        try:
+            moment_vertices(k, params)
+        except EmptyInterior:
+            continue
+        return pot, [f"--t={name}={float(v)}" for name, v in params.items()]
+
+
 class TestLazySolver:
-    """Only `crit` loads the solver and numpy; the exact subcommands start
-    without them, and each loads only the layers it runs."""
+    """Only `crit` loads the solver, and numpy only when W has a factor
+    that needs Newton; the exact subcommands start without them, and each
+    loads only the layers it runs."""
 
     def run_python(self, code):
         paths = [str(Path(toricmirror.__file__).parents[1]), str(Path(__file__).parent)]
@@ -303,9 +340,11 @@ class TestLazySolver:
         out = self.run_python(
             "import sys, toricmirror, toricmirror.cli\n"
             "print('numpy' in sys.modules)\n"
-            "toricmirror.SolverOptions\n"
+            "toricmirror.SolverOptions, toricmirror.moduli_from_polytope\n"
+            "print('numpy' in sys.modules)\n"
+            "toricmirror.find_critical_points\n"
             "print('numpy' in sys.modules)\n")
-        assert out == "False\nTrue\n"
+        assert out == "False\nFalse\nTrue\n"
 
     def test_package_import_loads_no_submodule(self):
         out = self.run_python(
@@ -355,15 +394,32 @@ class TestLazySolver:
         assert [self.loaded_by(argv) for argv, _, _ in runs] == [
             (code, modules) for _, code, modules in runs]
 
+    def test_crit_loads_numpy_only_for_newton(self, tmp_path):
+        # F2 and P(K_P2+O) solve in closed form; the F1 base of P(K_F1+O)
+        # is a Newton factor
+        f2 = str(tmp_path / "f2.json")
+        assert main(["potential", str(SAMPLES / "f2.json"), "-o", f2]) == 0
+        runs = [([f2, "--t", "t1=1", "--t", "t2=1"], False)]
+        f1 = validate_fan(2, F1_DOC["rays"], F1_DOC["maximal_cones"])
+        for name, base in (("P2", projective_plane()), ("F1", f1)):
+            pot, t = bundle_potential(tmp_path, base, name)
+            runs.append(([pot, *t], name == "F1"))
+        for argv, newton in runs:
+            code, modules = self.loaded_by(["crit", *argv])
+            assert code == 0
+            assert ("numpy" in modules, "toricmirror.critical" in modules) == (newton, newton)
+
     def test_solver_names_resolve(self):
         import toricmirror.critical
 
+        homes = {n: getattr(importlib.import_module(f"toricmirror.{m}"), n)
+                 for n, m in SOLVER_NAMES.items()}
+        assert [n for n in SOLVER_NAMES if getattr(toricmirror, n) is not homes[n]] == []
         assert [n for n in SOLVER_NAMES
-                if getattr(toricmirror, n) is not getattr(toricmirror.critical, n)] == []
+                if getattr(toricmirror.critical, n) is not homes[n]] == []
         namespace = {}
         exec("from toricmirror import *", namespace)
-        assert [n for n in SOLVER_NAMES
-                if namespace.get(n) is not getattr(toricmirror.critical, n)] == []
+        assert [n for n in SOLVER_NAMES if namespace.get(n) is not homes[n]] == []
         with pytest.raises(AttributeError, match="no_such_name"):
             toricmirror.no_such_name
 
@@ -606,31 +662,61 @@ class TestCritCommand:
         assert doc["multistart"]["deduped"] == 4
         assert all(r < 1e-9 for r in doc["residuals"])
 
-    def test_sample_f2_runs_one_width_of_starts(self, tmp_path, capsys):
+    def test_f1_runs_one_width_of_starts(self, tmp_path, capsys):
         # the first 64 starts reach the bound before the working set drains
-        # far enough to admit more: two converged starts and their images
-        # under (z1, z2) -> (-z1, -z2) are the four roots
+        # far enough to admit more
+        pot = self.make_potential(tmp_path, F1_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        multistart = doc["multistart"]
+        assert (multistart["attempted"], multistart["converged"]) == (64, 5)
+        assert multistart["deduped"] == multistart["expected"] == 4
+        assert multistart["orbit_size"] == 1
+        assert doc["factors"] == [{"dimension": 2, "expected": 4, "solve": "newton"}]
+
+    def test_sample_f2_solves_in_closed_form(self, tmp_path, capsys):
+        # F2 is P(K_P1+O): the P1 base is a simplex, and each of its two
+        # roots lifts to two points; no Newton start runs
         pot = str(tmp_path / "pot.json")
         assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "3", "-o", pot]) == 0
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1"]) == 0
-        multistart = json.loads(capsys.readouterr().out)["multistart"]
-        assert (multistart["attempted"], multistart["converged"]) == (64, 2)
-        assert multistart["deduped"] == multistart["expected"] == 4
-        assert multistart["orbit_size"] == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["multistart"] == {"attempted": 0, "converged": 0, "deduped": 4,
+                                     "expected": 4, "grid_size": 0, "orbit_size": 2,
+                                     "truncated": False, "unlifted": 0}
+        assert doc["factors"] == [{"dimension": 1, "expected": 2, "solve": "closed-form"}]
+
+    def test_sample_f2_far_roots(self, tmp_path, capsys):
+        # at t1 = 1e-3 two roots lie at |z1| ~ 1.2e3, where the full grid
+        # (1344 starts) verified 2 of 4 roots and reported that complete
+        # enough to exit 0; the closed form verifies them below tol. At
+        # t1 = 1e-4 their exact residual (3.5e-12) is above tol, and they
+        # stay refused: 2 of 4, never silently 4
+        pot = str(tmp_path / "pot.json")
+        assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "2", "-o", pot]) == 0
+        capsys.readouterr()
+        for t1, deduped in (("1e-3", 4), ("1e-4", 2)):
+            assert main(["crit", pot, "--t", f"t1={t1}", "--t", "t2=1"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["multistart"]["deduped"], doc["multistart"]["expected"]) == (deduped, 4)
+            assert not doc["multistart"]["truncated"]
+            assert all(r <= 1e-12 for r in doc["residuals"])
+            far = max(abs(complex(*point[0])) for point in doc["points"])
+            assert (far > 1e3) == (deduped == 4)
 
     def test_more_roots_than_the_bound_exit_7(self, tmp_path, capsys):
         # at radius 0 copies of one root a few ulps apart are all kept
-        pot = str(tmp_path / "pot.json")
-        assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "3", "-o", pot]) == 0
+        pot = self.make_potential(tmp_path, F1_DOC)
         capsys.readouterr()
-        assert main(["crit", pot, "--t", "t1=4", "--t", "t2=5", "--dedup-radius", "0"]) == 7
+        assert main(["crit", pot, "--t", "t1=5", "--t", "t2=2", "--dedup-radius", "0"]) == 7
         out, err = capsys.readouterr()
         assert out == ""
         assert re.fullmatch(r"error: \d+ distinct verified critical points exceed the root "
                             r"bound 4: the dedup radius 0.0 keeps copies of one root apart\n",
                             err), err
-        assert main(["crit", pot, "--t", "t1=4", "--t", "t2=5"]) == 0
+        assert main(["crit", pot, "--t", "t1=5", "--t", "t2=2"]) == 0
 
     def test_missing_t_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, P1_DOC)
@@ -664,9 +750,9 @@ class TestCritCommand:
         assert capsys.readouterr().err == f"error: {flag} {message}\n"
 
     def test_grid_past_the_float_range_exit_2(self, tmp_path, capsys):
-        pot = self.make_potential(tmp_path, F2_DOC)
+        pot = self.make_potential(tmp_path, F1_DOC)
         capsys.readouterr()
-        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--phases", str(10 ** 200)]) == 2
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=0.5", "--phases", str(10 ** 200)]) == 2
         assert capsys.readouterr().err == (
             "error: the start grid has more points than a float can hold; "
             "lower the phases per coordinate\n")

@@ -12,7 +12,7 @@ from toricmirror.bundle import (
     projectivize_canonical,
     require_bundle,
 )
-from toricmirror.critical import CriticalReport, SolverOptions
+from toricmirror.roots import CriticalReport, SolverOptions
 from toricmirror.documents import fan_from_document
 from toricmirror.fan import Fan, validate_fan
 from toricmirror.gw import GWTable, fan_fingerprint, validate_table
@@ -27,7 +27,7 @@ def f2_table(entries):
 def report(**changes):
     fields = dict(points=((1 + 2j,),), values=(3j,), residuals=(0.0,), attempted=4,
                   converged=2, deduped=1, expected=1, orbit_size=1, grid_size=8,
-                  truncated=False)
+                  truncated=False, factors=((1, 1, "newton"),), unlifted=0)
     return CriticalReport(**{**fields, **changes})
 
 
