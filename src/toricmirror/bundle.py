@@ -8,13 +8,11 @@ stable indices downstream.
 
 The reverse direction (recognizing such a fan after an arbitrary GL(n, Z)
 change of coordinates) matters because input documents need not use the
-construction's coordinates. Recognition takes the grading functional u
-as the sum of the dual basis of a maximal cone through v_0, which pairs to
-1 with that cone's rays, checks <u, v_0> = 1 and <u, v_i> = 1 (then
-<u, v_{m+1}> = -1 follows) with ``lattice.unit_grading``, the helper the
-solver's structure search uses too, and reads the base in the chart of the
-other dual rows and u, where v_0, v_i and v_{m+1} are e_n, (w_i, 1) and
--e_n.
+construction's coordinates. Recognition takes the grading functional u as
+the sum of the dual basis of a maximal cone through v_0, which pairs to 1
+with that cone's rays, checks <u, v_0> = 1 and <u, v_i> = 1 (then
+<u, v_{m+1}> = -1 follows), and reads the base in the chart of the other
+dual rows and u, where v_0, v_i and v_{m+1} are e_n, (w_i, 1) and -e_n.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import NamedTuple, Optional
 
 from .errors import InvalidFan, NotBundleShaped, NotFano
 from .fan import Fan, Positivity, classify_positivity, validate_fan
-from .lattice import unit_grading
 
 
 def projectivize_canonical(fan_y: Fan) -> Fan:
@@ -86,8 +83,8 @@ def decompose_bundle(fan_x: Fan) -> Optional[BundleDecomposition]:
     # through ray 0 cannot hold the opposite ray, so the sum of its dual
     # basis is the only candidate; cones are sorted, so row 0 is ray 0's.
     dual = fan_x.dual_bases[next(c for c in fan_x.maximal_cones if 0 in c)]
-    u = unit_grading(fan_x.rays[:-1], dual)
-    if u is None:
+    u = tuple(map(sum, zip(*dual)))
+    if any(sum(a * b for a, b in zip(u, ray)) != 1 for ray in fan_x.rays[:-1]):
         return None
     base_rays = [tuple(sum(a * b for a, b in zip(row, ray)) for row in dual[1:])
                  for ray in fan_x.rays[1:-1]]

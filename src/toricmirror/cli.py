@@ -171,8 +171,16 @@ def _parse_assignments(pairs) -> dict:
     return values
 
 
+def _grid_roots(*args):
+    """``critical.grid_roots``, imported with numpy only when a factor, or
+    W whole, needs Newton."""
+    from .critical import grid_roots
+
+    return grid_roots(*args)
+
+
 def _cmd_crit(args) -> int:
-    from .roots import SolverOptions, moduli_from_polytope, needs_newton, solve
+    from .roots import SolverOptions, moduli_from_polytope, solve
 
     _require_at_least(args.phases, 1, "--phases")
     _require_at_least(args.max_steps, 0, "--max-steps")
@@ -207,10 +215,7 @@ def _cmd_crit(args) -> int:
         max_starts=args.max_starts,
         moduli_per_coord=moduli,
     )
-    newton = None
-    if needs_newton(doc.poly):
-        from .critical import grid_roots as newton
-    report = solve(doc.poly, t, options, newton)
+    report = solve(doc.poly, t, options, _grid_roots)
     payload = critical_report_to_document(report, t_values)
     _write(canonical_json(payload), args.out)
     return 0

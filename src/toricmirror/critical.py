@@ -4,8 +4,9 @@ does not solve in closed form.
 ``roots.solve`` hands it W, when W does not factor, or one Newton factor of
 W at a time, as float (exponent, coefficient) pairs with the exact
 log-gradient pairs that admit each root, the root bound and the group G of
-that system, and the seed moduli. ``find_critical_points`` is
-``roots.solve`` with this grid.
+that system, and the seed moduli. This module imports roots, so roots
+cannot import it: ``find_critical_points`` is ``roots.solve`` with this
+grid, and ``crit`` hands roots a callable that imports it on first use.
 
 Works in logarithmic coordinates w = log z so Newton iterates can never land
 on a coordinate axis. The system solved is the logarithmic gradient
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import RootBoundExceeded, SchemaError
+from .errors import RootBoundExceeded, SchemaError, ZeroCoordinate
 from .laurent import sum_terms
 # CriticalReport and moduli_from_polytope are served from here too, beside
 # find_critical_points
@@ -258,9 +259,13 @@ def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, mo
         fresh = _dedup(orbits, kept, options.dedup_radius)
         kept = np.concatenate([kept, fresh])
         for wi in fresh:
-            z = tuple(cmath.exp(complex(x)) for x in wi)
-            # the exact-differentiation residual is the authority for the report
-            resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
+            # the exact-differentiation residual is the authority for the
+            # report; a root where z or a term leaves the float range is refused
+            try:
+                z = tuple(cmath.exp(complex(x)) for x in wi)
+                resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
+            except (ArithmeticError, ZeroCoordinate):
+                resid = math.inf
             if resid <= options.tol:
                 points.append((z, resid))
             else:
@@ -276,7 +281,6 @@ def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, mo
 
 
 def find_critical_points(poly, t, options: SolverOptions | None = None) -> CriticalReport:
-    """The critical points of W at q = exp(-t): ``roots.solve`` with the
-    grid for the factors that need Newton, and for W whole when it does not
-    factor."""
+    """The critical points of W at q = exp(-t): ``roots.solve`` with this
+    grid, which roots cannot import itself."""
     return solve(poly, t, options, grid_roots)

@@ -173,17 +173,11 @@ def lattice_coordinates(basis):
     return coords
 
 
-def unit_grading(points, dual=None) -> Optional[tuple]:
+def unit_grading(points) -> Optional[tuple]:
     """The integer functional u with <u, p> = 1 for every point, or None
     when there is none or the points do not span the space (u would not be
-    unique). A caller that holds the dual basis of n of the points (rows
-    d_k with <d_k, p_j> = 1 when k = j and 0 otherwise: a cone's dual
-    basis) passes it as `dual`; u is then the sum of its rows, and only
-    checked. Otherwise u is solved as the integer coordinates of
-    (1, ..., 1) in the columns of the point matrix."""
-    if dual is not None:
-        u = tuple(map(sum, zip(*dual)))
-        return u if all(sum(a * b for a, b in zip(u, p)) == 1 for p in points) else None
+    unique): the integer coordinates of (1, ..., 1) in the columns of the
+    point matrix."""
     try:
         coords = lattice_coordinates([list(col) for col in zip(*points)])
     except DependentGenerators:

@@ -15,9 +15,9 @@ In a unimodular chart, exponents a -> M a, that W reads
 
 one term c_0 u per ray v_0, one c/u for its opposite, and the others
 u y^b; the fiber grading u is the functional that is 1 on every
-nonconstant exponent but -v_0 (``lattice.unit_grading``, shared with
-``bundle.decompose_bundle``). The critical points are the critical points
-y of W_Y, each lifted twice by u = +-sqrt(c/P(y)), with values
+nonconstant exponent but -v_0 (``lattice.unit_grading``; on a fan of
+P(K_Y + O), ``bundle.decompose_bundle``'s). The critical points are the
+critical points y of W_Y, each lifted twice by u = +-sqrt(c/P(y)), with values
 +-2 sqrt(c P(y)). W_Y of a product is a sum in separate variables
 (Hori, Vafa, arXiv:hep-th/0002222): the exponents split into the connected
 components of their matroid, and when the lattices the components span
@@ -41,8 +41,9 @@ of unity, so G = L*/Z^n permutes the roots, and freely. As the bound is
 positive, G is finite, of an order dividing the bound; on P(K_Y + O) it
 holds z_n -> -z_n. `orbit_size` is the order of W's G.
 
-This module imports no numpy; the grid, which needs it, is passed in by
-the caller.
+This module imports no numpy. The grid, which needs it, is passed in by
+the caller and called only when some factor, or W whole, needs Newton:
+``critical`` imports this module, so this module cannot import it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import NoConvergence, SchemaError
+from .errors import NoConvergence, SchemaError, ZeroCoordinate
 from .kahler import KahlerData
 from .lattice import hermite_normal_form, kernel_basis, normalized_volume, unit_grading
 from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms, sum_terms
@@ -310,13 +311,6 @@ def _factorization(exponents: tuple) -> Optional[tuple]:
     return chart, tuple(map(tuple, inverse)), fiber, tuple(factors)
 
 
-def needs_newton(poly: LaurentPoly) -> bool:
-    """True when some factor of W, or W itself, is solved by the grid.
-    Raises the structure record's SchemaError."""
-    structure = _exponent_structure(tuple(sorted(poly.terms)))
-    return structure.chart is None or any(f.simplex is None for f in structure.factors)
-
-
 def _factor_moduli(structure: Structure, factor: Factor, moduli) -> Optional[tuple]:
     """The seed moduli of a Newton factor's coordinates from W's, or None
     without moduli. log y = M^-T log z, so a factor coordinate whose row of
@@ -364,9 +358,15 @@ def _simplex_roots(factor: Factor, coefficients) -> list:
     return [tuple(x + 1j * s for x, s in zip(w, shift)) for shift in factor.shifts]
 
 
-def _residual(log_gradient, z) -> float:
-    g = [sum_terms(part, z) for part in log_gradient]
-    return math.hypot(*(v.real for v in g), *(v.imag for v in g))
+def _evaluated(log_gradient, w: tuple) -> tuple:
+    """(z, |log-gradient|) at the log point w; (None, inf) when z or a term
+    at z leaves the float range, as the grid drops non-finite iterates."""
+    try:
+        z = tuple(map(cmath.exp, w))
+        g = [sum_terms(part, z) for part in log_gradient]
+    except (ArithmeticError, ZeroCoordinate):
+        return None, math.inf
+    return z, math.hypot(*(v.real for v in g), *(v.imag for v in g))
 
 
 def _verified(terms: list, log_gradient: list, w: tuple, tol: float) -> tuple:
@@ -374,16 +374,14 @@ def _verified(terms: list, log_gradient: list, w: tuple, tol: float) -> tuple:
     Newton on W, twice at most, while its residual falls: a factor root
     admitted at the factor's own tol can miss W's by the scale of u and of
     the chart."""
-    z = tuple(map(cmath.exp, w))
-    resid = _residual(log_gradient, z)
+    z, resid = _evaluated(log_gradient, w)
     for _ in range(2):
         if resid <= tol:
             break
         w = _newton_step(terms, w)
         if w is None:
             break
-        polished = tuple(map(cmath.exp, w))
-        again = _residual(log_gradient, polished)
+        polished, again = _evaluated(log_gradient, w)
         if not again < resid:
             break
         z, resid = polished, again
@@ -393,9 +391,12 @@ def _verified(terms: list, log_gradient: list, w: tuple, tol: float) -> tuple:
 def _newton_step(terms: list, w: tuple) -> Optional[tuple]:
     """One Newton step on W's log-gradient from the log point w: the
     Jacobian sum of a a^T c z^a, solved by Gaussian elimination with
-    partial pivoting. None when it is singular."""
+    partial pivoting. None when it is singular or a term overflows."""
     n = len(w)
-    m = [(a, c * cmath.exp(sum(x * y for x, y in zip(a, w)))) for a, c in terms if any(a)]
+    try:
+        m = [(a, c * cmath.exp(sum(x * y for x, y in zip(a, w)))) for a, c in terms if any(a)]
+    except OverflowError:
+        return None
     rows = [[sum(a[j] * a[k] * v for a, v in m) for k in range(n)]
             + [-sum(a[j] * v for a, v in m)] for j in range(n)]
     for col in range(n):
@@ -412,12 +413,21 @@ def _newton_step(terms: list, w: tuple) -> Optional[tuple]:
     return tuple(x + s for x, s in zip(w, step))
 
 
+def _value(pairs: list, w: tuple) -> Optional[complex]:
+    """The factor's value at the log point w; None when a term overflows."""
+    try:
+        return sum(c * cmath.exp(sum(x * y for x, y in zip(a, w))) for a, c in pairs)
+    except OverflowError:
+        return None
+
+
 def _factored(structure: Structure, terms: list, log_gradient: list, moduli,
-              options: SolverOptions, newton: Optional[Callable]) -> tuple:
+              options: SolverOptions, grid: Callable) -> tuple:
     """(Found, unlifted) for a W that factors: each factor's roots in log
-    coordinates with its value there, every combination lifted over the
-    fiber and mapped back through the chart, and each point admitted by
-    the exact residual on the full W."""
+    coordinates, with its value there when W has a fiber, every combination
+    lifted over the fiber and mapped back through the chart, and each point
+    admitted by the exact residual on the full W. A combination whose
+    factor value or point leaves the float range is refused."""
     coefficient = [c for _, c in terms]
     per_factor = []
     attempted = converged = grid_size = 0
@@ -428,15 +438,14 @@ def _factored(structure: Structure, terms: list, log_gradient: list, moduli,
             logs = _simplex_roots(factor, [c for _, c in pairs])
         else:
             gradient = [[(a, a[j] * c) for a, c in pairs if a[j]] for j in range(factor.dim)]
-            run = newton(pairs, gradient, factor.bound, factor.shifts,
-                         _factor_moduli(structure, factor, moduli), options)
+            run = grid(pairs, gradient, factor.bound, factor.shifts,
+                       _factor_moduli(structure, factor, moduli), options)
             attempted += run.attempted
             converged += run.converged
             grid_size += run.grid_size
             best = min(best, run.best)
             logs = [tuple(cmath.log(y) for y in point) for point, _ in run.points]
-        per_factor.append([(w, sum(c * cmath.exp(sum(x * y for x, y in zip(a, w)))
-                                   for a, c in pairs)) for w in logs])
+        per_factor.append([(w, _value(pairs, w) if structure.fiber is not None else None) for w in logs])
     n = len(structure.chart)
     points = []
     unlifted = 0
@@ -445,7 +454,10 @@ def _factored(structure: Structure, terms: list, log_gradient: list, moduli,
         lifts = [w]
         if structure.fiber is not None:
             head, tail = structure.fiber
-            p = coefficient[head] + sum(value for _, value in combo)
+            values = [value for _, value in combo]
+            if None in values:
+                continue
+            p = coefficient[head] + sum(values)
             if p == 0:
                 unlifted += 1
                 continue
@@ -463,10 +475,11 @@ def _factored(structure: Structure, terms: list, log_gradient: list, moduli,
     return Found(points, attempted, converged, grid_size, best), unlifted
 
 
-def solve(poly: LaurentPoly, t: Sequence[float], options: SolverOptions | None = None,
-          newton: Optional[Callable] = None) -> CriticalReport:
-    """The critical points of W at q = exp(-t), factor by factor; newton is
-    the grid (``critical.grid_roots``), needed only when ``needs_newton``.
+def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions],
+          grid: Callable) -> CriticalReport:
+    """The critical points of W at q = exp(-t), factor by factor, with the
+    grid (``critical.grid_roots``, or a callable that imports it) on the
+    factors that need Newton, and on W whole when it does not factor.
 
     The points are sorted canonically. Raises NoConvergence when no point
     is verified; its message gives the best residual seen. Raises
@@ -483,10 +496,10 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: SolverOptions | None =
     # exact differentiation, compiled once, for the residual check
     log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
     if structure.chart is None:
-        found = newton(terms, log_gradient, structure.bound, structure.shifts, moduli, options)
+        found = grid(terms, log_gradient, structure.bound, structure.shifts, moduli, options)
         factors, unlifted = ((n, structure.bound, "newton"),), 0
     else:
-        found, unlifted = _factored(structure, terms, log_gradient, moduli, options, newton)
+        found, unlifted = _factored(structure, terms, log_gradient, moduli, options, grid)
         factors = tuple((f.dim, f.bound, "newton" if f.simplex is None else "closed-form")
                         for f in structure.factors)
     return _report(terms, found, structure, factors, unlifted, options)
@@ -499,10 +512,15 @@ def _report(terms: list, found: Found, structure: Structure, factors: tuple, unl
     if not points:
         detail = (f"; best residual reached {found.best:.3e}"
                   if math.isfinite(found.best) else "")
-        raise NoConvergence(
-            f"no critical point found from {found.attempted} starts{detail}; try more "
-            f"phases or different moduli"
-        )
+        if found.grid_size:
+            raise NoConvergence(f"no critical point found from {found.attempted} "
+                                f"starts{detail}; try more phases or different moduli")
+        # the solver options cannot move a closed-form point
+        if not detail:
+            detail = (f"; {unlifted} base roots have no lift" if unlifted
+                      else "; they lie beyond the float range")
+        raise NoConvergence(f"no critical point found: no closed-form point passed the "
+                            f"tolerance {options.tol:g}{detail}")
     return CriticalReport(
         points=tuple(z for z, _ in points),
         values=tuple(sum_terms(terms, z) for z, _ in points),

@@ -706,6 +706,38 @@ class TestCritCommand:
             far = max(abs(complex(*point[0])) for point in doc["points"])
             assert (far > 1e3) == (deduped == 4)
 
+    def test_closed_form_miss_names_the_tolerance(self, tmp_path, capsys):
+        # no start ran and no solver option can move a closed-form point,
+        # so the message names the tolerance and the best residual
+        pot = str(tmp_path / "pot.json")
+        assert main(["potential", str(SAMPLES / "f2.json"), "--cutoff", "2", "-o", pot]) == 0
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", "--tol", "1e-300"]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: no critical point found: no closed-form point passed "
+                            r"the tolerance 1e-300; best residual reached \d\.\d{3}e-\d+\n",
+                            err), err
+
+    @pytest.mark.parametrize("t1, t2", [(740, -700), (-700, 740)])
+    def test_roots_past_the_float_range_exit_6(self, tmp_path, capsys, t1, t2):
+        # W = q1 z + q2/z has its roots at log z = (t1 - t2)/2 + {0, pi i}:
+        # here |Re log z| = 720, past the float range, so both closed-form
+        # points are refused (no internal error)
+        pot = write(tmp_path, "pot.json", {
+            "format": "toricmirror-potential/1", "z_variables": 1, "q_variables": 2,
+            "terms": [{"z": [1], "coefficient": [{"q": [1, 0], "value": "1"}]},
+                      {"z": [-1], "coefficient": [{"q": [0, 1], "value": "1"}]}],
+            "q_areas": [{"constant": "0", "terms": {"t1": "1"}},
+                        {"constant": "0", "terms": {"t2": "1"}}],
+            "parameters": ["t1", "t2"]})
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", f"t1={t1}", "--t", f"t2={t2}"]) == 6
+        assert capsys.readouterr().err == (
+            "error: no critical point found: no closed-form point passed the tolerance "
+            "1e-12; they lie beyond the float range\n")
+        assert main(["crit", pot, "--t", f"t1={t1 // 2}", "--t", f"t2={t2 // 2}"]) == 0
+
     def test_more_roots_than_the_bound_exit_7(self, tmp_path, capsys):
         # at radius 0 copies of one root a few ulps apart are all kept
         pot = self.make_potential(tmp_path, F1_DOC)

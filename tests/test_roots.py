@@ -34,7 +34,7 @@ from toricmirror.gw import GWProvider
 from toricmirror.lattice import unit_grading
 from toricmirror.laurent import numeric_terms
 from toricmirror.potential import corrected_potential, hori_vafa
-from toricmirror.roots import _exponent_structure, _factor_moduli, needs_newton
+from toricmirror.roots import _exponent_structure, _factor_moduli
 
 LINE = projective_line()
 # the crit-sweep classes: P(K_Y+O) over these bases (F2 is the P1 one)
@@ -102,7 +102,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("name, fan", BUNDLES, ids=[name for name, _ in BUNDLES])
     def test_chart_is_unimodular_and_graded(self, name, fan):
-        # the grading is decompose_bundle's, from the same helper; the chart
+        # the grading is decompose_bundle's; the chart
         # sends every term to the block of its factor, or to the fiber
         structure = _exponent_structure(tuple(sorted(fan.rays)))
         chart, inverse = structure.chart, structure.inverse
@@ -124,9 +124,6 @@ class TestStructure:
         assert unit_grading([(1, 0), (0, 1), (1, 1)]) is None  # no functional
         assert unit_grading([(2, 0), (0, 1)]) is None  # not an integer one
         assert unit_grading([(1, 1), (2, 2)]) is None  # the points span a line
-        # from a dual basis, as decompose_bundle calls it: only checked
-        assert unit_grading([(1, 0), (0, 1), (2, -1)], dual=((1, 0), (0, 1))) == (1, 1)
-        assert unit_grading([(1, 0), (0, 1), (1, 1)], dual=((1, 0), (0, 1))) is None
 
     def test_does_not_factor(self):
         # dP6 and F1 are one Newton factor; z1^2 + z1^-2 + z2 + 1/z2 splits
@@ -138,12 +135,16 @@ class TestStructure:
                   laurent({(1, 0): {(): 1}, (2, 0): {(): 1}, (0, 1): {(): 1}})):
             structure = structure_of(W)
             assert structure.chart is None and structure.factors == ()
-            assert needs_newton(W)
 
-    def test_needs_newton(self):
+    def test_newton_factors_of_the_sweep(self):
+        # the corrected potentials keep the Hori-Vafa structure: only the F1
+        # and dP6 bases need the grid
         for name, base in SWEEP_BASES.items():
             k, W, _ = bundle_setup(base)
-            assert needs_newton(W) == (name in ("F1", "dP6", "P1xdP6"))
+            structure = structure_of(W)
+            assert structure.chart is not None
+            assert (any(f.simplex is None for f in structure.factors)
+                    == (name in ("F1", "dP6", "P1xdP6")))
 
     def test_factor_seeds_in_the_construction_chart(self):
         # the dP6 factor of P(K_{P1xdP6}+O) takes W's first two coordinates:
@@ -260,6 +261,20 @@ class TestAgainstGrid:
         assert found < report.deduped == report.expected
         assert_point_sets_match_relative(report.points, grid_solve(k, W, params)[0].points,
                                          rel=1e-8)
+
+    def test_points_past_the_float_range_are_refused(self):
+        # in this chart some roots have a coordinate whose power for a
+        # negative exponent underflows to 0: both solves refuse them and
+        # report the rest, where the residual check once raised
+        # ZeroDivisionError
+        fan = dict(BUNDLES)["F1-chart2"]
+        k = dual_kahler(fan)
+        W = corrected_potential(fan, k, GWProvider(k, assume_zero=True), 2)
+        params = cone_point(k, 6)
+        for run in (solve, grid_solve):
+            report, _ = run(k, W, params)
+            assert 0 < report.deduped < report.expected == 8
+            assert all(r <= report.options.tol for r in report.residuals)
 
     @pytest.mark.parametrize("name", ["F1", "dP6"])
     def test_whole_grid_when_w_does_not_factor(self, name):
