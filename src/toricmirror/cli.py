@@ -141,12 +141,13 @@ def _cmd_potential(args) -> int:
         )
     fan = doc.fan
     kahler = doc.kahler
+    # checked on both branches, though the Hori-Vafa one reads neither
+    _require_at_least(args.cutoff, 0, "--cutoff")
+    table = load_gw_table(args.gw_table, fan) if args.gw_table else None
     if classify_positivity(fan) is Positivity.FANO:
         poly = hori_vafa(fan, kahler)
         fields = {"branch": "hori-vafa"}
     else:
-        _require_at_least(args.cutoff, 0, "--cutoff")
-        table = load_gw_table(args.gw_table, fan) if args.gw_table else None
         gw = GWProvider(kahler, table=table, assume_zero=args.assume_zero_above_cutoff)
         factor, records = correction_details(fan, kahler, gw, args.cutoff)
         poly = potential_with_correction(kahler, factor)

@@ -1,8 +1,10 @@
 """JSON document schemas: fans, invariant tables, potentials, reports.
 
 JSON is the machine contract; rendered polynomial strings are display
-conveniences. All serialization uses canonical key order and stable list
-orders so identical inputs produce byte-identical output.
+conveniences. Every document is written by ``canonical_json``, which
+reproduces ``json.dumps(sort_keys=True, indent=2, ensure_ascii=False)`` byte
+for byte, and lists keep stable orders, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -32,8 +34,80 @@ POTENTIAL_FORMAT = "toricmirror-potential/1"
 CRITICAL_FORMAT = "toricmirror-critical/1"
 
 
+_encode_str = json.encoder.encode_basestring  # ensure_ascii=False's string encoder
+_INFINITY = float("inf")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The document text of a JSON value: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, which
+    writes every element of an integer list through a generator; this
+    writer joins such a list in one step. A value json cannot write is a
+    TypeError."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _float_text(value) -> str:
+    # json's float rule, comparisons included, so a float subclass reads the same
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    # json's key conversion, in json's order of tests
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(value, newline: str) -> str:
+    """value as json writes it at the depth whose line break (with its
+    indent) is newline."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {int}.issuperset(map(type, value)):  # every item's type is exactly int
+            items = map(int.__repr__, value)
+        else:
+            items = [_encode(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(_key_text(k)) + ": " + _encode(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _require(cond: bool, message: str):

@@ -138,6 +138,10 @@ class KahlerData:
         return coords
 
     def basis_areas(self) -> tuple:
+        return self._basis_areas
+
+    @functools.cached_property
+    def _basis_areas(self) -> tuple:
         return tuple(self.sphere_area(b) for b in self.q_basis)
 
     @functools.cached_property

@@ -1,5 +1,6 @@
 """JSON schemas, round-trips, CLI exit codes, output determinism."""
 
+import enum
 import importlib
 import inspect
 import json
@@ -13,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import toricmirror
 from conftest import (
@@ -29,9 +31,13 @@ from toricmirror import cli, critical, errors
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
+    CRITICAL_FORMAT,
+    POTENTIAL_FORMAT,
+    canonical_json,
     fan_from_document,
     fan_to_document,
     gw_table_from_document,
+    load_fan_document,
     load_potential_document,
     potential_from_document,
 )
@@ -538,6 +544,34 @@ class TestPotentialCommand:
         assert main(["potential", path, "--cutoff", "-1"]) == 2
         assert capsys.readouterr().err == "error: --cutoff must be at least 0, got -1\n"
 
+    def test_fano_branch_checks_cutoff_and_table(self, tmp_path, capsys):
+        # the Hori-Vafa branch reads neither option, but refuses them like
+        # the corrected branch does
+        p2 = str(SAMPLES / "p2.json")
+        f2 = fan_from_document(F2_DOC).fan
+        p2_fan = load_fan_document(p2).fan
+        tables = {
+            "missing": str(tmp_path / "absent.json"),
+            "not JSON": write(tmp_path, "bad.json", "{"),
+            "a directory": str(tmp_path),
+            "F2's": write(tmp_path, "f2.json", {
+                "fan_fingerprint": fan_fingerprint(f2),
+                "basis": [list(b) for b in f2.homology_basis], "entries": []}),
+        }
+        for name, table in tables.items():
+            assert main(["potential", p2, "--gw-table", table]) == 2, name
+            assert capsys.readouterr().err.startswith("error: "), name
+        assert main(["potential", p2, "--cutoff", "-5"]) == 2
+        assert capsys.readouterr().err == "error: --cutoff must be at least 0, got -5\n"
+        # a table bound to P2 passes and changes nothing
+        assert main(["potential", p2]) == 0
+        plain = capsys.readouterr().out
+        own = write(tmp_path, "p2 table.json", {
+            "fan_fingerprint": fan_fingerprint(p2_fan),
+            "basis": [list(b) for b in p2_fan.homology_basis], "entries": []})
+        assert main(["potential", p2, "--gw-table", own, "--cutoff", "0"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_many_rays_with_table_exit_3(self, tmp_path, capsys):
         # P2 blown up to 17 rays: neither F2 nor a bundle, with or without a
         # table, and too large for an exhaustive GL(2,Z) map search
@@ -1036,3 +1070,90 @@ class TestLambdaInput:
         assert sorted(p[0][0] for p in points) == pytest.approx([-root, root], rel=1e-9)
         assert main(["crit", pot, "--t", "t=1"]) == 2
         assert "outside the open Kahler cone" in capsys.readouterr().err
+
+
+def json_dumps_text(obj) -> str:
+    """What canonical_json must reproduce byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class FloatSubclass(float):
+    def __repr__(self):
+        return "not the float's text"
+
+
+Colour = enum.IntEnum("Colour", "RED GREEN")
+# every code point, with lone surrogates and control characters drawn often
+ANY_TEXT = st.text(st.characters(exclude_categories=())
+                   | st.characters(categories=["Cs", "Cc"]), max_size=8)
+JSON_KEYS = (ANY_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+    | st.floats() | ANY_TEXT,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(st.integers(), max_size=6)  # the writer's one-step lists
+        # one kind of key per object, so that most of them can be sorted
+        | st.one_of([st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS])
+        | st.dictionaries(st.one_of(JSON_KEYS), children, max_size=3)
+    ),
+    max_leaves=24,
+)
+
+
+class TestCanonicalJson:
+    """canonical_json against json.dumps(sort_keys=True, indent=2,
+    ensure_ascii=False) + newline, on generated values and on every kind of
+    document the CLI writes."""
+
+    @given(JSON_VALUES)
+    @example([1, True, 2])
+    @example(["\ud800", "é\x00\u2028", {"\udfff": "\x1f"}])
+    @example([Colour.GREEN, [Colour.RED]])
+    @example({"x": [FloatSubclass(1.5), FloatSubclass("nan"), FloatSubclass("-inf")]})
+    @example({2: "int", 0.5: "float", False: "bool", Colour.RED: "enum", "s": None})
+    @example({None: [], True: {}, 1.0e300: ()})
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, value):
+        try:
+            expected = json_dumps_text(value)
+        except TypeError:  # keys of several kinds that do not sort
+            with pytest.raises(TypeError):
+                canonical_json(value)
+            return
+        assert canonical_json(value) == expected
+
+    @pytest.mark.parametrize("value", [{1}, b"x", 1j, Fraction(1, 2), {(1, 2): 0}],
+                             ids=["set", "bytes", "complex", "Fraction", "tuple key"])
+    def test_refuses_what_json_refuses(self, value):
+        for obj in (value, [1, value], {"k": value}):
+            with pytest.raises(TypeError):
+                json_dumps_text(obj)
+            with pytest.raises(TypeError):
+                canonical_json(obj)
+
+    def test_cli_documents_match_json_dumps(self, tmp_path, monkeypatch, capsys):
+        # crit documents are left out of the golden digests; this is their byte check
+        written = []
+
+        def recording(obj):
+            text = canonical_json(obj)
+            written.append((obj, text))
+            return text
+
+        monkeypatch.setattr(cli, "canonical_json", recording)
+        for path in sorted(SAMPLES.glob("*.json")):
+            main(["analyze", "--json", str(path)])
+            main(["bundle", str(path)])
+            main(["potential", str(path), "--cutoff", "3", "--assume-zero-above-cutoff"])
+        dp6 = validate_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+        kinds = []
+        for name, base in (("P2", projective_plane()), ("dP6", dp6)):
+            pot, t = bundle_potential(tmp_path, base, name)
+            assert main(["crit", pot, *t]) == 0
+            kinds.append({f["solve"] for f in written[-1][0]["factors"]})
+        assert kinds == [{"closed-form"}, {"newton"}]
+        formats = [obj.get("format") for obj, _ in written]
+        assert formats.count(POTENTIAL_FORMAT) == 6 and formats.count(CRITICAL_FORMAT) == 2
+        assert [text for _, text in written] == [json_dumps_text(obj) for obj, _ in written]

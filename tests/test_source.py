@@ -87,6 +87,41 @@ def test_one_exact_to_float_step():
     assert found == []
 
 
+def _json_dumps_calls(tree):
+    """(enclosing function or None, keyword names) of every json.dumps or
+    json.dump call, and of every name imported from json as one."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("dumps", "dump")
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+                found.append((owner, {k.arg for k in child.keywords}))
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.extend((owner, {"import"}) for a in child.names
+                             if a.name in ("dumps", "dump"))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_document_writer():
+    # documents.canonical_json writes every document; the only other use of
+    # json.dumps is the compact payload that gw.fan_fingerprint hashes
+    found = []
+    for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, owner, sorted(keywords))
+                  for owner, keywords in _json_dumps_calls(tree)]
+    assert [f for f in found if f[0] != "documents.py"] == [
+        ("gw.py", "fan_fingerprint", ["separators", "sort_keys"])]
+
+
 def test_module_graph_is_acyclic():
     # relative imports between library modules at any depth, function
     # bodies included, form no cycle; the package's __init__ is left out
