@@ -2,11 +2,12 @@
 does not solve in closed form.
 
 ``roots.solve`` hands it W, when W does not factor, or one Newton factor of
-W at a time, as float (exponent, coefficient) pairs with the exact
-log-gradient pairs that admit each root, the root bound and the group G of
-that system, and the seed moduli. This module imports roots, so roots
-cannot import it: ``find_critical_points`` is ``roots.solve`` with this
-grid, and ``crit`` hands roots a callable that imports it on first use.
+W at a time, as float (exponent, coefficient) pairs with the root bound and
+the group G of that system, and the seed moduli. Each root is admitted by
+``roots.candidate``, the evaluator the factored solve admits its points
+by. This module imports roots, so roots cannot import it:
+``find_critical_points`` is ``roots.solve`` with this grid, and ``crit``
+hands roots a callable that imports it on first use.
 
 Works in logarithmic coordinates w = log z so Newton iterates can never land
 on a coordinate axis. The system solved is the logarithmic gradient
@@ -34,16 +35,15 @@ then in start order) depend only on the iterates, never on timing.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .errors import RootBoundExceeded, SchemaError, ZeroCoordinate
-from .laurent import sum_terms
+from .errors import RootBoundExceeded, SchemaError
 # CriticalReport and moduli_from_polytope are served from here too, beside
 # find_critical_points
-from .roots import CriticalReport, Found, SolverOptions, moduli_from_polytope, solve
+from .roots import (CriticalReport, Found, SolverOptions, candidate, compile_terms,
+                    moduli_from_polytope, solve)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
 
@@ -205,11 +205,12 @@ def _dedup(points: np.ndarray, kept: np.ndarray, radius: float) -> np.ndarray:
     return np.array(out, dtype=complex).reshape(-1, kept.shape[1])
 
 
-def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, moduli,
+def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
                options: SolverOptions) -> Found:
     """Multistart Newton solve of the log-gradient system of the (exponent,
-    coefficient) pairs `terms`, each merged root admitted by the exact
-    log-gradient pairs `log_gradient`.
+    coefficient) pairs `terms`, each merged root admitted by
+    ``roots.candidate``: W and its log-gradient from one pass over the
+    terms at the root's log point.
 
     Deterministic: the starts run in a fixed mixed order through a working
     set whose width depends only on the root bound, refilled in that order
@@ -217,8 +218,8 @@ def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, mo
     iterates that have just converged, followed by their images under the
     shifts of G, are collapsed in that order within the dedup radius (log
     coordinates, phase-wrapped) against the roots kept so far, each
-    survivor is checked by the exact residual, and the run stops at the
-    pass where the verified roots reach the bound `expected`.
+    survivor is checked by its residual, and the run stops at the pass
+    where the verified roots reach the bound `expected`.
     Otherwise it stops when every start up to max_starts or the end of the
     grid has converged or been dropped. `attempted` counts the starts
     admitted, `converged` those that converged before the stop; `best` is
@@ -239,6 +240,7 @@ def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, mo
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
     width = max(64, 16 * expected)
+    own = compile_terms(terms)  # evaluated in the system's own coordinates
 
     attempted = 0
 
@@ -259,17 +261,15 @@ def grid_roots(terms: list, log_gradient: list, expected: int, shifts: tuple, mo
         fresh = _dedup(orbits, kept, options.dedup_radius)
         kept = np.concatenate([kept, fresh])
         for wi in fresh:
-            # the exact-differentiation residual is the authority for the
-            # report; a root where z or a term leaves the float range is refused
-            try:
-                z = tuple(cmath.exp(complex(x)) for x in wi)
-                resid = float(np.linalg.norm([sum_terms(g, z) for g in log_gradient]))
-            except (ArithmeticError, ZeroCoordinate):
-                resid = math.inf
-            if resid <= options.tol:
-                points.append((z, resid))
+            # the residual is the authority for the report; a root where z
+            # or a term leaves the float range is refused
+            point = candidate(own, tuple(complex(x) for x in wi))
+            if point is None:
+                continue
+            if point.residual <= options.tol:
+                points.append(point)
             else:
-                best_failed = min(best_failed, resid)
+                best_failed = min(best_failed, point.residual)
         if len(points) > expected:
             raise RootBoundExceeded(
                 f"{len(points)} distinct verified critical points exceed the root bound "

@@ -29,10 +29,22 @@ CBMS 97, ch. 3), solved in closed form by one linear solve with its integer
 exponent matrix in log coordinates and the orbit of that root under the
 factor's G. Any other factor is a Newton factor, solved by the multistart
 grid (``critical.grid_roots``) from seeds the option moduli give through
-the chart. Every point is admitted only by the exact residual on the full
-W. A base root with P(y) = 0 has no lift; it is counted in `unlifted` and
-leaves the report short. A W whose record is one Newton factor in its own
-chart does not factor, and the grid solves it whole.
+the chart. A base root with P(y) = 0 has no lift; it is counted in
+`unlifted` and leaves the report short. A W whose record is one Newton
+factor in its own chart does not factor, and the grid solves it whole.
+
+Every point is admitted by the residual of the full W, evaluated once in
+the chart, where its terms are moderate (``candidate``). The record holds
+the chart image b = M a of each exponent a. At the chart log point
+l = (log y, log u) one pass gives the terms m = c exp(<b, l>), W = sum m
+and the log-gradient in z, sum a m: W's own integer exponents times the
+same m. The point reported is z = exp(M^T l); one whose z or terms leave
+the float range, or whose z lands on an axis, is refused. (z_j^e, taken
+coordinate by coordinate, overflows in steep charts where c z^a is
+moderate.) A point that misses the tolerance is polished by at most two
+Newton steps in the chart from the same m; the log-gradient in l is M
+times the one in z. The grid admits its roots by the same pass, in the
+coordinates of W or of its factor.
 
 The roots come in orbits. Let L be the lattice spanned by the differences
 of W's nonconstant exponents: for theta with <theta, L> in Z, the shift
@@ -53,12 +65,13 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import NoConvergence, SchemaError, ZeroCoordinate
+from .errors import NoConvergence, SchemaError
 from .kahler import KahlerData
 from .lattice import hermite_normal_form, kernel_basis, normalized_volume, unit_grading
-from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms, sum_terms
+from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms
 
 
 class SolverOptions(NamedTuple):
@@ -93,9 +106,9 @@ class CriticalReport(NamedTuple):
 
 
 class Found(NamedTuple):
-    """What a solve of one system found: the verified roots as (point,
-    residual) pairs, the multistart counts, and the least residual seen
-    over refused candidates and dropped starts (inf when none)."""
+    """What a solve of one system found: the verified roots as candidates,
+    the multistart counts, and the least residual seen over refused
+    candidates and dropped starts (inf when none)."""
 
     points: list
     attempted: int
@@ -118,9 +131,10 @@ class Factor(NamedTuple):
 
 
 class Structure(NamedTuple):
-    """W's root bound and G, and how it factors: the unimodular chart (rows;
-    None when W does not factor), its inverse, the term indices of v_0 and
-    its opposite (None without a fiber grading), and the factors."""
+    """W's root bound and G, and how it factors: the unimodular chart (rows
+    M; None when W does not factor), its inverse, the term indices of v_0
+    and its opposite (None without a fiber grading), the factors, and the
+    chart image M a of each exponent a (a itself without a chart)."""
 
     bound: int
     shifts: tuple
@@ -128,6 +142,7 @@ class Structure(NamedTuple):
     inverse: Optional[tuple]
     fiber: Optional[tuple]
     factors: tuple
+    images: tuple
 
 
 def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
@@ -198,7 +213,10 @@ def _exponent_structure(exponents: tuple) -> Structure:
     if not nonconstant:
         raise SchemaError("potential has no nonconstant term")
     bound, shifts = _bound_and_shifts(nonconstant)
-    return Structure(bound, shifts, *(_factorization(exponents) or (None, None, None, ())))
+    chart, inverse, fiber, factors = _factorization(exponents) or (None, None, None, ())
+    images = exponents if chart is None else tuple(
+        tuple(sum(x * y for x, y in zip(row, a)) for row in chart) for a in exponents)
+    return Structure(bound, shifts, chart, inverse, fiber, factors, images)
 
 
 def _rank(rows) -> int:
@@ -358,47 +376,88 @@ def _simplex_roots(factor: Factor, coefficients) -> list:
     return [tuple(x + 1j * s for x, s in zip(w, shift)) for shift in factor.shifts]
 
 
-def _evaluated(log_gradient, w: tuple) -> tuple:
-    """(z, |log-gradient|) at the log point w; (None, inf) when z or a term
-    at z leaves the float range, as the grid drops non-finite iterates."""
+class Terms(NamedTuple):
+    """W's float terms as ``candidate`` takes them: the exponents a by
+    coordinate (columns[j] holds each term's a_j), their chart images
+    b = M a, the coefficients c, and the rows of M^T that map a chart log
+    point back to log z (None when the chart is the identity)."""
+
+    columns: tuple
+    images: tuple
+    coefficients: tuple
+    back: Optional[tuple]
+
+
+def compile_terms(pairs: Sequence, images: Optional[tuple] = None,
+                  chart: Optional[tuple] = None) -> Terms:
+    """Terms from the (exponent, coefficient) pairs of numeric_terms, with
+    the chart images of their exponents (the exponents themselves by
+    default) and the chart rows M (None for the identity)."""
+    exponents = tuple(a for a, _ in pairs)
+    return Terms(tuple(zip(*exponents)), images or exponents, tuple(c for _, c in pairs),
+                 None if chart is None else tuple(zip(*chart)))
+
+
+class Candidate(NamedTuple):
+    """W at one chart log point: z there, W's value, its log-gradient in
+    z and the hypot of that, and the term values it came from."""
+
+    lift: tuple
+    z: tuple
+    value: complex
+    gradient: tuple
+    residual: float
+    term_values: list
+
+
+def candidate(terms: Terms, lift: tuple) -> Optional[Candidate]:
+    """W at the chart log point lift, in one pass over its terms: the term
+    values m = c exp(<b, lift>), W = sum m and the log-gradient sum a m in
+    z, exact term-wise differentiation; z = exp(M^T lift). None when z or
+    a term leaves the float range or z lands on an axis, as the grid drops
+    non-finite iterates."""
     try:
-        z = tuple(map(cmath.exp, w))
-        g = [sum_terms(part, z) for part in log_gradient]
-    except (ArithmeticError, ZeroCoordinate):
-        return None, math.inf
-    return z, math.hypot(*(v.real for v in g), *(v.imag for v in g))
-
-
-def _verified(terms: list, log_gradient: list, w: tuple, tol: float) -> tuple:
-    """(z, residual) at the log point w. A point above tol is polished by
-    Newton on W, twice at most, while its residual falls: a factor root
-    admitted at the factor's own tol can miss W's by the scale of u and of
-    the chart."""
-    z, resid = _evaluated(log_gradient, w)
-    for _ in range(2):
-        if resid <= tol:
-            break
-        w = _newton_step(terms, w)
-        if w is None:
-            break
-        polished, again = _evaluated(log_gradient, w)
-        if not again < resid:
-            break
-        z, resid = polished, again
-    return z, resid
-
-
-def _newton_step(terms: list, w: tuple) -> Optional[tuple]:
-    """One Newton step on W's log-gradient from the log point w: the
-    Jacobian sum of a a^T c z^a, solved by Gaussian elimination with
-    partial pivoting. None when it is singular or a term overflows."""
-    n = len(w)
-    try:
-        m = [(a, c * cmath.exp(sum(x * y for x, y in zip(a, w)))) for a, c in terms if any(a)]
+        m = [c * cmath.exp(sum(map(mul, b, lift)))
+             for b, c in zip(terms.images, terms.coefficients)]
+        z = tuple(map(cmath.exp, lift if terms.back is None else
+                      [sum(map(mul, row, lift)) for row in terms.back]))
     except OverflowError:
         return None
-    rows = [[sum(a[j] * a[k] * v for a, v in m) for k in range(n)]
-            + [-sum(a[j] * v for a, v in m)] for j in range(n)]
+    g = tuple(sum(map(mul, column, m)) for column in terms.columns)
+    value = sum(m)
+    residual = math.hypot(*(v.real for v in g), *(v.imag for v in g))
+    if not (all(z) and math.isfinite(residual) and cmath.isfinite(value)):
+        return None
+    return Candidate(lift, z, value, g, residual, m)
+
+
+def _verified(terms: Terms, lift: tuple, tol: float) -> Optional[Candidate]:
+    """The candidate at the chart log point lift. One above tol is polished
+    by Newton on W in the chart, twice at most, while its residual falls: a
+    factor root admitted at the factor's own tol can miss W's by the scale
+    of u and of the chart."""
+    point = candidate(terms, lift)
+    for _ in range(2):
+        if point is None or point.residual <= tol:
+            break
+        step = _newton_step(terms, point)
+        polished = None if step is None else candidate(terms, step)
+        if polished is None or not polished.residual < point.residual:
+            break
+        point = polished
+    return point
+
+
+def _newton_step(terms: Terms, point: Candidate) -> Optional[tuple]:
+    """One Newton step in the chart from the point's own term values: the
+    log-gradient in the chart, sum b m (M times the one in z, M
+    unimodular), and its Jacobian sum b b^T m, solved by Gaussian
+    elimination with partial pivoting. None when the Jacobian is
+    singular."""
+    n = len(point.lift)
+    m = [(b, v) for b, v in zip(terms.images, point.term_values) if any(b)]
+    rows = [[sum(b[j] * b[k] * v for b, v in m) for k in range(n)]
+            + [-sum(b[j] * v for b, v in m)] for j in range(n)]
     for col in range(n):
         pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
         if rows[pivot][col] == 0:
@@ -410,68 +469,57 @@ def _newton_step(terms: list, w: tuple) -> Optional[tuple]:
     step = [0j] * n
     for j in range(n - 1, -1, -1):
         step[j] = (rows[j][n] - sum(rows[j][k] * step[k] for k in range(j + 1, n))) / rows[j][j]
-    return tuple(x + s for x, s in zip(w, step))
+    return tuple(x + s for x, s in zip(point.lift, step))
 
 
-def _value(pairs: list, w: tuple) -> Optional[complex]:
-    """The factor's value at the log point w; None when a term overflows."""
-    try:
-        return sum(c * cmath.exp(sum(x * y for x, y in zip(a, w))) for a, c in pairs)
-    except OverflowError:
-        return None
-
-
-def _factored(structure: Structure, terms: list, log_gradient: list, moduli,
-              options: SolverOptions, grid: Callable) -> tuple:
+def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
+              grid: Callable) -> tuple:
     """(Found, unlifted) for a W that factors: each factor's roots in log
-    coordinates, with its value there when W has a fiber, every combination
-    lifted over the fiber and mapped back through the chart, and each point
-    admitted by the exact residual on the full W. A combination whose
-    factor value or point leaves the float range is refused."""
-    coefficient = [c for _, c in terms]
+    coordinates, with its value there, every combination lifted over the
+    fiber and admitted by the residual of W evaluated in the chart. A
+    factor root, or a point, whose coordinates or terms leave the float
+    range is refused."""
+    terms = compile_terms(pairs, structure.images, structure.chart)
+    coefficient = terms.coefficients
     per_factor = []
     attempted = converged = grid_size = 0
     best = math.inf
     for factor in structure.factors:
-        pairs = [(a, coefficient[i]) for i, a in factor.terms]
+        # a factor is W's terms in its own block of the chart
+        own = [(a, coefficient[i]) for i, a in factor.terms]
         if factor.simplex is not None:
-            logs = _simplex_roots(factor, [c for _, c in pairs])
-        else:
-            gradient = [[(a, a[j] * c) for a, c in pairs if a[j]] for j in range(factor.dim)]
-            run = grid(pairs, gradient, factor.bound, factor.shifts,
-                       _factor_moduli(structure, factor, moduli), options)
-            attempted += run.attempted
-            converged += run.converged
-            grid_size += run.grid_size
-            best = min(best, run.best)
-            logs = [tuple(cmath.log(y) for y in point) for point, _ in run.points]
-        per_factor.append([(w, _value(pairs, w) if structure.fiber is not None else None) for w in logs])
-    n = len(structure.chart)
+            own_terms = compile_terms(own)
+            roots = [candidate(own_terms, w) for w in _simplex_roots(factor, [c for _, c in own])]
+            per_factor.append([r for r in roots if r is not None])
+            continue
+        run = grid(own, factor.bound, factor.shifts,
+                   _factor_moduli(structure, factor, moduli), options)
+        attempted += run.attempted
+        converged += run.converged
+        grid_size += run.grid_size
+        best = min(best, run.best)
+        per_factor.append(run.points)
     points = []
     unlifted = 0
     for combo in itertools.product(*per_factor):
-        w = tuple(x for logs, _ in combo for x in logs)
-        lifts = [w]
+        lift = tuple(x for root in combo for x in root.lift)
+        lifts = [lift]
         if structure.fiber is not None:
             head, tail = structure.fiber
-            values = [value for _, value in combo]
-            if None in values:
-                continue
-            p = coefficient[head] + sum(values)
+            p = coefficient[head] + sum(root.value for root in combo)
             if p == 0:
                 unlifted += 1
                 continue
             log_u = 0.5 * (cmath.log(coefficient[tail]) - cmath.log(p))  # u^2 = c/P(y)
-            lifts = [w + (log_u,), w + (log_u + 1j * math.pi,)]
+            lifts = [lift + (log_u,), lift + (log_u + 1j * math.pi,)]
         for lift in lifts:
-            # log z = M^T log y, M the chart
-            log_z = tuple(sum(structure.chart[k][j] * lift[k] for k in range(n))
-                          for j in range(n))
-            z, resid = _verified(terms, log_gradient, log_z, options.tol)
-            if resid <= options.tol:
-                points.append((z, resid))
+            point = _verified(terms, lift, options.tol)
+            if point is None:
+                continue
+            if point.residual <= options.tol:
+                points.append(point)
             else:
-                best = min(best, resid)
+                best = min(best, point.residual)
     return Found(points, attempted, converged, grid_size, best), unlifted
 
 
@@ -489,26 +537,25 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
     n = poly.zvars
-    terms = numeric_terms(poly, t)
+    pairs = numeric_terms(poly, t)
     moduli = options.moduli_per_coord
     if moduli and len(moduli) != n:
         raise ValueError("need one modulus list per z-coordinate")
-    # exact differentiation, compiled once, for the residual check
-    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(n)]
     if structure.chart is None:
-        found = grid(terms, log_gradient, structure.bound, structure.shifts, moduli, options)
+        found = grid(pairs, structure.bound, structure.shifts, moduli, options)
         factors, unlifted = ((n, structure.bound, "newton"),), 0
     else:
-        found, unlifted = _factored(structure, terms, log_gradient, moduli, options, grid)
+        found, unlifted = _factored(structure, pairs, moduli, options, grid)
         factors = tuple((f.dim, f.bound, "newton" if f.simplex is None else "closed-form")
                         for f in structure.factors)
-    return _report(terms, found, structure, factors, unlifted, options)
+    return _report(found, structure, factors, unlifted, options)
 
 
-def _report(terms: list, found: Found, structure: Structure, factors: tuple, unlifted: int,
-           options: SolverOptions) -> CriticalReport:
-    """The report of the verified points found for W's terms."""
-    points = sorted(found.points, key=lambda item: tuple((v.real, v.imag) for v in item[0]))
+def _report(found: Found, structure: Structure, factors: tuple, unlifted: int,
+            options: SolverOptions) -> CriticalReport:
+    """The report of the verified candidates found for W, with the values
+    and residuals their admission computed."""
+    points = sorted(found.points, key=lambda point: tuple((v.real, v.imag) for v in point.z))
     if not points:
         detail = (f"; best residual reached {found.best:.3e}"
                   if math.isfinite(found.best) else "")
@@ -522,9 +569,9 @@ def _report(terms: list, found: Found, structure: Structure, factors: tuple, unl
         raise NoConvergence(f"no critical point found: no closed-form point passed the "
                             f"tolerance {options.tol:g}{detail}")
     return CriticalReport(
-        points=tuple(z for z, _ in points),
-        values=tuple(sum_terms(terms, z) for z, _ in points),
-        residuals=tuple(r for _, r in points),
+        points=tuple(point.z for point in points),
+        values=tuple(point.value for point in points),
+        residuals=tuple(point.residual for point in points),
         attempted=found.attempted,
         converged=found.converged,
         deduped=len(points),

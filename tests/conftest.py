@@ -1003,12 +1003,9 @@ def grid_report(poly, t, options=None):
 
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
-    terms = numeric_terms(poly, t)
-    log_gradient = [numeric_terms(poly.log_derivative(j), t) for j in range(poly.zvars)]
-    found = grid_roots(terms, log_gradient, structure.bound, structure.shifts,
+    found = grid_roots(numeric_terms(poly, t), structure.bound, structure.shifts,
                        options.moduli_per_coord, options)
-    return _report(terms, found, structure, ((poly.zvars, structure.bound, "newton"),), 0,
-                   options)
+    return _report(found, structure, ((poly.zvars, structure.bound, "newton"),), 0, options)
 
 
 def _lockstep_setup(poly, t, options):

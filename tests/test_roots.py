@@ -3,11 +3,13 @@ their formulas, and every root set against the multistart grid on W whole."""
 
 import cmath
 import math
+import random
 
 import pytest
 
 from conftest import (
     dual_kahler,
+    fd_log_gradient,
     grid_report,
     laurent,
     projective_line,
@@ -20,21 +22,24 @@ from test_critical import (
     bundle_setup,
     cone_point,
     grid_solve,
+    rounding_bound,
     solve,
 )
 from test_integer_solves import DP6, F1, product_fan
 from test_moment_polytope import P3
-from test_potential import BUNDLES, in_three_charts
+from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror.bundle import decompose_bundle, projectivize_canonical
+from toricmirror import critical
 from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import critical_report_to_document
-from toricmirror.errors import RootBoundExceeded
+from toricmirror.errors import NoConvergence, RootBoundExceeded
 from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.lattice import unit_grading
 from toricmirror.laurent import numeric_terms
+from toricmirror.laurent import evaluate, gradient
 from toricmirror.potential import corrected_potential, hori_vafa
-from toricmirror.roots import _exponent_structure, _factor_moduli
+from toricmirror.roots import _exponent_structure, _factor_moduli, candidate, compile_terms
 
 LINE = projective_line()
 # the crit-sweep classes: P(K_Y+O) over these bases (F2 is the P1 one)
@@ -43,8 +48,8 @@ SWEEP_BASES = {
     "dP6": validate_fan(2, DP6), "P1^3": product_fan(product_fan(LINE, LINE), LINE),
     "P1xdP6": product_fan(LINE, validate_fan(2, DP6)),
 }
-# seeded charts in which the grid on W whole finds every root; in some
-# others (entries up to 61 on F1) it finds none, nor does the factored solve
+# seeded charts of the crit-sweep classes, in which the grid on W whole
+# finds every root; the steeper ones are in test_steep_charts_reach_the_bound
 SWEEP_CHARTS = in_three_charts(
     {name: projectivize_canonical(base) for name, base in SWEEP_BASES.items()}, 5)
 # (dimension, closed form?) of each factor of a catalog base's Hori-Vafa W,
@@ -58,6 +63,24 @@ FANO_FACTORS = {
 
 def structure_of(poly):
     return _exponent_structure(tuple(sorted(poly.terms)))
+
+
+def chart_setup(charts, name, seed):
+    """The named bundle chart's corrected potential at cutoff 2, its
+    structure record and W's terms in its chart as the evaluator takes
+    them, at the seeded Kahler-cone point, with t there."""
+    k = dual_kahler(charts[name])
+    W = corrected_potential(charts[name], k, GWProvider(k, assume_zero=True), 2)
+    params = cone_point(k, seed)
+    t = [float(a.subs(params)) for a in k.basis_areas()]
+    structure = structure_of(W)
+    terms = compile_terms(numeric_terms(W, t), structure.images, structure.chart)
+    return k, W, params, t, structure, terms
+
+
+def to_chart(structure, w) -> tuple:
+    """The chart log point of the log point w = log z: M^-T w."""
+    return tuple(sum(row[k] * x for row, x in zip(structure.inverse, w)) for k in range(len(w)))
 
 
 def kinds(structure):
@@ -178,6 +201,46 @@ class TestStructure:
             assert all(ends[0] - 1e-9 <= math.log(r) <= ends[1] + 1e-9 for r in coord)
 
 
+class TestCandidate:
+    """roots.candidate, the one evaluation the solver admits points by,
+    against laurent's z-power evaluation and finite differences."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in SWEEP_CHARTS])
+    def test_matches_laurent_and_finite_differences(self, name):
+        _, W, _, t, structure, terms = chart_setup(dict(SWEEP_CHARTS), name, 5)
+        tol = SolverOptions().tol
+        rng = random.Random(29)
+        for _ in range(10):
+            # dyadic log z, so that M^-T log z and M^T of that are exact and
+            # both evaluations see one z
+            w = [complex(rng.randint(-1200, 700), rng.randint(-3217, 3217)) / 1024
+                 for _ in range(W.zvars)]
+            point = candidate(terms, to_chart(structure, w))
+            assert point.z == tuple(map(cmath.exp, w))
+            bound = rounding_bound(W, point.z, t, tol)
+            assert abs(point.value - evaluate(W, point.z, t)) <= bound
+            exact = gradient(W, point.z, t)
+            assert max(abs(a - b) for a, b in zip(point.gradient, exact)) <= bound
+            assert point.residual == pytest.approx(math.sqrt(sum(abs(g) ** 2 for g in exact)),
+                                                   abs=bound)
+            approx = fd_log_gradient(W, point.z, t)
+            err = max(abs(a - b) for a, b in zip(point.gradient, approx))
+            assert err / max(1.0, max(abs(g) for g in point.gradient)) < 1e-6
+
+    def test_finite_where_z_powers_are_not(self):
+        # at every root of this steep chart (entries up to 61, |log z| up to
+        # 106) z_j^e overflows and laurent's gradient reads NaN; the terms
+        # in the chart are moderate
+        _, W, params, t, structure, terms = chart_setup(dict(BUNDLES), "F1-chart1", 5)
+        report, _ = solve(dual_kahler(dict(BUNDLES)["F1-chart1"]), W, params)
+        assert report.deduped == 8
+        for z in report.points:
+            assert not all(map(cmath.isfinite, gradient(W, z, t)))
+            point = candidate(terms, to_chart(structure, [cmath.log(x) for x in z]))
+            assert cmath.isfinite(point.value) and all(map(cmath.isfinite, point.gradient))
+            assert point.residual < 1e-6
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_projective_space_values(self, n):
@@ -201,8 +264,10 @@ class TestClosedForm:
         # on P(K_{P^n}+O) the critical values are +-2 sqrt(c P(y)), P(y) the
         # zero-section coefficient plus the base's critical value
         fan = projectivize_canonical({1: LINE, 2: projective_plane(), 3: P3}[n])
-        # in charts with entries past about 30, some z_j^a underflows and
-        # laurent.sum_terms divides by zero, in the grid as here
+        # the points are admitted by W evaluated in the chart, where its
+        # terms are moderate: for each n every chart of seeds 30-59 passes
+        # here (270 in all, entries up to 176), and in 14 of them z-powers
+        # read a non-finite gradient at some root
         for name, chart in in_three_charts({"P": fan}, 40):
             k = dual_kahler(chart)
             W = corrected_potential(chart, k, GWProvider(k, assume_zero=True), 2)
@@ -249,9 +314,10 @@ class TestAgainstGrid:
 
     @pytest.mark.parametrize("seed, name, found", [(3, "P1-chart1", 1), (1, "F1-chart2", 6)])
     def test_polished_points_reach_tol(self, seed, name, found):
-        # in these steeper charts the lifted points miss W's tol by the scale
-        # of u and of the chart (only `found` of them pass unpolished); a
-        # Newton step or two on W admits every one, as the grid does
+        # in these steeper charts a lifted point can miss W's tol by the
+        # scale of u and of the chart (two of F1-chart2's eight do); a Newton
+        # step or two on W in the chart admits every one, as the grid does.
+        # `found` passed unpolished when the residual was taken by z-powers
         charts = dict(in_three_charts(
             {n: projectivize_canonical(b) for n, b in SWEEP_BASES.items()}, seed))
         k = dual_kahler(charts[name])
@@ -262,19 +328,69 @@ class TestAgainstGrid:
         assert_point_sets_match_relative(report.points, grid_solve(k, W, params)[0].points,
                                          rel=1e-8)
 
-    def test_points_past_the_float_range_are_refused(self):
+    def test_points_near_the_float_range_are_admitted(self):
         # in this chart some roots have a coordinate whose power for a
-        # negative exponent underflows to 0: both solves refuse them and
-        # report the rest, where the residual check once raised
-        # ZeroDivisionError
+        # negative exponent underflows to 0, although every term is moderate:
+        # W evaluated in the chart (the factored solve) or in log coordinates
+        # (the grid) admits all eight
         fan = dict(BUNDLES)["F1-chart2"]
         k = dual_kahler(fan)
         W = corrected_potential(fan, k, GWProvider(k, assume_zero=True), 2)
         params = cone_point(k, 6)
         for run in (solve, grid_solve):
             report, _ = run(k, W, params)
-            assert 0 < report.deduped < report.expected == 8
+            assert report.deduped == report.expected == 8
             assert all(r <= report.options.tol for r in report.residuals)
+
+    @pytest.mark.parametrize("t", [24.0, -24.0])
+    def test_points_past_the_float_range_are_refused(self, monkeypatch, t):
+        # W = z1 + q/z1 + z2/z1^63 + z1^63/z2 has its roots at z1 = +-q^(1/2)
+        # and z2 = +-z1^63, so |log z2| = 63 |t|/2 = 756: z2 underflows to 0
+        # or overflows although every term is moderate. Both solves refuse
+        # every root, the grid after Newton has converged to them; at t/12
+        # (|log z2| = 63) the factored solve admits all four, the grid some
+        W = laurent({(1, 0): {(0,): 1}, (-1, 0): {(1,): 1}, (-63, 1): {(0,): 1},
+                     (63, -1): {(0,): 1}})
+        refused = []
+        admit = critical.candidate
+        monkeypatch.setattr(critical, "candidate",
+                            lambda *args: admit(*args) or refused.append(args))
+
+        def seeded(t):
+            # seeds at the roots' moduli, as near as a float holds them
+            log_r = max(-713.0, min(-31.5 * t, 700.0))
+            return SolverOptions(moduli_per_coord=((math.exp(-t / 2),), (math.exp(log_r),)))
+
+        with pytest.raises(NoConvergence, match="beyond the float range"):
+            find_critical_points(W, [t], seeded(t))
+        with pytest.raises(NoConvergence, match="from 64 starts"):
+            grid_report(W, [t], seeded(t))
+        assert refused
+        refused.clear()
+        assert find_critical_points(W, [t / 12], seeded(t / 12)).deduped == 4
+        assert grid_report(W, [t / 12], seeded(t / 12)).deduped > 0
+        assert not refused
+
+    @pytest.mark.parametrize("seed, name, point", [
+        (12, "F1-chart1", 5), (12, "F1-chart1", 6), (12, "F1-chart1", 7), (41, "P3-chart2", 6)])
+    def test_steep_charts_reach_the_bound(self, seed, name, point):
+        # with entries up to 61 (F1) z_j^e overflows at these roots, and
+        # neither solve admitted one; with W evaluated in the chart, or in
+        # log coordinates on the grid, both find all eight, with the
+        # critical values of the standard chart
+        charts = dict(in_three_charts(
+            {n: projectivize_canonical(b) for n, b in catalog_bases().items()}, seed))
+        setups = []
+        for chart in (name.split("-")[0], name):
+            k = dual_kahler(charts[chart])
+            W = corrected_potential(charts[chart], k, GWProvider(k, assume_zero=True), 2)
+            setups.append((k, W, cone_point(k, point)))
+        standard, _ = solve(*setups[0])
+        for run in (solve, grid_solve):
+            report, _ = run(*setups[1])
+            assert report.deduped == report.expected == 8
+            assert all(r <= report.options.tol for r in report.residuals)
+            assert_values_match(report.values, standard.values)
 
     @pytest.mark.parametrize("name", ["F1", "dP6"])
     def test_whole_grid_when_w_does_not_factor(self, name):

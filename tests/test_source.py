@@ -122,6 +122,19 @@ def test_one_document_writer():
         ("gw.py", "fan_fingerprint", ["separators", "sort_keys"])]
 
 
+def test_one_solver_evaluator():
+    # the solver evaluates W at a point only through roots.candidate, one
+    # pass over the terms in the chart; laurent.sum_terms, which takes
+    # z_j^e coordinate by coordinate, serves the public evaluate and
+    # gradient alone
+    users = []
+    for path in sorted(Path(toricmirror.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if _uses(tree, "sum_terms"):
+            users.append(path.name)
+    assert users == ["laurent.py"]
+
+
 def test_module_graph_is_acyclic():
     # relative imports between library modules at any depth, function
     # bodies included, form no cycle; the package's __init__ is left out
