@@ -19,16 +19,18 @@ The multistart grid combines per-coordinate moduli (by default derived from
 the magnitudes in play; callers with a moment polytope should pass
 vertex-scale moduli) with equally spaced phases. The starts run in a fixed
 stride permutation of the whole grid, so that every coordinate's seeds come
-early. Newton steps a working set of max(64, 16 * expected) starts in
-lockstep, each start on its own step count; a start leaves the set when it
-converges, reaches max_steps, shows a non-finite residual or leaves the
-band, and when the set has drained to a quarter of its width the next
-starts in order top it up, never past max_starts. After each pass the
-starts that have just converged, followed by their images under G, are
-merged into the kept roots and verified by the exact residual, and the run
-stops at the pass where the verified roots reach the bound, or when the set
-is empty and no start is left to admit. More verified roots than the bound
-is RootBoundExceeded. `converged` counts Newton starts only. Everything is
+early, after any starts the caller hands in (``roots.solve`` hands a 2-D
+system its polyhedral starts); max_starts caps them all. Newton steps a
+working set of max(64, 16 * expected) starts in lockstep, each start on its
+own step count; a start leaves the set when it converges, reaches
+max_steps, shows a non-finite residual or leaves the band, and when the set
+has drained to a quarter of its width the next starts in order top it up,
+never past max_starts. After each pass the starts that have just converged,
+followed by their images under G, are merged into the kept roots and
+verified by the exact residual, and the run stops at the pass where the
+verified roots reach the bound, or when the set is empty and no start is
+left to admit. More verified roots than the bound is RootBoundExceeded.
+`converged` counts Newton starts only, polyhedral or grid. Everything is
 deterministic: the order, the admissions and the first-wins merge (by pass,
 then in start order) depend only on the iterates, never on timing.
 """
@@ -36,6 +38,7 @@ then in start order) depend only on the iterates, never on timing.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -119,9 +122,10 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
     them up to the width. After each pass that converges some starts it
     yields their iterates in start order, and once more, with none, when
     the set is empty; each yield also carries the least finite residual
-    over the last iterates of the starts that have left the set. The
-    caller may stop between passes. AA holds the products a_j * a_k of
-    each term's exponents, so the Jacobians are one matrix product."""
+    over the last iterates of the starts dropped so far, never of those
+    that converged. The caller may stop between passes. AA holds the
+    products a_j * a_k of each term's exponents, so the Jacobians are one
+    matrix product."""
     n = A.shape[1]
     w = admit(width)
     steps = np.zeros(len(w), dtype=int)
@@ -141,7 +145,6 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
             finite = np.isfinite(res)
             done = finite & (res <= options.tol) & (last_step <= step_tol)
         if done.any():
-            least = min(least, float(res[done].min()))
             yield w[done], least
         # a start at its max_steps only tests its last update
         go = finite & ~done & (steps < options.max_steps)
@@ -206,15 +209,17 @@ def _dedup(points: np.ndarray, kept: np.ndarray, radius: float) -> np.ndarray:
 
 
 def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
-               options: SolverOptions) -> Found:
+               options: SolverOptions, starts: Sequence = ()) -> Found:
     """Multistart Newton solve of the log-gradient system of the (exponent,
     coefficient) pairs `terms`, each merged root admitted by
     ``roots.candidate``: W and its log-gradient from one pass over the
     terms at the root's log point.
 
-    Deterministic: the starts run in a fixed mixed order through a working
-    set whose width depends only on the root bound, refilled in that order
-    whenever it drains to a quarter of the width. After each pass, the
+    Deterministic: the starts run in a fixed order through a working set
+    whose width depends only on the root bound, refilled in that order
+    whenever it drains to a quarter of the width: the given log-coordinate
+    `starts` (``roots.solve`` passes a 2-D system's polyhedral starts)
+    first, then the grid in its mixed order. After each pass, the
     iterates that have just converged, followed by their images under the
     shifts of G, are collapsed in that order within the dedup radius (log
     coordinates, phase-wrapped) against the roots kept so far, each
@@ -222,9 +227,11 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
     where the verified roots reach the bound `expected`.
     Otherwise it stops when every start up to max_starts or the end of the
     grid has converged or been dropped. `attempted` counts the starts
-    admitted, `converged` those that converged before the stop; `best` is
-    the least residual over refused roots and the last iterate of every
-    start. Raises RootBoundExceeded when the verified roots outnumber the
+    admitted, `polyhedral` the given ones among them, `converged` those
+    that converged before the stop; `best` is the least residual over roots
+    refused by their residual and the last iterate of every dropped start,
+    and `refused` counts the roots refused because they leave the float
+    range. Raises RootBoundExceeded when the verified roots outnumber the
     bound. Without moduli, the seeds come from the coefficients.
     """
     shifts = 1j * np.array(shifts)  # (|G|, n), the zero shift first
@@ -235,7 +242,8 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
     moduli = moduli or _default_moduli(c, n)
     phases = options.phases_per_coord
     grid = math.prod(len(coord) * phases for coord in moduli)
-    budget = min(grid, options.max_starts)
+    given = np.array(starts, dtype=complex).reshape(-1, n)
+    budget = min(len(given) + grid, options.max_starts)
     # iterates leaving this band in Re w are dropped; it follows the seed
     # moduli, so roots far inside the Kahler cone stay reachable
     band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
@@ -246,14 +254,17 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
 
     def admit(count: int) -> np.ndarray:
         nonlocal attempted
-        w = _grid_starts(moduli, phases, attempted, min(count, budget - attempted))
-        attempted += len(w)
-        return w
+        count = min(count, budget - attempted)
+        head = given[attempted:attempted + count]
+        first = max(attempted - len(given), 0)
+        w = _grid_starts(moduli, phases, first, count - len(head))
+        attempted += count
+        return np.concatenate([head, w]) if len(head) else w
 
     kept = np.empty((0, n), dtype=complex)  # dedup representatives
     points = []
     best_failed = math.inf
-    converged = 0
+    converged = refused = 0
     for found, least in _newton(admit, A, AA, c, options, band, width):
         converged += len(found)
         # the converged iterates, then their images under each nonzero shift
@@ -265,8 +276,8 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
             # or a term leaves the float range is refused
             point = candidate(own, tuple(complex(x) for x in wi))
             if point is None:
-                continue
-            if point.residual <= options.tol:
+                refused += 1
+            elif point.residual <= options.tol:
                 points.append(point)
             else:
                 best_failed = min(best_failed, point.residual)
@@ -277,7 +288,8 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
                 f"root apart")
         if len(points) == expected:
             break
-    return Found(points, attempted, converged, grid, min(best_failed, least))
+    return Found(points, attempted, converged, grid, min(best_failed, least),
+                 min(attempted, len(given)), refused)
 
 
 def find_critical_points(poly, t, options: SolverOptions | None = None) -> CriticalReport:

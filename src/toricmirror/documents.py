@@ -450,6 +450,8 @@ def critical_report_to_document(report, t_values: Mapping) -> dict:
             "grid_size": report.grid_size,
             "truncated": report.truncated,
             "unlifted": report.unlifted,
+            "polyhedral": report.polyhedral,
+            "grid_fallbacks": report.grid_fallbacks,
         },
         "factors": [{"dimension": dim, "expected": bound, "solve": kind}
                     for dim, bound, kind in report.factors],

@@ -33,6 +33,17 @@ the chart. A base root with P(y) = 0 has no lift; it is counted in
 `unlifted` and leaves the report short. A W whose record is one Newton
 factor in its own chart does not factor, and the grid solves it whole.
 
+A 2-D Newton system (a 2-D Newton factor, or a 2-D W that does not
+factor) hands the grid `bound` starts to run ahead of its own: its
+polyhedral starts, one per fine mixed cell of the log-gradient equations'
+supports under a lifting by the coefficients, and per phase shift of that
+cell (Huber, Sturmfels, Math. Comp. 64 (1995); ``_polyhedral_starts``).
+The cells' volumes must sum to the bound; when they do not, the grid runs
+alone and the report counts it in `grid_fallbacks`. The points come in the
+order of their factor roots, each Newton system's roots sorted on keys
+rounded far above the rounding noise (``_order``), so that the same roots
+found from other starts come in the same order.
+
 Every point is admitted by the residual of the full W, evaluated once in
 the chart, where its terms are moderate (``candidate``). The record holds
 the chart image b = M a of each exponent a. At the chart log point
@@ -63,6 +74,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -93,7 +105,7 @@ class CriticalReport(NamedTuple):
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
     residuals: tuple  # |log-gradient| at each point
-    attempted: int  # starts run, over the Newton factors
+    attempted: int  # starts run, polyhedral and grid, over the Newton factors
     converged: int  # starts whose iterate converged, over the Newton factors
     deduped: int  # distinct verified roots
     expected: int  # root bound n! vol(Newton polytope), at least 1
@@ -102,19 +114,27 @@ class CriticalReport(NamedTuple):
     truncated: bool  # starts left unrun, and deduped < expected
     factors: tuple  # (dimension, root bound, "closed-form" or "newton") per factor
     unlifted: int  # base roots with P(y) = 0, which have no critical point above them
+    polyhedral: int  # starts run from mixed cells, among the attempted
+    grid_fallbacks: int  # 2-D Newton systems whose cells missed their bound: grid alone
     options: SolverOptions = SolverOptions()
 
 
 class Found(NamedTuple):
     """What a solve of one system found: the verified roots as candidates,
-    the multistart counts, and the least residual seen over refused
-    candidates and dropped starts (inf when none)."""
+    the multistart counts, the least residual seen over candidates refused
+    by it and over dropped starts (inf when none), and the candidates
+    refused because they left the float range. A factored solve adds its
+    unlifted base roots and its grid-only 2-D Newton systems."""
 
     points: list
     attempted: int
     converged: int
     grid_size: int
     best: float
+    polyhedral: int  # starts from mixed cells, among the attempted
+    refused: int
+    unlifted: int = 0
+    fallbacks: int = 0
 
 
 class Factor(NamedTuple):
@@ -184,23 +204,30 @@ def _bound_and_shifts(nonconstant: list) -> tuple:
     W has no isolated critical points whatever its coefficients.
 
     shifts are the log-coordinate phase shifts 2 pi theta, one per element
-    of G = L*/Z^n, the zero shift first. Exact: L's Hermite normal form B
-    is upper triangular, and theta runs over the solutions of
-    B theta = k mod Z^n, one per k_j in [0, B_jj), by back-substitution in
-    Fractions."""
+    of G = L*/Z^n, the zero shift first, exact from L's Hermite normal
+    form."""
     first, *rest = nonconstant
     n = len(first)
     H, _ = hermite_normal_form([[x - y for x, y in zip(a, first)] for a in rest])
     if len(H) < n or not all(H[j][j] for j in range(n)):
         raise SchemaError("potential has no isolated critical points: the Newton "
                           "polytope of its nonconstant terms is not full-dimensional")
+    return normalized_volume(nonconstant), _shifts(H)
+
+
+def _shifts(H) -> tuple:
+    """The phase shifts 2 pi theta, one per theta in L*/Z^n, of the
+    full-rank lattice L whose Hermite normal form is H (n columns, upper
+    triangular, positive diagonal), the zero shift first: theta runs over
+    the solutions of H theta = k mod Z^n, one per k_j in [0, H_jj), by
+    back-substitution in Fractions."""
     thetas = [()]  # the last coordinates of each theta, reduced into [0, 1)
-    for j in range(n - 1, -1, -1):
+    for j in range(len(H[0]) - 1, -1, -1):
         row = H[j][j + 1:]
         thetas = [((k - sum(b * x for b, x in zip(row, tail))) / Fraction(H[j][j]) % 1,) + tail
                   for tail in thetas for k in range(H[j][j])]
-    return normalized_volume(nonconstant), tuple(
-        tuple(2.0 * math.pi * x.numerator / x.denominator for x in theta) for theta in thetas)
+    return tuple(tuple(2.0 * math.pi * x.numerator / x.denominator for x in theta)
+                 for theta in thetas)
 
 
 @lru_cache(maxsize=64)
@@ -376,6 +403,100 @@ def _simplex_roots(factor: Factor, coefficients) -> list:
     return [tuple(x + 1j * s for x, s in zip(w, shift)) for shift in factor.shifts]
 
 
+class Cell(NamedTuple):
+    """A candidate mixed cell of a 2-D log-gradient system: terms p, q from
+    the first equation's support and r, s from the second's, the rows of
+    B^-1 for B = [a_p - a_q; a_r - a_s], the phase shifts of B's row
+    lattice, |det B| of them, and for each equation the other terms t of
+    its support with a_t - a_p (a_t - a_r for the second)."""
+
+    terms: tuple  # (p, q, r, s)
+    inverse: tuple
+    shifts: tuple
+    others: tuple  # per equation, ((t, dx, dy), ...)
+
+
+@lru_cache(maxsize=64)
+def _candidate_cells(exponents: tuple, bound: int) -> tuple:
+    """(supports, cells, epsilon) of the 2-D exponents, in term order: the
+    terms of each equation's support (a_tj != 0), every pair of edges whose
+    |det B| is at most the bound (a mixed cell's volume never exceeds the
+    mixed volume, so a larger one cannot be a cell, and its shifts are
+    never built), and the fixed generic perturbation of each lifted point,
+    pseudo-random values of about 1e-3 per (term, equation). The lifting
+    -log|a_tj c_t| already satisfies the integer relations of the
+    exponents, so a perturbation linear in (t, j) would tie."""
+    supports = tuple(tuple(t for t, a in enumerate(exponents) if a[j]) for j in range(2))
+
+    def others(support, edge):
+        base = exponents[edge[0]]
+        return tuple((t, exponents[t][0] - base[0], exponents[t][1] - base[1])
+                     for t in support if t not in edge)
+
+    cells = []
+    for p, q in itertools.combinations(supports[0], 2):
+        for r, s in itertools.combinations(supports[1], 2):
+            B = [[x - y for x, y in zip(exponents[p], exponents[q])],
+                 [x - y for x, y in zip(exponents[r], exponents[s])]]
+            det = B[0][0] * B[1][1] - B[0][1] * B[1][0]
+            if 0 < abs(det) <= bound:
+                inverse = ((B[1][1] / det, -B[0][1] / det), (-B[1][0] / det, B[0][0] / det))
+                cells.append(Cell((p, q, r, s), inverse, _shifts(hermite_normal_form(B)[0]),
+                                  (others(supports[0], (p, q)), others(supports[1], (r, s)))))
+    rng = random.Random(1995)
+    epsilon = tuple(tuple(rng.uniform(5e-4, 1.5e-3) for _ in range(2)) for _ in exponents)
+    return supports, tuple(cells), epsilon
+
+
+def _polyhedral_starts(pairs: Sequence, bound: int) -> Optional[list]:
+    """One start per root of the 2-D log-gradient system of the (exponent,
+    coefficient) pairs, from its fine mixed cells (Huber, Sturmfels, Math.
+    Comp. 64 (1995)); None when their volumes do not sum to the bound.
+
+    Term t of equation j, coefficient C_tj = a_tj c_t, is lifted to
+    omega_tj = -log|C_tj| + epsilon_tj. A candidate cell is mixed when the
+    alpha solving B alpha = (omega_q1 - omega_p1, omega_s2 - omega_r2) puts
+    every other lifted point of both supports strictly above it: at
+    Re w = -alpha its two terms dominate each equation. Its binomial system
+    C_p z^a_p + C_q z^a_q = 0, C_r z^a_r + C_s z^a_s = 0 gives the starts
+    w = B^-1 (log(-C_q/C_p), log(-C_s/C_r)) + 2 pi i theta, one per phase
+    shift theta of the cell."""
+    exponents = tuple(a for a, _ in pairs)
+    supports, cells, epsilon = _candidate_cells(exponents, bound)
+    C = [[a[j] * c for a, c in pairs] for j in range(2)]
+    omega = [[0.0] * len(pairs), [0.0] * len(pairs)]
+    for j, support in enumerate(supports):
+        for t in support:
+            if not C[j][t]:
+                return None
+            omega[j][t] = epsilon[t][j] - math.log(abs(C[j][t]))
+    starts = []
+    volume = 0
+    for cell in cells:
+        p, q, r, s = cell.terms
+        (i11, i12), (i21, i22) = cell.inverse
+        d1, d2 = omega[0][q] - omega[0][p], omega[1][s] - omega[1][r]
+        x, y = i11 * d1 + i12 * d2, i21 * d1 + i22 * d2  # alpha
+        if not (_above(omega[0], p, cell.others[0], x, y)
+                and _above(omega[1], r, cell.others[1], x, y)):
+            continue
+        volume += len(cell.shifts)
+        b1, b2 = cmath.log(-C[0][q] / C[0][p]), cmath.log(-C[1][s] / C[1][r])
+        w1, w2 = i11 * b1 + i12 * b2, i21 * b1 + i22 * b2
+        starts.extend((w1 + 1j * u, w2 + 1j * v) for u, v in cell.shifts)
+    return starts if volume == bound else None
+
+
+def _above(omega: list, base: int, others: tuple, x: float, y: float) -> bool:
+    """Whether every other lifted point of an equation lies strictly above
+    the plane through its cell edge of slope alpha = (x, y)."""
+    floor = omega[base]
+    for t, dx, dy in others:
+        if omega[t] + dx * x + dy * y <= floor:
+            return False
+    return True
+
+
 class Terms(NamedTuple):
     """W's float terms as ``candidate`` takes them: the exponents a by
     coordinate (columns[j] holds each term's a_j), their chart images
@@ -472,18 +593,33 @@ def _newton_step(terms: Terms, point: Candidate) -> Optional[tuple]:
     return tuple(x + s for x, s in zip(point.lift, step))
 
 
+def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, moduli,
+                   options: SolverOptions) -> Found:
+    """The grid's solve of one Newton system, its roots sorted by
+    ``_order``. A 2-D one runs its polyhedral starts ahead of the grid; when
+    its cells' volumes miss the bound it runs the grid alone, counted in
+    `fallbacks`."""
+    starts = _polyhedral_starts(pairs, bound) if len(pairs[0][0]) == 2 else ()
+    found = grid(pairs, bound, shifts, moduli, options, starts or ())
+    return found._replace(points=sorted(found.points, key=_order),
+                          fallbacks=int(starts is None))
+
+
 def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
-              grid: Callable) -> tuple:
-    """(Found, unlifted) for a W that factors: each factor's roots in log
+              grid: Callable) -> Found:
+    """What the solve of a W that factors found: each factor's roots in log
     coordinates, with its value there, every combination lifted over the
     fiber and admitted by the residual of W evaluated in the chart. A
     factor root, or a point, whose coordinates or terms leave the float
-    range is refused."""
+    range is refused. The points come in the order of their factor roots,
+    the first factor's slowest, then the two lifts: a closed-form factor's
+    roots in the order of its shifts, a Newton factor's in ``_order``, and
+    of +-u the one whose direction rounds lower first."""
     terms = compile_terms(pairs, structure.images, structure.chart)
     coefficient = terms.coefficients
     per_factor = []
-    attempted = converged = grid_size = 0
-    best = math.inf
+    runs = []  # the Found of each Newton factor
+    refused = 0
     for factor in structure.factors:
         # a factor is W's terms in its own block of the chart
         own = [(a, coefficient[i]) for i, a in factor.terms]
@@ -491,15 +627,13 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
             own_terms = compile_terms(own)
             roots = [candidate(own_terms, w) for w in _simplex_roots(factor, [c for _, c in own])]
             per_factor.append([r for r in roots if r is not None])
+            refused += len(roots) - len(per_factor[-1])
             continue
-        run = grid(own, factor.bound, factor.shifts,
-                   _factor_moduli(structure, factor, moduli), options)
-        attempted += run.attempted
-        converged += run.converged
-        grid_size += run.grid_size
-        best = min(best, run.best)
-        per_factor.append(run.points)
+        runs.append(_newton_system(grid, own, factor.bound, factor.shifts,
+                                   _factor_moduli(structure, factor, moduli), options))
+        per_factor.append(runs[-1].points)
     points = []
+    best = min([run.best for run in runs], default=math.inf)
     unlifted = 0
     for combo in itertools.product(*per_factor):
         lift = tuple(x for root in combo for x in root.lift)
@@ -511,29 +645,42 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
                 unlifted += 1
                 continue
             log_u = 0.5 * (cmath.log(coefficient[tail]) - cmath.log(p))  # u^2 = c/P(y)
-            lifts = [lift + (log_u,), lift + (log_u + 1j * math.pi,)]
+            pair = (log_u, log_u + 1j * math.pi)
+            # u before -u when u's direction rounds lower, as in _order, so
+            # that the sign of rounding noise in P(y) does not swap them
+            d = cmath.exp(1j * log_u.imag)
+            if (round(d.real * 1e6), round(d.imag * 1e6)) > (0, 0):
+                pair = pair[::-1]
+            lifts = [lift + (w,) for w in pair]
         for lift in lifts:
             point = _verified(terms, lift, options.tol)
             if point is None:
-                continue
-            if point.residual <= options.tol:
+                refused += 1
+            elif point.residual <= options.tol:
                 points.append(point)
             else:
                 best = min(best, point.residual)
-    return Found(points, attempted, converged, grid_size, best), unlifted
+    return Found(points, sum(run.attempted for run in runs), sum(run.converged for run in runs),
+                 sum(run.grid_size for run in runs), best,
+                 sum(run.polyhedral for run in runs), refused + sum(run.refused for run in runs),
+                 unlifted, sum(run.fallbacks for run in runs))
 
 
 def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions],
           grid: Callable) -> CriticalReport:
     """The critical points of W at q = exp(-t), factor by factor, with the
     grid (``critical.grid_roots``, or a callable that imports it) on the
-    factors that need Newton, and on W whole when it does not factor.
+    factors that need Newton, and on W whole when it does not factor; a
+    2-D Newton system hands the grid its polyhedral starts.
 
-    The points are sorted canonically. Raises NoConvergence when no point
-    is verified; its message gives the best residual seen. Raises
-    SchemaError, before any solve, when the bound is 0 or W has no
-    nonconstant term, and whatever the grid raises (RootBoundExceeded when
-    a grid verifies more roots than its bound)."""
+    The points come in the order of their factor roots (``_factored``),
+    and from a W that does not factor in ``_order``. Raises NoConvergence
+    when no point
+    is verified; its message gives the best residual seen, and the roots
+    refused for leaving the float range. Raises SchemaError, before any
+    solve, when the bound is 0 or W has no nonconstant term, and whatever
+    the grid raises (RootBoundExceeded when a grid verifies more roots than
+    its bound)."""
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
     n = poly.zvars
@@ -542,29 +689,44 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions
     if moduli and len(moduli) != n:
         raise ValueError("need one modulus list per z-coordinate")
     if structure.chart is None:
-        found = grid(pairs, structure.bound, structure.shifts, moduli, options)
-        factors, unlifted = ((n, structure.bound, "newton"),), 0
+        found = _newton_system(grid, pairs, structure.bound, structure.shifts, moduli, options)
+        factors = ((n, structure.bound, "newton"),)
     else:
-        found, unlifted = _factored(structure, pairs, moduli, options, grid)
+        found = _factored(structure, pairs, moduli, options, grid)
         factors = tuple((f.dim, f.bound, "newton" if f.simplex is None else "closed-form")
                         for f in structure.factors)
-    return _report(found, structure, factors, unlifted, options)
+    return _report(found, structure, factors, options)
 
 
-def _report(found: Found, structure: Structure, factors: tuple, unlifted: int,
+def _order(point: Candidate) -> list:
+    """The sort key of a Newton system's root: for each coordinate z,
+    log|z| and the direction z/|z| in units of 1e-6, rounded, far above
+    the rounding noise of a solve, so that the order does not follow that
+    noise; the sort is stable, so roots that tie keep the grid's order."""
+    key = []
+    for v in point.z:
+        r = abs(v)
+        key += (round(math.log(r) * 1e6), round(v.real / r * 1e6), round(v.imag / r * 1e6))
+    return key
+
+
+def _report(found: Found, structure: Structure, factors: tuple,
             options: SolverOptions) -> CriticalReport:
-    """The report of the verified candidates found for W, with the values
-    and residuals their admission computed."""
-    points = sorted(found.points, key=lambda point: tuple((v.real, v.imag) for v in point.z))
+    """The report of the verified candidates found for W, in their order,
+    with the values and residuals their admission computed."""
+    points = found.points
     if not points:
         detail = (f"; best residual reached {found.best:.3e}"
                   if math.isfinite(found.best) else "")
         if found.grid_size:
+            # more starts cannot bring a root back into the float range
+            advice = (f"; {found.refused} roots lie beyond the float range" if found.refused
+                      else "; try more phases or different moduli")
             raise NoConvergence(f"no critical point found from {found.attempted} "
-                                f"starts{detail}; try more phases or different moduli")
+                                f"starts{detail}{advice}")
         # the solver options cannot move a closed-form point
         if not detail:
-            detail = (f"; {unlifted} base roots have no lift" if unlifted
+            detail = (f"; {found.unlifted} base roots have no lift" if found.unlifted
                       else "; they lie beyond the float range")
         raise NoConvergence(f"no critical point found: no closed-form point passed the "
                             f"tolerance {options.tol:g}{detail}")
@@ -578,8 +740,13 @@ def _report(found: Found, structure: Structure, factors: tuple, unlifted: int,
         expected=structure.bound,
         orbit_size=len(structure.shifts),
         grid_size=found.grid_size,
-        truncated=found.attempted < found.grid_size and len(points) < structure.bound,
+        # starts come ahead of the grid, so one is left unrun exactly when
+        # the grid is cut
+        truncated=(found.attempted - found.polyhedral < found.grid_size
+                   and len(points) < structure.bound),
         factors=factors,
-        unlifted=unlifted,
+        unlifted=found.unlifted,
+        polyhedral=found.polyhedral,
+        grid_fallbacks=found.fallbacks,
         options=options,
     )

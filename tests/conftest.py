@@ -809,6 +809,53 @@ def reference_evaluate(poly, z, t) -> complex:
     return total
 
 
+def jacobian_charpoly(pairs) -> list:
+    """The characteristic polynomial of multiplication by W on its Jacobian
+    ring C[z^+-1]/(z_j dW/dz_j), coefficients highest degree first, exact.
+    pairs are W's (exponent, float coefficient) terms, each float taken
+    exactly as a rational, so the ring is the solver's own W. Its roots are
+    W's critical values, with multiplicity (Stickelberger; Cox, Little,
+    O'Shea, "Using Algebraic Geometry", ch. 2 and 4), and its degree the
+    dimension of the ring. The Laurent ring is Q[z, y]/(y z_1...z_n - 1):
+    a grevlex Groebner basis of the log-gradient ideal, each equation
+    cleared of negative powers, with that relation; the matrix of W on the
+    standard monomials; its characteristic polynomial."""
+    import sympy
+
+    n = len(pairs[0][0])
+    z = sympy.symbols(f"z1:{n + 1}")
+    y = sympy.Symbol("y")
+    gens = (*z, y)
+    terms = [(a, sympy.Rational(*Fraction(c).as_integer_ratio())) for a, c in pairs]
+    low = [min(a[j] for a, _ in terms) for j in range(n)]
+
+    def monomial(e):
+        # z^e with each z_j^-1 written y * prod of the other z_i
+        k = max(0, -min(e))
+        return sympy.Mul(*(zj ** (x + k) for zj, x in zip(z, e))) * y ** k
+
+    equations = [sum(a[j] * c * monomial([x - m for x, m in zip(a, low)])
+                     for a, c in terms if a[j]) for j in range(n)]
+    G = sympy.groebner(equations + [y * sympy.Mul(*z) - 1], *gens, order="grevlex",
+                       domain="QQ")
+    leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in G.exprs]
+    standard, frontier = set(), [(0,) * (n + 1)]
+    while frontier:
+        m = frontier.pop()
+        if m in standard or any(all(x >= d for x, d in zip(m, lead)) for lead in leads):
+            continue
+        standard.add(m)
+        frontier += [tuple(x + (i == j) for j, x in enumerate(m)) for i in range(n + 1)]
+    index = {m: i for i, m in enumerate(sorted(standard))}
+    W = sum(c * monomial(a) for a, c in terms)
+    M = sympy.zeros(len(index))
+    for m, col in index.items():
+        _, rest = G.reduce(sympy.expand(W * sympy.Mul(*(g ** e for g, e in zip(gens, m)))))
+        for mon, coeff in sympy.Poly(rest, *gens).terms():
+            M[index[mon], col] = coeff
+    return [Fraction(int(x.p), int(x.q)) for x in M.charpoly(sympy.Symbol("s")).all_coeffs()]
+
+
 def fd_log_gradient(poly, z, t, h=1e-5):
     """Central finite differences of W in log coordinates: approximates
     (z_1 dW/dz_1, ..., z_n dW/dz_n) without touching the derivative code."""
@@ -994,18 +1041,20 @@ NO_ISOLATED_ROOTS = {
 }
 
 
-def grid_report(poly, t, options=None):
-    """The multistart grid's report on W whole, whether W factors or not:
-    what roots.solve runs on a W that does not factor."""
+def grid_report(poly, t, options=None, starts=()):
+    """The multistart grid's report on W whole, whether W factors or not,
+    from the given starts ahead of the grid: what roots.solve runs on a W
+    that does not factor, with its polyhedral starts when W is 2-D."""
     from toricmirror.critical import grid_roots
     from toricmirror.laurent import numeric_terms
-    from toricmirror.roots import SolverOptions, _exponent_structure, _report
+    from toricmirror.roots import SolverOptions, _exponent_structure, _order, _report
 
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
     found = grid_roots(numeric_terms(poly, t), structure.bound, structure.shifts,
-                       options.moduli_per_coord, options)
-    return _report(found, structure, ((poly.zvars, structure.bound, "newton"),), 0, options)
+                       options.moduli_per_coord, options, starts)
+    found = found._replace(points=sorted(found.points, key=_order))
+    return _report(found, structure, ((poly.zvars, structure.bound, "newton"),), options)
 
 
 def _lockstep_setup(poly, t, options):

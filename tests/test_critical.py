@@ -544,7 +544,7 @@ class TestRootBound:
         assert doc["multistart"] == {
             "attempted": report.attempted, "converged": report.converged,
             "deduped": 4, "expected": 4, "orbit_size": 2, "grid_size": report.grid_size,
-            "truncated": False, "unlifted": 0,
+            "truncated": False, "unlifted": 0, "polyhedral": 0, "grid_fallbacks": 0,
         }
         opts = dict(doc["options"])
         opts["moduli_per_coord"] = tuple(tuple(m) for m in opts["moduli_per_coord"])

@@ -697,14 +697,16 @@ class TestCritCommand:
         assert all(r < 1e-9 for r in doc["residuals"])
 
     def test_f1_runs_one_width_of_starts(self, tmp_path, capsys):
-        # the first 64 starts reach the bound before the working set drains
-        # far enough to admit more
+        # the first 64 starts, the 4 polyhedral ones ahead of the grid,
+        # reach the bound before the working set drains far enough to admit
+        # more
         pot = self.make_potential(tmp_path, F1_DOC)
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=0.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         multistart = doc["multistart"]
-        assert (multistart["attempted"], multistart["converged"]) == (64, 5)
+        assert (multistart["attempted"], multistart["converged"]) == (64, 8)
+        assert (multistart["polyhedral"], multistart["grid_fallbacks"]) == (4, 0)
         assert multistart["deduped"] == multistart["expected"] == 4
         assert multistart["orbit_size"] == 1
         assert doc["factors"] == [{"dimension": 2, "expected": 4, "solve": "newton"}]
@@ -719,7 +721,8 @@ class TestCritCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["multistart"] == {"attempted": 0, "converged": 0, "deduped": 4,
                                      "expected": 4, "grid_size": 0, "orbit_size": 2,
-                                     "truncated": False, "unlifted": 0}
+                                     "truncated": False, "unlifted": 0, "polyhedral": 0,
+                                     "grid_fallbacks": 0}
         assert doc["factors"] == [{"dimension": 1, "expected": 2, "solve": "closed-form"}]
 
     def test_sample_f2_far_roots(self, tmp_path, capsys):
@@ -773,16 +776,19 @@ class TestCritCommand:
         assert main(["crit", pot, "--t", f"t1={t1 // 2}", "--t", f"t2={t2 // 2}"]) == 0
 
     def test_more_roots_than_the_bound_exit_7(self, tmp_path, capsys):
-        # at radius 0 copies of one root a few ulps apart are all kept
+        # at radius 0 copies of one root a few ulps apart are all kept, when
+        # they converge before the pass that reaches the bound; at t = (5, 2)
+        # the four polyhedral starts reach the four roots first
         pot = self.make_potential(tmp_path, F1_DOC)
         capsys.readouterr()
-        assert main(["crit", pot, "--t", "t1=5", "--t", "t2=2", "--dedup-radius", "0"]) == 7
+        assert main(["crit", pot, "--t", "t1=2", "--t", "t2=1", "--dedup-radius", "0"]) == 7
         out, err = capsys.readouterr()
         assert out == ""
         assert re.fullmatch(r"error: \d+ distinct verified critical points exceed the root "
                             r"bound 4: the dedup radius 0.0 keeps copies of one root apart\n",
                             err), err
-        assert main(["crit", pot, "--t", "t1=5", "--t", "t2=2"]) == 0
+        assert main(["crit", pot, "--t", "t1=2", "--t", "t2=1"]) == 0
+        assert main(["crit", pot, "--t", "t1=5", "--t", "t2=2", "--dedup-radius", "0"]) == 0
 
     def test_missing_t_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, P1_DOC)

@@ -27,7 +27,8 @@ def f2_table(entries):
 def report(**changes):
     fields = dict(points=((1 + 2j,),), values=(3j,), residuals=(0.0,), attempted=4,
                   converged=2, deduped=1, expected=1, orbit_size=1, grid_size=8,
-                  truncated=False, factors=((1, 1, "newton"),), unlifted=0)
+                  truncated=False, factors=((1, 1, "newton"),), unlifted=0, polyhedral=0,
+                  grid_fallbacks=0)
     return CriticalReport(**{**fields, **changes})
 
 

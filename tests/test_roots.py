@@ -4,6 +4,7 @@ their formulas, and every root set against the multistart grid on W whole."""
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -39,7 +40,13 @@ from toricmirror.lattice import unit_grading
 from toricmirror.laurent import numeric_terms
 from toricmirror.laurent import evaluate, gradient
 from toricmirror.potential import corrected_potential, hori_vafa
-from toricmirror.roots import _exponent_structure, _factor_moduli, candidate, compile_terms
+from toricmirror.roots import (
+    _exponent_structure,
+    _factor_moduli,
+    _polyhedral_starts,
+    candidate,
+    compile_terms,
+)
 
 LINE = projective_line()
 # the crit-sweep classes: P(K_Y+O) over these bases (F2 is the P1 one)
@@ -363,9 +370,14 @@ class TestAgainstGrid:
 
         with pytest.raises(NoConvergence, match="beyond the float range"):
             find_critical_points(W, [t], seeded(t))
-        with pytest.raises(NoConvergence, match="from 64 starts"):
+        # the grid names the refusal, and quotes only the residuals of the
+        # starts it dropped, never those of the roots it refused
+        with pytest.raises(NoConvergence) as caught:
             grid_report(W, [t], seeded(t))
-        assert refused
+        found = re.fullmatch(r"no critical point found from 64 starts; best residual reached "
+                             r"(\S+); (\d+) roots lie beyond the float range", str(caught.value))
+        assert found, str(caught.value)
+        assert float(found.group(1)) > 1e-12 and int(found.group(2)) == len(refused) > 0
         refused.clear()
         assert find_critical_points(W, [t / 12], seeded(t / 12)).deduped == 4
         assert grid_report(W, [t / 12], seeded(t / 12)).deduped > 0
@@ -394,11 +406,19 @@ class TestAgainstGrid:
 
     @pytest.mark.parametrize("name", ["F1", "dP6"])
     def test_whole_grid_when_w_does_not_factor(self, name):
+        # the grid on W whole, with W's polyhedral starts ahead of it: the
+        # root set of the grid alone
         fan = SWEEP_BASES[name]
         k = dual_kahler(fan)
         W = hori_vafa(fan, k)
         params = cone_point(k, 5)
-        assert solve(k, W, params) == grid_solve(k, W, params)
+        report, t = solve(k, W, params)
+        starts = _polyhedral_starts(numeric_terms(W, t), report.expected)
+        assert report.polyhedral == len(starts) == report.expected
+        assert report == grid_report(W, t, report.options, starts)
+        whole, _ = grid_solve(k, W, params)
+        assert whole.polyhedral == 0 and report.deduped == whole.deduped == report.expected
+        assert_point_sets_match_relative(report.points, whole.points)
 
     def test_newton_factor_replays(self):
         # the seeds of the dP6 factor come from the document's own options
@@ -430,11 +450,13 @@ class TestAgainstGrid:
 
     def test_newton_factor_exceeds_its_bound(self):
         # at radius 0 the dP6 grid keeps copies of one root, which its own
-        # bound refuses
+        # bound refuses; at seed 3 the six polyhedral starts reach the six
+        # roots in the pass that reaches the bound, before any copy
         k, W, _ = bundle_setup(SWEEP_BASES["P1xdP6"])
         with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
                            r"points exceed the root bound 6: the dedup radius 0.0 "):
-            solve(k, W, cone_point(k, 3), dedup_radius=0.0)
+            solve(k, W, cone_point(k, 5), dedup_radius=0.0)
+        assert solve(k, W, cone_point(k, 3), dedup_radius=0.0)[0].deduped == 24
 
     def test_grid_report_is_the_whole_grid(self):
         # the test helper runs the grid on W whole: the same roots as the
