@@ -438,10 +438,8 @@ def _candidate_cells(exponents: tuple, bound: int) -> tuple:
         for r, s in itertools.combinations(supports[1], 2):
             B = [[x - y for x, y in zip(exponents[p], exponents[q])],
                  [x - y for x, y in zip(exponents[r], exponents[s])]]
-            det = B[0][0] * B[1][1] - B[0][1] * B[1][0]
-            if 0 < abs(det) <= bound:
-                inverse = ((B[1][1] / det, -B[0][1] / det), (-B[1][0] / det, B[0][0] / det))
-                cells.append(Cell((p, q, r, s), inverse, _shifts(hermite_normal_form(B)[0]),
+            if 0 < abs(B[0][0] * B[1][1] - B[0][1] * B[1][0]) <= bound:
+                cells.append(Cell((p, q, r, s), _inverse(B), _shifts(hermite_normal_form(B)[0]),
                                   (others(supports[0], (p, q)), others(supports[1], (r, s)))))
     rng = random.Random(1995)
     epsilon = tuple(tuple(rng.uniform(5e-4, 1.5e-3) for _ in range(2)) for _ in exponents)
