@@ -134,7 +134,7 @@ class Found(NamedTuple):
     polyhedral: int  # starts from mixed cells, among the attempted
     refused: int
     unlifted: int = 0
-    fallbacks: int = 0
+    grid_fallbacks: int = 0
 
 
 class Factor(NamedTuple):
@@ -596,11 +596,11 @@ def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, modul
     """The grid's solve of one Newton system, its roots sorted by
     ``_order``. A 2-D one runs its polyhedral starts ahead of the grid; when
     its cells' volumes miss the bound it runs the grid alone, counted in
-    `fallbacks`."""
+    `grid_fallbacks`."""
     starts = _polyhedral_starts(pairs, bound) if len(pairs[0][0]) == 2 else ()
     found = grid(pairs, bound, shifts, moduli, options, starts or ())
     return found._replace(points=sorted(found.points, key=_order),
-                          fallbacks=int(starts is None))
+                          grid_fallbacks=int(starts is None))
 
 
 def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
@@ -661,7 +661,7 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
     return Found(points, sum(run.attempted for run in runs), sum(run.converged for run in runs),
                  sum(run.grid_size for run in runs), best,
                  sum(run.polyhedral for run in runs), refused + sum(run.refused for run in runs),
-                 unlifted, sum(run.fallbacks for run in runs))
+                 unlifted, sum(run.grid_fallbacks for run in runs))
 
 
 def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions],
@@ -745,6 +745,6 @@ def _report(found: Found, structure: Structure, factors: tuple,
         factors=factors,
         unlifted=found.unlifted,
         polyhedral=found.polyhedral,
-        grid_fallbacks=found.fallbacks,
+        grid_fallbacks=found.grid_fallbacks,
         options=options,
     )
