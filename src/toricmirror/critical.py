@@ -3,7 +3,10 @@ does not solve in closed form.
 
 ``roots.solve`` hands it W, when W does not factor, or one Newton factor of
 W at a time, as float (exponent, coefficient) pairs with the root bound and
-the group G of that system, and the seed moduli. Each root is admitted by
+the group G of that system, and the seed moduli. On a 2-D system it is the
+fallback: ``roots`` runs Newton from the polyhedral starts alone first,
+and calls the grid only when they do not solve the system, or when the
+system's mixed cells miss its bound. Each root is admitted by
 ``roots.candidate``, the evaluator the factored solve admits its points
 by. This module imports roots, so roots cannot import it:
 ``find_critical_points`` is ``roots.solve`` with this grid, and ``crit``
@@ -20,12 +23,12 @@ the magnitudes in play; callers with a moment polytope should pass
 vertex-scale moduli) with equally spaced phases. The starts run in a fixed
 stride permutation of the whole grid, so that every coordinate's seeds come
 early, after any starts the caller hands in (``roots.solve`` hands a 2-D
-system its polyhedral starts); max_starts caps them all. Newton steps a
-working set of max(64, 16 * expected) starts in lockstep, each start on its
-own step count; a start leaves the set when it converges, reaches
-max_steps, shows a non-finite residual or leaves the band, and when the set
-has drained to a quarter of its width the next starts in order top it up,
-never past max_starts. After each pass the starts that have just converged,
+system its polyhedral starts, which it has already run alone); max_starts
+caps them all. Newton steps a working set of max(64, 16 * expected) starts
+in lockstep, each start on its own step count; a start leaves the set when
+it converges, reaches max_steps, shows a non-finite residual or leaves the
+band, and when the set has drained to a quarter of its width the next
+starts in order top it up, never past max_starts. After each pass the starts that have just converged,
 followed by their images under G, are merged into the kept roots and
 verified by the exact residual, and the run stops at the pass where the
 verified roots reach the bound, or when the set is empty and no start is
@@ -42,24 +45,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RootBoundExceeded, SchemaError
+from .errors import SchemaError
 # CriticalReport and moduli_from_polytope are served from here too, beside
 # find_critical_points
-from .roots import (CriticalReport, Found, SolverOptions, candidate, compile_terms,
-                    moduli_from_polytope, solve)
+from .roots import (GRID_PAST_FLOAT, STEP_TOL, CriticalReport, Found, SolverOptions,
+                    admit_points, check_bound, compile_terms, default_moduli,
+                    moduli_from_polytope, newton_band, solve, start_grid_size)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
-
-
-def _default_moduli(c: np.ndarray, n: int) -> tuple:
-    """Fallback per-coordinate moduli when no polytope scales are supplied:
-    geometric ladder around the coefficient balance point."""
-    mags = np.abs(c)
-    mags = mags[mags > 0]
-    spread = float(np.max(mags) / np.min(mags)) if mags.size else 1.0
-    base = max(spread, math.e) ** (1.0 / max(n + 1, 2))
-    ladder = (1.0 / base, 1.0, base)
-    return tuple(ladder for _ in range(n))
 
 
 def _stride(grid: int) -> int:
@@ -69,8 +62,7 @@ def _stride(grid: int) -> int:
     try:
         stride = max(1, round(_GOLDEN * grid))
     except OverflowError as exc:
-        raise SchemaError("the start grid has more points than a float can hold; "
-                          "lower the phases per coordinate") from exc
+        raise SchemaError(GRID_PAST_FLOAT) from exc
     while math.gcd(stride, grid) != 1:
         stride += 1
     return stride
@@ -131,10 +123,6 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
     steps = np.zeros(len(w), dtype=int)
     last_step = np.full(len(w), np.inf)
     least = math.inf
-    # a true Newton root shows both a tiny residual and a vanishing step;
-    # gradient valleys toward the torus boundary keep O(1) steps and must
-    # not count as converged
-    step_tol = 1e-5
     while len(w):
         # numpy's error state is set per pass, never across a yield, so the
         # caller runs under its own
@@ -143,7 +131,7 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
             g = M @ A  # (s, n) log-gradient
             res = np.linalg.norm(g, axis=1)
             finite = np.isfinite(res)
-            done = finite & (res <= options.tol) & (last_step <= step_tol)
+            done = finite & (res <= options.tol) & (last_step <= STEP_TOL)
         if done.any():
             yield w[done], least
         # a start at its max_steps only tests its last update
@@ -239,14 +227,12 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
     A = np.array([a for a, _ in terms], dtype=float)
     c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
-    moduli = moduli or _default_moduli(c, n)
+    moduli = moduli or default_moduli(c, n)
     phases = options.phases_per_coord
-    grid = math.prod(len(coord) * phases for coord in moduli)
+    grid = start_grid_size(moduli, phases)
     given = np.array(starts, dtype=complex).reshape(-1, n)
     budget = min(len(given) + grid, options.max_starts)
-    # iterates leaving this band in Re w are dropped; it follows the seed
-    # moduli, so roots far inside the Kahler cone stay reachable
-    band = 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
+    band = newton_band(moduli)  # iterates leaving it in Re w are dropped
     width = max(64, 16 * expected)
     own = compile_terms(terms)  # evaluated in the system's own coordinates
 
@@ -271,21 +257,12 @@ def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
         orbits = (shifts[:, None, :] + found[None, :, :]).reshape(-1, n)
         fresh = _dedup(orbits, kept, options.dedup_radius)
         kept = np.concatenate([kept, fresh])
-        for wi in fresh:
-            # the residual is the authority for the report; a root where z
-            # or a term leaves the float range is refused
-            point = candidate(own, tuple(complex(x) for x in wi))
-            if point is None:
-                refused += 1
-            elif point.residual <= options.tol:
-                points.append(point)
-            else:
-                best_failed = min(best_failed, point.residual)
-        if len(points) > expected:
-            raise RootBoundExceeded(
-                f"{len(points)} distinct verified critical points exceed the root bound "
-                f"{expected}: the dedup radius {options.dedup_radius} keeps copies of one "
-                f"root apart")
+        verified, count, failed = admit_points(
+            own, [tuple(map(complex, wi)) for wi in fresh], options.tol)
+        points += verified
+        refused += count
+        best_failed = min(best_failed, failed)
+        check_bound(len(points), expected, options.dedup_radius)
         if len(points) == expected:
             break
     return Found(points, attempted, converged, grid, min(best_failed, least),

@@ -36,6 +36,7 @@ CRITICAL_FORMAT = "toricmirror-critical/1"
 
 _encode_str = json.encoder.encode_basestring  # ensure_ascii=False's string encoder
 _INFINITY = float("inf")
+_NON_FINITE = {"nan", "inf", "-inf"}  # float.__repr__ texts json writes otherwise
 
 
 def canonical_json(obj) -> str:
@@ -43,9 +44,9 @@ def canonical_json(obj) -> str:
     ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, which
-    writes every element of an integer list through a generator; this
-    writer joins such a list in one step. A value json cannot write is a
-    TypeError."""
+    writes every element of a list through a generator; this writer joins
+    a list of exact ints, or of exact finite floats, in one step. A value
+    json cannot write is a TypeError."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -96,9 +97,15 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if {int}.issuperset(map(type, value)):  # every item's type is exactly int
+        kinds = set(map(type, value))
+        items = None
+        if kinds == {int}:
             items = map(int.__repr__, value)
-        else:
+        elif kinds == {float}:
+            items = list(map(float.__repr__, value))
+            if not _NON_FINITE.isdisjoint(items):
+                items = None
+        if items is None:
             items = [_encode(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):

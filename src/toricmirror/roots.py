@@ -27,19 +27,26 @@ fiber grading is its own base. A factor with r + 1 exponents in r
 coordinates is a simplex: its log-gradient system is binomial (Sturmfels,
 CBMS 97, ch. 3), solved in closed form by one linear solve with its integer
 exponent matrix in log coordinates and the orbit of that root under the
-factor's G. Any other factor is a Newton factor, solved by the multistart
-grid (``critical.grid_roots``) from seeds the option moduli give through
-the chart. A base root with P(y) = 0 has no lift; it is counted in
+factor's G. Any other factor is a Newton factor, solved by Newton: a 2-D
+one from its polyhedral starts (below), any other by the multistart grid
+(``critical.grid_roots``) from seeds the option moduli give through the
+chart. A base root with P(y) = 0 has no lift; it is counted in
 `unlifted` and leaves the report short. A W whose record is one Newton
-factor in its own chart does not factor, and the grid solves it whole.
+factor in its own chart does not factor, and is solved whole.
 
 A 2-D Newton system (a 2-D Newton factor, or a 2-D W that does not
-factor) hands the grid `bound` starts to run ahead of its own: its
-polyhedral starts, one per fine mixed cell of the log-gradient equations'
-supports under a lifting by the coefficients, and per phase shift of that
-cell (Huber, Sturmfels, Math. Comp. 64 (1995); ``_polyhedral_starts``).
-The cells' volumes must sum to the bound; when they do not, the grid runs
-alone and the report counts it in `grid_fallbacks`. The points come in the
+factor) has `bound` polyhedral starts, one per fine mixed cell of the
+log-gradient equations' supports under a lifting by the coefficients, and
+per phase shift of that cell (Huber, Sturmfels, Math. Comp. 64 (1995);
+``_polyhedral_starts``). Newton runs from them alone, in pure Python
+(``_newton_2d``, one pass over the terms per step and the 2x2 system in
+closed form), and when their verified roots reach the bound with no two
+starts on one root, the system is solved without the grid. Otherwise the
+grid runs with the starts ahead of its own, on what is left of the
+max_starts budget, and the report counts the system in `grid_fallbacks`;
+so it does when the cells' volumes miss the bound, and the grid runs
+alone. The grid's size is checked against the float range before either
+run. The points come in the
 order of their factor roots, each Newton system's roots sorted on keys
 rounded far above the rounding noise (``_order``), so that the same roots
 found from other starts come in the same order.
@@ -65,7 +72,8 @@ positive, G is finite, of an order dividing the bound; on P(K_Y + O) it
 holds z_n -> -z_n. `orbit_size` is the order of W's G.
 
 This module imports no numpy. The grid, which needs it, is passed in by
-the caller and called only when some factor, or W whole, needs Newton:
+the caller and called only when a Newton system needs it: one of
+dimension other than 2, or a 2-D one its polyhedral starts do not solve.
 ``critical`` imports this module, so this module cannot import it.
 """
 
@@ -80,17 +88,20 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import NoConvergence, SchemaError
+from .errors import NoConvergence, RootBoundExceeded, SchemaError
 from .kahler import KahlerData
 from .lattice import hermite_normal_form, kernel_basis, normalized_volume, unit_grading
 from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms
+
+
+_DEDUP_RADIUS = 1e-8  # the default dedup radius, in log coordinates
 
 
 class SolverOptions(NamedTuple):
     phases_per_coord: int = 8
     max_steps: int = 100
     tol: float = 1e-12
-    dedup_radius: float = 1e-8
+    dedup_radius: float = _DEDUP_RADIUS
     max_starts: int = 4096
     moduli_per_coord: Optional[tuple] = None
 
@@ -105,8 +116,8 @@ class CriticalReport(NamedTuple):
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
     residuals: tuple  # |log-gradient| at each point
-    attempted: int  # starts run, polyhedral and grid, over the Newton factors
-    converged: int  # starts whose iterate converged, over the Newton factors
+    attempted: int  # starts run, from polyhedral starts alone and in the grid
+    converged: int  # starts of either run whose iterate converged
     deduped: int  # distinct verified roots
     expected: int  # root bound n! vol(Newton polytope), at least 1
     orbit_size: int  # order of the root-of-unity symmetry group the roots are closed under
@@ -115,7 +126,7 @@ class CriticalReport(NamedTuple):
     factors: tuple  # (dimension, root bound, "closed-form" or "newton") per factor
     unlifted: int  # base roots with P(y) = 0, which have no critical point above them
     polyhedral: int  # starts run from mixed cells, among the attempted
-    grid_fallbacks: int  # 2-D Newton systems whose cells missed their bound: grid alone
+    grid_fallbacks: int  # 2-D Newton systems the grid ran on: starts short, or cells missed
     options: SolverOptions = SolverOptions()
 
 
@@ -124,7 +135,7 @@ class Found(NamedTuple):
     the multistart counts, the least residual seen over candidates refused
     by it and over dropped starts (inf when none), and the candidates
     refused because they left the float range. A factored solve adds its
-    unlifted base roots and its grid-only 2-D Newton systems."""
+    unlifted base roots; a 2-D Newton system, whether the grid ran on it."""
 
     points: list
     attempted: int
@@ -550,6 +561,33 @@ def candidate(terms: Terms, lift: tuple) -> Optional[Candidate]:
     return Candidate(lift, z, value, g, residual, m)
 
 
+def admit_points(terms: Terms, lifts, tol: float) -> tuple:
+    """(points, refused, best) over the merged Newton roots at the log
+    points lifts, in order: the candidates whose residual, the authority
+    for the report, is at most tol; the number refused because z or a term
+    leaves the float range; the least residual of the others (inf when
+    none)."""
+    points, refused, best = [], 0, math.inf
+    for lift in lifts:
+        point = candidate(terms, lift)
+        if point is None:
+            refused += 1
+        elif point.residual <= tol:
+            points.append(point)
+        else:
+            best = min(best, point.residual)
+    return points, refused, best
+
+
+def check_bound(count: int, bound: int, radius: float) -> None:
+    """RootBoundExceeded when a Newton system verified more distinct roots
+    than its bound: the dedup radius kept copies of one root apart."""
+    if count > bound:
+        raise RootBoundExceeded(
+            f"{count} distinct verified critical points exceed the root bound {bound}: "
+            f"the dedup radius {radius} keeps copies of one root apart")
+
+
 def _verified(terms: Terms, lift: tuple, tol: float) -> Optional[Candidate]:
     """The candidate at the chart log point lift. One above tol is polished
     by Newton on W in the chart, twice at most, while its residual falls: a
@@ -591,16 +629,185 @@ def _newton_step(terms: Terms, point: Candidate) -> Optional[tuple]:
     return tuple(x + s for x, s in zip(point.lift, step))
 
 
+def default_moduli(coefficients, n: int) -> tuple:
+    """The seed moduli when no polytope scales are supplied: for every
+    coordinate the geometric ladder (1/b, 1, b) around the coefficient
+    balance point, b the (n + 1)-th root of the spread of the nonzero
+    |c|, at least e."""
+    mags = [abs(v) for v in coefficients if v]
+    spread = float(max(mags) / min(mags)) if mags else 1.0
+    base = max(spread, math.e) ** (1.0 / max(n + 1, 2))
+    ladder = (1.0 / base, 1.0, base)
+    return tuple(ladder for _ in range(n))
+
+
+GRID_PAST_FLOAT = ("the start grid has more points than a float can hold; "
+                   "lower the phases per coordinate")
+
+
+def start_grid_size(moduli, phases: int) -> int:
+    """The number of starts in the full grid over the seed moduli, phases
+    per modulus. The grid's start order needs its float share, so a count a
+    float cannot hold is SchemaError."""
+    grid = math.prod(len(coord) * phases for coord in moduli)
+    try:
+        float(grid)
+    except OverflowError as exc:
+        raise SchemaError(GRID_PAST_FLOAT) from exc
+    return grid
+
+
+def newton_band(moduli) -> float:
+    """The bound on |Re w| past which a Newton iterate is dropped; it
+    follows the seed moduli, so roots far inside the Kahler cone stay
+    reachable."""
+    return 60.0 + max((abs(math.log(r)) for coord in moduli for r in coord), default=0.0)
+
+
+# a true Newton root shows both a tiny residual and a vanishing step;
+# gradient valleys toward the torus boundary keep O(1) steps and must not
+# count as converged
+STEP_TOL = 1e-5
+# the max-norm a step from a polyhedral start is clipped to: with the grid's
+# 10, two starts reached one root on 25 of 100 seeded dP6 solves, with 0.5
+# on 6
+_MAX_STEP = 0.5
+
+
+def _compile_2d(pairs: Sequence) -> tuple:
+    """A 2-D system's nonconstant terms as ``_log_jacobian_2d`` reads them:
+    (a_1, a_2, a_1^2, a_1 a_2, a_2^2, c) per term."""
+    return tuple((a1, a2, a1 * a1, a1 * a2, a2 * a2, c) for (a1, a2), c in pairs if a1 or a2)
+
+
+def _log_jacobian_2d(system: tuple, w1: complex, w2: complex) -> tuple:
+    """One pass over a 2-D system's terms at the log point (w1, w2): the
+    terms m = c exp(<a, w>), the log-gradient g = sum a m and its Jacobian
+    J = sum a a^T m in w, as (g1, g2, J11, J12, J22). The pure-Python
+    counterpart of the grid's term values; OverflowError when a term leaves
+    the float range."""
+    g1 = g2 = j11 = j12 = j22 = 0j
+    for a1, a2, a11, a12, a22, c in system:
+        m = c * cmath.exp(a1 * w1 + a2 * w2)
+        g1 += a1 * m
+        g2 += a2 * m
+        j11 += a11 * m
+        j12 += a12 * m
+        j22 += a22 * m
+    return g1, g2, j11, j12, j22
+
+
+def _newton_2d(system: tuple, w: tuple, options: SolverOptions, band: float) -> tuple:
+    """Damped Newton on a 2-D log-gradient system from the log point w,
+    under the grid's rules: the start converges when its residual is at
+    most tol and its last step at most STEP_TOL, and is dropped when a
+    value is not finite, when its next iterate leaves the band in Re w or
+    at max_steps. Each step solves the 2x2 system in closed form and is
+    clipped to _MAX_STEP in max-norm. (end, residual): end is the converged
+    iterate or None, residual the last finite one (inf when none)."""
+    w1, w2 = w
+    last = math.inf
+    for steps in range(options.max_steps + 1):
+        try:
+            g1, g2, j11, j12, j22 = _log_jacobian_2d(system, w1, w2)
+        except OverflowError:
+            break
+        residual = math.hypot(g1.real, g1.imag, g2.real, g2.imag)
+        if not math.isfinite(residual):
+            break
+        if residual <= options.tol and last <= STEP_TOL:
+            return (w1, w2), residual
+        det = j11 * j22 - j12 * j12
+        if steps == options.max_steps or not det:
+            return None, residual
+        s1 = (j12 * g2 - j22 * g1) / det
+        s2 = (j12 * g1 - j11 * g2) / det
+        size = max(abs(s1), abs(s2))
+        if size > _MAX_STEP:
+            s1, s2 = s1 * (_MAX_STEP / size), s2 * (_MAX_STEP / size)
+        w1, w2 = w1 + s1, w2 + s2
+        if not (cmath.isfinite(w1) and cmath.isfinite(w2)
+                and abs(w1.real) < band and abs(w2.real) < band):
+            return None, residual
+        last = math.hypot(abs(s1), abs(s2))
+    return None, math.inf
+
+
+def _log_distance(a: tuple, b: tuple) -> float:
+    """Distance between log-coordinate points, each phase difference
+    wrapped into [-pi, pi), as the grid measures it."""
+    parts = []
+    for x, y in zip(a, b):
+        d = x - y
+        parts += (d.real, (d.imag + math.pi) % (2.0 * math.pi) - math.pi)
+    return math.hypot(*parts)
+
+
+def _start_roots(pairs: list, bound: int, shifts: tuple, starts: list, band: float,
+                 options: SolverOptions) -> tuple:
+    """What Newton from the polyhedral starts alone finds on a 2-D system,
+    and whether that settles it. Each start runs by ``_newton_2d``; the
+    converged ends, in start order, then their images under the shifts of
+    G, are merged within the dedup radius (first wins), and each survivor
+    is admitted by ``candidate``. The starts settle the system when the
+    verified roots reach the bound and no two ends lie within the default
+    dedup radius: two starts on one root leave another unreached, whatever
+    radius keeps their copies apart. Raises RootBoundExceeded when the
+    verified roots outnumber the bound."""
+    system = _compile_2d(pairs)
+    ends = []
+    best = math.inf
+    for w in starts:
+        end, residual = _newton_2d(system, w, options, band)
+        if end is None:
+            best = min(best, residual)
+        else:
+            ends.append(end)
+    kept = []
+    for shift in shifts:
+        for w in ends:
+            image = (w[0] + 1j * shift[0], w[1] + 1j * shift[1])
+            if all(_log_distance(image, k) > options.dedup_radius for k in kept):
+                kept.append(image)
+    points, refused, failed = admit_points(compile_terms(pairs), kept, options.tol)
+    check_bound(len(points), bound, options.dedup_radius)
+    settled = len(points) == bound and all(
+        _log_distance(w, v) > _DEDUP_RADIUS for i, w in enumerate(ends) for v in ends[:i])
+    return Found(points, len(starts), len(ends), 0, min(best, failed), len(starts),
+                 refused), settled
+
+
 def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, moduli,
                    options: SolverOptions) -> Found:
-    """The grid's solve of one Newton system, its roots sorted by
-    ``_order``. A 2-D one runs its polyhedral starts ahead of the grid; when
-    its cells' volumes miss the bound it runs the grid alone, counted in
-    `grid_fallbacks`."""
-    starts = _polyhedral_starts(pairs, bound) if len(pairs[0][0]) == 2 else ()
+    """The roots of one Newton system, sorted by ``_order``. A 2-D one runs
+    Newton from its polyhedral starts alone (``_start_roots``), at most
+    max_starts of them. When they do not settle it and some of the budget
+    is left, the grid runs as on any other system, on what is left, the
+    starts ahead of its own, and the system is counted in `grid_fallbacks`.
+    So is one whose cells' volumes miss the bound, on which the grid runs
+    alone. The grid's size is checked against
+    the float range before either runs."""
+    n = len(pairs[0][0])
+    moduli = moduli or default_moduli([c for _, c in pairs], n)
+    size = start_grid_size(moduli, options.phases_per_coord)
+    starts = _polyhedral_starts(pairs, bound) if n == 2 else ()
+    before = Found([], 0, 0, size, math.inf, 0, 0)
+    if starts:
+        starts = starts[:options.max_starts]
+        before, settled = _start_roots(pairs, bound, shifts, starts, newton_band(moduli), options)
+        before = before._replace(grid_size=size)
+        left = options.max_starts - len(starts)
+        if settled or not left:
+            return before._replace(points=sorted(before.points, key=_order))
+        options = options._replace(max_starts=left)
     found = grid(pairs, bound, shifts, moduli, options, starts or ())
-    return found._replace(points=sorted(found.points, key=_order),
-                          grid_fallbacks=int(starts is None))
+    return found._replace(
+        points=sorted(found.points, key=_order),
+        attempted=before.attempted + found.attempted,
+        converged=before.converged + found.converged,
+        polyhedral=before.polyhedral + found.polyhedral,
+        best=min(before.best, found.best),
+        grid_fallbacks=int(n == 2))
 
 
 def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
@@ -666,19 +873,21 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
 
 def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions],
           grid: Callable) -> CriticalReport:
-    """The critical points of W at q = exp(-t), factor by factor, with the
-    grid (``critical.grid_roots``, or a callable that imports it) on the
-    factors that need Newton, and on W whole when it does not factor; a
-    2-D Newton system hands the grid its polyhedral starts.
+    """The critical points of W at q = exp(-t), factor by factor, with
+    Newton on the factors that need it, and on W whole when it does not
+    factor: a 2-D Newton system from its polyhedral starts, and the grid
+    (``critical.grid_roots``, or a callable that imports it) on the others
+    and on a 2-D one those starts do not solve.
 
     The points come in the order of their factor roots (``_factored``),
     and from a W that does not factor in ``_order``. Raises NoConvergence
     when no point
     is verified; its message gives the best residual seen, and the roots
     refused for leaving the float range. Raises SchemaError, before any
-    solve, when the bound is 0 or W has no nonconstant term, and whatever
-    the grid raises (RootBoundExceeded when a grid verifies more roots than
-    its bound)."""
+    solve, when the bound is 0 or W has no nonconstant term, or when a
+    Newton system's grid has more starts than a float can hold; and
+    RootBoundExceeded when a Newton system verifies more roots than its
+    bound, and whatever else the grid raises."""
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
     n = poly.zvars

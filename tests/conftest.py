@@ -994,7 +994,7 @@ def newton_arrays(poly, t, options):
     compiles them: (n, A, AA, c, moduli, phases, budget, band)."""
     import numpy as np
 
-    from toricmirror.critical import _default_moduli
+    from toricmirror.roots import default_moduli
     from toricmirror.laurent import numeric_terms
 
     n = poly.zvars
@@ -1002,7 +1002,7 @@ def newton_arrays(poly, t, options):
     A = np.array([a for a, _ in terms], dtype=float)
     c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
-    moduli = options.moduli_per_coord or _default_moduli(c, n)
+    moduli = options.moduli_per_coord or default_moduli(c, n)
     phases = options.phases_per_coord
     grid = math.prod(len(coord) * phases for coord in moduli)
     budget = min(grid, options.max_starts)
@@ -1055,6 +1055,18 @@ def grid_report(poly, t, options=None, starts=()):
                        options.moduli_per_coord, options, starts)
     found = found._replace(points=sorted(found.points, key=_order))
     return _report(found, structure, ((poly.zvars, structure.bound, "newton"),), options)
+
+
+def grid_alone(poly, t, options=None):
+    """roots.solve with every 2-D Newton system solved by the multistart
+    grid alone, as when its cells miss its bound: the solve that the runs
+    from polyhedral starts are compared against."""
+    from toricmirror import roots
+    from toricmirror.critical import grid_roots
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
+        return roots.solve(poly, t, options, grid_roots)
 
 
 def _lockstep_setup(poly, t, options):

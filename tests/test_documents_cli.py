@@ -66,6 +66,16 @@ F1_DOC = {
     "kahler": {"parameters": ["t1", "t2"], "lambdas": ["0", "0", "-t1", "-t2"]},
 }
 
+DP6_DOC = {
+    "dimension": 2,
+    "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+    "maximal_cones": [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]],
+    "kahler": {"parameters": ["t1", "t2", "t3", "t4"],
+               "lambdas": ["0", "0", "-t1", "-t2", "-t3", "-t4"]},
+    "q_basis": [[1, -1, 1, 0, 0, 0], [1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0],
+                [-1, 1, 0, 0, 0, 1]],
+}
+
 P1_DOC = {
     "dimension": 1,
     "rays": [[1], [-1]],
@@ -330,9 +340,9 @@ def bundle_potential(tmp_path, base, name):
 
 
 class TestLazySolver:
-    """Only `crit` loads the solver, and numpy only when W has a factor
-    that needs Newton; the exact subcommands start without them, and each
-    loads only the layers it runs."""
+    """Only `crit` loads the solver, and numpy only when the multistart
+    grid runs; the exact subcommands start without them, and each loads
+    only the layers it runs."""
 
     def run_python(self, code):
         paths = [str(Path(toricmirror.__file__).parents[1]), str(Path(__file__).parent)]
@@ -371,11 +381,12 @@ class TestLazySolver:
             "print('numpy' in sys.modules)\n")
         assert out == "False\n"
 
-    def loaded_by(self, argv):
-        """Exit code of one CLI run in a fresh interpreter, and the WATCHED
-        modules loaded when it returns."""
+    def loaded_by(self, argv, prelude=""):
+        """Exit code of one CLI run in a fresh interpreter, after the
+        prelude, and the WATCHED modules loaded when it returns."""
         out = self.run_python(
             "import json, os, sys\n"
+            f"{prelude}"
             "from toricmirror.cli import main\n"
             f"code = main({argv!r} + ['-o', os.devnull])\n"
             f"print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))\n")
@@ -400,20 +411,25 @@ class TestLazySolver:
         assert [self.loaded_by(argv) for argv, _, _ in runs] == [
             (code, modules) for _, code, modules in runs]
 
-    def test_crit_loads_numpy_only_for_newton(self, tmp_path):
+    def test_crit_loads_numpy_only_for_the_grid(self, tmp_path):
         # F2 and P(K_P2+O) solve in closed form; the F1 base of P(K_F1+O)
-        # is a Newton factor
+        # is a Newton factor, solved from its polyhedral starts alone. When
+        # its cells miss the bound (forced here), the grid runs and loads
+        # the grid module and numpy
         f2 = str(tmp_path / "f2.json")
         assert main(["potential", str(SAMPLES / "f2.json"), "-o", f2]) == 0
-        runs = [([f2, "--t", "t1=1", "--t", "t2=1"], False)]
+        runs = [([f2, "--t", "t1=1", "--t", "t2=1"], "", False)]
         f1 = validate_fan(2, F1_DOC["rays"], F1_DOC["maximal_cones"])
         for name, base in (("P2", projective_plane()), ("F1", f1)):
             pot, t = bundle_potential(tmp_path, base, name)
-            runs.append(([pot, *t], name == "F1"))
-        for argv, newton in runs:
-            code, modules = self.loaded_by(["crit", *argv])
+            runs.append(([pot, *t], "", False))
+        no_cells = ("from toricmirror import roots\n"
+                    "roots._polyhedral_starts = lambda pairs, bound: None\n")
+        runs.append((runs[-1][0], no_cells, True))
+        for argv, prelude, grid in runs:
+            code, modules = self.loaded_by(["crit", *argv], prelude)
             assert code == 0
-            assert ("numpy" in modules, "toricmirror.critical" in modules) == (newton, newton)
+            assert ("numpy" in modules, "toricmirror.critical" in modules) == (grid, grid)
 
     def test_solver_names_resolve(self):
         import toricmirror.critical
@@ -696,16 +712,14 @@ class TestCritCommand:
         assert doc["multistart"]["deduped"] == 4
         assert all(r < 1e-9 for r in doc["residuals"])
 
-    def test_f1_runs_one_width_of_starts(self, tmp_path, capsys):
-        # the first 64 starts, the 4 polyhedral ones ahead of the grid,
-        # reach the bound before the working set drains far enough to admit
-        # more
+    def test_f1_runs_only_its_polyhedral_starts(self, tmp_path, capsys):
+        # the 4 polyhedral starts reach the 4 roots, and the grid does not run
         pot = self.make_potential(tmp_path, F1_DOC)
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=0.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         multistart = doc["multistart"]
-        assert (multistart["attempted"], multistart["converged"]) == (64, 8)
+        assert (multistart["attempted"], multistart["converged"]) == (4, 4)
         assert (multistart["polyhedral"], multistart["grid_fallbacks"]) == (4, 0)
         assert multistart["deduped"] == multistart["expected"] == 4
         assert multistart["orbit_size"] == 1
@@ -776,19 +790,27 @@ class TestCritCommand:
         assert main(["crit", pot, "--t", f"t1={t1 // 2}", "--t", f"t2={t2 // 2}"]) == 0
 
     def test_more_roots_than_the_bound_exit_7(self, tmp_path, capsys):
-        # at radius 0 copies of one root a few ulps apart are all kept, when
-        # they converge before the pass that reaches the bound; at t = (5, 2)
-        # the four polyhedral starts reach the four roots first
-        pot = self.make_potential(tmp_path, F1_DOC)
+        # on dP6 at t = (2, 3, 3, 2) two of the six polyhedral starts reach
+        # one root, a few ulps apart, so the grid runs; at radius 0 it keeps
+        # copies of one root, which converge before the pass that reaches
+        # the bound. At t = (3, 4, 4, 3) the six starts reach the six roots,
+        # and no copy is made
+        pot = self.make_potential(tmp_path, DP6_DOC)
         capsys.readouterr()
-        assert main(["crit", pot, "--t", "t1=2", "--t", "t2=1", "--dedup-radius", "0"]) == 7
+        t = [f"--t=t{j}={v}" for j, v in enumerate((2, 3, 3, 2), 1)]
+        assert main(["crit", pot, *t, "--dedup-radius", "0"]) == 7
         out, err = capsys.readouterr()
         assert out == ""
         assert re.fullmatch(r"error: \d+ distinct verified critical points exceed the root "
-                            r"bound 4: the dedup radius 0.0 keeps copies of one root apart\n",
+                            r"bound 6: the dedup radius 0.0 keeps copies of one root apart\n",
                             err), err
-        assert main(["crit", pot, "--t", "t1=2", "--t", "t2=1"]) == 0
-        assert main(["crit", pot, "--t", "t1=5", "--t", "t2=2", "--dedup-radius", "0"]) == 0
+        assert main(["crit", pot, *t]) == 0
+        multistart = json.loads(capsys.readouterr().out)["multistart"]
+        assert (multistart["deduped"], multistart["grid_fallbacks"]) == (6, 1)
+        t = [f"--t=t{j}={v}" for j, v in enumerate((3, 4, 4, 3), 1)]
+        assert main(["crit", pot, *t, "--dedup-radius", "0"]) == 0
+        multistart = json.loads(capsys.readouterr().out)["multistart"]
+        assert (multistart["deduped"], multistart["grid_fallbacks"]) == (6, 0)
 
     def test_missing_t_exit_2(self, tmp_path, capsys):
         pot = self.make_potential(tmp_path, P1_DOC)
@@ -1100,6 +1122,7 @@ JSON_VALUES = st.recursive(
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(st.integers(), max_size=6)  # the writer's one-step lists
+        | st.lists(st.floats(), max_size=6)
         # one kind of key per object, so that most of them can be sorted
         | st.one_of([st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS])
         | st.dictionaries(st.one_of(JSON_KEYS), children, max_size=3)
@@ -1129,6 +1152,20 @@ class TestCanonicalJson:
                 canonical_json(value)
             return
         assert canonical_json(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        [0.5, -0.0, 5e-324, 1.7e308, -1.7e308, 1e16, 1e-7, 0.1],
+        [1.5, float("nan")], [float("inf"), 2.5], [-2.5, float("-inf")],
+        [1.5, FloatSubclass(2.5)], [FloatSubclass("nan")], [1, 2.5], [2.5, 1, -0.0],
+        [2.5, True], [[0.5, 1e300], [2, 3], [-0.0, float("nan")]]],
+        ids=["finite", "nan", "inf", "-inf", "subclass", "subclass nan", "int float",
+             "float int", "float bool", "nested"])
+    def test_float_lists_match_json_dumps(self, value):
+        # a list of exact finite floats is joined in one step; NaN, the
+        # infinities, float subclasses and mixed lists keep json's per-item
+        # rules
+        for obj in (value, tuple(value), {"k": value}):
+            assert canonical_json(obj) == json_dumps_text(obj)
 
     @pytest.mark.parametrize("value", [{1}, b"x", 1j, Fraction(1, 2), {(1, 2): 0}],
                              ids=["set", "bytes", "complex", "Fraction", "tuple key"])

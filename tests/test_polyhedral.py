@@ -3,6 +3,7 @@ cells against the root bound and the mixed volume, their solves against the
 grid alone, the order of the reported points, and the critical values
 against the Jacobian ring, an oracle the solver does not share."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,14 +14,14 @@ from pathlib import Path
 import pytest
 
 import toricmirror
-from conftest import dual_kahler, jacobian_charpoly
+from conftest import dual_kahler, grid_alone, grid_report, jacobian_charpoly
 from test_critical import assert_point_sets_match_relative, cone_point, solve
-from test_documents_cli import bundle_potential
+from test_documents_cli import DP6_DOC, bundle_potential
 from test_potential import BUNDLES, catalog_bases, in_three_charts
 from test_roots import SWEEP_BASES
 from toricmirror import roots
 from toricmirror.bundle import projectivize_canonical
-from toricmirror.critical import grid_roots
+from toricmirror.cli import main
 from toricmirror.gw import GWProvider
 from toricmirror.lattice import normalized_volume
 from toricmirror.laurent import numeric_terms
@@ -117,26 +118,24 @@ NEWTON_CLASSES = {"F1": base("F1"), "dP6": base("dP6"), "P(K_F1+O)": bundle("F1"
                   "P(K_dP6+O)": bundle("dP6"), "P(K_P1xdP6+O)": bundle("P1xdP6")}
 
 
-def grid_alone(terms, bound, shifts, moduli, options, starts=()):
-    """``critical.grid_roots`` without the starts it is handed."""
-    return grid_roots(terms, bound, shifts, moduli, options)
-
-
 @pytest.mark.parametrize("name", NEWTON_CLASSES)
 def test_starts_find_the_roots_of_the_grid_alone(name):
     # the same root set, and with the order rule the same order, on 30
     # seeded points; the roots move only at rounding level, so the order
-    # does not follow them
+    # does not follow them. A system whose starts come up short runs them
+    # again, ahead of the grid
     k, W = NEWTON_CLASSES[name]()
     for seed in range(30):
         report, t = solve(k, W, cone_point(k, seed))
-        alone = roots.solve(W, t, report.options, grid_alone)
+        alone = grid_alone(W, t, report.options)
         bound = sum(b for _, b in newton_systems(W, t))
-        assert (report.polyhedral, report.grid_fallbacks, alone.polyhedral) == (bound, 0, 0)
+        assert report.polyhedral == bound * (1 + report.grid_fallbacks)
+        assert (alone.polyhedral, alone.grid_fallbacks) == (0, 1)
         assert report.deduped == alone.deduped == report.expected
         assert_point_sets_match_relative(report.points, alone.points, rel=1e-9)
         for point, other in zip(report.points, alone.points):
             assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
+        assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(report.values, alone.values))
 
 
 def test_cells_that_miss_the_bound_run_the_grid_alone(monkeypatch):
@@ -145,20 +144,93 @@ def test_cells_that_miss_the_bound_run_the_grid_alone(monkeypatch):
     k, W = bundle("P1xdP6")()
     params = cone_point(k, 5)
     report, t = solve(k, W, params)
-    alone = roots.solve(W, t, report.options, grid_alone)
+    alone = grid_alone(W, t, report.options)
     cells = roots._candidate_cells
     monkeypatch.setattr(roots, "_candidate_cells",
                         lambda *args: cells(*args)[:1] + ((),) + cells(*args)[2:])
     fallback, _ = solve(k, W, params)
     assert (fallback.polyhedral, fallback.grid_fallbacks) == (0, 1)
     assert fallback.deduped == fallback.expected
-    assert fallback._replace(grid_fallbacks=0) == alone
+    assert fallback == alone
 
 
-def test_crit_documents_ignore_the_hash_seed(tmp_path):
-    # byte-identical across runs and hash seeds, on the bundle whose dP6
-    # factor runs the polyhedral starts and the grid
-    pot, t = bundle_potential(tmp_path, SWEEP_BASES["P1xdP6"], "P1xdP6")
+def test_collided_starts_fall_back_to_the_grid(monkeypatch):
+    # a kernel that sends the second start onto the first one's root leaves
+    # five of dP6's six roots: the grid runs as it runs on its own, the six
+    # starts ahead of it and the max_starts budget shared, and the system
+    # is counted. Its points are the grid's, and those of the grid alone
+    k, W = base("dP6")()
+    params = cone_point(k, 5)
+    report, t = solve(k, W, params)
+    assert (report.polyhedral, report.grid_fallbacks, report.deduped) == (6, 0, 6)
+    starts = _polyhedral_starts(numeric_terms(W, t), report.expected)
+    newton = roots._newton_2d
+    seen = []
+
+    def collide(system, w, options, band):
+        seen.append(w)
+        return newton(system, seen[0] if len(seen) == 2 else w, options, band)
+
+    monkeypatch.setattr(roots, "_newton_2d", collide)
+    fallback, _ = solve(k, W, params)
+    assert len(seen) == 6
+    grid = grid_report(W, t, report.options._replace(max_starts=4096 - 6), starts)
+    assert (fallback.points, fallback.values, fallback.residuals) == (
+        grid.points, grid.values, grid.residuals)
+    assert (fallback.attempted, fallback.converged) == (6 + grid.attempted, 6 + grid.converged)
+    assert (fallback.polyhedral, fallback.grid_fallbacks) == (12, 1)
+    alone = grid_alone(W, t, report.options)
+    assert fallback.deduped == alone.deduped == 6
+    for point, other in zip(fallback.points, alone.points):
+        assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
+    # max_starts caps both runs: two starts are left for the grid
+    seen.clear()
+    capped, _ = solve(k, W, params, max_starts=8)
+    assert (capped.attempted, capped.polyhedral, capped.grid_fallbacks) == (8, 8, 1)
+    assert capped.truncated and capped.deduped < 6
+
+
+def no_grid(*_):
+    raise AssertionError("the grid ran")
+
+
+@pytest.mark.parametrize("name, cap", [("F1", 3), ("dP6", 1), ("P(K_dP6+O)", 5)])
+def test_max_starts_below_the_bound_caps_the_starts(name, cap):
+    # the first max_starts starts run, and with no start left for it the
+    # grid does not run: the report is short and truncated, never padded
+    k, W = NEWTON_CLASSES[name]()
+    report, _ = solve(k, W, cone_point(k, 5), max_starts=cap,
+                      run=lambda W, t, options: roots.solve(W, t, options, no_grid))
+    assert (report.attempted, report.polyhedral, report.grid_fallbacks) == (cap, cap, 0)
+    assert report.converged <= cap and report.truncated
+    assert 0 < report.deduped < report.expected
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+@pytest.mark.parametrize("point", [5, 6, 7])
+def test_steep_dp6_charts_reach_the_bound(seed, point):
+    # steep charts of the dP6 bundle (ray entries up to 237), where the grid
+    # alone found 8 or 10 of 12 roots: from the polyhedral starts, with the
+    # grid behind them when they come up short, all twelve
+    k, W = bundle_w(steep_chart(seed, "dP6-chart1"))
+    report, _ = solve(k, W, cone_point(k, point))
+    assert report.deduped == report.expected == 12
+    assert all(r <= report.options.tol for r in report.residuals)
+
+
+@pytest.mark.parametrize("case", ["starts", "fallback"])
+def test_crit_documents_ignore_the_hash_seed(tmp_path, case):
+    # byte-identical across runs and hash seeds: on the bundle whose dP6
+    # factor is solved from its polyhedral starts alone, and on the dP6
+    # base at a point where two starts reach one root and the grid runs
+    if case == "starts":
+        pot, t = bundle_potential(tmp_path, SWEEP_BASES["P1xdP6"], "P1xdP6")
+    else:
+        fan = tmp_path / "dp6-fan.json"
+        fan.write_text(json.dumps(DP6_DOC), encoding="utf-8")
+        pot = str(tmp_path / "dp6.json")
+        assert main(["potential", str(fan), "--cutoff", "2", "-o", pot]) == 0
+        t = [f"--t=t{j}={v}" for j, v in enumerate((2, 3, 3, 2), 1)]
     src = str(Path(toricmirror.__file__).parents[1])
     outputs = []
     for seed in ("0", "1", "4242", "0"):
@@ -167,7 +239,9 @@ def test_crit_documents_ignore_the_hash_seed(tmp_path):
                               capture_output=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert b'"polyhedral": 6' in outputs[0]
+    multistart = json.loads(outputs[0])["multistart"]
+    assert (multistart["polyhedral"], multistart["grid_fallbacks"]) == (
+        (6, 0) if case == "starts" else (12, 1))
     assert len(set(outputs)) == 1
 
 
@@ -238,6 +312,46 @@ def test_critical_values_are_the_jacobian_eigenvalues(name, ring):
         values, exact = list(report.values), jacobian_charpoly(numeric_terms(W, t))
     assert len(exact) - 1 == report.expected
     assert_charpoly_matches(values, exact)
+    with pytest.raises(AssertionError):
+        assert_charpoly_matches(values[1:], exact)
+    moved = list(values)
+    moved[0] += 1e-6 * max(abs(v) for v in values)
+    with pytest.raises(AssertionError):
+        assert_charpoly_matches(moved, exact)
+
+
+def test_p1xdp6_bundle_values_through_its_factor_and_the_lift():
+    # the 4-D bundle's own ring (dimension 24) takes about 30 s; its values
+    # are checked through the base instead. W = u (c_0 + W_P1 + W_dP6) + c/u,
+    # so each value v has v^2 = 4 c (c_0 + v_P1 + v_dP6) over the factors'
+    # critical values, which are the eigenvalues of their Jacobian rings:
+    # prod(s - v) = prod over (v_P1, v_dP6) of (s^2 - 4 c (c_0 + v_P1 +
+    # v_dP6)), coefficient by coefficient within 1e-9 times the elementary
+    # symmetric sums of |v|. The product over v_dP6 is the charpoly of dP6
+    # at x - v_P1, the product over v_P1 the resultant in y
+    import sympy
+
+    start = time.perf_counter()
+    k, W = NEWTON_CLASSES["P(K_P1xdP6+O)"]()
+    report, t = solve(k, W, cone_point(k, 5))
+    structure = _exponent_structure(tuple(sorted(W.terms)))
+    coefficient = compile_terms(numeric_terms(W, t), structure.images,
+                                structure.chart).coefficients
+    head, tail = (sympy.Rational(*Fraction(coefficient[i]).as_integer_ratio())
+                  for i in structure.fiber)
+    p1, dp6 = ([(a, coefficient[i]) for i, a in f.terms] for f in structure.factors)
+    s, x, y = sympy.symbols("s x y")
+    charpolys = [sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                             for c in jacobian_charpoly(pairs)], y).as_expr()
+                 for pairs in (p1, dp6)]
+    base = sympy.resultant(charpolys[0], charpolys[1].subs(y, x - y), y)
+    exact = sympy.Poly(sympy.expand((4 * tail) ** 12 * base.subs(x, s ** 2 / (4 * tail) - head)),
+                       s).all_coeffs()
+    exact = [Fraction(int(c.p), int(c.q)) for c in exact]
+    values = list(report.values)
+    assert len(exact) - 1 == report.expected == 24
+    assert_charpoly_matches(values, exact)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(AssertionError):
         assert_charpoly_matches(values[1:], exact)
     moved = list(values)

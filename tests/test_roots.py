@@ -30,7 +30,7 @@ from test_integer_solves import DP6, F1, product_fan
 from test_moment_polytope import P3
 from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror.bundle import decompose_bundle, projectivize_canonical
-from toricmirror import critical
+from toricmirror import critical, roots
 from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import critical_report_to_document
 from toricmirror.errors import NoConvergence, RootBoundExceeded
@@ -359,8 +359,8 @@ class TestAgainstGrid:
         W = laurent({(1, 0): {(0,): 1}, (-1, 0): {(1,): 1}, (-63, 1): {(0,): 1},
                      (63, -1): {(0,): 1}})
         refused = []
-        admit = critical.candidate
-        monkeypatch.setattr(critical, "candidate",
+        admit = roots.candidate
+        monkeypatch.setattr(roots, "candidate",
                             lambda *args: admit(*args) or refused.append(args))
 
         def seeded(t):
@@ -370,6 +370,7 @@ class TestAgainstGrid:
 
         with pytest.raises(NoConvergence, match="beyond the float range"):
             find_critical_points(W, [t], seeded(t))
+        refused.clear()
         # the grid names the refusal, and quotes only the residuals of the
         # starts it dropped, never those of the roots it refused
         with pytest.raises(NoConvergence) as caught:
@@ -406,16 +407,22 @@ class TestAgainstGrid:
 
     @pytest.mark.parametrize("name", ["F1", "dP6"])
     def test_whole_grid_when_w_does_not_factor(self, name):
-        # the grid on W whole, with W's polyhedral starts ahead of it: the
-        # root set of the grid alone
+        # W whole, 2-D: Newton from its polyhedral starts alone reaches
+        # every root, in the order and within rounding of the points of the
+        # grid run from the same starts, and the root set of the grid alone
         fan = SWEEP_BASES[name]
         k = dual_kahler(fan)
         W = hori_vafa(fan, k)
         params = cone_point(k, 5)
         report, t = solve(k, W, params)
         starts = _polyhedral_starts(numeric_terms(W, t), report.expected)
-        assert report.polyhedral == len(starts) == report.expected
-        assert report == grid_report(W, t, report.options, starts)
+        assert report.polyhedral == report.attempted == len(starts) == report.expected
+        assert report.grid_fallbacks == 0
+        grid = grid_report(W, t, report.options, starts)
+        assert grid.polyhedral == len(starts) and grid.deduped == report.deduped
+        for point, other in zip(report.points, grid.points):
+            assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
+        assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(report.values, grid.values))
         whole, _ = grid_solve(k, W, params)
         assert whole.polyhedral == 0 and report.deduped == whole.deduped == report.expected
         assert_point_sets_match_relative(report.points, whole.points)
@@ -449,13 +456,15 @@ class TestAgainstGrid:
         assert short.deduped % 4 == 0  # whole factor roots, each lifted twice, times P1's two
 
     def test_newton_factor_exceeds_its_bound(self):
-        # at radius 0 the dP6 grid keeps copies of one root, which its own
-        # bound refuses; at seed 3 the six polyhedral starts reach the six
-        # roots in the pass that reaches the bound, before any copy
+        # at cone point 112 two of the dP6 factor's polyhedral starts reach
+        # one root, so the grid runs; at radius 0 it keeps copies of one
+        # root, which the factor's own bound refuses. At cone point 3 the six
+        # starts reach the six roots, and no copy is made
         k, W, _ = bundle_setup(SWEEP_BASES["P1xdP6"])
+        assert solve(k, W, cone_point(k, 112))[0].grid_fallbacks == 1
         with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
                            r"points exceed the root bound 6: the dedup radius 0.0 "):
-            solve(k, W, cone_point(k, 5), dedup_radius=0.0)
+            solve(k, W, cone_point(k, 112), dedup_radius=0.0)
         assert solve(k, W, cone_point(k, 3), dedup_radius=0.0)[0].deduped == 24
 
     def test_grid_report_is_the_whole_grid(self):
