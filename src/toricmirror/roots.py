@@ -783,7 +783,8 @@ def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, modul
     Newton from its polyhedral starts alone (``_start_roots``), at most
     max_starts of them. When they do not settle it and some of the budget
     is left, the grid runs as on any other system, on what is left, the
-    starts ahead of its own, and the system is counted in `grid_fallbacks`.
+    starts ahead of its own, and the system is counted in `grid_fallbacks`;
+    its roots are reported unless the starts alone verified more.
     So is one whose cells' volumes miss the bound, on which the grid runs
     alone. The grid's size is checked against
     the float range before either runs."""
@@ -801,8 +802,11 @@ def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, modul
             return before._replace(points=sorted(before.points, key=_order))
         options = options._replace(max_starts=left)
     found = grid(pairs, bound, shifts, moduli, options, starts or ())
+    # a grid cut short by max_starts can verify fewer roots than the starts
+    # alone did; the report keeps the longer list
+    points = max(found.points, before.points, key=len)
     return found._replace(
-        points=sorted(found.points, key=_order),
+        points=sorted(points, key=_order),
         attempted=before.attempted + found.attempted,
         converged=before.converged + found.converged,
         polyhedral=before.polyhedral + found.polyhedral,
