@@ -779,15 +779,15 @@ def _start_roots(pairs: list, bound: int, shifts: tuple, starts: list, band: flo
 
 def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, moduli,
                    options: SolverOptions) -> Found:
-    """The roots of one Newton system, sorted by ``_order``. A 2-D one runs
-    Newton from its polyhedral starts alone (``_start_roots``), at most
-    max_starts of them. When they do not settle it and some of the budget
-    is left, the grid runs as on any other system, on what is left, the
-    starts ahead of its own, and the system is counted in `grid_fallbacks`;
-    its roots are reported unless the starts alone verified more.
-    So is one whose cells' volumes miss the bound, on which the grid runs
-    alone. The grid's size is checked against
-    the float range before either runs."""
+    """The roots of one Newton system, sorted by ``_order``. The grid's
+    size is checked against the float range before anything runs. A 2-D
+    system runs Newton from its polyhedral starts alone (``_start_roots``),
+    at most max_starts of them. When they do not settle it and some of the
+    budget is left, the grid runs as on any other system, on what is left,
+    the starts ahead of its own; its roots are reported unless the starts
+    alone verified more. A 2-D system whose cells' volumes miss the bound
+    runs the grid alone. Either way the grid ran on a 2-D system, which
+    `grid_fallbacks` counts."""
     n = len(pairs[0][0])
     moduli = moduli or default_moduli([c for _, c in pairs], n)
     size = start_grid_size(moduli, options.phases_per_coord)
