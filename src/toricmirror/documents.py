@@ -97,11 +97,13 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
+        # a list of exact ints, or of exact finite floats, in one join; the
+        # first item's type spares other lists a scan
+        kind = type(value[0])
         items = None
-        if kinds == {int}:
+        if kind is int and {int}.issuperset(map(type, value)):
             items = map(int.__repr__, value)
-        elif kinds == {float}:
+        elif kind is float and {float}.issuperset(map(type, value)):
             items = list(map(float.__repr__, value))
             if not _NON_FINITE.isdisjoint(items):
                 items = None
