@@ -18,8 +18,9 @@ file exits 2, and so does an ``-o`` path that cannot be written.
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: ``analyze`` and ``bundle`` stop at the fan, bundle and Kahler
 layers, ``potential`` adds the invariant, Laurent and potential layers, and
-``crit`` adds the factored solver (``roots``). Only a ``crit`` run on a W
-with a factor that needs Newton loads the grid (``critical``) and numpy.
+``crit`` adds the factored solver (``roots``). Only a ``crit`` run whose
+grid runs loads it (``critical``) and numpy: on a Newton system of
+dimension other than 2, or a 2-D one its polyhedral starts do not solve.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ def _parse_assignments(pairs) -> dict:
 
 
 def _grid_roots(*args):
-    """``critical.grid_roots``, imported with numpy only when a factor, or
-    W whole, needs Newton."""
+    """``critical.grid_roots``, imported with numpy only when the grid
+    runs."""
     from .critical import grid_roots
 
     return grid_roots(*args)

@@ -1,16 +1,17 @@
-"""The multistart Newton grid: critical points of a Laurent system that
-does not solve in closed form.
+"""The multistart Newton grid: the numpy kernel behind the critical points
+of a Laurent system that does not solve in closed form.
 
 ``roots.solve`` hands it W, when W does not factor, or one Newton factor of
-W at a time, as float (exponent, coefficient) pairs with the root bound and
-the group G of that system, and the seed moduli. On a 2-D system it is the
-fallback: ``roots`` runs Newton from the polyhedral starts alone first,
-and calls the grid only when they do not solve the system, or when the
-system's mixed cells miss its bound. Each root is admitted by
-``roots.candidate``, the evaluator the factored solve admits its points
-by. This module imports roots, so roots cannot import it:
-``find_critical_points`` is ``roots.solve`` with this grid, and ``crit``
-hands roots a callable that imports it on first use.
+W at a time, as float (exponent, coefficient) pairs with the seed moduli
+and the working-set width. On a 2-D system it is the fallback: ``roots``
+runs Newton from the polyhedral starts alone first, and calls the grid only
+when they do not solve the system, or when the system's mixed cells miss
+its bound. The grid only yields converged iterates; ``roots`` merges them
+with their images under G, admits each by ``roots.candidate`` and stops it
+at the bound, one collector for the starts and the grid. This module
+imports roots, so roots cannot import it: ``find_critical_points`` is
+``roots.solve`` with this grid, and ``crit`` hands roots a callable that
+imports it on first use.
 
 Works in logarithmic coordinates w = log z so Newton iterates can never land
 on a coordinate axis. The system solved is the logarithmic gradient
@@ -22,47 +23,34 @@ The multistart grid combines per-coordinate moduli (by default derived from
 the magnitudes in play; callers with a moment polytope should pass
 vertex-scale moduli) with equally spaced phases. The starts run in a fixed
 stride permutation of the whole grid, so that every coordinate's seeds come
-early, after any starts the caller hands in (``roots.solve`` hands a 2-D
-system its polyhedral starts, which it has already run alone); max_starts
-caps them all. Newton steps a working set of max(64, 16 * expected) starts
+early; max_starts caps them. Newton steps a working set of `width` starts
 in lockstep, each start on its own step count; a start leaves the set when
 it converges, reaches max_steps, shows a non-finite residual or leaves the
 band, and when the set has drained to a quarter of its width the next
-starts in order top it up, never past max_starts. After each pass the starts that have just converged,
-followed by their images under G, are merged into the kept roots and
-verified by the exact residual, and the run stops at the pass where the
-verified roots reach the bound, or when the set is empty and no start is
-left to admit. More verified roots than the bound is RootBoundExceeded.
-`converged` counts Newton starts only, polyhedral or grid. Everything is
-deterministic: the order, the admissions and the first-wins merge (by pass,
-then in start order) depend only on the iterates, never on timing.
+starts in order top it up, never past max_starts. Everything is
+deterministic: the order and the iterates yielded after each pass depend
+only on the iterates, never on timing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError
-# CriticalReport and moduli_from_polytope are served from here too, beside
+# SolverOptions and moduli_from_polytope are served from here too, beside
 # find_critical_points
-from .roots import (GRID_PAST_FLOAT, STEP_TOL, CriticalReport, Found, SolverOptions,
-                    admit_points, check_bound, compile_terms, default_moduli,
-                    moduli_from_polytope, newton_band, solve, start_grid_size)
+from .roots import (STEP_TOL, CriticalReport, SolverOptions, moduli_from_polytope,
+                    newton_band, solve, start_grid_size)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
 
 
 def _stride(grid: int) -> int:
     """The integer nearest 0.618 * grid, raised to the first one coprime to
-    grid, so that k -> k * stride mod grid permutes the grid. A grid beyond
-    the float range has no such rounding: SchemaError."""
-    try:
-        stride = max(1, round(_GOLDEN * grid))
-    except OverflowError as exc:
-        raise SchemaError(GRID_PAST_FLOAT) from exc
+    grid, so that k -> k * stride mod grid permutes the grid. The grid fits
+    the float range (``roots.start_grid_size``)."""
+    stride = max(1, round(_GOLDEN * grid))
     while math.gcd(stride, grid) != 1:
         stride += 1
     return stride
@@ -88,10 +76,6 @@ def _grid_starts(moduli, phases: int, first: int, count: int) -> np.ndarray:
         w[:, j].imag = 2.0 * math.pi * np.array([i % phases for i in index], dtype=float) / phases
         index = [i // size for i in index]
     return w
-
-
-def _wrap_phase(x: np.ndarray) -> np.ndarray:
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def _term_values(w: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -172,101 +156,32 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
     yield w, least
 
 
-def _log_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between log-coordinate points over the last axis, each phase
-    difference wrapped into [-pi, pi); broadcasts over the leading axes."""
-    diff = a - b
-    return np.hypot(np.linalg.norm(diff.real, axis=-1),
-                    np.linalg.norm(_wrap_phase(diff.imag), axis=-1))
-
-
-def _dedup(points: np.ndarray, kept: np.ndarray, radius: float) -> np.ndarray:
-    """The rows of points (m, n), in order, farther than radius from every
-    row of kept and from every earlier row returned. This is the set a
-    pairwise scan in row order keeps: each pass keeps the first remaining
-    row and drops every later one within the radius of it."""
-    if len(kept) and len(points):
-        near = _log_distance(points[:, None, :], kept[None, :, :]) <= radius
-        points = points[~near.any(axis=1)]
-    out = []
-    while len(points):
-        out.append(points[0])
-        rest = points[1:]
-        points = rest[~(_log_distance(rest, points[0]) <= radius)]
-    return np.array(out, dtype=complex).reshape(-1, kept.shape[1])
-
-
-def grid_roots(terms: list, expected: int, shifts: tuple, moduli,
-               options: SolverOptions, starts: Sequence = ()) -> Found:
-    """Multistart Newton solve of the log-gradient system of the (exponent,
-    coefficient) pairs `terms`, each merged root admitted by
-    ``roots.candidate``: W and its log-gradient from one pass over the
-    terms at the root's log point.
-
-    Deterministic: the starts run in a fixed order through a working set
-    whose width depends only on the root bound, refilled in that order
-    whenever it drains to a quarter of the width: the given log-coordinate
-    `starts` (``roots.solve`` passes a 2-D system's polyhedral starts)
-    first, then the grid in its mixed order. After each pass, the
-    iterates that have just converged, followed by their images under the
-    shifts of G, are collapsed in that order within the dedup radius (log
-    coordinates, phase-wrapped) against the roots kept so far, each
-    survivor is checked by its residual, and the run stops at the pass
-    where the verified roots reach the bound `expected`.
-    Otherwise it stops when every start up to max_starts or the end of the
-    grid has converged or been dropped. `attempted` counts the starts
-    admitted, `polyhedral` the given ones among them, `converged` those
-    that converged before the stop; `best` is the least residual over roots
-    refused by their residual and the last iterate of every dropped start,
-    and `refused` counts the roots refused because they leave the float
-    range. Raises RootBoundExceeded when the verified roots outnumber the
-    bound. Without moduli, the seeds come from the coefficients.
-    """
-    shifts = 1j * np.array(shifts)  # (|G|, n), the zero shift first
+def grid_roots(terms: list, moduli, width: int, options: SolverOptions):
+    """Multistart Newton over the start grid of the log-gradient system of
+    the (exponent, coefficient) pairs `terms`, at most max_starts starts in
+    the grid's mixed order through a working set of `width`. After each
+    pass that converges some starts it yields (their iterates as tuples of
+    log coordinates, in start order; the least finite residual over the
+    last iterates of the starts dropped so far; the starts admitted so
+    far), and once more, with no iterate, when every start has converged
+    or been dropped. The caller merges, admits and stops it
+    (``roots._newton_system``)."""
     n = len(terms[0][0])
     A = np.array([a for a, _ in terms], dtype=float)
     c = np.array([v for _, v in terms], dtype=complex)
     AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
-    moduli = moduli or default_moduli(c, n)
     phases = options.phases_per_coord
-    grid = start_grid_size(moduli, phases)
-    given = np.array(starts, dtype=complex).reshape(-1, n)
-    budget = min(len(given) + grid, options.max_starts)
-    band = newton_band(moduli)  # iterates leaving it in Re w are dropped
-    width = max(64, 16 * expected)
-    own = compile_terms(terms)  # evaluated in the system's own coordinates
-
+    budget = min(start_grid_size(moduli, phases), options.max_starts)
     attempted = 0
 
     def admit(count: int) -> np.ndarray:
         nonlocal attempted
-        count = min(count, budget - attempted)
-        head = given[attempted:attempted + count]
-        first = max(attempted - len(given), 0)
-        w = _grid_starts(moduli, phases, first, count - len(head))
-        attempted += count
-        return np.concatenate([head, w]) if len(head) else w
+        w = _grid_starts(moduli, phases, attempted, min(count, budget - attempted))
+        attempted += len(w)
+        return w
 
-    kept = np.empty((0, n), dtype=complex)  # dedup representatives
-    points = []
-    best_failed = math.inf
-    converged = refused = 0
-    for found, least in _newton(admit, A, AA, c, options, band, width):
-        converged += len(found)
-        # the converged iterates, then their images under each nonzero shift
-        orbits = (shifts[:, None, :] + found[None, :, :]).reshape(-1, n)
-        fresh = _dedup(orbits, kept, options.dedup_radius)
-        kept = np.concatenate([kept, fresh])
-        verified, count, failed = admit_points(
-            own, [tuple(map(complex, wi)) for wi in fresh], options.tol)
-        points += verified
-        refused += count
-        best_failed = min(best_failed, failed)
-        check_bound(len(points), expected, options.dedup_radius)
-        if len(points) == expected:
-            break
-    return Found(points, attempted, converged, grid, min(best_failed, least),
-                 min(attempted, len(given)), refused)
+    for found, least in _newton(admit, A, AA, c, options, newton_band(moduli), width):
+        yield [tuple(w) for w in found.tolist()], least, attempted
 
 
 def find_critical_points(poly, t, options: SolverOptions | None = None) -> CriticalReport:

@@ -42,11 +42,13 @@ per phase shift of that cell (Huber, Sturmfels, Math. Comp. 64 (1995);
 (``_newton_2d``, one pass over the terms per step and the 2x2 system in
 closed form), and when their verified roots reach the bound with no two
 starts on one root, the system is solved without the grid. Otherwise the
-grid runs with the starts ahead of its own, on what is left of the
+grid continues from the roots the starts found, on what is left of the
 max_starts budget, and the report counts the system in `grid_fallbacks`;
 so it does when the cells' volumes miss the bound, and the grid runs
-alone. The grid's size is checked against the float range before either
-run. The points come in the
+alone. The ends of the starts and of each grid pass are collected in one
+place (``_newton_system``): merged with their images under G, admitted
+by ``candidate``, stopped at the bound. The grid's size is checked
+against the float range before either run. The points come in the
 order of their factor roots, each Newton system's roots sorted on keys
 rounded far above the rounding noise (``_order``), so that the same roots
 found from other starts come in the same order.
@@ -61,8 +63,8 @@ the float range, or whose z lands on an axis, is refused. (z_j^e, taken
 coordinate by coordinate, overflows in steep charts where c z^a is
 moderate.) A point that misses the tolerance is polished by at most two
 Newton steps in the chart from the same m; the log-gradient in l is M
-times the one in z. The grid admits its roots by the same pass, in the
-coordinates of W or of its factor.
+times the one in z. A Newton system's roots are admitted by the same
+pass, in the coordinates of W or of its factor.
 
 The roots come in orbits. Let L be the lattice spanned by the differences
 of W's nonconstant exponents: for theta with <theta, L> in Z, the shift
@@ -116,8 +118,8 @@ class CriticalReport(NamedTuple):
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
     residuals: tuple  # |log-gradient| at each point
-    attempted: int  # starts run, from polyhedral starts alone and in the grid
-    converged: int  # starts of either run whose iterate converged
+    attempted: int  # starts run: the polyhedral starts, then the grid's
+    converged: int  # starts whose Newton iterate converged, each counted once
     deduped: int  # distinct verified roots
     expected: int  # root bound n! vol(Newton polytope), at least 1
     orbit_size: int  # order of the root-of-unity symmetry group the roots are closed under
@@ -125,7 +127,7 @@ class CriticalReport(NamedTuple):
     truncated: bool  # starts left unrun, and deduped < expected
     factors: tuple  # (dimension, root bound, "closed-form" or "newton") per factor
     unlifted: int  # base roots with P(y) = 0, which have no critical point above them
-    polyhedral: int  # starts run from mixed cells, among the attempted
+    polyhedral: int  # starts run from mixed cells, each once, among the attempted
     grid_fallbacks: int  # 2-D Newton systems the grid ran on: starts short, or cells missed
     options: SolverOptions = SolverOptions()
 
@@ -142,7 +144,7 @@ class Found(NamedTuple):
     converged: int
     grid_size: int
     best: float
-    polyhedral: int  # starts from mixed cells, among the attempted
+    polyhedral: int  # starts from mixed cells, each once, ahead of the grid's
     refused: int
     unlifted: int = 0
     grid_fallbacks: int = 0
@@ -561,33 +563,6 @@ def candidate(terms: Terms, lift: tuple) -> Optional[Candidate]:
     return Candidate(lift, z, value, g, residual, m)
 
 
-def admit_points(terms: Terms, lifts, tol: float) -> tuple:
-    """(points, refused, best) over the merged Newton roots at the log
-    points lifts, in order: the candidates whose residual, the authority
-    for the report, is at most tol; the number refused because z or a term
-    leaves the float range; the least residual of the others (inf when
-    none)."""
-    points, refused, best = [], 0, math.inf
-    for lift in lifts:
-        point = candidate(terms, lift)
-        if point is None:
-            refused += 1
-        elif point.residual <= tol:
-            points.append(point)
-        else:
-            best = min(best, point.residual)
-    return points, refused, best
-
-
-def check_bound(count: int, bound: int, radius: float) -> None:
-    """RootBoundExceeded when a Newton system verified more distinct roots
-    than its bound: the dedup radius kept copies of one root apart."""
-    if count > bound:
-        raise RootBoundExceeded(
-            f"{count} distinct verified critical points exceed the root bound {bound}: "
-            f"the dedup radius {radius} keeps copies of one root apart")
-
-
 def _verified(terms: Terms, lift: tuple, tol: float) -> Optional[Candidate]:
     """The candidate at the chart log point lift. One above tol is polished
     by Newton on W in the chart, twice at most, while its residual falls: a
@@ -735,7 +710,7 @@ def _newton_2d(system: tuple, w: tuple, options: SolverOptions, band: float) -> 
 
 def _log_distance(a: tuple, b: tuple) -> float:
     """Distance between log-coordinate points, each phase difference
-    wrapped into [-pi, pi), as the grid measures it."""
+    wrapped into [-pi, pi)."""
     parts = []
     for x, y in zip(a, b):
         d = x - y
@@ -743,75 +718,90 @@ def _log_distance(a: tuple, b: tuple) -> float:
     return math.hypot(*parts)
 
 
-def _start_roots(pairs: list, bound: int, shifts: tuple, starts: list, band: float,
-                 options: SolverOptions) -> tuple:
-    """What Newton from the polyhedral starts alone finds on a 2-D system,
-    and whether that settles it. Each start runs by ``_newton_2d``; the
-    converged ends, in start order, then their images under the shifts of
-    G, are merged within the dedup radius (first wins), and each survivor
-    is admitted by ``candidate``. The starts settle the system when the
-    verified roots reach the bound and no two ends lie within the default
-    dedup radius: two starts on one root leave another unreached, whatever
-    radius keeps their copies apart. Raises RootBoundExceeded when the
-    verified roots outnumber the bound."""
-    system = _compile_2d(pairs)
-    ends = []
-    best = math.inf
-    for w in starts:
-        end, residual = _newton_2d(system, w, options, band)
-        if end is None:
-            best = min(best, residual)
-        else:
-            ends.append(end)
-    kept = []
-    for shift in shifts:
+def _merge(kept: list, ends: Sequence, shifts: tuple, radius: float) -> list:
+    """The Newton ends in order, then their images under each nonzero shift
+    of G, shift by shift, each kept when it lies farther than radius
+    (``_log_distance``) from every point kept before it, so that the first
+    wins; those kept are appended to kept, and returned."""
+    fresh = []
+    for shift in shifts:  # the zero shift first
         for w in ends:
-            image = (w[0] + 1j * shift[0], w[1] + 1j * shift[1])
-            if all(_log_distance(image, k) > options.dedup_radius for k in kept):
+            image = tuple(x + 1j * s for x, s in zip(w, shift))
+            if all(_log_distance(image, k) > radius for k in kept):
                 kept.append(image)
-    points, refused, failed = admit_points(compile_terms(pairs), kept, options.tol)
-    check_bound(len(points), bound, options.dedup_radius)
-    settled = len(points) == bound and all(
-        _log_distance(w, v) > _DEDUP_RADIUS for i, w in enumerate(ends) for v in ends[:i])
-    return Found(points, len(starts), len(ends), 0, min(best, failed), len(starts),
-                 refused), settled
+                fresh.append(image)
+    return fresh
 
 
 def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, moduli,
                    options: SolverOptions) -> Found:
     """The roots of one Newton system, sorted by ``_order``. The grid's
-    size is checked against the float range before anything runs. A 2-D
-    system runs Newton from its polyhedral starts alone (``_start_roots``),
-    at most max_starts of them. When they do not settle it and some of the
-    budget is left, the grid runs as on any other system, on what is left,
-    the starts ahead of its own; its roots are reported unless the starts
-    alone verified more. A 2-D system whose cells' volumes miss the bound
-    runs the grid alone. Either way the grid ran on a 2-D system, which
-    `grid_fallbacks` counts."""
+    size is checked against the float range before anything runs.
+
+    A 2-D system runs Newton from its polyhedral starts alone
+    (``_newton_2d``), at most max_starts of them. Their ends are collected
+    as every later pass's are: merged with their images under G within the
+    dedup radius against the roots kept so far (``_merge``), and each
+    survivor admitted by ``candidate``. The starts settle the system when
+    the verified roots reach the bound and no two ends lie within the
+    default dedup radius: two starts on one root leave another unreached,
+    whatever radius keeps their copies apart. Otherwise, while some of the
+    budget is left, the grid continues from the roots kept, on what is
+    left, and `grid_fallbacks` counts the system; so it does when the
+    cells' volumes miss the bound and the grid runs alone, as on a system
+    of any other dimension. The grid stops at the pass where the verified
+    roots reach the bound. Raises RootBoundExceeded when they outnumber
+    it: the dedup radius kept copies of one root apart."""
     n = len(pairs[0][0])
     moduli = moduli or default_moduli([c for _, c in pairs], n)
     size = start_grid_size(moduli, options.phases_per_coord)
-    starts = _polyhedral_starts(pairs, bound) if n == 2 else ()
-    before = Found([], 0, 0, size, math.inf, 0, 0)
+    terms = compile_terms(pairs)
+    kept, points = [], []
+    best, refused = math.inf, 0
+
+    def collect(ends: Sequence, least: float) -> bool:
+        nonlocal best, refused
+        best = min(best, least)
+        for lift in _merge(kept, ends, shifts, options.dedup_radius):
+            point = candidate(terms, lift)
+            if point is None:
+                refused += 1
+            elif point.residual <= options.tol:
+                points.append(point)
+            else:
+                best = min(best, point.residual)
+        if len(points) > bound:
+            raise RootBoundExceeded(
+                f"{len(points)} distinct verified critical points exceed the root bound "
+                f"{bound}: the dedup radius {options.dedup_radius} keeps copies of one "
+                f"root apart")
+        return len(points) == bound
+
+    starts = (_polyhedral_starts(pairs, bound) if n == 2 else None) or []
+    starts = starts[:options.max_starts]
+    converged, settled = 0, False
     if starts:
-        starts = starts[:options.max_starts]
-        before, settled = _start_roots(pairs, bound, shifts, starts, newton_band(moduli), options)
-        before = before._replace(grid_size=size)
-        left = options.max_starts - len(starts)
-        if settled or not left:
-            return before._replace(points=sorted(before.points, key=_order))
-        options = options._replace(max_starts=left)
-    found = grid(pairs, bound, shifts, moduli, options, starts or ())
-    # a grid cut short by max_starts can verify fewer roots than the starts
-    # alone did; the report keeps the longer list
-    points = max(found.points, before.points, key=len)
-    return found._replace(
-        points=sorted(points, key=_order),
-        attempted=before.attempted + found.attempted,
-        converged=before.converged + found.converged,
-        polyhedral=before.polyhedral + found.polyhedral,
-        best=min(before.best, found.best),
-        grid_fallbacks=int(n == 2))
+        system, band = _compile_2d(pairs), newton_band(moduli)
+        ends, least = [], math.inf
+        for w in starts:
+            end, residual = _newton_2d(system, w, options, band)
+            if end is None:
+                least = min(least, residual)
+            else:
+                ends.append(end)
+        converged = len(ends)
+        settled = collect(ends, least) and all(
+            _log_distance(w, v) > _DEDUP_RADIUS for i, w in enumerate(ends) for v in ends[:i])
+    left = 0 if settled else options.max_starts - len(starts)
+    attempted = 0
+    if left:
+        for ends, least, attempted in grid(pairs, moduli, max(64, 16 * bound),
+                                           options._replace(max_starts=left)):
+            converged += len(ends)
+            if collect(ends, least):
+                break
+    return Found(sorted(points, key=_order), len(starts) + attempted, converged, size, best,
+                 len(starts), refused, grid_fallbacks=int(n == 2 and left > 0))
 
 
 def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,

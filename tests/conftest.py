@@ -890,21 +890,22 @@ def symmetry_group_oracle(exponents) -> Optional[set]:
             if all(sum(k * x for k, x in zip(ks, d)) % N == 0 for d in diffs)}
 
 
-def pairwise_dedup_oracle(points, radius) -> list:
+def pairwise_dedup_oracle(points, radius, kept=()) -> list:
     """Greedy dedup of log-coordinate points by a scan over pairs: a point
-    is kept when every earlier kept point lies farther than the radius,
-    with each phase difference wrapped into [-pi, pi)."""
+    is kept when every point of kept and every earlier kept point lies
+    farther than the radius, with each phase difference wrapped into
+    [-pi, pi). Returns the points kept, in order."""
     def distance(p, q):
         re = math.sqrt(sum((a.real - b.real) ** 2 for a, b in zip(p, q)))
         im = math.sqrt(sum(((a.imag - b.imag + math.pi) % (2 * math.pi) - math.pi) ** 2
                            for a, b in zip(p, q)))
         return math.hypot(re, im)
 
-    kept = []
+    fresh = []
     for p in points:
-        if all(distance(p, q) > radius for q in kept):
-            kept.append(p)
-    return kept
+        if all(distance(p, q) > radius for q in [*kept, *fresh]):
+            fresh.append(p)
+    return fresh
 
 
 def seed_table_starts(moduli, phases, first, count):
@@ -1041,20 +1042,21 @@ NO_ISOLATED_ROOTS = {
 }
 
 
-def grid_report(poly, t, options=None, starts=()):
-    """The multistart grid's report on W whole, whether W factors or not,
-    from the given starts ahead of the grid: what roots.solve runs on a W
-    that does not factor, with its polyhedral starts when W is 2-D."""
+def grid_report(poly, t, options=None):
+    """The multistart grid's report on W whole, whether W factors or not:
+    what roots.solve runs on a W that does not factor, with the grid alone
+    when W is 2-D."""
+    from toricmirror import roots
     from toricmirror.critical import grid_roots
     from toricmirror.laurent import numeric_terms
-    from toricmirror.roots import SolverOptions, _exponent_structure, _order, _report
 
-    options = options or SolverOptions()
-    structure = _exponent_structure(tuple(sorted(poly.terms)))
-    found = grid_roots(numeric_terms(poly, t), structure.bound, structure.shifts,
-                       options.moduli_per_coord, options, starts)
-    found = found._replace(points=sorted(found.points, key=_order))
-    return _report(found, structure, ((poly.zvars, structure.bound, "newton"),), options)
+    options = options or roots.SolverOptions()
+    structure = roots._exponent_structure(tuple(sorted(poly.terms)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
+        found = roots._newton_system(grid_roots, numeric_terms(poly, t), structure.bound,
+                                     structure.shifts, options.moduli_per_coord, options)
+    return roots._report(found, structure, ((poly.zvars, structure.bound, "newton"),), options)
 
 
 def grid_alone(poly, t, options=None):
@@ -1098,12 +1100,12 @@ def batch_boundary_oracle(poly, t, options):
     merged. Returns (attempted, converged, deduped, expected, points)."""
     import numpy as np
 
-    from toricmirror.critical import _dedup, _grid_starts
+    from toricmirror.critical import _grid_starts
 
     n, A, AA, c, moduli, phases, budget, band, expected, log_gradient = \
         _lockstep_setup(poly, t, options)
     batch = max(64, 16 * expected)
-    kept = np.empty((0, n), dtype=complex)
+    kept = []
     points = []
     attempted = converged = 0
     while attempted < budget and len(points) < expected:
@@ -1113,8 +1115,8 @@ def batch_boundary_oracle(poly, t, options):
             done[idx] = True
         attempted += len(w)
         converged += int(done.sum())
-        fresh = _dedup(w[done], kept, options.dedup_radius)
-        kept = np.concatenate([kept, fresh])
+        fresh = pairwise_dedup_oracle(w[done].tolist(), options.dedup_radius, kept)
+        kept += fresh
         for wi in fresh:
             z, resid = _exact_residual(log_gradient, wi)
             if resid <= options.tol:
@@ -1131,13 +1133,13 @@ def pass_stop_oracle(poly, t, options):
     iterate of every start, when no root is verified."""
     import numpy as np
 
-    from toricmirror.critical import _dedup, _grid_starts, _term_values
+    from toricmirror.critical import _grid_starts, _term_values
     from toricmirror.errors import NoConvergence
 
     n, A, AA, c, moduli, phases, budget, band, expected, log_gradient = \
         _lockstep_setup(poly, t, options)
     batch = max(64, 16 * expected)
-    kept = np.empty((0, n), dtype=complex)
+    kept = []
     points = []
     finals = []
     best_failed = math.inf
@@ -1149,8 +1151,8 @@ def pass_stop_oracle(poly, t, options):
         finals.append(w)
         for done in lockstep_newton(w, A, AA, c, options, band):
             converged += len(done)
-            fresh = _dedup(w[done], kept, options.dedup_radius)
-            kept = np.concatenate([kept, fresh])
+            fresh = pairwise_dedup_oracle(w[done].tolist(), options.dedup_radius, kept)
+            kept += fresh
             for wi in fresh:
                 z, resid = _exact_residual(log_gradient, wi)
                 if resid <= options.tol:

@@ -45,7 +45,6 @@ from toricmirror import critical
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.critical import (
     SolverOptions,
-    _dedup,
     _grid_starts,
     _stride,
     find_critical_points,
@@ -64,7 +63,7 @@ from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
 from toricmirror.laurent import LaurentPoly, evaluate, gradient, numeric_terms
 from toricmirror.potential import corrected_potential, hori_vafa
-from toricmirror.roots import _exponent_structure
+from toricmirror.roots import _exponent_structure, _merge, start_grid_size
 
 T001 = math.log(100.0)  # q = 0.01
 RAT_T = Fraction(46051701859880914, 10**16)  # rational stand-in for ln(100)
@@ -720,11 +719,13 @@ class TestStartOrder:
     def test_stride_past_the_float_range_refused(self):
         # the largest power of two a float holds keeps the float rule's
         # stride (the rounded share is even, so one is added); the next one
-        # has no float share and is refused as input
+        # has no float share, and its grid is refused as input before any
+        # stride is taken
         grid = 2 ** 1023
         assert _stride(grid) == round((math.sqrt(5.0) - 1.0) / 2.0 * float(grid)) + 1
+        assert start_grid_size(((1.0,),), grid) == grid
         with pytest.raises(SchemaError, match="more points than a float can hold"):
-            _stride(2 * grid)
+            start_grid_size(((1.0,),), 2 * grid)
 
 
 def log_cloud(rng, n, count, radius):
@@ -751,23 +752,40 @@ def log_cloud(rng, n, count, radius):
 class TestDedup:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_matches_pairwise_scan(self, n):
+        # the ends in order, then their images shift by shift, first wins
         rng = random.Random(40 + n)
+        shifts = [(0.0,) * n, (math.pi,) + (0.0,) * (n - 1), (0.5,) * n]
+
+        def images(ends):
+            return [tuple(x + 1j * s for x, s in zip(p, shift)) for shift in shifts for p in ends]
+
         for radius in (1e-8, 0.05):
-            cloud = log_cloud(rng, n, 40, radius)
-            empty = np.empty((0, n), dtype=complex)
-            kept = _dedup(cloud, empty, radius)
-            oracle = pairwise_dedup_oracle(cloud.tolist(), radius)
-            assert kept.tolist() == oracle
-            assert 40 <= len(kept) < len(cloud)
-            # the same set when the points arrive in batches
-            first = _dedup(cloud[:25], empty, radius)
-            second = _dedup(cloud[25:], first, radius)
-            assert np.concatenate([first, second]).tolist() == oracle
+            cloud = [tuple(p) for p in log_cloud(rng, n, 40, radius).tolist()]
+            assert 40 <= len(pairwise_dedup_oracle(cloud, radius)) < len(cloud)
+            kept = []
+            oracle = pairwise_dedup_oracle(images(cloud), radius)
+            assert _merge(kept, cloud, shifts, radius) == kept == oracle
+            # the ends in batches: each merged against the points kept before
+            kept = []
+            first = _merge(kept, cloud[:25], shifts, radius)
+            second = _merge(kept, cloud[25:], shifts, radius)
+            assert first == pairwise_dedup_oracle(images(cloud[:25]), radius)
+            assert second == pairwise_dedup_oracle(images(cloud[25:]), radius, first)
+            assert kept == first + second
+
+    def test_ends_come_before_their_images(self):
+        # the second end lies within the radius of the first one's image:
+        # the end is kept, and the image is dropped
+        first = (0.3 + 0.1j, -1.0 + 0.2j)
+        second = (0.3 + (0.1 + math.pi) * 1j + 1e-9, -1.0 + 0.2j)
+        kept = []
+        assert _merge(kept, [first, second], [(0.0, 0.0), (math.pi, 0.0)], 1e-8) == [
+            first, second]
+        assert kept == [first, second]
 
     def test_zero_radius_merges_only_exact_copies(self):
-        cloud = np.array([[1 + 1j], [1 + 1j], [1 + 1j + 1e-15]])
-        assert _dedup(cloud, np.empty((0, 1), dtype=complex), 0.0).tolist() == [
-            [1 + 1j], [1 + 1j + 1e-15]]
+        cloud = [(1 + 1j,), (1 + 1j,), (1 + 1j + 1e-15,)]
+        assert _merge([], cloud, [(0.0,)], 0.0) == [(1 + 1j,), (1 + 1j + 1e-15,)]
 
 
 class TestCompiledForm:

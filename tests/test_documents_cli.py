@@ -791,8 +791,8 @@ class TestCritCommand:
 
     def test_more_roots_than_the_bound_exit_7(self, tmp_path, capsys):
         # on dP6 at t = (2, 3, 3, 2) two of the six polyhedral starts reach
-        # one root, a few ulps apart, so the grid runs; at radius 0 it keeps
-        # copies of one root, which converge before the pass that reaches
+        # one root, a few ulps apart, so the grid runs; at radius 0 both
+        # copies are kept, and with the root the grid adds they outnumber
         # the bound. At t = (3, 4, 4, 3) the six starts reach the six roots,
         # and no copy is made
         pot = self.make_potential(tmp_path, DP6_DOC)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import toricmirror
-from conftest import dual_kahler, grid_alone, grid_report, jacobian_charpoly
+from conftest import dual_kahler, grid_alone, jacobian_charpoly
 from test_critical import assert_point_sets_match_relative, cone_point, solve
 from test_documents_cli import DP6_DOC, bundle_potential
 from test_potential import BUNDLES, catalog_bases, in_three_charts
@@ -122,14 +122,14 @@ NEWTON_CLASSES = {"F1": base("F1"), "dP6": base("dP6"), "P(K_F1+O)": bundle("F1"
 def test_starts_find_the_roots_of_the_grid_alone(name):
     # the same root set, and with the order rule the same order, on 30
     # seeded points; the roots move only at rounding level, so the order
-    # does not follow them. A system whose starts come up short runs them
-    # again, ahead of the grid
+    # does not follow them. A system whose starts come up short continues
+    # on the grid from the roots they found, and runs each start once
     k, W = NEWTON_CLASSES[name]()
     for seed in range(30):
         report, t = solve(k, W, cone_point(k, seed))
         alone = grid_alone(W, t, report.options)
         bound = sum(b for _, b in newton_systems(W, t))
-        assert report.polyhedral == bound * (1 + report.grid_fallbacks)
+        assert report.polyhedral == bound
         assert (alone.polyhedral, alone.grid_fallbacks) == (0, 1)
         assert report.deduped == alone.deduped == report.expected
         assert_point_sets_match_relative(report.points, alone.points, rel=1e-9)
@@ -156,14 +156,14 @@ def test_cells_that_miss_the_bound_run_the_grid_alone(monkeypatch):
 
 def test_collided_starts_fall_back_to_the_grid(monkeypatch):
     # a kernel that sends the second start onto the first one's root leaves
-    # five of dP6's six roots: the grid runs as it runs on its own, the six
-    # starts ahead of it and the max_starts budget shared, and the system
-    # is counted. Its points are the grid's, and those of the grid alone
+    # five of dP6's six roots: the grid continues from those five on what
+    # is left of the max_starts budget, the starts are not run again, and
+    # the system is counted. The grid stops at the pass that verifies the
+    # sixth root, no later than the grid alone stops, which needs all six
     k, W = base("dP6")()
     params = cone_point(k, 5)
     report, t = solve(k, W, params)
     assert (report.polyhedral, report.grid_fallbacks, report.deduped) == (6, 0, 6)
-    starts = _polyhedral_starts(numeric_terms(W, t), report.expected)
     newton = roots._newton_2d
     seen = []
 
@@ -174,21 +174,19 @@ def test_collided_starts_fall_back_to_the_grid(monkeypatch):
     monkeypatch.setattr(roots, "_newton_2d", collide)
     fallback, _ = solve(k, W, params)
     assert len(seen) == 6
-    grid = grid_report(W, t, report.options._replace(max_starts=4096 - 6), starts)
-    assert (fallback.points, fallback.values, fallback.residuals) == (
-        grid.points, grid.values, grid.residuals)
-    assert (fallback.attempted, fallback.converged) == (6 + grid.attempted, 6 + grid.converged)
-    assert (fallback.polyhedral, fallback.grid_fallbacks) == (12, 1)
+    assert (fallback.polyhedral, fallback.grid_fallbacks) == (6, 1)
     alone = grid_alone(W, t, report.options)
     assert fallback.deduped == alone.deduped == 6
+    assert 6 < fallback.attempted <= 6 + alone.attempted
+    assert 6 < fallback.converged <= 6 + alone.converged
     for point, other in zip(fallback.points, alone.points):
         assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
-    # max_starts caps both runs: two starts are left for the grid, which
-    # verify fewer roots than the six did, so the report keeps their five
+    # max_starts caps both runs: two starts are left for the grid, and the
+    # sixth root they reach joins the five the starts verified
     seen.clear()
     capped, _ = solve(k, W, params, max_starts=8)
-    assert (capped.attempted, capped.polyhedral, capped.grid_fallbacks) == (8, 8, 1)
-    assert capped.truncated and capped.deduped == 5
+    assert (capped.attempted, capped.polyhedral, capped.grid_fallbacks) == (8, 6, 1)
+    assert not capped.truncated and capped.deduped == 6
 
 
 def no_grid(*_):
@@ -242,7 +240,7 @@ def test_crit_documents_ignore_the_hash_seed(tmp_path, case):
         outputs.append(proc.stdout)
     multistart = json.loads(outputs[0])["multistart"]
     assert (multistart["polyhedral"], multistart["grid_fallbacks"]) == (
-        (6, 0) if case == "starts" else (12, 1))
+        (6, 0) if case == "starts" else (6, 1))
     assert len(set(outputs)) == 1
 
 

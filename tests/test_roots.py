@@ -409,7 +409,7 @@ class TestAgainstGrid:
     def test_whole_grid_when_w_does_not_factor(self, name):
         # W whole, 2-D: Newton from its polyhedral starts alone reaches
         # every root, in the order and within rounding of the points of the
-        # grid run from the same starts, and the root set of the grid alone
+        # grid alone
         fan = SWEEP_BASES[name]
         k = dual_kahler(fan)
         W = hori_vafa(fan, k)
@@ -418,14 +418,12 @@ class TestAgainstGrid:
         starts = _polyhedral_starts(numeric_terms(W, t), report.expected)
         assert report.polyhedral == report.attempted == len(starts) == report.expected
         assert report.grid_fallbacks == 0
-        grid = grid_report(W, t, report.options, starts)
-        assert grid.polyhedral == len(starts) and grid.deduped == report.deduped
-        for point, other in zip(report.points, grid.points):
-            assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
-        assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(report.values, grid.values))
         whole, _ = grid_solve(k, W, params)
         assert whole.polyhedral == 0 and report.deduped == whole.deduped == report.expected
         assert_point_sets_match_relative(report.points, whole.points)
+        for point, other in zip(report.points, whole.points):
+            assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
+        assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(report.values, whole.values))
 
     def test_newton_factor_replays(self):
         # the seeds of the dP6 factor come from the document's own options
@@ -455,16 +453,32 @@ class TestAgainstGrid:
         assert short.deduped < short.expected and short.truncated
         assert short.deduped % 4 == 0  # whole factor roots, each lifted twice, times P1's two
 
-    def test_newton_factor_exceeds_its_bound(self):
-        # at cone point 112 two of the dP6 factor's polyhedral starts reach
-        # one root, so the grid runs; at radius 0 it keeps copies of one
-        # root, which the factor's own bound refuses. At cone point 3 the six
-        # starts reach the six roots, and no copy is made
+    def test_newton_factor_exceeds_its_bound(self, monkeypatch):
+        # at cone point 8 two of the dP6 factor's polyhedral starts end
+        # within 1e-8 of each other, on one root, so the grid runs; at
+        # radius 0 both copies are kept, and with the root the grid adds
+        # they outnumber the factor's own bound. At cone point 112 one start
+        # is dropped and none collide, so the grid adds the sixth root and
+        # no copy; at cone point 3 the six starts reach the six roots
         k, W, _ = bundle_setup(SWEEP_BASES["P1xdP6"])
-        assert solve(k, W, cone_point(k, 112))[0].grid_fallbacks == 1
+        newton = roots._newton_2d
+        ends = []
+
+        def spy(*args):
+            end, residual = newton(*args)
+            if end is not None:
+                ends.append(end)
+            return end, residual
+
+        monkeypatch.setattr(roots, "_newton_2d", spy)
+        assert solve(k, W, cone_point(k, 8))[0].grid_fallbacks == 1
+        assert len(ends) == 6 and any(roots._log_distance(a, b) <= 1e-8
+                                      for i, a in enumerate(ends) for b in ends[:i])
         with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
                            r"points exceed the root bound 6: the dedup radius 0.0 "):
-            solve(k, W, cone_point(k, 112), dedup_radius=0.0)
+            solve(k, W, cone_point(k, 8), dedup_radius=0.0)
+        at_112, _ = solve(k, W, cone_point(k, 112), dedup_radius=0.0)
+        assert (at_112.grid_fallbacks, at_112.deduped) == (1, 24)
         assert solve(k, W, cone_point(k, 3), dedup_radius=0.0)[0].deduped == 24
 
     def test_grid_report_is_the_whole_grid(self):
