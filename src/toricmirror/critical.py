@@ -1,5 +1,5 @@
-"""The multistart Newton grid: the numpy kernel behind the critical points
-of a Laurent system that does not solve in closed form.
+"""The multistart Newton grid: one numpy generator, ``grid_roots``, behind
+the critical points of a Laurent system that does not solve in closed form.
 
 ``roots.solve`` hands it W, when W does not factor, or one Newton factor of
 W at a time, as float (exponent, coefficient) pairs with the seed moduli
@@ -24,12 +24,10 @@ the magnitudes in play; callers with a moment polytope should pass
 vertex-scale moduli) with equally spaced phases. The starts run in a fixed
 stride permutation of the whole grid, so that every coordinate's seeds come
 early; max_starts caps them. Newton steps a working set of `width` starts
-in lockstep, each start on its own step count; a start leaves the set when
-it converges, reaches max_steps, shows a non-finite residual or leaves the
-band, and when the set has drained to a quarter of its width the next
-starts in order top it up, never past max_starts. Everything is
-deterministic: the order and the iterates yielded after each pass depend
-only on the iterates, never on timing.
+in lockstep, each on its own step count, and the next starts in order top
+the set up as it drains (``grid_roots``). Everything is deterministic: the
+order and the iterates yielded after each pass depend only on the
+iterates, never on timing.
 """
 
 from __future__ import annotations
@@ -86,28 +84,42 @@ def _term_values(w: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.exp(re) * (np.cos(im) + 1j * np.sin(im)) * c
 
 
-def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
-            options: SolverOptions, band: float, width: int):
-    """Rolling Newton over a working set of at most `width` starts, drawn
-    in order from admit(count), which returns the next starts (s, n), fewer
-    once the budget runs out. Only the live rows are kept: the iterate, its
+def grid_roots(terms: list, moduli, width: int, options: SolverOptions):
+    """Rolling multistart Newton over the start grid of the log-gradient
+    system of the (exponent, coefficient) pairs `terms`: at most max_starts
+    starts in the grid's mixed order (``_grid_starts``), through a working
+    set of at most `width`. Only the live rows are kept: the iterate, its
     step count and its last step size. Each start steps on its own and
     leaves the set when it converges, when its residual is not finite, at
-    its own max_steps, or when its next iterate leaves the band. When the
-    live rows have drained to a quarter of the width, the next starts top
-    them up to the width. After each pass that converges some starts it
-    yields their iterates in start order, and once more, with none, when
-    the set is empty; each yield also carries the least finite residual
-    over the last iterates of the starts dropped so far, never of those
-    that converged. The caller may stop between passes. AA holds the
-    products a_j * a_k of each term's exponents, so the Jacobians are one
-    matrix product."""
-    n = A.shape[1]
-    w = admit(width)
-    steps = np.zeros(len(w), dtype=int)
-    last_step = np.full(len(w), np.inf)
-    least = math.inf
-    while len(w):
+    its own max_steps, or when its next iterate leaves the band. Whenever
+    the live rows have drained to a quarter of the width, from none at the
+    outset, the next starts top them up to the width, never past the
+    budget. After each pass that converges some starts it yields (their
+    iterates as tuples of log coordinates, in start order; the least
+    finite residual over the last iterates of the starts dropped so far,
+    never of those that converged; the starts admitted so far), and once
+    more, with no iterate, when the set is empty. The caller merges,
+    admits and stops it between passes (``roots._newton_system``). AA
+    holds the products a_j * a_k of each term's exponents, so the
+    Jacobians are one matrix product."""
+    n = len(terms[0][0])
+    A = np.array([a for a, _ in terms], dtype=float)
+    c = np.array([v for _, v in terms], dtype=complex)
+    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
+    phases = options.phases_per_coord
+    budget = min(start_grid_size(moduli, phases), options.max_starts)
+    band = newton_band(moduli)
+    w, steps, last_step = np.empty((0, n), dtype=complex), np.zeros(0, dtype=int), np.zeros(0)
+    attempted, least = 0, math.inf
+    while True:
+        count = min(width - len(w), budget - attempted)
+        if 4 * len(w) <= width and count:
+            w = np.concatenate([w, _grid_starts(moduli, phases, attempted, count)])
+            attempted += count
+            steps = np.concatenate([steps, np.zeros(count, dtype=int)])
+            last_step = np.concatenate([last_step, np.full(count, np.inf)])
+        if not len(w):
+            break
         # numpy's error state is set per pass, never across a yield, so the
         # caller runs under its own
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -117,7 +129,7 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
             finite = np.isfinite(res)
             done = finite & (res <= options.tol) & (last_step <= STEP_TOL)
         if done.any():
-            yield w[done], least
+            yield [tuple(x) for x in w[done].tolist()], least, attempted
         # a start at its max_steps only tests its last update
         go = finite & ~done & (steps < options.max_steps)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -147,41 +159,7 @@ def _newton(admit, A: np.ndarray, AA: np.ndarray, c: np.ndarray,
         w = new_w[ok]
         steps = steps[keep] + 1
         last_step = np.linalg.norm(step[ok], axis=1)
-        if 4 * len(w) <= width:
-            fresh = admit(width - len(w))
-            if len(fresh):
-                w = np.concatenate([w, fresh])
-                steps = np.concatenate([steps, np.zeros(len(fresh), dtype=int)])
-                last_step = np.concatenate([last_step, np.full(len(fresh), np.inf)])
-    yield w, least
-
-
-def grid_roots(terms: list, moduli, width: int, options: SolverOptions):
-    """Multistart Newton over the start grid of the log-gradient system of
-    the (exponent, coefficient) pairs `terms`, at most max_starts starts in
-    the grid's mixed order through a working set of `width`. After each
-    pass that converges some starts it yields (their iterates as tuples of
-    log coordinates, in start order; the least finite residual over the
-    last iterates of the starts dropped so far; the starts admitted so
-    far), and once more, with no iterate, when every start has converged
-    or been dropped. The caller merges, admits and stops it
-    (``roots._newton_system``)."""
-    n = len(terms[0][0])
-    A = np.array([a for a, _ in terms], dtype=float)
-    c = np.array([v for _, v in terms], dtype=complex)
-    AA = (A[:, :, None] * A[:, None, :]).reshape(len(A), n * n)
-    phases = options.phases_per_coord
-    budget = min(start_grid_size(moduli, phases), options.max_starts)
-    attempted = 0
-
-    def admit(count: int) -> np.ndarray:
-        nonlocal attempted
-        w = _grid_starts(moduli, phases, attempted, min(count, budget - attempted))
-        attempted += len(w)
-        return w
-
-    for found, least in _newton(admit, A, AA, c, options, newton_band(moduli), width):
-        yield [tuple(w) for w in found.tolist()], least, attempted
+    yield [], least, attempted
 
 
 def find_critical_points(poly, t, options: SolverOptions | None = None) -> CriticalReport:

@@ -4,9 +4,10 @@ The critical points of W are the roots in (C*)^n of its logarithmic
 gradient g_j = z_j dW/dz_j. Their number is at most n! vol(Newton polytope)
 (Kouchnirenko; Bernstein), computed exactly from the term exponents, with
 the root-of-unity group G below, in one cached structure record per
-exponent tuple; a W with bound 0 has no isolated roots and is refused. On
-the smooth Fano and semi-Fano fans this package builds, the bound is the
-number of maximal cones and is reached.
+exponent tuple; a W with bound 0 has no isolated roots and is refused, and
+so is one with a factor (below) that has no isolated root. On the smooth
+Fano and semi-Fano fans this package builds, the bound is the number of
+maximal cones and is reached.
 
 The record also finds the structure the paper's X = P(K_Y + O_Y) gives W.
 In a unimodular chart, exponents a -> M a, that W reads
@@ -166,8 +167,10 @@ class Factor(NamedTuple):
 class Structure(NamedTuple):
     """W's root bound and G, and how it factors: the unimodular chart (rows
     M; None when W does not factor), its inverse, the term indices of v_0
-    and its opposite (None without a fiber grading), the factors, and the
-    chart image M a of each exponent a (a itself without a chart)."""
+    and its opposite (None without a fiber grading), the factors, the
+    chart image M a of each exponent a (a itself without a chart), and why
+    W has no isolated critical point although its bound is positive (None
+    when it may have some)."""
 
     bound: int
     shifts: tuple
@@ -176,6 +179,7 @@ class Structure(NamedTuple):
     fiber: Optional[tuple]
     factors: tuple
     images: tuple
+    refusal: Optional[str]
 
 
 def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
@@ -207,9 +211,9 @@ def _seeds(logs) -> tuple:
     return tuple(r for r in moduli if r > 0.0) or (1.0,)
 
 
-def _bound_and_shifts(nonconstant: list) -> tuple:
-    """(bound, shifts) of nonconstant exponents; SchemaError when their
-    Newton polytope is not full-dimensional.
+def _bound_and_shifts(nonconstant: list, whose: str = "its nonconstant terms") -> tuple:
+    """(bound, shifts) of nonconstant exponents; SchemaError, naming whose
+    they are, when their Newton polytope is not full-dimensional.
 
     bound is Kouchnirenko's bound on the isolated roots in (C*)^n of the
     log-gradient system: n! times the volume of the Newton polytope of the
@@ -224,7 +228,7 @@ def _bound_and_shifts(nonconstant: list) -> tuple:
     H, _ = hermite_normal_form([[x - y for x, y in zip(a, first)] for a in rest])
     if len(H) < n or not all(H[j][j] for j in range(n)):
         raise SchemaError("potential has no isolated critical points: the Newton "
-                          "polytope of its nonconstant terms is not full-dimensional")
+                          f"polytope of {whose} is not full-dimensional")
     return normalized_volume(nonconstant), _shifts(H)
 
 
@@ -248,15 +252,19 @@ def _exponent_structure(exponents: tuple) -> Structure:
     """The structure record of W's sorted exponents; only the nonconstant
     ones count, as a constant term drops out of every z_j dW/dz_j.
     SchemaError when there is none, or when their Newton polytope is not
-    full-dimensional."""
+    full-dimensional. A W with a factor that has no isolated root gets a
+    record too, unfactored, with the reason ``solve`` refuses it for."""
     nonconstant = [a for a in exponents if any(a)]
     if not nonconstant:
         raise SchemaError("potential has no nonconstant term")
     bound, shifts = _bound_and_shifts(nonconstant)
-    chart, inverse, fiber, factors = _factorization(exponents) or (None, None, None, ())
+    try:
+        chart, inverse, fiber, factors = _factorization(exponents) or (None, None, None, ())
+    except SchemaError as exc:
+        return Structure(bound, shifts, None, None, None, (), exponents, str(exc))
     images = exponents if chart is None else tuple(
         tuple(sum(x * y for x, y in zip(row, a)) for row in chart) for a in exponents)
-    return Structure(bound, shifts, chart, inverse, fiber, factors, images)
+    return Structure(bound, shifts, chart, inverse, fiber, factors, images, None)
 
 
 def _rank(rows) -> int:
@@ -313,9 +321,10 @@ def _inverse(mat) -> tuple:
 
 def _factorization(exponents: tuple) -> Optional[tuple]:
     """(chart, inverse, fiber, factors) of W's sorted exponents, or None
-    when W does not factor: one Newton factor and no fiber grading, or a
-    factor with no isolated roots, or a simplex factor with a term the
-    binomial system sets to 0."""
+    when W does not factor: one Newton factor and no fiber grading.
+    SchemaError when a factor has no isolated root, and so W has none: its
+    Newton polytope is not full-dimensional (its roots, if any, come in
+    curves), or it is a simplex whose binomial system sets a term to 0."""
     n = len(exponents[0])
     index = {a: i for i, a in enumerate(exponents) if any(a)}
     fiber, grading, rows, base = None, (), _identity(n), list(index)
@@ -351,15 +360,14 @@ def _factorization(exponents: tuple) -> Optional[tuple]:
                                              for k in range(first, first + dim)))
                       for i in g)
         exps = [a for _, a in terms]
-        try:
-            bound, shifts = _bound_and_shifts(exps)
-        except SchemaError:
-            return None
+        bound, shifts = _bound_and_shifts(exps, "one of its factors")
         simplex = None
         if len(exps) == dim + 1:
             (mu,) = kernel_basis([[a[j] for a in exps] for j in range(dim)])
             if not all(mu):
-                return None
+                raise SchemaError("potential has no isolated critical points: one of its "
+                                  "factors is a simplex whose binomial system has no root "
+                                  "in the torus")
             simplex = (mu, _inverse([list(a) + [-1] for a in exps]))
         factors.append(Factor(first, dim, terms, bound, shifts, simplex))
         first += dim
@@ -616,10 +624,6 @@ def default_moduli(coefficients, n: int) -> tuple:
     return tuple(ladder for _ in range(n))
 
 
-GRID_PAST_FLOAT = ("the start grid has more points than a float can hold; "
-                   "lower the phases per coordinate")
-
-
 def start_grid_size(moduli, phases: int) -> int:
     """The number of starts in the full grid over the seed moduli, phases
     per modulus. The grid's start order needs its float share, so a count a
@@ -628,7 +632,8 @@ def start_grid_size(moduli, phases: int) -> int:
     try:
         float(grid)
     except OverflowError as exc:
-        raise SchemaError(GRID_PAST_FLOAT) from exc
+        raise SchemaError("the start grid has more points than a float can hold; "
+                          "lower the phases per coordinate") from exc
     return grid
 
 
@@ -878,12 +883,15 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions
     when no point
     is verified; its message gives the best residual seen, and the roots
     refused for leaving the float range. Raises SchemaError, before any
-    solve, when the bound is 0 or W has no nonconstant term, or when a
-    Newton system's grid has more starts than a float can hold; and
+    solve, when the bound is 0 or W has no nonconstant term, when a factor
+    of W has no isolated root (``_factorization``), or when a Newton
+    system's grid has more starts than a float can hold; and
     RootBoundExceeded when a Newton system verifies more roots than its
     bound, and whatever else the grid raises."""
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
+    if structure.refusal:
+        raise SchemaError(structure.refusal)
     n = poly.zvars
     pairs = numeric_terms(poly, t)
     moduli = options.moduli_per_coord

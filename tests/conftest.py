@@ -991,8 +991,8 @@ def lockstep_newton(w, A, AA, c, options, band):
 
 
 def newton_arrays(poly, t, options):
-    """What the solver hands its Newton kernel, compiled from W as it
-    compiles them: (n, A, AA, c, moduli, phases, budget, band)."""
+    """What the solver's grid works with, built from W as the grid builds
+    it: (n, A, AA, c, moduli, phases, budget, band)."""
     import numpy as np
 
     from toricmirror.roots import default_moduli
@@ -1012,21 +1012,17 @@ def newton_arrays(poly, t, options):
 
 
 def newton_yields(poly, t, options, width=64):
-    """Every yield of the solver's Newton kernel on W, admitting starts in
-    the solver's order up to its budget, and the number admitted. Runs on
-    any W, one the solver refuses included."""
-    from toricmirror.critical import _grid_starts, _newton
+    """Every yield of the solver's grid on W, as (iterates, least
+    residual), and the number of starts it admitted. Runs on any W, one
+    the solver refuses included."""
+    from toricmirror.critical import grid_roots
+    from toricmirror.laurent import numeric_terms
+    from toricmirror.roots import default_moduli
 
-    _, A, AA, c, moduli, phases, budget, band = newton_arrays(poly, t, options)
-    attempted = 0
-
-    def admit(count):
-        nonlocal attempted
-        w = _grid_starts(moduli, phases, attempted, min(count, budget - attempted))
-        attempted += len(w)
-        return w
-
-    return list(_newton(admit, A, AA, c, options, band, width)), attempted
+    terms = numeric_terms(poly, [float(v) for v in t])
+    moduli = options.moduli_per_coord or default_moduli([v for _, v in terms], poly.zvars)
+    yields = list(grid_roots(terms, moduli, width, options))
+    return [(found, least) for found, least, _ in yields], yields[-1][2]
 
 
 def newton_must_not_run(*_):
@@ -1039,6 +1035,23 @@ NO_ISOLATED_ROOTS = {
     "square": {(2, 0): 1, (1, 1): 2, (0, 2): 1},  # (z1 + z2)^2, zero on z1 = -z2
     "segment": {(1, 1): 1, (-1, -1): 1},  # z1*z2 + 1/(z1*z2)
     "monomial": {(1,): 1},  # z
+}
+
+# potentials with a positive root bound and a factor with no isolated
+# critical point, so that W has none either, as ({z-exponent: coefficient},
+# the reason they are refused for)
+FACTOR_WITHOUT_ROOTS = {
+    # a simplex with kernel vector (0, 2, 1): its first term would be 0
+    "simplex": ({(-2, 1): Fraction(-3, 7), (-1, -1): 5, (2, 2): Fraction(1, 3)},
+                "one of its factors is a simplex whose binomial system has no root in the torus"),
+    # u (1 + W_Y(y)) + 2/u with W_Y's exponents on the line y1 + y2 = 1:
+    # its critical points form curves
+    "base on a line": ({(0, 0, 1): 1, (0, 0, -1): 2, (1, 0, 1): 1, (0, 1, 1): Fraction(3, 2),
+                        (2, -1, 1): Fraction(-1, 3)},
+                       "the Newton polytope of one of its factors is not full-dimensional"),
+    # z1 + z1^2 + z2: the factor z2 has no critical point
+    "lone monomial": ({(1, 0): 1, (2, 0): 1, (0, 1): 1},
+                      "the Newton polytope of one of its factors is not full-dimensional"),
 }
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FACTOR_WITHOUT_ROOTS,
     NO_ISOLATED_ROOTS,
     batch_boundary_oracle,
     dual_kahler,
@@ -41,7 +42,7 @@ from conftest import (
 )
 from test_integer_solves import DP6, F1, product_fan
 from test_potential import BUNDLES, catalog_bases, in_three_charts
-from toricmirror import critical
+from toricmirror import critical, roots
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.critical import (
     SolverOptions,
@@ -304,28 +305,41 @@ class TestSolverBehavior:
     def test_no_isolated_roots_refused_before_newton(self, monkeypatch, terms):
         # the Newton polytope is a segment (or a point, for z): the bound is
         # 0, and no coefficients give W an isolated critical point
-        monkeypatch.setattr(critical, "_newton", newton_must_not_run)
+        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
         with pytest.raises(SchemaError, match="no isolated critical points: the Newton "
                            "polytope of its nonconstant terms is not full-dimensional"):
             find_critical_points(laurent({z: {(): c} for z, c in terms.items()}), [])
 
+    @pytest.mark.parametrize("terms, reason", FACTOR_WITHOUT_ROOTS.values(),
+                             ids=FACTOR_WITHOUT_ROOTS)
+    def test_factor_without_roots_refused_before_newton(self, monkeypatch, terms, reason):
+        # the bound is positive, but a factor has no isolated root, so W has
+        # none: Newton on W whole would admit points drifting along a curve
+        # or toward infinity. Neither the starts nor the grid run
+        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton_2d", newton_must_not_run)
+        W = laurent({z: {(): c} for z, c in terms.items()})
+        assert _exponent_structure(tuple(sorted(W.terms))).bound > 0
+        with pytest.raises(SchemaError, match=re.escape(
+                f"potential has no isolated critical points: {reason}")):
+            find_critical_points(W, [])
+
     def test_exact_residual_refuses_a_false_root(self, monkeypatch):
-        # a Newton kernel that passes z = 1 off as a root of z + q/z beside
+        # a grid that passes z = 1 off as a root of z + q/z beside
         # the true root z = 0.1: only the true root and its image -0.1 are
         # reported, and alone z = 1 is refused with its residual |1 - q|
         W = laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}})
 
         def kernel(found):
-            def newton(admit, *_):
-                admit(len(found))
-                yield np.log(np.array(found, dtype=complex))[:, None], math.inf
-                yield np.empty((0, 1), dtype=complex), math.inf
-            return newton
+            def grid(*_):
+                yield [(np.log(complex(z)),) for z in found], math.inf, len(found)
+                yield [], math.inf, len(found)
+            return grid
 
-        monkeypatch.setattr(critical, "_newton", kernel([1.0, 0.1]))
+        monkeypatch.setattr(critical, "grid_roots", kernel([1.0, 0.1]))
         report = grid_report(W, [T001])
         assert_point_sets_match(report, [(-0.1,), (0.1,)])
-        monkeypatch.setattr(critical, "_newton", kernel([1.0]))
+        monkeypatch.setattr(critical, "grid_roots", kernel([1.0]))
         with pytest.raises(NoConvergence, match=f"best residual reached {1 - 0.01:.3e}; "):
             grid_report(W, [T001])
 
@@ -673,6 +687,39 @@ class TestStartOrder:
         parts = [_grid_starts(moduli, 4, a, b - a)
                  for a, b in ((0, 7), (7, 40), (40, grid))]
         assert np.array_equal(np.concatenate(parts), starts)
+
+    def test_starts_top_up_the_set_at_a_quarter_of_its_width(self, monkeypatch):
+        # the grid admits its starts in order, each top-up filling the
+        # working set to its width, never past the budget, exactly at the
+        # passes where its live rows have drained to a quarter of the width,
+        # from none at the outset
+        rows, topups = [], {}  # rows of each pass; pass -> (first, count)
+        term_values, grid_starts = critical._term_values, critical._grid_starts
+
+        def count_rows(w, *args):
+            rows.append(len(w))
+            return term_values(w, *args)
+
+        def record(moduli, phases, first, count):
+            if count:
+                topups[len(rows)] = (first, count)
+            return grid_starts(moduli, phases, first, count)
+
+        monkeypatch.setattr(critical, "_term_values", count_rows)
+        monkeypatch.setattr(critical, "_grid_starts", record)
+        width, budget = 64, 300
+        W = laurent({a: {(): 1} for a in DP6})
+        _, attempted = newton_yields(W, [], SolverOptions(max_starts=budget), width)
+        assert attempted == budget and len(topups) > 3
+        admitted = 0
+        for p, r in enumerate(rows):
+            if p in topups:
+                first, count = topups[p]
+                assert first == admitted and 4 * (r - count) <= width
+                admitted += count
+                assert r == width or admitted == budget
+            else:
+                assert 4 * r > width or admitted == budget
 
     @pytest.mark.parametrize("n, radii", [(2, 3), (4, 5)])
     def test_every_seed_starts_early(self, n, radii):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import toricmirror
 from conftest import (
+    FACTOR_WITHOUT_ROOTS,
     NO_ISOLATED_ROOTS,
     hirzebruch,
     hirzebruch2,
@@ -27,7 +28,7 @@ from conftest import (
     random_unimodular,
     unimodular_map_search,
 )
-from toricmirror import cli, critical, errors
+from toricmirror import cli, critical, errors, roots
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
@@ -1028,12 +1029,34 @@ class TestCritCommand:
             "terms": [{"z": list(z), "coefficient": [{"q": [], "value": str(c)}]}
                       for z, c in terms.items()],
             "q_areas": [], "parameters": []})
-        monkeypatch.setattr(critical, "_newton", newton_must_not_run)
+        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
         capsys.readouterr()
         assert main(["crit", pot]) == 2
         assert capsys.readouterr().err == (
             "error: potential has no isolated critical points: the Newton polytope of "
             "its nonconstant terms is not full-dimensional\n")
+
+    @pytest.mark.parametrize("terms, reason", FACTOR_WITHOUT_ROOTS.values(),
+                             ids=FACTOR_WITHOUT_ROOTS)
+    @pytest.mark.parametrize("extra", [[], ["--max-starts", "3"]])
+    def test_factor_without_critical_points_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                   terms, reason, extra):
+        # a hand-written W with a positive bound and a factor that has no
+        # isolated critical point is refused before any Newton pass, at any
+        # budget; Newton on W whole ended in exit 7, 6 or 0 with points
+        # that are no critical points
+        n = len(next(iter(terms)))
+        pot = write(tmp_path, "pot.json", {
+            "format": "toricmirror-potential/1", "z_variables": n, "q_variables": 0,
+            "terms": [{"z": list(z), "coefficient": [{"q": [], "value": str(c)}]}
+                      for z, c in terms.items()],
+            "q_areas": [], "parameters": []})
+        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton_2d", newton_must_not_run)
+        capsys.readouterr()
+        assert main(["crit", pot, *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: potential has no isolated critical points: {reason}\n")
 
     @pytest.mark.parametrize("t", [125, 200])
     def test_far_inside_kahler_cone(self, tmp_path, capsys, t):

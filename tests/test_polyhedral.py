@@ -22,6 +22,7 @@ from test_roots import SWEEP_BASES
 from toricmirror import roots
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
+from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.lattice import normalized_volume
 from toricmirror.laurent import numeric_terms
@@ -317,6 +318,34 @@ def test_critical_values_are_the_jacobian_eigenvalues(name, ring):
     moved[0] += 1e-6 * max(abs(v) for v in values)
     with pytest.raises(AssertionError):
         assert_charpoly_matches(moved, exact)
+
+
+# the blow-up of P3 at a point: its Hori-Vafa W does not factor, a Newton
+# system of dimension 3, which has no polyhedral starts
+BLP3 = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)],
+                    [(0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def test_a_3d_newton_system_runs_the_grid_alone():
+    # through roots.solve, W whole and the bundle's 3-D base factor reach
+    # their bounds on the grid alone, which is not counted as a fallback;
+    # W's values are the eigenvalues of its Jacobian ring (degree 6)
+    k, W = fano_w(BLP3)
+    kb, Wb = bundle_w(projectivize_canonical(BLP3))
+    for seed in range(5):
+        report, t = solve(k, W, cone_point(k, seed))
+        assert report.factors == ((3, 6, "newton"),)
+        assert (report.deduped, report.expected) == (6, 6)
+        assert (report.polyhedral, report.grid_fallbacks) == (0, 0)
+        if seed == 0:
+            exact = jacobian_charpoly(numeric_terms(W, t))
+            assert_charpoly_matches(list(report.values), exact)
+            with pytest.raises(AssertionError):
+                assert_charpoly_matches(list(report.values[1:]), exact)
+        report, _ = solve(kb, Wb, cone_point(kb, seed))
+        assert report.factors == ((3, 6, "newton"),)
+        assert (report.deduped, report.expected) == (12, 12)
+        assert (report.polyhedral, report.grid_fallbacks) == (0, 0)
 
 
 def test_p1xdp6_bundle_values_through_its_factor_and_the_lift():

@@ -157,14 +157,17 @@ class TestStructure:
 
     def test_does_not_factor(self):
         # dP6 and F1 are one Newton factor; z1^2 + z1^-2 + z2 + 1/z2 splits
-        # over Q but not over Z, so it stays whole; z1 + z1^2 + z2 is a
-        # simplex whose binomial system has no root in the torus
+        # over Q but not over Z, so it stays whole; z1 + z1^2 + z2 has the
+        # factor z2, which has no critical point: its record stays whole and
+        # carries the reason the solve refuses it for
         for W in (laurent({a: {(): 1} for a in DP6}), laurent({a: {(): 1} for a in F1}),
                   laurent({(2, 0): {(): 1}, (-2, 0): {(): 1}, (0, 1): {(): 1},
                            (0, -1): {(): 1}}),
                   laurent({(1, 0): {(): 1}, (2, 0): {(): 1}, (0, 1): {(): 1}})):
             structure = structure_of(W)
             assert structure.chart is None and structure.factors == ()
+        assert structure.refusal == ("potential has no isolated critical points: the Newton "
+                                     "polytope of one of its factors is not full-dimensional")
 
     def test_newton_factors_of_the_sweep(self):
         # the corrected potentials keep the Hori-Vafa structure: only the F1
