@@ -1,17 +1,16 @@
 """The multistart Newton grid: one numpy generator, ``grid_roots``, behind
 the critical points of a Laurent system that does not solve in closed form.
 
-``roots.solve`` hands it W, when W does not factor, or one Newton factor of
-W at a time, as float (exponent, coefficient) pairs with the seed moduli
-and the working-set width. On a 2-D system it is the fallback: ``roots``
-runs Newton from the polyhedral starts alone first, and calls the grid only
-when they do not solve the system, or when the system's mixed cells miss
-its bound. The grid only yields converged iterates; ``roots`` merges them
-with their images under G, admits each by ``roots.candidate`` and stops it
-at the bound, one collector for the starts and the grid. This module
-imports roots, so roots cannot import it: ``find_critical_points`` is
-``roots.solve`` with this grid, and ``crit`` hands roots a callable that
-imports it on first use.
+``roots.solve`` hands it one Newton factor of W at a time, as float
+(exponent, coefficient) pairs with the seed moduli and the working-set
+width. On a 2-D system it is the fallback: ``roots`` runs Newton from the
+polyhedral starts alone first, and calls the grid only when they do not
+solve the system, or when the system's mixed cells miss its bound. The grid
+only yields converged iterates; ``roots`` merges them with their images
+under G, admits each by ``roots.candidate`` and stops it at the bound, one
+collector for the starts and the grid. This module imports roots, so roots
+cannot import it: ``find_critical_points`` is ``roots.solve`` with this
+grid, and ``crit`` hands roots a callable that imports it on first use.
 
 Works in logarithmic coordinates w = log z so Newton iterates can never land
 on a coordinate axis. The system solved is the logarithmic gradient

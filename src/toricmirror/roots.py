@@ -24,7 +24,8 @@ critical points y of W_Y, each lifted twice by u = +-sqrt(c/P(y)), with values
 components of their matroid, and when the lattices the components span
 make up the whole lattice, each is a factor in its own block of
 coordinates and the base roots are products of factor roots. A W with no
-fiber grading is its own base. A factor with r + 1 exponents in r
+fiber grading is its own base, and a base that does not split is one
+factor in the identity chart. A factor with r + 1 exponents in r
 coordinates is a simplex: its log-gradient system is binomial (Sturmfels,
 CBMS 97, ch. 3), solved in closed form by one linear solve with its integer
 exponent matrix in log coordinates and the orbit of that root under the
@@ -32,27 +33,27 @@ factor's G. Any other factor is a Newton factor, solved by Newton: a 2-D
 one from its polyhedral starts (below), any other by the multistart grid
 (``critical.grid_roots``) from seeds the option moduli give through the
 chart. A base root with P(y) = 0 has no lift; it is counted in
-`unlifted` and leaves the report short. A W whose record is one Newton
-factor in its own chart does not factor, and is solved whole.
+`unlifted` and leaves the report short. A factor holds only nonconstant
+terms, so W's constant term, which drops out of every z_j dW/dz_j, moves
+no start and no root: it only adds to the values.
 
-A 2-D Newton system (a 2-D Newton factor, or a 2-D W that does not
-factor) has `bound` polyhedral starts, one per fine mixed cell of the
-log-gradient equations' supports under a lifting by the coefficients, and
-per phase shift of that cell (Huber, Sturmfels, Math. Comp. 64 (1995);
-``_polyhedral_starts``). Newton runs from them alone, in pure Python
-(``_newton_2d``, one pass over the terms per step and the 2x2 system in
-closed form), and when their verified roots reach the bound with no two
-starts on one root, the system is solved without the grid. Otherwise the
-grid continues from the roots the starts found, on what is left of the
-max_starts budget, and the report counts the system in `grid_fallbacks`;
-so it does when the cells' volumes miss the bound, and the grid runs
-alone. The ends of the starts and of each grid pass are collected in one
-place (``_newton_system``): merged with their images under G, admitted
-by ``candidate``, stopped at the bound. The grid's size is checked
-against the float range before either run. The points come in the
-order of their factor roots, each Newton system's roots sorted on keys
-rounded far above the rounding noise (``_order``), so that the same roots
-found from other starts come in the same order.
+A 2-D Newton factor has `bound` polyhedral starts, one per fine mixed
+cell of the log-gradient equations' supports under a lifting by the
+coefficients, and per phase shift of that cell (Huber, Sturmfels, Math.
+Comp. 64 (1995); ``_polyhedral_starts``). Newton runs from them alone,
+in pure Python (``_newton_2d``, one pass over the terms per step and the
+2x2 system in closed form), and when their verified roots reach the
+bound with no two starts on one root, the system is solved without the
+grid. Otherwise the grid continues from the roots the starts found, on
+what is left of the max_starts budget, and the report counts the system
+in `grid_fallbacks`; so it does when the cells' volumes miss the bound,
+and the grid runs alone. The ends of the starts and of each grid pass
+are collected in one place (``_newton_system``): merged with their
+images under G, admitted by ``candidate``, stopped at the bound. The
+grid's size is checked against the float range before either run. The
+points come in the order of their factor roots, each Newton system's
+roots sorted on keys rounded far above the rounding noise (``_order``),
+so that the same roots found from other starts come in the same order.
 
 Every point is admitted by the residual of the full W, evaluated once in
 the chart, where its terms are moderate (``candidate``). The record holds
@@ -64,8 +65,8 @@ the float range, or whose z lands on an axis, is refused. (z_j^e, taken
 coordinate by coordinate, overflows in steep charts where c z^a is
 moderate.) A point that misses the tolerance is polished by at most two
 Newton steps in the chart from the same m; the log-gradient in l is M
-times the one in z. A Newton system's roots are admitted by the same
-pass, in the coordinates of W or of its factor.
+times the one in z. A Newton factor's roots are admitted by the same
+pass, in the factor's coordinates.
 
 The roots come in orbits. Let L be the lattice spanned by the differences
 of W's nonconstant exponents: for theta with <theta, L> in Z, the shift
@@ -166,11 +167,11 @@ class Factor(NamedTuple):
 
 class Structure(NamedTuple):
     """W's root bound and G, and how it factors: the unimodular chart (rows
-    M; None when W does not factor), its inverse, the term indices of v_0
-    and its opposite (None without a fiber grading), the factors, the
-    chart image M a of each exponent a (a itself without a chart), and why
-    W has no isolated critical point although its bound is positive (None
-    when it may have some)."""
+    M), its inverse, the term indices of v_0 and its opposite (None without
+    a fiber grading), the factors, the chart image M a of each exponent a,
+    and why W has no isolated critical point although its bound is
+    positive (None when it may have some). A refused record has no chart,
+    inverse or factors, and its images are the exponents."""
 
     bound: int
     shifts: tuple
@@ -259,11 +260,10 @@ def _exponent_structure(exponents: tuple) -> Structure:
         raise SchemaError("potential has no nonconstant term")
     bound, shifts = _bound_and_shifts(nonconstant)
     try:
-        chart, inverse, fiber, factors = _factorization(exponents) or (None, None, None, ())
+        chart, inverse, fiber, factors = _factorization(exponents)
     except SchemaError as exc:
         return Structure(bound, shifts, None, None, None, (), exponents, str(exc))
-    images = exponents if chart is None else tuple(
-        tuple(sum(x * y for x, y in zip(row, a)) for row in chart) for a in exponents)
+    images = tuple(tuple(sum(x * y for x, y in zip(row, a)) for row in chart) for a in exponents)
     return Structure(bound, shifts, chart, inverse, fiber, factors, images, None)
 
 
@@ -319,12 +319,13 @@ def _inverse(mat) -> tuple:
     return tuple(tuple(float(x) for x in row[n:]) for row in rows)
 
 
-def _factorization(exponents: tuple) -> Optional[tuple]:
-    """(chart, inverse, fiber, factors) of W's sorted exponents, or None
-    when W does not factor: one Newton factor and no fiber grading.
-    SchemaError when a factor has no isolated root, and so W has none: its
-    Newton polytope is not full-dimensional (its roots, if any, come in
-    curves), or it is a simplex whose binomial system sets a term to 0."""
+def _factorization(exponents: tuple) -> tuple:
+    """(chart, inverse, fiber, factors) of W's sorted exponents; a W with
+    no fiber grading whose exponents do not split is one factor in the
+    identity chart. SchemaError when a factor has no isolated root, and so
+    W has none: its Newton polytope is not full-dimensional (its roots, if
+    any, come in curves), or it is a simplex whose binomial system sets a
+    term to 0."""
     n = len(exponents[0])
     index = {a: i for i, a in enumerate(exponents) if any(a)}
     fiber, grading, rows, base = None, (), _identity(n), list(index)
@@ -371,8 +372,6 @@ def _factorization(exponents: tuple) -> Optional[tuple]:
             simplex = (mu, _inverse([list(a) + [-1] for a in exps]))
         factors.append(Factor(first, dim, terms, bound, shifts, simplex))
         first += dim
-    if fiber is None and len(factors) == 1 and factors[0].simplex is None:
-        return None
     _, inverse = hermite_normal_form(chart)
     return chart, tuple(map(tuple, inverse)), fiber, tuple(factors)
 
@@ -811,14 +810,14 @@ def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, modul
 
 def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
               grid: Callable) -> Found:
-    """What the solve of a W that factors found: each factor's roots in log
-    coordinates, with its value there, every combination lifted over the
-    fiber and admitted by the residual of W evaluated in the chart. A
-    factor root, or a point, whose coordinates or terms leave the float
-    range is refused. The points come in the order of their factor roots,
-    the first factor's slowest, then the two lifts: a closed-form factor's
-    roots in the order of its shifts, a Newton factor's in ``_order``, and
-    of +-u the one whose direction rounds lower first."""
+    """What the solve of W found: each factor's roots in log coordinates,
+    with its value there, every combination lifted over the fiber and
+    admitted by the residual of W evaluated in the chart. A factor root, or
+    a point, whose coordinates or terms leave the float range is refused.
+    The points come in the order of their factor roots, the first factor's
+    slowest, then the two lifts: a closed-form factor's roots in the order
+    of its shifts, a Newton factor's in ``_order``, and of +-u the one
+    whose direction rounds lower first."""
     terms = compile_terms(pairs, structure.images, structure.chart)
     coefficient = terms.coefficients
     per_factor = []
@@ -872,22 +871,22 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
 
 def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions],
           grid: Callable) -> CriticalReport:
-    """The critical points of W at q = exp(-t), factor by factor, with
-    Newton on the factors that need it, and on W whole when it does not
-    factor: a 2-D Newton system from its polyhedral starts, and the grid
-    (``critical.grid_roots``, or a callable that imports it) on the others
-    and on a 2-D one those starts do not solve.
+    """The critical points of W at q = exp(-t), factor by factor
+    (``_factored``), with Newton on the factors that need it: a 2-D one
+    from its polyhedral starts, and the grid (``critical.grid_roots``, or a
+    callable that imports it) on the others and on a 2-D one those starts
+    do not solve.
 
-    The points come in the order of their factor roots (``_factored``),
-    and from a W that does not factor in ``_order``. Raises NoConvergence
-    when no point
-    is verified; its message gives the best residual seen, and the roots
-    refused for leaving the float range. Raises SchemaError, before any
-    solve, when the bound is 0 or W has no nonconstant term, when a factor
-    of W has no isolated root (``_factorization``), or when a Newton
-    system's grid has more starts than a float can hold; and
-    RootBoundExceeded when a Newton system verifies more roots than its
-    bound, and whatever else the grid raises."""
+    The points come in the order of their factor roots. Raises
+    NoConvergence when no point is verified; its message gives the best
+    residual seen, and the roots refused for leaving the float range.
+    Raises SchemaError, before any solve, when the bound is 0 or W has no
+    nonconstant term, when a factor of W has no isolated root
+    (``_factorization``), when the option moduli are not one nonempty list
+    of positive finite floats per coordinate, or when a Newton factor's
+    grid has more starts than a float can hold; and RootBoundExceeded when
+    a Newton factor verifies more roots than its bound, and whatever else
+    the grid raises."""
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
     if structure.refusal:
@@ -895,16 +894,12 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions
     n = poly.zvars
     pairs = numeric_terms(poly, t)
     moduli = options.moduli_per_coord
-    if moduli and len(moduli) != n:
-        raise ValueError("need one modulus list per z-coordinate")
-    if structure.chart is None:
-        found = _newton_system(grid, pairs, structure.bound, structure.shifts, moduli, options)
-        factors = ((n, structure.bound, "newton"),)
-    else:
-        found = _factored(structure, pairs, moduli, options, grid)
-        factors = tuple((f.dim, f.bound, "newton" if f.simplex is None else "closed-form")
-                        for f in structure.factors)
-    return _report(found, structure, factors, options)
+    if moduli and (len(moduli) != n or not all(
+            coord and all(isinstance(r, (int, float)) and 0.0 < r < math.inf for r in coord)
+            for coord in moduli)):
+        raise SchemaError("need one modulus list per z-coordinate, each a nonempty list "
+                          "of positive finite floats")
+    return _report(_factored(structure, pairs, moduli, options, grid), structure, options)
 
 
 def _order(point: Candidate) -> list:
@@ -919,10 +914,10 @@ def _order(point: Candidate) -> list:
     return key
 
 
-def _report(found: Found, structure: Structure, factors: tuple,
-            options: SolverOptions) -> CriticalReport:
+def _report(found: Found, structure: Structure, options: SolverOptions) -> CriticalReport:
     """The report of the verified candidates found for W, in their order,
-    with the values and residuals their admission computed."""
+    with the values and residuals their admission computed, and W's
+    factors."""
     points = found.points
     if not points:
         detail = (f"; best residual reached {found.best:.3e}"
@@ -953,7 +948,8 @@ def _report(found: Found, structure: Structure, factors: tuple,
         # the grid is cut
         truncated=(found.attempted - found.polyhedral < found.grid_size
                    and len(points) < structure.bound),
-        factors=factors,
+        factors=tuple((f.dim, f.bound, "newton" if f.simplex is None else "closed-form")
+                      for f in structure.factors),
         unlifted=found.unlifted,
         polyhedral=found.polyhedral,
         grid_fallbacks=found.grid_fallbacks,

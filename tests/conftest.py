@@ -1055,10 +1055,11 @@ FACTOR_WITHOUT_ROOTS = {
 }
 
 
-def grid_report(poly, t, options=None):
-    """The multistart grid's report on W whole, whether W factors or not:
-    what roots.solve runs on a W that does not factor, with the grid alone
-    when W is 2-D."""
+def grid_report(poly, t, options=None, polyhedral=False):
+    """The report of one Newton system on W whole, its constant term
+    included, whether W factors or not: the multistart grid alone, or with
+    polyhedral, Newton from W's polyhedral starts first when W is 2-D. The
+    reference the factored solve is checked against."""
     from toricmirror import roots
     from toricmirror.critical import grid_roots
     from toricmirror.laurent import numeric_terms
@@ -1066,10 +1067,12 @@ def grid_report(poly, t, options=None):
     options = options or roots.SolverOptions()
     structure = roots._exponent_structure(tuple(sorted(poly.terms)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
+        if not polyhedral:
+            patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
         found = roots._newton_system(grid_roots, numeric_terms(poly, t), structure.bound,
                                      structure.shifts, options.moduli_per_coord, options)
-    return roots._report(found, structure, ((poly.zvars, structure.bound, "newton"),), options)
+    report = roots._report(found, structure, options)
+    return report._replace(factors=((poly.zvars, structure.bound, "newton"),))
 
 
 def grid_alone(poly, t, options=None):

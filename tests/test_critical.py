@@ -348,6 +348,23 @@ class TestSolverBehavior:
         with pytest.raises(ValueError, match="need one modulus list per z-coordinate"):
             find_critical_points(W, [T001, T001], SolverOptions(moduli_per_coord=((1.0,),)))
 
+    @pytest.mark.parametrize("bad", [(0.0, 1.0), (2.0, -1.0), (math.inf,), (math.nan,), ()],
+                             ids=["zero", "negative", "inf", "nan", "empty"])
+    def test_moduli_must_be_positive_finite_and_nonempty(self, monkeypatch, bad):
+        # refused before any Newton run: 0 or a negative modulus has no
+        # log, inf would reach the document, NaN would end in advice to try
+        # other moduli, and an empty list would leave the grid empty and
+        # the report short without being truncated
+        fan = validate_fan(2, F1)
+        k = dual_kahler(fan)
+        W = hori_vafa(fan, k)
+        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton_2d", newton_must_not_run)
+        options = SolverOptions(max_starts=2, moduli_per_coord=((0.5, 1.0), bad))
+        with pytest.raises(SchemaError, match="^need one modulus list per z-coordinate, "
+                           "each a nonempty list of positive finite floats$"):
+            find_critical_points(W, [1.0, 1.0], options)
+
     def test_stats_accounting(self):
         # each converged start of the grid brings at most its orbit under
         # the symmetry
@@ -457,6 +474,21 @@ class TestRootBound:
         report = find_critical_points(one_sided, [T001])
         assert len(report.points) == 1
         assert report.points[0][0] == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("terms", [{(-1,): 1, (3,): 2, (6,): Fraction(-1, 3)},
+                                       {a: 1 for a in DP6}], ids=["line", "dP6"])
+    def test_constant_term_does_not_steer_the_solve(self, terms):
+        # the constant drops out of every z_j dW/dz_j, and out of the Newton
+        # factor the solve runs on: W + k has W's points in W's order, its
+        # residuals and counters, and W's values plus k
+        report = find_critical_points(laurent({a: {(): c} for a, c in terms.items()}), [])
+        origin = (0,) * len(next(iter(terms)))
+        for k in (5, Fraction(-7, 2), 100):
+            shifted = find_critical_points(
+                laurent({a: {(): c} for a, c in {**terms, origin: k}.items()}), [])
+            assert shifted._replace(values=report.values) == report
+            assert shifted.values == pytest.approx([v + k for v in report.values],
+                                                   rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("name, fan", SECTIONS, ids=[name for name, _ in SECTIONS])
     def test_bound_is_the_cone_count(self, name, fan):

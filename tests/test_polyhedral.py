@@ -52,7 +52,7 @@ def steep_chart(seed, name):
 
 
 # every catalog fan with a 2-D Newton system, in three GL(n, Z) charts: the
-# Fano bases (W whole for F1 and dP6, the dP6 factor of P1 x dP6) and their
+# Fano bases (W itself for F1 and dP6, the dP6 factor of P1 x dP6) and their
 # bundles; then the steep charts of the bundles' dP6 factor where the grid
 # alone missed roots or found none (ray entries up to 237)
 CELL_CASES = (
@@ -66,13 +66,10 @@ CELL_CASES = (
 
 
 def newton_systems(W, t) -> list:
-    """(pairs, bound) of each 2-D Newton system of W at t: W whole when it
-    does not factor, else each 2-D factor that is not a simplex, its pairs
-    in its own chart coordinates."""
+    """(pairs, bound) of each 2-D Newton system of W at t: each 2-D factor
+    that is not a simplex, its pairs in its own chart coordinates."""
     structure = _exponent_structure(tuple(sorted(W.terms)))
     pairs = numeric_terms(W, t)
-    if structure.chart is None:
-        return [(pairs, structure.bound)] if W.zvars == 2 else []
     coefficient = compile_terms(pairs, structure.images, structure.chart).coefficients
     return [([(a, coefficient[i]) for i, a in f.terms], f.bound)
             for f in structure.factors if f.simplex is None and f.dim == 2]
@@ -327,9 +324,10 @@ BLP3 = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)
 
 
 def test_a_3d_newton_system_runs_the_grid_alone():
-    # through roots.solve, W whole and the bundle's 3-D base factor reach
-    # their bounds on the grid alone, which is not counted as a fallback;
-    # W's values are the eigenvalues of its Jacobian ring (degree 6)
+    # through roots.solve, W, one 3-D Newton factor, and the bundle's 3-D
+    # base factor reach their bounds on the grid alone, which is not
+    # counted as a fallback; W's values are the eigenvalues of its Jacobian
+    # ring (degree 6)
     k, W = fano_w(BLP3)
     kb, Wb = bundle_w(projectivize_canonical(BLP3))
     for seed in range(5):

@@ -60,12 +60,18 @@ SWEEP_BASES = {
 SWEEP_CHARTS = in_three_charts(
     {name: projectivize_canonical(base) for name, base in SWEEP_BASES.items()}, 5)
 # (dimension, closed form?) of each factor of a catalog base's Hori-Vafa W,
-# and whether it has a fiber grading; None: W does not factor
+# and whether it has a fiber grading; F1's and dP6's W does not factor: it
+# is one Newton factor
 FANO_FACTORS = {
-    "P1": (True, []), "P2": (False, [(2, True)]), "F1": None,
-    "P1xP1": (False, [(1, True), (1, True)]), "dP6": None, "P3": (False, [(3, True)]),
+    "P1": (True, []), "P2": (False, [(2, True)]), "F1": (False, [(2, False)]),
+    "P1xP1": (False, [(1, True), (1, True)]), "dP6": (False, [(2, False)]),
+    "P3": (False, [(3, True)]),
     "P1^3": (False, [(1, True)] * 3), "P1xdP6": (False, [(1, True), (2, False)]),
 }
+
+# the Fano bases whose Hori-Vafa W does not factor, in three charts
+UNFACTORED = [(name, fan) for name, fan in in_three_charts(catalog_bases(), 13)
+         if name.split("-")[0] in ("F1", "dP6")]
 
 
 def structure_of(poly):
@@ -112,9 +118,8 @@ class TestStructure:
         structure = _exponent_structure(tuple(sorted(fan.rays)))
         if name.startswith("bundle-"):
             assert structure.fiber is not None
-        if structure.chart is not None:
-            lift = 2 if structure.fiber is not None else 1
-            assert structure.bound == lift * math.prod(f.bound for f in structure.factors)
+        lift = 2 if structure.fiber is not None else 1
+        assert structure.bound == lift * math.prod(f.bound for f in structure.factors)
 
     @pytest.mark.parametrize("name, fan", SECTIONS, ids=[name for name, _ in SECTIONS])
     def test_catalog_factors(self, name, fan):
@@ -122,12 +127,10 @@ class TestStructure:
         base = name.split("-")[1]
         expected = FANO_FACTORS[base]
         if name.startswith("bundle-"):
-            # the base is the factors; P1 is a simplex, F1 and dP6 one Newton factor
-            alone = {"P1": [(1, True)], "F1": [(2, False)], "dP6": [(2, False)]}
-            expected = (True, alone.get(base) or expected[1])
-        if expected is None:
-            assert structure.chart is None and structure.factors == ()
-            return
+            # the base is the factors; P1 is a simplex
+            expected = (True, [(1, True)] if base == "P1" else expected[1])
+        elif base in ("F1", "dP6"):
+            assert structure.chart == ((1, 0), (0, 1))
         assert (structure.fiber is not None, kinds(structure)) == (expected[0], sorted(expected[1]))
 
     @pytest.mark.parametrize("name, fan", BUNDLES, ids=[name for name, _ in BUNDLES])
@@ -156,18 +159,34 @@ class TestStructure:
         assert unit_grading([(1, 1), (2, 2)]) is None  # the points span a line
 
     def test_does_not_factor(self):
-        # dP6 and F1 are one Newton factor; z1^2 + z1^-2 + z2 + 1/z2 splits
-        # over Q but not over Z, so it stays whole; z1 + z1^2 + z2 has the
-        # factor z2, which has no critical point: its record stays whole and
-        # carries the reason the solve refuses it for
+        # dP6 and F1 are one Newton factor over the identity chart, with no
+        # fiber grading; so is z1^2 + z1^-2 + z2 + 1/z2, which splits over
+        # Q but not over Z; z1 + z1^2 + z2 has the factor z2, which has no
+        # critical point: its record has no chart and carries the reason
+        # the solve refuses it for
         for W in (laurent({a: {(): 1} for a in DP6}), laurent({a: {(): 1} for a in F1}),
                   laurent({(2, 0): {(): 1}, (-2, 0): {(): 1}, (0, 1): {(): 1},
-                           (0, -1): {(): 1}}),
-                  laurent({(1, 0): {(): 1}, (2, 0): {(): 1}, (0, 1): {(): 1}})):
+                           (0, -1): {(): 1}})):
             structure = structure_of(W)
-            assert structure.chart is None and structure.factors == ()
+            assert (structure.chart, structure.fiber, kinds(structure)) == (
+                ((1, 0), (0, 1)), None, [(2, False)])
+            assert structure.refusal is None
+        structure = structure_of(laurent({(1, 0): {(): 1}, (2, 0): {(): 1}, (0, 1): {(): 1}}))
+        assert structure.chart is None and structure.factors == ()
         assert structure.refusal == ("potential has no isolated critical points: the Newton "
                                      "polytope of one of its factors is not full-dimensional")
+
+    @pytest.mark.parametrize("max_starts", [4096, 5])
+    @pytest.mark.parametrize("name, fan", UNFACTORED, ids=[name for name, _ in UNFACTORED])
+    def test_one_newton_factor_is_the_solve_on_w_whole(self, name, fan, max_starts):
+        # a W that does not factor is solved as one Newton factor over the
+        # identity chart: the same report, field by field and bit for bit,
+        # as one Newton system on W whole from its polyhedral starts
+        k = dual_kahler(fan)
+        W = hori_vafa(fan, k)
+        for seed in range(10):
+            report, t = solve(k, W, cone_point(k, seed), max_starts=max_starts)
+            assert report == grid_report(W, t, report.options, polyhedral=True)
 
     def test_newton_factors_of_the_sweep(self):
         # the corrected potentials keep the Hori-Vafa structure: only the F1

@@ -135,6 +135,18 @@ def test_one_solver_evaluator():
     assert users == ["laurent.py"]
 
 
+def test_one_newton_system_caller():
+    # every W is solved through its factors: roots._factored alone calls
+    # the Newton-system solve, so no second solve path runs beside it
+    callers = []
+    for path in sorted(Path(toricmirror.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.name} {node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name != "_newton_system"
+                    and _uses(node, "_newton_system")]
+    assert callers == ["roots.py _factored"]
+
+
 def test_module_graph_is_acyclic():
     # relative imports between library modules at any depth, function
     # bodies included, form no cycle; the package's __init__ is left out
