@@ -4,9 +4,12 @@ Each run's exit code and the digest of what it wrote to stdout and stderr
 are pinned in ``golden_digests.json``: ``analyze`` (text and ``--json``),
 ``bundle`` and ``potential --cutoff 0..3`` on every sample document, and the
 potential documents of three projectivized canonical bundles that the test
-writes with Kahler data; and exact refusals of every subcommand, whose
-messages name no file path. ``crit`` documents are left out: their floats
-depend on the BLAS build. Re-record only when a change of bytes is meant:
+writes with Kahler data; ``crit`` on every sample's potential and on a
+P(K_F1+O) potential whose 2-D Newton factor its polyhedral starts settle;
+and exact refusals of every subcommand, whose messages name no file path.
+The solver's floats come from pure-Python IEEE double arithmetic and the C
+library's exp and log, in a fixed order, so a ``crit`` document repeats bit
+for bit on one platform. Re-record only when a change of bytes is meant:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import hirzebruch2, p1_times_p1, projective_line, projective_plane
+from conftest import (dual_kahler, hirzebruch, hirzebruch2, p1_times_p1, projective_line,
+                      projective_plane)
 from toricmirror.bundle import default_q_basis, projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import fan_to_document, load_fan_document
@@ -46,6 +50,12 @@ OVERLAPPING_FAN = {"dimension": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [1
 # the boundary points of a square, diamond vertices first
 SQUARE = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, 1], [-1, -1], [1, -1]]
 SQUARE_ORDER = [1, 5, 2, 6, 3, 7, 4, 8]  # the ray indices around the square
+# sample -> the --t values of its crit run, on its potential at cutoff 2
+CRIT_T = {"f2.json": ["t1=1", "t2=1"], "p1.json": ["t=1"], "p1xp1.json": ["ta=1", "tb=2"],
+          "p2.json": ["t=1"]}
+# a point inside the Kahler cone of P(K_F1+O) with Kahler data dual to its
+# first maximal cone
+F1_BUNDLE_T = ["t1=43/10", "t2=18/5", "t3=553/100"]
 
 
 def graded_document(points, cones) -> dict:
@@ -175,6 +185,27 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
     }
 
 
+def write_crit_runs(folder: Path) -> dict:
+    """Write the potential documents of the crit runs into folder; returns
+    run name -> CLI argument list."""
+    out = {}
+    for path in sorted(SAMPLES.glob("*.json")):
+        pot = str(folder / f"{path.stem} potential.json")
+        assert main(["potential", str(path), "-o", pot]) == 0
+        out[f"crit {path.name}"] = ["crit", pot] + [a for t in CRIT_T[path.name]
+                                                      for a in ("--t", t)]
+    x = projectivize_canonical(hirzebruch(1))
+    k = dual_kahler(x)
+    fan = folder / "P(K_F1+O) fan.json"
+    fan.write_text(json.dumps(fan_to_document(x, parameters=k.parameter_names,
+                                              lambdas=k.lambdas, q_basis=k.q_basis)),
+                   encoding="utf-8")
+    pot = str(folder / "P(K_F1+O) potential.json")
+    assert main(["potential", str(fan), "--assume-zero-above-cutoff", "-o", pot]) == 0
+    out["crit P(K_F1+O)"] = ["crit", pot] + [a for t in F1_BUNDLE_T for a in ("--t", t)]
+    return out
+
+
 def runs(folder: Path) -> dict:
     """Run name -> CLI argument list, for every pinned run."""
     out = {}
@@ -191,6 +222,7 @@ def runs(folder: Path) -> dict:
             out[f"potential {name} --cutoff {cutoff}"] = \
                 ["potential", args[0], "--cutoff", str(cutoff)] + args[1:]
     out.update(write_refusals(folder, bundles))
+    out.update(write_crit_runs(folder))
     return out
 
 
