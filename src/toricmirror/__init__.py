@@ -11,13 +11,12 @@ critical points numerically.
 ``__all__`` holds only names that the library itself uses or that the
 README shows; helpers that only the tests call live in ``tests/conftest.py``.
 
-Every public name is served lazily (PEP 562) from the module that defines
+Every public name is served lazily (PEP 562) from the module that serves
 it, so ``import toricmirror`` loads no submodule, and a name loads only
-what its module needs: ``find_critical_points`` brings in
-``toricmirror.critical`` and numpy; the other solver names
-(``CriticalReport``, ``SolverOptions``, ``moduli_from_polytope``) come from
-the numpy-free ``toricmirror.roots``, and the exact names never load
-either.
+what its module needs: the solver names come from ``toricmirror.roots``
+(``find_critical_points`` through ``toricmirror.critical``, which is
+``roots.solve`` under its public name), and the exact names never load
+it. The package needs nothing outside the standard library.
 """
 
 import importlib

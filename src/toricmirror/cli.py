@@ -18,9 +18,7 @@ file exits 2, and so does an ``-o`` path that cannot be written.
 Each subcommand imports the layers it runs when it runs, so a process loads
 only those: ``analyze`` and ``bundle`` stop at the fan, bundle and Kahler
 layers, ``potential`` adds the invariant, Laurent and potential layers, and
-``crit`` adds the factored solver (``roots``). Only a ``crit`` run whose
-grid runs loads it (``critical``) and numpy: on a Newton system of
-dimension other than 2, or a 2-D one its polyhedral starts do not solve.
+``crit`` adds the solver (``roots``), in pure Python.
 """
 
 from __future__ import annotations
@@ -173,14 +171,6 @@ def _parse_assignments(pairs) -> dict:
     return values
 
 
-def _grid_roots(*args):
-    """``critical.grid_roots``, imported with numpy only when the grid
-    runs."""
-    from .critical import grid_roots
-
-    return grid_roots(*args)
-
-
 def _cmd_crit(args) -> int:
     from .roots import SolverOptions, moduli_from_polytope, solve
 
@@ -217,7 +207,7 @@ def _cmd_crit(args) -> int:
         max_starts=args.max_starts,
         moduli_per_coord=moduli,
     )
-    report = solve(doc.poly, t, options, _grid_roots)
+    report = solve(doc.poly, t, options)
     payload = critical_report_to_document(report, t_values)
     _write(canonical_json(payload), args.out)
     return 0

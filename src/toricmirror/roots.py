@@ -30,9 +30,9 @@ coordinates is a simplex: its log-gradient system is binomial (Sturmfels,
 CBMS 97, ch. 3), solved in closed form by one linear solve with its integer
 exponent matrix in log coordinates and the orbit of that root under the
 factor's G. Any other factor is a Newton factor, solved by Newton: a 2-D
-one from its polyhedral starts (below), any other by the multistart grid
-(``critical.grid_roots``) from seeds the option moduli give through the
-chart. A base root with P(y) = 0 has no lift; it is counted in
+one from its polyhedral starts (below), any other from the start grid,
+whose seeds the option moduli give through the chart. A base root with
+P(y) = 0 has no lift; it is counted in
 `unlifted` and leaves the report short. A factor holds only nonconstant
 terms, so W's constant term, which drops out of every z_j dW/dz_j, moves
 no start and no root: it only adds to the values.
@@ -41,19 +41,26 @@ A 2-D Newton factor has `bound` polyhedral starts, one per fine mixed
 cell of the log-gradient equations' supports under a lifting by the
 coefficients, and per phase shift of that cell (Huber, Sturmfels, Math.
 Comp. 64 (1995); ``_polyhedral_starts``). Newton runs from them alone,
-in pure Python (``_newton_2d``, one pass over the terms per step and the
-2x2 system in closed form), and when their verified roots reach the
-bound with no two starts on one root, the system is solved without the
-grid. Otherwise the grid continues from the roots the starts found, on
-what is left of the max_starts budget, and the report counts the system
-in `grid_fallbacks`; so it does when the cells' volumes miss the bound,
-and the grid runs alone. The ends of the starts and of each grid pass
-are collected in one place (``_newton_system``): merged with their
-images under G, admitted by ``candidate``, stopped at the bound. The
-grid's size is checked against the float range before either run. The
-points come in the order of their factor roots, each Newton system's
-roots sorted on keys rounded far above the rounding noise (``_order``),
-so that the same roots found from other starts come in the same order.
+and when their verified roots reach the bound with no two starts on one
+root, the system is solved. Otherwise Newton continues from the start
+grid, one start at a time on what is left of the max_starts budget, and
+the report counts the system in `grid_fallbacks`; so it does when the
+cells' volumes miss the bound, and the grid's starts run alone, as they
+do on a Newton factor of any other dimension. The grid's starts combine
+per-coordinate seed moduli with equally spaced phases, in a fixed stride
+permutation of the whole grid, so that every coordinate's seeds come
+early (``_grid_starts``). One corrector runs every start (``_newton``):
+damped Newton in log coordinates w = log z, so that no iterate lands on
+an axis, one pass over the terms per step for the log-gradient and its
+Jacobian J_jk = sum a_j a_k c z^a, exact term-wise differentiation. The
+ends of every start are collected in one place (``_newton_system``):
+merged with their images under G, admitted by ``candidate``, stopped at
+the bound. The grid's size is checked against the float range before any
+start runs. The points come in the order of their factor roots, each
+Newton system's roots sorted on keys rounded far above the rounding
+noise (``_order``), so that the same roots found from other starts come
+in the same order. Everything is deterministic: the starts, their order
+and their ends depend only on W, t and the options.
 
 Every point is admitted by the residual of the full W, evaluated once in
 the chart, where its terms are moderate (``candidate``). The record holds
@@ -74,11 +81,6 @@ w -> w + 2 pi i theta of w = log z multiplies every term of g by one root
 of unity, so G = L*/Z^n permutes the roots, and freely. As the bound is
 positive, G is finite, of an order dividing the bound; on P(K_Y + O) it
 holds z_n -> -z_n. `orbit_size` is the order of W's G.
-
-This module imports no numpy. The grid, which needs it, is passed in by
-the caller and called only when a Newton system needs it: one of
-dimension other than 2, or a 2-D one its polyhedral starts do not solve.
-``critical`` imports this module, so this module cannot import it.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NoConvergence, RootBoundExceeded, SchemaError
 from .kahler import KahlerData
@@ -120,7 +122,7 @@ class CriticalReport(NamedTuple):
     points: tuple  # tuples of complex coordinates
     values: tuple  # W at each point
     residuals: tuple  # |log-gradient| at each point
-    attempted: int  # starts run: the polyhedral starts, then the grid's
+    attempted: int  # starts run: the polyhedral starts, then the start grid's
     converged: int  # starts whose Newton iterate converged, each counted once
     deduped: int  # distinct verified roots
     expected: int  # root bound n! vol(Newton polytope), at least 1
@@ -130,7 +132,7 @@ class CriticalReport(NamedTuple):
     factors: tuple  # (dimension, root bound, "closed-form" or "newton") per factor
     unlifted: int  # base roots with P(y) = 0, which have no critical point above them
     polyhedral: int  # starts run from mixed cells, each once, among the attempted
-    grid_fallbacks: int  # 2-D Newton systems the grid ran on: starts short, or cells missed
+    grid_fallbacks: int  # 2-D Newton systems the start grid ran on: starts short, or cells missed
     options: SolverOptions = SolverOptions()
 
 
@@ -139,14 +141,15 @@ class Found(NamedTuple):
     the multistart counts, the least residual seen over candidates refused
     by it and over dropped starts (inf when none), and the candidates
     refused because they left the float range. A factored solve adds its
-    unlifted base roots; a 2-D Newton system, whether the grid ran on it."""
+    unlifted base roots; a 2-D Newton system, whether the start grid ran
+    on it."""
 
     points: list
     attempted: int
     converged: int
     grid_size: int
     best: float
-    polyhedral: int  # starts from mixed cells, each once, ahead of the grid's
+    polyhedral: int  # starts from mixed cells, each once, ahead of the start grid's
     refused: int
     unlifted: int = 0
     grid_fallbacks: int = 0
@@ -553,8 +556,8 @@ def candidate(terms: Terms, lift: tuple) -> Optional[Candidate]:
     """W at the chart log point lift, in one pass over its terms: the term
     values m = c exp(<b, lift>), W = sum m and the log-gradient sum a m in
     z, exact term-wise differentiation; z = exp(M^T lift). None when z or
-    a term leaves the float range or z lands on an axis, as the grid drops
-    non-finite iterates."""
+    a term leaves the float range or z lands on an axis, as ``_newton``
+    drops non-finite iterates."""
     try:
         m = [c * cmath.exp(sum(map(mul, b, lift)))
              for b, c in zip(terms.images, terms.coefficients)]
@@ -579,24 +582,30 @@ def _verified(terms: Terms, lift: tuple, tol: float) -> Optional[Candidate]:
     for _ in range(2):
         if point is None or point.residual <= tol:
             break
-        step = _newton_step(terms, point)
-        polished = None if step is None else candidate(terms, step)
+        # the log-gradient in the chart is sum b m, M times the one in z
+        step = _linear_solve(_newton_rows(terms.images, point.term_values))
+        polished = None if step is None else candidate(
+            terms, tuple(x + s for x, s in zip(point.lift, step)))
         if polished is None or not polished.residual < point.residual:
             break
         point = polished
     return point
 
 
-def _newton_step(terms: Terms, point: Candidate) -> Optional[tuple]:
-    """One Newton step in the chart from the point's own term values: the
-    log-gradient in the chart, sum b m (M times the one in z, M
-    unimodular), and its Jacobian sum b b^T m, solved by Gaussian
-    elimination with partial pivoting. None when the Jacobian is
-    singular."""
-    n = len(point.lift)
-    m = [(b, v) for b, v in zip(terms.images, point.term_values) if any(b)]
-    rows = [[sum(b[j] * b[k] * v for b, v in m) for k in range(n)]
-            + [-sum(b[j] * v for b, v in m)] for j in range(n)]
+def _newton_rows(exponents: Sequence, m: Sequence) -> list:
+    """The Newton system [J | -g] of the log-gradient g = sum a m of the
+    term values m at the exponents a, and its Jacobian J = sum a a^T m,
+    as augmented rows."""
+    n = len(exponents[0])
+    terms = [(a, v) for a, v in zip(exponents, m) if any(a)]
+    return [[sum(a[j] * a[k] * v for a, v in terms) for k in range(n)]
+            + [-sum(a[j] * v for a, v in terms)] for j in range(n)]
+
+
+def _linear_solve(rows: list) -> Optional[list]:
+    """The solution of the augmented rows [A | b], by Gaussian elimination
+    with partial pivoting in place; None when A is singular."""
+    n = len(rows)
     for col in range(n):
         pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
         if rows[pivot][col] == 0:
@@ -605,10 +614,10 @@ def _newton_step(terms: Terms, point: Candidate) -> Optional[tuple]:
         for i in range(col + 1, n):
             f = rows[i][col] / rows[col][col]
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    step = [0j] * n
+    x = [0j] * n
     for j in range(n - 1, -1, -1):
-        step[j] = (rows[j][n] - sum(rows[j][k] * step[k] for k in range(j + 1, n))) / rows[j][j]
-    return tuple(x + s for x, s in zip(point.lift, step))
+        x[j] = (rows[j][n] - sum(rows[j][k] * x[k] for k in range(j + 1, n))) / rows[j][j]
+    return x
 
 
 def default_moduli(coefficients, n: int) -> tuple:
@@ -636,6 +645,41 @@ def start_grid_size(moduli, phases: int) -> int:
     return grid
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # start-order stride, as a share of the grid
+
+
+def _stride(grid: int) -> int:
+    """The integer nearest 0.618 * grid, raised to the first one coprime to
+    grid, so that k -> k * stride mod grid permutes the grid. The grid fits
+    the float range (``start_grid_size``)."""
+    stride = max(1, round(_GOLDEN * grid))
+    while math.gcd(stride, grid) != 1:
+        stride += 1
+    return stride
+
+
+def _grid_starts(moduli, phases: int, first: int, count: int):
+    """Starts first .. first + count - 1 of the grid's mixed order, one at a
+    time, as log points: start k is grid index k * stride mod grid, read in
+    mixed radix with the last coordinate fastest (the digit order of
+    itertools.product). Digit d of coordinate j is the seed
+    log r + 2 pi i p / phases, modulus outer: r = moduli[j][d // phases]
+    and p = d % phases. Each start is built when it is asked for, so the
+    grid's size costs no memory."""
+    sizes = [len(coord) * phases for coord in moduli]
+    grid = math.prod(sizes)
+    stride = _stride(grid)
+    logs = [[math.log(r) for r in coord] for coord in moduli]
+    for k in range(first, first + count):
+        index = k * stride % grid
+        w = []
+        for size, coord in zip(reversed(sizes), reversed(logs)):
+            d = index % size
+            w.append(complex(coord[d // phases], 2.0 * math.pi * (d % phases) / phases))
+            index //= size
+        yield tuple(reversed(w))
+
+
 def newton_band(moduli) -> float:
     """The bound on |Re w| past which a Newton iterate is dropped; it
     follows the seed moduli, so roots far inside the Kahler cone stay
@@ -647,24 +691,34 @@ def newton_band(moduli) -> float:
 # gradient valleys toward the torus boundary keep O(1) steps and must not
 # count as converged
 STEP_TOL = 1e-5
-# the max-norm a step from a polyhedral start is clipped to: with the grid's
-# 10, two starts reached one root on 25 of 100 seeded dP6 solves, with 0.5
-# on 6
+# the max-norm a step from a polyhedral start is clipped to, as it starts
+# near its root: at 10, two starts reached one root on 25 of 100 seeded dP6
+# solves, at 0.5 on 6
 _MAX_STEP = 0.5
+# the max-norm a step from a grid start is clipped to, as grid seeds can lie
+# hundreds of log units from every root in a steep chart: at 0.5, 14 of 35
+# fallbacks on P(K_dP6+O) in seeded charts ended short of their bound
+_GRID_MAX_STEP = 10.0
 
 
-def _compile_2d(pairs: Sequence) -> tuple:
-    """A 2-D system's nonconstant terms as ``_log_jacobian_2d`` reads them:
-    (a_1, a_2, a_1^2, a_1 a_2, a_2^2, c) per term."""
-    return tuple((a1, a2, a1 * a1, a1 * a2, a2 * a2, c) for (a1, a2), c in pairs if a1 or a2)
+def _compile(pairs: Sequence) -> tuple:
+    """A system's nonconstant terms as its Newton pass reads them: in two
+    coordinates (a_1, a_2, a_1^2, a_1 a_2, a_2^2, c) per term, for
+    ``_step_2d``; else (exponents, coefficients), for ``_step``."""
+    if len(pairs[0][0]) == 2:
+        return tuple((a1, a2, a1 * a1, a1 * a2, a2 * a2, c)
+                     for (a1, a2), c in pairs if a1 or a2)
+    terms = [(a, c) for a, c in pairs if any(a)]
+    return tuple(a for a, _ in terms), tuple(c for _, c in terms)
 
 
-def _log_jacobian_2d(system: tuple, w1: complex, w2: complex) -> tuple:
-    """One pass over a 2-D system's terms at the log point (w1, w2): the
-    terms m = c exp(<a, w>), the log-gradient g = sum a m and its Jacobian
-    J = sum a a^T m in w, as (g1, g2, J11, J12, J22). The pure-Python
-    counterpart of the grid's term values; OverflowError when a term leaves
-    the float range."""
+def _step_2d(system: tuple, w: tuple) -> tuple:
+    """One pass over a 2-D system's terms at the log point w: the terms
+    m = c exp(<a, w>), the log-gradient g = sum a m and its Jacobian
+    J = sum a a^T m in w, and the Newton step J^-1 (-g) in closed form.
+    (|g|, step), the step None when J is singular; OverflowError when a
+    term leaves the float range."""
+    w1, w2 = w
     g1 = g2 = j11 = j12 = j22 = 0j
     for a1, a2, a11, a12, a22, c in system:
         m = c * cmath.exp(a1 * w1 + a2 * w2)
@@ -673,42 +727,51 @@ def _log_jacobian_2d(system: tuple, w1: complex, w2: complex) -> tuple:
         j11 += a11 * m
         j12 += a12 * m
         j22 += a22 * m
-    return g1, g2, j11, j12, j22
+    det = j11 * j22 - j12 * j12
+    step = ((j12 * g2 - j22 * g1) / det, (j12 * g1 - j11 * g2) / det) if det else None
+    return math.hypot(g1.real, g1.imag, g2.real, g2.imag), step
 
 
-def _newton_2d(system: tuple, w: tuple, options: SolverOptions, band: float) -> tuple:
-    """Damped Newton on a 2-D log-gradient system from the log point w,
-    under the grid's rules: the start converges when its residual is at
-    most tol and its last step at most STEP_TOL, and is dropped when a
-    value is not finite, when its next iterate leaves the band in Re w or
-    at max_steps. Each step solves the 2x2 system in closed form and is
-    clipped to _MAX_STEP in max-norm. (end, residual): end is the converged
-    iterate or None, residual the last finite one (inf when none)."""
-    w1, w2 = w
+def _step(system: tuple, w: tuple) -> tuple:
+    """``_step_2d`` in any dimension: one pass for the term values, the
+    Newton rows from them (``_newton_rows``) and the step by elimination
+    (``_linear_solve``)."""
+    exponents, coefficients = system
+    m = [c * cmath.exp(sum(map(mul, a, w))) for a, c in zip(exponents, coefficients)]
+    rows = _newton_rows(exponents, m)
+    residual = math.hypot(*(row[-1].real for row in rows), *(row[-1].imag for row in rows))
+    return residual, _linear_solve(rows)
+
+
+def _newton(system: tuple, w: tuple, options: SolverOptions, band: float,
+            clip: float) -> tuple:
+    """Damped Newton on a log-gradient system compiled by ``_compile`` from
+    the log point w. The start converges when its residual is at most tol
+    and its last step at most STEP_TOL, and is dropped when a value is not
+    finite, when its next iterate leaves the band in Re w, or at max_steps.
+    Each step is clipped to clip in max-norm. (end, residual): end is the
+    converged iterate or None, residual the last finite one (inf when
+    none)."""
+    pass_ = _step_2d if len(w) == 2 else _step
     last = math.inf
     for steps in range(options.max_steps + 1):
         try:
-            g1, g2, j11, j12, j22 = _log_jacobian_2d(system, w1, w2)
+            residual, step = pass_(system, w)
         except OverflowError:
             break
-        residual = math.hypot(g1.real, g1.imag, g2.real, g2.imag)
         if not math.isfinite(residual):
             break
         if residual <= options.tol and last <= STEP_TOL:
-            return (w1, w2), residual
-        det = j11 * j22 - j12 * j12
-        if steps == options.max_steps or not det:
+            return w, residual
+        if steps == options.max_steps or step is None:
             return None, residual
-        s1 = (j12 * g2 - j22 * g1) / det
-        s2 = (j12 * g1 - j11 * g2) / det
-        size = max(abs(s1), abs(s2))
-        if size > _MAX_STEP:
-            s1, s2 = s1 * (_MAX_STEP / size), s2 * (_MAX_STEP / size)
-        w1, w2 = w1 + s1, w2 + s2
-        if not (cmath.isfinite(w1) and cmath.isfinite(w2)
-                and abs(w1.real) < band and abs(w2.real) < band):
+        size = max(map(abs, step))
+        if size > clip:
+            step = [s * (clip / size) for s in step]
+        w = tuple(x + s for x, s in zip(w, step))
+        if not all(cmath.isfinite(x) and abs(x.real) < band for x in w):
             return None, residual
-        last = math.hypot(abs(s1), abs(s2))
+        last = math.hypot(*map(abs, step))
     return None, math.inf
 
 
@@ -737,35 +800,41 @@ def _merge(kept: list, ends: Sequence, shifts: tuple, radius: float) -> list:
     return fresh
 
 
-def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, moduli,
+def _newton_system(pairs: list, bound: int, shifts: tuple, moduli,
                    options: SolverOptions) -> Found:
-    """The roots of one Newton system, sorted by ``_order``. The grid's
-    size is checked against the float range before anything runs.
+    """The roots of one Newton system, sorted by ``_order``. The start
+    grid's size is checked against the float range before any start runs.
 
-    A 2-D system runs Newton from its polyhedral starts alone
-    (``_newton_2d``), at most max_starts of them. Their ends are collected
-    as every later pass's are: merged with their images under G within the
+    A 2-D system runs Newton (``_newton``) from its polyhedral starts
+    alone first, at most max_starts of them. Their ends are collected as
+    every later start's are: merged with their images under G within the
     dedup radius against the roots kept so far (``_merge``), and each
     survivor admitted by ``candidate``. The starts settle the system when
-    the verified roots reach the bound and no two ends lie within the
-    default dedup radius: two starts on one root leave another unreached,
-    whatever radius keeps their copies apart. Otherwise, while some of the
-    budget is left, the grid continues from the roots kept, on what is
-    left, and `grid_fallbacks` counts the system; so it does when the
-    cells' volumes miss the bound and the grid runs alone, as on a system
-    of any other dimension. The grid stops at the pass where the verified
-    roots reach the bound. Raises RootBoundExceeded when they outnumber
-    it: the dedup radius kept copies of one root apart."""
+    the verified roots reach the bound and no two lie within the default
+    dedup radius: two starts on one root leave another unreached, whatever
+    radius keeps their copies apart. Otherwise Newton continues from the
+    start grid (``_grid_starts``), one start at a time on what is left of
+    the budget, and `grid_fallbacks` counts the system; so it does when
+    the cells' volumes miss the bound and the grid's starts run alone, as
+    on a system of any other dimension. A grid start's steps are clipped
+    to _GRID_MAX_STEP, a polyhedral start's to _MAX_STEP. The run stops at
+    the start that settles the system, by the same rule. Raises
+    RootBoundExceeded when the verified roots outnumber the bound: the
+    dedup radius kept copies of one root apart."""
     n = len(pairs[0][0])
     moduli = moduli or default_moduli([c for _, c in pairs], n)
     size = start_grid_size(moduli, options.phases_per_coord)
     terms = compile_terms(pairs)
+    system, band = _compile(pairs), newton_band(moduli)
     kept, points = [], []
     best, refused = math.inf, 0
 
-    def collect(ends: Sequence, least: float) -> bool:
+    def collect(ends: Sequence) -> bool:
+        """Whether the system is solved once the ends are admitted: the
+        verified roots reach the bound, and no two lie within the default
+        dedup radius, as two on one root leave another unreached, whatever
+        radius keeps their copies apart."""
         nonlocal best, refused
-        best = min(best, least)
         for lift in _merge(kept, ends, shifts, options.dedup_radius):
             point = candidate(terms, lift)
             if point is None:
@@ -779,37 +848,35 @@ def _newton_system(grid: Callable, pairs: list, bound: int, shifts: tuple, modul
                 f"{len(points)} distinct verified critical points exceed the root bound "
                 f"{bound}: the dedup radius {options.dedup_radius} keeps copies of one "
                 f"root apart")
-        return len(points) == bound
+        return len(points) == bound and all(_log_distance(p.lift, q.lift) > _DEDUP_RADIUS
+                                            for i, p in enumerate(points) for q in points[:i])
 
     starts = (_polyhedral_starts(pairs, bound) if n == 2 else None) or []
     starts = starts[:options.max_starts]
-    converged, settled = 0, False
-    if starts:
-        system, band = _compile_2d(pairs), newton_band(moduli)
-        ends, least = [], math.inf
-        for w in starts:
-            end, residual = _newton_2d(system, w, options, band)
-            if end is None:
-                least = min(least, residual)
-            else:
-                ends.append(end)
-        converged = len(ends)
-        settled = collect(ends, least) and all(
-            _log_distance(w, v) > _DEDUP_RADIUS for i, w in enumerate(ends) for v in ends[:i])
-    left = 0 if settled else options.max_starts - len(starts)
+    ends = []
+    for w in starts:
+        end, residual = _newton(system, w, options, band, _MAX_STEP)
+        if end is None:
+            best = min(best, residual)
+        else:
+            ends.append(end)
+    converged = len(ends)
+    left = 0 if collect(ends) else options.max_starts - len(starts)
     attempted = 0
-    if left:
-        for ends, least, attempted in grid(pairs, moduli, max(64, 16 * bound),
-                                           options._replace(max_starts=left)):
-            converged += len(ends)
-            if collect(ends, least):
+    for w in _grid_starts(moduli, options.phases_per_coord, 0, min(left, size)):
+        attempted += 1
+        end, residual = _newton(system, w, options, band, _GRID_MAX_STEP)
+        if end is None:
+            best = min(best, residual)
+        else:
+            converged += 1
+            if collect([end]):
                 break
     return Found(sorted(points, key=_order), len(starts) + attempted, converged, size, best,
                  len(starts), refused, grid_fallbacks=int(n == 2 and left > 0))
 
 
-def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
-              grid: Callable) -> Found:
+def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions) -> Found:
     """What the solve of W found: each factor's roots in log coordinates,
     with its value there, every combination lifted over the fiber and
     admitted by the residual of W evaluated in the chart. A factor root, or
@@ -832,7 +899,7 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
             per_factor.append([r for r in roots if r is not None])
             refused += len(roots) - len(per_factor[-1])
             continue
-        runs.append(_newton_system(grid, own, factor.bound, factor.shifts,
+        runs.append(_newton_system(own, factor.bound, factor.shifts,
                                    _factor_moduli(structure, factor, moduli), options))
         per_factor.append(runs[-1].points)
     points = []
@@ -869,13 +936,12 @@ def _factored(structure: Structure, pairs: list, moduli, options: SolverOptions,
                  unlifted, sum(run.grid_fallbacks for run in runs))
 
 
-def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions],
-          grid: Callable) -> CriticalReport:
+def solve(poly: LaurentPoly, t: Sequence[float],
+          options: Optional[SolverOptions] = None) -> CriticalReport:
     """The critical points of W at q = exp(-t), factor by factor
     (``_factored``), with Newton on the factors that need it: a 2-D one
-    from its polyhedral starts, and the grid (``critical.grid_roots``, or a
-    callable that imports it) on the others and on a 2-D one those starts
-    do not solve.
+    from its polyhedral starts, and from the start grid when those do not
+    solve it, any other from the start grid alone.
 
     The points come in the order of their factor roots. Raises
     NoConvergence when no point is verified; its message gives the best
@@ -885,8 +951,7 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions
     (``_factorization``), when the option moduli are not one nonempty list
     of positive finite floats per coordinate, or when a Newton factor's
     grid has more starts than a float can hold; and RootBoundExceeded when
-    a Newton factor verifies more roots than its bound, and whatever else
-    the grid raises."""
+    a Newton factor verifies more roots than its bound."""
     options = options or SolverOptions()
     structure = _exponent_structure(tuple(sorted(poly.terms)))
     if structure.refusal:
@@ -899,14 +964,15 @@ def solve(poly: LaurentPoly, t: Sequence[float], options: Optional[SolverOptions
             for coord in moduli)):
         raise SchemaError("need one modulus list per z-coordinate, each a nonempty list "
                           "of positive finite floats")
-    return _report(_factored(structure, pairs, moduli, options, grid), structure, options)
+    return _report(_factored(structure, pairs, moduli, options), structure, options)
 
 
 def _order(point: Candidate) -> list:
     """The sort key of a Newton system's root: for each coordinate z,
     log|z| and the direction z/|z| in units of 1e-6, rounded, far above
     the rounding noise of a solve, so that the order does not follow that
-    noise; the sort is stable, so roots that tie keep the grid's order."""
+    noise; the sort is stable, so roots that tie keep the order they were
+    found in."""
     key = []
     for v in point.z:
         r = abs(v)
@@ -944,8 +1010,8 @@ def _report(found: Found, structure: Structure, options: SolverOptions) -> Criti
         expected=structure.bound,
         orbit_size=len(structure.shifts),
         grid_size=found.grid_size,
-        # starts come ahead of the grid, so one is left unrun exactly when
-        # the grid is cut
+        # the polyhedral starts come ahead of the start grid's, so one is
+        # left unrun exactly when the grid is cut
         truncated=(found.attempted - found.polyhedral < found.grid_size
                    and len(points) < structure.bound),
         factors=tuple((f.dim, f.bound, "newton" if f.simplex is None else "closed-form")

@@ -908,38 +908,45 @@ def pairwise_dedup_oracle(points, radius, kept=()) -> list:
     return fresh
 
 
-def seed_table_starts(moduli, phases, first, count):
-    """Starts first .. first + count - 1 of the solver's mixed order, read
-    from a table of every seed of each coordinate (log r + 2 pi i k /
-    phases, modulus outer), as the solver built them before it decoded only
-    the starts it runs."""
-    import numpy as np
+def seed_table_starts(moduli, phases, first, count) -> list:
+    """Starts first .. first + count - 1 of the solver's mixed order, as
+    tuples of log coordinates, read from a table of every seed of each
+    coordinate (log r + 2 pi i k / phases, modulus outer), as the solver
+    built them before it decoded only the starts it runs."""
+    from toricmirror.roots import _stride
 
-    from toricmirror.critical import _stride
-
-    seeds = [np.array([complex(math.log(r), 2.0 * math.pi * k / phases)
-                       for r in coord for k in range(phases)], dtype=complex)
-             for coord in moduli]
+    seeds = [[complex(math.log(r), 2.0 * math.pi * k / phases)
+              for r in coord for k in range(phases)] for coord in moduli]
     grid = math.prod(len(s) for s in seeds)
     stride = _stride(grid)
-    index = [(k * stride) % grid for k in range(first, first + count)]
-    w = np.empty((count, len(seeds)), dtype=complex)
-    for j in range(len(seeds) - 1, -1, -1):
-        size = len(seeds[j])
-        w[:, j] = seeds[j][[i % size for i in index]]
-        index = [i // size for i in index]
-    return w
+    starts = []
+    for k in range(first, first + count):
+        index, w = k * stride % grid, []
+        for table in reversed(seeds):
+            w.append(table[index % len(table)])
+            index //= len(table)
+        starts.append(tuple(reversed(w)))
+    return starts
+
+
+def term_values(w, A, c):
+    """c_t z^(a_t) at log-coordinates w (s, n), as (s, T), in numpy: a real
+    exponential times cos + i sin of the phase, an order of magnitude
+    cheaper than numpy's complex exp."""
+    import numpy as np
+
+    re, im = w.real @ A.T, w.imag @ A.T
+    return np.exp(re) * (np.cos(im) + 1j * np.sin(im)) * c
 
 
 def lockstep_newton(w, A, AA, c, options, band):
-    """Lockstep Newton from the starts w (s, n), updated in place: the
-    batch-at-a-time loop the solver ran before its working set rolled.
-    After each pass that converges some starts it yields their indices, in
-    start order; the caller may stop between passes, and w then holds the
+    """Lockstep Newton in numpy from the starts w (s, n), updated in place,
+    under the rules the solver steps each start of its grid by (the clip of
+    10 included): the batch-at-a-time loop the solver once ran. After each
+    pass that converges some starts it yields their indices, in start
+    order; the caller may stop between passes, and w then holds the
     iterates reached."""
     import numpy as np
-
-    from toricmirror import critical
 
     S, n = w.shape
     active = np.ones(S, dtype=bool)
@@ -950,8 +957,7 @@ def lockstep_newton(w, A, AA, c, options, band):
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             wa = w[active]
-            # looked up at call time, so that a test can count the passes
-            M = critical._term_values(wa, A, c)
+            M = term_values(wa, A, c)
             g = M @ A
             res = np.linalg.norm(g, axis=1)
             finite = np.isfinite(res)
@@ -1011,18 +1017,19 @@ def newton_arrays(poly, t, options):
     return n, A, AA, c, moduli, phases, budget, band
 
 
-def newton_yields(poly, t, options, width=64):
-    """Every yield of the solver's grid on W, as (iterates, least
-    residual), and the number of starts it admitted. Runs on any W, one
-    the solver refuses included."""
-    from toricmirror.critical import grid_roots
+def newton_found(poly, t, options, bound, shifts, polyhedral=False):
+    """What the solver finds on W whole as one Newton system, its constant
+    term included, with the given bound and shifts of G: from the start
+    grid alone, or with polyhedral, from W's polyhedral starts first when
+    W is 2-D. Runs on any W, one the solver refuses included."""
+    from toricmirror import roots
     from toricmirror.laurent import numeric_terms
-    from toricmirror.roots import default_moduli
 
-    terms = numeric_terms(poly, [float(v) for v in t])
-    moduli = options.moduli_per_coord or default_moduli([v for _, v in terms], poly.zvars)
-    yields = list(grid_roots(terms, moduli, width, options))
-    return [(found, least) for found, least, _ in yields], yields[-1][2]
+    with pytest.MonkeyPatch.context() as patch:
+        if not polyhedral:
+            patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
+        return roots._newton_system(numeric_terms(poly, [float(v) for v in t]), bound, shifts,
+                                    options.moduli_per_coord, options)
 
 
 def newton_must_not_run(*_):
@@ -1057,34 +1064,28 @@ FACTOR_WITHOUT_ROOTS = {
 
 def grid_report(poly, t, options=None, polyhedral=False):
     """The report of one Newton system on W whole, its constant term
-    included, whether W factors or not: the multistart grid alone, or with
-    polyhedral, Newton from W's polyhedral starts first when W is 2-D. The
-    reference the factored solve is checked against."""
+    included, whether W factors or not (``newton_found`` at W's bound and
+    G): the start grid alone, or with polyhedral, Newton from W's
+    polyhedral starts first when W is 2-D. The reference the factored
+    solve is checked against."""
     from toricmirror import roots
-    from toricmirror.critical import grid_roots
-    from toricmirror.laurent import numeric_terms
 
     options = options or roots.SolverOptions()
     structure = roots._exponent_structure(tuple(sorted(poly.terms)))
-    with pytest.MonkeyPatch.context() as patch:
-        if not polyhedral:
-            patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
-        found = roots._newton_system(grid_roots, numeric_terms(poly, t), structure.bound,
-                                     structure.shifts, options.moduli_per_coord, options)
+    found = newton_found(poly, t, options, structure.bound, structure.shifts, polyhedral)
     report = roots._report(found, structure, options)
     return report._replace(factors=((poly.zvars, structure.bound, "newton"),))
 
 
 def grid_alone(poly, t, options=None):
-    """roots.solve with every 2-D Newton system solved by the multistart
-    grid alone, as when its cells miss its bound: the solve that the runs
-    from polyhedral starts are compared against."""
+    """roots.solve with every 2-D Newton system solved from the start grid
+    alone, as when its cells miss its bound: the solve that the runs from
+    polyhedral starts are compared against."""
     from toricmirror import roots
-    from toricmirror.critical import grid_roots
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots, "_polyhedral_starts", lambda pairs, bound: None)
-        return roots.solve(poly, t, options, grid_roots)
+        return roots.solve(poly, t, options)
 
 
 def _lockstep_setup(poly, t, options):
@@ -1116,8 +1117,6 @@ def batch_boundary_oracle(poly, t, options):
     merged. Returns (attempted, converged, deduped, expected, points)."""
     import numpy as np
 
-    from toricmirror.critical import _grid_starts
-
     n, A, AA, c, moduli, phases, budget, band, expected, log_gradient = \
         _lockstep_setup(poly, t, options)
     batch = max(64, 16 * expected)
@@ -1125,7 +1124,8 @@ def batch_boundary_oracle(poly, t, options):
     points = []
     attempted = converged = 0
     while attempted < budget and len(points) < expected:
-        w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
+        w = np.array(seed_table_starts(moduli, phases, attempted,
+                                       min(batch, budget - attempted)))
         done = np.zeros(len(w), dtype=bool)
         for idx in lockstep_newton(w, A, AA, c, options, band):
             done[idx] = True
@@ -1149,7 +1149,6 @@ def pass_stop_oracle(poly, t, options):
     iterate of every start, when no root is verified."""
     import numpy as np
 
-    from toricmirror.critical import _grid_starts, _term_values
     from toricmirror.errors import NoConvergence
 
     n, A, AA, c, moduli, phases, budget, band, expected, log_gradient = \
@@ -1162,7 +1161,8 @@ def pass_stop_oracle(poly, t, options):
     attempted = converged = 0
     complete = False
     while attempted < budget and not complete:
-        w = _grid_starts(moduli, phases, attempted, min(batch, budget - attempted))
+        w = np.array(seed_table_starts(moduli, phases, attempted,
+                                       min(batch, budget - attempted)))
         attempted += len(w)
         finals.append(w)
         for done in lockstep_newton(w, A, AA, c, options, band):
@@ -1181,7 +1181,7 @@ def pass_stop_oracle(poly, t, options):
     if not points:
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.concatenate(finals) if finals else np.empty((0, n), dtype=complex)
-            res = np.linalg.norm(_term_values(w, A, c) @ A, axis=1)
+            res = np.linalg.norm(term_values(w, A, c) @ A, axis=1)
         res = res[np.isfinite(res)]
         if res.size:
             best_failed = min(best_failed, float(res.min()))

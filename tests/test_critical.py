@@ -28,8 +28,8 @@ from conftest import (
     hirzebruch2_kahler,
     laurent,
     moment_vertices,
+    newton_found,
     newton_must_not_run,
-    newton_yields,
     p1_times_p1,
     pairwise_dedup_oracle,
     pass_stop_oracle,
@@ -42,15 +42,9 @@ from conftest import (
 )
 from test_integer_solves import DP6, F1, product_fan
 from test_potential import BUNDLES, catalog_bases, in_three_charts
-from toricmirror import critical, roots
+from toricmirror import roots
 from toricmirror.bundle import projectivize_canonical
-from toricmirror.critical import (
-    SolverOptions,
-    _grid_starts,
-    _stride,
-    find_critical_points,
-    moduli_from_polytope,
-)
+from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import critical_report_to_document, canonical_json
 from toricmirror.errors import (
     EmptyInterior,
@@ -64,7 +58,13 @@ from toricmirror.gw import GWProvider
 from toricmirror.kahler import KahlerData
 from toricmirror.laurent import LaurentPoly, evaluate, gradient, numeric_terms
 from toricmirror.potential import corrected_potential, hori_vafa
-from toricmirror.roots import _exponent_structure, _merge, start_grid_size
+from toricmirror.roots import (
+    _exponent_structure,
+    _grid_starts,
+    _merge,
+    _stride,
+    start_grid_size,
+)
 
 T001 = math.log(100.0)  # q = 0.01
 RAT_T = Fraction(46051701859880914, 10**16)  # rational stand-in for ln(100)
@@ -103,7 +103,7 @@ def solve(k, W, params, run=find_critical_points, **overrides):
 
 
 def grid_solve(k, W, params, **overrides):
-    """solve with the multistart grid on W whole, factored or not."""
+    """solve with the start grid alone on W whole, factored or not."""
     return solve(k, W, params, run=grid_report, **overrides)
 
 
@@ -259,10 +259,10 @@ class TestSolverBehavior:
         # Re w by -1: at 100 steps every start leaves the band, at 30 every
         # start is dropped at its cap, with a residual below tol either way
         options = SolverOptions(max_steps=max_steps)
-        yields, attempted = newton_yields(laurent({(1,): {(): 1}}), [], options)
-        assert attempted == 24  # the whole default grid
-        [(found, least)] = yields  # only the closing yield: nothing converged
-        assert len(found) == 0 and least <= options.tol
+        found = newton_found(laurent({(1,): {(): 1}}), [], options, 1, ((0.0,),))
+        assert found.attempted == 24  # the whole default grid
+        assert (found.converged, found.points) == (0, [])
+        assert found.best <= options.tol
         # z + q/z flows the same way from |z| = 1 toward its roots at
         # |z| = q^(1/2) = exp(-345), far outside the band; the message's best
         # residual is the lockstep loop's
@@ -285,27 +285,28 @@ class TestSolverBehavior:
             with pytest.raises(SchemaError, match="potential has no nonconstant term"):
                 find_critical_points(W, [1.0])
 
-    def test_singular_jacobians_end_in_no_convergence(self, monkeypatch):
-        # W = z1*z2 + 1/(z1*z2): every Jacobian is exactly singular, so each
-        # batched solve raises and falls back to one solve per row, which
-        # raises too; its critical points form curves, and none converges.
-        # The solver refuses this W before Newton, so the kernel runs alone
-        W = laurent({(1, 1): {(): 1}, (-1, -1): {(): 1}})
-        ranks = []
-        solve_ = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: ranks.append(np.ndim(a)) or solve_(a, b))
-        yields, attempted = newton_yields(W, [], SolverOptions())
-        assert attempted == 576
-        [(found, _)] = yields
-        assert len(found) == 0
-        assert {2, 3} <= set(ranks)  # batched, then per row
+    @pytest.mark.parametrize("n, starts, step", [(2, 576, "_step_2d"), (3, 4096, "_step")])
+    def test_singular_jacobians_end_in_no_convergence(self, monkeypatch, n, starts, step):
+        # W = z1...zn + 1/(z1...zn): every Jacobian is exactly singular, in
+        # the 2-D closed form and under elimination, so each start ends at
+        # its first pass with no step; the critical points form curves, and
+        # none converges: the whole grid runs, or max_starts of it in 3-D.
+        # The solver refuses this W before Newton, so the start grid runs
+        # alone
+        W = laurent({(1,) * n: {(): 1}, (-1,) * n: {(): 1}})
+        passes = []
+        kernel = getattr(roots, step)
+        monkeypatch.setattr(roots, step, lambda *args: passes.append(kernel(*args)) or passes[-1])
+        found = newton_found(W, [], SolverOptions(), 1, ((0.0,) * n,))
+        assert found.attempted == len(passes) == starts
+        assert (found.converged, found.points) == (0, [])
+        assert all(step is None for _, step in passes)
 
     @pytest.mark.parametrize("terms", NO_ISOLATED_ROOTS.values(), ids=NO_ISOLATED_ROOTS)
     def test_no_isolated_roots_refused_before_newton(self, monkeypatch, terms):
         # the Newton polytope is a segment (or a point, for z): the bound is
         # 0, and no coefficients give W an isolated critical point
-        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton", newton_must_not_run)
         with pytest.raises(SchemaError, match="no isolated critical points: the Newton "
                            "polytope of its nonconstant terms is not full-dimensional"):
             find_critical_points(laurent({z: {(): c} for z, c in terms.items()}), [])
@@ -315,9 +316,8 @@ class TestSolverBehavior:
     def test_factor_without_roots_refused_before_newton(self, monkeypatch, terms, reason):
         # the bound is positive, but a factor has no isolated root, so W has
         # none: Newton on W whole would admit points drifting along a curve
-        # or toward infinity. Neither the starts nor the grid run
-        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
-        monkeypatch.setattr(roots, "_newton_2d", newton_must_not_run)
+        # or toward infinity. No start runs
+        monkeypatch.setattr(roots, "_newton", newton_must_not_run)
         W = laurent({z: {(): c} for z, c in terms.items()})
         assert _exponent_structure(tuple(sorted(W.terms))).bound > 0
         with pytest.raises(SchemaError, match=re.escape(
@@ -325,21 +325,20 @@ class TestSolverBehavior:
             find_critical_points(W, [])
 
     def test_exact_residual_refuses_a_false_root(self, monkeypatch):
-        # a grid that passes z = 1 off as a root of z + q/z beside
-        # the true root z = 0.1: only the true root and its image -0.1 are
+        # a corrector that passes z = 1 off as a root of z + q/z beside the
+        # true root z = 0.1: only the true root and its image -0.1 are
         # reported, and alone z = 1 is refused with its residual |1 - q|
         W = laurent({(1,): {(0,): 1}, (-1,): {(1,): 1}})
 
         def kernel(found):
-            def grid(*_):
-                yield [(np.log(complex(z)),) for z in found], math.inf, len(found)
-                yield [], math.inf, len(found)
-            return grid
+            ends = iter([(cmath.log(z),) for z in found])
+            return lambda *_: (next(ends, None), math.inf)
 
-        monkeypatch.setattr(critical, "grid_roots", kernel([1.0, 0.1]))
+        monkeypatch.setattr(roots, "_newton", kernel([1.0, 0.1]))
         report = grid_report(W, [T001])
         assert_point_sets_match(report, [(-0.1,), (0.1,)])
-        monkeypatch.setattr(critical, "grid_roots", kernel([1.0]))
+        assert report.attempted == 2  # stopped at the true root
+        monkeypatch.setattr(roots, "_newton", kernel([1.0]))
         with pytest.raises(NoConvergence, match=f"best residual reached {1 - 0.01:.3e}; "):
             grid_report(W, [T001])
 
@@ -358,8 +357,7 @@ class TestSolverBehavior:
         fan = validate_fan(2, F1)
         k = dual_kahler(fan)
         W = hori_vafa(fan, k)
-        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
-        monkeypatch.setattr(roots, "_newton_2d", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton", newton_must_not_run)
         options = SolverOptions(max_starts=2, moduli_per_coord=((0.5, 1.0), bad))
         with pytest.raises(SchemaError, match="^need one modulus list per z-coordinate, "
                            "each a nonempty list of positive finite floats$"):
@@ -426,19 +424,19 @@ def bound_case(name):
     return bundle_setup(BUNDLE_BASES[name[4:-3]]())
 
 
-def count_passes(monkeypatch):
-    """The rows of each call of the solver's term-value kernel, which runs
-    once per Newton pass over the working set (and once per pass of a
-    batch in the lockstep oracles)."""
-    calls = []
-    kernel = critical._term_values
+def spy_newton(monkeypatch):
+    """The end of each start the solver runs (None for one dropped), in
+    the order they run."""
+    ends = []
+    newton = roots._newton
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return kernel(*args)
+    def spy(*args):
+        end, residual = newton(*args)
+        ends.append(end)
+        return end, residual
 
-    monkeypatch.setattr(critical, "_term_values", counted)
-    return calls
+    monkeypatch.setattr(roots, "_newton", spy)
+    return ends
 
 
 class TestRootBound:
@@ -452,8 +450,8 @@ class TestRootBound:
         elapsed = time.perf_counter() - start
         assert report.deduped == report.expected == len(k.fan.maximal_cones)
         assert not report.truncated
-        # stopped at the bound, unless the whole grid fits in one batch
-        assert report.attempted < report.grid_size or report.grid_size <= 64
+        # stopped at the bound, before the end of the grid, when one ran
+        assert report.attempted < report.grid_size or report.grid_size == 0
         if name == "P(K_F1+O)":
             assert elapsed < 1.0
 
@@ -498,34 +496,27 @@ class TestRootBound:
         assert _exponent_structure(tuple(sorted(fan.rays))).bound == len(fan.maximal_cones)
 
     @pytest.mark.parametrize("setup", [f2_setup, plane_setup, product_setup])
-    def test_stops_at_the_pass_that_reaches_bound(self, monkeypatch, setup):
-        # the first 64 starts reach the bound within 20 passes, before the
-        # working set drains to a quarter; stepping every start to its end
-        # instead runs 61-68 passes here, until the slowest converges or
-        # reaches max_steps
+    def test_stops_at_the_start_that_reaches_bound(self, monkeypatch, setup):
+        # the starts run one at a time, and the run stops at the start whose
+        # root, with its images under G, brings the verified roots to the
+        # bound: here within the first four starts of the grid
         k, W, params = setup()
-        passes = count_passes(monkeypatch)
+        ends = spy_newton(monkeypatch)
         report, _ = grid_solve(k, W, params)
         assert report.deduped == report.expected
-        assert len(passes) <= 20
-        assert report.attempted == 64
-        if setup is f2_setup:
-            assert report.converged < report.attempted
+        assert len(ends) == report.attempted <= 4
+        assert ends[-1] is not None
 
     @pytest.mark.parametrize("seed", [5, 7])
-    def test_rolling_admission_halves_the_passes(self, monkeypatch, seed):
-        # the lockstep loop runs 356 and 83 passes here: a batch that does
-        # not reach the bound steps on for its stragglers before the next
-        # batch is admitted
+    def test_runs_fewer_starts_than_lockstep_batches(self, seed):
+        # the lockstep oracle admits 2304 and 768 starts here, in batches of
+        # 384, each stepped for its stragglers before the next is admitted;
+        # one start at a time, the run stops at the 822nd and the 82nd
         k, W, _ = bundle_setup(BUNDLE_BASES["P1xdP6"]())
-        params = cone_point(k, seed)
-        passes = count_passes(monkeypatch)
-        report, t = grid_solve(k, W, params)
-        rolling = len(passes)
-        passes.clear()
-        pass_stop_oracle(W, t, report.options)
+        report, t = grid_solve(k, W, cone_point(k, seed))
+        attempted, *_ = pass_stop_oracle(W, t, report.options)
         assert report.deduped == report.expected == 24
-        assert 2 * rolling <= len(passes)
+        assert 2 * report.attempted <= attempted
 
     @pytest.mark.parametrize("name", BOUND_CASES)
     def test_matches_pass_stop_oracle(self, name):
@@ -571,7 +562,7 @@ class TestRootBound:
             pass_stop_oracle(W, t, SolverOptions(moduli_per_coord=moduli, max_steps=max_steps))
         assert str(caught.value) == str(oracle.value)
         if max_steps == 0:
-            best = min(math.sqrt(sum(abs(g) ** 2 for g in gradient(W, np.exp(w), t)))
+            best = min(math.sqrt(sum(abs(g) ** 2 for g in gradient(W, list(map(cmath.exp, w)), t)))
                        for w in _grid_starts(moduli, 8, 0, grid))
             assert float(found.group(2)) == pytest.approx(best, rel=1e-3)
 
@@ -699,59 +690,30 @@ class TestSymmetry:
         assert not report.truncated
         assert report.attempted < 4096
 
-    @pytest.mark.parametrize("name, seed", [("F2", 6), ("P(K_P1xdP6+O)", 3)])
+    @pytest.mark.parametrize("name, seed", [("P(K_F1+O)", 6), ("P(K_P1xdP6+O)", 3)])
     def test_zero_radius_exceeds_the_bound(self, name, seed):
-        # copies of one root a few ulps apart are all kept at radius 0,
-        # which the root bound refuses instead of reporting
+        # copies of one root a few ulps apart are all kept at radius 0; the
+        # run does not stop at a bound they fill, so the next root exceeds
+        # it, which the root bound refuses instead of reporting. (On F2 the
+        # first two starts reach both orbits, and no copy is kept)
         k, W, _ = bound_case(name)
         with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
-                           r"points exceed the root bound (4|24): the dedup radius 0.0 "):
+                           r"points exceed the root bound (8|24): the dedup radius 0.0 "):
             grid_solve(k, W, cone_point(k, seed), dedup_radius=0.0)
+        k, W, _ = bound_case("F2")
+        assert grid_solve(k, W, cone_point(k, 6), dedup_radius=0.0)[0].deduped == 4
 
 
 class TestStartOrder:
     def test_order_permutes_the_grid(self):
         moduli = ((0.5, 1.0, 2.0), (1.0, 3.0))
         grid = 12 * 8
-        starts = _grid_starts(moduli, 4, 0, grid)
-        assert len({tuple(w) for w in starts.tolist()}) == grid
-        # the batches of a run are slices of the same order
-        parts = [_grid_starts(moduli, 4, a, b - a)
+        starts = list(_grid_starts(moduli, 4, 0, grid))
+        assert len(set(starts)) == grid
+        # any stretch of the order decodes alone to the same starts
+        parts = [list(_grid_starts(moduli, 4, a, b - a))
                  for a, b in ((0, 7), (7, 40), (40, grid))]
-        assert np.array_equal(np.concatenate(parts), starts)
-
-    def test_starts_top_up_the_set_at_a_quarter_of_its_width(self, monkeypatch):
-        # the grid admits its starts in order, each top-up filling the
-        # working set to its width, never past the budget, exactly at the
-        # passes where its live rows have drained to a quarter of the width,
-        # from none at the outset
-        rows, topups = [], {}  # rows of each pass; pass -> (first, count)
-        term_values, grid_starts = critical._term_values, critical._grid_starts
-
-        def count_rows(w, *args):
-            rows.append(len(w))
-            return term_values(w, *args)
-
-        def record(moduli, phases, first, count):
-            if count:
-                topups[len(rows)] = (first, count)
-            return grid_starts(moduli, phases, first, count)
-
-        monkeypatch.setattr(critical, "_term_values", count_rows)
-        monkeypatch.setattr(critical, "_grid_starts", record)
-        width, budget = 64, 300
-        W = laurent({a: {(): 1} for a in DP6})
-        _, attempted = newton_yields(W, [], SolverOptions(max_starts=budget), width)
-        assert attempted == budget and len(topups) > 3
-        admitted = 0
-        for p, r in enumerate(rows):
-            if p in topups:
-                first, count = topups[p]
-                assert first == admitted and 4 * (r - count) <= width
-                admitted += count
-                assert r == width or admitted == budget
-            else:
-                assert 4 * r > width or admitted == budget
+        assert [w for part in parts for w in part] == starts
 
     @pytest.mark.parametrize("n, radii", [(2, 3), (4, 5)])
     def test_every_seed_starts_early(self, n, radii):
@@ -759,9 +721,9 @@ class TestStartOrder:
         # coordinates at their first seed
         moduli = (tuple(1.0 + j for j in range(radii)),) * n
         grid = (8 * radii) ** n
-        starts = _grid_starts(moduli, 8, 0, 64)
+        starts = list(_grid_starts(moduli, 8, 0, 64))
         for j in range(n):
-            assert len(set(starts[:, j].tolist())) == 8 * radii
+            assert len({w[j] for w in starts}) == 8 * radii
 
     @pytest.mark.parametrize("moduli, phases", [
         (((0.5, 1.0, 2.0), (1.0, 3.0)), 4),
@@ -773,19 +735,21 @@ class TestStartOrder:
     def test_matches_seed_table(self, moduli, phases):
         grid = math.prod(len(m) * phases for m in moduli)
         for first, count in ((0, min(grid, 500)), (3, 7), (grid - 5, 5)):
-            got = _grid_starts(moduli, phases, first, count)
-            assert got.tobytes() == seed_table_starts(moduli, phases, first, count).tobytes()
+            got = list(_grid_starts(moduli, phases, first, count))
+            assert got == seed_table_starts(moduli, phases, first, count)
 
     def test_phase_count_costs_no_memory(self):
-        # a grid of 10**6 phases per modulus: only the 64 starts run are built
+        # a grid of 10**6 phases per modulus: only the starts run are built,
+        # at most 64 here, or 64 of them when none converges
         k, W, params = line_setup()
         tracemalloc.start()
         try:
             report, _ = grid_solve(k, W, params, phases_per_coord=10**6, max_starts=64)
+            starts = list(_grid_starts(report.options.moduli_per_coord, 10**6, 0, 64))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.attempted == 64
+        assert 0 < report.attempted <= 64 and len(starts) == 64
         assert report.grid_size == len(report.options.moduli_per_coord[0]) * 10**6
         assert peak < 10 * 2**20
 

@@ -28,7 +28,7 @@ from conftest import (
     random_unimodular,
     unimodular_map_search,
 )
-from toricmirror import cli, critical, errors, roots
+from toricmirror import cli, errors, roots
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
 from toricmirror.documents import (
@@ -309,10 +309,12 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command, target, reason):
     assert capsys.readouterr() == ("", f"error: {out}: cannot write ({reason})\n")
 
 
-# solver name -> the module that defines it; toricmirror.critical serves
-# all four
+# solver name -> the module that serves it
 SOLVER_NAMES = {"CriticalReport": "roots", "SolverOptions": "roots",
                 "find_critical_points": "critical", "moduli_from_polytope": "roots"}
+# the names toricmirror.critical re-exports from roots, find_critical_points
+# as roots.solve
+CRITICAL_NAMES = ("SolverOptions", "find_critical_points", "moduli_from_polytope")
 WATCHED = ("dataclasses", "hashlib", "numpy", "toricmirror.critical", "toricmirror.gw",
            "toricmirror.laurent", "toricmirror.potential")
 
@@ -340,10 +342,18 @@ def bundle_potential(tmp_path, base, name):
         return pot, [f"--t={name}={float(v)}" for name, v in params.items()]
 
 
+def unit_potential(tmp_path, name, exponents) -> str:
+    """Write a hand-written potential document, the sum of z^a over the
+    exponents with no parameter, into tmp_path; returns its path."""
+    return write(tmp_path, name, {
+        "format": "toricmirror-potential/1", "z_variables": len(exponents[0]),
+        "q_variables": 0, "q_areas": [], "parameters": [],
+        "terms": [{"z": list(a), "coefficient": [{"q": [], "value": "1"}]} for a in exponents]})
+
+
 class TestLazySolver:
-    """Only `crit` loads the solver, and numpy only when the multistart
-    grid runs; the exact subcommands start without them, and each loads
-    only the layers it runs."""
+    """Only `crit` loads the solver, and never numpy; the exact subcommands
+    start without it, and each loads only the layers it runs."""
 
     def run_python(self, code):
         paths = [str(Path(toricmirror.__file__).parents[1]), str(Path(__file__).parent)]
@@ -361,7 +371,7 @@ class TestLazySolver:
             "print('numpy' in sys.modules)\n"
             "toricmirror.find_critical_points\n"
             "print('numpy' in sys.modules)\n")
-        assert out == "False\nFalse\nTrue\n"
+        assert out == "False\nFalse\nFalse\n"
 
     def test_package_import_loads_no_submodule(self):
         out = self.run_python(
@@ -412,25 +422,34 @@ class TestLazySolver:
         assert [self.loaded_by(argv) for argv, _, _ in runs] == [
             (code, modules) for _, code, modules in runs]
 
-    def test_crit_loads_numpy_only_for_the_grid(self, tmp_path):
-        # F2 and P(K_P2+O) solve in closed form; the F1 base of P(K_F1+O)
-        # is a Newton factor, solved from its polyhedral starts alone. When
-        # its cells miss the bound (forced here), the grid runs and loads
-        # the grid module and numpy
+    def test_crit_loads_nothing_beyond_roots(self, tmp_path):
+        # F2 solves in closed form; on dP6 with unit coefficients two
+        # polyhedral starts end on one root and the start grid continues;
+        # the blow-up of P3 at a point is one 3-D Newton factor, solved from
+        # the start grid alone. None of these runs loads a module that
+        # importing the CLI and the solver (roots) and building the argument
+        # parser (argparse loads locale) do not, numpy included
         f2 = str(tmp_path / "f2.json")
         assert main(["potential", str(SAMPLES / "f2.json"), "-o", f2]) == 0
-        runs = [([f2, "--t", "t1=1", "--t", "t2=1"], "", False)]
-        f1 = validate_fan(2, F1_DOC["rays"], F1_DOC["maximal_cones"])
-        for name, base in (("P2", projective_plane()), ("F1", f1)):
-            pot, t = bundle_potential(tmp_path, base, name)
-            runs.append(([pot, *t], "", False))
-        no_cells = ("from toricmirror import roots\n"
-                    "roots._polyhedral_starts = lambda pairs, bound: None\n")
-        runs.append((runs[-1][0], no_cells, True))
-        for argv, prelude, grid in runs:
-            code, modules = self.loaded_by(["crit", *argv], prelude)
-            assert code == 0
-            assert ("numpy" in modules, "toricmirror.critical" in modules) == (grid, grid)
+        blp3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
+        runs = [([f2, "--t", "t1=1", "--t", "t2=1"], [(1, 2, "closed-form")], 0),
+                ([unit_potential(tmp_path, "dp6.json", DP6_DOC["rays"])],
+                 [(2, 6, "newton")], 1),
+                ([unit_potential(tmp_path, "blp3.json", blp3)], [(3, 6, "newton")], 0)]
+        for argv, factors, fallbacks in runs:
+            out = str(tmp_path / "crit.json")
+            code = self.run_python(
+                "import json, sys\n"
+                "import toricmirror.cli, toricmirror.roots\n"
+                "toricmirror.cli.build_parser()\n"
+                "before = set(sys.modules)\n"
+                f"code = toricmirror.cli.main({['crit', *argv, '-o', out]!r})\n"
+                "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+            assert json.loads(code) == [0, []]
+            doc = json.loads(Path(out).read_text(encoding="utf-8"))
+            assert [(f["dimension"], f["expected"], f["solve"]) for f in doc["factors"]] == factors
+            assert doc["multistart"]["grid_fallbacks"] == fallbacks
+            assert doc["multistart"]["deduped"] == doc["multistart"]["expected"]
 
     def test_solver_names_resolve(self):
         import toricmirror.critical
@@ -438,11 +457,12 @@ class TestLazySolver:
         homes = {n: getattr(importlib.import_module(f"toricmirror.{m}"), n)
                  for n, m in SOLVER_NAMES.items()}
         assert [n for n in SOLVER_NAMES if getattr(toricmirror, n) is not homes[n]] == []
-        assert [n for n in SOLVER_NAMES
+        assert [n for n in CRITICAL_NAMES
                 if getattr(toricmirror.critical, n) is not homes[n]] == []
         namespace = {}
         exec("from toricmirror import *", namespace)
         assert [n for n in SOLVER_NAMES if namespace.get(n) is not homes[n]] == []
+        assert toricmirror.critical.find_critical_points is roots.solve
         with pytest.raises(AttributeError, match="no_such_name"):
             toricmirror.no_such_name
 
@@ -1029,7 +1049,7 @@ class TestCritCommand:
             "terms": [{"z": list(z), "coefficient": [{"q": [], "value": str(c)}]}
                       for z, c in terms.items()],
             "q_areas": [], "parameters": []})
-        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton", newton_must_not_run)
         capsys.readouterr()
         assert main(["crit", pot]) == 2
         assert capsys.readouterr().err == (
@@ -1051,8 +1071,7 @@ class TestCritCommand:
             "terms": [{"z": list(z), "coefficient": [{"q": [], "value": str(c)}]}
                       for z, c in terms.items()],
             "q_areas": [], "parameters": []})
-        monkeypatch.setattr(critical, "grid_roots", newton_must_not_run)
-        monkeypatch.setattr(roots, "_newton_2d", newton_must_not_run)
+        monkeypatch.setattr(roots, "_newton", newton_must_not_run)
         capsys.readouterr()
         assert main(["crit", pot, *extra]) == 2
         assert capsys.readouterr().err == (

@@ -14,14 +14,16 @@ from pathlib import Path
 import pytest
 
 import toricmirror
-from conftest import dual_kahler, grid_alone, jacobian_charpoly
-from test_critical import assert_point_sets_match_relative, cone_point, solve
+from conftest import dual_kahler, grid_alone, jacobian_charpoly, laurent
+from test_critical import assert_point_sets_match_relative, cone_point, solve, spy_newton
 from test_documents_cli import DP6_DOC, bundle_potential
+from test_integer_solves import DP6
 from test_potential import BUNDLES, catalog_bases, in_three_charts
 from test_roots import SWEEP_BASES
 from toricmirror import roots
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.cli import main
+from toricmirror.critical import find_critical_points
 from toricmirror.fan import validate_fan
 from toricmirror.gw import GWProvider
 from toricmirror.lattice import normalized_volume
@@ -156,22 +158,22 @@ def test_collided_starts_fall_back_to_the_grid(monkeypatch):
     # a kernel that sends the second start onto the first one's root leaves
     # five of dP6's six roots: the grid continues from those five on what
     # is left of the max_starts budget, the starts are not run again, and
-    # the system is counted. The grid stops at the pass that verifies the
+    # the system is counted. The grid stops at the start that verifies the
     # sixth root, no later than the grid alone stops, which needs all six
     k, W = base("dP6")()
     params = cone_point(k, 5)
     report, t = solve(k, W, params)
     assert (report.polyhedral, report.grid_fallbacks, report.deduped) == (6, 0, 6)
-    newton = roots._newton_2d
+    newton = roots._newton
     seen = []
 
-    def collide(system, w, options, band):
+    def collide(system, w, *args):
         seen.append(w)
-        return newton(system, seen[0] if len(seen) == 2 else w, options, band)
+        return newton(system, seen[0] if len(seen) == 2 else w, *args)
 
-    monkeypatch.setattr(roots, "_newton_2d", collide)
+    monkeypatch.setattr(roots, "_newton", collide)
     fallback, _ = solve(k, W, params)
-    assert len(seen) == 6
+    assert len(seen) == fallback.attempted  # each start runs once
     assert (fallback.polyhedral, fallback.grid_fallbacks) == (6, 1)
     alone = grid_alone(W, t, report.options)
     assert fallback.deduped == alone.deduped == 6
@@ -180,24 +182,34 @@ def test_collided_starts_fall_back_to_the_grid(monkeypatch):
     for point, other in zip(fallback.points, alone.points):
         assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(point, other))
     # max_starts caps both runs: two starts are left for the grid, and the
-    # sixth root they reach joins the five the starts verified
+    # sixth root the first of them reaches joins the five the starts
+    # verified
     seen.clear()
     capped, _ = solve(k, W, params, max_starts=8)
-    assert (capped.attempted, capped.polyhedral, capped.grid_fallbacks) == (8, 6, 1)
+    assert (capped.attempted, capped.polyhedral, capped.grid_fallbacks) == (7, 6, 1)
     assert not capped.truncated and capped.deduped == 6
 
 
-def no_grid(*_):
-    raise AssertionError("the grid ran")
+def test_unit_dp6_continues_one_start_at_a_time():
+    # dP6 with unit coefficients at t = (): three of the six polyhedral
+    # starts end on one root, so the grid continues from the four roots
+    # kept. A working set of 96 grid starts ran to 102 starts in all; one at
+    # a time, the grid stops at the start that verifies the sixth root
+    W = laurent({a: {(): 1} for a in DP6})
+    report = find_critical_points(W, [])
+    assert (report.deduped, report.expected) == (6, 6)
+    assert (report.polyhedral, report.grid_fallbacks) == (6, 1)
+    assert report.attempted < 102
 
 
 @pytest.mark.parametrize("name, cap", [("F1", 3), ("dP6", 1), ("P(K_dP6+O)", 5)])
-def test_max_starts_below_the_bound_caps_the_starts(name, cap):
+def test_max_starts_below_the_bound_caps_the_starts(monkeypatch, name, cap):
     # the first max_starts starts run, and with no start left for it the
     # grid does not run: the report is short and truncated, never padded
     k, W = NEWTON_CLASSES[name]()
-    report, _ = solve(k, W, cone_point(k, 5), max_starts=cap,
-                      run=lambda W, t, options: roots.solve(W, t, options, no_grid))
+    ends = spy_newton(monkeypatch)
+    report, _ = solve(k, W, cone_point(k, 5), max_starts=cap)
+    assert len(ends) == cap
     assert (report.attempted, report.polyhedral, report.grid_fallbacks) == (cap, cap, 0)
     assert report.converged <= cap and report.truncated
     assert 0 < report.deduped < report.expected
@@ -213,6 +225,21 @@ def test_steep_dp6_charts_reach_the_bound(seed, point):
     report, _ = solve(k, W, cone_point(k, point))
     assert report.deduped == report.expected == 12
     assert all(r <= report.options.tol for r in report.residuals)
+
+
+@pytest.mark.parametrize("point", [1, 9])
+def test_grid_starts_cross_steep_charts(point):
+    # in this chart of P(K_dP6+O) (ray entries up to 34) the dP6 factor's
+    # polyhedral starts collide, and its grid seeds lie hundreds of log
+    # units from every root: with steps clipped to 10, the grid reaches the
+    # missing roots within 75 starts; clipped to 0.5, as a polyhedral
+    # start's are, 4096 starts found 10 of 12
+    charts = dict(in_three_charts(
+        {n: projectivize_canonical(SWEEP_BASES[n]) for n in ("F1", "dP6")}, 12))
+    k, W = bundle_w(charts["dP6-chart2"])
+    report, _ = solve(k, W, cone_point(k, point))
+    assert (report.grid_fallbacks, report.deduped, report.expected) == (1, 12, 12)
+    assert report.attempted <= 6 + 75
 
 
 @pytest.mark.parametrize("case", ["starts", "fallback"])

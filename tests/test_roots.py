@@ -25,12 +25,13 @@ from test_critical import (
     grid_solve,
     rounding_bound,
     solve,
+    spy_newton,
 )
 from test_integer_solves import DP6, F1, product_fan
 from test_moment_polytope import P3
 from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror.bundle import decompose_bundle, projectivize_canonical
-from toricmirror import critical, roots
+from toricmirror import roots
 from toricmirror.critical import SolverOptions, find_critical_points, moduli_from_polytope
 from toricmirror.documents import critical_report_to_document
 from toricmirror.errors import NoConvergence, RootBoundExceeded
@@ -480,27 +481,24 @@ class TestAgainstGrid:
         # within 1e-8 of each other, on one root, so the grid runs; at
         # radius 0 both copies are kept, and with the root the grid adds
         # they outnumber the factor's own bound. At cone point 112 one start
-        # is dropped and none collide, so the grid adds the sixth root and
-        # no copy; at cone point 3 the six starts reach the six roots
+        # is dropped and none collide, so the grid adds the sixth root, from
+        # its 16th start: the 15 before it reach kept roots, and at radius 0
+        # their copies outnumber the bound. At cone point 3 the six starts
+        # reach the six roots
         k, W, _ = bundle_setup(SWEEP_BASES["P1xdP6"])
-        newton = roots._newton_2d
-        ends = []
-
-        def spy(*args):
-            end, residual = newton(*args)
-            if end is not None:
-                ends.append(end)
-            return end, residual
-
-        monkeypatch.setattr(roots, "_newton_2d", spy)
+        ends = spy_newton(monkeypatch)
         assert solve(k, W, cone_point(k, 8))[0].grid_fallbacks == 1
-        assert len(ends) == 6 and any(roots._log_distance(a, b) <= 1e-8
-                                      for i, a in enumerate(ends) for b in ends[:i])
-        with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
-                           r"points exceed the root bound 6: the dedup radius 0.0 "):
-            solve(k, W, cone_point(k, 8), dedup_radius=0.0)
-        at_112, _ = solve(k, W, cone_point(k, 112), dedup_radius=0.0)
-        assert (at_112.grid_fallbacks, at_112.deduped) == (1, 24)
+        starts = ends[:6]  # the polyhedral starts run first
+        assert None not in starts and any(roots._log_distance(a, b) <= 1e-8
+                                          for i, a in enumerate(starts) for b in starts[:i])
+        ends.clear()
+        at_112, _ = solve(k, W, cone_point(k, 112))
+        assert (at_112.grid_fallbacks, at_112.deduped, at_112.attempted) == (1, 24, 22)
+        assert [end is None for end in ends].count(True) == 1
+        for point in (8, 112):
+            with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
+                               r"points exceed the root bound 6: the dedup radius 0.0 "):
+                solve(k, W, cone_point(k, point), dedup_radius=0.0)
         assert solve(k, W, cone_point(k, 3), dedup_radius=0.0)[0].deduped == 24
 
     def test_grid_report_is_the_whole_grid(self):

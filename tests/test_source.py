@@ -54,9 +54,9 @@ def _module_level_imports(path):
 # module -> the only library files that may import it when they are imported
 # themselves (function bodies aside); an empty tuple bans it everywhere
 IMPORT_BANS = {
-    # numpy is most of the start-up time of the CLI; the exact layers and
-    # the entry points (cli.py, __init__.py) import the solver only lazily
-    "numpy": ("critical.py",),
+    # the package needs nothing outside the standard library; the entry
+    # points (cli.py, __init__.py) import the solver only lazily
+    "numpy": (),
     "toricmirror.critical": ("critical.py",),
     # dataclasses pulls in inspect, ast, dis and tokenize, and builds each
     # class through exec; records are NamedTuples or plain classes
