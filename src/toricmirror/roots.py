@@ -702,14 +702,14 @@ _GRID_MAX_STEP = 10.0
 
 
 def _compile(pairs: Sequence) -> tuple:
-    """A system's nonconstant terms as its Newton pass reads them: in two
-    coordinates (a_1, a_2, a_1^2, a_1 a_2, a_2^2, c) per term, for
-    ``_step_2d``; else (exponents, coefficients), for ``_step``."""
+    """A system's Newton pass and its nonconstant terms as that pass reads
+    them: in two coordinates ``_step_2d`` over (a_1, a_2, a_1^2, a_1 a_2,
+    a_2^2, c) per term; else ``_step`` over (exponents, coefficients)."""
     if len(pairs[0][0]) == 2:
-        return tuple((a1, a2, a1 * a1, a1 * a2, a2 * a2, c)
-                     for (a1, a2), c in pairs if a1 or a2)
+        return _step_2d, tuple((a1, a2, a1 * a1, a1 * a2, a2 * a2, c)
+                               for (a1, a2), c in pairs if a1 or a2)
     terms = [(a, c) for a, c in pairs if any(a)]
-    return tuple(a for a, _ in terms), tuple(c for _, c in terms)
+    return _step, (tuple(a for a, _ in terms), tuple(c for _, c in terms))
 
 
 def _step_2d(system: tuple, w: tuple) -> tuple:
@@ -745,18 +745,18 @@ def _step(system: tuple, w: tuple) -> tuple:
 
 def _newton(system: tuple, w: tuple, options: SolverOptions, band: float,
             clip: float) -> tuple:
-    """Damped Newton on a log-gradient system compiled by ``_compile`` from
-    the log point w. The start converges when its residual is at most tol
-    and its last step at most STEP_TOL, and is dropped when a value is not
-    finite, when its next iterate leaves the band in Re w, or at max_steps.
-    Each step is clipped to clip in max-norm. (end, residual): end is the
-    converged iterate or None, residual the last finite one (inf when
-    none)."""
-    pass_ = _step_2d if len(w) == 2 else _step
+    """Damped Newton from the log point w on a system (pass, terms)
+    compiled by ``_compile``, each step one pass over the terms. The start
+    converges when its residual is at most tol and its last step at most
+    STEP_TOL, and is dropped when a value is not finite, when its next
+    iterate leaves the band in Re w, or at max_steps. Each step is clipped
+    to clip in max-norm. (end, residual): end is the converged iterate or
+    None, residual the last finite one (inf when none)."""
+    pass_, terms = system
     last = math.inf
     for steps in range(options.max_steps + 1):
         try:
-            residual, step = pass_(system, w)
+            residual, step = pass_(terms, w)
         except OverflowError:
             break
         if not math.isfinite(residual):
@@ -816,8 +816,11 @@ def _newton_system(pairs: list, bound: int, shifts: tuple, moduli,
     start grid (``_grid_starts``), one start at a time on what is left of
     the budget, and `grid_fallbacks` counts the system; so it does when
     the cells' volumes miss the bound and the grid's starts run alone, as
-    on a system of any other dimension. A grid start's steps are clipped
-    to _GRID_MAX_STEP, a polyhedral start's to _MAX_STEP. The run stops at
+    on a system of any other dimension. A grid start that ends within the
+    default dedup radius of a root the polyhedral starts reached, or of
+    its image, revisits it and adds nothing, whatever the dedup radius: the
+    grid continues from those roots. A grid start's steps are clipped to
+    _GRID_MAX_STEP, a polyhedral start's to _MAX_STEP. The run stops at
     the start that settles the system, by the same rule. Raises
     RootBoundExceeded when the verified roots outnumber the bound: the
     dedup radius kept copies of one root apart."""
@@ -862,16 +865,19 @@ def _newton_system(pairs: list, bound: int, shifts: tuple, moduli,
             ends.append(end)
     converged = len(ends)
     left = 0 if collect(ends) else options.max_starts - len(starts)
+    reached = list(kept)  # the starts' roots and their images
     attempted = 0
     for w in _grid_starts(moduli, options.phases_per_coord, 0, min(left, size)):
         attempted += 1
         end, residual = _newton(system, w, options, band, _GRID_MAX_STEP)
         if end is None:
             best = min(best, residual)
-        else:
-            converged += 1
-            if collect([end]):
-                break
+            continue
+        converged += 1
+        if any(_log_distance(end, k) <= _DEDUP_RADIUS for k in reached):
+            continue  # a revisit of a root the starts reached adds nothing
+        if collect([end]):
+            break
     return Found(sorted(points, key=_order), len(starts) + attempted, converged, size, best,
                  len(starts), refused, grid_fallbacks=int(n == 2 and left > 0))
 

@@ -482,8 +482,8 @@ class TestAgainstGrid:
         # radius 0 both copies are kept, and with the root the grid adds
         # they outnumber the factor's own bound. At cone point 112 one start
         # is dropped and none collide, so the grid adds the sixth root, from
-        # its 16th start: the 15 before it reach kept roots, and at radius 0
-        # their copies outnumber the bound. At cone point 3 the six starts
+        # its 16th start, and no copy, at any radius: the 15 before it
+        # revisit roots the starts reached. At cone point 3 the six starts
         # reach the six roots
         k, W, _ = bundle_setup(SWEEP_BASES["P1xdP6"])
         ends = spy_newton(monkeypatch)
@@ -491,14 +491,14 @@ class TestAgainstGrid:
         starts = ends[:6]  # the polyhedral starts run first
         assert None not in starts and any(roots._log_distance(a, b) <= 1e-8
                                           for i, a in enumerate(starts) for b in starts[:i])
-        ends.clear()
-        at_112, _ = solve(k, W, cone_point(k, 112))
-        assert (at_112.grid_fallbacks, at_112.deduped, at_112.attempted) == (1, 24, 22)
-        assert [end is None for end in ends].count(True) == 1
-        for point in (8, 112):
-            with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
-                               r"points exceed the root bound 6: the dedup radius 0.0 "):
-                solve(k, W, cone_point(k, point), dedup_radius=0.0)
+        with pytest.raises(RootBoundExceeded, match=r"^\d+ distinct verified critical "
+                           r"points exceed the root bound 6: the dedup radius 0.0 "):
+            solve(k, W, cone_point(k, 8), dedup_radius=0.0)
+        for radius in (1e-8, 0.0):
+            ends.clear()
+            at_112, _ = solve(k, W, cone_point(k, 112), dedup_radius=radius)
+            assert (at_112.grid_fallbacks, at_112.deduped, at_112.attempted) == (1, 24, 22)
+            assert [end is None for end in ends].count(True) == 1
         assert solve(k, W, cone_point(k, 3), dedup_radius=0.0)[0].deduped == 24
 
     def test_grid_report_is_the_whole_grid(self):
