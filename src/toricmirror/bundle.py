@@ -4,7 +4,8 @@ Given the fan of a Fano base Y with rays w_1..w_m, the total space X has
 rays v_0 = e_n, v_i = w_i + e_n, v_{m+1} = -e_n, and every maximal cone of Y
 doubles into one cone with v_0 and one with v_{m+1}. The ray order
 (v_0, middles, v_{m+1}) is fixed so the distinguished disk classes keep
-stable indices downstream.
+stable indices downstream. A P1-bundle over a smooth complete fan is
+smooth and complete, so X is built with its dual bases, not validated.
 
 The reverse direction (recognizing such a fan after an arbitrary GL(n, Z)
 change of coordinates) matters because input documents need not use the
@@ -25,21 +26,25 @@ from .fan import Fan, Positivity, classify_positivity, validate_fan
 
 
 def projectivize_canonical(fan_y: Fan) -> Fan:
-    """Fan of P(K_Y + O_Y) over a Fano base Y, validated."""
+    """Fan of P(K_Y + O_Y) over a Fano base Y. Over a cone of Y with dual
+    rows d_i, the cone with v_0 has rows (-sum d_i, 1) for v_0 and (d_i, 0)
+    for the lifted rays; the one with v_{m+1} has (d_i, 0), then
+    (sum d_i, -1). Cones with v_0 sort first, each half in Y's order."""
     if classify_positivity(fan_y) is not Positivity.FANO:
         raise NotFano("the base of the canonical-bundle construction must be Fano")
     n = fan_y.dimension + 1
     m = fan_y.nrays
     zero = (0,) * (n - 1)
-    rays = [zero + (1,)]
-    rays += [tuple(w) + (1,) for w in fan_y.rays]
-    rays.append(zero + (-1,))
-    cones = []
-    for cone in fan_y.maximal_cones:
+    rays = (zero + (1,),) + tuple(w + (1,) for w in fan_y.rays) + (zero + (-1,),)
+    low, high = {}, {}
+    for cone, dual in fan_y.dual_bases.items():
         lifted = tuple(i + 1 for i in cone)
-        cones.append(tuple(sorted(lifted + (0,))))
-        cones.append(tuple(sorted(lifted + (m + 1,))))
-    return validate_fan(n, rays, cones)
+        rows = tuple(d + (0,) for d in dual)
+        total = tuple(map(sum, zip(*dual)))
+        low[(0,) + lifted] = (tuple(-x for x in total) + (1,),) + rows
+        high[lifted + (m + 1,)] = rows + (total + (-1,),)
+    dual_bases = low | high
+    return Fan(n, rays, tuple(dual_bases), dual_bases)
 
 
 def fiber_class(fan_x: Fan):

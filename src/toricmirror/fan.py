@@ -1,12 +1,13 @@
 """Smooth complete toric fans and their curve-class combinatorics.
 
-A fan is stored as primitive ray generators plus maximal cone index sets.
-Validation takes the Hermite normal form of each maximal cone's ray matrix
-once: the cone is smooth (unimodular) when the normal form is the identity,
-and the transform is then the cone's dual basis, whose rows are the inward
-normals of its facets. Completeness is checked locally with those normals:
-every facet of a maximal cone is shared by exactly two cones whose inward
-normals there are opposite, and one generic point lies in exactly one cone.
+A fan is stored as primitive ray generators plus maximal cone index sets,
+with each cone's dual basis: the integer inverse of its ray matrix, whose
+rows are the inward normals of its facets. Validation finds the dual bases
+by walking across walls from one Hermite normal form; a cone reached
+through a wall is unimodular, on the wall's other side, exactly when the
+ray it adds has coordinate -1 on the ray it drops. Completeness is checked
+locally: every facet of a maximal cone is shared by exactly two cones on
+opposite sides of it, and one generic point lies in exactly one cone.
 Together these say the cones cover the space and meet in common faces. The
 dual bases also give the coordinates of any vector in a cone's rays, which
 locates the focus of a primitive relation. On top of the validated
@@ -58,7 +59,9 @@ def chern_degree(coords) -> int:
 
 
 class Fan:
-    """A validated smooth complete fan. Build via :func:`validate_fan`.
+    """A smooth complete fan, built by :func:`validate_fan`, or with its
+    dual bases (in sorted cone order) by a construction that guarantees
+    both, such as :func:`~toricmirror.bundle.projectivize_canonical`.
 
     ``dual_bases`` maps each maximal cone to the integer inverse of its ray
     matrix (rays as columns): row k is the inward normal of the facet
@@ -258,39 +261,69 @@ def infer_cones_2d(rays):
     return sorted(cones)
 
 
-def _check_complete(fan: Fan):
-    """Every generic point lies in exactly one maximal cone.
+def _walk_walls(start, rays, by_facet, duals, same_side):
+    """Dual bases of the maximal cones reached from *start* across walls.
 
-    Cones are grouped by facet, each with its inward normal there (a row of
-    its dual basis). Cones sharing a facet must lie on opposite sides of it:
-    both normals are primitive and orthogonal to the facet, so they are
-    equal or opposite, and equal means the same side. Then crossing a facet
-    swaps one covering cone for another and every generic point is covered
-    the same number of times. That number is read off at
-    p = (1, N, N^2, ...), where N exceeds every entry of the dual bases: by
-    the Cauchy root bound no normal vanishes at p, so p lies on no wall. A
-    count of one, with every facet in exactly two cones, means the cones
-    cover the space and meet in common faces.
+    From a unimodular cone with dual basis D across the facet opposite its
+    ray v_k, the new ray v' has coordinates c = D v', and the new cone has
+    |det| |c_k| (Cramer's rule). At c_k = +-1 its dual basis is
+    d_j - c_j c_k d_k for the kept rays and c_k d_k for v': -1 puts it on
+    the other side of the wall, +1 on the same side. *start* takes its
+    dual basis from a Hermite normal form; a valid fan needs one walk.
+
+    Each cone reached gets its dual basis in *duals*, or its |det| when it
+    is not unimodular, and *same_side* every (facet, lower cone, higher
+    cone) of two cones on one side of their facet.
+    """
+    n = len(start)
+    H, U = hermite_normal_form([[rays[j][i] for j in start] for i in range(n)])
+    det = math.prod(H[i][i] for i in range(n))
+    duals[start] = tuple(map(tuple, U)) if det == 1 else det
+    queue, walked = [start] if det == 1 else [], set()
+    for cone in queue:
+        walked.add(cone)
+        dual = duals[cone]
+        for k in range(n):
+            facet = cone[:k] + cone[k + 1:]
+            for other in by_facet[facet]:
+                if other in walked or isinstance(duals.get(other), int):
+                    continue
+                fresh = next(i for i in other if i not in cone)
+                ck = sum(map(operator.mul, dual[k], rays[fresh]))
+                if ck == 1:
+                    same_side.append((facet, min(cone, other), max(cone, other)))
+                if other in duals:
+                    continue
+                if abs(ck) != 1:
+                    duals[other] = abs(ck)
+                    continue
+                dk = dual[k]
+                rows = {fresh: tuple(ck * b for b in dk)}
+                for i, row in zip(cone, dual):
+                    if i != cone[k]:
+                        c = ck * sum(map(operator.mul, row, rays[fresh]))
+                        rows[i] = tuple(a - c * b for a, b in zip(row, dk)) if c else row
+                duals[other] = tuple(rows[i] for i in other)
+                queue.append(other)
+
+
+def _check_complete(fan: Fan, by_facet: dict):
+    """Every generic point lies in exactly one maximal cone, given that no
+    two cones lie on the same side of a common facet.
+
+    Then crossing a facet swaps one covering cone for another, so every
+    generic point is covered the same number of times. That number is
+    read off at p = (1, N, N^2, ...), where N exceeds every entry of the
+    dual bases: by the Cauchy root bound no inward normal vanishes at p,
+    so p lies on no wall. A count of one, with every facet in exactly two
+    cones, means the cones cover the space and meet in common faces.
     """
     n = fan.dimension
-    by_facet = {}
-    for cone, dual in fan.dual_bases.items():
-        for k, normal in enumerate(dual):
-            facet = cone[:k] + cone[k + 1:]
-            by_facet.setdefault(facet, []).append((normal, cone))
-    for facet, cones in by_facet.items():
-        for (normal_a, ca), (normal_b, cb) in combinations(cones, 2):
-            if normal_a == normal_b:
-                raise BadFaceIntersection(
-                    f"cones {ca} and {cb} lie on the same side of their "
-                    f"common facet {facet}"
-                )
-
     big = 2 + max(abs(x) for dual in fan.dual_bases.values() for row in dual for x in row)
     point = [big ** i for i in range(n)]
     inside = [
         cone for cone, dual in fan.dual_bases.items()
-        if all(sum(a * x for a, x in zip(row, point)) > 0 for row in dual)
+        if all(sum(map(operator.mul, row, point)) > 0 for row in dual)
     ]
     if len(inside) > 1:
         raise BadFaceIntersection(
@@ -308,15 +341,13 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
     """Validate fan data and return an immutable Fan.
 
     For dimension 2 the maximal cones may be omitted and are inferred from
-    the counterclockwise order of the rays. Each maximal cone's ray matrix
-    is put into Hermite normal form once: a cone is unimodular when the
-    normal form is the identity (its diagonal product is |det|), and the
-    transform is then the cone's dual basis, kept as ``Fan.dual_bases``.
-    After the per-ray and per-cone checks, completeness is checked locally
-    with the dual bases' inward normals (see :func:`_check_complete`): two
-    cones with equal inward normals on a shared facet, or a generic point in
-    two cones, raise BadFaceIntersection; a facet not in exactly two cones
-    raises IncompleteFan. Raises NonPrimitiveRay, NonUnimodularCone,
+    the counterclockwise order of the rays. The dual bases, kept as
+    ``Fan.dual_bases``, come from walks across the facets, each from the
+    first cone in sorted order that no walk reached yet (see
+    :func:`_walk_walls`). Checks fire in this order: per ray, per cone (the
+    first cone in sorted order that is not unimodular), every ray in a
+    cone, two cones on one side of a common facet, then completeness (see
+    :func:`_check_complete`). Raises NonPrimitiveRay, NonUnimodularCone,
     BadFaceIntersection, or IncompleteFan.
     """
     n = operator.index(dimension)
@@ -353,21 +384,30 @@ def validate_fan(dimension, rays, maximal_cones=None) -> Fan:
         raise IncompleteFan("a fan needs maximal cones")
     if len(set(cones)) != len(cones):
         raise IncompleteFan("duplicate maximal cones")
-    dual_bases = {}
+    by_facet = {}
+    for cone in cones:
+        for k in range(len(cone)):
+            by_facet.setdefault(cone[:k] + cone[k + 1:], []).append(cone)
+    duals, same_side = {}, []
     for cone in cones:
         if len(cone) != n:
             raise NonUnimodularCone(f"maximal cone {cone} must have {n} rays")
-        H, U = hermite_normal_form([[rays[j][i] for j in cone] for i in range(n)])
-        det = math.prod(H[i][i] for i in range(n))
-        if det != 1:
-            raise NonUnimodularCone(f"cone {cone} has |det| {det}")
-        dual_bases[cone] = tuple(tuple(row) for row in U)
+        if cone not in duals:
+            _walk_walls(cone, rays, by_facet, duals, same_side)
+        if isinstance(duals[cone], int):
+            raise NonUnimodularCone(f"cone {cone} has |det| {duals[cone]}")
     used = {i for cone in cones for i in cone}
     if used != set(range(len(rays))):
         raise IncompleteFan(f"rays {sorted(set(range(len(rays))) - used)} lie in no cone")
 
-    fan = Fan(dimension=n, rays=rays, maximal_cones=tuple(cones), dual_bases=dual_bases)
-    _check_complete(fan)
+    if same_side:
+        facet, ca, cb = min(same_side, key=lambda s: (list(by_facet).index(s[0]), s[1:]))
+        raise BadFaceIntersection(
+            f"cones {ca} and {cb} lie on the same side of their common facet {facet}"
+        )
+    fan = Fan(dimension=n, rays=rays, maximal_cones=tuple(cones),
+              dual_bases={cone: duals[cone] for cone in cones})
+    _check_complete(fan, by_facet)
     return fan
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -9,10 +10,19 @@ from typing import Optional, Sequence
 
 import pytest
 
-from toricmirror.errors import DependentGenerators, DimensionMismatch, EmptyInterior
-from toricmirror.fan import Fan, validate_fan
+from toricmirror.errors import (
+    BadFaceIntersection,
+    DependentGenerators,
+    DimensionMismatch,
+    EmptyInterior,
+    IncompleteFan,
+    NonPrimitiveRay,
+    NonUnimodularCone,
+    ToricMirrorError,
+)
+from toricmirror.fan import Fan, infer_cones_2d, validate_fan
 from toricmirror.kahler import KahlerData
-from toricmirror.lattice import hermite_normal_form, xgcd
+from toricmirror.lattice import hermite_normal_form, is_primitive, xgcd
 from toricmirror.laurent import LaurentPoly, QPoly, evaluate
 from toricmirror.linform import LinForm
 
@@ -100,6 +110,92 @@ def moment_vertices(kahler, params) -> list:
 
 # --- independent oracles ---
 
+def per_cone_hnf_fan(dimension, rays, maximal_cones=None) -> Fan:
+    """validate_fan as it was before it walked the walls: one Hermite
+    normal form per maximal cone, in sorted order, each cone refused as
+    soon as it is not unimodular; then every pair of cones on a common
+    facet compared by their inward normals there (equal normals: the same
+    side), a generic point counted, and the facets counted. The same
+    refusals, in the same order, with the same messages."""
+    n = operator.index(dimension)
+    if n < 1:
+        raise DimensionMismatch("fan dimension must be at least 1")
+    rays = tuple(tuple(map(operator.index, r)) for r in rays)
+    if not rays:
+        raise IncompleteFan("a fan needs rays")
+    for r in rays:
+        if len(r) != n:
+            raise DimensionMismatch(f"ray {r} does not have length {n}")
+        if not any(r):
+            raise NonPrimitiveRay("the zero vector is not a ray")
+        if not is_primitive(r):
+            raise NonPrimitiveRay(f"ray {r} is not primitive")
+    if len(set(rays)) != len(rays):
+        raise NonPrimitiveRay("duplicate rays")
+    if maximal_cones is None:
+        if n != 2:
+            raise IncompleteFan("maximal cones are required except in dimension 2")
+        cones = infer_cones_2d(rays)
+    else:
+        cones = []
+        for c in maximal_cones:
+            cone = tuple(sorted(map(operator.index, c)))
+            if len(set(cone)) != len(cone):
+                raise NonUnimodularCone(f"cone {c} repeats a ray")
+            if any(i < 0 or i >= len(rays) for i in cone):
+                raise NonUnimodularCone(f"cone {c} references a missing ray")
+            cones.append(cone)
+        cones = sorted(cones)
+    if not cones:
+        raise IncompleteFan("a fan needs maximal cones")
+    if len(set(cones)) != len(cones):
+        raise IncompleteFan("duplicate maximal cones")
+    dual_bases = {}
+    for cone in cones:
+        if len(cone) != n:
+            raise NonUnimodularCone(f"maximal cone {cone} must have {n} rays")
+        H, U = hermite_normal_form([[rays[j][i] for j in cone] for i in range(n)])
+        det = math.prod(H[i][i] for i in range(n))
+        if det != 1:
+            raise NonUnimodularCone(f"cone {cone} has |det| {det}")
+        dual_bases[cone] = tuple(tuple(row) for row in U)
+    used = {i for cone in cones for i in cone}
+    if used != set(range(len(rays))):
+        raise IncompleteFan(f"rays {sorted(set(range(len(rays))) - used)} lie in no cone")
+
+    by_facet = {}
+    for cone, dual in dual_bases.items():
+        for k, normal in enumerate(dual):
+            by_facet.setdefault(cone[:k] + cone[k + 1:], []).append((normal, cone))
+    for facet, group in by_facet.items():
+        for (normal_a, ca), (normal_b, cb) in combinations(group, 2):
+            if normal_a == normal_b:
+                raise BadFaceIntersection(
+                    f"cones {ca} and {cb} lie on the same side of their common facet {facet}")
+    big = 2 + max(abs(x) for dual in dual_bases.values() for row in dual for x in row)
+    point = [big ** i for i in range(n)]
+    inside = [cone for cone, dual in dual_bases.items()
+              if all(sum(a * x for a, x in zip(row, point)) > 0 for row in dual)]
+    if len(inside) > 1:
+        raise BadFaceIntersection(
+            f"maximal cones {inside} overlap: all contain the point {tuple(point)}")
+    bad = {f: len(g) for f, g in by_facet.items() if len(g) != 2}
+    if bad:
+        raise IncompleteFan(
+            f"facets not shared by exactly two maximal cones: {sorted(bad.items())}")
+    return Fan(dimension=n, rays=rays, maximal_cones=tuple(cones), dual_bases=dual_bases)
+
+
+def validation_outcome(validate, *args):
+    """What a fan validator makes of the data: ("fan", the Fan, its dual
+    bases as a list in dict order), or ("refused", error type, message)."""
+    try:
+        fan = validate(*args)
+    except ToricMirrorError as exc:
+        return ("refused", type(exc), str(exc))
+    return ("fan", fan, list(fan.dual_bases.items()))
+
+
 def brute_force_primitive_collections(fan: Fan):
     """Direct definition over every subset: spans no cone while every
     maximal proper subset does. Kept dumb on purpose."""
@@ -119,10 +215,16 @@ def effective_classes_up_to(fan: Fan, cutoff: int):
     """All nonnegative integer combinations of primitive-relation classes with
     multiplicity sum at most *cutoff*, deduplicated and sorted: every
     relation enters, whatever its degree."""
+    return nonnegative_combinations([rel.coords for rel in fan.primitive_relations], cutoff)
+
+
+def nonnegative_combinations(gens, cutoff: int):
+    """All nonnegative integer combinations of the vectors *gens* with
+    multiplicity sum at most *cutoff*, deduplicated and sorted."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    gens = [rel.coords for rel in fan.primitive_relations]
-    d = fan.nrays
+    gens = list(gens)
+    d = len(gens[0])
     classes = set()
 
     def rec(idx, budget, acc):

@@ -2,10 +2,18 @@
 
 import pytest
 
-from conftest import assert_splitting_chart, matrix_det, push_h2, unimodular_map_search
+from conftest import (
+    assert_splitting_chart,
+    matrix_det,
+    nonnegative_combinations,
+    push_h2,
+    unimodular_map_search,
+    validation_outcome,
+)
 from test_golden import K_F2_FAN, NOT_A_BUNDLE_FAN
-from test_potential import BUNDLES
-from toricmirror import bundle
+from test_potential import BUNDLES, catalog_bases, in_three_charts
+from toricmirror import bundle, lattice
+from toricmirror import fan as fan_module
 from toricmirror.bundle import (
     decompose_bundle,
     default_q_basis,
@@ -20,6 +28,9 @@ from toricmirror.fan import (
     classify_positivity,
     validate_fan,
 )
+
+# every catalog base, in its standard chart and two seeded GL(n, Z) charts
+BASES = in_three_charts(catalog_bases(), 32)
 
 
 class TestProjectivize:
@@ -46,6 +57,30 @@ class TestProjectivize:
         for base in (p1, p2, p1xp1):
             x = projectivize_canonical(base)
             assert classify_positivity(x) is Positivity.SEMI_FANO_NOT_FANO
+
+    @pytest.mark.parametrize("name, base", BASES, ids=[name for name, _ in BASES])
+    def test_closed_form_equals_validated(self, name, base):
+        # the same Fan, and the same dual bases in the same order, as
+        # validating the built rays and cones
+        x = projectivize_canonical(base)
+        assert validation_outcome(validate_fan, x.dimension, x.rays, x.maximal_cones) \
+            == ("fan", x, list(x.dual_bases.items()))
+
+    def test_built_without_validation_or_normal_forms(self, monkeypatch):
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapped
+
+        for module, name in [(bundle, "validate_fan"), (fan_module, "hermite_normal_form"),
+                             (lattice, "hermite_normal_form")]:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for _, base in BASES:
+            projectivize_canonical(base)
+        assert calls == []
 
 
 class TestFiberClass:
@@ -185,3 +220,37 @@ class TestDefaultBasis:
 
     def test_none_for_plain_fans(self, p2):
         assert default_q_basis(p2) is None
+
+
+def wall_classes(fan):
+    """The class of each wall's torus-invariant curve, in ray coordinates,
+    read off the dual bases: crossing from a cone over the facet opposite
+    its ray v_k to the cone with the new ray v', c = D v' has c_k = -1 and
+    gives the relation v' + v_k = sum over j != k of c_j v_j."""
+    by_facet = {}
+    for cone in fan.maximal_cones:
+        for k in range(len(cone)):
+            by_facet.setdefault(cone[:k] + cone[k + 1:], []).append((cone, k))
+    classes = set()
+    for (cone, k), (other, _) in by_facet.values():
+        fresh = next(i for i in other if i not in cone)
+        c = [sum(a * x for a, x in zip(row, fan.rays[fresh])) for row in fan.dual_bases[cone]]
+        assert c[k] == -1
+        coords = [0] * fan.nrays
+        coords[fresh] = coords[cone[k]] = 1
+        for j, i in enumerate(cone):
+            if j != k:
+                coords[i] = -c[j]
+        classes.add(tuple(coords))
+    return sorted(classes)
+
+
+class TestWallClasses:
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[name for name, _ in BUNDLES])
+    def test_primitive_relations_are_sums_of_wall_classes(self, name, fan):
+        # the wall classes generate the Mori cone: every primitive relation
+        # is a sum of at most two of them on the catalog bundles
+        walls = wall_classes(fan)
+        assert all(fan.is_homology_class(w) for w in walls)
+        sums = set(nonnegative_combinations(walls, 2))
+        assert [rel.coords for rel in fan.primitive_relations if rel.coords not in sums] == []

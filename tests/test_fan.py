@@ -17,10 +17,13 @@ from conftest import (
     matrix_det,
     p1_times_p1,
     pairwise_overlap_oracle,
+    per_cone_hnf_fan,
     projective_line,
     projective_plane,
     random_smooth_2d_fan,
+    validation_outcome,
 )
+from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror import fan as fan_module
 from toricmirror.bundle import projectivize_canonical
 from toricmirror.errors import (
@@ -290,6 +293,131 @@ class TestPairwiseOracleAgreement:
         cones = _cycle(rays)
         assert _agrees_with_oracle(rays, cones) == {BadFaceIntersection}
         assert _agrees_with_oracle(*_suspension(rays, cones)) == {BadFaceIntersection}
+
+
+# --- the wall walk against per-cone Hermite normal forms ---
+
+def _hnf_calls(fn, *args):
+    """(what fn returns or raises, the number of Hermite normal forms that
+    fan.py takes meanwhile)."""
+    calls = []
+    real = fan_module.hermite_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fan_module, "hermite_normal_form", counting)
+        outcome = validation_outcome(fn, *args)
+    return outcome, len(calls)
+
+
+def _swap_any_cone(rays, cones, rng):
+    """One cone replaced by a random set of n rays that is not a cone yet,
+    unimodular or not; None when every such set is a cone."""
+    cones = [tuple(c) for c in cones]
+    fresh = [s for s in combinations(range(len(rays)), len(rays[0])) if s not in cones]
+    if fresh:
+        k = rng.randrange(len(cones))
+        return cones[:k] + cones[k + 1:] + [rng.choice(fresh)]
+    return None
+
+
+def _walk_inputs():
+    """(dimension, rays, cones) of the catalog bases and bundles in three
+    GL(n, Z) charts, and above dimension 1 also with shuffled rays; random
+    2-D fans, with cones inferred and given, and their mutants; and the
+    bundle mutants of TestPairwiseOracleAgreement and its wound and folded
+    cycles. Every fan also with one cone swapped for a random set of rays."""
+    rng = random.Random(32)
+    fans = [fan for _, fan in in_three_charts(catalog_bases(), 13)]
+    fans += [fan for _, fan in BUNDLES]
+    out = []
+    for fan in fans:
+        out.append((fan.dimension, fan.rays, fan.maximal_cones))
+        if fan.dimension > 1:
+            out.append((fan.dimension, *_random_chart(fan.rays, fan.maximal_cones, rng)))
+    for _ in range(30):
+        fan = random_smooth_2d_fan(rng, max_rays=8)
+        out.append((2, fan.rays, None))
+        out += [(2, rays, cones) for rays, cones in _mutants(fan.rays, fan.maximal_cones, rng)]
+    p3 = validate_fan(3, P3_RAYS, list(combinations(range(4), 3)))
+    bases = [projective_line(), projective_plane(), p1_times_p1(), hirzebruch(1),
+             validate_fan(2, DP6_RAYS), p3]
+    for base in bases:
+        x = projectivize_canonical(base)
+        for _ in range(3):
+            rays, cones = _random_chart(x.rays, x.maximal_cones, rng)
+            out += [(x.dimension, *mutant) for mutant in _mutants(rays, cones, rng)]
+    for rays in (WOUND, FOLDED):
+        out += [(2, rays, _cycle(rays)), (3, *_suspension(rays, _cycle(rays)))]
+    swapped = [(dim, rays, _swap_any_cone(rays, cones, rng))
+               for dim, rays, cones in out if cones is not None]
+    return out + [args for args in swapped if args[2] is not None]
+
+
+# (dimension, rays, cones, error, message, Hermite normal forms taken) of
+# fans refused on each branch of the walk
+WALK_REFUSALS = {
+    # (0, 1) reaches (1, 2) with c_k = -2 and (0, 2) with c_k = -1
+    "reached-det-2": (2, [(1, 0), (0, 1), (-2, -1)], [(0, 1), (1, 2), (0, 2)],
+                      NonUnimodularCone, "cone (1, 2) has |det| 2", 1),
+    # (0, -1) lies on the wall of (0, 1) opposite (1, 0): c_k = 0
+    "reached-det-0": (2, [(1, 0), (0, 1), (0, -1)], [(0, 1), (0, 2), (1, 2)],
+                      NonUnimodularCone, "cone (1, 2) has |det| 0", 1),
+    # (1, 1) lies on the side of (0, 1)'s wall that (0, 1) does: c_k = +1
+    "same-side": (2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2), (0, 3)],
+                  BadFaceIntersection,
+                  "cones (0, 1) and (0, 3) lie on the same side of their common facet (0,)", 1),
+    "no-neighbour": (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)],
+                     IncompleteFan, "facets not shared by exactly two maximal cones: "
+                     "[((0,), 1), ((1,), 1), ((2,), 1), ((3,), 1)]", 2),
+    "disconnected": (2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+                     [(0, 1), (1, 2), (3, 4), (4, 5)],
+                     IncompleteFan, "facets not shared by exactly two maximal cones: "
+                     "[((0,), 1), ((2,), 1), ((3,), 1), ((5,), 1)]", 2),
+    # the walk from (0, 1) reaches (1, 3) before (0, 2), and stops at both
+    "first-bad-in-sorted-order": (2, [(1, 0), (0, 1), (1, -2), (-2, 1)],
+                                  [(0, 1), (0, 2), (1, 3), (2, 3)],
+                                  NonUnimodularCone, "cone (0, 2) has |det| 2", 1),
+}
+
+
+class TestWallWalk:
+    def test_agrees_with_per_cone_hnf(self):
+        seen = set()
+        for args in _walk_inputs():
+            outcome = validation_outcome(validate_fan, *args)
+            assert outcome == validation_outcome(per_cone_hnf_fan, *args), args
+            seen.add(outcome[1] if outcome[0] == "refused" else None)
+        assert seen == {None, NonUnimodularCone, IncompleteFan, BadFaceIntersection}
+
+    @pytest.mark.parametrize("name", list(WALK_REFUSALS))
+    def test_refusals_on_each_branch(self, name):
+        dim, rays, cones, error, message, hnf = WALK_REFUSALS[name]
+        outcome = ("refused", error, message)
+        assert _hnf_calls(validate_fan, dim, rays, cones) == (outcome, hnf)
+        assert validation_outcome(per_cone_hnf_fan, dim, rays, cones) == outcome
+
+    def test_first_bad_cone_is_named_though_reached_later(self):
+        dim, rays, cones, *_ = WALK_REFUSALS["first-bad-in-sorted-order"]
+        by_facet = {}
+        for cone in cones:
+            for k in range(dim):
+                by_facet.setdefault(cone[:k] + cone[k + 1:], []).append(cone)
+        duals = {}
+        fan_module._walk_walls((0, 1), rays, by_facet, duals, [])
+        assert list(duals)[1:] == [(1, 3), (0, 2)]
+        assert [duals[c] for c in [(1, 3), (0, 2)]] == [2, 2]
+
+    def test_one_normal_form_per_valid_fan(self):
+        rng = random.Random(5)
+        fans = [fan for _, fan in BUNDLES] + [random_smooth_2d_fan(rng) for _ in range(10)]
+        for fan in fans:
+            outcome = ("fan", fan, list(fan.dual_bases.items()))
+            assert _hnf_calls(validate_fan, fan.dimension, fan.rays, fan.maximal_cones) \
+                == (outcome, 1)
 
 
 def _face_search(fan, collection):

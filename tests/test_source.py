@@ -208,7 +208,8 @@ ORACLES = ("cone_coefficients", "disk_area", "effective_classes_up_to",
            "elementary_divisors", "fourier_motzkin", "fraction_moduli_from_polytope",
            "fraction_vertices", "jacobian_charpoly", "lockstep_newton", "matrix_det",
            "max_min_slack",
-           "moment_vertices", "pass_stop_oracle", "polytope_vertices", "push_h2",
+           "moment_vertices", "pass_stop_oracle", "per_cone_hnf_fan", "polytope_vertices",
+           "push_h2",
            "solve_unique", "summed_potential", "support_value",
            "tokenizing_parse_linear_form", "unimodular_map_search")
 
