@@ -10,10 +10,12 @@ the rays (an extreme nonnegative relation) has positive area
 -sum(y_i * lambda_i), by Motzkin's transposition theorem. Construction
 refuses the support constants only when some circuit's area is a constant
 <= 0, so that the polytope is empty at every parameter value; symbolic
-constants are checked at given parameters by ``scaled_vertices``. In the open
-Kahler cone the polytope has one vertex per maximal cone, given in closed
-form by the cone's dual basis, and the numeric vertices are only defined
-there.
+constants are checked at given parameters by ``scaled_vertices``. The
+circuits are enumerated only when the parameter parts of the q-basis areas
+have rank below the basis size: otherwise no nonzero rational class, so no
+circuit, has a constant area. In the open Kahler cone the polytope has one
+vertex per maximal cone, given in closed form by the cone's dual basis, and
+the numeric vertices are only defined there.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
@@ -36,7 +38,7 @@ from .errors import (
     NotInBasisSpan,
 )
 from .fan import Fan
-from .lattice import lattice_coordinates
+from .lattice import lattice_coordinates, rank
 from .linform import LinForm, parse_linear_form
 
 
@@ -62,17 +64,14 @@ class KahlerData:
 
     def __init__(self, fan: Fan, lambdas: Sequence, q_basis=None):
         self.fan = fan
-        lams = []
-        for lam in lambdas:
-            if isinstance(lam, LinForm):
-                lams.append(lam)
-            else:
-                lams.append(parse_linear_form(lam))
+        self.lambdas = lams = tuple(lam if isinstance(lam, LinForm) else parse_linear_form(lam)
+                                    for lam in lambdas)
         if len(lams) != fan.nrays:
             raise ValueError(
                 f"need one support constant per ray ({fan.nrays}), got {len(lams)}"
             )
-        self.lambdas = tuple(lams)
+        names = tuple(sorted(set().union(*(lam.coeffs for lam in lams))))
+        self.parameter_names = names
 
         if q_basis is None:  # both fallbacks are bases by construction
             q_basis = default_q_basis(fan)
@@ -82,6 +81,14 @@ class KahlerData:
             q_basis = checked_q_basis(fan, q_basis)
         self.q_basis = q_basis
 
+        # the lambdas as integer rows over one common denominator: parameter
+        # coefficients in name order, then the constant
+        self._scale = scale = math.lcm(*(x.denominator for lam in lams
+                                         for x in (lam.const, *lam.coeffs.values())))
+        self._rows = tuple(tuple(x.numerator * scale // x.denominator for x in
+                                 (*(lam.coeffs.get(n, 0) for n in names), lam.const))
+                           for lam in lams)
+        self._basis_rows = tuple(map(self._area_row, q_basis))
         self._check_polytope()
 
     # -- construction checks --
@@ -89,19 +96,17 @@ class KahlerData:
     def _check_polytope(self):
         # {<x, v_i> > lambda_i} is infeasible exactly when some nonzero
         # y >= 0 with sum(y_i v_i) = 0 has sum(y_i lambda_i) >= 0 (Motzkin),
-        # and the positive circuits generate those y; a circuit whose sum is
-        # a constant >= 0 leaves the polytope empty at every parameter value
+        # and the positive circuits generate those y; a circuit whose area
+        # is a constant <= 0 leaves the polytope empty at every parameter
+        # value. A circuit is a nonzero rational combination of the q-basis:
+        # when the basis areas' parameter parts are independent, no circuit
+        # has a constant area and none need be enumerated
+        if rank([row[:-1] for row in self._basis_rows]) == len(self.q_basis):
+            return
         for circuit in self.fan.positive_circuits:
-            total = sum((lam * y for y, lam in zip(circuit, self.lambdas) if y), LinForm(0))
-            if total.is_constant() and total.const >= 0:
+            *coeffs, const = self._area_row(circuit)
+            if not any(coeffs) and const <= 0:
                 raise EmptyInterior("moment polytope has empty interior")
-
-    @functools.cached_property
-    def parameter_names(self) -> tuple:
-        names = set()
-        for lam in self.lambdas:
-            names |= lam.variables
-        return tuple(sorted(names))
 
     @property
     def rank(self) -> int:
@@ -109,16 +114,20 @@ class KahlerData:
 
     # -- areas --
 
+    def _area_row(self, alpha) -> tuple:
+        # -sum(a_i lambda_i) times the common denominator, as an integer row
+        return tuple(-sum(map(operator.mul, alpha, col)) for col in zip(*self._rows))
+
+    def _area_form(self, row) -> LinForm:
+        *coeffs, const = (Fraction(x, self._scale) for x in row)
+        return LinForm(const, dict(zip(self.parameter_names, coeffs)))
+
     def sphere_area(self, alpha) -> LinForm:
         """Area of a curve class; equals -sum(a_i lambda_i) and is
         x-independent because the class pairs to zero with the ray map."""
         if not self.fan.is_homology_class(alpha):
             raise ValueError(f"{tuple(alpha)} is not a curve class of the fan")
-        total = LinForm(0)
-        for a, lam in zip(alpha, self.lambdas):
-            if a:
-                total += lam * (-a)
-        return total
+        return self._area_form(self._area_row(alpha))
 
     # -- q-weights --
 
@@ -142,24 +151,14 @@ class KahlerData:
 
     @functools.cached_property
     def _basis_areas(self) -> tuple:
-        return tuple(self.sphere_area(b) for b in self.q_basis)
+        return tuple(map(self._area_form, self._basis_rows))
 
     @functools.cached_property
     def _lambda_coordinates(self) -> tuple:
         # coordinates of every -lambda_i in the basis areas, or None, from
-        # one coordinate map of the coefficient vectors (parameters, then
-        # constant) scaled to integers by the common denominator of the
-        # basis areas and the lambdas
-        names = self.parameter_names
-        areas = self.basis_areas()
-        scale = math.lcm(*(x.denominator for form in areas + self.lambdas
-                           for x in (form.const, *form.coeffs.values())))
-
-        def vector(form):
-            return [int(form.coefficient(n) * scale) for n in names] + [int(form.const * scale)]
-
-        coords = lattice_coordinates([vector(a) for a in areas])
-        return tuple(coords(vector(-lam)) for lam in self.lambdas)
+        # one coordinate map of their integer rows
+        coords = lattice_coordinates(self._basis_rows)
+        return tuple(coords([-x for x in row]) for row in self._rows)
 
     def lambda_q_exponents(self, i: int) -> tuple:
         """Write exp(lambda_i) as a q-monomial: solve

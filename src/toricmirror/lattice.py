@@ -7,7 +7,8 @@ basis directly (the basis rows come from a unimodular transform), integer
 coordinates in a basis come from one normal form per basis
 (:func:`lattice_coordinates`), and the transform of a unimodular matrix is
 its integer inverse; the volume of a lattice polytope sums normal-form
-diagonals over a triangulation (:func:`normalized_volume`). Rational
+diagonals over a triangulation (:func:`normalized_volume`), and the rank of
+a matrix counts the nonzero rows of its normal form (:func:`rank`). Rational
 systems elsewhere are scaled to integers first. Saturation is not
 re-checked at run time; the test suite checks it against elementary
 divisors.
@@ -111,6 +112,11 @@ def hermite_normal_form(mat) -> tuple:
 
 
 # --- public lattice operations ---
+
+def rank(mat) -> int:
+    """Rank of an integer matrix: the nonzero rows of its Hermite normal form."""
+    return sum(1 for row in hermite_normal_form(mat)[0] if any(row))
+
 
 def is_primitive(v: Sequence[int]) -> bool:
     """True when gcd of the entries is 1. Raises ZeroVector on the zero vector."""

@@ -96,7 +96,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NoConvergence, RootBoundExceeded, SchemaError
 from .kahler import KahlerData
-from .lattice import hermite_normal_form, kernel_basis, normalized_volume, unit_grading
+from .lattice import hermite_normal_form, kernel_basis, normalized_volume, rank, unit_grading
 from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms
 
 
@@ -270,10 +270,6 @@ def _exponent_structure(exponents: tuple) -> Structure:
     return Structure(bound, shifts, chart, inverse, fiber, factors, images, None)
 
 
-def _rank(rows) -> int:
-    return sum(1 for row in hermite_normal_form(rows)[0] if any(row))
-
-
 def _components(vectors: list) -> list:
     """The connected components of the vectors' matroid, as sorted index
     lists in order of their first index: i and j meet when one lies in the
@@ -281,7 +277,7 @@ def _components(vectors: list) -> list:
     it into the basis for the other keeps the rank."""
     basis = []
     for i, v in enumerate(vectors):
-        if _rank([vectors[j] for j in basis] + [v]) > len(basis):
+        if rank([vectors[j] for j in basis] + [v]) > len(basis):
             basis.append(i)
     root = list(range(len(vectors)))
 
@@ -294,7 +290,7 @@ def _components(vectors: list) -> list:
         if i in basis:
             continue
         for b in basis:
-            if _rank([vectors[j] for j in basis if j != b] + [v]) == len(basis):
+            if rank([vectors[j] for j in basis if j != b] + [v]) == len(basis):
                 root[find(i)] = find(b)
     groups = {}
     for i in range(len(vectors)):

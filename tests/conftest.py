@@ -759,6 +759,18 @@ def max_min_slack(normals, offsets) -> tuple:
     return eps_max, point
 
 
+def circuit_scan_verdict(fan, lambdas) -> Optional[str]:
+    """The construction verdict on support constants (LinForms) by an
+    unconditional scan of the positive circuits: the EmptyInterior message
+    when some circuit's sum(y_i * lambda_i), summed as linear forms, is a
+    constant >= 0, else None."""
+    for circuit in fan.positive_circuits:
+        total = sum((lam * y for y, lam in zip(circuit, lambdas) if y), LinForm(0))
+        if total.is_constant() and total.const >= 0:
+            return "moment polytope has empty interior"
+    return None
+
+
 def polytope_vertices(normals, offsets) -> list:
     """All vertices of {x : <v_i, x> >= lambda_i} by active-set enumeration.
 
@@ -859,6 +871,18 @@ def summed_potential(kahler, factor) -> dict:
     return {z: coeff for z, coeff in total.items() if coeff}
 
 
+def recipe_lambdas(fan, cone: int = 0) -> list:
+    """The support constants of :func:`dual_kahler`, as LinForms: 0 on the
+    rays of a maximal cone (the first by default), -t_j on the j-th other
+    ray."""
+    sigma = fan.maximal_cones[cone]
+    off = [i for i in range(fan.nrays) if i not in sigma]
+    lambdas = [LinForm(0)] * fan.nrays
+    for j, r in enumerate(off):
+        lambdas[r] = -LinForm.variable(f"t{j + 1}")
+    return lambdas
+
+
 def dual_kahler(fan, cone: int = 0) -> KahlerData:
     """Kahler data with lambda 0 on the rays of a maximal cone (the first by
     default) and -t_j on the others, in the q-basis dual to that cone: basis
@@ -866,16 +890,14 @@ def dual_kahler(fan, cone: int = 0) -> KahlerData:
     that q_j = exp(-t_j)."""
     sigma = fan.maximal_cones[cone]
     off = [i for i in range(fan.nrays) if i not in sigma]
-    lambdas = ["0"] * fan.nrays
     q_basis = []
-    for j, r in enumerate(off):
-        lambdas[r] = f"-t{j + 1}"
+    for r in off:
         cls = [0] * fan.nrays
         cls[r] = 1
         for i, row in zip(sigma, fan.dual_bases[sigma]):
             cls[i] = -sum(a * x for a, x in zip(row, fan.rays[r]))
         q_basis.append(tuple(cls))
-    return KahlerData(fan, lambdas, q_basis)
+    return KahlerData(fan, recipe_lambdas(fan, cone), q_basis)
 
 
 def reference_evaluate(poly, z, t) -> complex:

@@ -39,6 +39,7 @@ from toricmirror.lattice import (
     kernel_basis,
     lattice_coordinates,
     normalized_volume,
+    rank,
 )
 from toricmirror.potential import correction_details
 
@@ -143,6 +144,16 @@ class TestHermiteSmith:
             snf = smith_normal_form(sympy.Matrix(mat))
             expected = [abs(int(snf[i, i])) for i in range(min(m, n)) if snf[i, i] != 0]
             assert elementary_divisors(mat) == expected
+
+    def test_rank_matches_sympy(self):
+        # small entries make many random matrices singular
+        rng = random.Random(17)
+        for _ in range(40):
+            m = rng.randint(1, 5)
+            n = rng.randint(0, 5)
+            mat = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
+            assert rank(mat) == (sympy.Matrix(mat).rank() if n else 0), mat
+        assert rank([]) == 0
 
 
 class TestPrimitive:

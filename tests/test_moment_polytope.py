@@ -13,10 +13,12 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    circuit_scan_verdict,
     dual_kahler,
     fraction_moduli_from_polytope,
     fraction_vertices,
     hirzebruch,
+    hirzebruch2,
     hirzebruch2_kahler,
     interior_point,
     max_min_slack,
@@ -27,6 +29,7 @@ from conftest import (
     projective_plane,
     random_smooth_2d_fan,
     random_unimodular,
+    recipe_lambdas,
     solve_unique,
     support_value,
 )
@@ -125,6 +128,95 @@ def test_construction_verdict_matches_fourier_motzkin(fans):
     assert min(symbolic.values()) > 0, symbolic
 
 
+def catalog_bundle_bases():
+    """The catalog's Fano bases: P1, P2, P1xP1, F1, dP6, P3, P1xdP6 and
+    P1^3."""
+    line = projective_line()
+    return fano_bases() + [P3, product_fan(line, fano_bases()[4]),
+                           product_fan(line, p1_times_p1())]
+
+
+def catalog_bundles(seed):
+    """Newly built P(K_Y+O) over every catalog base, in its standard chart
+    and two seeded GL(n, Z) charts."""
+    rng = random.Random(seed)
+    out = []
+    for base in catalog_bundle_bases():
+        x = projectivize_canonical(base)
+        out += [x] + [in_chart(x, random_unimodular(rng, x.dimension)) for _ in range(2)]
+    return out
+
+
+def verdicts(fan, lambdas):
+    """(KahlerData's verdict, the always-scan oracle's, whether construction
+    enumerated the positive circuits); a verdict is the EmptyInterior
+    message or None."""
+    expected = circuit_scan_verdict(fan, lambdas)
+    fan.__dict__.pop("positive_circuits", None)
+    try:
+        KahlerData(fan, lambdas)
+        got = None
+    except EmptyInterior as exc:
+        got = str(exc)
+    return got, expected, "positive_circuits" in fan.__dict__
+
+
+def off_cone_lambdas(fan, rng, kind):
+    """Support constants 0 on the first maximal cone's rays and, on the
+    j-th other ray, a random constant plus -t_j, except that "fewer" keeps
+    t1 alone (fewer parameters than the rank), "repeated" puts -t1 on the
+    second ray too, and "cancels" puts +t1 there."""
+    lambdas = recipe_lambdas(fan)
+    off = [i for i, lam in enumerate(lambdas) if lam]
+    t1 = LinForm.variable("t1")
+    second = {"fewer": LinForm(0), "repeated": -t1, "cancels": t1}[kind]
+    for j, i in enumerate(off):
+        if j == 1:
+            lambdas[i] = second
+        elif j > 1 and kind == "fewer":
+            lambdas[i] = LinForm(0)
+        lambdas[i] += Fraction(rng.randint(-3, 2), rng.choice((1, 2)))
+    return lambdas
+
+
+def test_construction_verdict_matches_the_circuit_scan(fans):
+    # the rank shortcut must give the always-scan verdict: recipe documents
+    # take it, lambdas whose basis areas have dependent parameter parts
+    # scan, and so do constant ones
+    rng = random.Random(47)
+    paths = {"shortcut": 0, "scan": 0}
+    refused = 0
+
+    def check(fan, lambdas, path=None):
+        nonlocal refused
+        got, expected, scanned = verdicts(fan, lambdas)
+        assert got == expected, (fan.rays, lambdas)
+        assert path is None or scanned == (path == "scan"), (fan.rays, lambdas)
+        paths["scan" if scanned else "shortcut"] += 1
+        refused += got is not None
+
+    for fan in catalog_bundles(53):
+        check(fan, recipe_lambdas(fan), "shortcut")
+        for kind in ("fewer", "repeated", "cancels"):
+            check(fan, off_cone_lambdas(fan, rng, kind), "scan")
+        check(fan, [LinForm(Fraction(rng.randint(-5, 3), rng.choice((1, 2, 3))))
+                    for _ in fan.rays], "scan")
+    for fan in fans:
+        names = [f"t{j}" for j in range(1, fan.nrays - fan.dimension + 1)]
+        for _ in range(8):
+            check(fan, [random_lambda(rng, names) for _ in fan.rays])
+    assert min(paths.values()) >= 20 and refused >= 20, (paths, refused)
+
+
+def test_recipe_documents_skip_the_circuit_scan():
+    for fan in catalog_bundles(59):
+        KahlerData(fan, recipe_lambdas(fan))
+        assert "positive_circuits" not in fan.__dict__, fan.rays
+    fan = hirzebruch2()  # P(K_P1+O) at t1 = t2 = 1
+    KahlerData(fan, ["-1", "0", "-3", "0"])
+    assert "positive_circuits" in fan.__dict__
+
+
 def in_kahler_cone(fan, offsets):
     """Each cone's vertex, from one Fraction solve, strictly inside the
     half-spaces of the other rays."""
@@ -188,10 +280,8 @@ def catalog_kahler():
     first maximal cone and -t_j on the other rays."""
     fans = [projective_line(), projective_plane(), p1_times_p1(),
             hirzebruch(1), hirzebruch(3)]
-    bases = fano_bases() + [P3, product_fan(projective_line(), fano_bases()[4]),
-                            product_fan(projective_line(), p1_times_p1())]
     return ([hirzebruch2_kahler()] + [dual_kahler(fan) for fan in fans]
-            + [dual_kahler(projectivize_canonical(base)) for base in bases])
+            + [dual_kahler(projectivize_canonical(base)) for base in catalog_bundle_bases()])
 
 
 def draws(names, rng):
