@@ -11,8 +11,9 @@ opposite sides of it, and one generic point lies in exactly one cone.
 Together these say the cones cover the space and meet in common faces. The
 dual bases also give the coordinates of any vector in a cone's rays, which
 locates the focus of a primitive relation. On top of the validated
-structure this module computes the degree-2 homology lattice, primitive
-collections and relations, the positive circuits (extreme nonnegative ray
+structure this module computes the degree-2 homology lattice and a basis
+test by coordinates off one cone, the primitive collections (the minimal
+non-faces) and relations, the positive circuits (extreme nonnegative ray
 relations), anticanonical degrees and the Fano/semi-Fano/non-nef trichotomy.
 """
 
@@ -23,7 +24,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -103,16 +103,6 @@ class Fan:
         return len(self.rays)
 
     @functools.cached_property
-    def _cone_index_sets(self):
-        return tuple(frozenset(c) for c in self.maximal_cones)
-
-    def spans_cone(self, subset) -> bool:
-        """A ray subset spans a cone of the fan iff it sits inside some
-        maximal cone (faces of simplicial cones are generator subsets)."""
-        s = frozenset(subset)
-        return any(s <= c for c in self._cone_index_sets)
-
-    @functools.cached_property
     def homology_basis(self):
         """Canonical Z-basis of the kernel of the ray map (degree-2 homology):
         the map Z^n -> Z^d with the rays as columns."""
@@ -121,11 +111,17 @@ class Fan:
     def is_homology_basis(self, classes) -> bool:
         """True when the classes form a Z-basis of the homology lattice.
 
-        The canonical basis is in Hermite normal form, which is unique for
-        a lattice, so the classes span it exactly when theirs is the same.
+        The first maximal cone is unimodular, so a class is fixed by its
+        coordinates on the rays off that cone, and every integer vector of
+        them extends to a class: projecting onto them is an isomorphism onto
+        Z^(nrays - dimension). So the classes are a basis exactly when there
+        are that many, each is a class, and the projections have det +-1.
         """
-        normal_form, _ = hermite_normal_form(classes)
-        return [tuple(r) for r in normal_form] == list(self.homology_basis)
+        off = [j for j in range(self.nrays) if j not in self.maximal_cones[0]]
+        if len(classes) != len(off) or not all(map(self.is_homology_class, classes)):
+            return False
+        normal_form, _ = hermite_normal_form([[c[j] for j in off] for c in classes])
+        return math.prod(normal_form[i][i] for i in range(len(off))) == 1
 
     def is_homology_class(self, coords) -> bool:
         if len(coords) != self.nrays:
@@ -137,26 +133,32 @@ class Fan:
 
     @functools.cached_property
     def primitive_collections(self):
-        """Minimal ray subsets spanning no cone, every proper subset spanning one.
+        """The minimal non-faces of the cone complex (ray subsets spanning no
+        cone, every proper subset spanning one), ordered by (size, tuple).
 
-        Breadth-first over subset size: a candidate that is not a face and
-        contains no smaller collection is automatically minimal, because any
-        non-face proper subset would contain a smaller minimal non-face
-        already found. A collection minus any one ray spans a simplicial
-        cone, so it has at most dimension + 1 rays; larger sizes are not
-        scanned.
+        Faces are the subsets of the maximal cones, as bit masks. A minimal
+        non-face minus its highest ray is a face, so each is a face plus a
+        ray above the face's highest, kept when it is no face but each
+        subset one ray short of it is. A single ray always spans a cone.
         """
+        faces = {0}
+        for cone in self.maximal_cones:
+            masks = [0]
+            for i in cone:
+                masks += [m | 1 << i for m in masks]
+            faces.update(masks)
         found = []
-        indices = range(self.nrays)
-        for size in range(2, min(self.nrays, self.dimension + 1) + 1):
-            for subset in combinations(indices, size):
-                s = set(subset)
-                if any(set(c) <= s for c in found):
+        for face in faces:
+            for j in range(face.bit_length(), self.nrays):
+                cand = face | 1 << j
+                if cand in faces:
                     continue
-                if self.spans_cone(subset):
-                    continue
-                found.append(subset)
-        return tuple(found)
+                rest = face  # drop its rays lowest first, while faces remain
+                while rest and cand ^ (rest & -rest) in faces:
+                    rest &= rest - 1
+                if not rest:
+                    found.append(tuple(i for i in range(j + 1) if cand >> i & 1))
+        return tuple(sorted(found, key=lambda c: (len(c), c)))
 
     def _primitive_relation(self, collection) -> PrimitiveRelation:
         """Locate the focus (smallest cone containing the ray sum of a sorted
@@ -164,32 +166,30 @@ class Fan:
         class.
 
         The first maximal cone whose dual basis gives the sum nonnegative
-        coordinates contains it; the rays with positive coordinates span the
-        smallest cone containing it, and those coordinates are the
-        multiplicities. The focus never meets the collection (Batyrev,
-        Tohoku Math. J. 43, 1991, Prop. 3.1).
+        coordinates contains it (a cone is left at its first negative one);
+        the rays with positive coordinates span the smallest cone containing
+        it, and those coordinates are the multiplicities. The focus never
+        meets the collection (Batyrev, Tohoku Math. J. 43, 1991, Prop. 3.1).
         """
         s = [sum(self.rays[i][k] for i in collection) for k in range(self.dimension)]
         for cone, dual in self.dual_bases.items():
-            coeffs = [sum(a * x for a, x in zip(row, s)) for row in dual]
-            if min(coeffs) < 0:
-                continue
-            focus = tuple(j for j, c in zip(cone, coeffs) if c)
-            mults = tuple(c for c in coeffs if c)
-            coords = [0] * self.nrays
-            for i in collection:
-                coords[i] = 1
-            for j, m in zip(focus, mults):
-                coords[j] = -m
-            coords = tuple(coords)
-            return PrimitiveRelation(
-                collection=collection,
-                focus=focus,
-                multiplicities=mults,
-                coords=coords,
-                degree=chern_degree(coords),
-            )
-        raise FocusNotFound(f"no cone of the fan contains the sum over {collection}")
+            coeffs = []
+            for row in dual:
+                coeffs.append(sum(map(operator.mul, row, s)))
+                if coeffs[-1] < 0:
+                    break
+            else:
+                break
+        else:
+            raise FocusNotFound(f"no cone of the fan contains the sum over {collection}")
+        focus = tuple(j for j, c in zip(cone, coeffs) if c)
+        mults = tuple(c for c in coeffs if c)
+        coords = [0] * self.nrays
+        for i in collection:
+            coords[i] = 1
+        for j, m in zip(focus, mults):
+            coords[j] = -m
+        return PrimitiveRelation(collection, focus, mults, tuple(coords), chern_degree(coords))
 
     @functools.cached_property
     def primitive_relations(self):

@@ -49,10 +49,10 @@ def checked_q_basis(fan: Fan, q_basis) -> tuple:
     for b in q_basis:
         if not fan.is_homology_class(b):
             raise ValueError(f"q-basis vector {b} is not a curve class")
-    if len(q_basis) != len(fan.homology_basis):
+    if len(q_basis) != fan.nrays - fan.dimension:
         raise ValueError(
             f"q-basis has {len(q_basis)} classes; "
-            f"homology rank is {len(fan.homology_basis)}"
+            f"homology rank is {fan.nrays - fan.dimension}"
         )
     if not fan.is_homology_basis(q_basis):
         raise ValueError("q-basis does not span the homology lattice")

@@ -168,7 +168,9 @@ def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinFo
     if not isinstance(text, str):
         raise ValueError(f"cannot parse {text!r} as a linear form")
     allowed = set(allowed_names) if allowed_names is not None else None
-    result = LinForm(0)
+    # a name whose sum reaches 0 leaves the dict and, if it returns, goes to
+    # the end: the order LinForm.__add__ gives, in which subs sums floats
+    const, coeffs = Fraction(0), {}
     pos = 0
     while True:
         m = _TERM_RE.match(text, pos)
@@ -183,7 +185,12 @@ def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinFo
             raise ValueError(f"zero denominator in {text!r}") from None
         if m["sign"] == "-":
             coeff = -coeff
-        result += LinForm(coeff) if name is None else LinForm(0, {name: coeff})
+        if name is None:
+            const += coeff
+        elif total := coeffs.get(name, 0) + coeff:
+            coeffs[name] = total
+        else:
+            coeffs.pop(name, None)
         pos = m.end()
         if pos == len(text):
-            return result
+            return LinForm(const, coeffs)

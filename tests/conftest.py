@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import functools
 import math
 import operator
 import random
@@ -196,6 +197,18 @@ def validation_outcome(validate, *args):
     return ("fan", fan, list(fan.dual_bases.items()))
 
 
+@functools.lru_cache(maxsize=None)
+def _cone_index_sets(fan: Fan) -> tuple:
+    return tuple(frozenset(c) for c in fan.maximal_cones)
+
+
+def spans_cone(fan: Fan, subset) -> bool:
+    """A ray subset spans a cone of the fan iff it sits inside some maximal
+    cone (faces of simplicial cones are generator subsets)."""
+    s = frozenset(subset)
+    return any(s <= c for c in _cone_index_sets(fan))
+
+
 def brute_force_primitive_collections(fan: Fan):
     """Direct definition over every subset: spans no cone while every
     maximal proper subset does. Kept dumb on purpose."""
@@ -203,12 +216,20 @@ def brute_force_primitive_collections(fan: Fan):
     d = fan.nrays
     for size in range(1, d + 1):
         for subset in combinations(range(d), size):
-            if fan.spans_cone(subset):
+            if spans_cone(fan, subset):
                 continue
             proper = [subset[:i] + subset[i + 1:] for i in range(size)]
-            if all(fan.spans_cone(p) for p in proper):
+            if all(spans_cone(fan, p) for p in proper):
                 out.append(subset)
     return sorted(out, key=lambda s: (len(s), s))
+
+
+def hnf_homology_basis_test(fan: Fan, classes) -> bool:
+    """The library's former basis test: the classes' Hermite normal form
+    equals the canonical kernel basis, since the normal form is unique for
+    a lattice (zero rows kept, so a wrong count never matches)."""
+    normal_form, _ = hermite_normal_form(classes)
+    return [tuple(r) for r in normal_form] == list(fan.homology_basis)
 
 
 def effective_classes_up_to(fan: Fan, cutoff: int):

@@ -1,6 +1,7 @@
 """Fan validation, primitive collections/relations, positivity, effective cone."""
 
 import math
+import operator
 import random
 from collections import Counter
 from itertools import combinations
@@ -14,6 +15,7 @@ from conftest import (
     cone_coefficients,
     effective_classes_up_to,
     hirzebruch,
+    hnf_homology_basis_test,
     matrix_det,
     p1_times_p1,
     pairwise_overlap_oracle,
@@ -21,11 +23,14 @@ from conftest import (
     projective_line,
     projective_plane,
     random_smooth_2d_fan,
+    random_unimodular,
+    recipe_lambdas,
+    spans_cone,
     validation_outcome,
 )
 from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror import fan as fan_module
-from toricmirror.bundle import projectivize_canonical
+from toricmirror.bundle import default_q_basis, projectivize_canonical
 from toricmirror.errors import (
     BadFaceIntersection,
     DimensionMismatch,
@@ -40,6 +45,7 @@ from toricmirror.fan import (
     infer_cones_2d,
     validate_fan,
 )
+from toricmirror.kahler import KahlerData
 
 F2_H = (1, 0, 0, 1)
 F2_ALPHA = (-2, 1, 1, 0)
@@ -472,6 +478,16 @@ class TestDualBases:
                 assert rel.multiplicities == mults
 
 
+def _minimal_non_face_inputs():
+    """The catalog bases and their bundles in three GL(n, Z) charts (the
+    4-D P1^3 and P1xdP6 bundles among them), newly built P(K_Y+O) over
+    every charted base, and 20 random 2-D fans."""
+    bases = [fan for _, fan in in_three_charts(catalog_bases(), 13)]
+    rng = random.Random(34)
+    return (bases + [fan for _, fan in BUNDLES] + [projectivize_canonical(b) for b in bases]
+            + [random_smooth_2d_fan(rng) for _ in range(20)])
+
+
 class TestHomology:
     def test_f2_spans_h_and_alpha(self, f2):
         basis = f2.homology_basis
@@ -493,6 +509,71 @@ class TestHomology:
             assert f2.is_homology_class(b)
 
 
+def _basis_cases(basis, rng):
+    """The basis, three unimodular transforms of it, then one class
+    doubled, one class negated, a repeated class (rank > 1), a dependent
+    set, one class too few, one too many, and a vector off the lattice of
+    classes; with whether each is a basis."""
+    r, b, k = len(basis), list(basis), rng.randrange(len(basis))
+
+    def swap(v):
+        return b[:k] + [tuple(v)] + b[k + 1:]
+
+    def combine(row):
+        return tuple(sum(c * v[i] for c, v in zip(row, b)) for i in range(len(b[0])))
+
+    others = b[:k] + b[k + 1:] or [(0,) * len(b[0])]
+    cases = [b] + [list(map(combine, random_unimodular(rng, r))) for _ in range(3)]
+    cases += [swap(2 * x for x in b[k]), swap(-x for x in b[k])]
+    cases += [swap(b[(k + 1) % r])] if r > 1 else []
+    cases += [swap(map(sum, zip(*others))), b[:-1], b + [b[0]], swap((b[k][0] + 1,) + b[k][1:])]
+    return cases, [True] * 4 + [False, True] + [False] * (len(cases) - 6)
+
+
+class TestHomologyBasisTest:
+    def test_matches_the_hnf_test_in_three_charts(self):
+        # each base and bundle keeps its cases in a chart with shuffled
+        # rays, so the first maximal cone, the one the test reads, moves
+        rng = random.Random(34)
+        fans = list(catalog_bases().values())
+        fans += [projectivize_canonical(base) for base in fans]
+        for fan in fans:
+            basis = default_q_basis(fan) or fan.homology_basis
+            cases, expected = _basis_cases(basis, rng)
+            moved = []
+            for chart in range(3):
+                order, rays = list(range(fan.nrays)), fan.rays
+                if chart:
+                    rng.shuffle(order)
+                    T = random_unimodular(rng, fan.dimension)
+                    rays = [tuple(sum(map(operator.mul, row, fan.rays[i])) for row in T)
+                            for i in order]
+                index = {old: new for new, old in enumerate(order)}
+                charted = validate_fan(fan.dimension, rays,
+                                       [[index[i] for i in c] for c in fan.maximal_cones])
+                moved.append({order[i] for i in charted.maximal_cones[0]}
+                             != set(fan.maximal_cones[0]))
+                for case, want in zip(cases, expected):
+                    case = [tuple(v[i] for i in order) for v in case]
+                    got = charted.is_homology_basis(case)
+                    assert got == want == hnf_homology_basis_test(charted, case), (fan, case)
+            assert any(moved), fan
+
+    def test_recipe_bases_leave_the_kernel_basis_unbuilt(self):
+        fallbacks = 0
+        for base in catalog_bases().values():
+            x = projectivize_canonical(base)
+            basis = default_q_basis(x)
+            KahlerData(x, recipe_lambdas(x))
+            if basis is None:  # dP6 and P1xdP6: the kernel basis is the q-basis
+                fallbacks += 1
+                assert "homology_basis" in vars(x)
+                continue
+            KahlerData(x, recipe_lambdas(x), q_basis=basis)
+            assert "homology_basis" not in vars(x)
+        assert fallbacks == 2
+
+
 class TestPrimitiveCollections:
     def test_plane(self, p2):
         assert p2.primitive_collections == ((0, 1, 2),)
@@ -506,9 +587,9 @@ class TestPrimitiveCollections:
     def test_definition_holds(self, f2, p2, p1xp1):
         for fan in (f2, p2, p1xp1):
             for coll in fan.primitive_collections:
-                assert not fan.spans_cone(coll)
+                assert not spans_cone(fan, coll)
                 for i in range(len(coll)):
-                    assert fan.spans_cone(coll[:i] + coll[i + 1:])
+                    assert spans_cone(fan, coll[:i] + coll[i + 1:])
 
     def test_matches_brute_force_on_random_fans(self):
         rng = random.Random(5)
@@ -517,8 +598,9 @@ class TestPrimitiveCollections:
             pruned = sorted(fan.primitive_collections, key=lambda s: (len(s), s))
             assert pruned == brute_force_primitive_collections(fan)
 
-    def test_scan_stops_at_dimension_plus_one(self, monkeypatch):
-        # P2 blown up to 17 rays: only subsets of 2 and 3 rays are looked at
+    def test_scan_stops_at_dimension_plus_one(self):
+        # P2 blown up to 17 rays: every collection is a face plus one ray,
+        # so none has more than dimension + 1 rays
         rays = [(1, 0), (0, 1), (-1, -1)]
         k = 0
         while len(rays) < 17:
@@ -526,20 +608,20 @@ class TestPrimitiveCollections:
             rays.insert(k + 1, (u[0] + w[0], u[1] + w[1]))
             k = (k + 2) % len(rays)
         fan = validate_fan(2, rays)
-        seen = []
-        real = fan_module.combinations
+        assert max(map(len, fan.primitive_collections)) <= 3
+        assert list(fan.primitive_collections) == brute_force_primitive_collections(fan)
 
-        def counting(iterable, size):
-            for subset in real(iterable, size):
-                seen.append(subset)
-                yield subset
-
-        monkeypatch.setattr(fan_module, "combinations", counting)
-        collections = fan.primitive_collections
-        monkeypatch.undo()
-        assert len(seen) <= math.comb(17, 2) + math.comb(17, 3)
-        pruned = sorted(collections, key=lambda s: (len(s), s))
-        assert pruned == brute_force_primitive_collections(fan)
+    @pytest.mark.parametrize("fan", _minimal_non_face_inputs())
+    def test_minimal_non_faces_match_brute_force(self, fan):
+        assert list(fan.primitive_collections) == brute_force_primitive_collections(fan)
+        for rel in fan.primitive_relations:
+            focus, mults = _face_search(fan, rel.collection)
+            coords = [0] * fan.nrays
+            for i in rel.collection:
+                coords[i] = 1
+            for j, m in zip(focus, mults):
+                coords[j] = -m
+            assert rel == (rel.collection, focus, tuple(mults), tuple(coords), sum(coords))
 
 
 def relation_of(fan, collection):

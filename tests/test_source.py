@@ -206,7 +206,7 @@ def test_public_names_are_reached():
 
 ORACLES = ("circuit_scan_verdict", "cone_coefficients", "disk_area",
            "effective_classes_up_to", "elementary_divisors", "fourier_motzkin", "fraction_moduli_from_polytope",
-           "fraction_vertices", "jacobian_charpoly", "lockstep_newton", "matrix_det",
+           "fraction_vertices", "hnf_homology_basis_test", "jacobian_charpoly", "lockstep_newton", "matrix_det",
            "max_min_slack",
            "moment_vertices", "pass_stop_oracle", "per_cone_hnf_fan", "polytope_vertices",
            "push_h2",
