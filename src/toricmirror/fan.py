@@ -12,9 +12,10 @@ Together these say the cones cover the space and meet in common faces. The
 dual bases also give the coordinates of any vector in a cone's rays, which
 locates the focus of a primitive relation. On top of the validated
 structure this module computes the degree-2 homology lattice and a basis
-test by coordinates off one cone, the primitive collections (the minimal
-non-faces) and relations, the positive circuits (extreme nonnegative ray
-relations), anticanonical degrees and the Fano/semi-Fano/non-nef trichotomy.
+test by coordinates off one cone, the wall classes, the primitive
+collections (the minimal non-faces) and relations, the positive circuits
+(extreme nonnegative ray relations), anticanonical degrees and the
+Fano/semi-Fano/non-nef trichotomy.
 """
 
 from __future__ import annotations
@@ -117,9 +118,14 @@ class Fan:
         Z^(nrays - dimension). So the classes are a basis exactly when there
         are that many, each is a class, and the projections have det +-1.
         """
+        return (len(classes) == self.nrays - self.dimension
+                and all(map(self.is_homology_class, classes))
+                and self.spans_homology(classes))
+
+    def spans_homology(self, classes) -> bool:
+        """True when nrays - dimension curve classes span the homology
+        lattice: their coordinates off the first maximal cone have det +-1."""
         off = [j for j in range(self.nrays) if j not in self.maximal_cones[0]]
-        if len(classes) != len(off) or not all(map(self.is_homology_class, classes)):
-            return False
         normal_form, _ = hermite_normal_form([[c[j] for j in off] for c in classes])
         return math.prod(normal_form[i][i] for i in range(len(off))) == 1
 
@@ -130,6 +136,26 @@ class Fan:
             sum(a * self.rays[j][i] for j, a in enumerate(coords)) == 0
             for i in range(self.dimension)
         )
+
+    @functools.cached_property
+    def wall_classes(self):
+        """Each wall's curve class in ray coordinates, sorted, no repeats:
+        across the facet of a cone opposite its ray v_k, c = D v' for the new
+        ray v' has c_k = -1 and gives v' + v_k = sum over j != k of c_j v_j
+        (Cox, Little, Schenck, "Toric Varieties", 2011, section 6.4)."""
+        by_facet = {}
+        for cone in self.maximal_cones:
+            for k in range(len(cone)):
+                by_facet.setdefault(cone[:k] + cone[k + 1:], []).append(cone)
+        classes = set()
+        for cone, other in by_facet.values():
+            fresh, = set(other) - set(cone)
+            coords = [0] * self.nrays
+            coords[fresh] = 1
+            for i, row in zip(cone, self.dual_bases[cone]):
+                coords[i] = -sum(map(operator.mul, row, self.rays[fresh]))
+            classes.add(tuple(coords))
+        return tuple(sorted(classes))
 
     @functools.cached_property
     def primitive_collections(self):

@@ -9,13 +9,15 @@ The polytope has nonempty interior exactly when every positive circuit of
 the rays (an extreme nonnegative relation) has positive area
 -sum(y_i * lambda_i), by Motzkin's transposition theorem. Construction
 refuses the support constants only when some circuit's area is a constant
-<= 0, so that the polytope is empty at every parameter value; symbolic
-constants are checked at given parameters by ``scaled_vertices``. The
+<= 0, so that the polytope is empty at every parameter value. The
 circuits are enumerated only when the parameter parts of the q-basis areas
 have rank below the basis size: otherwise no nonzero rational class, so no
 circuit, has a constant area. In the open Kahler cone the polytope has one
 vertex per maximal cone, given in closed form by the cone's dual basis, and
-the numeric vertices are only defined there.
+the numeric vertices are only defined there. Parameters lie in that cone
+exactly when every wall class has positive area, which is a vertex's slack
+at the ray across the wall (Cox, Little, Schenck, "Toric Varieties", 2011,
+section 6.1); ``scaled_vertices`` names the cone and the ray of a refusal.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
@@ -54,7 +56,7 @@ def checked_q_basis(fan: Fan, q_basis) -> tuple:
             f"q-basis has {len(q_basis)} classes; "
             f"homology rank is {fan.nrays - fan.dimension}"
         )
-    if not fan.is_homology_basis(q_basis):
+    if not fan.spans_homology(q_basis):
         raise ValueError("q-basis does not span the homology lattice")
     return q_basis
 
@@ -177,6 +179,39 @@ class KahlerData:
         return sol
 
     # -- polytope geometry --
+
+    @functools.cached_property
+    def _seed_rows(self) -> tuple:
+        # the distinct area rows of the wall classes; per coordinate j, the
+        # distinct rows of the vertices' j-th coordinates, sum(_rows[i] *
+        # D[i][j]) over a cone's rays i with dual basis D, and their total
+        per_cone = []
+        for cone, dual in self.fan.dual_bases.items():
+            lams = list(zip(*(self._rows[i] for i in cone)))
+            per_cone.append([tuple(sum(map(operator.mul, col, lam)) for lam in lams)
+                             for col in zip(*dual)])
+        return (tuple(dict.fromkeys(map(self._area_row, self.fan.wall_classes))),
+                tuple((tuple(dict.fromkeys(rows)), tuple(map(sum, zip(*rows))))
+                      for rows in zip(*per_cone)))
+
+    def vertex_coordinates(self, params: Mapping) -> tuple:
+        """(denom, columns): per coordinate j, the set of the vertices' j-th
+        coordinates and their total, as integers over denom, with parameter
+        values taken exactly (a float at its binary value). Raises as
+        ``scaled_vertices``, called only when a wall class has area <= 0."""
+        missing = [n for n in self.parameter_names if n not in params]
+        if missing:
+            raise ValueError(f"need numeric values for parameters {missing}")
+        values = [Fraction(params[n]) for n in self.parameter_names]
+        denom = math.lcm(*(v.denominator for v in values))
+        point = (*(v.numerator * (denom // v.denominator) for v in values), denom)
+        walls, columns = self._seed_rows
+        if any(sum(map(operator.mul, row, point)) <= 0 for row in walls):
+            self.scaled_vertices(dict(zip(self.parameter_names, values)))
+            raise RuntimeError(f"a wall area is <= 0 at {values}; no vertex scan refused")
+        return self._scale * denom, tuple(
+            ({sum(map(operator.mul, row, point)) for row in rows},
+             sum(map(operator.mul, total, point))) for rows, total in columns)
 
     def scaled_vertices(self, params: Mapping) -> tuple:
         """(denom, vertices times denom): the moment polytope's vertices,

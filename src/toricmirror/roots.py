@@ -191,17 +191,18 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     coordinates (one vertex per maximal cone), their pairwise midpoints, and
     the mean of the vertices. Scales whose exponential underflows to 0 or
     overflows a float are dropped; one too small to round to 14 decimals is
-    kept unrounded.
-    Raises EmptyInterior unless the parameters lie in the open Kahler cone."""
-    # the vertices are integers over denom; each scale is one correctly
-    # rounded division, as the Fraction it stands for would give
-    denom, vertices = kahler.scaled_vertices(params)
+    kept unrounded. Raises EmptyInterior, naming a cone and a ray, unless
+    every wall class has positive area, i.e. unless the parameters lie in
+    the open Kahler cone; the vertices are read off cached integer rows."""
+    # the vertex coordinates are integers over denom; each scale is one
+    # correctly rounded division, as the Fraction it stands for would give
+    denom, columns = kahler.vertex_coordinates(params)
+    count = len(kahler.fan.maximal_cones)
     out = []
-    for j in range(kahler.fan.dimension):
-        coords = {v[j] for v in vertices}
+    for coords, total in columns:
         scales = {a / denom for a in coords}
         scales.update((a + b) / (2 * denom) for a in coords for b in coords)
-        scales.add(sum(v[j] for v in vertices) / (len(vertices) * denom))
+        scales.add(total / (count * denom))
         out.append(_seeds(-s for s in scales))
     return tuple(out)
 

@@ -232,6 +232,32 @@ def hnf_homology_basis_test(fan: Fan, classes) -> bool:
     return [tuple(r) for r in normal_form] == list(fan.homology_basis)
 
 
+def wall_relation_classes(fan: Fan) -> tuple:
+    """The wall curve classes from the wall relations, solved over
+    Fractions: for two maximal cones sharing a facet, v' + v_k = sum of c_j
+    v_j over the facet's rays, where v' and v_k are the rays the two cones
+    do not share; the class is 1 on v' and v_k and -c_j on the facet's rays.
+    Sorted, without repeats, from the rays and cones alone."""
+    classes = set()
+    for a, b in combinations(fan.maximal_cones, 2):
+        facet = sorted(set(a) & set(b))
+        if len(facet) != fan.dimension - 1:
+            continue
+        ends = sorted(set(a) ^ set(b))
+        cols = [[fan.rays[j][i] for j in facet] for i in range(fan.dimension)]
+        coeffs = solve_unique(cols, [sum(fan.rays[j][i] for j in ends)
+                                     for i in range(fan.dimension)])
+        coords = [0] * fan.nrays
+        for j in ends:
+            coords[j] = 1
+        for j, c in zip(facet, coeffs):
+            if c.denominator != 1:
+                raise ValueError(f"wall {facet} has a non-integral relation")
+            coords[j] = -int(c)
+        classes.add(tuple(coords))
+    return tuple(sorted(classes))
+
+
 def effective_classes_up_to(fan: Fan, cutoff: int):
     """All nonnegative integer combinations of primitive-relation classes with
     multiplicity sum at most *cutoff*, deduplicated and sorted: every

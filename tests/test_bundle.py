@@ -1,5 +1,7 @@
 """Projectivized canonical bundles: construction, recognition, class lifts."""
 
+import random
+
 import pytest
 
 from conftest import (
@@ -7,8 +9,10 @@ from conftest import (
     matrix_det,
     nonnegative_combinations,
     push_h2,
+    random_smooth_2d_fan,
     unimodular_map_search,
     validation_outcome,
+    wall_relation_classes,
 )
 from test_golden import K_F2_FAN, NOT_A_BUNDLE_FAN
 from test_potential import BUNDLES, catalog_bases, in_three_charts
@@ -222,35 +226,22 @@ class TestDefaultBasis:
         assert default_q_basis(p2) is None
 
 
-def wall_classes(fan):
-    """The class of each wall's torus-invariant curve, in ray coordinates,
-    read off the dual bases: crossing from a cone over the facet opposite
-    its ray v_k to the cone with the new ray v', c = D v' has c_k = -1 and
-    gives the relation v' + v_k = sum over j != k of c_j v_j."""
-    by_facet = {}
-    for cone in fan.maximal_cones:
-        for k in range(len(cone)):
-            by_facet.setdefault(cone[:k] + cone[k + 1:], []).append((cone, k))
-    classes = set()
-    for (cone, k), (other, _) in by_facet.values():
-        fresh = next(i for i in other if i not in cone)
-        c = [sum(a * x for a, x in zip(row, fan.rays[fresh])) for row in fan.dual_bases[cone]]
-        assert c[k] == -1
-        coords = [0] * fan.nrays
-        coords[fresh] = coords[cone[k]] = 1
-        for j, i in enumerate(cone):
-            if j != k:
-                coords[i] = -c[j]
-        classes.add(tuple(coords))
-    return sorted(classes)
-
-
 class TestWallClasses:
     @pytest.mark.parametrize("name, fan", BUNDLES, ids=[name for name, _ in BUNDLES])
     def test_primitive_relations_are_sums_of_wall_classes(self, name, fan):
         # the wall classes generate the Mori cone: every primitive relation
         # is a sum of at most two of them on the catalog bundles
-        walls = wall_classes(fan)
+        walls = fan.wall_classes
         assert all(fan.is_homology_class(w) for w in walls)
         sums = set(nonnegative_combinations(walls, 2))
         assert [rel.coords for rel in fan.primitive_relations if rel.coords not in sums] == []
+
+    def test_match_the_wall_relations(self):
+        # every catalog base and bundle in three charts, the bundles built
+        # in closed form over the charted bases, and random 2-D fans
+        rng = random.Random(37)
+        fans = ([fan for _, fan in BASES + BUNDLES]
+                + [projectivize_canonical(base) for _, base in BASES]
+                + [random_smooth_2d_fan(rng) for _ in range(30)])
+        for fan in fans:
+            assert fan.wall_classes == wall_relation_classes(fan), fan.rays

@@ -212,6 +212,19 @@ class TestBasisValidation:
             KahlerData(f2, ["-t2", "0", "-t1-2*t2", "0"],
                        q_basis=[(1, 0, 0, 0), (0, 1, 0, 0)])
 
+    def test_each_class_is_checked_once(self, f2, monkeypatch):
+        calls = []
+        real = Fan.is_homology_class
+
+        def counted(self, coords):
+            calls.append(tuple(coords))
+            return real(self, coords)
+
+        monkeypatch.setattr(Fan, "is_homology_class", counted)
+        q_basis = [(-2, 1, 1, 0), (1, 0, 0, 1)]
+        KahlerData(f2, ["-t2", "0", "-t1-2*t2", "0"], q_basis=q_basis)
+        assert calls == q_basis
+
     def test_fallback_to_homology_basis(self, p2):
         k = KahlerData(p2, ["0", "0", "-t"])
         assert k.q_basis == ((1, 1, 1),)

@@ -350,3 +350,74 @@ def test_boundary_points_keep_the_refusal():
                 assert str(caught.value) == str(expected.value)
             walls += 1
     assert walls >= 30, walls
+
+
+def inside_point(k, rng):
+    """A seeded point on the 1/100 grid in [1, 10] with every slack > 0."""
+    names = k.parameter_names
+    return next(params for params in (
+        {n: Fraction(rng.randint(100, 1000), 100) for n in names} for _ in range(1000))
+        if min(slacks(k, params)) > 0)
+
+
+def wall_verdict(k, params):
+    """Whether some wall class's area row is <= 0 at the parameters."""
+    point = (*(Fraction(params[n]) for n in k.parameter_names), 1)
+    return min(sum(a * x for a, x in zip(row, point)) for row in k._seed_rows[0]) <= 0
+
+
+def test_wall_rows_give_the_slack_verdict():
+    # a wall row is <= 0 exactly when some vertex slack is, at random points
+    # on both sides and at exact points on the cone's walls
+    rng = random.Random(61)
+    counts = {True: 0, False: 0}
+    for k in catalog_kahler():
+        names = k.parameter_names
+        points = [{n: Fraction(rng.randint(-300, 1000), rng.choice((1, 7, 100))) for n in names}
+                  for _ in range(40)]
+        p = inside_point(k, rng)
+        for name in names:
+            q = dict(p, **{name: -p[name]})
+            u = min(sp / (sp - sq) for sp, sq in zip(slacks(k, p), slacks(k, q)) if sq <= 0)
+            points.append({n: p[n] + u * (q[n] - p[n]) for n in names})
+        for params in points:
+            outside = min(slacks(k, params)) <= 0
+            assert wall_verdict(k, params) == outside, (k.fan.rays, params)
+            counts[outside] += 1
+    assert min(counts.values()) >= 100, counts
+
+
+def test_inside_the_cone_no_vertex_scan(monkeypatch):
+    def scan(self, params):
+        raise AssertionError("scaled_vertices ran inside the Kahler cone")
+
+    # exact draws only: a float's slacks round its support constants
+    rng = random.Random(67)
+    expected = []
+    for k in catalog_kahler():
+        for params in draws(k.parameter_names, rng):
+            exact = all(isinstance(v, Fraction) for v in params.values())
+            if exact and min(slacks(k, params)) > 0:
+                expected.append((k, params, fraction_moduli_from_polytope(k, params)))
+    monkeypatch.setattr(KahlerData, "scaled_vertices", scan)
+    for k, params, moduli in expected:
+        assert moduli_from_polytope(k, params) == moduli
+    assert len(expected) >= 100, len(expected)
+
+
+def test_a_wall_verdict_the_scan_denies_is_an_internal_error(monkeypatch):
+    k = hirzebruch2_kahler()
+    monkeypatch.setattr(KahlerData, "scaled_vertices", lambda self, params: (1, []))
+    with pytest.raises(RuntimeError, match="no vertex scan refused"):
+        moduli_from_polytope(k, {"t1": Fraction(-1), "t2": Fraction(1)})
+
+
+def test_seed_rows_are_built_on_first_use():
+    # exact-ladder and `potential` build Kahler data they never ask for
+    # seeds, so construction leaves the rows and the wall classes unbuilt
+    rng = random.Random(71)
+    for k in catalog_kahler():  # each newly built, on a newly built fan
+        assert "_seed_rows" not in vars(k) and "wall_classes" not in vars(k.fan)
+        moduli_from_polytope(k, inside_point(k, rng))
+        assert "_seed_rows" in vars(k)
+        assert "wall_classes" in vars(k.fan)

@@ -211,7 +211,7 @@ ORACLES = ("circuit_scan_verdict", "cone_coefficients", "disk_area",
            "moment_vertices", "pass_stop_oracle", "per_cone_hnf_fan", "polytope_vertices",
            "push_h2",
            "solve_unique", "summed_potential", "support_value",
-           "tokenizing_parse_linear_form", "unimodular_map_search")
+           "tokenizing_parse_linear_form", "unimodular_map_search", "wall_relation_classes")
 
 
 def test_oracles_stay_in_tests():
