@@ -121,7 +121,8 @@ def require_bundle(fan_x: Fan) -> BundleDecomposition:
 def default_q_basis(fan_x: Fan) -> Optional[tuple]:
     """Preferred homology basis for a bundle fan: the degree-0 relation
     classes (the base curve classes) sorted canonically, then the fiber
-    class. Returns None when these do not form a Z-basis."""
+    class. Returns None when these do not form a Z-basis; they are curve
+    classes by construction, so only their count and span are checked."""
     try:
         fiber = fiber_class(fan_x)
     except NotBundleShaped:
@@ -130,4 +131,6 @@ def default_q_basis(fan_x: Fan) -> Optional[tuple]:
         rel.coords for rel in fan_x.primitive_relations if rel.degree == 0
     )
     basis = tuple(lifts) + (fiber,)
-    return basis if fan_x.is_homology_basis(basis) else None
+    if len(basis) == fan_x.nrays - fan_x.dimension and fan_x.spans_homology(basis):
+        return basis
+    return None

@@ -109,22 +109,13 @@ class Fan:
         the map Z^n -> Z^d with the rays as columns."""
         return tuple(kernel_basis(list(zip(*self.rays))))
 
-    def is_homology_basis(self, classes) -> bool:
-        """True when the classes form a Z-basis of the homology lattice.
-
-        The first maximal cone is unimodular, so a class is fixed by its
-        coordinates on the rays off that cone, and every integer vector of
-        them extends to a class: projecting onto them is an isomorphism onto
-        Z^(nrays - dimension). So the classes are a basis exactly when there
-        are that many, each is a class, and the projections have det +-1.
-        """
-        return (len(classes) == self.nrays - self.dimension
-                and all(map(self.is_homology_class, classes))
-                and self.spans_homology(classes))
-
     def spans_homology(self, classes) -> bool:
         """True when nrays - dimension curve classes span the homology
-        lattice: their coordinates off the first maximal cone have det +-1."""
+        lattice. The first maximal cone is unimodular, so a class is fixed by
+        its coordinates on the rays off that cone, and every integer vector
+        of them extends to a class: projecting onto them is an isomorphism
+        onto Z^(nrays - dimension). So the classes span exactly when those
+        coordinates have det +-1."""
         off = [j for j in range(self.nrays) if j not in self.maximal_cones[0]]
         normal_form, _ = hermite_normal_form([[c[j] for j in off] for c in classes])
         return math.prod(normal_form[i][i] for i in range(len(off))) == 1

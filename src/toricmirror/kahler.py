@@ -17,7 +17,12 @@ vertex per maximal cone, given in closed form by the cone's dual basis, and
 the numeric vertices are only defined there. Parameters lie in that cone
 exactly when every wall class has positive area, which is a vertex's slack
 at the ray across the wall (Cox, Little, Schenck, "Toric Varieties", 2011,
-section 6.1); ``scaled_vertices`` names the cone and the ray of a refusal.
+section 6.1). ``scaled_vertices`` reads both off one integer table cached
+at first use, at the parameter values taken exactly (a float at its binary
+value): the wall classes' area rows, and per coordinate the distinct rows
+of the vertices' coordinates with each cone's index into them. Only when a
+wall area is <= 0 does it scan the vertices' slacks, on the same integers,
+to name the cone and the ray of the refusal.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
@@ -181,67 +186,61 @@ class KahlerData:
     # -- polytope geometry --
 
     @functools.cached_property
-    def _seed_rows(self) -> tuple:
-        # the distinct area rows of the wall classes; per coordinate j, the
-        # distinct rows of the vertices' j-th coordinates, sum(_rows[i] *
-        # D[i][j]) over a cone's rays i with dual basis D, and their total
+    def _polytope_rows(self) -> tuple:
+        # (walls, columns): the distinct area rows of the wall classes; per
+        # coordinate j, the distinct rows of the vertices' j-th coordinates,
+        # sum(_rows[i] * D[i][j]) over a cone's rays i with dual basis D,
+        # and each maximal cone's index into them
         per_cone = []
         for cone, dual in self.fan.dual_bases.items():
             lams = list(zip(*(self._rows[i] for i in cone)))
             per_cone.append([tuple(sum(map(operator.mul, col, lam)) for lam in lams)
                              for col in zip(*dual)])
-        return (tuple(dict.fromkeys(map(self._area_row, self.fan.wall_classes))),
-                tuple((tuple(dict.fromkeys(rows)), tuple(map(sum, zip(*rows))))
-                      for rows in zip(*per_cone)))
+        columns = []
+        for rows in zip(*per_cone):
+            distinct = tuple(dict.fromkeys(rows))
+            columns.append((distinct, tuple(map(distinct.index, rows))))
+        return tuple(dict.fromkeys(map(self._area_row, self.fan.wall_classes))), tuple(columns)
 
-    def vertex_coordinates(self, params: Mapping) -> tuple:
-        """(denom, columns): per coordinate j, the set of the vertices' j-th
-        coordinates and their total, as integers over denom, with parameter
-        values taken exactly (a float at its binary value). Raises as
-        ``scaled_vertices``, called only when a wall class has area <= 0."""
+    def scaled_vertices(self, params: Mapping) -> tuple:
+        """(denom, vertices times denom): the moment polytope's vertices,
+        one per maximal cone in cone order, as integer points over one
+        common denominator, with parameter values taken exactly (a float
+        at its binary value).
+
+        The vertex of a cone solves <x, v_i> = lambda_i on its rays, which
+        is the lambda-weighted sum of its dual basis rows. Raises
+        EmptyInterior, naming the cone and the ray, unless every wall class
+        has positive area, i.e. unless the parameters lie in the open
+        Kahler cone. A parameter without a value is a ValueError.
+        """
         missing = [n for n in self.parameter_names if n not in params]
         if missing:
             raise ValueError(f"need numeric values for parameters {missing}")
         values = [Fraction(params[n]) for n in self.parameter_names]
         denom = math.lcm(*(v.denominator for v in values))
         point = (*(v.numerator * (denom // v.denominator) for v in values), denom)
-        walls, columns = self._seed_rows
+        walls, columns = self._polytope_rows
         if any(sum(map(operator.mul, row, point)) <= 0 for row in walls):
-            self.scaled_vertices(dict(zip(self.parameter_names, values)))
+            self._slack_scan(point)
             raise RuntimeError(f"a wall area is <= 0 at {values}; no vertex scan refused")
-        return self._scale * denom, tuple(
-            ({sum(map(operator.mul, row, point)) for row in rows},
-             sum(map(operator.mul, total, point))) for rows, total in columns)
+        # each distinct row is evaluated once, then read off per cone
+        return self._scale * denom, list(zip(*(
+            map([sum(map(operator.mul, row, point)) for row in rows].__getitem__, index)
+            for rows, index in columns)))
 
-    def scaled_vertices(self, params: Mapping) -> tuple:
-        """(denom, vertices times denom): the moment polytope's vertices,
-        one per maximal cone in cone order, as integer points over the
-        common denominator of the support constants.
-
-        The vertex of a cone solves <x, v_i> = lambda_i on its rays, which
-        is the lambda-weighted sum of its dual basis rows. Raises
-        EmptyInterior, naming the cone and the ray, unless every vertex lies
-        strictly inside the half-spaces of the other rays, i.e. unless the
-        parameters lie in the open Kahler cone. A parameter without a value
-        is a ValueError.
-        """
-        missing = [n for n in self.parameter_names if n not in params]
-        if missing:
-            raise ValueError(f"need numeric values for parameters {missing}")
-        offsets = [Fraction(lam.subs(params)) for lam in self.lambdas]
-        denom = math.lcm(*(b.denominator for b in offsets))
-        offsets = [b.numerator * (denom // b.denominator) for b in offsets]
-        rays = self.fan.rays
-        out = []
+    def _slack_scan(self, point):
+        # EmptyInterior at the first cone, in cone order, whose vertex is
+        # not strictly inside the half-space of a ray off it, at the
+        # parameter point (numerators, then their denominator)
+        offsets = [sum(map(operator.mul, row, point)) for row in self._rows]
         for cone, dual in self.fan.dual_bases.items():
-            x = tuple(sum(offsets[i] * row[j] for i, row in zip(cone, dual))
-                      for j in range(self.fan.dimension))
-            for i, ray in enumerate(rays):
-                if i not in cone and sum(a * b for a, b in zip(x, ray)) <= offsets[i]:
+            x = [sum(offsets[i] * row[j] for i, row in zip(cone, dual))
+                 for j in range(self.fan.dimension)]
+            for i, ray in enumerate(self.fan.rays):
+                if i not in cone and sum(map(operator.mul, x, ray)) <= offsets[i]:
                     raise EmptyInterior(
                         f"the vertex of cone {cone} is not strictly inside the "
                         f"half-space of ray {i}: the parameters are outside the "
                         f"open Kahler cone"
                     )
-            out.append(x)
-        return denom, out

@@ -96,7 +96,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NoConvergence, RootBoundExceeded, SchemaError
 from .kahler import KahlerData
-from .lattice import hermite_normal_form, kernel_basis, normalized_volume, rank, unit_grading
+from .lattice import (hermite_normal_form, kernel_basis, lattice_coordinates, normalized_volume,
+                      rank, unit_grading)
 from .laurent import LOG_FLOAT_MAX, LaurentPoly, numeric_terms
 
 
@@ -193,16 +194,19 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     overflows a float are dropped; one too small to round to 14 decimals is
     kept unrounded. Raises EmptyInterior, naming a cone and a ray, unless
     every wall class has positive area, i.e. unless the parameters lie in
-    the open Kahler cone; the vertices are read off cached integer rows."""
+    the open Kahler cone; the vertices are ``KahlerData.scaled_vertices``,
+    read off cached integer rows with a float parameter at its binary
+    value."""
     # the vertex coordinates are integers over denom; each scale is one
-    # correctly rounded division, as the Fraction it stands for would give
-    denom, columns = kahler.vertex_coordinates(params)
-    count = len(kahler.fan.maximal_cones)
+    # correctly rounded division, as the Fraction it stands for would give,
+    # and a vertex coordinate is its own midpoint with itself
+    denom, vertices = kahler.scaled_vertices(params)
+    count = len(vertices)
     out = []
-    for coords, total in columns:
-        scales = {a / denom for a in coords}
-        scales.update((a + b) / (2 * denom) for a in coords for b in coords)
-        scales.add(total / (count * denom))
+    for coords in zip(*vertices):
+        scales = {(a + b) / (2 * denom)
+                  for a, b in itertools.combinations_with_replacement(set(coords), 2)}
+        scales.add(sum(coords) / (count * denom))
         out.append(_seeds(-s for s in scales))
     return tuple(out)
 
@@ -304,19 +308,14 @@ def _identity(n: int) -> list:
 
 
 def _inverse(mat) -> tuple:
-    """The inverse of a nonsingular integer matrix, as rows of floats, by
-    Gauss-Jordan elimination in Fractions."""
+    """The inverse of a nonsingular integer matrix, as rows of floats: its
+    column j is the integer coordinates of |det| e_j in the columns of mat,
+    each divided by |det| in one correctly rounded division."""
     n = len(mat)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if rows[i][c])
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c]:
-                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
-    return tuple(tuple(float(x) for x in row[n:]) for row in rows)
+    det = math.prod(row[i] for i, row in enumerate(hermite_normal_form(mat)[0]))
+    coords = lattice_coordinates(list(zip(*mat)))
+    columns = [coords([det * (i == j) for i in range(n)]) for j in range(n)]
+    return tuple(tuple(c[i] / det for c in columns) for i in range(n))
 
 
 def _factorization(exponents: tuple) -> tuple:

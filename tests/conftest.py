@@ -22,7 +22,7 @@ from toricmirror.errors import (
     ToricMirrorError,
 )
 from toricmirror.fan import Fan, infer_cones_2d, validate_fan
-from toricmirror.kahler import KahlerData
+from toricmirror.kahler import KahlerData, checked_q_basis
 from toricmirror.lattice import hermite_normal_form, is_primitive, xgcd
 from toricmirror.laurent import LaurentPoly, QPoly, evaluate
 from toricmirror.linform import LinForm
@@ -222,6 +222,16 @@ def brute_force_primitive_collections(fan: Fan):
             if all(spans_cone(fan, p) for p in proper):
                 out.append(subset)
     return sorted(out, key=lambda s: (len(s), s))
+
+
+def accepts_q_basis(fan: Fan, classes) -> bool:
+    """Whether ``checked_q_basis``, the library's one validator of a q-basis
+    from outside, takes the classes."""
+    try:
+        checked_q_basis(fan, classes)
+    except ValueError:
+        return False
+    return True
 
 
 def hnf_homology_basis_test(fan: Fan, classes) -> bool:
@@ -857,9 +867,10 @@ def interior_point(kahler, params) -> tuple:
 def fraction_vertices(kahler, params) -> list:
     """The moment polytope's vertices as the library computed them before
     it scaled to integers: each cone's dual-basis rows weighted by the
-    Fraction support constants, sorted, with the same EmptyInterior refusal
-    and message."""
-    offsets = [Fraction(lam.subs(params)) for lam in kahler.lambdas]
+    Fraction support constants, a float parameter taken at its binary
+    value, sorted, with the same EmptyInterior refusal and message."""
+    exact = {n: Fraction(v) for n, v in params.items()}
+    offsets = [Fraction(lam.subs(exact)) for lam in kahler.lambdas]
     rays = kahler.fan.rays
     out = []
     for cone, dual in kahler.fan.dual_bases.items():
@@ -879,7 +890,8 @@ def fraction_vertices(kahler, params) -> list:
 def fraction_moduli_from_polytope(kahler, params) -> tuple:
     """The solver's seed moduli from Fraction vertices, midpoints and
     centre, each turned into a float, as the library computed them before
-    it read integer vertices."""
+    it read integer vertices; a float parameter is taken at its binary
+    value, as in ``fraction_vertices``."""
     from toricmirror.laurent import LOG_FLOAT_MAX
 
     vertices = fraction_vertices(kahler, params)

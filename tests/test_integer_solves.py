@@ -1,10 +1,13 @@
 """The integer solves that replaced the Fraction elimination, each against
 the per-system ``solve_unique`` oracle: moment-polytope vertices, the
-q-exponents of exp(lambda_i), and the grading of a bundle fan."""
+q-exponents of exp(lambda_i), and the grading of a bundle fan; and the
+solver's float inverse of an integer matrix against sympy's exact one."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import sympy
 
 from conftest import (
     assert_splitting_chart,
@@ -30,6 +33,7 @@ from toricmirror.fan import validate_fan
 from toricmirror.kahler import KahlerData
 from toricmirror.lattice import hermite_normal_form
 from toricmirror.linform import LinForm
+from toricmirror.roots import _inverse
 
 DP6 = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 F1 = [(1, 0), (0, 1), (-1, -1), (0, -1)]
@@ -237,3 +241,25 @@ def test_grading_and_base_match_the_solve():
                                      base.rays, base.maximal_cones) is not None, fan
         recognized += 1
     assert recognized >= 24 and len(fans) - recognized >= 20, (recognized, len(fans))
+
+
+def test_inverse_matches_sympy():
+    # each entry of the float inverse is the exact entry correctly rounded,
+    # on small and large entries and on unimodular matrices
+    rng = random.Random(83)
+    sizes = {}
+    while sum(sizes.values()) < 400:
+        n = rng.randint(1, 5)
+        if rng.random() < 0.2:
+            mat = random_unimodular(rng, n)
+        else:
+            bound = rng.choice((2, 9, 1000))
+            mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        exact = sympy.Matrix(mat)
+        if exact.det() == 0:
+            continue
+        expected = tuple(tuple(float(Fraction(int(x.p), int(x.q))) for x in row)
+                         for row in exact.inv().tolist())
+        assert _inverse([list(row) for row in mat]) == expected, mat
+        sizes[n] = sizes.get(n, 0) + 1
+    assert min(sizes.values()) >= 50, sizes

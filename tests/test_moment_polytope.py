@@ -244,6 +244,11 @@ def test_vertices_match_oracles(fans):
                 vertices = moment_vertices(k, params)
                 assert vertices == polytope_vertices(fan.rays, offsets), (fan.rays, t)
                 assert len(vertices) == len(fan.maximal_cones)
+                # in cone order: each vertex is tight on its own cone's rays
+                denom, scaled = k.scaled_vertices(params)
+                for cone, x in zip(fan.maximal_cones, scaled):
+                    assert [sum(a * b for a, b in zip(x, fan.rays[i])) for i in cone] \
+                        == [offsets[i] * denom for i in cone], (fan.rays, t, cone)
                 x = interior_point(k, params)
                 assert all(support_value(k, i, x).subs(params) > 0 for i in range(fan.nrays))
             else:
@@ -314,10 +319,21 @@ def test_integer_vertices_give_the_fraction_seeds():
     assert inside >= 100 and outside >= 20, (inside, outside)
 
 
+def test_a_float_parameter_is_taken_at_its_binary_value():
+    # the F2 vertex (t1, t2) at t1 = 0.1 is 0.1 itself, not the float sum
+    # t1 + 2 t2 - 2 t2 = 0.10000000000000009, as in the seeds
+    k = hirzebruch2_kahler()
+    params = {"t1": 0.1, "t2": 0.7}
+    assert moment_vertices(k, params) == fraction_vertices(k, params)
+    assert (Fraction(0.1), Fraction(0.7)) in moment_vertices(k, params)
+
+
 def slacks(k, params):
     """<x, v_i> - lambda_i at each cone's vertex x for every ray i off the
-    cone, in the order the refusal scans them; affine in the parameters."""
-    offsets = [Fraction(lam.subs(params)) for lam in k.lambdas]
+    cone, in the order the refusal scans them, a float parameter taken at
+    its binary value; affine in the parameters."""
+    exact = {n: Fraction(v) for n, v in params.items()}
+    offsets = [Fraction(lam.subs(exact)) for lam in k.lambdas]
     out = []
     for cone, dual in k.fan.dual_bases.items():
         x = [sum(offsets[i] * row[j] for i, row in zip(cone, dual))
@@ -363,7 +379,7 @@ def inside_point(k, rng):
 def wall_verdict(k, params):
     """Whether some wall class's area row is <= 0 at the parameters."""
     point = (*(Fraction(params[n]) for n in k.parameter_names), 1)
-    return min(sum(a * x for a, x in zip(row, point)) for row in k._seed_rows[0]) <= 0
+    return min(sum(a * x for a, x in zip(row, point)) for row in k._polytope_rows[0]) <= 0
 
 
 def test_wall_rows_give_the_slack_verdict():
@@ -388,18 +404,17 @@ def test_wall_rows_give_the_slack_verdict():
 
 
 def test_inside_the_cone_no_vertex_scan(monkeypatch):
-    def scan(self, params):
-        raise AssertionError("scaled_vertices ran inside the Kahler cone")
+    def scan(self, point):
+        raise AssertionError("the slack scan ran inside the Kahler cone")
 
-    # exact draws only: a float's slacks round its support constants
+    # every draw: a float parameter is taken at its binary value throughout
     rng = random.Random(67)
     expected = []
     for k in catalog_kahler():
         for params in draws(k.parameter_names, rng):
-            exact = all(isinstance(v, Fraction) for v in params.values())
-            if exact and min(slacks(k, params)) > 0:
+            if min(slacks(k, params)) > 0:
                 expected.append((k, params, fraction_moduli_from_polytope(k, params)))
-    monkeypatch.setattr(KahlerData, "scaled_vertices", scan)
+    monkeypatch.setattr(KahlerData, "_slack_scan", scan)
     for k, params, moduli in expected:
         assert moduli_from_polytope(k, params) == moduli
     assert len(expected) >= 100, len(expected)
@@ -407,7 +422,7 @@ def test_inside_the_cone_no_vertex_scan(monkeypatch):
 
 def test_a_wall_verdict_the_scan_denies_is_an_internal_error(monkeypatch):
     k = hirzebruch2_kahler()
-    monkeypatch.setattr(KahlerData, "scaled_vertices", lambda self, params: (1, []))
+    monkeypatch.setattr(KahlerData, "_slack_scan", lambda self, point: None)
     with pytest.raises(RuntimeError, match="no vertex scan refused"):
         moduli_from_polytope(k, {"t1": Fraction(-1), "t2": Fraction(1)})
 
@@ -417,7 +432,7 @@ def test_seed_rows_are_built_on_first_use():
     # seeds, so construction leaves the rows and the wall classes unbuilt
     rng = random.Random(71)
     for k in catalog_kahler():  # each newly built, on a newly built fan
-        assert "_seed_rows" not in vars(k) and "wall_classes" not in vars(k.fan)
+        assert "_polytope_rows" not in vars(k) and "wall_classes" not in vars(k.fan)
         moduli_from_polytope(k, inside_point(k, rng))
-        assert "_seed_rows" in vars(k)
+        assert "_polytope_rows" in vars(k)
         assert "wall_classes" in vars(k.fan)

@@ -87,6 +87,37 @@ def test_one_exact_to_float_step():
     assert found == []
 
 
+def _subs_callers(tree):
+    """The dotted names of the classes and functions around every call of
+    a ``.subs`` attribute, outermost first; None at module level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "subs"):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_exact_evaluation_of_the_support_constants():
+    # LinForm.subs evaluates a linear form at parameter values; only the
+    # potential document's t_vector calls it, so the moment polytope's
+    # vertices and the Kahler-cone check are read off the integer rows of
+    # KahlerData alone
+    found = []
+    for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {owner}" for owner in _subs_callers(tree)]
+    assert found == ["documents.py PotentialDocument.t_vector"]
+
+
 def _json_dumps_calls(tree):
     """(enclosing function or None, keyword names) of every json.dumps or
     json.dump call, and of every name imported from json as one."""
