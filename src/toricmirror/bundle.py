@@ -6,6 +6,10 @@ doubles into one cone with v_0 and one with v_{m+1}. The ray order
 (v_0, middles, v_{m+1}) is fixed so the distinguished disk classes keep
 stable indices downstream. A P1-bundle over a smooth complete fan is
 smooth and complete, so X is built with its dual bases, not validated.
+Its primitive relations are read off Y's (Batyrev, Tohoku Math. J. 43,
+1991): the fiber v_0 + v_{m+1} = 0 of degree 2, and for each relation
+sum(w_i) = sum(m_j w_j) of Y, of degree d, the degree-0 relation
+sum(v_i) = d v_0 + sum(m_j v_j).
 
 The reverse direction (recognizing such a fan after an arbitrary GL(n, Z)
 change of coordinates) matters because input documents need not use the
@@ -22,14 +26,18 @@ import functools
 from typing import NamedTuple, Optional
 
 from .errors import InvalidFan, NotBundleShaped, NotFano
-from .fan import Fan, Positivity, classify_positivity, validate_fan
+from .fan import Fan, Positivity, PrimitiveRelation, classify_positivity, validate_fan
 
 
 def projectivize_canonical(fan_y: Fan) -> Fan:
     """Fan of P(K_Y + O_Y) over a Fano base Y. Over a cone of Y with dual
     rows d_i, the cone with v_0 has rows (-sum d_i, 1) for v_0 and (d_i, 0)
     for the lifted rays; the one with v_{m+1} has (d_i, 0), then
-    (sum d_i, -1). Cones with v_0 sort first, each half in Y's order."""
+    (sum d_i, -1). Cones with v_0 sort first, each half in Y's order.
+    The primitive relations are cached, lifted from Y's: the fiber's
+    collection (0, m+1) is the first of size 2, and the shifted ones keep
+    Y's order, so they come sorted as :attr:`Fan.primitive_collections`
+    sorts them."""
     if classify_positivity(fan_y) is not Positivity.FANO:
         raise NotFano("the base of the canonical-bundle construction must be Fano")
     n = fan_y.dimension + 1
@@ -44,7 +52,14 @@ def projectivize_canonical(fan_y: Fan) -> Fan:
         low[(0,) + lifted] = (tuple(-x for x in total) + (1,),) + rows
         high[lifted + (m + 1,)] = rows + (total + (-1,),)
     dual_bases = low | high
-    return Fan(n, rays, tuple(dual_bases), dual_bases)
+    fan_x = Fan(n, rays, tuple(dual_bases), dual_bases)
+    rels = (PrimitiveRelation((0, m + 1), (), (), (1,) + (0,) * m + (1,), 2),) + tuple(
+        PrimitiveRelation(tuple(i + 1 for i in r.collection), (0,) + tuple(j + 1 for j in r.focus),
+                          (r.degree,) + r.multiplicities, (-r.degree,) + r.coords + (0,), 0)
+        for r in fan_y.primitive_relations)
+    fan_x.__dict__.update(primitive_relations=rels,
+                          primitive_collections=tuple(r.collection for r in rels))
+    return fan_x
 
 
 def fiber_class(fan_x: Fan):

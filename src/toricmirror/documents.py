@@ -44,9 +44,12 @@ def canonical_json(obj) -> str:
     ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, which
-    writes every element of a list through a generator; this writer joins
-    a list of exact ints, or of exact finite floats, in one step. A value
-    json cannot write is a TypeError."""
+    writes every element of a list through a generator. This writer tells
+    exact str, dict, list and tuple by their type, and joins a list of
+    exact ints, or of exact finite floats, in one step, in place when it
+    is a dict value or a list item. None, bools, other numbers and every
+    subclass are told by isinstance, as json tells them. A value json
+    cannot write is a TypeError."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -61,62 +64,76 @@ def _float_text(value) -> str:
     return float.__repr__(value)
 
 
-def _key_text(key) -> str:
-    # json's key conversion, in json's order of tests
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
+def _scalar_text(value) -> str:
+    # json's key conversion, in json's order of tests: a str as it is, and
+    # None, a bool or a number as json writes it as a value too
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float):
+        return _float_text(value)
+    if value is True:
         return "true"
-    if key is False:
+    if value is False:
         return "false"
-    if key is None:
+    if value is None:
         return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _numbers(value):
+    """The item texts of a list of exact ints, or of exact finite floats,
+    else None; the first item's type spares other lists a scan."""
+    kind = type(value[0])
+    if kind is int and {int}.issuperset(map(type, value)):
+        return map(int.__repr__, value)
+    if kind is float and {float}.issuperset(map(type, value)):
+        items = list(map(float.__repr__, value))
+        if _NON_FINITE.isdisjoint(items):
+            return items
+    return None
 
 
 def _encode(value, newline: str) -> str:
     """value as json writes it at the depth whose line break (with its
     indent) is newline."""
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        # subclasses and scalars: no class derives from two of str, int,
+        # float, list, tuple and dict (their layouts conflict), so these
+        # tests write what json's order of tests writes
+        if isinstance(value, str):
+            return _encode_str(value)
+        if isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            return _scalar_text(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # a list of exact ints, or of exact finite floats, in one join; the
-        # first item's type spares other lists a scan
-        kind = type(value[0])
-        items = None
-        if kind is int and {int}.issuperset(map(type, value)):
-            items = map(int.__repr__, value)
-        elif kind is float and {float}.issuperset(map(type, value)):
-            items = list(map(float.__repr__, value))
-            if not _NON_FINITE.isdisjoint(items):
-                items = None
-        if items is None:
-            items = [_encode(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_encode_str(_key_text(k)) + ": " + _encode(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    sep = "," + inner
+    deeper = sep + "  "
+    if kind is dict:
+        items = []
+        for k, v in sorted(value.items()):
+            numbers = type(v) is list and v and _numbers(v)
+            items.append(_encode_str(k if type(k) is str else _scalar_text(k)) + ": " + (
+                "[" + inner + "  " + deeper.join(numbers) + inner + "]" if numbers
+                else _encode(v, inner)))
+        return "{" + inner + sep.join(items) + newline + "}"
+    items = _numbers(value)
+    if items is None:
+        items = []
+        for x in value:
+            numbers = type(x) is list and x and _numbers(x)
+            items.append("[" + inner + "  " + deeper.join(numbers) + inner + "]" if numbers
+                         else _encode(x, inner))
+    return "[" + inner + sep.join(items) + newline + "]"
 
 
 def _require(cond: bool, message: str):

@@ -38,6 +38,7 @@ from .lattice import lattice_coordinates
 PROVENANCE_BUILTIN = "builtin"
 PROVENANCE_TABLE = "table"
 PROVENANCE_ASSUMED = "assumed-zero"
+_ZERO = Fraction(0)  # immutable, so every zero-filled lookup shares it
 
 
 def f2_one_point_rule(k: int) -> Fraction:
@@ -162,7 +163,7 @@ class GWProvider:
         if self.table is not None and alpha in self.table.by_class:
             return self.table.by_class[alpha], PROVENANCE_TABLE
         if self.assume_zero:
-            return Fraction(0), PROVENANCE_ASSUMED
+            return _ZERO, PROVENANCE_ASSUMED
         raise UnknownInvariant(
             f"no Gromov-Witten value available for class {alpha}; supply a table "
             f"or pass assume_zero to zero-fill"

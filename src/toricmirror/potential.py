@@ -16,7 +16,8 @@ per ray and is built as such: no polynomial arithmetic is involved.
 
 On such a fan every primitive relation but the degree-2 fiber has degree 0,
 so the classes in C are the sums of the degree-0 relations; their
-q-exponents, linear in the class, are carried along the sums.
+q-exponents, linear in the class, are carried along the sums, and each
+class with its q-exponents is summed as one packed int.
 """
 
 from __future__ import annotations
@@ -48,17 +49,33 @@ def _degree_zero_sums(fan: Fan, cutoff: int, kahler: KahlerData) -> list:
     """The effective degree-0 classes of a bundle fan, zero included: the
     distinct sums of at most *cutoff* degree-0 relations, sorted, each
     followed by its q-exponents. These are linear and injective in the
-    class, so they leave the set and the order of the classes as they are."""
+    class, so they leave the set and the order of the classes as they are.
+
+    Each such vector is held as one int, its digits in balanced base
+    B = 2 * cutoff * M + 1 for the largest entry M of a relation in
+    magnitude: no entry of a sum of at most *cutoff* relations exceeds
+    cutoff * M, so vectors add as ints, and distinct vectors give distinct
+    ints in the tuples' order. A sum of k relations found among the
+    shorter sums spawns no sum not found already, so each level grows
+    only the new ones."""
     require_bundle(fan)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     gens = [rel.coords + kahler.q_weight(rel.coords)
             for rel in fan.primitive_relations if rel.degree == 0]
-    level = found = {(0,) * (fan.nrays + kahler.rank)}
+    base = 2 * cutoff * max(abs(x) for g in gens for x in g) + 1
+    packed = [(sum(x * base ** i for i, x in enumerate(reversed(g))), g) for g in gens]
+    found = {0: (0,) * (fan.nrays + kahler.rank)}
+    level = [0]
     for _ in range(cutoff):
-        level = {tuple(map(add, s, g)) for s in level for g in gens}
-        found |= level
-    return sorted(found)
+        fresh = []
+        for s in level:
+            for p, g in packed:
+                if s + p not in found:
+                    found[s + p] = tuple(map(add, found[s], g))
+                    fresh.append(s + p)
+        level = fresh
+    return [found[k] for k in sorted(found)]
 
 
 class GWRecord(NamedTuple):

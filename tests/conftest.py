@@ -299,6 +299,19 @@ def nonnegative_combinations(gens, cutoff: int):
     return sorted(classes)
 
 
+def set_degree_zero_sums(fan: Fan, cutoff: int, kahler: KahlerData) -> list:
+    """The degree-0 relation sums the potential enumerates, by sets of
+    tuples: every sum of at most *cutoff* degree-0 relations, each followed
+    by its q-exponents, deduplicated and sorted."""
+    gens = [rel.coords + kahler.q_weight(rel.coords)
+            for rel in fan.primitive_relations if rel.degree == 0]
+    level = found = {(0,) * (fan.nrays + kahler.rank)}
+    for _ in range(cutoff):
+        level = {tuple(map(operator.add, s, g)) for s in level for g in gens}
+        found |= level
+    return sorted(found)
+
+
 def push_h2(fan_y: Fan, gamma) -> tuple:
     """Image of a base curve class under the zero-section embedding, in the
     ray coordinates of P(K_Y + O_Y): (-sum(gamma), gamma..., 0)."""

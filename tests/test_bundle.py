@@ -15,6 +15,7 @@ from conftest import (
     wall_relation_classes,
 )
 from test_golden import K_F2_FAN, NOT_A_BUNDLE_FAN
+from test_polyhedral import BLP3
 from test_potential import BUNDLES, catalog_bases, in_three_charts
 from toricmirror import bundle, lattice
 from toricmirror import fan as fan_module
@@ -35,6 +36,17 @@ from toricmirror.fan import (
 
 # every catalog base, in its standard chart and two seeded GL(n, Z) charts
 BASES = in_three_charts(catalog_bases(), 32)
+# and every other Fano base the tests build: Bl_pt P3, and the Fano ones
+# among the random surfaces (F1, P1xP1, dP7 and dP6 in shuffled ray orders)
+_RNG = random.Random(41)
+FANO_BASES = BASES + [("BlP3", BLP3)] + [
+    (f"random-{k}", fan) for k, fan in enumerate(random_smooth_2d_fan(_RNG, 6) for _ in range(60))
+    if classify_positivity(fan) is Positivity.FANO]
+
+
+def general_path(fan):
+    """The fan validated afresh, so nothing it caches is lifted."""
+    return validate_fan(fan.dimension, fan.rays, fan.maximal_cones)
 
 
 class TestProjectivize:
@@ -141,11 +153,37 @@ class TestPushforward:
 class TestEffectiveGenerators:
     def test_generators_are_fiber_plus_lifts(self, p1, p2, p1xp1):
         for base in (p1, p2, p1xp1):
-            x = projectivize_canonical(base)
+            x = general_path(projectivize_canonical(base))
             got = {rel.coords for rel in x.primitive_relations}
             expected = {fiber_class(x)}
             expected |= {push_h2(base, rel.coords) for rel in base.primitive_relations}
             assert got == expected
+
+
+class TestLiftedRelations:
+    @pytest.mark.parametrize("name, base", FANO_BASES, ids=[name for name, _ in FANO_BASES])
+    def test_equal_the_general_path(self, name, base):
+        # collections, foci, multiplicities, classes and degrees, in order
+        x = projectivize_canonical(base)
+        fresh = general_path(x)
+        assert x.primitive_collections == fresh.primitive_collections
+        assert x.primitive_relations == fresh.primitive_relations
+
+    def test_random_bases_reach_beyond_the_catalog(self):
+        assert {fan.nrays for name, fan in FANO_BASES if name.startswith("random")} \
+            == {4, 5, 6}
+
+    def test_default_q_basis_searches_no_relation(self, monkeypatch):
+        # the base's relations are cached by its Fano check; the bundle's
+        # are lifted from them, not searched
+        expected = [default_q_basis(general_path(projectivize_canonical(base)))
+                    for _, base in BASES]
+        calls = []
+        real = fan_module.Fan._primitive_relation
+        monkeypatch.setattr(fan_module.Fan, "_primitive_relation",
+                            lambda fan, collection: calls.append(fan) or real(fan, collection))
+        assert [default_q_basis(projectivize_canonical(base)) for _, base in BASES] == expected
+        assert calls == []
 
 
 class TestRecognition:

@@ -1152,6 +1152,18 @@ class FloatSubclass(float):
         return "not the float's text"
 
 
+class StrSubclass(str):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
 Colour = enum.IntEnum("Colour", "RED GREEN")
 # every code point, with lone surrogates and control characters drawn often
 ANY_TEXT = st.text(st.characters(exclude_categories=())
@@ -1185,6 +1197,11 @@ class TestCanonicalJson:
     @example({"x": [FloatSubclass(1.5), FloatSubclass("nan"), FloatSubclass("-inf")]})
     @example({2: "int", 0.5: "float", False: "bool", Colour.RED: "enum", "s": None})
     @example({None: [], True: {}, 1.0e300: ()})
+    # subclasses and mixed lists leave the writer's exact-type paths
+    @example({StrSubclass("k"): StrSubclass("v\u2028"), "s": [StrSubclass("é")]})
+    @example([ListSubclass([1, 2]), {"k": ListSubclass([0.5])}, DictSubclass(b=[1], a="x")])
+    @example({"k": DictSubclass({StrSubclass("z"): [3], "y": []})})
+    @example({"class": [1, -2, True], "q": [[0, 1, False]]})
     @settings(max_examples=400, deadline=None)
     def test_matches_json_dumps(self, value):
         try:

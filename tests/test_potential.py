@@ -13,11 +13,12 @@ from conftest import (
     projective_line,
     projective_plane,
     random_unimodular,
+    set_degree_zero_sums,
     summed_potential,
 )
 from test_integer_solves import DP6, F1, in_chart, product_fan
 from test_moment_polytope import P3
-from toricmirror import bundle
+from toricmirror import bundle, potential
 from toricmirror.bundle import fiber_class, projectivize_canonical, require_bundle
 from toricmirror.errors import NotBundleShaped, NotFano, UnknownInvariant
 from toricmirror.fan import chern_degree, validate_fan
@@ -244,6 +245,9 @@ def in_three_charts(fans, seed):
 # P(K_Y+O) over each catalog base, named by the base
 BUNDLES = in_three_charts(
     {name: projectivize_canonical(base) for name, base in catalog_bases().items()}, 12)
+# the same bundles in charts of seed 5, whose ray entries reach 237
+STEEP_BUNDLES = in_three_charts(
+    {name: projectivize_canonical(base) for name, base in catalog_bases().items()}, 5)
 
 
 class PatternProvider:
@@ -316,6 +320,22 @@ class TestDegreeZeroEnumeration:
             assert len(factor.terms) > 1
             assert any(not r.value for r in records)
             assert any(min(r.q_exponents) < 0 for r in records)
+
+    @pytest.mark.parametrize("name, fan", BUNDLES + STEEP_BUNDLES,
+                             ids=[n for n, _ in BUNDLES] + [f"{n}-steep" for n, _ in STEEP_BUNDLES])
+    def test_packed_sums_match_the_sets_of_tuples(self, name, fan):
+        # the recipe q-basis, the default one (HNF on dP6 and P1xdP6, with
+        # negative q-exponents), and a seeded unimodular mix of the recipe
+        # one: the classes are in ray coordinates, so only the mix makes
+        # the q-exponents, and the packing base, large
+        k = dual_kahler(fan)
+        mix = random_unimodular(random.Random(name), k.rank)
+        mixed = [tuple(sum(c * b[i] for c, b in zip(row, k.q_basis)) for i in range(fan.nrays))
+                 for row in mix]
+        for kahler in (k, KahlerData(fan, k.lambdas), KahlerData(fan, k.lambdas, mixed)):
+            for cutoff in range(6):
+                assert (potential._degree_zero_sums(fan, cutoff, kahler)
+                        == set_degree_zero_sums(fan, cutoff, kahler)), (cutoff, kahler.q_basis)
 
     @pytest.mark.parametrize("name, fan", BUNDLES, ids=[n for n, _ in BUNDLES])
     def test_one_fiber_relation_and_the_rest_degree_zero(self, name, fan):
