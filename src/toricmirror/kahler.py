@@ -20,9 +20,8 @@ at the ray across the wall (Cox, Little, Schenck, "Toric Varieties", 2011,
 section 6.1). ``scaled_vertices`` reads both off one integer table cached
 at first use, at the parameter values taken exactly (a float at its binary
 value): the wall classes' area rows, and per coordinate the distinct rows
-of the vertices' coordinates with each cone's index into them. Only when a
-wall area is <= 0 does it scan the vertices' slacks, on the same integers,
-to name the cone and the ray of the refusal.
+of the vertices' coordinates with each cone's index into them. The first
+wall class whose area is <= 0 names the refusal.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
@@ -129,13 +128,6 @@ class KahlerData:
         *coeffs, const = (Fraction(x, self._scale) for x in row)
         return LinForm(const, dict(zip(self.parameter_names, coeffs)))
 
-    def sphere_area(self, alpha) -> LinForm:
-        """Area of a curve class; equals -sum(a_i lambda_i) and is
-        x-independent because the class pairs to zero with the ray map."""
-        if not self.fan.is_homology_class(alpha):
-            raise ValueError(f"{tuple(alpha)} is not a curve class of the fan")
-        return self._area_form(self._area_row(alpha))
-
     # -- q-weights --
 
     @functools.cached_property
@@ -187,10 +179,11 @@ class KahlerData:
 
     @functools.cached_property
     def _polytope_rows(self) -> tuple:
-        # (walls, columns): the distinct area rows of the wall classes; per
-        # coordinate j, the distinct rows of the vertices' j-th coordinates,
-        # sum(_rows[i] * D[i][j]) over a cone's rays i with dual basis D,
-        # and each maximal cone's index into them
+        # (walls, columns): each distinct area row of the wall classes,
+        # mapped to the first wall class that has it; per coordinate j, the
+        # distinct rows of the vertices' j-th coordinates, sum(_rows[i] *
+        # D[i][j]) over a cone's rays i with dual basis D, and each maximal
+        # cone's index into them
         per_cone = []
         for cone, dual in self.fan.dual_bases.items():
             lams = list(zip(*(self._rows[i] for i in cone)))
@@ -200,7 +193,10 @@ class KahlerData:
         for rows in zip(*per_cone):
             distinct = tuple(dict.fromkeys(rows))
             columns.append((distinct, tuple(map(distinct.index, rows))))
-        return tuple(dict.fromkeys(map(self._area_row, self.fan.wall_classes))), tuple(columns)
+        walls = {}
+        for cls in self.fan.wall_classes:
+            walls.setdefault(self._area_row(cls), cls)
+        return walls, tuple(columns)
 
     def scaled_vertices(self, params: Mapping) -> tuple:
         """(denom, vertices times denom): the moment polytope's vertices,
@@ -210,9 +206,10 @@ class KahlerData:
 
         The vertex of a cone solves <x, v_i> = lambda_i on its rays, which
         is the lambda-weighted sum of its dual basis rows. Raises
-        EmptyInterior, naming the cone and the ray, unless every wall class
-        has positive area, i.e. unless the parameters lie in the open
-        Kahler cone. A parameter without a value is a ValueError.
+        EmptyInterior, naming the first wall class whose area is <= 0,
+        its area form and its value, unless every wall class has positive
+        area, i.e. unless the parameters lie in the open Kahler cone. A
+        parameter without a value is a ValueError.
         """
         missing = [n for n in self.parameter_names if n not in params]
         if missing:
@@ -221,26 +218,13 @@ class KahlerData:
         denom = math.lcm(*(v.denominator for v in values))
         point = (*(v.numerator * (denom // v.denominator) for v in values), denom)
         walls, columns = self._polytope_rows
-        if any(sum(map(operator.mul, row, point)) <= 0 for row in walls):
-            self._slack_scan(point)
-            raise RuntimeError(f"a wall area is <= 0 at {values}; no vertex scan refused")
+        for row, cls in walls.items():
+            if (area := sum(map(operator.mul, row, point))) <= 0:
+                raise EmptyInterior(
+                    f"the wall class {cls} has area {self._area_form(row)} = "
+                    f"{Fraction(area, self._scale * denom)} <= 0: the parameters are "
+                    f"outside the open Kahler cone")
         # each distinct row is evaluated once, then read off per cone
         return self._scale * denom, list(zip(*(
             map([sum(map(operator.mul, row, point)) for row in rows].__getitem__, index)
             for rows, index in columns)))
-
-    def _slack_scan(self, point):
-        # EmptyInterior at the first cone, in cone order, whose vertex is
-        # not strictly inside the half-space of a ray off it, at the
-        # parameter point (numerators, then their denominator)
-        offsets = [sum(map(operator.mul, row, point)) for row in self._rows]
-        for cone, dual in self.fan.dual_bases.items():
-            x = [sum(offsets[i] * row[j] for i, row in zip(cone, dual))
-                 for j in range(self.fan.dimension)]
-            for i, ray in enumerate(self.fan.rays):
-                if i not in cone and sum(map(operator.mul, x, ray)) <= offsets[i]:
-                    raise EmptyInterior(
-                        f"the vertex of cone {cone} is not strictly inside the "
-                        f"half-space of ray {i}: the parameters are outside the "
-                        f"open Kahler cone"
-                    )

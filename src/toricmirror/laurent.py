@@ -6,11 +6,11 @@ exponents and Fraction coefficients. Both are exact data built by the
 constructors; there is no ring arithmetic. The package's one step to floats
 is ``numeric_terms``, which compiles a polynomial at q = exp(-t) into
 (z-exponent, float coefficient) pairs with typed refusals of overflow and
-underflow. ``sum_terms`` sums the pairs at a point; ``evaluate``,
-``gradient`` and the solver are built on the two. Zero coefficients are
-never stored, and serialization orders z-terms lexicographically and
-q-monomials by total degree then lexicographically, so output is
-byte-stable.
+of a coefficient that evaluates to 0, by underflow or by cancellation.
+``sum_terms`` sums the pairs at a point; ``evaluate``, ``gradient`` and
+the solver are built on the two. Zero coefficients are never stored, and
+serialization orders z-terms lexicographically and q-monomials by total
+degree then lexicographically, so output is byte-stable.
 """
 
 from __future__ import annotations
@@ -191,8 +191,9 @@ def _ipow(base: complex, exponent: int) -> complex:
 def numeric_terms(poly: LaurentPoly, t: Sequence[float]) -> list:
     """The (z-exponent, float coefficient) pairs of poly at q_j = exp(-t_j),
     in sorted z order. Raises SchemaError when a q overflows a float, or
-    when a coefficient evaluates to 0 only because a q-monomial of it
-    underflows: the numeric polynomial would silently lose a term."""
+    when a coefficient evaluates to 0, whether a q-monomial of it
+    underflows or its terms cancel: the numeric polynomial would silently
+    lose a term."""
     t = [float(v) for v in t]
     if len(t) != poly.qvars:
         raise ValueError(f"need {poly.qvars} t-values")
@@ -205,11 +206,15 @@ def numeric_terms(poly: LaurentPoly, t: Sequence[float]) -> list:
     out = []
     for zexp, coeff in poly.sorted_terms():
         value = coeff.numeric(q)
-        if value == 0.0 and any(
-                math.prod(qj ** e for qj, e in zip(q, qexp)) == 0.0 for qexp in coeff.terms):
+        if value == 0.0:
+            if any(math.prod(qj ** e for qj, e in zip(q, qexp)) == 0.0
+                   for qexp in coeff.terms):
+                raise SchemaError(
+                    f"a q-monomial underflows a float at these parameter values: the "
+                    f"coefficient {coeff} of the z-exponent {zexp} evaluates to 0")
             raise SchemaError(
-                f"a q-monomial underflows a float at these parameter values: the "
-                f"coefficient {coeff} of the z-exponent {zexp} evaluates to 0")
+                f"the coefficient {coeff} of the z-exponent {zexp} evaluates to 0 at "
+                f"these parameter values: W would lose a term")
         out.append((zexp, value))
     return out
 

@@ -1,9 +1,11 @@
-"""Exact linear forms over named variables.
+"""Exact linear forms over named variables, as parsed records.
 
-A LinForm is ``const + sum(coeff[name] * name)`` with Fraction coefficients.
-They carry the symbolic Kahler parameters (t1, t2, ...) and symbolic polytope
-coordinates through area computations, so identities like "this area equals
-t1" can be asserted exactly instead of numerically.
+A LinForm is ``const + sum(coeff[name] * name)`` with Fraction coefficients:
+the support constants of a fan document, in its Kahler parameters (t1, t2,
+...), and the q-areas of a potential document. It is a record, not a ring:
+it is built by its constructor or by ``parse_linear_form``, compared,
+hashed, evaluated by ``subs`` and rendered, and has no arithmetic. Every
+Kahler computation runs on ``KahlerData``'s integer rows instead.
 """
 
 from __future__ import annotations
@@ -53,70 +55,17 @@ class LinForm:
     def __setattr__(self, *_):
         raise AttributeError("LinForm is immutable")
 
-    # -- constructors --
-
-    @classmethod
-    def variable(cls, name: str) -> "LinForm":
-        return cls(0, {name: 1})
-
-    @classmethod
-    def coerce(cls, value) -> "LinForm":
-        if isinstance(value, LinForm):
-            return value
-        return cls(_as_fraction(value))
-
-    # -- structure --
-
     @property
     def variables(self) -> frozenset:
         return frozenset(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, name: str) -> Fraction:
-        return self.coeffs.get(name, Fraction(0))
-
-    # -- arithmetic --
-
-    def __add__(self, other) -> "LinForm":
-        other = LinForm.coerce(other)
-        coeffs = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
-        return LinForm(self.const + other.const, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LinForm":
-        return LinForm(-self.const, {n: -c for n, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "LinForm":
-        return self + (-LinForm.coerce(other))
-
-    def __rsub__(self, other) -> "LinForm":
-        return LinForm.coerce(other) + (-self)
-
-    def __mul__(self, scalar) -> "LinForm":
-        s = _as_fraction(scalar)
-        return LinForm(self.const * s, {n: c * s for n, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (LinForm, int, Fraction)):
+        if not isinstance(other, LinForm):
             return NotImplemented
-        other = LinForm.coerce(other)
         return self.const == other.const and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a constant form equals its Fraction, so it hashes as one
-        if not self.coeffs:
-            return hash(self.const)
         return hash((self.const, frozenset(self.coeffs.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.const) or bool(self.coeffs)
 
     # -- evaluation --
 
@@ -169,7 +118,7 @@ def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinFo
         raise ValueError(f"cannot parse {text!r} as a linear form")
     allowed = set(allowed_names) if allowed_names is not None else None
     # a name whose sum reaches 0 leaves the dict and, if it returns, goes to
-    # the end: the order LinForm.__add__ gives, in which subs sums floats
+    # the end; subs sums floats in this order, so it is part of the result
     const, coeffs = Fraction(0), {}
     pos = 0
     while True:

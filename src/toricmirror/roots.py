@@ -192,11 +192,11 @@ def moduli_from_polytope(kahler: KahlerData, params: Mapping) -> tuple:
     coordinates (one vertex per maximal cone), their pairwise midpoints, and
     the mean of the vertices. Scales whose exponential underflows to 0 or
     overflows a float are dropped; one too small to round to 14 decimals is
-    kept unrounded. Raises EmptyInterior, naming a cone and a ray, unless
-    every wall class has positive area, i.e. unless the parameters lie in
-    the open Kahler cone; the vertices are ``KahlerData.scaled_vertices``,
-    read off cached integer rows with a float parameter at its binary
-    value."""
+    kept unrounded. Raises EmptyInterior, naming the first wall class whose
+    area is <= 0, unless every wall class has positive area, i.e. unless
+    the parameters lie in the open Kahler cone; the vertices are
+    ``KahlerData.scaled_vertices``, read off cached integer rows with a
+    float parameter at its binary value."""
     # the vertex coordinates are integers over denom; each scale is one
     # correctly rounded division, as the Fraction it stands for would give,
     # and a vertex coordinate is its own midpoint with itself
@@ -484,8 +484,6 @@ def _polyhedral_starts(pairs: Sequence, bound: int) -> Optional[list]:
     omega = [[0.0] * len(pairs), [0.0] * len(pairs)]
     for j, support in enumerate(supports):
         for t in support:
-            if not C[j][t]:
-                return None
             omega[j][t] = epsilon[t][j] - math.log(abs(C[j][t]))
     starts = []
     volume = 0

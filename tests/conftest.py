@@ -321,22 +321,37 @@ def push_h2(fan_y: Fan, gamma) -> tuple:
     return (-sum(gamma),) + gamma + (0,)
 
 
+def linear_combination(pairs) -> LinForm:
+    """sum(c * f) over the (c, f) pairs, each f a LinForm or an exact
+    number, as a LinForm: the tests' ring arithmetic, which LinForm, a
+    parsed record, does not have."""
+    const, coeffs = Fraction(0), {}
+    for c, f in pairs:
+        f = f if isinstance(f, LinForm) else LinForm(f)
+        const += c * f.const
+        for name, x in f.coeffs.items():
+            coeffs[name] = coeffs.get(name, 0) + c * x
+    return LinForm(const, coeffs)
+
+
 def support_value(kahler: KahlerData, i: int, x) -> LinForm:
     """l_i(x) = <x, v_i> - lambda_i; x entries may be numbers or LinForms."""
-    total = LinForm(0)
-    for xj, vj in zip(x, kahler.fan.rays[i]):
-        total += LinForm.coerce(xj) * vj
-    return total - kahler.lambdas[i]
+    return linear_combination([*zip(kahler.fan.rays[i], x), (-1, kahler.lambdas[i])])
 
 
 def disk_area(kahler: KahlerData, beta, x) -> LinForm:
     """Area sum(b_i * l_i(x)) of the disk class sum(b_i beta_i) over the
     fiber at x (Cho-Oh)."""
-    total = LinForm(0)
-    for i, b in enumerate(beta):
-        if b:
-            total += support_value(kahler, i, x) * b
-    return total
+    return linear_combination((b, support_value(kahler, i, x))
+                              for i, b in enumerate(beta) if b)
+
+
+def sphere_area(kahler: KahlerData, alpha) -> LinForm:
+    """Area -sum(a_i lambda_i) of a curve class, x-independent because the
+    class pairs to zero with the ray map; ValueError off the curve classes."""
+    if not kahler.fan.is_homology_class(alpha):
+        raise ValueError(f"{tuple(alpha)} is not a curve class of the fan")
+    return linear_combination((-a, lam) for a, lam in zip(alpha, kahler.lambdas) if a)
 
 
 _TOKEN_RE = re.compile(
@@ -369,7 +384,16 @@ def tokenizing_parse_linear_form(text: str, allowed_names=None) -> LinForm:
     if not tokens:
         raise ValueError("empty linear form")
 
-    result = LinForm(0)
+    # summed in its own dict: a name whose sum reaches 0 leaves it and, if
+    # it returns, goes at the end
+    const, coeffs = Fraction(0), {}
+
+    def add(name, coeff):
+        if total := coeffs.get(name, 0) + coeff:
+            coeffs[name] = total
+        else:
+            coeffs.pop(name, None)
+
     i = 0
     first = True
     while i < len(tokens):
@@ -397,18 +421,18 @@ def tokenizing_parse_linear_form(text: str, allowed_names=None) -> LinForm:
                 i += 1
                 if allowed is not None and name not in allowed:
                     raise ValueError(f"unknown parameter {name!r} in {text!r}")
-                result += LinForm(0, {name: sign * coeff})
+                add(name, sign * coeff)
             else:
-                result += LinForm(sign * coeff)
+                const += sign * coeff
         elif kind == "name":
             if allowed is not None and val not in allowed:
                 raise ValueError(f"unknown parameter {val!r} in {text!r}")
-            result += LinForm(0, {val: sign})
+            add(val, sign)
             i += 1
         else:
             raise ValueError(f"unexpected operator in {text!r}")
         first = False
-    return result
+    return LinForm(const, coeffs)
 
 
 _BASE_BUILDERS = [
@@ -835,8 +859,8 @@ def circuit_scan_verdict(fan, lambdas) -> Optional[str]:
     when some circuit's sum(y_i * lambda_i), summed as linear forms, is a
     constant >= 0, else None."""
     for circuit in fan.positive_circuits:
-        total = sum((lam * y for y, lam in zip(circuit, lambdas) if y), LinForm(0))
-        if total.is_constant() and total.const >= 0:
+        total = linear_combination((y, lam) for y, lam in zip(circuit, lambdas) if y)
+        if not total.coeffs and total.const >= 0:
             return "moment polytope has empty interior"
     return None
 
@@ -881,23 +905,20 @@ def fraction_vertices(kahler, params) -> list:
     """The moment polytope's vertices as the library computed them before
     it scaled to integers: each cone's dual-basis rows weighted by the
     Fraction support constants, a float parameter taken at its binary
-    value, sorted, with the same EmptyInterior refusal and message."""
+    value, sorted. Outside the open Kahler cone, the same EmptyInterior
+    refusal and message: the first wall class, from the wall relations,
+    whose area from the Fraction support constants is <= 0."""
     exact = {n: Fraction(v) for n, v in params.items()}
+    for cls in wall_relation_classes(kahler.fan):
+        form = sphere_area(kahler, cls)
+        if (area := Fraction(form.subs(exact))) <= 0:
+            raise EmptyInterior(
+                f"the wall class {cls} has area {form} = {area} <= 0: the "
+                f"parameters are outside the open Kahler cone")
     offsets = [Fraction(lam.subs(exact)) for lam in kahler.lambdas]
-    rays = kahler.fan.rays
-    out = []
-    for cone, dual in kahler.fan.dual_bases.items():
-        x = tuple(sum(offsets[i] * row[j] for i, row in zip(cone, dual))
-                  for j in range(kahler.fan.dimension))
-        for i, ray in enumerate(rays):
-            if i not in cone and sum(a * b for a, b in zip(x, ray)) <= offsets[i]:
-                raise EmptyInterior(
-                    f"the vertex of cone {cone} is not strictly inside the "
-                    f"half-space of ray {i}: the parameters are outside the "
-                    f"open Kahler cone"
-                )
-        out.append(x)
-    return sorted(out)
+    return sorted(tuple(sum(offsets[i] * row[j] for i, row in zip(cone, dual))
+                        for j in range(kahler.fan.dimension))
+                  for cone, dual in kahler.fan.dual_bases.items())
 
 
 def fraction_moduli_from_polytope(kahler, params) -> tuple:
@@ -951,7 +972,7 @@ def recipe_lambdas(fan, cone: int = 0) -> list:
     off = [i for i in range(fan.nrays) if i not in sigma]
     lambdas = [LinForm(0)] * fan.nrays
     for j, r in enumerate(off):
-        lambdas[r] = -LinForm.variable(f"t{j + 1}")
+        lambdas[r] = LinForm(0, {f"t{j + 1}": -1})
     return lambdas
 
 

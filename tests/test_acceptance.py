@@ -25,6 +25,7 @@ from conftest import (
     projective_plane,
     push_h2,
     random_smooth_2d_fan,
+    sphere_area,
     unimodular_map_search,
 )
 from toricmirror.bundle import fiber_class, projectivize_canonical
@@ -213,8 +214,10 @@ def test_criterion_8_area_identities():
         from toricmirror.linform import LinForm
 
         k = hirzebruch2_kahler()
-        assert k.sphere_area((-2, 1, 1, 0)) == LinForm.variable("t1")
-        assert k.sphere_area((1, 0, 0, 1)) == LinForm.variable("t2")
+        areas = (LinForm(0, {"t1": 1}), LinForm(0, {"t2": 1}))
+        assert (sphere_area(k, (-2, 1, 1, 0)), sphere_area(k, (1, 0, 0, 1))) == areas
+        # the library's areas of the same two classes, its q-basis
+        assert k.q_basis == ((-2, 1, 1, 0), (1, 0, 0, 1)) and k.basis_areas() == areas
         rng = random.Random(8)
         params = {"t1": Fraction(1), "t2": Fraction(1)}
         vertices = moment_vertices(k, params)

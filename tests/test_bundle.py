@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     assert_splitting_chart,
+    hnf_homology_basis_test,
     matrix_det,
     nonnegative_combinations,
     push_h2,
@@ -262,6 +263,17 @@ class TestDefaultBasis:
 
     def test_none_for_plain_fans(self, p2):
         assert default_q_basis(p2) is None
+
+    def test_none_when_the_classes_do_not_span(self):
+        # cones inferred; the first and last rays are opposite. The 4
+        # degree-0 relations and the fiber are as many classes as the rank,
+        # yet they span a proper sublattice of the curve classes
+        fan = validate_fan(2, [(0, 1), (1, 2), (1, 0), (1, -1), (-1, 1), (1, 1), (0, -1)])
+        classes = sorted(rel.coords for rel in fan.primitive_relations if rel.degree == 0)
+        classes.append(fiber_class(fan))
+        assert len(classes) == fan.nrays - fan.dimension
+        assert not hnf_homology_basis_test(fan, classes)
+        assert default_q_basis(fan) is None
 
 
 class TestWallClasses:

@@ -922,9 +922,8 @@ class TestCritCommand:
         # at t1 < 0 F2's polytope is a triangle whose normal fan is not F2's;
         # under python -O too, so the check cannot rest on an assert
         pot = self.make_potential(tmp_path, F2_DOC)
-        refusal = (r"error: the vertex of cone \(\d+, \d+\) is not strictly inside "
-                   r"the half-space of ray \d+: the parameters are outside the open "
-                   r"Kahler cone\n")
+        refusal = ("error: the wall class {} has area {} <= 0: the parameters are "
+                   "outside the open Kahler cone\n")
         env = dict(os.environ, PYTHONPATH=str(Path(toricmirror.__file__).parents[1]))
         for flags in ([], ["-O"]):
             proc = subprocess.run(
@@ -933,11 +932,12 @@ class TestCritCommand:
                 capture_output=True, text=True, env=env, timeout=60,
             )
             assert (proc.returncode, proc.stdout) == (2, ""), (flags, proc.stderr)
-            assert re.fullmatch(refusal, proc.stderr), proc.stderr
-        # an empty polytope is refused the same way
+            assert proc.stderr == refusal.format((-2, 1, 1, 0), "t1 = -1/2")
+        # an empty polytope is refused the same way, at the first wall
+        # class whose area is <= 0
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=-1"]) == 2
-        assert re.fullmatch(refusal, capsys.readouterr().err)
+        assert capsys.readouterr().err == refusal.format((0, 1, 1, 2), "t1 + 2*t2 = -1")
 
     def test_polytope_far_below_zero(self, tmp_path, capsys):
         # the vertex at x = -t seeds |z| = exp(t), which overflows a float
@@ -953,6 +953,25 @@ class TestCritCommand:
             "the coefficient q1 of the z-exponent (1,) evaluates to 0\n")
         assert main(["crit", pot, "--t", "t=30"]) == 0
         assert json.loads(capsys.readouterr().out)["multistart"]["deduped"] == 2
+
+    @pytest.mark.parametrize("extra", [[], [[-1, 0]]], ids=["closed-form", "newton"])
+    def test_coefficient_that_cancels_exit_2(self, tmp_path, capsys, extra):
+        # W = z1 + z2 + (1 - q1)/(z1 z2), with 1/z1 added the factor needs
+        # Newton: at t = 0 the last coefficient is 0.0 and W has lost a term.
+        # Refused as bad input, not a division by zero or a failed search
+        ones = [{"q": [0], "value": "1"}]
+        terms = [{"z": z, "coefficient": ones} for z in [[1, 0], [0, 1], *extra]]
+        terms.append({"z": [-1, -1], "coefficient": ones + [{"q": [1], "value": "-1"}]})
+        pot = write(tmp_path, "pot.json", {
+            "format": "toricmirror-potential/1", "z_variables": 2, "q_variables": 1,
+            "terms": terms, "q_areas": [{"constant": "0", "terms": {"t": "1"}}],
+            "parameters": ["t"]})
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t=0"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: the coefficient 1 - q1 of the z-exponent (-1, -1) evaluates to 0 at "
+            "these parameter values: W would lose a term\n"))
+        assert main(["crit", pot, "--t", "t=1"]) == 0
 
     def test_polytope_past_half_the_float_range(self, tmp_path, capsys):
         # the vertex t = 1e308 is a float, twice it is not: the midpoint seed

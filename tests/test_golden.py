@@ -84,6 +84,14 @@ NOT_A_BUNDLE_FAN = graded_document(
     SQUARE, [[0, k, k % 4 + 1] for k in range(1, 5)]
     + [[SQUARE_ORDER[k], SQUARE_ORDER[(k + 1) % 8], 9] for k in range(8)]
     + [[SQUARE_ORDER[k], SQUARE_ORDER[k + 1], SQUARE_ORDER[(k + 2) % 8]] for k in (0, 2, 4, 6)])
+# W = z1 + z2 + (1 - q1)/(z1 z2), whose last coefficient is 0 at t = 0
+CANCELLING_POTENTIAL = {
+    "format": "toricmirror-potential/1", "z_variables": 2, "q_variables": 1,
+    "terms": [{"z": [1, 0], "coefficient": [{"q": [0], "value": "1"}]},
+              {"z": [0, 1], "coefficient": [{"q": [0], "value": "1"}]},
+              {"z": [-1, -1], "coefficient": [{"q": [0], "value": "1"},
+                                              {"q": [1], "value": "-1"}]}],
+    "q_areas": [{"constant": "0", "terms": {"t": "1"}}], "parameters": ["t"]}
 
 
 def write_bundle_documents(folder: Path) -> dict:
@@ -129,6 +137,7 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
                          "maximal_cones": [[0, 0], [1, 2], [0, 2]]},
         "P(K_F2+O)": K_F2_FAN,
         "not a bundle": NOT_A_BUNDLE_FAN,
+        "cancelling W": CANCELLING_POTENTIAL,
     }.items():
         paths[name] = folder / f"{name}.json"
         paths[name].write_text(json.dumps(doc), encoding="utf-8")
@@ -172,6 +181,8 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
         "refuse crit without --t t2": ["crit", pot, "--t", "t1=1"],
         "refuse crit with unknown --t": ["crit", pot, *t, "--t", "t=1"],
         "refuse crit outside the Kahler cone": ["crit", pot, "--t", "t1=-1/2", "--t", "t2=1"],
+        "refuse crit coefficient that cancels to 0":
+            ["crit", str(paths["cancelling W"]), "--t", "t=0"],
         "refuse crit --t t1 without a value": ["crit", pot, "--t", "t1", "--t", "t2=1"],
         "refuse crit misspelled q-area key":
             ["crit", str(mutated["misspelled q-area key"]), *t],

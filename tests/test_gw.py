@@ -161,10 +161,12 @@ class TestTables:
         assert GWProvider(dual_kahler(x), table, True).lookup((-2, 0, 1, 0, 1, 0)) == (7, "table")
 
     def test_consistent_table_usable(self, f2_kahler):
-        table = self.make_table(f2_kahler.fan,
-                                {(1, 0): Fraction(1), (2, 0): Fraction(0)})
+        # the key (-1, 0) is no base multiple, so no F2 rule value checks it
+        table = self.make_table(f2_kahler.fan, {(1, 0): Fraction(1), (2, 0): Fraction(0),
+                                                (-1, 0): Fraction(5)})
         provider = GWProvider(f2_kahler, table=table)
         assert provider.lookup(F2_ALPHA)[0] == 1
+        assert provider.lookup(tuple(-a for a in F2_ALPHA)) == (5, "table")
 
     def test_inconsistent_table_aborts(self, f2_kahler):
         table = self.make_table(f2_kahler.fan, {(2, 0): Fraction(7)})

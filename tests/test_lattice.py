@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -122,6 +123,16 @@ class TestKernelBasis:
 
 
 class TestHermiteSmith:
+    @pytest.mark.parametrize("mat, message", [
+        ([[1, 2], [3]], "ragged matrix"),
+        ([[1, 2.0]], "matrix entries must be integers, got 2.0"),
+        ([[True, 0]], "matrix entries must be integers, got True"),
+    ])
+    def test_malformed_matrix_refused(self, mat, message):
+        for function in (hermite_normal_form, rank):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                function(mat)
+
     def test_hnf_transform_is_unimodular(self):
         rng = random.Random(11)
         for _ in range(25):

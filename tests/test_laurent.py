@@ -117,7 +117,7 @@ class TestEvaluate:
 
 class TestFloatGuards:
     """evaluate and gradient share the solver's refusals of a q that
-    overflows a float and of a term lost to underflow."""
+    overflows a float and of a term lost to underflow or cancellation."""
 
     @pytest.mark.parametrize("t, message", [
         ((-800.0, 1.0), "q1 = exp(-t) overflows a float at these parameter values: "
@@ -131,3 +131,14 @@ class TestFloatGuards:
         W = corrected_potential(k.fan, k, GWProvider(k), 2)
         with pytest.raises(SchemaError, match=re.escape(message)):
             function(W, [1.0, 1.0], t)
+
+    @pytest.mark.parametrize("function", [evaluate, gradient])
+    def test_coefficient_that_cancels_refused(self, function):
+        # at t = 0 the coefficient 1 - q1 of 1/(z1 z2) is exactly 0.0: W
+        # would lose the term, and no q-monomial underflows
+        W = laurent({(1, 0): {(0,): 1}, (0, 1): {(0,): 1},
+                     (-1, -1): {(0,): 1, (1,): -1}})
+        with pytest.raises(SchemaError, match="evaluates to 0 at these parameter values: "
+                                              "W would lose a term"):
+            function(W, [1.0, 1.0], [0.0])
+        assert evaluate(W, [1.0, 1.0], [1.0]) == pytest.approx(3 - math.exp(-1))

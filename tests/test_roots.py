@@ -45,6 +45,7 @@ from toricmirror.roots import (
     _exponent_structure,
     _factor_moduli,
     _polyhedral_starts,
+    _thin,
     candidate,
     compile_terms,
 )
@@ -229,6 +230,10 @@ class TestStructure:
             ends = [sum(pick(structure.inverse[j][i] * math.log(r) for r in moduli[j])
                         for j in rows) for pick in (min, max)]
             assert all(ends[0] - 1e-9 <= math.log(r) <= ends[1] + 1e-9 for r in coord)
+        # the ends, evenly spaced ranks between them, or the middle one alone
+        assert _thin([1, 2, 3, 4, 5], 3) == [1, 3, 5]
+        assert _thin([1, 2, 3, 4], 1) == [3]
+        assert _thin([1, 2], 2) == [1, 2]
 
 
 class TestCandidate:

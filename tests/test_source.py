@@ -30,6 +30,25 @@ def test_lattice_is_integer_only():
     assert "fractions" not in modules
 
 
+LINFORM_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__neg__"}
+
+
+def test_linform_is_a_record():
+    # a linear form is parsed, compared, evaluated and rendered; every
+    # Kahler computation runs on KahlerData's integer rows, so LinForm
+    # grows no ring arithmetic, by a def or by an assignment in its body
+    path = Path(toricmirror.__file__).parent / "linform.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "LinForm"]
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    names |= {target.id for node in cls.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    assert "__eq__" in names
+    assert sorted(names & LINFORM_ARITHMETIC) == []
+
+
 def _module_level_imports(path):
     """Absolute names of the modules a library file imports when it is
     itself imported: everywhere but inside function bodies."""
@@ -237,11 +256,12 @@ def test_public_names_are_reached():
 
 ORACLES = ("circuit_scan_verdict", "cone_coefficients", "disk_area",
            "effective_classes_up_to", "elementary_divisors", "fourier_motzkin", "fraction_moduli_from_polytope",
-           "fraction_vertices", "hnf_homology_basis_test", "jacobian_charpoly", "lockstep_newton", "matrix_det",
+           "fraction_vertices", "hnf_homology_basis_test", "jacobian_charpoly",
+           "linear_combination", "lockstep_newton", "matrix_det",
            "max_min_slack",
            "moment_vertices", "pass_stop_oracle", "per_cone_hnf_fan", "polytope_vertices",
            "push_h2",
-           "solve_unique", "summed_potential", "support_value",
+           "solve_unique", "sphere_area", "summed_potential", "support_value",
            "tokenizing_parse_linear_form", "unimodular_map_search", "wall_relation_classes")
 
 
