@@ -133,11 +133,13 @@ def require_bundle(fan_x: Fan) -> BundleDecomposition:
     return dec
 
 
-def default_q_basis(fan_x: Fan) -> Optional[tuple]:
-    """Preferred homology basis for a bundle fan: the degree-0 relation
-    classes (the base curve classes) sorted canonically, then the fiber
-    class. Returns None when these do not form a Z-basis; they are curve
-    classes by construction, so only their count and span are checked."""
+def default_q_basis_and_inverse(fan_x: Fan) -> Optional[tuple]:
+    """(basis, inverse): the preferred homology basis for a bundle fan, the
+    degree-0 relation classes (the base curve classes) sorted canonically,
+    then the fiber class, with the inverse :meth:`Fan.spans_homology`
+    returns for it. None when these do not form a Z-basis; they are curve
+    classes by construction, so only their count and span are checked,
+    both by the span test."""
     try:
         fiber = fiber_class(fan_x)
     except NotBundleShaped:
@@ -146,6 +148,11 @@ def default_q_basis(fan_x: Fan) -> Optional[tuple]:
         rel.coords for rel in fan_x.primitive_relations if rel.degree == 0
     )
     basis = tuple(lifts) + (fiber,)
-    if len(basis) == fan_x.nrays - fan_x.dimension and fan_x.spans_homology(basis):
-        return basis
-    return None
+    inverse = fan_x.spans_homology(basis)
+    return None if inverse is None else (basis, inverse)
+
+
+def default_q_basis(fan_x: Fan) -> Optional[tuple]:
+    """The basis of :func:`default_q_basis_and_inverse`, or None."""
+    found = default_q_basis_and_inverse(fan_x)
+    return None if found is None else found[0]

@@ -12,10 +12,11 @@ Together these say the cones cover the space and meet in common faces. The
 dual bases also give the coordinates of any vector in a cone's rays, which
 locates the focus of a primitive relation. On top of the validated
 structure this module computes the degree-2 homology lattice and a basis
-test by coordinates off one cone, the wall classes, the primitive
-collections (the minimal non-faces) and relations, the positive circuits
-(extreme nonnegative ray relations), anticanonical degrees and the
-Fano/semi-Fano/non-nef trichotomy.
+test by coordinates off one cone, which hands back the basis's inverse
+there, the wall classes, the primitive collections (the minimal
+non-faces) and relations, the positive circuits (extreme nonnegative ray
+relations), anticanonical degrees and the Fano/semi-Fano/non-nef
+trichotomy.
 """
 
 from __future__ import annotations
@@ -109,16 +110,24 @@ class Fan:
         the map Z^n -> Z^d with the rays as columns."""
         return tuple(kernel_basis(list(zip(*self.rays))))
 
-    def spans_homology(self, classes) -> bool:
-        """True when nrays - dimension curve classes span the homology
-        lattice. The first maximal cone is unimodular, so a class is fixed by
-        its coordinates on the rays off that cone, and every integer vector
-        of them extends to a class: projecting onto them is an isomorphism
-        onto Z^(nrays - dimension). So the classes span exactly when those
-        coordinates have det +-1."""
+    def spans_homology(self, classes):
+        """The integer inverse of the classes' block on the rays off the
+        first maximal cone when the curve classes form a basis of the
+        homology lattice, None when they do not. That cone is unimodular, so
+        a class is fixed by its coordinates on the other rays, and every
+        integer vector of them extends to a class: projecting onto them is
+        an isomorphism onto Z^(nrays - dimension) (Cox, Little, Schenck,
+        "Toric Varieties", section 6.4). So nrays - dimension classes form a
+        basis exactly when the Hermite normal form of that block is the
+        identity, and then its transform U is the block's inverse. Row k of
+        U belongs to the k-th ray off the cone, and a class's coordinates in
+        the classes are its entries on those rays times U."""
         off = [j for j in range(self.nrays) if j not in self.maximal_cones[0]]
-        normal_form, _ = hermite_normal_form([[c[j] for j in off] for c in classes])
-        return math.prod(normal_form[i][i] for i in range(len(off))) == 1
+        if len(classes) != len(off):
+            return None
+        normal_form, inverse = hermite_normal_form([[c[j] for j in off] for c in classes])
+        # a square normal form with a unit diagonal is the identity
+        return inverse if all(row[i] == 1 for i, row in enumerate(normal_form)) else None
 
     def is_homology_class(self, coords) -> bool:
         if len(coords) != self.nrays:

@@ -25,7 +25,12 @@ wall class whose area is <= 0 names the refusal.
 
 q-variables are attached to a chosen homology basis: the weight of a class
 is the monomial prod(q_j^c_j) of its basis coordinates, with numeric value
-exp(-area).
+exp(-area). The span test that accepts the basis (``Fan.spans_homology``)
+returns the integer inverse of the basis's block on the rays off the first
+maximal cone. Spread over all the rays, 0 on the cone's, its columns are
+the dual rows ``q_dual``: coordinate c_j is one dot product of the class
+with row j. The default basis, the homology-basis fallback and a basis
+from outside each take that one Hermite normal form.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bundle import default_q_basis
+from .bundle import default_q_basis_and_inverse
 from .errors import (
     DependentGenerators,
     EmptyInterior,
@@ -49,8 +54,9 @@ from .linform import LinForm, parse_linear_form
 
 
 def checked_q_basis(fan: Fan, q_basis) -> tuple:
-    """q_basis as a tuple of integer tuples, once it is a Z-basis of the
-    fan's curve classes; ValueError saying what it fails otherwise."""
+    """(q_basis as a tuple of integer tuples, its inverse from
+    :meth:`Fan.spans_homology`), once it is a Z-basis of the fan's curve
+    classes; ValueError saying what it fails otherwise."""
     q_basis = tuple(tuple(map(operator.index, b)) for b in q_basis)
     for b in q_basis:
         if not fan.is_homology_class(b):
@@ -60,9 +66,10 @@ def checked_q_basis(fan: Fan, q_basis) -> tuple:
             f"q-basis has {len(q_basis)} classes; "
             f"homology rank is {fan.nrays - fan.dimension}"
         )
-    if not fan.spans_homology(q_basis):
+    inverse = fan.spans_homology(q_basis)
+    if inverse is None:
         raise ValueError("q-basis does not span the homology lattice")
-    return q_basis
+    return q_basis, inverse
 
 
 class KahlerData:
@@ -79,13 +86,19 @@ class KahlerData:
         names = tuple(sorted(set().union(*(lam.coeffs for lam in lams))))
         self.parameter_names = names
 
+        # the q-basis with its inverse on the rays off the first maximal
+        # cone, from one span test; q_dual holds the inverse's columns as
+        # rows over all the rays, 0 on the cone's
         if q_basis is None:  # both fallbacks are bases by construction
-            q_basis = default_q_basis(fan)
-            if q_basis is None:
-                q_basis = fan.homology_basis
+            found = default_q_basis_and_inverse(fan)
+            if found is None:
+                found = fan.homology_basis, fan.spans_homology(fan.homology_basis)
         else:
-            q_basis = checked_q_basis(fan, q_basis)
-        self.q_basis = q_basis
+            found = checked_q_basis(fan, q_basis)
+        self.q_basis, inverse = found
+        rows, zero, cone = iter(inverse), (0,) * len(inverse), fan.maximal_cones[0]
+        self.q_dual = tuple(zip(*(zero if j in cone else next(rows)
+                                  for j in range(fan.nrays))))
 
         # the lambdas as integer rows over one common denominator: parameter
         # coefficients in name order, then the constant
@@ -94,7 +107,7 @@ class KahlerData:
         self._rows = tuple(tuple(x.numerator * scale // x.denominator for x in
                                  (*(lam.coeffs.get(n, 0) for n in names), lam.const))
                            for lam in lams)
-        self._basis_rows = tuple(map(self._area_row, q_basis))
+        self._basis_rows = tuple(map(self._area_row, self.q_basis))
         self._check_polytope()
 
     # -- construction checks --
@@ -130,20 +143,15 @@ class KahlerData:
 
     # -- q-weights --
 
-    @functools.cached_property
-    def _q_basis_coordinates(self):
-        return lattice_coordinates(self.q_basis)
-
     def q_weight(self, alpha) -> tuple:
         """Integer coordinates of a curve class in the q-basis: the exponents
-        of its q-monomial. The q-basis spans the curve classes (checked at
-        construction), so any other vector has none: NotInBasisSpan."""
+        of its q-monomial, one dot product with each dual row. The q-basis
+        spans the curve classes (checked at construction), so any other
+        vector has none: NotInBasisSpan."""
         alpha = tuple(alpha)
-        coords = (self._q_basis_coordinates(alpha)
-                  if len(alpha) == self.fan.nrays else None)
-        if coords is None:
+        if not self.fan.is_homology_class(alpha):
             raise NotInBasisSpan(f"{alpha} is not a curve class of the fan")
-        return coords
+        return tuple(sum(map(operator.mul, alpha, row)) for row in self.q_dual)
 
     def basis_areas(self) -> tuple:
         return self._basis_areas

@@ -83,22 +83,23 @@ class QPoly:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"q{j + 1}" if e == 1 else f"q{j + 1}^{e}"
-                for j, e in enumerate(exps) if e
-            )
+            mono = "*".join([f"q{j + 1}" if e == 1 else f"q{j + 1}^{e}"
+                             for j, e in enumerate(exps) if e])
             if not mono:
-                parts.append(str(coeff))
+                term = str(coeff)
             elif coeff == 1:
-                parts.append(mono)
+                term = mono
             elif coeff == -1:
-                parts.append(f"-{mono}")
+                term = f"-{mono}"
             else:
-                parts.append(f"{coeff}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+                term = f"{coeff}*{mono}"
+            if not parts:
+                parts.append(term)
+            elif term.startswith("-"):
+                parts += (" - ", term[1:])
+            else:
+                parts += (" + ", term)
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"QPoly({self!s})"
@@ -147,14 +148,10 @@ class LaurentPoly:
             return "0"
         parts = []
         for zexp, coeff in self.sorted_terms():
-            num = "*".join(
-                f"z{j + 1}" if e == 1 else f"z{j + 1}^{e}"
-                for j, e in enumerate(zexp) if e > 0
-            )
-            den = "*".join(
-                f"z{j + 1}" if e == -1 else f"z{j + 1}^{-e}"
-                for j, e in enumerate(zexp) if e < 0
-            )
+            num = "*".join([f"z{j + 1}" if e == 1 else f"z{j + 1}^{e}"
+                            for j, e in enumerate(zexp) if e > 0])
+            den = "*".join([f"z{j + 1}" if e == -1 else f"z{j + 1}^{-e}"
+                            for j, e in enumerate(zexp) if e < 0])
             multi = len(coeff.terms) > 1
             cstr = str(coeff)
             if not num and not den:

@@ -108,8 +108,9 @@ def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinFo
 
     Grammar: ``[sign] term (sign term)*`` with ``term := number ['*' name] |
     name``, whitespace allowed around every token. Numbers are exact
-    rationals (``3``, ``3/2`` or a decimal literal such as ``0.25``), read
-    by ``Fraction``; a zero denominator is a ValueError. When
+    rationals (``3``, ``3/2`` or a decimal literal such as ``0.25``): an
+    integer is read by ``int``, the others by ``Fraction``, and a zero
+    denominator is a ValueError. When
     *allowed_names* is given, other variable names are rejected.
     """
     if isinstance(text, (int, float, Fraction)):
@@ -118,8 +119,10 @@ def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinFo
         raise ValueError(f"cannot parse {text!r} as a linear form")
     allowed = set(allowed_names) if allowed_names is not None else None
     # a name whose sum reaches 0 leaves the dict and, if it returns, goes to
-    # the end; subs sums floats in this order, so it is part of the result
-    const, coeffs = Fraction(0), {}
+    # the end; subs sums floats in this order, so it is part of the result.
+    # Ints are summed as ints until a Fraction joins them; LinForm makes
+    # every sum a Fraction
+    const, coeffs = 0, {}
     pos = 0
     while True:
         m = _TERM_RE.match(text, pos)
@@ -128,8 +131,9 @@ def parse_linear_form(text, allowed_names: Iterable[str] | None = None) -> LinFo
         name = m["scaled"] or m["name"]
         if allowed is not None and name is not None and name not in allowed:
             raise ValueError(f"unknown parameter {name!r} in {text!r}")
+        number = m["number"] or "1"
         try:
-            coeff = Fraction(m["number"] or 1)
+            coeff = Fraction(number) if "/" in number or "." in number else int(number)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
         if m["sign"] == "-":

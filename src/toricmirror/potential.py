@@ -23,7 +23,7 @@ class with its q-exponents is summed as one packed int.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .bundle import require_bundle
@@ -61,10 +61,12 @@ def _degree_zero_sums(fan: Fan, cutoff: int, kahler: KahlerData) -> list:
     require_bundle(fan)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    gens = [rel.coords + kahler.q_weight(rel.coords)
-            for rel in fan.primitive_relations if rel.degree == 0]
+    # relations are classes, so their q-exponents are read off the dual rows
+    gens = [c + tuple(sum(map(mul, c, row)) for row in kahler.q_dual)
+            for c in (rel.coords for rel in fan.primitive_relations if rel.degree == 0)]
     base = 2 * cutoff * max(abs(x) for g in gens for x in g) + 1
-    packed = [(sum(x * base ** i for i, x in enumerate(reversed(g))), g) for g in gens]
+    powers = [base ** i for i in reversed(range(fan.nrays + kahler.rank))]
+    packed = [(sum(map(mul, g, powers)), g) for g in gens]
     found = {0: (0,) * (fan.nrays + kahler.rank)}
     level = [0]
     for _ in range(cutoff):

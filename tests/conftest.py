@@ -23,7 +23,7 @@ from toricmirror.errors import (
 )
 from toricmirror.fan import Fan, infer_cones_2d, validate_fan
 from toricmirror.kahler import KahlerData, checked_q_basis
-from toricmirror.lattice import hermite_normal_form, is_primitive, xgcd
+from toricmirror.lattice import hermite_normal_form, is_primitive, lattice_coordinates, xgcd
 from toricmirror.laurent import LaurentPoly, QPoly, evaluate
 from toricmirror.linform import LinForm
 
@@ -234,6 +234,17 @@ def accepts_q_basis(fan: Fan, classes) -> bool:
     return True
 
 
+def lattice_q_weight(kahler: KahlerData, alpha) -> Optional[tuple]:
+    """The q-exponents of a vector by the map ``KahlerData.q_weight`` used
+    to keep: integer coordinates in the q-basis by back-substitution
+    against its Hermite normal form, None for a vector of the wrong length
+    or outside the basis span."""
+    alpha = tuple(alpha)
+    if len(alpha) != kahler.fan.nrays:
+        return None
+    return lattice_coordinates(kahler.q_basis)(alpha)
+
+
 def hnf_homology_basis_test(fan: Fan, classes) -> bool:
     """The library's former basis test: the classes' Hermite normal form
     equals the canonical kernel basis, since the normal form is unique for
@@ -433,6 +444,102 @@ def tokenizing_parse_linear_form(text: str, allowed_names=None) -> LinForm:
             raise ValueError(f"unexpected operator in {text!r}")
         first = False
     return LinForm(const, coeffs)
+
+
+# the library parser's term grammar, kept as it was
+_FRACTION_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)"
+    r"(?:\s*\*\s*(?P<scaled>[A-Za-z_][A-Za-z_0-9]*))?"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*))\s*"
+)
+
+
+def fraction_parse_linear_form(text: str, allowed_names=None) -> LinForm:
+    """The library's former parser of linear-form text: the same grammar
+    and messages, with every number read by ``Fraction`` and every sum a
+    Fraction."""
+    allowed = set(allowed_names) if allowed_names is not None else None
+    const, coeffs = Fraction(0), {}
+    pos = 0
+    while True:
+        m = _FRACTION_TERM_RE.match(text, pos)
+        if m is None or (pos and m["sign"] is None):
+            raise ValueError(f"cannot parse linear form {text!r} at position {pos}")
+        name = m["scaled"] or m["name"]
+        if allowed is not None and name is not None and name not in allowed:
+            raise ValueError(f"unknown parameter {name!r} in {text!r}")
+        try:
+            coeff = Fraction(m["number"] or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        if m["sign"] == "-":
+            coeff = -coeff
+        if name is None:
+            const += coeff
+        elif total := coeffs.get(name, 0) + coeff:
+            coeffs[name] = total
+        else:
+            coeffs.pop(name, None)
+        pos = m.end()
+        if pos == len(text):
+            return LinForm(const, coeffs)
+
+
+def generator_qpoly_text(poly: QPoly) -> str:
+    """The library's former ``QPoly.__str__``, joining generators and
+    growing the text term by term."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for exps, coeff in poly.sorted_terms():
+        mono = "*".join(
+            f"q{j + 1}" if e == 1 else f"q{j + 1}^{e}"
+            for j, e in enumerate(exps) if e
+        )
+        if not mono:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(mono)
+        elif coeff == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{coeff}*{mono}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def generator_laurent_text(poly: LaurentPoly) -> str:
+    """The library's former ``LaurentPoly.__str__``, joining generators,
+    with each coefficient rendered by :func:`generator_qpoly_text`."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for zexp, coeff in poly.sorted_terms():
+        num = "*".join(
+            f"z{j + 1}" if e == 1 else f"z{j + 1}^{e}"
+            for j, e in enumerate(zexp) if e > 0
+        )
+        den = "*".join(
+            f"z{j + 1}" if e == -1 else f"z{j + 1}^{-e}"
+            for j, e in enumerate(zexp) if e < 0
+        )
+        multi = len(coeff.terms) > 1
+        cstr = generator_qpoly_text(coeff)
+        if not num and not den:
+            body = f"({cstr})" if multi else cstr
+        else:
+            if cstr == "1" and num:
+                body = num
+            else:
+                cpart = f"({cstr})" if multi else cstr
+                body = f"{cpart}*{num}" if num else cpart
+            if den:
+                den_str = den if "*" not in den and "^" not in den else f"({den})"
+                body = f"{body}/{den_str}"
+        parts.append(body)
+    return " + ".join(parts)
 
 
 _BASE_BUILDERS = [

@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import disk_area, interior_point, moment_vertices, sphere_area, support_value
+from conftest import (
+    disk_area,
+    dual_kahler,
+    interior_point,
+    lattice_q_weight,
+    moment_vertices,
+    sphere_area,
+    support_value,
+)
+from test_potential import BUNDLES
+from toricmirror.bundle import default_q_basis
 from toricmirror.errors import EmptyInterior, LambdaNotQExpressible, NotInBasisSpan
 from toricmirror.fan import Fan, chern_degree
 from toricmirror import kahler
@@ -107,6 +117,85 @@ class TestQWeights:
     def test_out_of_span(self, f2_kahler):
         with pytest.raises(NotInBasisSpan):
             f2_kahler.q_weight((1, 1, 0, 0))
+
+
+def q_bases(name, fan):
+    """Kahler data on a catalog bundle in its recipe q-basis and in the
+    constructor's default: default_q_basis, or the homology basis where
+    that is None (dP6 and P1xdP6, whose degree-0 relations are too many)."""
+    recipe = dual_kahler(fan)
+    default = KahlerData(fan, recipe.lambdas)
+    if name.split("-")[0] in ("dP6", "P1xdP6"):
+        assert default_q_basis(fan) is None and default.q_basis == fan.homology_basis
+    else:
+        assert default.q_basis == default_q_basis(fan)
+    return recipe, default
+
+
+class TestDualRows:
+    """q_weight's one dot product per dual row against the coordinate map
+    of the q-basis by back-substitution (lattice_q_weight)."""
+
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[n for n, _ in BUNDLES])
+    def test_match_the_coordinate_map(self, name, fan):
+        rng = random.Random(name)
+        for k in q_bases(name, fan):
+            basis = k.q_basis
+            for i, row in enumerate(k.q_dual):
+                assert [sum(a * x for a, x in zip(row, b)) for b in basis] \
+                    == [int(i == j) for j in range(k.rank)]
+            classes = [rel.coords for rel in fan.primitive_relations] + list(fan.wall_classes)
+            for _ in range(40):
+                c = [rng.randint(-6, 6) for _ in basis]
+                classes.append(tuple(sum(x * b[i] for x, b in zip(c, basis))
+                                     for i in range(fan.nrays)))
+                assert k.q_weight(classes[-1]) == tuple(c)
+            for alpha in classes:
+                assert k.q_weight(alpha) == lattice_q_weight(k, alpha), alpha
+
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[n for n, _ in BUNDLES])
+    def test_non_classes_are_refused(self, name, fan):
+        rng = random.Random(name)
+        for k in q_bases(name, fan):
+            vectors = [(1,) + (0,) * (fan.nrays - 1), (0,) * (fan.nrays - 1),
+                       (0,) * (fan.nrays + 1), k.q_basis[0][:-1], k.q_basis[0] + (0,)]
+            vectors += [tuple(rng.randint(-4, 4) for _ in range(fan.nrays)) for _ in range(30)]
+            for v in vectors:
+                if fan.is_homology_class(v):
+                    continue
+                assert lattice_q_weight(k, v) is None, v
+                with pytest.raises(NotInBasisSpan, match="is not a curve class"):
+                    k.q_weight(v)
+
+    @pytest.mark.parametrize("name, fan", BUNDLES, ids=[n for n, _ in BUNDLES])
+    def test_no_span_no_dual_rows(self, name, fan):
+        # the right number of classes, one of them doubled, spans an index-2
+        # sublattice; one class too few or too many is no basis either
+        basis = KahlerData(fan, dual_kahler(fan).lambdas).q_basis
+        for i in range(len(basis)):
+            doubled = basis[:i] + (tuple(2 * x for x in basis[i]),) + basis[i + 1:]
+            assert fan.spans_homology(doubled) is None
+        assert fan.spans_homology(basis[1:]) is None
+        assert fan.spans_homology(basis + basis[:1]) is None
+        assert fan.spans_homology(basis) is not None
+
+    def test_one_normal_form_per_q_basis(self, monkeypatch):
+        from toricmirror import fan as fan_module
+        calls = []
+        real = fan_module.hermite_normal_form
+
+        def counted(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(fan_module, "hermite_normal_form", counted)
+        for name, fan in dict(BUNDLES).items():
+            fan.primitive_relations  # the fan's own normal forms come first
+            k = dual_kahler(fan)
+            del calls[:]
+            KahlerData(fan, k.lambdas)
+            KahlerData(fan, k.lambdas, k.q_basis)
+            assert len(calls) == 2, name
 
 
 class TestLambdaExponents:

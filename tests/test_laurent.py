@@ -5,9 +5,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import hirzebruch2_kahler, laurent
+from conftest import generator_laurent_text, generator_qpoly_text, hirzebruch2_kahler, laurent
 from toricmirror.errors import SchemaError, ZeroCoordinate
 from toricmirror.gw import GWProvider
 from toricmirror.laurent import LaurentPoly, QPoly, evaluate, gradient
@@ -39,6 +39,43 @@ class TestQPoly:
     def test_str(self):
         assert str(QPoly(2, {(0, 0): 1, (1, 0): 1})) == "1 + q1"
         assert str(QPoly(2, {(1, 2): Fraction(3, 2)})) == "3/2*q1*q2^2"
+
+
+# coefficients for rendering: +-1, integers and fractions of either sign
+render_coeffs = (st.sampled_from([1, -1])
+                 | st.integers(-30, 30)
+                 | st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+def render_qpolys(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), render_coeffs,
+                           max_size=5).map(lambda d: QPoly(nvars, d))
+
+
+render_laurents = st.tuples(st.integers(1, 3), st.integers(0, 3)).flatmap(
+    lambda nz: st.dictionaries(st.tuples(*[st.integers(-3, 3)] * nz[0]), render_qpolys(nz[1]),
+                               max_size=5).map(lambda d: LaurentPoly(nz[0], nz[1], d)))
+
+
+class TestRendering:
+    """The list-joined text against the former generator-joined one, byte
+    for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3).flatmap(render_qpolys))
+    def test_qpoly_text(self, poly):
+        assert str(poly) == generator_qpoly_text(poly)
+
+    @settings(max_examples=300, deadline=None)
+    @given(render_laurents)
+    def test_laurent_text(self, poly):
+        assert str(poly) == generator_laurent_text(poly)
+
+    def test_signs_units_and_constants(self):
+        poly = laurent({(0, 0): {(0,): -1, (1,): 1}, (1, -2): {(0,): 1},
+                        (-1, -1): {(2,): Fraction(-3, 2)}, (2, 0): {(1,): -1}})
+        assert str(poly) == generator_laurent_text(poly) \
+            == "-3/2*q1^2/(z1*z2) + (-1 + q1) + z1/(z2^2) + -q1*z1^2"
 
 
 F2_W = {(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): 1},
@@ -86,11 +123,18 @@ class TestEvaluate:
     @given(laurent_polys,
            st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
            st.tuples(st.floats(-0.5, 3.0), st.floats(-0.5, 3.0)))
+    @example(LaurentPoly(2, 2, {(0, 0): QPoly(2, {(0, 0): 1, (0, 1): -1})}), (1.0, 1.0), (0.0, 0.0))
     @settings(max_examples=50)
     def test_matches_naive_summation(self, poly, zmag, t):
         # naive oracle: plain repeated-multiplication sum of every term
         z = [complex(m, 0.3) for m in zmag]
         q = [math.exp(-v) for v in t]
+        if any(coeff.numeric(q) == 0.0 for coeff in poly.terms.values()):
+            # a coefficient that cancels to 0.0 (1 - q2 at t2 = 0) would
+            # drop its term, so evaluate refuses it
+            with pytest.raises(SchemaError, match="evaluates to 0 at these parameter values"):
+                evaluate(poly, z, t)
+            return
 
         def naive():
             total = 0j

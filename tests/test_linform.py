@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import tokenizing_parse_linear_form
+from conftest import fraction_parse_linear_form, tokenizing_parse_linear_form
 from toricmirror.documents import MAX_EXPONENT, read_rational
 from toricmirror.errors import SchemaError
 from toricmirror.linform import LinForm, parse_linear_form
@@ -130,6 +130,52 @@ class TestAgainstTokenizingParser:
         assert parse_linear_form(text) == LinForm(Fraction(text))
         assert tokenizing_parse_linear_form(text) == LinForm(
             Fraction(1543209862654321, 12500000000000000))
+
+
+def _parsed(parse, text, allowed):
+    """A parse's form as (const, coefficient items in key order), with the
+    type of every number, or its ValueError message."""
+    try:
+        form = parse(text, allowed)
+    except ValueError as exc:
+        return str(exc)
+    return (form.const, list(form.coeffs.items()),
+            {type(x) for x in (form.const, *form.coeffs.values())})
+
+
+NUMBERS = (st.integers(0, 10 ** 20).map(str)
+           | st.tuples(st.sampled_from(["0", "00"]), st.integers(0, 99)).map(lambda t: f"{t[0]}{t[1]}")
+           | st.tuples(st.integers(0, 99), st.sampled_from("/."),
+                       st.integers(0, 999)).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
+           | st.sampled_from(["-0", "3/6", "0.25", "1/0", "0/0", "007/014", "2.50", "\u0663"]))
+NAMES = st.sampled_from(["t", "t1", "s_2"])
+SIGNED_TERMS = st.tuples(
+    st.sampled_from(["", "+", "-", " + ", " - ", "+ "]),
+    NUMBERS | NAMES | st.tuples(NUMBERS, st.sampled_from(["*", " * "]), NAMES).map("".join),
+).map("".join)
+
+
+class TestIntFirstReading:
+    """The parser, which reads a number with no '/' or '.' by int and sums
+    ints until a Fraction joins them, against the all-Fraction one: the
+    same forms, in the same key order (LinForm.subs sums floats in that
+    order), and the same messages."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(SIGNED_TERMS, min_size=1, max_size=7).map("".join)
+           | st.text(alphabet="ts_12/0.+-* ", max_size=12),
+           st.sampled_from([None, ["t"], ["t", "t1", "s_2"]]))
+    @example("007 - 7 + t1 - t1 + 3/6*t1", None)
+    @example("-0*t + t - t + -0", None)
+    @example("t1 + s_2 - 1*t1 + 01*t1", None)
+    @example("t + 1/0*t", None)
+    @example("0.25*s_2 - 1/4*s_2 + s_2", ["s_2"])
+    @example("t1 + 2*t2", ["t1"])
+    def test_same_form_order_and_messages(self, text, allowed):
+        new = _parsed(parse_linear_form, text, allowed)
+        assert new == _parsed(fraction_parse_linear_form, text, allowed), text
+        if not isinstance(new, str):
+            assert new[2] == {Fraction}, text
 
 
 @settings(max_examples=400, deadline=None)

@@ -256,8 +256,9 @@ def test_public_names_are_reached():
 
 ORACLES = ("circuit_scan_verdict", "cone_coefficients", "disk_area",
            "effective_classes_up_to", "elementary_divisors", "fourier_motzkin", "fraction_moduli_from_polytope",
-           "fraction_vertices", "hnf_homology_basis_test", "jacobian_charpoly",
-           "linear_combination", "lockstep_newton", "matrix_det",
+           "fraction_parse_linear_form", "fraction_vertices", "generator_laurent_text",
+           "generator_qpoly_text", "hnf_homology_basis_test", "jacobian_charpoly",
+           "lattice_q_weight", "linear_combination", "lockstep_newton", "matrix_det",
            "max_min_slack",
            "moment_vertices", "pass_stop_oracle", "per_cone_hnf_fan", "polytope_vertices",
            "push_h2",
