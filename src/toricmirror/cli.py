@@ -194,11 +194,8 @@ def _cmd_crit(args) -> int:
             t_values[name] = float(value)
         except OverflowError as exc:
             raise SchemaError(f"--t value of {name!r} overflows a float") from exc
-    moduli = None
-    if doc.fandoc is not None and doc.fandoc.kahler is not None:
-        needed = doc.fandoc.kahler.parameter_names
-        if all(n in values for n in needed):
-            moduli = moduli_from_polytope(doc.fandoc.kahler, values)
+    kahler = doc.fandoc and doc.fandoc.kahler
+    moduli = None if kahler is None else moduli_from_polytope(kahler, values)
     options = SolverOptions(
         phases_per_coord=args.phases,
         max_steps=args.max_steps,

@@ -1,10 +1,10 @@
 """JSON document schemas: fans, invariant tables, potentials, reports.
 
 JSON is the machine contract; rendered polynomial strings are display
-conveniences. Every document is written by ``canonical_json``, which
-reproduces ``json.dumps(sort_keys=True, indent=2, ensure_ascii=False)`` byte
-for byte, and lists keep stable orders, so identical inputs produce
-byte-identical output.
+conveniences. Every document is written by ``canonical_json``, which writes
+the value types documents hold as ``json.dumps(sort_keys=True, indent=2,
+ensure_ascii=False)`` does and refuses others; lists keep stable orders, so
+identical inputs produce byte-identical output. Numbers are ASCII text.
 """
 
 from __future__ import annotations
@@ -35,56 +35,23 @@ CRITICAL_FORMAT = "toricmirror-critical/1"
 
 
 _encode_str = json.encoder.encode_basestring  # ensure_ascii=False's string encoder
-_INFINITY = float("inf")
-_NON_FINITE = {"nan", "inf", "-inf"}  # float.__repr__ texts json writes otherwise
+_NON_FINITE = {"nan", "inf", "-inf"}  # float.__repr__ of the values no document holds
 
 
 def canonical_json(obj) -> str:
     """The document text of a JSON value: the bytes of
-    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
-
-    With an indent, ``json.dumps`` runs its pure-Python encoder, which
-    writes every element of a list through a generator. This writer tells
-    exact str, dict, list and tuple by their type, and joins a list of
-    exact ints, or of exact finite floats, in one step, in place when it
-    is a dict value or a list item. None, bools, other numbers and every
-    subclass are told by isinstance, as json tells them. A value json
-    cannot write is a TypeError."""
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``
+    for what documents hold, told by exact type: dicts with str keys, lists,
+    tuples, str, int, bool, None and finite floats. Any other type is a
+    TypeError, a NaN or an infinity a ValueError (json's ``allow_nan=False``).
+    A list of ints, or of finite floats, is joined in one step (json's
+    indenting encoder runs a generator per item), in place as a dict value
+    or a list item."""
     return _encode(obj, "\n") + "\n"
 
 
-def _float_text(value) -> str:
-    # json's float rule, comparisons included, so a float subclass reads the same
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _scalar_text(value) -> str:
-    # json's key conversion, in json's order of tests: a str as it is, and
-    # None, a bool or a number as json writes it as a value too
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return _float_text(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _numbers(value):
-    """The item texts of a list of exact ints, or of exact finite floats,
-    else None; the first item's type spares other lists a scan."""
+    """The item texts of a list of ints, or of finite floats, else None."""
     kind = type(value[0])
     if kind is int and {int}.issuperset(map(type, value)):
         return map(int.__repr__, value)
@@ -102,17 +69,18 @@ def _encode(value, newline: str) -> str:
     if kind is str:
         return _encode_str(value)
     if kind is not dict and kind is not list and kind is not tuple:
-        # subclasses and scalars: no class derives from two of str, int,
-        # float, list, tuple and dict (their layouts conflict), so these
-        # tests write what json's order of tests writes
-        if isinstance(value, str):
-            return _encode_str(value)
-        if isinstance(value, (list, tuple)):
-            kind = list
-        elif isinstance(value, dict):
-            kind = dict
-        else:
-            return _scalar_text(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is float:
+            text = float.__repr__(value)
+            if text in _NON_FINITE:
+                raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+            return text
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise TypeError(f"Object of type {kind.__name__} is not a document value")
     if not value:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "
@@ -121,8 +89,10 @@ def _encode(value, newline: str) -> str:
     if kind is dict:
         items = []
         for k, v in sorted(value.items()):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             numbers = type(v) is list and v and _numbers(v)
-            items.append(_encode_str(k if type(k) is str else _scalar_text(k)) + ": " + (
+            items.append(_encode_str(k) + ": " + (
                 "[" + inner + "  " + deeper.join(numbers) + inner + "]" if numbers
                 else _encode(v, inner)))
         return "{" + inner + sep.join(items) + newline + "}"
@@ -170,10 +140,12 @@ MAX_EXPONENT = 4300
 
 def read_rational(value) -> Fraction:
     """An exact rational from a JSON string or number, or from a command-line
-    value, as ``Fraction`` reads its text; a decimal exponent above
-    MAX_EXPONENT in magnitude is a SchemaError, like any text Fraction
-    refuses."""
+    value, as ``Fraction`` reads its text; text that is not ASCII (Fraction
+    reads any Unicode digit), or a decimal exponent above MAX_EXPONENT in
+    magnitude, is a SchemaError, like any text Fraction refuses."""
     text = str(value)
+    if not text.isascii():
+        raise SchemaError(f"bad rational value {value!r}: not ASCII text")
     _, e, exponent = text.lower().rpartition("e")
     try:
         if not e or abs(int(exponent)) <= MAX_EXPONENT:
@@ -446,8 +418,14 @@ def potential_from_document(obj) -> PotentialDocument:
         _require(not exponents or set(fandoc.fan.rays) == exponents,
                  "the 'fan' section's rays differ from the potential's nonconstant "
                  "z-exponents")
-        _require(fandoc.kahler is None or list(fandoc.kahler.basis_areas()) == q_areas,
+        kahler = fandoc.kahler
+        _require(kahler is None or list(kahler.basis_areas()) == q_areas,
                  "the areas of the 'fan' section's q-basis differ from 'q_areas'")
+        # crit checks the Kahler cone at the --t values, which name the areas' variables
+        unused = set(kahler.parameter_names if kahler else ()).difference(
+            *(a.variables for a in q_areas))
+        _require(not unused, f"the 'fan' section's Kahler parameters {sorted(unused)} "
+                             f"are variables of no q-area")
     return PotentialDocument(poly, params, q_areas, fandoc)
 
 
@@ -457,15 +435,11 @@ def load_potential_document(path) -> PotentialDocument:
 
 # --- critical reports ---
 
-def _complex_json(value: complex) -> list:
-    return [value.real, value.imag]
-
-
 def critical_report_to_document(report, t_values: Mapping) -> dict:
     return {
         "format": CRITICAL_FORMAT,
-        "points": [[_complex_json(v) for v in point] for point in report.points],
-        "values": [_complex_json(v) for v in report.values],
+        "points": [[[v.real, v.imag] for v in point] for point in report.points],
+        "values": [[v.real, v.imag] for v in report.values],
         "residuals": list(report.residuals),
         "multistart": {
             "attempted": report.attempted,

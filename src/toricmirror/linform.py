@@ -17,11 +17,12 @@ from typing import Iterable, Mapping, Union
 Scalar = Union[int, Fraction]
 
 # one term of a linear form: [sign] (number ['*' name] | name), with
-# whitespace around every token
+# whitespace around every token; digits and whitespace are ASCII ones
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)"
     r"(?:\s*\*\s*(?P<scaled>[A-Za-z_][A-Za-z_0-9]*))?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*))\s*"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*))\s*",
+    re.ASCII,
 )
 
 

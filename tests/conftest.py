@@ -446,11 +446,12 @@ def tokenizing_parse_linear_form(text: str, allowed_names=None) -> LinForm:
     return LinForm(const, coeffs)
 
 
-# the library parser's term grammar, kept as it was
+# the library parser's term grammar, with its ASCII digits and whitespace
 _FRACTION_TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)"
     r"(?:\s*\*\s*(?P<scaled>[A-Za-z_][A-Za-z_0-9]*))?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*))\s*"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*))\s*",
+    re.ASCII,
 )
 
 

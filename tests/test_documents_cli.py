@@ -705,6 +705,10 @@ MALFORMED_POTENTIALS = {
     "fan-lambdas-differ": lambda doc: doc["fan"]["kahler"].update(
         lambdas=["-t2", "0", "-t1-2*t2", "-t1"]),
     "fan-q-basis-swapped": lambda doc: doc["fan"]["q_basis"].reverse(),
+    # Fraction reads any Unicode digit
+    "q-area-non-ascii-digit": lambda doc: doc["q_areas"][0].update(constant="\u0663"),
+    "q-term-non-ascii-digit": lambda doc: doc["terms"][0]["coefficient"][0].update(
+        value="\uff13/\uff12"),
 }
 
 
@@ -917,6 +921,33 @@ class TestCritCommand:
         capsys.readouterr()
         assert main(["crit", pot, "--t", "t1=1", "--t", "t2=1", *extra]) == 2
         assert capsys.readouterr() == ("", message)
+
+    def test_fan_parameter_in_no_area_exit_2(self, tmp_path, capsys):
+        # s translates F2's polytope and cancels from every area, so no --t
+        # value the areas ask for gives it; crit must refuse the document,
+        # not skip the Kahler-cone check and solve W at t1 = -1, outside it
+        pot = self.make_potential(tmp_path, F2_DOC)
+        doc = json.loads(Path(pot).read_text())
+        doc["fan"]["kahler"] = {"parameters": ["t1", "t2", "s"],
+                                "lambdas": ["-t2", "s", "-t1-2*t2-s", "0"]}
+        assert [a.to_json() for a in fan_from_document(doc["fan"]).kahler.basis_areas()] \
+            == doc["q_areas"]
+        Path(pot).write_text(json.dumps(doc))
+        for t in (["t1=-1", "t2=1"], ["t1=1", "t2=1"], ["t1=1", "t2=1", "s=0"]):
+            capsys.readouterr()
+            assert main(["crit", pot, *(a for v in t for a in ("--t", v))]) == 2, t
+            assert capsys.readouterr() == ("", "error: the 'fan' section's Kahler "
+                                           "parameters ['s'] are variables of no q-area\n")
+
+    @pytest.mark.parametrize("digits", ["\u0663", "\uff13/\uff12", "1e\u0661", "\u00a01"],
+                             ids=["arabic-indic", "full-width", "exponent", "no-break space"])
+    def test_non_ascii_rational_exit_2(self, tmp_path, capsys, digits):
+        # every exact number is read as ASCII text, at --t as in a document
+        pot = self.make_potential(tmp_path, F2_DOC)
+        capsys.readouterr()
+        assert main(["crit", pot, "--t", "t1=" + digits, "--t", "t2=1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad rational value {digits!r}: not ASCII text\n")
 
     def test_outside_kahler_cone_exit_2(self, tmp_path, capsys):
         # at t1 < 0 F2's polytope is a triangle whose normal fan is not F2's;
@@ -1137,6 +1168,19 @@ class TestLambdaInput:
             assert capsys.readouterr().err == (
                 f"error: bad lambda expression {lam!r}: zero denominator in {lam!r}\n")
 
+    @pytest.mark.parametrize("lam", ["-t\u2003", "\u0660", "-\uff11*t"],
+                             ids=["em space", "arabic-indic", "full-width"])
+    def test_non_ascii_lambda_exit_2(self, tmp_path, capsys, lam):
+        # the grammar's digits and whitespace are ASCII; a Unicode-aware
+        # pattern would read such a digit as its value, and the document
+        # would echo it
+        fan = write(tmp_path, "fan.json", dict(
+            P1_DOC, kahler={"parameters": ["t"], "lambdas": ["0", lam]}))
+        capsys.readouterr()
+        assert main(["potential", fan]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad lambda expression {lam!r}: "
+                                                  f"cannot parse linear form {lam!r}")
+
     def test_trailing_whitespace_accepted(self, tmp_path, capsys):
         fan = write(tmp_path, "fan.json", dict(
             P1_DOC, kahler={"parameters": ["t"], "lambdas": ["0 ", "-t\t"]}))
@@ -1167,8 +1211,7 @@ def json_dumps_text(obj) -> str:
 
 
 class FloatSubclass(float):
-    def __repr__(self):
-        return "not the float's text"
+    pass
 
 
 class StrSubclass(str):
@@ -1187,18 +1230,19 @@ Colour = enum.IntEnum("Colour", "RED GREEN")
 # every code point, with lone surrogates and control characters drawn often
 ANY_TEXT = st.text(st.characters(exclude_categories=())
                    | st.characters(categories=["Cs", "Cc"]), max_size=8)
-JSON_KEYS = (ANY_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
-JSON_VALUES = st.recursive(
+FINITE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]))
+# the values of a document: objects with str keys, arrays, strings, ints,
+# bools, null and finite floats
+DOCUMENT_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
-    | st.floats() | ANY_TEXT,
+    | FINITE_FLOATS | ANY_TEXT,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(st.integers(), max_size=6)  # the writer's one-step lists
-        | st.lists(st.floats(), max_size=6)
-        # one kind of key per object, so that most of them can be sorted
-        | st.one_of([st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS])
-        | st.dictionaries(st.one_of(JSON_KEYS), children, max_size=3)
+        | st.lists(FINITE_FLOATS, max_size=6)
+        | st.dictionaries(ANY_TEXT, children, max_size=4)
     ),
     max_leaves=24,
 )
@@ -1206,44 +1250,51 @@ JSON_VALUES = st.recursive(
 
 class TestCanonicalJson:
     """canonical_json against json.dumps(sort_keys=True, indent=2,
-    ensure_ascii=False) + newline, on generated values and on every kind of
-    document the CLI writes."""
+    ensure_ascii=False) + newline, on generated document values and on every
+    kind of document the CLI writes, and its refusal of every other value."""
 
-    @given(JSON_VALUES)
+    @given(DOCUMENT_VALUES)
     @example([1, True, 2])
     @example(["\ud800", "é\x00\u2028", {"\udfff": "\x1f"}])
-    @example([Colour.GREEN, [Colour.RED]])
-    @example({"x": [FloatSubclass(1.5), FloatSubclass("nan"), FloatSubclass("-inf")]})
-    @example({2: "int", 0.5: "float", False: "bool", Colour.RED: "enum", "s": None})
-    @example({None: [], True: {}, 1.0e300: ()})
-    # subclasses and mixed lists leave the writer's exact-type paths
-    @example({StrSubclass("k"): StrSubclass("v\u2028"), "s": [StrSubclass("é")]})
-    @example([ListSubclass([1, 2]), {"k": ListSubclass([0.5])}, DictSubclass(b=[1], a="x")])
-    @example({"k": DictSubclass({StrSubclass("z"): [3], "y": []})})
+    @example({"x": [-0.0, 5e-324, 1.7e308, -1.7e308], "y": [10**60, -(10**60)]})
     @example({"class": [1, -2, True], "q": [[0, 1, False]]})
     @settings(max_examples=400, deadline=None)
     def test_matches_json_dumps(self, value):
-        try:
-            expected = json_dumps_text(value)
-        except TypeError:  # keys of several kinds that do not sort
-            with pytest.raises(TypeError):
-                canonical_json(value)
-            return
-        assert canonical_json(value) == expected
+        assert canonical_json(value) == json_dumps_text(value)
 
     @pytest.mark.parametrize("value", [
-        [0.5, -0.0, 5e-324, 1.7e308, -1.7e308, 1e16, 1e-7, 0.1],
-        [1.5, float("nan")], [float("inf"), 2.5], [-2.5, float("-inf")],
-        [1.5, FloatSubclass(2.5)], [FloatSubclass("nan")], [1, 2.5], [2.5, 1, -0.0],
-        [2.5, True], [[0.5, 1e300], [2, 3], [-0.0, float("nan")]]],
-        ids=["finite", "nan", "inf", "-inf", "subclass", "subclass nan", "int float",
-             "float int", "float bool", "nested"])
+        [0.5, -0.0, 5e-324, 1.7e308, -1.7e308, 1e16, 1e-7, 0.1], [1, 2.5], [2.5, 1, -0.0],
+        [2.5, True], [[0.5, 1e300], [2, 3], [-0.0, 1.5]]],
+        ids=["finite", "int float", "float int", "float bool", "nested"])
     def test_float_lists_match_json_dumps(self, value):
-        # a list of exact finite floats is joined in one step; NaN, the
-        # infinities, float subclasses and mixed lists keep json's per-item
-        # rules
+        # a list of finite floats is joined in one step; mixed lists are
+        # written item by item
         for obj in (value, tuple(value), {"k": value}):
             assert canonical_json(obj) == json_dumps_text(obj)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_refuses_non_finite_floats(self, value):
+        # as json does with allow_nan=False
+        for obj in (value, [value], [1.5, value], [value, 2.5], {"k": value},
+                    {"k": [0.5, value]}, [[0.5, 1e300], [-0.0, value]]):
+            with pytest.raises(ValueError):
+                json.dumps(obj, allow_nan=False)
+            with pytest.raises(ValueError, match="Out of range float values"):
+                canonical_json(obj)
+
+    @pytest.mark.parametrize("value", [
+        FloatSubclass(1.5), StrSubclass("v\u2028"), ListSubclass([1, 2]),
+        DictSubclass(b=[1], a="x"), Colour.GREEN, {2: "int"}, {0.5: "float"},
+        {False: "bool"}, {None: []}, {Colour.RED: "enum"}, {StrSubclass("k"): 1}],
+        ids=["float subclass", "str subclass", "list subclass", "dict subclass", "IntEnum",
+             "int key", "float key", "bool key", "None key", "IntEnum key", "str subclass key"])
+    def test_refuses_what_documents_do_not_hold(self, value):
+        # json writes these; no document holds them, and each is told by
+        # its exact type
+        for obj in (value, [value], [1, value], [0.5, value], {"k": value}, {"k": [value]}):
+            with pytest.raises(TypeError):
+                canonical_json(obj)
 
     @pytest.mark.parametrize("value", [{1}, b"x", 1j, Fraction(1, 2), {(1, 2): 0}],
                              ids=["set", "bytes", "complex", "Fraction", "tuple key"])

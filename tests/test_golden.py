@@ -155,6 +155,10 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
             term for term in doc["terms"] if term["z"] == [1, 0]).update(z=[2, 1]),
         "short q-term": lambda doc: doc["terms"][0]["coefficient"][0].update(q=[0]),
         "negative q-term": lambda doc: doc["terms"][0]["coefficient"][0].update(q=[-1, 0]),
+        # s translates the polytope and cancels from every area, so crit
+        # could not check the Kahler cone at any --t value
+        "fan parameter in no area": lambda doc: doc["fan"].update(kahler={
+            "parameters": ["t1", "t2", "s"], "lambdas": ["-t2", "s", "-t1-2*t2-s", "0"]}),
     }.items():
         doc = json.loads(Path(pot).read_text(encoding="utf-8"))
         mutate(doc)
@@ -190,6 +194,8 @@ def write_refusals(folder: Path, bundles: dict) -> dict:
             ["crit", str(mutated["misspelled field"]), *t],
         "refuse crit fan section off W's exponents":
             ["crit", str(mutated["fan off W"]), "--t", "t1=4.6", "--t", "t2=4.6"],
+        "refuse crit fan section with a parameter in no q-area":
+            ["crit", str(mutated["fan parameter in no area"]), "--t", "t1=-1", "--t", "t2=1"],
         "refuse crit q-term of the wrong length": ["crit", str(mutated["short q-term"]), *t],
         "refuse crit q-term with a negative exponent":
             ["crit", str(mutated["negative q-term"]), *t],

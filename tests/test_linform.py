@@ -73,6 +73,22 @@ class TestParser:
     def test_repeated_terms_merge(self):
         assert parse_linear_form("t + t - 3*t") == LinForm(0, {"t": -1})
 
+    @pytest.mark.parametrize("text", [
+        "\u0663", "\u0663*t1 - \u0661/\u0662", "\uff13/\uff12", "1.\u0665", "t1\u00a0+ 1",
+        "\u2003-t"])
+    def test_non_ascii_digits_and_whitespace_rejected(self, text):
+        # unless compiled ASCII, \d and \s match any Unicode digit and space
+        with pytest.raises(ValueError, match="cannot parse linear form"):
+            parse_linear_form(text)
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff13/\uff12", "1e\u0661", "\u00a01", "-\u0660.5"])
+def test_read_rational_refuses_non_ascii_text(text):
+    # Fraction reads each of these: any Unicode digit, around any Unicode space
+    Fraction(text)
+    with pytest.raises(SchemaError, match="not ASCII text"):
+        read_rational(text)
+
 
 TOKENS = ["t", "t1", "s_2", "0", "1", "2", "12", "3/2", "1/0", "0.25", "0.1", "2.", ".5",
           "0.1234567890123456789", "+", "-", "*", "/", " ", "\t", ""]
@@ -171,6 +187,7 @@ class TestIntFirstReading:
     @example("t + 1/0*t", None)
     @example("0.25*s_2 - 1/4*s_2 + s_2", ["s_2"])
     @example("t1 + 2*t2", ["t1"])
+    @example("\u0663*t1 - \u0661/\u0662 + \u00a0t", None)  # refused by both
     def test_same_form_order_and_messages(self, text, allowed):
         new = _parsed(parse_linear_form, text, allowed)
         assert new == _parsed(fraction_parse_linear_form, text, allowed), text

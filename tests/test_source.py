@@ -172,6 +172,35 @@ def test_one_document_writer():
         ("gw.py", "fan_fingerprint", ["separators", "sort_keys"])]
 
 
+# the functions of re that compile their first argument as a pattern
+RE_FUNCTIONS = {"compile", "match", "fullmatch", "search", "findall", "finditer", "sub",
+                "subn", "split"}
+
+
+def _is_re_attribute(node, names) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "re")
+
+
+def test_regexes_are_ascii():
+    # without re.ASCII, \d and \s match any Unicode digit and space, so a
+    # number would be read from Arabic-Indic or full-width digits; every
+    # number the library reads is ASCII text
+    found = []
+    for path in sorted(Path(toricmirror.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "re":
+                found += [f"{path.name}:{node.lineno} import {a.name}" for a in node.names
+                          if a.name in RE_FUNCTIONS]
+            if not (isinstance(node, ast.Call) and _is_re_attribute(node.func, RE_FUNCTIONS)):
+                continue
+            flags = [*node.args[1:], *(k.value for k in node.keywords)]
+            if not any(_is_re_attribute(n, {"ASCII", "A"}) for f in flags for n in ast.walk(f)):
+                found.append(f"{path.name}:{node.lineno} re.{node.func.attr}")
+    assert found == []
+
+
 def test_one_solver_evaluator():
     # the solver evaluates W at a point only through roots.candidate, one
     # pass over the terms in the chart; laurent.sum_terms, which takes
